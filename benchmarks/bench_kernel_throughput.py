@@ -6,8 +6,9 @@ sweep.  This bench measures:
 
 * the raw kernel: how many schedule/dispatch cycles per second the event
   loop sustains with trivial callbacks;
-* the default ``simulate_point`` workload (default :class:`ProtocolConfig`,
-  default duration/warm-up) with the real crypto backend and with the
+* the default ``serverless_bft`` point (default :class:`ProtocolConfig`,
+  3 s run / 0.5 s warm-up; its rows keep the historical ``simulate_point/*``
+  labels so the baseline matches) with the real crypto backend and with the
   ``FastCryptoBackend`` — ``tests/test_perf_determinism.py`` proves both
   produce bit-identical simulated-time results.
 
@@ -35,7 +36,8 @@ import json
 import time
 
 from repro import kernel
-from repro.bench.harness import ExperimentTable, format_table, simulate_point
+from repro.api import build_system
+from repro.bench.harness import ExperimentTable, format_table
 from repro.core.config import ProtocolConfig
 from repro.perf import PERF
 from repro.sim.engine import Simulator
@@ -129,7 +131,7 @@ def _canonical_bytes_mb_per_sec(iterations: int = 30_000) -> "tuple[float, float
 
 
 def kernel_throughput_report(duration: float = 3.0, warmup: float = 0.5) -> dict:
-    """Measure raw kernel plus the default simulate_point workload.
+    """Measure raw kernel plus the default ``serverless_bft`` point.
 
     Returns the machine-readable report dict (``--json`` shape); use
     :func:`report_table` to render it as an :class:`ExperimentTable`.
@@ -181,12 +183,8 @@ def kernel_throughput_report(duration: float = 3.0, warmup: float = 0.5) -> dict
         # reports only its own counter activity, and the bench no longer
         # clobbers counters accumulated by whatever ran before it.
         perf_baseline = PERF.snapshot()
-        result = simulate_point(
-            ProtocolConfig(crypto_backend=backend),
-            duration=duration,
-            warmup=warmup,
-            report_perf=False,
-        )
+        deployment = build_system("serverless_bft", ProtocolConfig(crypto_backend=backend))
+        result = deployment.run(duration=duration, warmup=warmup)
         wall = max(result.wall_clock_seconds, 1e-9)
         report["workloads"][f"simulate_point/{backend}"] = {
             "events": result.events_processed,

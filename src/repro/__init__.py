@@ -13,20 +13,15 @@ Typical entry points:
   any registered system with composed scenarios and dotted-key overrides.
 * :class:`repro.core.config.ProtocolConfig` — configure a deployment.
 * :mod:`repro.bench.experiments` — regenerate the paper's figures.
-
-(`ServerlessBFTSimulation` and the baseline builders remain importable but
-are deprecated as *direct* entry points — construct deployments through
-``repro.api`` instead.)
 """
 
 from repro.core.config import ProtocolConfig
-from repro.core.runner import ServerlessBFTSimulation, SimulationResult
+from repro.core.runner import SimulationResult
 from repro.workload.ycsb import YCSBConfig, YCSBWorkload
 
 __all__ = [
     "ProtocolConfig",
     "RunSpec",
-    "ServerlessBFTSimulation",
     "SimulationResult",
     "YCSBConfig",
     "YCSBWorkload",

@@ -114,7 +114,7 @@ def build_deployment(
 
 
 def spec_digest(spec: RunSpec) -> str:
-    """The run's content address — the same key the sweep store uses.
+    """The run's content address — the same key sweeps file results under.
 
     SHA-256 of the fully resolved run (labels excluded), so an ad-hoc
     ``repro.api.run`` and a sweep point with the same resolved configuration
@@ -316,8 +316,9 @@ def build_system(
     """Registry-backed construction for callers holding pre-built configs.
 
     The lower-level sibling of :func:`run`: same adapters, same capability
-    validation, no declarative resolution.  Used by the bench harness, whose
-    entry point takes :class:`ProtocolConfig` / :class:`YCSBConfig` objects.
+    validation, no declarative resolution.  Used by the kernel bench and the
+    integration tests, which hold :class:`ProtocolConfig` / :class:`YCSBConfig`
+    objects and read the built deployment's components.
     """
     return get_system(system).build(config, workload, **kwargs)
 

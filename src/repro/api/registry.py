@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional
 
+from repro.baselines.pbft_replicated import ReplicatedPBFTDeployment
+from repro.core.runner import ServerlessDeployment
 from repro.errors import ConfigurationError
 
 #: The consensus engine assumed when a run spec does not choose one.
@@ -159,14 +161,9 @@ class SystemAdapter:
             kwargs["consensus_engine"] = consensus_engine
         if CAP_EXECUTION_THREADS in self.capabilities:
             kwargs["execution_threads"] = execution_threads
-        # Facade-internal construction: the legacy-entry-point deprecation
-        # warning must not fire for deployments built through the registry.
-        from repro.core.runner import _entry_point_sanction
-
-        with _entry_point_sanction():
-            return self.builder(
-                config, workload=workload, tracer_enabled=tracer_enabled, **kwargs
-            )
+        return self.builder(
+            config, workload=workload, tracer_enabled=tracer_enabled, **kwargs
+        )
 
 
 # ------------------------------------------------------------------ registry
@@ -206,42 +203,42 @@ def all_systems() -> List[SystemAdapter]:
 # ------------------------------------------------------------------ built-in systems
 
 
-def _build_serverless_bft(config, workload=None, *, tracer_enabled=False, **kwargs):
-    from repro.core.runner import ServerlessBFTSimulation
+def _build_serverless_cft(config, workload=None, **kwargs):
+    """SERVERLESSCFT (Section IX-H): the shim orders with Paxos.
 
-    return ServerlessBFTSimulation(
-        config, workload=workload, tracer_enabled=tracer_enabled, **kwargs
+    "As CFT protocols do not protect against byzantine attacks, they do not
+    require cryptographic signatures, which in turn reduces the amount of
+    work done per consensus.  Further, unlike PBFT, Paxos is linear."  So
+    the ordering engine is swapped and request ingest gets cheaper;
+    executors skip certificate verification because a CFT shim produces no
+    commit certificates.
+    """
+    return ServerlessDeployment(
+        config.with_overrides(txn_ingest_cost=15e-6),
+        workload,
+        consensus_engine="paxos",
+        **kwargs,
     )
 
 
-def _build_serverless_cft(config, workload=None, *, tracer_enabled=False, **kwargs):
-    from repro.baselines.serverless_cft import build_serverless_cft_simulation
+def _build_noshim(config, workload=None, **kwargs):
+    """NOSHIM (Section IX-H): "there is no shim; no BFT consensus takes place.
+    All the clients send their requests to a node, which instantaneously
+    spawns executors."
 
-    return build_serverless_cft_simulation(
-        config, workload=workload, tracer_enabled=tracer_enabled, **kwargs
-    )
-
-
-def _build_pbft_replicated(config, workload=None, *, tracer_enabled=False, **kwargs):
-    from repro.baselines.pbft_replicated import PBFTReplicatedSimulation
-
-    return PBFTReplicatedSimulation(
-        config, workload=workload, tracer_enabled=tracer_enabled, **kwargs
-    )
-
-
-def _build_noshim(config, workload=None, *, tracer_enabled=False, **kwargs):
-    from repro.baselines.noshim import build_noshim_simulation
-
-    return build_noshim_simulation(
-        config, workload=workload, tracer_enabled=tracer_enabled, **kwargs
+    A shim of exactly one node is precisely that: with ``n_R = 1`` PBFT has
+    ``f_R = 0`` and a quorum of one, so a proposal commits in a single local
+    step and the executor/verifier pipeline is unchanged.
+    """
+    return ServerlessDeployment(
+        config.with_overrides(shim_nodes=1, txn_ingest_cost=15e-6), workload, **kwargs
     )
 
 
 register_system(SystemAdapter(
     name="serverless_bft",
     description="ServerlessBFT: PBFT shim, serverless executors, trusted verifier.",
-    builder=_build_serverless_bft,
+    builder=ServerlessDeployment,
     capabilities=frozenset(
         {
             CAP_NODE_BEHAVIOURS,
@@ -270,7 +267,7 @@ register_system(SystemAdapter(
 register_system(SystemAdapter(
     name="pbft_replicated",
     description="Classic replicated-execution PBFT: no executors, no verifier.",
-    builder=_build_pbft_replicated,
+    builder=ReplicatedPBFTDeployment,
     capabilities=frozenset({CAP_NODE_BEHAVIOURS, CAP_EXECUTION_THREADS}),
     display_name="PBFT",
     model_kind="pbft",

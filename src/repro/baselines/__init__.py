@@ -1,10 +1,8 @@
 """Baseline systems used in the paper's evaluation (Figures 7 and 8).
 
-* **NOSHIM** — no consensus at all: every client request goes to a single
-  node that immediately spawns executors.  Equivalent to a shim of one node,
-  which is exactly how :func:`noshim.build_noshim_simulation` builds it.
-* **SERVERLESSCFT** — the shim orders requests with a crash-fault-tolerant
-  Paxos instead of PBFT (no signatures, linear communication).
+* **NOSHIM** and **SERVERLESSCFT** are config transforms of the serverless
+  deployment (a one-node shim; a Paxos shim) and live with their adapters
+  in :mod:`repro.api.registry`.
 * **PBFT** — a classic replicated-execution PBFT deployment: every replica
   executes the transactions itself after ordering them; there are no
   serverless executors and no verifier.  Used both for the Figure 7
@@ -12,13 +10,6 @@
   task-offloading study of Figure 8.
 """
 
-from repro.baselines.noshim import build_noshim_simulation
-from repro.baselines.serverless_cft import build_serverless_cft_simulation
-from repro.baselines.pbft_replicated import PBFTReplicatedSimulation, ReplicatedNode
+from repro.baselines.pbft_replicated import ReplicatedNode, ReplicatedPBFTDeployment
 
-__all__ = [
-    "PBFTReplicatedSimulation",
-    "ReplicatedNode",
-    "build_noshim_simulation",
-    "build_serverless_cft_simulation",
-]
+__all__ = ["ReplicatedNode", "ReplicatedPBFTDeployment"]

@@ -18,32 +18,25 @@ the primary replies to the clients.  This baseline is used for:
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.cloud.billing import CostModel
-from repro.cloud.regions import GeoLatencyModel, RegionCatalog
 from repro.consensus.log import CommittedEntry
 from repro.consensus.pbft import PBFTConfig, PBFTReplica, ReplicaTransport
-from repro.core.client import ClientGroup
 from repro.core.config import ProtocolConfig
 from repro.core.messages import ClientRequestMsg, ResponseMsg
-from repro.core.runner import SimulationResult, _warn_legacy_entry_point
-from repro.crypto.keys import KeyStore
+from repro.core.runner import Deployment
 from repro.crypto.signatures import SignatureService
 from repro.errors import ConfigurationError
 from repro.faults.byzantine import NodeBehaviour
-from repro.obs.context import ObsContext
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.process import CpuResource, SimProcess
-from repro.sim.rng import DeterministicRNG
-from repro.sim.stats import LatencyRecorder, ThroughputRecorder
+from repro.sim.stats import ThroughputRecorder
 from repro.sim.tracing import Tracer
 from repro.storage.kvstore import VersionedKVStore
 from repro.workload.transactions import Transaction, TransactionBatch, execute_batch
-from repro.workload.ycsb import YCSBConfig, YCSBWorkload
+from repro.workload.ycsb import YCSBConfig
 
 
 class _ReplicaTransport(ReplicaTransport):
@@ -236,8 +229,8 @@ class ReplicatedNode(SimProcess):
             self._network.send(self.name, origin, response, response.size_bytes)
 
 
-class PBFTReplicatedSimulation:
-    """Deployment runner for the replicated-execution PBFT baseline."""
+class ReplicatedPBFTDeployment(Deployment):
+    """The replicated-execution PBFT baseline: every shim node is a replica."""
 
     def __init__(
         self,
@@ -245,9 +238,8 @@ class PBFTReplicatedSimulation:
         workload: Optional[YCSBConfig] = None,
         execution_threads: int = 16,
         node_behaviours: Optional[Dict[str, NodeBehaviour]] = None,
-        tracer_enabled: bool = True,
+        tracer_enabled: bool = False,
     ) -> None:
-        _warn_legacy_entry_point("PBFTReplicatedSimulation")
         if execution_threads < 1:
             raise ConfigurationError("execution_threads must be at least 1")
         if config.fault_timeline:
@@ -256,117 +248,27 @@ class PBFTReplicatedSimulation:
                 "execute state machines locally and have no checkpoint-based "
                 "catch-up path (use serverless_bft/serverless_cft/noshim)"
             )
-        self.config = config
+        super().__init__(config, workload, tracer_enabled=tracer_enabled)
         self.execution_threads = execution_threads
-        self.workload_config = workload or YCSBConfig(clients=config.num_clients, seed=config.seed)
         node_behaviours = node_behaviours or {}
-
-        self.sim = Simulator()
-        self.rng = DeterministicRNG(config.seed)
-        self.catalog = RegionCatalog()
-        self.obs = ObsContext(enabled=tracer_enabled)
-        self.tracer = self.obs.tracer
-        # Mirror the serverless runner's None-gating: disabled observability
-        # must leave the components without a single new branch on the hot
-        # path, so they only ever see a tracer/obs handle when it is live.
-        component_tracer = self.tracer if tracer_enabled else None
-        component_obs = self.obs.component()
-        self.network = Network(self.sim, GeoLatencyModel(self.catalog), self.rng.child("network"))
-        self.keystore = KeyStore(deployment_secret=f"replicated-{config.seed}")
-        self.cost_model = CostModel()
-        self.workload = YCSBWorkload(self.workload_config)
-        self.throughput = ThroughputRecorder()
-        self.latency = LatencyRecorder()
-
-        shim_names = [f"node-{index}" for index in range(config.shim_nodes)]
-        self.nodes: List[ReplicatedNode] = [
-            ReplicatedNode(
-                sim=self.sim,
-                network=self.network,
-                name=name,
-                region=config.shim_region,
-                config=config,
-                shim_names=shim_names,
-                signer=SignatureService(self.keystore, name),
-                execution_threads=execution_threads,
-                throughput=self.throughput,
-                behaviour=node_behaviours.get(name),
-                tracer=component_tracer,
-                obs=component_obs,
+        for name in self.shim_names:
+            self.nodes.append(
+                ReplicatedNode(
+                    sim=self.sim,
+                    network=self.network,
+                    name=name,
+                    region=config.shim_region,
+                    config=config,
+                    shim_names=self.shim_names,
+                    signer=self._make_signer(name),
+                    execution_threads=execution_threads,
+                    throughput=self.throughput,
+                    behaviour=node_behaviours.get(name),
+                    tracer=self._component_tracer,
+                    obs=self._component_obs,
+                )
             )
-            for name in shim_names
-        ]
-
-        self.clients: List[ClientGroup] = []
-        group_size = config.clients_per_group
-        for index in range(config.client_groups):
-            group = ClientGroup(
-                sim=self.sim,
-                network=self.network,
-                name=f"client-group-{index}",
-                region=config.client_region,
-                group_size=group_size,
-                workload=self.workload,
-                signer=SignatureService(self.keystore, f"client-group-{index}"),
-                costs=config.crypto_costs,
-                primary_name=shim_names[0],
-                verifier_name=shim_names[0],
-                client_timeout=config.client_timeout,
-                latency_recorder=self.latency,
-                tracer=component_tracer,
-                obs=component_obs,
-                client_index_offset=index * group_size,
-            )
-            self.clients.append(group)
-
-    def run(self, duration: float = 5.0, warmup: float = 0.5) -> SimulationResult:
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        if warmup < 0 or warmup >= duration:
-            raise ConfigurationError("warmup must be inside [0, duration)")
-        self.throughput._warmup = warmup
-        self.latency._warmup = warmup
-        for index, group in enumerate(self.clients):
-            group._stop_time = duration
-            self.sim.schedule(index * 0.001, group.start)
-        self.obs.on_run_start()
-        # lint: ignore[DET001] wall_clock_seconds is a declared HOST_SPEED_FIELDS field
-        started = time.perf_counter()
-        self.sim.run(until=duration)
-        wall_clock = time.perf_counter() - started  # lint: ignore[DET001] host timing
-        window = max(1e-9, duration - warmup)
-        committed = self.throughput.completed
-        # Edge-only deployment: only the shim VMs are billed.
-        self.cost_model.charge_vm_fleet(
-            machines=self.config.shim_nodes,
-            cores=self.config.shim_cores,
-            memory_gb=16.0,
-            duration_seconds=duration,
-        )
-        billing = self.cost_model.report
-        result = SimulationResult(
-            duration=duration,
-            warmup=warmup,
-            committed_txns=committed,
-            aborted_txns=0,
-            throughput_txn_per_sec=committed / window,
-            latency=self.latency.summary(),
-            completed_requests=sum(group.completed_requests for group in self.clients),
-            client_retransmissions=sum(group.retransmissions for group in self.clients),
-            spawned_executors=0,
-            cloud_invocations=0,
-            view_changes=sum(node.replica.view_changes_installed for node in self.nodes),
-            verifier_ignored_verify=0,
-            verifier_replace_sent=0,
-            verifier_errors_sent=0,
-            messages_sent=self.network.messages_sent,
-            messages_dropped=self.network.messages_dropped,
-            bytes_sent=self.network.bytes_sent,
-            billing=billing,
-            cents_per_kilo_txn=billing.cents_per_kilo_txn(committed),
-            wall_clock_seconds=wall_clock,
-            events_processed=self.sim.events_processed,
-        )
-        if self.obs.enabled:
-            result.obs = self.obs.finalize(duration, extra=result.extra)
-        return result
+        # No verifier: the primary replica answers the clients itself.  With
+        # no executors either, the inherited zero counters and shim-only VM
+        # bill are already this system's.
+        self._build_clients(verifier_name=self.shim_names[0])

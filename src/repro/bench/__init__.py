@@ -9,7 +9,7 @@ simulate, and EXPERIMENTS.md records both against the paper's claims.
 """
 
 from repro.bench.defaults import PaperSetup
-from repro.bench.harness import ExperimentTable, format_table, simulate_point
+from repro.bench.harness import ExperimentTable, format_table
 from repro.bench import experiments
 
 __all__ = [
@@ -17,5 +17,4 @@ __all__ = [
     "PaperSetup",
     "experiments",
     "format_table",
-    "simulate_point",
 ]

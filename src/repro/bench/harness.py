@@ -1,14 +1,10 @@
-"""Experiment harness utilities: running points and formatting tables."""
+"""Experiment harness utilities: experiment tables and their text rendering."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-from repro.core.config import ProtocolConfig
-from repro.core.runner import SimulationResult
-from repro.workload.ycsb import YCSBConfig
+from typing import Dict, List, Sequence
 
 
 class DuplicateSeriesKeyWarning(UserWarning):
@@ -95,49 +91,3 @@ def format_table(table: ExperimentTable, float_format: str = "{:,.1f}") -> str:
     for rendered in rendered_rows:
         lines.append("  ".join(value.ljust(width) for value, width in zip(rendered, widths)))
     return "\n".join(lines)
-
-
-def simulate_point(
-    config: ProtocolConfig,
-    workload: Optional[YCSBConfig] = None,
-    consensus_engine: str = "pbft",
-    duration: float = 3.0,
-    warmup: float = 0.5,
-    report_perf: bool = True,
-    system: str = "serverless_bft",
-    **runner_kwargs,
-) -> SimulationResult:
-    """Run one message-level simulation point (used by the measured benches).
-
-    The deployment is built through the ``repro.api`` system registry, so
-    ``system`` may name any registered variant (capability validation
-    included).  Each point also reports its host-side cost (wall-clock
-    seconds and kernel events per second) so the BENCH_*.json files capture
-    the simulator's performance trajectory alongside the simulated metrics.
-    """
-    from repro.api.facade import build_system  # bench sits above the facade
-    from repro.perf import PERF
-
-    simulation = build_system(
-        system,
-        config,
-        workload,
-        consensus_engine=consensus_engine,
-        tracer_enabled=False,
-        **runner_kwargs,
-    )
-    # Snapshot/delta discipline instead of PERF.reset(): the point's own
-    # counter activity is reported without clobbering whatever the process
-    # accumulated before (back-to-back points each see only their own work).
-    perf_baseline = PERF.snapshot()
-    result = simulation.run(duration=duration, warmup=warmup)
-    if report_perf:
-        delta = PERF.delta_since(perf_baseline)
-        fast = delta.get("events_scheduled_fast", 0)
-        print(
-            f"[perf] simulate_point: wall_clock={result.wall_clock_seconds:.3f}s "
-            f"events={result.events_processed:,} "
-            f"events/sec={result.events_per_second:,.0f} "
-            f"fast_scheduled={fast:,}"
-        )
-    return result

@@ -24,7 +24,7 @@ from repro.core.messages import (
     ResponseMsg,
     VerifyMsg,
 )
-from repro.core.runner import ServerlessBFTSimulation, SimulationResult
+from repro.core.runner import SimulationResult
 from repro.core.shim_node import ShimNode
 from repro.core.spawning import DecentralizedSpawnPolicy, PrimarySpawnPolicy, executors_per_node
 from repro.core.verifier import Verifier
@@ -45,7 +45,6 @@ __all__ = [
     "ProtocolConfig",
     "ReplaceMsg",
     "ResponseMsg",
-    "ServerlessBFTSimulation",
     "ShimNode",
     "SimulationResult",
     "SpawnPolicyName",

@@ -1,18 +1,18 @@
-"""Deployment builder and simulation runner.
+"""Deployment base class, the serverless-edge deployment, and run results.
 
-:class:`ServerlessBFTSimulation` assembles the full serverless-edge
-architecture — clients, shim, serverless cloud, executors, verifier, and
-storage — on top of the discrete-event simulator, runs it for a configured
-virtual duration, and returns a :class:`SimulationResult` with the metrics
-the paper reports (throughput, latency, aborts, monetary cost) plus richer
-diagnostics (view changes, spawn counts, network statistics).
+:class:`Deployment` owns what every system of the evaluation shares — the
+simulation substrates, client groups, the single ``run(duration, warmup)``
+loop and the common :class:`SimulationResult` fields.
+:class:`ServerlessDeployment` adds the serverless-edge architecture on top:
+shim, serverless cloud, executors, verifier, and storage.  Deployments are
+built through the system registry (``repro.api.build_system`` /
+``repro.api.run``), which validates every knob against the system's
+capabilities first.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -37,38 +37,6 @@ from repro.sim.stats import LatencyRecorder, LatencySummary, ThroughputRecorder
 from repro.storage.kvstore import VersionedKVStore
 from repro.storage.service import StorageService
 from repro.workload.ycsb import YCSBConfig, YCSBWorkload
-
-
-# Depth counter raised while the repro.api facade constructs deployments:
-# direct construction of the simulation classes below is a deprecated entry
-# point, but the facade itself builds them through the system registry and
-# must not trip the warning.  The simulator is single-threaded, so a plain
-# module global suffices.
-_ENTRY_POINT_SANCTION_DEPTH = 0
-
-
-@contextlib.contextmanager
-def _entry_point_sanction():
-    """Mark the enclosed constructions as facade-internal (no deprecation)."""
-    global _ENTRY_POINT_SANCTION_DEPTH
-    _ENTRY_POINT_SANCTION_DEPTH += 1
-    try:
-        yield
-    finally:
-        _ENTRY_POINT_SANCTION_DEPTH -= 1
-
-
-def _warn_legacy_entry_point(name: str) -> None:
-    """Emit the deprecation for a direct (non-facade) constructor call."""
-    if _ENTRY_POINT_SANCTION_DEPTH:
-        return
-    warnings.warn(
-        f"constructing {name} directly is deprecated; use "
-        f"repro.api.run(RunSpec(...)) — or repro.api.build_system(...) when "
-        f"holding pre-built config objects",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -119,33 +87,25 @@ class SimulationResult:
         return self.events_processed / self.wall_clock_seconds
 
 
-class ServerlessBFTSimulation:
-    """Builds and runs a full serverless-edge deployment."""
+class Deployment:
+    """What every system's deployment shares: substrates, clients, run, collect.
+
+    Subclasses build their nodes into ``self.nodes`` (anything exposing
+    ``.name`` and ``.replica``), then call :meth:`_build_clients`; a system
+    with executors or a verifier overrides :meth:`_system_counters` and
+    :meth:`_charge_vm_fleets`.
+    """
 
     def __init__(
         self,
         config: ProtocolConfig,
         workload: Optional[YCSBConfig] = None,
-        consensus_engine: str = "pbft",
-        node_behaviours: Optional[Dict[str, NodeBehaviour]] = None,
-        executor_behaviour_factory: Optional[
-            Callable[[str, ExecuteMsg], Optional[ExecutorBehaviour]]
-        ] = None,
         network_fault_plan: Optional[NetworkFaultPlan] = None,
         regions: Optional[RegionCatalog] = None,
-        tracer_enabled: bool = True,
-        preload_storage: bool = False,
+        tracer_enabled: bool = False,
     ) -> None:
-        _warn_legacy_entry_point("ServerlessBFTSimulation")
-        if consensus_engine not in ("pbft", "paxos"):
-            raise ConfigurationError(f"unknown consensus engine {consensus_engine!r}")
         self.config = config
-        self.consensus_engine = consensus_engine
         self.workload_config = workload or YCSBConfig(clients=config.num_clients, seed=config.seed)
-        self._executor_behaviour_factory = executor_behaviour_factory
-        node_behaviours = node_behaviours or {}
-
-        # --- substrates -----------------------------------------------------------
         self.sim = Simulator()
         self.rng = DeterministicRNG(config.seed)
         self.catalog = regions or RegionCatalog()
@@ -156,8 +116,8 @@ class ServerlessBFTSimulation:
         # Components skip tracing entirely on a None tracer; threading None
         # when tracing is off removes a dead call per protocol step.  The
         # obs context follows the exact same pattern.
-        component_tracer = self.tracer if tracer_enabled else None
-        component_obs = self.obs.component()
+        self._component_tracer = self.tracer if tracer_enabled else None
+        self._component_obs = self.obs.component()
         self.network = Network(
             self.sim,
             GeoLatencyModel(self.catalog),
@@ -166,119 +126,14 @@ class ServerlessBFTSimulation:
         )
         self.keystore = KeyStore(deployment_secret=f"deployment-{config.seed}")
         self.crypto_backend = resolve_backend(config.crypto_backend)
-        self.store = VersionedKVStore()
-        if preload_storage:
-            self.store.load(config.storage_records)
         self.cost_model = CostModel()
         self.workload = YCSBWorkload(self.workload_config)
-
-        # --- serverless cloud ---------------------------------------------------------
-        self.cloud = ServerlessCloud(
-            sim=self.sim,
-            catalog=self.catalog,
-            cost_model=self.cost_model,
-            rng=self.rng.child("cloud"),
-            executor_factory=self._spawn_executor,
-            cold_start_latency=config.cold_start_latency,
-            warm_start_latency=config.warm_start_latency,
-            concurrency_limit_per_region=config.executor_concurrency_limit,
-        )
-
-        # --- verifier + storage ---------------------------------------------------------
-        self.throughput = ThroughputRecorder(warmup=0.0)
-        self.latency = LatencyRecorder(warmup=0.0)
-        shim_names = [f"node-{index}" for index in range(config.shim_nodes)]
-        self.verifier = Verifier(
-            sim=self.sim,
-            network=self.network,
-            name="verifier",
-            region=config.verifier_region,
-            cores=config.verifier_cores,
-            store=self.store,
-            signer=self._make_signer("verifier"),
-            costs=config.crypto_costs,
-            shim_node_names=shim_names,
-            match_quorum=config.executor_match_quorum,
-            executor_faults=config.derived_executor_faults,
-            expected_executors=config.num_executors,
-            quorum_timeout=config.verifier_quorum_timeout,
-            throughput=self.throughput,
-            tracer=component_tracer,
-            obs=component_obs,
-        )
-        self.storage_service = StorageService(
-            sim=self.sim,
-            network=self.network,
-            store=self.store,
-            name="storage",
-            region=config.verifier_region,
-        )
-
-        # --- shim ----------------------------------------------------------------------
-        executor_regions = config.regions_for_executors(self.catalog.names)
-        self.nodes: List[ShimNode] = []
-        for name in shim_names:
-            node = ShimNode(
-                sim=self.sim,
-                network=self.network,
-                name=name,
-                region=config.shim_region,
-                config=config,
-                shim_names=shim_names,
-                signer=self._make_signer(name),
-                costs=config.crypto_costs,
-                cloud=self.cloud,
-                executor_regions=executor_regions,
-                verifier_name="verifier",
-                consensus_engine=consensus_engine,
-                behaviour=node_behaviours.get(name),
-                tracer=component_tracer,
-                obs=component_obs,
-            )
-            self.nodes.append(node)
-
-        # --- clients ---------------------------------------------------------------------
+        self.throughput = ThroughputRecorder()
+        self.latency = LatencyRecorder()
+        self.shim_names = [f"node-{index}" for index in range(config.shim_nodes)]
+        self.nodes: List = []
         self.clients: List[ClientGroup] = []
-        group_size = config.clients_per_group
-        for index in range(config.client_groups):
-            group = ClientGroup(
-                sim=self.sim,
-                network=self.network,
-                name=f"client-group-{index}",
-                region=config.client_region,
-                group_size=group_size,
-                workload=self.workload,
-                signer=self._make_signer(f"client-group-{index}"),
-                costs=config.crypto_costs,
-                primary_name=shim_names[0],
-                verifier_name="verifier",
-                client_timeout=config.client_timeout,
-                latency_recorder=self.latency,
-                tracer=component_tracer,
-                obs=component_obs,
-                client_index_offset=index * group_size,
-            )
-            self.clients.append(group)
-
-        # Keep clients pointed at the current primary across view changes.
-        for node in self.nodes:
-            node.add_primary_change_listener(self._on_primary_change)
-
-        # --- fault timeline ----------------------------------------------------------
-        # Built only when configured: a fault-free run constructs no engine,
-        # schedules no events, and registers no commit listener, so its
-        # results stay bit-identical to a build without this feature.
         self.fault_engine = None
-        if config.fault_timeline:
-            from repro.faults.timeline import FaultTimelineEngine
-
-            self.fault_engine = FaultTimelineEngine(self)
-            self.throughput.set_commit_listener(self.fault_engine.watchdog.on_commit)
-
-        self._executor_required_signers = (
-            config.shim_quorum if consensus_engine == "pbft" else 0
-        )
-        self._executor_counter = 0
 
     # ------------------------------------------------------------------ wiring helpers
 
@@ -286,34 +141,55 @@ class ServerlessBFTSimulation:
         """A signature service bound to the deployment's crypto backend."""
         return SignatureService(self.keystore, owner, backend=self.crypto_backend)
 
-    def _on_primary_change(self, primary: str) -> None:
-        for group in self.clients:
-            group.update_primary(primary)
+    def _build_clients(self, verifier_name: str) -> None:
+        """Create the client groups; ``verifier_name`` is who answers them."""
+        config = self.config
+        group_size = config.clients_per_group
+        for index in range(config.client_groups):
+            self.clients.append(
+                ClientGroup(
+                    sim=self.sim,
+                    network=self.network,
+                    name=f"client-group-{index}",
+                    region=config.client_region,
+                    group_size=group_size,
+                    workload=self.workload,
+                    signer=self._make_signer(f"client-group-{index}"),
+                    costs=config.crypto_costs,
+                    primary_name=self.shim_names[0],
+                    verifier_name=verifier_name,
+                    client_timeout=config.client_timeout,
+                    latency_recorder=self.latency,
+                    tracer=self._component_tracer,
+                    obs=self._component_obs,
+                    client_index_offset=index * group_size,
+                )
+            )
 
-    def _spawn_executor(self, executor_id: str, region: str, spawner: str, payload) -> None:
-        """Factory handed to the serverless cloud: build and invoke one executor."""
-        behaviour = None
-        if self._executor_behaviour_factory is not None and isinstance(payload, ExecuteMsg):
-            behaviour = self._executor_behaviour_factory(executor_id, payload)
-        executor = Executor(
-            sim=self.sim,
-            network=self.network,
-            name=executor_id,
-            region=region,
-            signer=self._make_signer(executor_id),
-            costs=self.config.crypto_costs,
-            cloud=self.cloud,
-            storage_name="storage",
-            verifier_name="verifier",
-            required_certificate_signers=self._executor_required_signers,
-            per_operation_cost=self.config.executor_read_ops_cost,
-            behaviour=behaviour,
-            tracer=self.tracer if self.tracer.enabled else None,
-            obs=self.obs.component(),
+    # ------------------------------------------------------------------ system hooks
+
+    def _system_counters(self) -> Dict[str, int]:
+        """The :class:`SimulationResult` counters only this system can fill.
+
+        The default is an edge-only deployment: no executors, no verifier.
+        """
+        return dict(
+            aborted_txns=0,
+            spawned_executors=0,
+            cloud_invocations=0,
+            verifier_ignored_verify=0,
+            verifier_replace_sent=0,
+            verifier_errors_sent=0,
         )
-        self._executor_counter += 1
-        if isinstance(payload, ExecuteMsg):
-            executor.invoke(payload, spawner)
+
+    def _charge_vm_fleets(self, duration: float) -> None:
+        """Bill the always-on VMs of the deployment for the run (shim nodes)."""
+        self.cost_model.charge_vm_fleet(
+            machines=self.config.shim_nodes,
+            cores=self.config.shim_cores,
+            memory_gb=16.0,
+            duration_seconds=duration,
+        )
 
     # ------------------------------------------------------------------ running
 
@@ -338,42 +214,23 @@ class ServerlessBFTSimulation:
         wall_clock = time.perf_counter() - started  # lint: ignore[DET001] host timing
         return self._collect(duration, warmup, wall_clock)
 
-    def _collect(self, duration: float, warmup: float, wall_clock: float = 0.0) -> SimulationResult:
+    def _collect(self, duration: float, warmup: float, wall_clock: float) -> SimulationResult:
         window = max(1e-9, duration - warmup)
         committed = self.throughput.completed
-        # Charge the always-on VMs of the deployment (shim + verifier) for the run.
-        self.cost_model.charge_vm_fleet(
-            machines=self.config.shim_nodes,
-            cores=self.config.shim_cores,
-            memory_gb=16.0,
-            duration_seconds=duration,
-        )
-        self.cost_model.charge_vm_fleet(
-            machines=1,
-            cores=self.config.verifier_cores,
-            memory_gb=8.0,
-            duration_seconds=duration,
-        )
+        self._charge_vm_fleets(duration)
         billing = self.cost_model.report
-        view_changes = 0
-        for node in self.nodes:
-            replica = node.replica
-            view_changes += getattr(replica, "view_changes_installed", 0)
         result = SimulationResult(
             duration=duration,
             warmup=warmup,
             committed_txns=committed,
-            aborted_txns=self.verifier.aborted_txns,
             throughput_txn_per_sec=committed / window,
             latency=self.latency.summary(),
             completed_requests=sum(group.completed_requests for group in self.clients),
             client_retransmissions=sum(group.retransmissions for group in self.clients),
-            spawned_executors=sum(node.spawned_executors for node in self.nodes),
-            cloud_invocations=self.cloud.spawn_count,
-            view_changes=view_changes,
-            verifier_ignored_verify=self.verifier.ignored_verify_messages,
-            verifier_replace_sent=self.verifier.replace_messages_sent,
-            verifier_errors_sent=self.verifier.error_messages_sent,
+            # Paxos replicas have no views to change.
+            view_changes=sum(
+                getattr(node.replica, "view_changes_installed", 0) for node in self.nodes
+            ),
             messages_sent=self.network.messages_sent,
             messages_dropped=self.network.messages_dropped,
             bytes_sent=self.network.bytes_sent,
@@ -381,9 +238,174 @@ class ServerlessBFTSimulation:
             events_processed=self.sim.events_processed,
             billing=billing,
             cents_per_kilo_txn=billing.cents_per_kilo_txn(committed),
+            **self._system_counters(),
         )
         if self.fault_engine is not None:
             result.extra.update(self.fault_engine.metrics(duration))
         if self.obs.enabled:
             result.obs = self.obs.finalize(duration, extra=result.extra)
         return result
+
+
+class ServerlessDeployment(Deployment):
+    """The full serverless-edge deployment (SERVERLESSBFT / -CFT / NOSHIM)."""
+
+    def __init__(
+        self,
+        config: ProtocolConfig,
+        workload: Optional[YCSBConfig] = None,
+        consensus_engine: str = "pbft",
+        node_behaviours: Optional[Dict[str, NodeBehaviour]] = None,
+        executor_behaviour_factory: Optional[
+            Callable[[str, ExecuteMsg], Optional[ExecutorBehaviour]]
+        ] = None,
+        network_fault_plan: Optional[NetworkFaultPlan] = None,
+        regions: Optional[RegionCatalog] = None,
+        tracer_enabled: bool = False,
+        preload_storage: bool = False,
+    ) -> None:
+        if consensus_engine not in ("pbft", "paxos"):
+            raise ConfigurationError(f"unknown consensus engine {consensus_engine!r}")
+        super().__init__(
+            config,
+            workload,
+            network_fault_plan=network_fault_plan,
+            regions=regions,
+            tracer_enabled=tracer_enabled,
+        )
+        self.consensus_engine = consensus_engine
+        self._executor_behaviour_factory = executor_behaviour_factory
+        node_behaviours = node_behaviours or {}
+        self.store = VersionedKVStore()
+        if preload_storage:
+            self.store.load(config.storage_records)
+
+        # --- serverless cloud ---------------------------------------------------------
+        self.cloud = ServerlessCloud(
+            sim=self.sim,
+            catalog=self.catalog,
+            cost_model=self.cost_model,
+            rng=self.rng.child("cloud"),
+            executor_factory=self._spawn_executor,
+            cold_start_latency=config.cold_start_latency,
+            warm_start_latency=config.warm_start_latency,
+            concurrency_limit_per_region=config.executor_concurrency_limit,
+        )
+
+        # --- verifier + storage ---------------------------------------------------------
+        self.verifier = Verifier(
+            sim=self.sim,
+            network=self.network,
+            name="verifier",
+            region=config.verifier_region,
+            cores=config.verifier_cores,
+            store=self.store,
+            signer=self._make_signer("verifier"),
+            costs=config.crypto_costs,
+            shim_node_names=self.shim_names,
+            match_quorum=config.executor_match_quorum,
+            executor_faults=config.derived_executor_faults,
+            expected_executors=config.num_executors,
+            quorum_timeout=config.verifier_quorum_timeout,
+            throughput=self.throughput,
+            tracer=self._component_tracer,
+            obs=self._component_obs,
+        )
+        self.storage_service = StorageService(
+            sim=self.sim,
+            network=self.network,
+            store=self.store,
+            name="storage",
+            region=config.verifier_region,
+        )
+
+        # --- shim ----------------------------------------------------------------------
+        executor_regions = config.regions_for_executors(self.catalog.names)
+        for name in self.shim_names:
+            node = ShimNode(
+                sim=self.sim,
+                network=self.network,
+                name=name,
+                region=config.shim_region,
+                config=config,
+                shim_names=self.shim_names,
+                signer=self._make_signer(name),
+                costs=config.crypto_costs,
+                cloud=self.cloud,
+                executor_regions=executor_regions,
+                verifier_name="verifier",
+                consensus_engine=consensus_engine,
+                behaviour=node_behaviours.get(name),
+                tracer=self._component_tracer,
+                obs=self._component_obs,
+            )
+            self.nodes.append(node)
+
+        self._build_clients(verifier_name="verifier")
+
+        # Keep clients pointed at the current primary across view changes.
+        for node in self.nodes:
+            node.add_primary_change_listener(self._on_primary_change)
+
+        # --- fault timeline ----------------------------------------------------------
+        # Built only when configured: a fault-free run constructs no engine,
+        # schedules no events, and registers no commit listener, so its
+        # results stay bit-identical to a build without this feature.
+        if config.fault_timeline:
+            from repro.faults.timeline import FaultTimelineEngine
+
+            self.fault_engine = FaultTimelineEngine(self)
+            self.throughput.set_commit_listener(self.fault_engine.watchdog.on_commit)
+
+        self._executor_required_signers = (
+            config.shim_quorum if consensus_engine == "pbft" else 0
+        )
+        self._executor_counter = 0
+
+    def _on_primary_change(self, primary: str) -> None:
+        for group in self.clients:
+            group.update_primary(primary)
+
+    def _spawn_executor(self, executor_id: str, region: str, spawner: str, payload) -> None:
+        """Factory handed to the serverless cloud: build and invoke one executor."""
+        behaviour = None
+        if self._executor_behaviour_factory is not None and isinstance(payload, ExecuteMsg):
+            behaviour = self._executor_behaviour_factory(executor_id, payload)
+        executor = Executor(
+            sim=self.sim,
+            network=self.network,
+            name=executor_id,
+            region=region,
+            signer=self._make_signer(executor_id),
+            costs=self.config.crypto_costs,
+            cloud=self.cloud,
+            storage_name="storage",
+            verifier_name="verifier",
+            required_certificate_signers=self._executor_required_signers,
+            per_operation_cost=self.config.executor_read_ops_cost,
+            behaviour=behaviour,
+            tracer=self._component_tracer,
+            obs=self._component_obs,
+        )
+        self._executor_counter += 1
+        if isinstance(payload, ExecuteMsg):
+            executor.invoke(payload, spawner)
+
+    def _system_counters(self) -> Dict[str, int]:
+        return dict(
+            aborted_txns=self.verifier.aborted_txns,
+            spawned_executors=sum(node.spawned_executors for node in self.nodes),
+            cloud_invocations=self.cloud.spawn_count,
+            verifier_ignored_verify=self.verifier.ignored_verify_messages,
+            verifier_replace_sent=self.verifier.replace_messages_sent,
+            verifier_errors_sent=self.verifier.error_messages_sent,
+        )
+
+    def _charge_vm_fleets(self, duration: float) -> None:
+        super()._charge_vm_fleets(duration)
+        self.cost_model.charge_vm_fleet(
+            machines=1,
+            cores=self.config.verifier_cores,
+            memory_gb=8.0,
+            duration_seconds=duration,
+        )

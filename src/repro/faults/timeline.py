@@ -256,7 +256,7 @@ class LivenessWatchdog:
 class FaultTimelineEngine:
     """Schedules the timeline's events against a built deployment.
 
-    Constructed by :class:`~repro.core.runner.ServerlessBFTSimulation` when
+    Constructed by :class:`~repro.core.runner.ServerlessDeployment` when
     ``config.fault_timeline`` is non-empty.  Resolves node selectors against
     the deployment, schedules one simulator event per fault event (no
     polling, no RNG draws), and aggregates recovery metrics at collection

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -71,9 +70,7 @@ def _traced_payload(args: argparse.Namespace) -> Tuple[Dict[str, object], Option
         seed=args.seed,
         tracer_enabled=True,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        result = run(spec)
+    result = run(spec)
     if result.obs is None:
         raise ConfigurationError(
             f"system {args.system!r} produced no observability payload"

@@ -2,8 +2,10 @@
 
 Usage (the recipe documented in ``PERFORMANCE.md``)::
 
+    from repro.api import build_system
     from repro.perf import profile_run
-    report = profile_run(simulate_point, config, duration=1.0)
+    deployment = build_system("serverless_bft", config)
+    report = profile_run(deployment.run, duration=1.0, warmup=0.2)
     print(report.top(25))        # hottest functions by cumulative time
     result = report.result       # the wrapped call's return value
 """

@@ -26,11 +26,7 @@ from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.api.facade import (
-    build_deployment,
-    protocol_config_from_dict,
-    workload_config_from_dict,
-)
+from repro.api.facade import build_deployment
 from repro.api.registry import custom_systems as _custom_systems
 from repro.bench.harness import ExperimentTable
 from repro.core.runner import SimulationResult
@@ -72,29 +68,7 @@ def _register_worker_state(scenarios, systems) -> None:
         register_system(adapter, replace=True)
 
 
-# ------------------------------------------------------------------ rebuilding
-
-
-def build_simulation(resolved: Mapping[str, object], tracer_enabled: bool = False):
-    """Construct the deployment a resolved point describes (any system kind).
-
-    Thin alias for :func:`repro.api.facade.build_deployment` — the system
-    registry replaced the if/elif ladder that used to live here, so sweep
-    workers and ``repro.api.run`` share one construction path.
-    """
-    return build_deployment(resolved, tracer_enabled=tracer_enabled)
-
-
-def simulate_resolved_point(
-    resolved: Mapping[str, object], tracer_enabled: bool = False
-) -> Dict[str, object]:
-    """Run one resolved point and return its result dict.
-
-    Module-level so ``ProcessPoolExecutor`` can pickle it; the in-process
-    serial path calls the exact same function, which is what makes parallel
-    runs bit-identical to serial ones.
-    """
-    return _timed_simulate(resolved, tracer_enabled=tracer_enabled)[0]
+# ------------------------------------------------------------------ simulating
 
 
 def _timed_simulate(
@@ -102,6 +76,8 @@ def _timed_simulate(
 ) -> Tuple[Dict[str, object], Dict[str, float]]:
     """Simulate one resolved point, separating setup from simulation time.
 
+    The serial path and the pool task (:func:`_simulate_point_task`) both
+    call this, which is what makes parallel runs bit-identical to serial.
     The timing dict records where the host seconds went: ``setup_seconds``
     (deployment construction), ``simulate_seconds`` (the event loop), and
     ``collect_seconds`` (metric collection + serialisation).  Stored next to
@@ -109,7 +85,7 @@ def _timed_simulate(
     """
     # lint: ignore[DET001] host wall-clock accounting (feeds `timing`, never a digest)
     started = time.perf_counter()
-    simulation = build_simulation(resolved, tracer_enabled=tracer_enabled)
+    simulation = build_deployment(resolved, tracer_enabled=tracer_enabled)
     setup_seconds = time.perf_counter() - started  # lint: ignore[DET001] host timing
     result = simulation.run(
         duration=float(resolved["duration"]),  # type: ignore[arg-type]

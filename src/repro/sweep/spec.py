@@ -49,19 +49,6 @@ from repro.crypto.hashing import digest
 from repro.errors import ConfigurationError
 from repro.sim.rng import derive_seed
 
-__all_dynamic__ = ("SYSTEMS",)
-
-
-def __getattr__(name: str) -> Tuple[str, ...]:
-    # Backwards compatibility: the frozen SYSTEMS tuple became the pluggable
-    # registry; reading it now reflects runtime registrations too.
-    if name == "SYSTEMS":
-        from repro.api.registry import system_names
-
-        return tuple(system_names())
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """An ordered parameter grid: axis name -> sequence of values.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.core.config import ProtocolConfig
-from repro.core.runner import ServerlessBFTSimulation
 from repro.workload.ycsb import YCSBConfig
 
 
@@ -36,9 +35,11 @@ def run_simulation(
     **runner_kwargs,
 ):
     """Build, run, and return ``(simulation, result)`` for integration tests."""
+    from repro.api import build_system
+
     config = config or make_config()
     workload = workload or make_workload()
-    simulation = ServerlessBFTSimulation(config, workload=workload, **runner_kwargs)
+    simulation = build_system("serverless_bft", config, workload, **runner_kwargs)
     result = simulation.run(duration=duration, warmup=warmup)
     return simulation, result
 

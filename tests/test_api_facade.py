@@ -7,8 +7,7 @@
 * one validation path for unsupported knobs (registry capabilities),
 * runtime-registered systems work end-to-end (``PointSpec`` validation,
   ``repro.api.run``, sweeps, CLI),
-* legacy entry points still work but emit ``DeprecationWarning``; the
-  facade itself never does.
+* the facade never emits a ``DeprecationWarning``.
 """
 
 import warnings
@@ -65,26 +64,6 @@ def test_every_registered_system_runs_deterministically():
         second = run(_spec(system=system, seed=3, execution_threads=2))
         assert first.committed_txns > 0, system
         assert result_digest(first) == result_digest(second), system
-
-
-def test_facade_matches_legacy_constructor_bit_for_bit():
-    """repro.api.run == building the same resolved configs by hand."""
-    from repro.api import protocol_config_from_dict, workload_config_from_dict
-    from repro.core.runner import ServerlessBFTSimulation
-
-    spec = _spec(seed=7)
-    resolved = resolve(spec)
-    facade_result = run(spec)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = ServerlessBFTSimulation(
-            protocol_config_from_dict(resolved["config"]),
-            workload=workload_config_from_dict(resolved["workload"]),
-            tracer_enabled=False,
-        )
-    legacy_result = legacy.run(duration=0.4, warmup=0.1)
-    assert result_digest(facade_result) == result_digest(legacy_result)
 
 
 # ------------------------------------------------------------------ scenario composition
@@ -181,20 +160,18 @@ def test_direct_fault_knobs_merge_with_scenarios_on_disjoint_nodes():
 def test_constructor_extra_knobs_pass_through():
     # preload_storage is not a capability knob but a constructor switch the
     # serverless systems accept; the registry passes it through.
-    from repro.bench.harness import simulate_point
+    from repro.api import build_system
     from repro.core.config import ProtocolConfig
 
-    result = simulate_point(
+    deployment = build_system(
+        "serverless_bft",
         ProtocolConfig(
             crypto_backend="fast", num_clients=40, client_groups=2,
             storage_records=200,
         ),
-        duration=0.3,
-        warmup=0.05,
-        report_perf=False,
         preload_storage=True,
     )
-    assert result.committed_txns > 0
+    assert deployment.run(duration=0.3, warmup=0.05).committed_txns > 0
     with pytest.raises(UnsupportedKnobError):
         run(_spec(system="pbft_replicated", network_fault_plan=object()))
 
@@ -282,14 +259,12 @@ def test_dotted_overrides_reach_the_configs():
 # ------------------------------------------------------------------ pluggable systems
 
 
-def _build_tuned_noshim(config, workload=None, *, tracer_enabled=False, **kwargs):
+def _build_tuned_noshim(config, workload=None, **kwargs):
     """A third-party system: NOSHIM with a cheaper ingest path."""
-    from repro.baselines.noshim import build_noshim_simulation
+    from repro.api import build_system
 
     tuned = config.with_overrides(txn_ingest_cost=5e-6)
-    return build_noshim_simulation(
-        tuned, workload=workload, tracer_enabled=tracer_enabled, **kwargs
-    )
+    return build_system("noshim", tuned, workload, **kwargs)
 
 
 def test_runtime_registered_system_end_to_end():
@@ -301,7 +276,7 @@ def test_runtime_registered_system_end_to_end():
         ),
         replace=True,
     )
-    # PointSpec validation defers to the registry (the frozen-SYSTEMS fix).
+    # PointSpec validation defers to the registry.
     point = PointSpec(
         labels={"system": "unit-test-tuned-noshim"},
         system="unit-test-tuned-noshim",
@@ -316,10 +291,6 @@ def test_runtime_registered_system_end_to_end():
     first = run(_spec(system="unit-test-tuned-noshim", seed=2))
     second = run(_spec(system="unit-test-tuned-noshim", seed=2))
     assert result_digest(first) == result_digest(second)
-    # The legacy SYSTEMS module attribute reflects the registry now.
-    from repro.sweep import spec as sweep_spec_module
-
-    assert "unit-test-tuned-noshim" in sweep_spec_module.SYSTEMS
     with pytest.raises(ConfigurationError):
         PointSpec(system="still-not-a-system")
 
@@ -334,27 +305,7 @@ def test_runtime_registered_system_ships_to_workers():
     assert {adapter.name for adapter in adapters} <= set(system_names())
 
 
-# ------------------------------------------------------------------ deprecation shims
-
-
-def test_legacy_entry_points_emit_deprecation_warnings():
-    from repro.baselines import (
-        PBFTReplicatedSimulation,
-        build_noshim_simulation,
-        build_serverless_cft_simulation,
-    )
-    from repro.core.config import ProtocolConfig
-    from repro.core.runner import ServerlessBFTSimulation
-
-    config = ProtocolConfig(num_clients=8, client_groups=2, crypto_backend="fast")
-    with pytest.warns(DeprecationWarning, match="ServerlessBFTSimulation"):
-        ServerlessBFTSimulation(config, tracer_enabled=False)
-    with pytest.warns(DeprecationWarning, match="build_noshim_simulation"):
-        build_noshim_simulation(config, tracer_enabled=False)
-    with pytest.warns(DeprecationWarning, match="build_serverless_cft_simulation"):
-        build_serverless_cft_simulation(config, tracer_enabled=False)
-    with pytest.warns(DeprecationWarning, match="PBFTReplicatedSimulation"):
-        PBFTReplicatedSimulation(config, tracer_enabled=False)
+# ------------------------------------------------------------------ no deprecated paths
 
 
 def test_facade_construction_never_warns():
@@ -372,12 +323,12 @@ def test_facade_construction_never_warns():
 
 
 def test_run_with_store_caches_and_resumes(tmp_path):
-    from repro.sweep.store import ResultStore
+    from repro.store import JsonlBackend
 
     store_path = str(tmp_path / "api.jsonl")
     spec = _spec()
     first = run(spec, store=store_path)  # a path is accepted directly
-    store = ResultStore(store_path)
+    store = JsonlBackend(store_path)
     assert len(store) == 1 and spec_digest(spec) in store
 
     # Second run: served from the store, bit-identical simulated metrics.
@@ -387,15 +338,15 @@ def test_run_with_store_caches_and_resumes(tmp_path):
     # The store only intercepts matching specs; a different spec simulates.
     other = run(_spec(overrides={**FAST_OVERRIDES, "batch_size": 7}), store=store)
     assert result_digest(other) != result_digest(first)
-    assert len(ResultStore(store_path)) == 2
+    assert len(JsonlBackend(store_path)) == 2
 
 
 def test_run_store_shares_addresses_with_sweeps(tmp_path):
     """An ad-hoc facade run and a sweep point with the same resolved config
     share one cache entry — same content-address space."""
-    from repro.sweep.store import ResultStore
+    from repro.store import JsonlBackend
 
-    store = ResultStore(str(tmp_path / "shared.jsonl"))
+    store = JsonlBackend(str(tmp_path / "shared.jsonl"))
     spec = _spec(seed=11)
     run(spec, store=store)
     point = PointSpec(
@@ -422,9 +373,9 @@ def test_run_with_store_rejects_bespoke_fault_objects(tmp_path):
 
 
 def test_run_replicates_expands_caches_and_differs_per_seed(tmp_path):
-    from repro.sweep.store import ResultStore
+    from repro.store import JsonlBackend
 
-    store = ResultStore(str(tmp_path / "family.jsonl"))
+    store = JsonlBackend(str(tmp_path / "family.jsonl"))
     spec = _spec(replicates=2)
     family = run_replicates(spec, store=store)
     assert len(family) == 2
@@ -432,7 +383,7 @@ def test_run_replicates_expands_caches_and_differs_per_seed(tmp_path):
     assert len(store) == 2
 
     # Re-run: 100% cache hit, same results.
-    again = run_replicates(spec, store=ResultStore(store.path))
+    again = run_replicates(spec, store=JsonlBackend(store.path))
     assert [result_digest(r) for r in again] == [result_digest(r) for r in family]
 
     # run() refuses a multi-replicate spec instead of silently running one.

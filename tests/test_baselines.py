@@ -1,12 +1,7 @@
 """Integration tests for the NOSHIM, SERVERLESSCFT, and PBFT baselines."""
 
 from tests.helpers import make_config, make_workload
-from repro.baselines import (
-    PBFTReplicatedSimulation,
-    build_noshim_simulation,
-    build_serverless_cft_simulation,
-)
-from repro.core.runner import ServerlessBFTSimulation
+from repro.api import build_system
 
 
 def small_run(simulation, duration=1.5, warmup=0.2):
@@ -15,7 +10,7 @@ def small_run(simulation, duration=1.5, warmup=0.2):
 
 def test_noshim_collapses_to_a_single_node_and_commits():
     config = make_config(num_clients=40, client_groups=4)
-    simulation = build_noshim_simulation(config, make_workload(), tracer_enabled=False)
+    simulation = build_system("noshim", config, make_workload())
     assert simulation.config.shim_nodes == 1
     result = small_run(simulation)
     assert result.committed_txns > 0
@@ -25,7 +20,7 @@ def test_noshim_collapses_to_a_single_node_and_commits():
 
 def test_serverless_cft_uses_paxos_and_commits():
     config = make_config()
-    simulation = build_serverless_cft_simulation(config, make_workload(), tracer_enabled=False)
+    simulation = build_system("serverless_cft", config, make_workload())
     assert simulation.consensus_engine == "paxos"
     result = small_run(simulation)
     assert result.committed_txns > 0
@@ -35,8 +30,7 @@ def test_serverless_cft_uses_paxos_and_commits():
 
 def test_pbft_replicated_executes_on_every_replica():
     config = make_config()
-    simulation = PBFTReplicatedSimulation(config, make_workload(), execution_threads=4,
-                                          tracer_enabled=False)
+    simulation = build_system("pbft_replicated", config, make_workload(), execution_threads=4)
     result = small_run(simulation)
     assert result.committed_txns > 0
     assert result.spawned_executors == 0
@@ -55,8 +49,8 @@ def test_pbft_replicated_executes_on_every_replica():
 def test_pbft_replicated_throughput_drops_with_fewer_execution_threads():
     config = make_config(num_clients=200, client_groups=8, batch_size=20)
     workload = make_workload(execution_seconds=0.05, clients=200)
-    slow = PBFTReplicatedSimulation(config, workload, execution_threads=1, tracer_enabled=False)
-    fast = PBFTReplicatedSimulation(config, workload, execution_threads=16, tracer_enabled=False)
+    slow = build_system("pbft_replicated", config, workload, execution_threads=1)
+    fast = build_system("pbft_replicated", config, workload, execution_threads=16)
     slow_result = small_run(slow, duration=2.0)
     fast_result = small_run(fast, duration=2.0)
     assert fast_result.committed_txns > slow_result.committed_txns
@@ -65,8 +59,8 @@ def test_pbft_replicated_throughput_drops_with_fewer_execution_threads():
 def test_offloading_beats_edge_only_execution_for_heavy_transactions():
     config = make_config(num_clients=200, client_groups=8, batch_size=20)
     workload = make_workload(execution_seconds=0.1, clients=200)
-    serverless = ServerlessBFTSimulation(config, workload=workload, tracer_enabled=False)
-    edge_only = PBFTReplicatedSimulation(config, workload, execution_threads=1, tracer_enabled=False)
+    serverless = build_system("serverless_bft", config, workload)
+    edge_only = build_system("pbft_replicated", config, workload, execution_threads=1)
     serverless_result = small_run(serverless, duration=2.0)
     edge_result = small_run(edge_only, duration=2.0)
     assert serverless_result.committed_txns > edge_result.committed_txns
@@ -75,8 +69,8 @@ def test_offloading_beats_edge_only_execution_for_heavy_transactions():
 def test_billing_differs_between_architectures():
     config = make_config()
     workload = make_workload()
-    serverless = ServerlessBFTSimulation(config, workload=workload, tracer_enabled=False)
-    edge_only = PBFTReplicatedSimulation(config, workload, tracer_enabled=False)
+    serverless = build_system("serverless_bft", config, workload)
+    edge_only = build_system("pbft_replicated", config, workload)
     serverless_result = small_run(serverless)
     edge_result = small_run(edge_only)
     assert serverless_result.billing.lambda_cost > 0

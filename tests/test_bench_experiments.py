@@ -10,7 +10,6 @@ from repro.bench.harness import (
     DuplicateSeriesKeyWarning,
     ExperimentTable,
     format_table,
-    simulate_point,
 )
 
 
@@ -75,16 +74,6 @@ def test_simulation_scale_runs_fast_configs():
     workload = SCALE.workload_config()
     assert config.shim_nodes <= 8
     assert workload.num_records <= 10_000
-
-
-def test_simulate_point_returns_result():
-    result = simulate_point(
-        SCALE.protocol_config(num_clients=50, client_groups=4),
-        workload=SCALE.workload_config(clients=50),
-        duration=1.0,
-        warmup=0.2,
-    )
-    assert result.committed_txns > 0
 
 
 # ------------------------------------------------------------------ per-figure experiments

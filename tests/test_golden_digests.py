@@ -1,0 +1,68 @@
+"""Golden digests: refactors must not move a content address or a result.
+
+``(spec_digest, result_digest)`` literals for the four systems on the small
+drill config, plus one composed byzantine + fault-timeline run, recorded at
+the commit before the ``Deployment`` base class was extracted (PR 13).  They
+are stable across ``PYTHONHASHSEED``, kernel variant and obs on/off; a
+digest that varies with any of those is a determinism bug to report, not a
+literal to re-pin.  Re-pin only for a change that *means* to alter simulated
+behaviour, and say so in CHANGES.md.
+"""
+
+import pytest
+
+from repro.api import RunSpec, result_digest, run, spec_digest
+from tests.helpers import DRILL_OVERRIDES
+
+OVERRIDES = {**DRILL_OVERRIDES, "protocol.crypto_backend": "fast"}
+
+GOLDEN = {
+    "serverless_bft": (
+        "53eb8e1dfb667f4d985e5efe03fcaaee66a8ae72ee5f58d9d52880ab74bffe5e",
+        "bb783174e14413897d69566ccb4a677626a3031d3a0c99b4bcbaeb3f88ad294f",
+    ),
+    "serverless_cft": (
+        "7b5575b72132303fb0e268d0a705cee9b0cf31949ebe24a6c05debd0b5e5db79",
+        "b9fe180d45b574c2abc26190a3ef46983b68c30f260d293630cd831352452c3f",
+    ),
+    "pbft_replicated": (
+        "df90a8f136b5ae9cf9fa96184d6af24aa6781fbdcc656fccac9700f036b69127",
+        "7ce96b330bdd576f95a89620c9431c9f1207ee4b9d6b98f4ab152e67ca4c787e",
+    ),
+    "noshim": (
+        "96b2a24f6b2c35c2b8c24c9b7763a2f645cbbe1929f1e36c49098ab4de5b2992",
+        "118ad8add16a84725a8a55ec67b5e732163facd68041518577c03fe7d42b48bd",
+    ),
+}
+
+GOLDEN_BYZANTINE_TIMELINE = (
+    "a48d5de945ba5156caa9c38db4ed25522b4e214f252ad8fea5d79e2170c41a9c",
+    "df17cd1d706792da0769d205a93647c7847d803ed7837fc4650b976ae8b74a54",
+)
+
+
+def _spec(system: str, scenarios=(), **extra_overrides) -> RunSpec:
+    return RunSpec(
+        system=system,
+        base="default",
+        scenarios=list(scenarios),
+        overrides={**OVERRIDES, **extra_overrides},
+        duration=0.6,
+        warmup=0.1,
+        seed=11,
+    )
+
+
+@pytest.mark.parametrize("system", sorted(GOLDEN))
+def test_system_digests_match_golden(system):
+    spec = _spec(system)
+    assert (spec_digest(spec), result_digest(run(spec))) == GOLDEN[system]
+
+
+def test_byzantine_executors_with_fault_timeline_matches_golden():
+    spec = _spec(
+        "serverless_bft",
+        scenarios=["byzantine-executors"],
+        **{"protocol.fault_timeline": "crash:primary@0.2; recover:primary@0.4"},
+    )
+    assert (spec_digest(spec), result_digest(run(spec))) == GOLDEN_BYZANTINE_TIMELINE

@@ -5,7 +5,7 @@ import pytest
 from tests.helpers import make_config, make_workload, run_simulation
 from repro.core.config import SpawnPolicyName
 from repro.errors import ConfigurationError
-from repro.core.runner import ServerlessBFTSimulation
+from repro.api import build_system
 
 
 def test_transactions_flow_end_to_end():
@@ -92,13 +92,13 @@ def test_threshold_certificates_mode_still_commits():
 
 
 def test_invalid_run_parameters_rejected():
-    simulation = ServerlessBFTSimulation(make_config(), workload=make_workload())
+    simulation = build_system("serverless_bft", make_config(), make_workload())
     with pytest.raises(ConfigurationError):
         simulation.run(duration=0.0)
     with pytest.raises(ConfigurationError):
         simulation.run(duration=1.0, warmup=1.0)
     with pytest.raises(ConfigurationError):
-        ServerlessBFTSimulation(make_config(), consensus_engine="raft")
+        build_system("serverless_bft", make_config(), consensus_engine="raft")
 
 
 def test_preloaded_storage_round_trip():
@@ -109,7 +109,7 @@ def test_preloaded_storage_round_trip():
 
 
 def test_tracer_captures_protocol_milestones():
-    simulation, _result = run_simulation()
+    simulation, _result = run_simulation(tracer_enabled=True)
     tracer = simulation.tracer
     assert tracer.count("pbft.committed") > 0
     assert tracer.count("node.executors_spawned") > 0

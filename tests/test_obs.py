@@ -9,7 +9,6 @@ crossing trace collection, per-run PERF delta discipline, and the CLI.
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -36,9 +35,7 @@ POINT = dict(duration=0.8, warmup=0.2, seed=11)
 def _run(system: str, tracer_enabled: bool, **kwargs) -> object:
     params = {**POINT, **kwargs}
     spec = RunSpec(system=system, tracer_enabled=tracer_enabled, **params)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return run(spec)
+    return run(spec)
 
 
 @pytest.fixture(scope="module")
@@ -174,10 +171,8 @@ def test_run_replicates_pool_traces_match_serial():
     spec = RunSpec(
         system="serverless_bft", replicates=2, tracer_enabled=True, **POINT
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        serial = run_replicates(spec, workers=0)
-        pooled = run_replicates(spec, workers=4)
+    serial = run_replicates(spec, workers=0)
+    pooled = run_replicates(spec, workers=4)
     assert len(serial) == len(pooled) == 2
     for serial_result, pooled_result in zip(serial, pooled):
         assert pooled_result.obs is not None

@@ -20,10 +20,15 @@ import random
 import pytest
 
 from repro.core.config import ProtocolConfig
-from repro.core.runner import ServerlessBFTSimulation
+from repro.api import build_system
 from repro.crypto.hashing import cached_digest, canonical_bytes, digest, seed_cached_digest
 from repro.crypto.keys import KeyStore
-from repro.crypto.signatures import FastCryptoBackend, SignatureService, resolve_backend
+from repro.crypto.signatures import (
+    FastCryptoBackend,
+    RealCryptoBackend,
+    SignatureService,
+    resolve_backend,
+)
 from repro.errors import ConfigurationError, CryptoError
 from repro.perf import PERF
 from repro.sim.engine import Simulator, event_coalescing_disabled, event_coalescing_enabled
@@ -47,9 +52,9 @@ def _small_config(**overrides) -> ProtocolConfig:
     return ProtocolConfig(**params)
 
 
-def _run(config: ProtocolConfig):
-    simulation = ServerlessBFTSimulation(config, tracer_enabled=False)
-    result = simulation.run(duration=1.0, warmup=0.2)
+def _run(config: ProtocolConfig, system: str = "serverless_bft", duration: float = 1.0):
+    simulation = build_system(system, config)
+    result = simulation.run(duration=duration, warmup=0.2)
     commit_sequence = [
         (entry.seq, entry.digest)
         for entry in simulation.nodes[0].replica.log.committed_entries()
@@ -92,12 +97,23 @@ def test_same_seed_is_bit_identical():
 def test_fast_crypto_backend_matches_real_crypto_exactly():
     """The PR's core guardrail: swapping the crypto backend changes nothing
     observable in simulated time — commit sequence, latency stats, and
-    message counts are bit-identical."""
-    _, real, real_commits = _run(_small_config(crypto_backend="real"))
-    _, fast, fast_commits = _run(_small_config(crypto_backend="fast"))
-    assert real_commits, "the run must commit something for the comparison to mean anything"
-    assert real_commits == fast_commits
-    assert _fingerprint(real) == _fingerprint(fast)
+    message counts are bit-identical — and every system really builds its
+    signers on the configured backend (``pbft_replicated`` once ignored it)."""
+    for system in ("serverless_bft", "serverless_cft", "pbft_replicated", "noshim"):
+        # Without a verifier round trip pbft_replicated commits ~15x more per
+        # virtual second; a shorter run keeps its share of host time level.
+        duration = 0.3 if system == "pbft_replicated" else 1.0
+        real_sim, real, real_commits = _run(_small_config(crypto_backend="real"), system, duration)
+        fast_sim, fast, fast_commits = _run(_small_config(crypto_backend="fast"), system, duration)
+        for simulation, backend_type in (
+            (real_sim, RealCryptoBackend),
+            (fast_sim, FastCryptoBackend),
+        ):
+            signers = [member._signer for member in simulation.nodes + simulation.clients]
+            assert signers and all(type(s.backend) is backend_type for s in signers), system
+        assert real_commits, f"{system} must commit something for the comparison to mean anything"
+        assert real_commits == fast_commits, system
+        assert _fingerprint(real) == _fingerprint(fast), system
 
 
 def test_wall_clock_metrics_populated():

@@ -25,7 +25,7 @@ from repro.report import (
     render_markdown,
 )
 from repro.report.cli import main as report_cli
-from repro.sweep.store import ResultStore
+from repro.store import JsonlBackend
 
 
 def fake_result(throughput=100.0, committed=100, aborted=0, count=50,
@@ -205,7 +205,7 @@ def test_aggregate_separates_systems_with_identical_labels():
 
 
 def _store_with_replicates(tmp_path):
-    store = ResultStore(str(tmp_path / "results.jsonl"))
+    store = JsonlBackend(str(tmp_path / "results.jsonl"))
     for index, (throughput, p99) in enumerate(((100.0, 0.1), (120.0, 0.5))):
         record = fake_record(
             f"digest-{index}",
@@ -234,13 +234,13 @@ def test_render_shows_spread_not_averaged_p99(tmp_path):
 def test_render_is_byte_stable_across_renders(tmp_path):
     store = _store_with_replicates(tmp_path)
     first = render_markdown(store)
-    second = render_markdown(ResultStore(store.path))  # fresh load from disk
+    second = render_markdown(JsonlBackend(store.path))  # fresh load from disk
     assert first == second
     assert first.encode("utf-8") == second.encode("utf-8")
 
 
 def test_render_single_run_has_no_error_bars(tmp_path):
-    store = ResultStore(str(tmp_path / "single.jsonl"))
+    store = JsonlBackend(str(tmp_path / "single.jsonl"))
     record = fake_record("d0", labels={"batch_size": 5}, throughput=100.0)
     store.put("d0", {"labels": record["labels"], "system": "serverless_bft",
                      "scenario": "baseline"}, record["result"], sweep_name="solo")
@@ -272,7 +272,7 @@ def test_recovery_metrics_aggregate_only_when_present():
 
 def test_render_recovery_columns_only_for_fault_runs(tmp_path):
     # A store with no fault-timeline records renders exactly as before...
-    plain_store = ResultStore(str(tmp_path / "plain.jsonl"))
+    plain_store = JsonlBackend(str(tmp_path / "plain.jsonl"))
     plain = fake_record("d-plain", labels={"batch_size": 5})
     plain_store.put("d-plain", {"labels": plain["labels"],
                                 "system": "serverless_bft",
@@ -281,7 +281,7 @@ def test_render_recovery_columns_only_for_fault_runs(tmp_path):
     assert "unavailability_s" not in render_markdown(plain_store)
     # ...while a fault run adds the watchdog columns, and rows without the
     # metrics render empty cells.
-    store = ResultStore(str(tmp_path / "chaos.jsonl"))
+    store = JsonlBackend(str(tmp_path / "chaos.jsonl"))
     store.put("d-plain", {"labels": plain["labels"],
                           "system": "serverless_bft",
                           "scenario": "baseline"},
@@ -404,5 +404,5 @@ def test_report_never_simulates(tmp_path, monkeypatch):
     monkeypatch.setattr(facade, "build_deployment", explode)
     monkeypatch.setattr(facade, "run", explode)
     store = _store_with_replicates(tmp_path)
-    document = render_markdown(ResultStore(store.path))
+    document = render_markdown(JsonlBackend(store.path))
     assert "## unit" in document

@@ -14,16 +14,15 @@ import pytest
 
 from repro.sweep import (
     PointSpec,
-    ResultStore,
     SweepSpec,
     result_from_dict,
     result_to_dict,
     run_sweep,
-    simulate_resolved_point,
     simulated_fingerprint,
 )
 from repro.sweep.cli import main as sweep_cli
-from repro.sweep.runner import build_simulation
+from repro.api import build_deployment
+from repro.store import JsonlBackend
 
 
 def _tiny_sweep(name="tiny"):
@@ -115,12 +114,12 @@ def test_parallel_matches_serial_bit_for_bit_and_caches():
 
 def test_second_run_is_full_cache_hit(tmp_path):
     sweep = _tiny_sweep("cache-hit")
-    store = ResultStore(str(tmp_path / "results.jsonl"))
+    store = JsonlBackend(str(tmp_path / "results.jsonl"))
     first = run_sweep(sweep, store=store)
     assert first.simulated == 2 and first.cached == 0
 
     # Fresh store instance: must reload the JSONL records from disk.
-    reloaded = ResultStore(str(tmp_path / "results.jsonl"))
+    reloaded = JsonlBackend(str(tmp_path / "results.jsonl"))
     assert len(reloaded) == 2
     second = run_sweep(sweep, workers=4, store=reloaded)
     assert second.simulated == 0 and second.cached == 2 and second.failed == 0
@@ -132,7 +131,7 @@ def test_second_run_is_full_cache_hit(tmp_path):
 
 def test_interrupted_sweep_resumes(tmp_path):
     sweep = _tiny_sweep("resume")
-    store = ResultStore(str(tmp_path / "results.jsonl"))
+    store = JsonlBackend(str(tmp_path / "results.jsonl"))
     # Simulate an interruption: only the first point made it into the store.
     only_first = SweepSpec(name="resume", points=(sweep.points[0],), seed=sweep.seed)
     run_sweep(only_first, store=store)
@@ -143,7 +142,7 @@ def test_interrupted_sweep_resumes(tmp_path):
 def test_store_ignores_records_with_stale_result_schema(tmp_path):
     path = tmp_path / "results.jsonl"
     sweep = _tiny_sweep("schema")
-    run_sweep(sweep, store=ResultStore(str(path)))
+    run_sweep(sweep, store=JsonlBackend(str(path)))
     # Rewrite the records as if produced by an older SimulationResult layout:
     # they must register as cache misses, not deserialisation crashes.
     lines = [json.loads(line) for line in open(path, encoding="utf-8")]
@@ -151,7 +150,7 @@ def test_store_ignores_records_with_stale_result_schema(tmp_path):
         for record in lines:
             record["result_schema"] = "0" * 12
             handle.write(json.dumps(record) + "\n")
-    stale = ResultStore(str(path))
+    stale = JsonlBackend(str(path))
     assert len(stale) == 0
     report = run_sweep(sweep, store=stale)
     assert report.simulated == 2 and report.cached == 0
@@ -207,10 +206,10 @@ def test_runtime_registered_scenario_works_in_parallel_workers():
 def test_store_skips_torn_trailing_line(tmp_path):
     path = tmp_path / "results.jsonl"
     sweep = _tiny_sweep("torn")
-    run_sweep(sweep, store=ResultStore(str(path)))
+    run_sweep(sweep, store=JsonlBackend(str(path)))
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"digest": "truncated-')
-    reloaded = ResultStore(str(path))
+    reloaded = JsonlBackend(str(path))
     assert len(reloaded) == 2
 
 
@@ -218,14 +217,14 @@ def test_store_skips_torn_record_in_the_middle(tmp_path):
     """A torn record mid-file must not take the valid records after it down."""
     path = tmp_path / "results.jsonl"
     sweep = _tiny_sweep("torn-middle")
-    run_sweep(sweep, store=ResultStore(str(path)))
+    run_sweep(sweep, store=JsonlBackend(str(path)))
     lines = open(path, encoding="utf-8").read().splitlines()
     assert len(lines) == 2
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(lines[0] + "\n")
         handle.write(lines[1][: len(lines[1]) // 2] + "\n")  # torn in the middle
         handle.write(lines[1] + "\n")  # valid record after the debris
-    reloaded = ResultStore(str(path))
+    reloaded = JsonlBackend(str(path))
     assert len(reloaded) == 2
     assert run_sweep(sweep, store=reloaded).cached == 2
 
@@ -240,13 +239,13 @@ def test_store_append_repairs_a_torn_tail(tmp_path):
     path = tmp_path / "results.jsonl"
     sweep = _tiny_sweep("torn-tail")
     first = run_sweep(SweepSpec(name="torn-tail", points=(sweep.points[0],)))
-    store = ResultStore(str(path))
+    store = JsonlBackend(str(path))
     store.put("aaaa", {"labels": {}}, first.outcomes[0].result_dict, "torn-tail")
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"digest": "torn-')  # crash mid-append, no newline
-    resumed = ResultStore(str(path))
+    resumed = JsonlBackend(str(path))
     resumed.put("bbbb", {"labels": {}}, first.outcomes[0].result_dict, "torn-tail")
-    reloaded = ResultStore(str(path))
+    reloaded = JsonlBackend(str(path))
     assert "aaaa" in reloaded and "bbbb" in reloaded
 
 
@@ -262,7 +261,7 @@ def test_store_put_fsyncs_every_append(tmp_path, monkeypatch):
     monkeypatch.setattr(
         jsonl_module.os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))
     )
-    store = ResultStore(str(tmp_path / "fsync.jsonl"))
+    store = JsonlBackend(str(tmp_path / "fsync.jsonl"))
     sweep = _tiny_sweep("fsync")
     report = run_sweep(sweep, store=store)
     assert report.simulated == 2
@@ -302,7 +301,7 @@ def test_replicated_sweep_simulates_distinct_seeds_and_caches(tmp_path):
     from repro.sweep import with_replicates
 
     sweep = with_replicates(_tiny_sweep("replicated"), 2)
-    store = ResultStore(str(tmp_path / "rep.jsonl"))
+    store = JsonlBackend(str(tmp_path / "rep.jsonl"))
     first = run_sweep(sweep, store=store)
     assert first.simulated == 4 and first.failed == 0  # 2 points x 2 seeds
     digests = [outcome.digest for outcome in first.outcomes]
@@ -314,7 +313,7 @@ def test_replicated_sweep_simulates_distinct_seeds_and_caches(tmp_path):
     }
     assert len(fingerprints) == 4
 
-    second = run_sweep(sweep, workers=2, store=ResultStore(store.path))
+    second = run_sweep(sweep, workers=2, store=JsonlBackend(store.path))
     assert second.simulated == 0 and second.cached == 4
     assert [outcome.digest for outcome in second.outcomes] == digests
 
@@ -374,7 +373,7 @@ def test_region_outage_plan_drops_executor_region_traffic():
         scenario="region-outage",
         scenarios=["region-outage"],
     )
-    simulation = build_simulation(resolved)
+    simulation = build_deployment(resolved)
     plan = simulation.network.fault_plan
     simulation.network.register("probe-endpoint", "us-east-2", lambda *_args: None)
     assert plan.is_partitioned("probe-endpoint", "verifier")

@@ -185,12 +185,12 @@ def test_should_retry_only_on_worker_death():
 
 
 def test_store_records_retry_count_only_when_nonzero(tmp_path):
-    from repro.sweep.store import ResultStore
+    from repro.store import JsonlBackend
 
-    store = ResultStore(str(tmp_path / "store.jsonl"))
+    store = JsonlBackend(str(tmp_path / "store.jsonl"))
     clean = store.put("d1", {"labels": {}}, {"committed_txns": 1})
     retried = store.put("d2", {"labels": {}}, {"committed_txns": 1}, retries=1)
     assert "retries" not in clean
     assert retried["retries"] == 1
-    reloaded = ResultStore(str(tmp_path / "store.jsonl"))
+    reloaded = JsonlBackend(str(tmp_path / "store.jsonl"))
     assert reloaded.get("d2")["retries"] == 1
