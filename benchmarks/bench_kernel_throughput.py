@@ -43,7 +43,7 @@ from repro.perf import PERF
 from repro.sim.engine import Simulator
 
 #: Bump when the JSON layout changes.  Schema 2 adds ``kernel_variant`` and
-#: the three per-floor ``micro/*`` workloads (see PR 10 / PERFORMANCE.md).
+#: the per-floor ``micro/*`` workloads (see PERFORMANCE.md).
 JSON_SCHEMA = 2
 #: Workloads compared by ``--check`` (raw kernel and the ``micro/*`` floor
 #: benches are microbenchmarks and too volatile for a regression gate).
@@ -109,27 +109,6 @@ def _execute_batch_batches_per_sec(
     return batches, time.perf_counter() - started
 
 
-def _canonical_bytes_mb_per_sec(iterations: int = 30_000) -> "tuple[float, float]":
-    """Floor 3 microbench: canonical serialisation across the payload shapes
-    the simulator actually hashes (strings, message-style dicts, nested
-    structures).  Returns (megabytes serialised, wall seconds)."""
-    from repro.crypto.hashing import canonical_bytes
-
-    payloads = [
-        "prepare:view=3:seq=41:" + "d" * 64,
-        {"type": "PREPREPARE", "view": 3, "seq": 41, "digest": "a" * 64,
-         "replica": "r2", "batch": ["txn-1", "txn-2", "txn-3"]},
-        {"writes": {f"user{i}": f"val-{i}:txn-9" for i in range(8)},
-         "read_versions": {f"user{i}": i for i in range(8)}},
-        ("commit", 7, 123, "b" * 64),
-    ]
-    total_bytes = 0
-    started = time.perf_counter()
-    for i in range(iterations):
-        total_bytes += len(canonical_bytes(payloads[i % len(payloads)]))
-    return total_bytes / 1e6, time.perf_counter() - started
-
-
 def kernel_throughput_report(duration: float = 3.0, warmup: float = 0.5) -> dict:
     """Measure raw kernel plus the default ``serverless_bft`` point.
 
@@ -152,11 +131,11 @@ def kernel_throughput_report(duration: float = 3.0, warmup: float = 0.5) -> dict
             }
         },
     }
-    # Per-floor microbenches (PR 10).  Rates land in ``events_per_sec`` so
-    # the table renders uniformly; the floor-specific key repeats the rate
-    # under its natural unit for the JSON artifact.  All three run whichever
-    # kernel variant is active — too volatile for the --check gate, recorded
-    # for the PERFORMANCE.md trajectory only.
+    # Per-floor microbenches.  Rates land in ``events_per_sec`` so the table
+    # renders uniformly; the floor-specific key repeats the rate under its
+    # natural unit for the JSON artifact.  Both run whichever kernel variant
+    # is active — too volatile for the --check gate, recorded for the
+    # PERFORMANCE.md trajectory only.
     txns, wall = _ycsb_generation_txns_per_sec()
     report["workloads"]["micro/ycsb-gen"] = {
         "events": txns,
@@ -170,13 +149,6 @@ def kernel_throughput_report(duration: float = 3.0, warmup: float = 0.5) -> dict
         "wall_clock_s": wall,
         "events_per_sec": batches / wall if wall > 0 else 0.0,
         "batches_per_sec": batches / wall if wall > 0 else 0.0,
-    }
-    megabytes, wall = _canonical_bytes_mb_per_sec()
-    report["workloads"]["micro/canonical-bytes"] = {
-        "events": int(megabytes * 1e6),
-        "wall_clock_s": wall,
-        "events_per_sec": megabytes * 1e6 / wall if wall > 0 else 0.0,
-        "mb_per_sec": megabytes / wall if wall > 0 else 0.0,
     }
     for backend in ("real", "fast"):
         # Per-run delta discipline (not PERF.reset()): each backend's row

@@ -65,11 +65,7 @@ setup(
     ext_modules=[
         Extension(
             "repro._ckernel._impl",
-            sources=[
-                "src/repro/_ckernel/_impl.c",
-                "src/repro/_ckernel/sha256.c",
-            ],
-            depends=["src/repro/_ckernel/sha256.h"],
+            sources=["src/repro/_ckernel/_impl.c"],
             optional=True,
         ),
     ],

@@ -1,19 +1,24 @@
-/* repro._ckernel._impl — hand-written CPython fast path for the three
- * handler-bound floors of the simulator (see PERFORMANCE.md):
+/* repro._ckernel._impl — hand-written CPython fast path for the
+ * handler-bound floors of the simulator the benchmark shows paying (see
+ * PERFORMANCE.md):
  *
  *   1. execute_batch      — deterministic batch execution over the
  *                           Operation/VersionedValue namedtuple layout with
- *                           single-pass canonical-chunk accumulation and an
- *                           in-C SHA-256, byte-identical to the Python loop;
+ *                           single-pass canonical-chunk accumulation, hashed
+ *                           once through hashlib.sha256, byte-identical to
+ *                           the Python loop;
  *   2. generate_transactions — YCSB transaction generation, drawing through
  *                           the *same* random.Random.getrandbits rejection
  *                           loop as sim/rng.bounded_int_fn so the draw
  *                           sequence is bit-identical, with C-side key/value
  *                           formatting and transaction assembly;
- *   3. canonical_bytes / digest / cached_digest — canonical-byte and digest
- *                           construction for crypto/hashing.py (str/bytes/
- *                           canonical() payloads fully in C, the JSON path
- *                           delegated to a configured Python fallback).
+ *   3b. transaction_canonical / batch_canonical — the canonical *strings*
+ *                           of Transaction and TransactionBatch, reading and
+ *                           seeding the per-transaction memo.
+ *
+ * Canonical bytes and digests (the paper's H(.)) are deliberately not here:
+ * crypto/hashing.py is their one implementation under every REPRO_KERNEL
+ * value (a C leg for them bought nothing end to end; see PERFORMANCE.md).
  *
  * The module is OPTIONAL: nothing imports it directly except
  * repro/kernel.py (the chooser — lint rule KER006 enforces this), and every
@@ -28,34 +33,25 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-#include "sha256.h"
-
-#define CKERNEL_BUILD_TAG "repro-ckernel-1"
+#define CKERNEL_BUILD_TAG "repro-ckernel-2"
 
 /* ------------------------------------------------------------------ state */
 
-/* Configured by repro/kernel.py and the chooser's consumers at import time
- * (single-interpreter process-global state, like repro.perf.PERF itself). */
-static PyObject *g_perf = NULL;              /* repro.perf.PERF instance */
+/* Configured by the chooser's consumers at import time (single-interpreter
+ * process-global state). */
 static PyObject *g_operation_type = NULL;    /* workload.transactions.Operation */
 static PyObject *g_transaction_type = NULL;  /* workload.transactions.Transaction */
 static PyObject *g_txn_result_type = NULL;   /* workload.transactions.TransactionResult */
-static PyObject *g_canonical_fallback = NULL; /* hashing's JSON canonicaliser */
-static PyObject *g_sha256_factory = NULL;    /* hashlib.sha256 — when bound, all
-    digests route through it (CPython's SHA-256 ships vendor-optimised
-    assembly the portable sha256.c cannot match); sha256.c remains the
-    self-contained fallback and the parity hook's subject */
-static PyObject *g_digest_attr = NULL;       /* "_repro_cached_digest" */
 
+static PyObject *g_sha256 = NULL;            /* hashlib.sha256, bound at init */
 static PyObject *g_empty_tuple = NULL;
 static PyObject *g_zero = NULL;              /* PyLong 0 (versions default) */
 
-/* Interned attribute/counter names. */
-static PyObject *s_digests_computed, *s_digest_cache_hits, *s_ckernel_digests;
+/* Interned attribute names. */
 static PyObject *s_txn_id, *s_client_id, *s_operations, *s_execution_seconds,
-    *s_rw_sets_known, *s_origin, *s_request_id, *s_sorted_keys,
-    *s_sorted_keys_memo, *s_canonical, *s_canonical_memo, *s_batch_id,
-    *s_transactions, *s_writes, *s_read_versions, *s_hexdigest;
+    *s_rw_sets_known, *s_origin, *s_request_id, *s_sorted_keys_memo,
+    *s_canonical_memo, *s_batch_id, *s_transactions, *s_writes,
+    *s_read_versions, *s_hexdigest;
 static PyObject *s_uniform_only, *s_has_conflicts, *s_conflict_fraction,
     *s_chance, *s_build_operations, *s_client_ids, *s_client_starts,
     *s_write_flags, *s_hot_count, *s_private_modulus, *s_partition_size,
@@ -63,29 +59,6 @@ static PyObject *s_uniform_only, *s_has_conflicts, *s_conflict_fraction,
     *s_next_txn_index, *s_rng, *s_getrandbits, *s_value_bound, *s_client_bound;
 
 /* -------------------------------------------------------------- utilities */
-
-static int
-perf_bump(PyObject *name, long delta)
-{
-    PyObject *current, *updated;
-    int result;
-
-    if (g_perf == NULL) {
-        return 0; /* not configured: counters silently off, never a crash */
-    }
-    current = PyObject_GetAttr(g_perf, name);
-    if (current == NULL) {
-        return -1;
-    }
-    updated = PyNumber_Add(current, PyLong_FromLong(delta));
-    Py_DECREF(current);
-    if (updated == NULL) {
-        return -1;
-    }
-    result = PyObject_SetAttr(g_perf, name, updated);
-    Py_DECREF(updated);
-    return result;
-}
 
 /* Python's `%` for a non-negative modulus (operands here are always
  * non-negative in practice; the adjustment is insurance, not behaviour). */
@@ -246,216 +219,25 @@ buf_append_long(buf_t *buf, long value)
     return buf_append(buf, digits, (Py_ssize_t)written);
 }
 
-/* Hex SHA-256 of a bytes object (== hashlib hexdigest output).  Prefers
- * the configured hashlib factory; the in-tree sha256.c is the fallback. */
-static PyObject *
-bytes_sha256_hex(PyObject *payload)
-{
-    if (g_sha256_factory != NULL) {
-        PyObject *hasher = PyObject_CallOneArg(g_sha256_factory, payload);
-        PyObject *hex;
-
-        if (hasher == NULL) {
-            return NULL;
-        }
-        hex = PyObject_CallMethodNoArgs(hasher, s_hexdigest);
-        Py_DECREF(hasher);
-        return hex;
-    }
-    {
-        char hex[65];
-        repro_sha256_hex((const uint8_t *)PyBytes_AS_STRING(payload),
-                         (size_t)PyBytes_GET_SIZE(payload), hex);
-        return PyUnicode_FromStringAndSize(hex, 64);
-    }
-}
-
-/* Hex SHA-256 of the buffer as a new str (== hashlib hexdigest output). */
+/* Hex SHA-256 of the buffer as a new str, through hashlib.sha256 (CPython's
+ * SHA-256 ships vendor-optimised assembly; the module imports it at init). */
 static PyObject *
 buf_sha256_hex(const buf_t *buf)
 {
-    if (g_sha256_factory != NULL) {
-        PyObject *payload = PyBytes_FromStringAndSize(buf->data, buf->len);
-        PyObject *hex;
-
-        if (payload == NULL) {
-            return NULL;
-        }
-        hex = bytes_sha256_hex(payload);
-        Py_DECREF(payload);
-        return hex;
-    }
-    {
-        char hex[65];
-        repro_sha256_hex((const uint8_t *)buf->data, (size_t)buf->len, hex);
-        return PyUnicode_FromStringAndSize(hex, 64);
-    }
-}
-
-/* ------------------------------------------------- floor 3: canonical/digest */
-
-/* The str/bytes/canonical() fast path of hashing.canonical_bytes; anything
- * else goes to the configured Python JSON fallback.  Returns new bytes. */
-static PyObject *
-canonical_bytes_inner(PyObject *value)
-{
-    PyObject *current = value;
-    PyObject *result;
-
-    Py_INCREF(current);
-    for (;;) {
-        PyObject *canonical_method, *next;
-
-        if (PyBytes_Check(current)) {
-            return current;
-        }
-        if (PyUnicode_Check(current)) {
-            result = PyUnicode_AsUTF8String(current);
-            Py_DECREF(current);
-            return result;
-        }
-        canonical_method = PyObject_GetAttr(current, s_canonical);
-        if (canonical_method == NULL) {
-            if (!PyErr_ExceptionMatches(PyExc_AttributeError)) {
-                Py_DECREF(current);
-                return NULL;
-            }
-            PyErr_Clear();
-            break;
-        }
-        if (!PyCallable_Check(canonical_method)) {
-            Py_DECREF(canonical_method);
-            break;
-        }
-        next = PyObject_CallNoArgs(canonical_method);
-        Py_DECREF(canonical_method);
-        if (next == NULL) {
-            Py_DECREF(current);
-            return NULL;
-        }
-        Py_DECREF(current);
-        current = next;
-    }
-    if (g_canonical_fallback == NULL) {
-        Py_DECREF(current);
-        PyErr_SetString(PyExc_RuntimeError,
-                        "_ckernel hashing not configured (call configure_hashing)");
-        return NULL;
-    }
-    result = PyObject_CallOneArg(g_canonical_fallback, current);
-    Py_DECREF(current);
-    if (result != NULL && !PyBytes_Check(result)) {
-        Py_DECREF(result);
-        PyErr_SetString(PyExc_TypeError,
-                        "canonical fallback must return bytes");
-        return NULL;
-    }
-    return result;
-}
-
-static PyObject *
-digest_inner(PyObject *value)
-{
-    PyObject *payload = canonical_bytes_inner(value);
-    PyObject *result;
+    PyObject *payload = PyBytes_FromStringAndSize(buf->data, buf->len);
+    PyObject *hasher, *hex;
 
     if (payload == NULL) {
         return NULL;
     }
-    if (perf_bump(s_digests_computed, 1) < 0 ||
-        perf_bump(s_ckernel_digests, 1) < 0) {
-        Py_DECREF(payload);
-        return NULL;
-    }
-    result = bytes_sha256_hex(payload);
+    hasher = PyObject_CallOneArg(g_sha256, payload);
     Py_DECREF(payload);
-    return result;
-}
-
-static PyObject *
-ck_canonical_bytes(PyObject *self, PyObject *value)
-{
-    (void)self;
-    return canonical_bytes_inner(value);
-}
-
-static PyObject *
-ck_digest(PyObject *self, PyObject *value)
-{
-    (void)self;
-    return digest_inner(value);
-}
-
-static PyObject *
-ck_cached_digest(PyObject *self, PyObject *value)
-{
-    PyObject *memo, *computed;
-
-    (void)self;
-    if (g_digest_attr == NULL) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "_ckernel hashing not configured (call configure_hashing)");
+    if (hasher == NULL) {
         return NULL;
     }
-    memo = PyObject_GetAttr(value, g_digest_attr);
-    if (memo != NULL) {
-        if (memo != Py_None) {
-            if (perf_bump(s_digest_cache_hits, 1) < 0) {
-                Py_DECREF(memo);
-                return NULL;
-            }
-            return memo;
-        }
-        Py_DECREF(memo);
-    }
-    else {
-        if (!PyErr_ExceptionMatches(PyExc_AttributeError)) {
-            return NULL;
-        }
-        PyErr_Clear();
-    }
-    computed = digest_inner(value);
-    if (computed == NULL) {
-        return NULL;
-    }
-    /* object.__setattr__ semantics: works on frozen dataclasses, fails
-     * harmlessly on memo-less payloads (str, tuple, slotted). */
-    if (PyObject_GenericSetAttr(value, g_digest_attr, computed) < 0) {
-        if (PyErr_ExceptionMatches(PyExc_AttributeError) ||
-            PyErr_ExceptionMatches(PyExc_TypeError)) {
-            PyErr_Clear();
-        }
-        else {
-            Py_DECREF(computed);
-            return NULL;
-        }
-    }
-    return computed;
-}
-
-static PyObject *
-ck_sha256_hex(PyObject *self, PyObject *value)
-{
-    char hex[65];
-
-    (void)self;
-    if (PyBytes_Check(value)) {
-        repro_sha256_hex((const uint8_t *)PyBytes_AS_STRING(value),
-                         (size_t)PyBytes_GET_SIZE(value), hex);
-    }
-    else if (PyUnicode_Check(value)) {
-        Py_ssize_t size;
-        const char *utf8 = PyUnicode_AsUTF8AndSize(value, &size);
-        if (utf8 == NULL) {
-            return NULL;
-        }
-        repro_sha256_hex((const uint8_t *)utf8, (size_t)size, hex);
-    }
-    else {
-        PyErr_SetString(PyExc_TypeError, "sha256_hex expects bytes or str");
-        return NULL;
-    }
-    return PyUnicode_FromStringAndSize(hex, 64);
+    hex = PyObject_CallMethodNoArgs(hasher, s_hexdigest);
+    Py_DECREF(hasher);
+    return hex;
 }
 
 /* ------------------------------------------------ floor 1: execute_batch */
@@ -1333,15 +1115,6 @@ done:
 /* ----------------------------------------------------------- configuration */
 
 static PyObject *
-ck_set_perf(PyObject *self, PyObject *perf)
-{
-    (void)self;
-    Py_INCREF(perf);
-    Py_XSETREF(g_perf, perf);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 ck_configure_types(PyObject *self, PyObject *args)
 {
     PyObject *operation, *transaction, *txn_result;
@@ -1368,50 +1141,11 @@ ck_configure_types(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-ck_configure_hashing(PyObject *self, PyObject *args)
-{
-    PyObject *fallback, *digest_attr;
-
-    (void)self;
-    if (!PyArg_ParseTuple(args, "OU", &fallback, &digest_attr)) {
-        return NULL;
-    }
-    if (!PyCallable_Check(fallback)) {
-        PyErr_SetString(PyExc_TypeError, "canonical fallback must be callable");
-        return NULL;
-    }
-    Py_INCREF(fallback);
-    Py_XSETREF(g_canonical_fallback, fallback);
-    Py_INCREF(digest_attr);
-    Py_XSETREF(g_digest_attr, digest_attr);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-ck_configure_sha256(PyObject *self, PyObject *factory)
-{
-    (void)self;
-    if (!PyCallable_Check(factory)) {
-        PyErr_SetString(PyExc_TypeError, "sha256 factory must be callable");
-        return NULL;
-    }
-    Py_INCREF(factory);
-    Py_XSETREF(g_sha256_factory, factory);
-    Py_RETURN_NONE;
-}
-
 /* ----------------------------------------------------------------- module */
 
 static PyMethodDef ckernel_methods[] = {
-    {"set_perf", ck_set_perf, METH_O,
-     "Bind the repro.perf.PERF counter object used by the C hot paths."},
     {"configure_types", ck_configure_types, METH_VARARGS,
      "Register (Operation, Transaction, TransactionResult) for C construction."},
-    {"configure_hashing", ck_configure_hashing, METH_VARARGS,
-     "Register the JSON canonical fallback and the digest memo attribute."},
-    {"configure_sha256", ck_configure_sha256, METH_O,
-     "Route digests through a hashlib-style factory (vendor-optimised SHA)."},
     {"execute_batch", (PyCFunction)(void (*)(void))ck_execute_batch,
      METH_FASTCALL,
      "Deterministic batch execution: (batch_id, transactions, read_values, "
@@ -1425,14 +1159,6 @@ static PyMethodDef ckernel_methods[] = {
     {"batch_canonical", ck_batch_canonical, METH_O,
      "Build a TransactionBatch's canonical string (reads/seeds the "
      "per-transaction canonical memos)."},
-    {"canonical_bytes", ck_canonical_bytes, METH_O,
-     "Canonical byte serialisation (C fast path + configured JSON fallback)."},
-    {"digest", ck_digest, METH_O,
-     "Hex SHA-256 of canonical_bytes(value)."},
-    {"cached_digest", ck_cached_digest, METH_O,
-     "digest(value), memoised on the instance via the digest memo attribute."},
-    {"sha256_hex", ck_sha256_hex, METH_O,
-     "Hex SHA-256 of bytes (or UTF-8 of str) — parity hook for tests."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1459,9 +1185,6 @@ intern_all(void)
         }                                                                     \
     } while (0)
 
-    INTERN(s_digests_computed, "digests_computed");
-    INTERN(s_digest_cache_hits, "digest_cache_hits");
-    INTERN(s_ckernel_digests, "ckernel_digests");
     INTERN(s_txn_id, "txn_id");
     INTERN(s_client_id, "client_id");
     INTERN(s_operations, "operations");
@@ -1469,9 +1192,7 @@ intern_all(void)
     INTERN(s_rw_sets_known, "rw_sets_known");
     INTERN(s_origin, "origin");
     INTERN(s_request_id, "request_id");
-    INTERN(s_sorted_keys, "sorted_keys");
     INTERN(s_sorted_keys_memo, "_sorted_keys");
-    INTERN(s_canonical, "canonical");
     INTERN(s_canonical_memo, "_canonical");
     INTERN(s_batch_id, "batch_id");
     INTERN(s_transactions, "transactions");
@@ -1505,7 +1226,7 @@ intern_all(void)
 PyMODINIT_FUNC
 PyInit__impl(void)
 {
-    PyObject *module;
+    PyObject *module, *hashlib;
 
     if (intern_all() < 0) {
         return NULL;
@@ -1513,6 +1234,15 @@ PyInit__impl(void)
     g_empty_tuple = PyTuple_New(0);
     g_zero = PyLong_FromLong(0);
     if (g_empty_tuple == NULL || g_zero == NULL) {
+        return NULL;
+    }
+    hashlib = PyImport_ImportModule("hashlib");
+    if (hashlib == NULL) {
+        return NULL;
+    }
+    g_sha256 = PyObject_GetAttrString(hashlib, "sha256");
+    Py_DECREF(hashlib);
+    if (g_sha256 == NULL) {
         return NULL;
     }
     module = PyModule_Create(&ckernel_module);

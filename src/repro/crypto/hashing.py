@@ -17,7 +17,6 @@ import hashlib
 import json
 from typing import Any
 
-from repro import kernel
 from repro.perf import PERF
 
 #: Attribute used to memoise an object's digest.  Frozen dataclasses still
@@ -72,16 +71,6 @@ def canonical_bytes(value: Any) -> bytes:
     canonical = getattr(value, "canonical", None)
     if callable(canonical):
         return canonical_bytes(canonical())
-    return _canonical_json_fallback(value)
-
-
-def _canonical_json_fallback(value: Any) -> bytes:
-    """The JSON leg of :func:`canonical_bytes`.
-
-    Split out because the compiled kernel handles the bytes/str/canonical()
-    fast paths in C and delegates everything else here — one definition of
-    the JSON semantics, shared by both kernel variants.
-    """
     try:
         return json.dumps(value, sort_keys=True, default=repr).encode("utf-8")
     except (TypeError, ValueError):
@@ -114,19 +103,6 @@ def cached_digest(value: Any) -> str:
     except (AttributeError, TypeError):
         pass  # str / tuple / slotted payloads cannot carry the memo
     return computed
-
-
-# --------------------------------------------------------------------------
-# Kernel wiring (see repro.kernel; KER006 keeps repro._ckernel out of here).
-# The pure-Python definitions above stay authoritative; when the compiled
-# kernel is active the three public entry points are rebound to its
-# bit-identical C implementations, with the JSON leg and the digest memo
-# attribute registered so the C path round-trips through the same fallback.
-kernel.configure_hashing(_canonical_json_fallback, _DIGEST_ATTR)
-if kernel.active_variant() == "c":
-    canonical_bytes = kernel.c_canonical_bytes()  # type: ignore[assignment, misc]  # noqa: F811
-    digest = kernel.c_digest()  # type: ignore[assignment, misc]  # noqa: F811
-    cached_digest = kernel.c_cached_digest()  # type: ignore[assignment, misc]  # noqa: F811
 
 
 def seed_cached_digest(value: Any, known_digest: str) -> None:

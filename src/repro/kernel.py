@@ -1,10 +1,12 @@
 """Kernel chooser: compiled fast path vs authoritative pure Python.
 
-The repo's three measured hot floors — ``execute_batch``, YCSB transaction
-generation, and canonical-bytes/digest construction — each have two
-implementations: the authoritative pure-Python one, and an optional
-hand-written C extension (:mod:`repro._ckernel._impl`).  This module is the
-single place that decides which one runs:
+The repo's measured hot floors — ``execute_batch``, YCSB transaction
+generation, and the ``Transaction`` / ``TransactionBatch`` canonical strings
+— each have two implementations: the authoritative pure-Python one, and an
+optional hand-written C extension (:mod:`repro._ckernel._impl`).  (Canonical
+bytes and digests are not a kernel floor: :mod:`repro.crypto.hashing` is
+their one implementation under every ``REPRO_KERNEL`` value.)  This module
+is the single place that decides which one runs:
 
 * ``REPRO_KERNEL=py``    — force pure Python (what ``perf-smoke`` gates).
 * ``REPRO_KERNEL=c``     — require the compiled kernel; raise
@@ -25,18 +27,16 @@ variants run subprocesses (see ``tests/test_kernel.py``).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import warnings
 from typing import Any, Optional
 
 from repro.errors import KernelUnavailableError
-from repro.perf import PERF
 
 #: Calling-convention tag; must equal ``_impl.BUILD_TAG`` or the extension
 #: is treated as absent (stale .so from an older checkout).  Bump both in
 #: lockstep whenever the C API between chooser and extension changes.
-KERNEL_BUILD_TAG = "repro-ckernel-1"
+KERNEL_BUILD_TAG = "repro-ckernel-2"
 
 #: The compiled module when active, else ``None``.  Consumers must treat
 #: this as opaque and call :func:`configure_types` etc. through this module.
@@ -77,11 +77,6 @@ def _choose() -> "tuple[Optional[Any], str]":
         )
     compiled, reason = _load_compiled()
     if compiled is not None:
-        compiled.set_perf(PERF)
-        # Digests route through hashlib's vendor-optimised SHA-256 (SHA-NI /
-        # AVX2 on x86); the extension's portable sha256.c is only the
-        # self-contained fallback and the parity-test subject.
-        compiled.configure_sha256(hashlib.sha256)
         return compiled, ""
     if mode == "c":
         raise KernelUnavailableError(
@@ -114,20 +109,14 @@ def compiled_available() -> bool:
 
 
 # --------------------------------------------------------------------------
-# Configuration relays.  Consumer modules (transactions.py, ycsb.py,
-# hashing.py) call these at their own import time; each is a no-op on the
-# pure-Python path so call-sites need no variant checks.
+# Configuration relay.  ``workload/transactions.py`` calls it at its own
+# import time; it is a no-op on the pure-Python path so the call-site needs
+# no variant check.
 
 def configure_types(operation: type, transaction: type, txn_result: type) -> None:
     """Register the workload types the C kernel constructs directly."""
     if _impl is not None:
         _impl.configure_types(operation, transaction, txn_result)
-
-
-def configure_hashing(canonical_fallback: Any, digest_attr: str) -> None:
-    """Register hashing's JSON fallback and per-object digest memo slot."""
-    if _impl is not None:
-        _impl.configure_hashing(canonical_fallback, digest_attr)
 
 
 # --------------------------------------------------------------------------
@@ -153,23 +142,3 @@ def c_transaction_canonical() -> Optional[Any]:
 def c_batch_canonical() -> Optional[Any]:
     """``(batch) -> str`` — batch canonical string, seeding txn memos."""
     return getattr(_impl, "batch_canonical", None)
-
-
-def c_canonical_bytes() -> Optional[Any]:
-    """``(value) -> bytes`` — canonical serialisation fast path."""
-    return getattr(_impl, "canonical_bytes", None)
-
-
-def c_digest() -> Optional[Any]:
-    """``(value) -> str`` — hex SHA-256 of ``canonical_bytes(value)``."""
-    return getattr(_impl, "digest", None)
-
-
-def c_cached_digest() -> Optional[Any]:
-    """``(value) -> str`` — memoising digest (same contract as hashing's)."""
-    return getattr(_impl, "cached_digest", None)
-
-
-def c_sha256_hex() -> Optional[Any]:
-    """``(bytes | str) -> str`` — parity hook for the SHA-256 tests."""
-    return getattr(_impl, "sha256_hex", None)

@@ -47,9 +47,6 @@ class PerfCounters:
     ckernel_batches_executed: int = 0
     #: Transactions assembled by the compiled kernel's YCSB generator.
     ckernel_txns_generated: int = 0
-    #: Digests computed by the compiled kernel's SHA-256 (subset of
-    #: ``digests_computed`` — which variant served the computation).
-    ckernel_digests: int = 0
 
     def reset(self) -> None:
         """Zero every counter (e.g. between benchmark iterations)."""

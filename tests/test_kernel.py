@@ -1,10 +1,10 @@
 """Compiled-kernel gate: chooser semantics and C-vs-Python bit identity.
 
-The pure-Python implementations of the three hot floors (batch execution,
-YCSB generation, canonical-bytes/digest) stay authoritative; the compiled
-kernel is only allowed to exist because every observable it produces —
-digests, canonical strings, RNG draw sequences, end-to-end result digests —
-is bit-identical.  These tests are that gate.
+The pure-Python implementations of the hot floors (batch execution, YCSB
+generation, transaction/batch canonical strings) stay authoritative; the
+compiled kernel is only allowed to exist because every observable it
+produces — digests, canonical strings, RNG draw sequences, end-to-end result
+digests — is bit-identical.  These tests are that gate.
 
 Tests that need the extension *importable* are marked ``needs_compiled``
 (they drive subprocesses with their own ``REPRO_KERNEL``); tests that need
@@ -16,7 +16,6 @@ tier-1 lane proves everything else passes without it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import subprocess
@@ -140,11 +139,12 @@ def test_c_mode_missing_extension_raises():
 
 @needs_compiled
 def test_build_tag_mismatch_treated_as_absent(monkeypatch):
+    extension_tag = kernel._load_compiled()[0].BUILD_TAG
     monkeypatch.setattr(kernel, "KERNEL_BUILD_TAG", "repro-ckernel-from-the-future")
     compiled, reason = kernel._load_compiled()
     assert compiled is None
     assert "build-tag mismatch" in reason
-    assert "repro-ckernel-1" in reason  # the extension's actual tag is named
+    assert extension_tag in reason  # the extension's actual tag is named
     assert not kernel.compiled_available()
 
 
@@ -163,33 +163,39 @@ def test_c_mode_activates_compiled_kernel():
     assert proc.returncode == 0, proc.stderr
 
 
+@needs_compiled
+def test_exported_surface_is_pinned_and_consumed():
+    """A C entry point cannot exist without a consumer behind the chooser."""
+    proc = _run_py(
+        """
+        from repro import kernel
+        impl = kernel._impl
+        public = {name for name in dir(impl) if not name.startswith("_")}
+        assert public == {
+            "BUILD_TAG", "configure_types", "execute_batch",
+            "generate_transactions", "transaction_canonical", "batch_canonical",
+        }, sorted(public)
+        for name in public - {"BUILD_TAG", "configure_types"}:
+            assert getattr(kernel, "c_" + name)() is getattr(impl, name), name
+        # configure_types is relayed, not handed out: the relay must reach C.
+        try:
+            kernel.configure_types(int, int, int)
+        except TypeError as exc:
+            assert "tuple subclass" in str(exc)
+        else:
+            raise AssertionError("configure_types relay did not reach the extension")
+        """,
+        REPRO_KERNEL="c",
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_chooser_relays_are_noops_on_python_path():
     # Regardless of the active variant, the c_* accessors agree with it.
     active = kernel.active_variant()
     assert active in ("c", "py")
     have_callables = kernel.c_execute_batch() is not None
     assert have_callables == (active == "c")
-
-
-# ---------------------------------------------------------- sha256 parity
-
-
-@needs_compiled
-def test_soft_sha256_matches_hashlib():
-    proc = _run_py(
-        """
-        import hashlib
-        from repro import kernel
-        sha = kernel.c_sha256_hex()
-        assert sha is not None
-        for size in (0, 1, 3, 55, 56, 63, 64, 65, 100, 1000, 10000):
-            payload = bytes((i * 7 + size) % 256 for i in range(size))
-            assert sha(payload) == hashlib.sha256(payload).hexdigest(), size
-        assert sha("text") == hashlib.sha256(b"text").hexdigest()
-        """,
-        REPRO_KERNEL="c",
-    )
-    assert proc.returncode == 0, proc.stderr
 
 
 # ------------------------------------------------- floor 1: execute_batch
@@ -335,71 +341,6 @@ def test_ycsb_next_batch_draw_identity():
         assert batch_c.transactions == batch_p.transactions
 
 
-# ------------------------------------- floor 3: canonical bytes / digests
-
-#: Payload shapes the simulator actually hashes, plus the awkward corners
-#: the pure-Python canonicaliser is documented to handle.
-def _hashing_payloads():
-    from repro.workload.ycsb import YCSBWorkload
-
-    txn = YCSBWorkload(_zip_config()).next_transaction(0)
-    return [
-        b"raw-bytes",
-        "plain string",
-        "",
-        {"type": "PREPREPARE", "view": 3, "seq": 41, "digest": "a" * 64},
-        {"nested": {"z": 1, "a": [2, 3, {"k": None}]}},
-        {1: "int-key", "1": "str-key"},  # mixed-type keys
-        {True: "bool", 2.5: "float"},
-        [1, 2, ("tuple", "leg")],
-        {"set": {3, 1, 2}},
-        frozenset({"x", "y"}),
-        txn,  # canonical() method chain
-        {"txn": txn, "meta": {"origin": ""}},
-    ]
-
-
-def _reference_canonical_bytes(value):
-    """The documented semantics, spelled out independently of hashing.py."""
-    from repro.crypto.hashing import _canonical_json_fallback
-
-    if isinstance(value, bytes):
-        return value
-    if isinstance(value, str):
-        return value.encode("utf-8")
-    canonical = getattr(value, "canonical", None)
-    if callable(canonical):
-        return _reference_canonical_bytes(canonical())
-    return _canonical_json_fallback(value)
-
-
-@needs_active_c
-def test_canonical_bytes_and_digest_ab_identity():
-    from repro.crypto import hashing
-
-    for payload in _hashing_payloads():
-        expected = _reference_canonical_bytes(payload)
-        assert hashing.canonical_bytes(payload) == expected
-        assert hashing.digest(payload) == hashlib.sha256(expected).hexdigest()
-
-
-@needs_active_c
-def test_cached_digest_memoises_like_python():
-    from repro.crypto import hashing
-    from repro.workload.ycsb import YCSBWorkload
-
-    txn = YCSBWorkload(_zip_config()).next_transaction(0)
-    first = hashing.cached_digest(txn)
-    assert txn.__dict__.get(hashing._DIGEST_ATTR) == first
-    assert hashing.cached_digest(txn) == first
-    assert first == hashlib.sha256(_reference_canonical_bytes(txn)).hexdigest()
-    # Seeding still cooperates with the C reader.
-    hashing.seed_cached_digest(txn, "f" * 64)
-    assert hashing.cached_digest(txn) == "f" * 64
-    # Objects that cannot carry the memo still digest correctly.
-    assert hashing.cached_digest("payload") == hashing.digest("payload")
-
-
 # ---------------------------------------------------- end-to-end A/B gate
 
 _AB_PROGRAM = """
@@ -408,6 +349,8 @@ warnings.simplefilter("ignore")
 from repro.api import RunSpec, run
 from repro.api.facade import result_digest
 from repro import kernel
+from repro.crypto import hashing
+from repro.perf import PERF
 points = [
     ("serverless_bft", [], 7),
     ("serverless_cft", [], 7),
@@ -416,21 +359,32 @@ points = [
     ("serverless_bft", ["byzantine-executors"], 5),
     ("serverless_bft", ["primary-crash"], 11),
 ]
-out = {"variant": kernel.active_variant(), "points": []}
+out = {
+    "variant": kernel.active_variant(),
+    "hashing_modules": sorted({
+        fn.__module__
+        for fn in (hashing.canonical_bytes, hashing.digest, hashing.cached_digest)
+    }),
+    "points": [],
+}
 for system, scenarios, seed in points:
+    baseline = PERF.snapshot()
     r = run(RunSpec(system=system, duration=0.4, warmup=0.1, seed=seed,
                     scenarios=scenarios))
+    hashed = PERF.delta_since(baseline)
     out["points"].append([system, scenarios, result_digest(r),
-                          r.events_processed, r.committed_txns])
+                          r.events_processed, r.committed_txns,
+                          hashed["digests_computed"], hashed["digest_cache_hits"]])
 print(json.dumps(out))
 """
 
 
 @needs_compiled
 def test_end_to_end_digests_bit_identical_c_vs_python():
-    """The whole simulator, both kernels: result digests, event counts, and
-    commit counts must match on all four systems plus a byzantine scenario
-    and a crash fault timeline."""
+    """The whole simulator, both kernels: result digests, event counts,
+    commit counts and digest-work counters must match on all four systems
+    plus a byzantine scenario and a crash fault timeline — and ``H(·)`` is
+    the one Python implementation under both."""
     proc_py = _run_py(_AB_PROGRAM, REPRO_KERNEL="py")
     assert proc_py.returncode == 0, proc_py.stderr
     proc_c = _run_py(_AB_PROGRAM, REPRO_KERNEL="c")
@@ -439,6 +393,8 @@ def test_end_to_end_digests_bit_identical_c_vs_python():
     report_c = json.loads(proc_c.stdout)
     assert report_py["variant"] == "py"
     assert report_c["variant"] == "c"
+    assert report_py["hashing_modules"] == ["repro.crypto.hashing"]
+    assert report_c["hashing_modules"] == ["repro.crypto.hashing"]
     for point_py, point_c in zip(report_py["points"], report_c["points"]):
         assert point_py == point_c, f"C/python divergence at {point_py[:2]}"
 

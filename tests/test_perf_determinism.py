@@ -280,6 +280,9 @@ def test_cached_digest_memoises_and_seed_propagates():
     seed_cached_digest(other, first)
     assert cached_digest(other) == first
 
+    # Objects that cannot carry the memo still digest correctly.
+    assert cached_digest("payload") == digest("payload")
+
 
 def test_mixed_key_dicts_hash_identically():
     """The canonicalisation satellite: mixed-type dict keys used to fall back
