@@ -19,7 +19,7 @@ the primary replies to the clients.  This baseline is used for:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.consensus.log import CommittedEntry
 from repro.consensus.pbft import PBFTConfig, PBFTReplica, ReplicaTransport
@@ -35,7 +35,7 @@ from repro.sim.process import CpuResource, SimProcess
 from repro.sim.stats import ThroughputRecorder
 from repro.sim.tracing import Tracer
 from repro.storage.kvstore import VersionedKVStore
-from repro.workload.transactions import Transaction, TransactionBatch, execute_batch
+from repro.workload.transactions import Transaction, TransactionBatch, execute_batch_cached
 from repro.workload.ycsb import YCSBConfig
 
 
@@ -190,20 +190,18 @@ class ReplicatedNode(SimProcess):
         batch: TransactionBatch = entry.batch
         if self._obs is not None:
             self._obs.begin_span("execute", entry.seq, self.now, self.name)
-        duration = batch.execution_seconds + self._per_operation_cost * sum(
-            len(txn.operations) for txn in batch.transactions
-        )
+        duration = batch.execution_seconds + self._per_operation_cost * batch.operation_count
         self._execution_pool.submit(
             max(1e-9, duration), lambda: self._after_execution(entry, batch)
         )
 
     def _after_execution(self, entry: CommittedEntry, batch: TransactionBatch) -> None:
-        reads = self._store.read_many(sorted(batch.keys))
-        values = {key: item.value for key, item in reads.values.items()}
-        versions = {key: item.version for key, item in reads.values.items()}
-        result = execute_batch(batch, values, versions)
-        for txn_result in result.txn_results:
-            self._store.apply_writes(txn_result.writes)
+        # Replicas execute the same batch against equal store states, so the
+        # n executions share one result through the batch's versions-keyed
+        # memo (never a snapshot token: tokens belong to one store).
+        reads = self._store.read_many(batch.sorted_keys)
+        result = execute_batch_cached(batch, reads.plain_values(), reads.versions_map())
+        self._store.apply_write_sets([txn.writes for txn in result.txn_results])
         self._executed_batches += 1
         self._executed_txns += len(batch)
         if self._tracer is not None:
@@ -214,17 +212,14 @@ class ReplicatedNode(SimProcess):
             return
         if self._throughput is not None:
             self._throughput.record_commit(self.now, len(batch))
-        per_request: Dict[Tuple[str, str], List[str]] = {}
-        for txn in batch.transactions:
-            per_request.setdefault((txn.origin, txn.request_id), []).append(txn.txn_id)
-        for (origin, request_id), txn_ids in per_request.items():
+        for (origin, request_id), txn_ids in batch.request_groups:
             if not origin:
                 continue
             response = ResponseMsg(
                 request_id=request_id,
                 seq=entry.seq,
                 digest=entry.digest,
-                committed_txn_ids=tuple(txn_ids),
+                committed_txn_ids=txn_ids,
             )
             self._network.send(self.name, origin, response, response.size_bytes)
 

@@ -594,6 +594,10 @@ class PBFTReplica:
         message = self._build_checkpoint(since)
         self._log.advance_checkpoint(message.up_to_seq)
         self._note_peer_checkpoint(self._id, message.up_to_seq, self._log.stable_seq)
+        if self._n == 1:
+            # A one-replica shim (NOSHIM) is its own checkpoint quorum, and no
+            # peer CHECKPOINT will ever arrive to advance the watermark.
+            self._update_stable()
         self._checkpoints_sent += 1
         self._host.process(
             self._costs.ds_sign,

@@ -117,17 +117,22 @@ class Executor(SimProcess):
         self._trace("executor.storage_read", seq=execute.seq, keys=len(keys))
 
     def on_message(self, message, sender: str) -> None:
-        if isinstance(message, StorageReadReply) and self._pending_execute is not None:
-            # Executors spawned for the same batch usually receive the same
-            # (cached) ReadResult object, so these maps are built only once
-            # per observed storage snapshot.
-            result = message.result
-            self._execute_with_data(
-                self._pending_execute,
-                result.plain_values(),
-                result.versions_map(),
-                snapshot_token=result.snapshot_token,
-            )
+        execute = self._pending_execute
+        if execute is None or not isinstance(message, StorageReadReply):
+            return
+        # One storage read per invocation: the first reply is consumed, so a
+        # duplicated reply (lossy network) cannot start a second pipeline.
+        self._pending_execute = None
+        # Executors spawned for the same batch usually receive the same
+        # (cached) ReadResult object, so these maps are built only once
+        # per observed storage snapshot.
+        result = message.result
+        self._execute_with_data(
+            execute,
+            result.plain_values(),
+            result.versions_map(),
+            snapshot_token=result.snapshot_token,
+        )
 
     # ------------------------------------------------------------------ execution
 
@@ -185,9 +190,16 @@ class Executor(SimProcess):
         self._finish()
 
     def _finish(self) -> None:
+        """Terminate: free the sandbox, drop the EXECUTE and leave the network.
+
+        A terminated executor is inert and unreachable — late deliveries are
+        dropped by the network — so nothing keeps it (or its batch) alive.
+        """
         if self._finished:
             return
         self._finished = True
+        self._pending_execute = None
+        self._network.unregister(self.name)
         self._cloud.finish(self.name)
 
     def _trace(self, category: str, **details) -> None:

@@ -103,6 +103,9 @@ class ShimNode(SimProcess):
         self._flush_timer = None
         self._batch_counter = 0
         self._verified_seqs: set = set()
+        # Committed here but not yet acknowledged by the verifier: exactly the
+        # sequence numbers a (new) primary may still have to spawn for.  An
+        # entry pins its batch, so it goes once both halves have happened.
         self._committed_entries: Dict[int, CommittedEntry] = {}
         self._request_seq: Dict[str, int] = {}
         self._retransmission_timers: Dict[str, Any] = {}
@@ -326,11 +329,11 @@ class ShimNode(SimProcess):
     # ------------------------------------------------------------------ commits and spawning
 
     def _on_committed(self, entry: CommittedEntry) -> None:
-        self._committed_entries[entry.seq] = entry
         if entry.batch is None:
             # Committed via a featherweight checkpoint without the payload:
             # nothing to execute locally (the shim never executes anyway).
             return
+        self._committed_entries[entry.seq] = entry
         if self._config.conflict_mode is ConflictMode.CONFLICT_AVOIDANCE:
             self._planner.add(entry.seq, entry.batch)
             for seq, _batch in self._planner.ready():
@@ -338,10 +341,13 @@ class ShimNode(SimProcess):
         else:
             # Optimistic concurrent spawning (Section VI-A).
             self._spawn_for_seq(entry.seq)
+        if entry.seq in self._verified_seqs:
+            # The verifier's notice overtook this node's own commit.
+            del self._committed_entries[entry.seq]
 
     def _spawn_for_seq(self, seq: int) -> None:
         entry = self._committed_entries.get(seq)
-        if entry is None or entry.batch is None or self._cloud is None:
+        if entry is None or self._cloud is None:
             return
         plan = self._spawn_policy.plan(self.name, self.is_primary)
         if plan.count == 0:
@@ -409,6 +415,7 @@ class ShimNode(SimProcess):
         if sender != self._verifier_name:
             return
         self._verified_seqs.add(message.seq)
+        self._committed_entries.pop(message.seq, None)
         if self._obs is not None:
             self._obs.end_span("commit", message.seq, self.now)
         if self._config.conflict_mode is ConflictMode.CONFLICT_AVOIDANCE:
@@ -450,7 +457,7 @@ class ShimNode(SimProcess):
             self._enqueue_transactions(request)
 
     def _respawn_if_known(self, seq: int) -> None:
-        if seq in self._committed_entries and seq not in self._verified_seqs:
+        if seq in self._committed_entries:
             self._trace("node.respawn", seq=seq)
             self._spawn_for_seq(seq)
 
@@ -489,9 +496,8 @@ class ShimNode(SimProcess):
             return
         # As the new primary, make sure every committed-but-unverified batch
         # gets its executors (the old primary may have withheld them).
-        for seq, entry in sorted(self._committed_entries.items()):
-            if seq not in self._verified_seqs and entry.batch is not None:
-                self._spawn_for_seq(seq)
+        for seq in sorted(self._committed_entries):
+            self._spawn_for_seq(seq)
         self._maybe_propose()
 
     def _trace(self, category: str, **details) -> None:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.consensus.quorums import QuorumTracker
 from repro.core.messages import (
     AbortMsg,
     AckMsg,
@@ -50,10 +49,18 @@ from repro.storage.kvstore import VersionedKVStore
 
 
 class _SeqState:
-    """Per-sequence-number bookkeeping at the verifier."""
+    """Per-sequence-number bookkeeping at the verifier.
+
+    Lives from the first VERIFY of a sequence number until that number is
+    validated or aborted; ``_finish_sequence`` deletes it, votes included.
+    """
 
     def __init__(self) -> None:
         self.distinct_executors: Set[str] = set()
+        # match key -> VERIFYs counted for it.  An executor is counted once
+        # per sequence number (``distinct_executors``), so a count is a
+        # number of distinct voters.
+        self.votes: Dict[Tuple[int, str, str], int] = {}
         self.matched: Optional[VerifyMsg] = None
         self.abort_tagged = False
         self.representative: Optional[VerifyMsg] = None
@@ -109,10 +116,12 @@ class Verifier(SimProcess):
         # the store directly) is detected and invalidates the map wholesale.
         self._live_versions: Dict[str, int] = {}
         self._live_mutations = -1
-        self._votes: QuorumTracker = QuorumTracker(self._match_quorum)
+        # Unvalidated sequence numbers only: an entry pins its matched VERIFY
+        # (batch + result), so it goes when the sequence number is settled.
         self._seq_state: Dict[int, _SeqState] = {}
-        self._pi: Dict[int, _SeqState] = {}
         self._validated: Set[int] = set()
+        # Figure 4's retransmission cache: kept for the whole run, so a
+        # client that times out on a settled request still gets its answer.
         self._responses_sent: Dict[str, List] = {}
         self._request_to_seq: Dict[str, int] = {}
         self._pending_errors: Dict[Tuple[str, object], bool] = {}
@@ -215,7 +224,9 @@ class Verifier(SimProcess):
                 request_to_seq.setdefault(txn.request_id, seq)
         if state.timer is None:
             state.timer = self.set_timer(self._quorum_timeout, self._on_quorum_timeout, seq)
-        if self._votes.add(message.match_key, sender):
+        votes = state.votes.get(message.match_key, 0) + 1
+        state.votes[message.match_key] = votes
+        if votes >= self._match_quorum:
             state.matched = message
             if state.timer is not None:
                 state.timer.cancel()
@@ -390,10 +401,12 @@ class Verifier(SimProcess):
             self._obs.end_span("verify", seq, self.now)
             self._obs.begin_span("commit", seq, self.now, self.name)
         self._validated.add(seq)
-        state = self._seq_state.get(seq)
+        # Settled: late VERIFYs are turned away by ``_validated`` and client
+        # retransmissions are answered from ``_responses_sent``, so nothing
+        # reads the per-sequence state (and the batch it pins) again.
+        state = self._seq_state.pop(seq, None)
         if state is not None and state.timer is not None:
             state.timer.cancel()
-            state.timer = None
         self._resolve_pending(("seq", seq))
         self._kmax = seq + 1
 

@@ -8,7 +8,6 @@ keys and only applies the writes if the versions still match (the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import StorageError
@@ -28,7 +27,6 @@ class VersionedValue(NamedTuple):
     version: int
 
 
-@dataclass(frozen=True)
 class ReadResult:
     """The outcome of reading a set of keys at one point in time.
 
@@ -36,42 +34,57 @@ class ReadResult:
     store's mutation counter at read time.  Two reads with the same token saw
     the exact same state, which lets executors share memoised execution
     results without comparing per-key versions (-1 = unknown/manual).
+
+    A read is held as the two maps its consumers execute against — key →
+    value and key → version, same key order — and shared by every executor
+    of a batch, so treat them as read-only.  The ``VersionedValue`` view
+    (``values``) is derived only if somebody asks for it.
     """
 
-    values: Dict[str, VersionedValue] = field(default_factory=dict)
-    snapshot_token: int = -1
+    __slots__ = ("snapshot_token", "_plain_values", "_versions_map", "_versions_tuple", "_values")
+
+    def __init__(
+        self, plain_values: Dict[str, str], versions_map: Dict[str, int], snapshot_token: int = -1
+    ) -> None:
+        self.snapshot_token = snapshot_token
+        self._plain_values = plain_values
+        self._versions_map = versions_map
+        self._versions_tuple: Optional[Tuple[int, ...]] = None
+        self._values: Optional[Dict[str, VersionedValue]] = None
+
+    @property
+    def values(self) -> Dict[str, VersionedValue]:
+        cached = self._values
+        if cached is None:
+            versions = self._versions_map
+            cached = self._values = {
+                key: VersionedValue(value, versions[key])
+                for key, value in self._plain_values.items()
+            }
+        return cached
 
     def versions(self) -> Dict[str, int]:
-        return {key: entry.version for key, entry in self.values.items()}
+        return dict(self._versions_map)
 
     def versions_tuple(self) -> Tuple[int, ...]:
         """Versions in key-insertion order, memoised (cheap state identity)."""
-        cached = self.__dict__.get("_versions_tuple")
+        cached = self._versions_tuple
         if cached is None:
-            cached = tuple(entry.version for entry in self.values.values())
-            object.__setattr__(self, "_versions_tuple", cached)
+            cached = self._versions_tuple = tuple(self._versions_map.values())
         return cached
 
     def versions_map(self) -> Dict[str, int]:
-        """Like :meth:`versions`, but memoised (callers must not mutate)."""
-        cached = self.__dict__.get("_versions_map")
-        if cached is None:
-            cached = {key: entry.version for key, entry in self.values.items()}
-            object.__setattr__(self, "_versions_map", cached)
-        return cached
+        """Like :meth:`versions`, without the copy (callers must not mutate)."""
+        return self._versions_map
 
     def plain_values(self) -> Dict[str, str]:
-        """The raw key → value mapping, memoised (callers must not mutate)."""
-        cached = self.__dict__.get("_plain_values")
-        if cached is None:
-            cached = {key: entry.value for key, entry in self.values.items()}
-            object.__setattr__(self, "_plain_values", cached)
-        return cached
+        """The raw key → value mapping (callers must not mutate)."""
+        return self._plain_values
 
     def matches_versions(self, other_versions: Mapping[str, int]) -> bool:
         """True if every key we read has the same version as in ``other_versions``."""
-        for key, entry in self.values.items():
-            if other_versions.get(key) != entry.version:
+        for key, version in self._versions_map.items():
+            if other_versions.get(key) != version:
                 return False
         return True
 
@@ -97,10 +110,10 @@ class VersionedKVStore:
         # keys-tuple -> ReadResult at some recent snapshot: the paper spawns
         # 3f_E+1 executors per batch, and all of them read the same key set —
         # in the common race-free case they hit this cache and share one
-        # ReadResult object (and its memoised value/version maps).  Bounded:
-        # only batches currently in flight benefit, so the cache is cleared
-        # once it exceeds _READ_CACHE_LIMIT distinct key sets (long runs
-        # would otherwise retain one dead ReadResult per committed batch).
+        # ReadResult object (and its value/version maps).  Only batches
+        # currently in flight benefit, so an entry is evicted once its
+        # snapshot token leaves the mutation-log window (_note_mutation);
+        # _READ_CACHE_LIMIT caps a store that is read but never written.
         self._read_cache: Dict[Tuple[str, ...], ReadResult] = {}
         # Keys changed by each mutation, ``self._mutation_log[i]`` holding
         # the keys of mutation ``self._mutation_log_base + i + 1`` (None =
@@ -164,7 +177,7 @@ class VersionedKVStore:
             # out-of-window token falls back to the per-key comparison.
             # Returning the cached object (old token included) keeps every
             # memo keyed on it valid.
-            state = self.keys_changed_since(cached.snapshot_token, cached.values.keys())
+            state = self.keys_changed_since(cached.snapshot_token, cached.versions_map().keys())
             if state == 0:
                 return cached
             if state < 0:
@@ -173,12 +186,16 @@ class VersionedKVStore:
                 versions = tuple(get(key, _MISSING).version for key in keys)
                 if versions == cached.versions_tuple():
                     return cached
+        entries = [get(key, _MISSING) for key in keys]
         result = ReadResult(
-            values={key: get(key, _MISSING) for key in keys}, snapshot_token=token
+            dict(zip(keys, [entry[0] for entry in entries])),
+            dict(zip(keys, [entry[1] for entry in entries])),
+            token,
         )
-        if len(self._read_cache) >= self._READ_CACHE_LIMIT:
-            self._read_cache.clear()
-        self._read_cache[keys] = result
+        cache = self._read_cache
+        if cached is None and len(cache) >= self._READ_CACHE_LIMIT:
+            del cache[next(iter(cache))]
+        cache[keys] = result
         return result
 
     def current_versions(self, keys: Iterable[str]) -> Dict[str, int]:
@@ -200,7 +217,12 @@ class VersionedKVStore:
         if len(log) > self._MUTATION_LOG_LIMIT:
             half = self._MUTATION_LOG_LIMIT // 2
             del log[:half]
-            self._mutation_log_base += half
+            base = self._mutation_log_base = self._mutation_log_base + half
+            # Cached reads older than the window belong to batches long out
+            # of flight (and could only be revalidated key by key): drop them.
+            cache = self._read_cache
+            for keys in [k for k, read in cache.items() if read.snapshot_token < base]:
+                del cache[keys]
 
     def keys_changed_since(self, token: int, keys) -> int:
         """Did any of ``keys`` change after snapshot ``token``?

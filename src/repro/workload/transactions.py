@@ -326,7 +326,9 @@ def execute_batch_cached(
         if result is not None:
             PERF.batch_execution_cache_hits += 1
             return result
-    versions_key = tuple(read_versions.items())
+    # Keys and versions as two flat tuples: the same equality relation as
+    # the (key, version) pairs, without one 2-tuple per key on every miss.
+    versions_key = (tuple(read_versions), tuple(read_versions.values()))
     result = memo.get(versions_key)
     if result is None:
         result = execute_batch(batch, read_values, read_versions)

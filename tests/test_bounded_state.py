@@ -1,0 +1,362 @@
+"""Retained-state audit: what a run keeps must not grow with its length.
+
+Executors terminate (Figure 3, Line 20), the verifier forgets a sequence
+number once it is validated, a shim node forgets a committed entry once the
+verifier has acknowledged it, and stable checkpoints truncate the PBFT log —
+so the live per-executor, per-sequence and per-batch state of a run is
+bounded by what is in flight, not by how long it has been running.
+
+The first half audits whole deployments at T and 3T virtual seconds; the
+second half pins each retirement on its own: what is forgotten, and what
+the protocol can still do afterwards.
+"""
+
+import gc
+
+import pytest
+
+from repro.api import RunSpec, build_system, result_digest
+from repro.api.facade import build_deployment, resolve
+from repro.cloud.billing import CostModel
+from repro.cloud.lambda_cloud import ServerlessCloud, SpawnRequest
+from repro.cloud.regions import RegionCatalog
+from repro.consensus.log import CommittedEntry
+from repro.core.certificates import CommitCertificate
+from repro.core.executor import Executor
+from repro.core.messages import ClientRequestMsg, ExecuteMsg, ResponseMsg, VerifyMsg
+from repro.crypto.costs import CryptoCostModel
+from repro.crypto.hashing import digest
+from repro.crypto.keys import KeyStore
+from repro.crypto.signatures import SignatureService
+from repro.sim.engine import Simulator
+from repro.sim.network import Network, NetworkFaultPlan, UniformLatencyModel
+from repro.sim.rng import DeterministicRNG
+from repro.storage.kvstore import VersionedKVStore
+from repro.storage.service import StorageReadReply, StorageReadRequest
+from repro.workload.transactions import Operation, Transaction, TransactionBatch
+from tests.helpers import DRILL_OVERRIDES, make_config, make_workload, run_drill, run_simulation
+from tests.test_verifier_unit import Harness as VerifierHarness
+
+OVERRIDES = {**DRILL_OVERRIDES, "protocol.crypto_backend": "fast"}
+
+#: Batches the drill's closed loop can keep in flight: 40 clients, batch 10.
+WINDOW = DRILL_OVERRIDES["protocol.num_clients"] // DRILL_OVERRIDES["protocol.batch_size"]
+
+
+# ------------------------------------------------------------------ whole-run audit
+
+
+def _audit(system: str, duration: float) -> dict:
+    """Run one drill and count what is still alive afterwards.
+
+    Everything the run built dies with this frame, so back-to-back audits
+    never count each other's objects.
+    """
+    spec = RunSpec(
+        system=system, base="default", overrides=OVERRIDES, duration=duration, warmup=0.0
+    )
+    deployment = build_deployment(resolve(spec))
+    result = deployment.run(duration=duration, warmup=0.0)
+    gc.collect()
+    replicated = system == "pbft_replicated"  # every replica owns a store; no verifier, no cloud
+    stores = [node.store for node in deployment.nodes] if replicated else [deployment.store]
+    counts = {
+        "committed": result.committed_txns,
+        "endpoints": len(deployment.network._endpoints),
+        "fixed_endpoints": len(deployment.nodes) + len(deployment.clients),
+        "running_executors": 0,
+        "seq_state": 0,
+        "committed_entries": max(
+            len(getattr(node, "_committed_entries", ())) for node in deployment.nodes
+        ),
+        "read_cache": max(len(store._read_cache) for store in stores),
+        "batches": sum(1 for obj in gc.get_objects() if type(obj) is TransactionBatch),
+        "batch_bound": 2 * deployment.config.checkpoint_interval + 4 * WINDOW,
+    }
+    if not replicated:
+        counts["fixed_endpoints"] += 2  # verifier + storage
+        counts["seq_state"] = len(deployment.verifier._seq_state)
+        counts["running_executors"] = sum(
+            1
+            for handle in deployment.cloud.handles
+            if handle.start_time is not None and handle.finish_time is None
+        )
+        # Kept on purpose: the cloud's ledger still lists every invocation.
+        assert len(deployment.cloud.handles) == deployment.cloud.spawn_count
+    return counts
+
+
+@pytest.mark.parametrize("system", ["serverless_bft", "noshim", "pbft_replicated"])
+def test_retained_state_does_not_scale_with_run_length(system):
+    short, long = _audit(system, 1.0), _audit(system, 3.0)
+    assert long["committed"] > 2 * short["committed"]  # the long run did ~3x the work
+    for counts in (short, long):
+        # Only executors that are running right now are on the network.
+        assert counts["endpoints"] == counts["fixed_endpoints"] + counts["running_executors"]
+        assert counts["seq_state"] <= 4 * WINDOW
+        assert counts["committed_entries"] <= 4 * WINDOW
+        # One cached read per batch recently in flight: the store's
+        # mutation-log window (128) plus racing re-reads, never one per batch.
+        assert counts["read_cache"] <= 2 * VersionedKVStore._MUTATION_LOG_LIMIT
+        # Batches live in PBFT log slots (truncated at the stable checkpoint,
+        # which trails by up to one interval) and in the in-flight window.
+        assert counts["batches"] <= counts["batch_bound"]
+
+
+# ------------------------------------------------------------------ verifier
+
+
+def test_validated_sequence_is_forgotten_and_late_verify_still_ignored():
+    harness = VerifierHarness()
+    batch = harness.make_batch(1)
+    harness.deliver(harness.make_verify(1, "executor-0", batch), "executor-0")
+    assert 1 in harness.verifier._seq_state  # unsettled: votes are being counted
+    harness.deliver(harness.make_verify(1, "executor-1", batch), "executor-1")
+    assert harness.verifier.kmax == 2
+    assert harness.verifier._seq_state == {}
+    ignored = harness.verifier.ignored_verify_messages
+    harness.deliver(harness.make_verify(1, "executor-2", batch), "executor-2")
+    assert harness.verifier.ignored_verify_messages == ignored + 1
+    assert harness.verifier._seq_state == {}  # a late VERIFY re-creates nothing
+    assert len(harness.client_messages(ResponseMsg)) == 1
+    assert harness.store.read("k1").version == 1
+
+
+def test_aborted_sequence_is_forgotten_too():
+    harness = VerifierHarness(quorum_timeout=0.2)
+    batch = harness.make_batch(1)
+    for executor in ("executor-0", "executor-1", "executor-2"):
+        harness.deliver(harness.make_verify(1, executor, batch, corrupt=True), executor)
+    harness.run()  # three distinct results: the quorum timer abort-tags the sequence
+    assert harness.verifier.aborted_txns == 1
+    assert harness.verifier.kmax == 2
+    assert harness.verifier._seq_state == {}
+
+
+def test_retransmission_of_a_settled_request_gets_the_cached_response():
+    harness = VerifierHarness()
+    batch = harness.make_batch(1, request_id="req-A")
+    harness.deliver(harness.make_verify(1, "executor-0", batch), "executor-0")
+    harness.deliver(harness.make_verify(1, "executor-1", batch), "executor-1")
+    assert harness.verifier._seq_state == {}
+    first = harness.client_messages(ResponseMsg)
+    request = ClientRequestMsg(
+        request_id="req-A", origin="client-group-0", transactions=batch.transactions
+    )
+    harness.deliver(request, "client-group-0")
+    resent = harness.client_messages(ResponseMsg)
+    assert len(resent) == 2 and resent[1] is first[0]
+    assert harness.verifier.error_messages_sent == 0  # not "missing", not "stuck"
+
+
+# ------------------------------------------------------------------ shim node
+
+
+def _entry(seq: int) -> CommittedEntry:
+    txn = Transaction(
+        txn_id=f"txn-{seq}",
+        client_id="client-0",
+        operations=(Operation(key=f"k{seq}", is_write=True, value="v"),),
+    )
+    batch = TransactionBatch(batch_id=f"batch-{seq}", transactions=(txn,))
+    return CommittedEntry(seq=seq, view=0, digest=digest(batch), batch=batch, certificate=())
+
+
+def test_shim_entry_retires_in_either_arrival_order():
+    deployment = build_system("serverless_bft", make_config(), make_workload())
+    primary = deployment.nodes[0]
+    # Commit first, notice second: the usual order.
+    primary._on_committed(_entry(1))
+    assert list(primary._committed_entries) == [1]
+    primary.on_message(ResponseMsg(request_id="", seq=1, digest="d"), "verifier")
+    assert primary._committed_entries == {}
+    # Notice first (a lagging node): the commit still spawns, and keeps nothing.
+    primary.on_message(ResponseMsg(request_id="", seq=2, digest="d"), "verifier")
+    primary._on_committed(_entry(2))
+    assert primary._committed_entries == {}
+    deployment.sim.run(until=0.01)
+    assert primary.spawned_executors == 2 * deployment.config.num_executors
+    assert primary.verified_sequence_numbers == {1, 2}
+    # A notice from anybody but the verifier retires nothing.
+    primary._on_committed(_entry(3))
+    primary.on_message(ResponseMsg(request_id="", seq=3, digest="d"), "node-1")
+    assert list(primary._committed_entries) == [3]
+
+
+def test_new_primary_respawns_exactly_the_unverified_sequences():
+    deployment = build_system("serverless_bft", make_config(), make_workload())
+    deployment.run(duration=0.6, warmup=0.0)
+    node = deployment.nodes[1]
+    log = node.replica.log
+    unverified = [
+        seq
+        for seq in range(1, log.max_committed_seq() + 1)
+        if log.is_committed(seq) and seq not in node._verified_seqs
+    ]
+    assert unverified, "the run was cut mid-flight: some sequence must be unverified"
+    assert len(node._verified_seqs) > len(unverified)
+    respawned = []
+    node._spawn_for_seq = respawned.append
+    node._on_view_installed(1, node.name)
+    assert respawned == unverified
+    # ... and a verifier ERROR names a sequence number: only a pending one respawns.
+    respawned.clear()
+    node._respawn_if_known(unverified[0])
+    node._respawn_if_known(min(node._verified_seqs))
+    assert respawned == [unverified[0]]
+
+
+def test_view_change_drill_still_recovers_with_retired_state():
+    # The byzantine primary withholds executors; the verifier's REPLACE elects
+    # a new primary, which must find the stuck sequences among its entries.
+    simulation, result = run_drill("fewer-executors", duration=3.0)
+    assert result.view_changes > 0
+    assert result.committed_txns > 0
+    for node in simulation.nodes:
+        assert set(node._committed_entries).isdisjoint(node._verified_seqs)
+
+
+# ------------------------------------------------------------------ executor
+
+
+class ExecutorHarness:
+    """One executor between a scripted storage and a recording verifier."""
+
+    def __init__(self, duplicate_after=None):
+        self.sim = Simulator()
+        self.network = Network(
+            self.sim, UniformLatencyModel(base_delay=0.001, jitter=0.0), DeterministicRNG(1)
+        )
+        self.keystore = KeyStore()
+        self.store = VersionedKVStore()
+        self.verifies = []
+        self.network.register("verifier", "us-west-1", lambda msg, sender: self.verifies.append(msg))
+        self.network.register("storage", "us-west-1", self._serve_read)
+        self.network.register("node-0", "us-west-1", lambda msg, sender: None)
+        self._duplicate_after = duplicate_after
+        self.cloud = ServerlessCloud(
+            sim=self.sim,
+            catalog=RegionCatalog(),
+            cost_model=CostModel(),
+            rng=DeterministicRNG(2),
+            executor_factory=self._factory,
+        )
+        self.executor = None
+
+    def _serve_read(self, message, sender):
+        assert isinstance(message, StorageReadRequest)
+        reply = StorageReadReply(message.request_id, self.store.read_many(message.keys))
+        self.network.send("storage", sender, reply, 160)
+        if self._duplicate_after is not None:
+            self.sim.schedule(self._duplicate_after, self.network.send, "storage", sender, reply, 160)
+
+    def _factory(self, executor_id, region, spawner, payload):
+        self.executor = Executor(
+            sim=self.sim,
+            network=self.network,
+            name=executor_id,
+            region=region,
+            signer=SignatureService(self.keystore, executor_id),
+            costs=CryptoCostModel(),
+            cloud=self.cloud,
+            storage_name="storage",
+            verifier_name="verifier",
+            required_certificate_signers=0,
+        )
+        self.executor.invoke(payload, spawner)
+
+    def spawn(self):
+        entry = _entry(1)
+        certificate = CommitCertificate(view=0, seq=1, digest=entry.digest)
+        execute = ExecuteMsg(
+            seq=1, view=0, batch=entry.batch, digest=entry.digest,
+            certificate=certificate, spawner="node-0",
+        )
+        handle = self.cloud.spawn(SpawnRequest("node-0", "us-west-1", execute))
+        self.sim.run_until_idle()
+        return handle
+
+
+def test_executor_terminates_after_its_verify():
+    harness = ExecutorHarness()
+    handle = harness.spawn()
+    assert [type(msg) for msg in harness.verifies] == [VerifyMsg]
+    assert harness.executor._finished
+    assert harness.executor._pending_execute is None  # the EXECUTE (and its batch) is let go
+    assert not harness.network.has_endpoint(handle.executor_id)
+    # The cloud's ledger is untouched: the invocation is billed and listed.
+    assert harness.cloud.handles == [handle] and handle.finish_time is not None
+    assert harness.cloud.finish(handle.executor_id) is handle
+    # The identity outlives the function: a late VERIFY must still verify.
+    verify = harness.verifies[0]
+    assert SignatureService(harness.keystore, "verifier").verify(verify, verify.signature)
+
+
+@pytest.mark.parametrize(
+    "duplicate_after, dropped",
+    [
+        # Lands during the compute phase: delivered, and starts nothing.
+        pytest.param(1e-5, 0, id="before-termination"),
+        # Finds nobody home: the network drops it.
+        pytest.param(0.5, 1, id="after-termination"),
+    ],
+)
+def test_duplicate_storage_reply_sends_one_verify(duplicate_after, dropped):
+    harness = ExecutorHarness(duplicate_after=duplicate_after)
+    handle = harness.spawn()  # must not raise "unknown sender endpoint"
+    assert len(harness.verifies) == 1
+    assert handle.finish_time is not None
+    assert harness.cloud.running_executors() == 0
+    assert harness.network.messages_dropped == dropped
+
+
+def test_duplicating_network_run_is_deterministic_and_one_verify_per_executor():
+    def run():
+        simulation, result = run_simulation(
+            network_fault_plan=NetworkFaultPlan(duplicate_probability=0.2),
+            tracer_enabled=True,
+            duration=1.5,
+        )
+        sent = [event.actor for event in simulation.tracer.events("executor.verify_sent")]
+        return result, sent
+
+    first, sent = run()
+    second, _ = run()
+    assert first.committed_txns > 0
+    assert len(sent) > 50 and len(sent) == len(set(sent))  # nobody reported twice
+    assert result_digest(first) == result_digest(second)
+
+
+def test_lossy_network_preset_same_digest_twice():
+    _, first = run_drill("lossy-network", duration=2.0, overrides={"protocol.crypto_backend": "fast"})
+    _, second = run_drill("lossy-network", duration=2.0, overrides={"protocol.crypto_backend": "fast"})
+    assert first.committed_txns > 0
+    assert result_digest(first) == result_digest(second)
+
+
+# ------------------------------------------------------------------ storage read cache
+
+
+def test_read_cache_evicts_reads_that_left_the_mutation_window():
+    store = VersionedKVStore()
+    store.load(50)
+    old = store.read_many(("user1", "user2"))
+    assert store.read_many(("user1", "user2")) is old  # in-flight sharing
+    for index in range(2 * VersionedKVStore._MUTATION_LOG_LIMIT):
+        store.apply_write_sets([{f"other{index}": "v"}])
+        store.read_many((f"other{index}",))
+    assert ("user1", "user2") not in store._read_cache
+    assert len(store._read_cache) <= VersionedKVStore._MUTATION_LOG_LIMIT
+    fresh = store.read_many(("user1", "user2"))
+    assert fresh is not old and fresh.snapshot_token == store.mutation_count
+    assert fresh.versions_map() == old.versions_map()
+    assert fresh.plain_values() == old.plain_values()
+
+
+def test_read_cache_of_a_never_written_store_is_capped():
+    store = VersionedKVStore()
+    for index in range(VersionedKVStore._READ_CACHE_LIMIT + 10):
+        store.read_many((f"k{index}",))
+    assert len(store._read_cache) == VersionedKVStore._READ_CACHE_LIMIT
+    assert ("k0",) not in store._read_cache  # oldest first, not "drop everything"
+    assert (f"k{VersionedKVStore._READ_CACHE_LIMIT}",) in store._read_cache
