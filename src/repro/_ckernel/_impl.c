@@ -33,7 +33,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-#define CKERNEL_BUILD_TAG "repro-ckernel-2"
+#define CKERNEL_BUILD_TAG "repro-ckernel-3"
 
 /* ------------------------------------------------------------------ state */
 
@@ -55,7 +55,7 @@ static PyObject *s_txn_id, *s_client_id, *s_operations, *s_execution_seconds,
 static PyObject *s_uniform_only, *s_has_conflicts, *s_conflict_fraction,
     *s_chance, *s_build_operations, *s_client_ids, *s_client_starts,
     *s_write_flags, *s_hot_count, *s_private_modulus, *s_partition_size,
-    *s_num_records, *s_key_strings, *s_wl_execution_seconds, *s_wl_rw_sets_known,
+    *s_num_records, *s_wl_execution_seconds, *s_wl_rw_sets_known,
     *s_next_txn_index, *s_rng, *s_getrandbits, *s_value_bound, *s_client_bound;
 
 /* -------------------------------------------------------------- utilities */
@@ -569,37 +569,6 @@ make_operation(PyObject *key, PyObject *is_write, PyObject *value)
     return op;
 }
 
-/* Memoised f"user{index}" lookup against the workload's _key_strings dict
- * (shared with the pure-Python paths, so key objects stay identical). */
-static PyObject *
-lookup_key_string(PyObject *key_strings, long index)
-{
-    PyObject *index_obj = PyLong_FromLong(index);
-    PyObject *key;
-
-    if (index_obj == NULL) {
-        return NULL;
-    }
-    key = PyDict_GetItemWithError(key_strings, index_obj); /* borrowed */
-    if (key != NULL) {
-        Py_INCREF(key);
-        Py_DECREF(index_obj);
-        return key;
-    }
-    if (PyErr_Occurred()) {
-        Py_DECREF(index_obj);
-        return NULL;
-    }
-    key = PyUnicode_FromFormat("user%ld", index);
-    if (key == NULL || PyDict_SetItem(key_strings, index_obj, key) < 0) {
-        Py_XDECREF(key);
-        Py_DECREF(index_obj);
-        return NULL;
-    }
-    Py_DECREF(index_obj);
-    return key;
-}
-
 static long
 attr_as_long(PyObject *obj, PyObject *name)
 {
@@ -637,7 +606,7 @@ ck_generate_transactions(PyObject *self, PyObject *const *args, Py_ssize_t nargs
 
     /* Attribute pulls (once per call, not per transaction). */
     PyObject *chance = NULL, *build_operations = NULL, *client_ids = NULL,
-        *client_starts = NULL, *write_flags = NULL, *key_strings = NULL,
+        *client_starts = NULL, *write_flags = NULL,
         *execution_seconds = NULL, *rw_sets_known = NULL, *next_txn_index = NULL,
         *rng = NULL, *getrandbits = NULL, *conflict_fraction = NULL;
     PyObject *offset_bits_obj = NULL, *value_bits_obj = NULL,
@@ -705,14 +674,13 @@ ck_generate_transactions(PyObject *self, PyObject *const *args, Py_ssize_t nargs
     client_ids = PyObject_GetAttr(workload, s_client_ids);
     client_starts = PyObject_GetAttr(workload, s_client_starts);
     write_flags = PyObject_GetAttr(workload, s_write_flags);
-    key_strings = PyObject_GetAttr(workload, s_key_strings);
     execution_seconds = PyObject_GetAttr(workload, s_wl_execution_seconds);
     rw_sets_known = PyObject_GetAttr(workload, s_wl_rw_sets_known);
     next_txn_index = PyObject_GetAttr(workload, s_next_txn_index);
     conflict_fraction = PyObject_GetAttr(workload, s_conflict_fraction);
     rng = PyObject_GetAttr(workload, s_rng);
     if (chance == NULL || build_operations == NULL || client_ids == NULL ||
-        client_starts == NULL || write_flags == NULL || key_strings == NULL ||
+        client_starts == NULL || write_flags == NULL ||
         execution_seconds == NULL || rw_sets_known == NULL ||
         next_txn_index == NULL || conflict_fraction == NULL || rng == NULL) {
         goto done;
@@ -722,7 +690,7 @@ ck_generate_transactions(PyObject *self, PyObject *const *args, Py_ssize_t nargs
         goto done;
     }
     if (!PyList_Check(client_ids) || !PyTuple_Check(client_starts) ||
-        !PyTuple_Check(write_flags) || !PyDict_Check(key_strings)) {
+        !PyTuple_Check(write_flags)) {
         PyErr_SetString(PyExc_TypeError,
                         "workload attribute layout not recognised");
         goto done;
@@ -815,7 +783,7 @@ ck_generate_transactions(PyObject *self, PyObject *const *args, Py_ssize_t nargs
                     goto slot_error;
                 }
                 index = hot_count + py_mod(start + offset_draw, private_modulus);
-                key = lookup_key_string(key_strings, index);
+                key = PyUnicode_FromFormat("user%ld", index);
                 if (key == NULL) {
                     goto slot_error;
                 }
@@ -915,7 +883,6 @@ done:
     Py_XDECREF(client_ids);
     Py_XDECREF(client_starts);
     Py_XDECREF(write_flags);
-    Py_XDECREF(key_strings);
     Py_XDECREF(execution_seconds);
     Py_XDECREF(rw_sets_known);
     Py_XDECREF(next_txn_index);
@@ -1211,7 +1178,6 @@ intern_all(void)
     INTERN(s_private_modulus, "_private_modulus");
     INTERN(s_partition_size, "_partition_size");
     INTERN(s_num_records, "_num_records");
-    INTERN(s_key_strings, "_key_strings");
     INTERN(s_wl_execution_seconds, "_execution_seconds");
     INTERN(s_wl_rw_sets_known, "_rw_sets_known");
     INTERN(s_next_txn_index, "_next_txn_index");

@@ -19,10 +19,11 @@ the primary replies to the clients.  This baseline is used for:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.consensus.log import CommittedEntry
-from repro.consensus.pbft import PBFTConfig, PBFTReplica, ReplicaTransport
+from repro.consensus.messages import MessageRouter
+from repro.consensus.pbft import NetworkTransport, PBFTConfig, PBFTReplica
 from repro.core.config import ProtocolConfig
 from repro.core.messages import ClientRequestMsg, ResponseMsg
 from repro.core.runner import Deployment
@@ -37,18 +38,6 @@ from repro.sim.tracing import Tracer
 from repro.storage.kvstore import VersionedKVStore
 from repro.workload.transactions import Transaction, TransactionBatch, execute_batch_cached
 from repro.workload.ycsb import YCSBConfig
-
-
-class _ReplicaTransport(ReplicaTransport):
-    def __init__(self, node: "ReplicatedNode") -> None:
-        self._node = node
-
-    def send(self, dst: str, message: Any, size_bytes: int) -> None:
-        self._node.network.send(self._node.name, dst, message, size_bytes)
-
-    def broadcast(self, message: Any, size_bytes: int, targets: Optional[List[str]] = None) -> None:
-        recipients = targets if targets is not None else self._node.peer_names
-        self._node.network.broadcast(self._node.name, recipients, message, size_bytes)
 
 
 class ReplicatedNode(SimProcess):
@@ -74,7 +63,6 @@ class ReplicatedNode(SimProcess):
         super().__init__(sim, name, region, cores=config.shim_cores)
         self._network = network
         self._config = config
-        self._shim_names = list(shim_names)
         self._signer = signer
         self._per_operation_cost = per_operation_cost
         self._throughput = throughput
@@ -99,7 +87,7 @@ class ReplicatedNode(SimProcess):
                 checkpoint_interval=config.checkpoint_interval,
                 request_timeout=config.node_request_timeout,
             ),
-            transport=_ReplicaTransport(self),
+            transport=NetworkTransport(network, name, shim_names),
             signer=signer,
             cost_model=config.crypto_costs,
             host=self,
@@ -107,6 +95,9 @@ class ReplicatedNode(SimProcess):
             tracer=tracer,
             obs=obs,
             behaviour=behaviour,
+        )
+        self._handlers = MessageRouter(
+            ((ClientRequestMsg, self._on_client_request),), default=self._replica.handle
         )
 
     # ------------------------------------------------------------------ properties
@@ -118,10 +109,6 @@ class ReplicatedNode(SimProcess):
     @property
     def replica(self) -> PBFTReplica:
         return self._replica
-
-    @property
-    def peer_names(self) -> List[str]:
-        return [peer for peer in self._shim_names if peer != self.name]
 
     @property
     def is_primary(self) -> bool:
@@ -144,12 +131,9 @@ class ReplicatedNode(SimProcess):
     def on_message(self, message, sender: str) -> None:
         if self._behaviour is not None and self._behaviour.is_crashed():
             return
-        if isinstance(message, ClientRequestMsg):
-            self._on_client_request(message)
-        else:
-            self._replica.handle(message, sender)
+        self._handlers[type(message)](message, sender)
 
-    def _on_client_request(self, request: ClientRequestMsg) -> None:
+    def _on_client_request(self, request: ClientRequestMsg, sender: str) -> None:
         if not self.is_primary:
             self._network.send(self.name, self._replica.primary, request, request.size_bytes)
             return

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.network import LatencyModel
@@ -141,13 +141,31 @@ class GeoLatencyModel(LatencyModel):
         size_bytes: int,
         rng: DeterministicRNG,
     ) -> float:
-        base = self._catalog.one_way_latency(src_region, dst_region)
-        delay = base
-        if self._jitter_fraction > 0:
-            # Bit-exact inline of rng.uniform(0.0, bound): uniform computes
-            # ``0.0 + (bound - 0.0) * random()`` == ``bound * random()``,
-            # one stdlib frame cheaper per message send.
-            delay += (base * self._jitter_fraction) * rng.random()
-        if self._bandwidth > 0 and size_bytes > 0:
-            delay += size_bytes / self._bandwidth
+        return self.bind(rng)(src_region, dst_region, size_bytes)
+
+    def bind(self, rng: DeterministicRNG) -> Callable[[str, str, int], float]:
+        """Delay function over a per-region-pair table of ``(base, jitter span)``."""
+        one_way_latency = self._catalog.one_way_latency
+        bandwidth = self._bandwidth
+        jitter_fraction = self._jitter_fraction
+        random = rng.random
+        pairs: Dict[tuple, tuple] = {}
+
+        def delay(src_region: str, dst_region: str, size_bytes: int) -> float:
+            pair = (src_region, dst_region)
+            try:
+                base, span = pairs[pair]
+            except KeyError:
+                base = one_way_latency(src_region, dst_region)
+                span = base * jitter_fraction
+                pairs[pair] = base, span
+            if jitter_fraction > 0:
+                # Bit-exact inline of rng.uniform(0.0, span): uniform computes
+                # ``0.0 + (span - 0.0) * random()`` == ``span * random()``,
+                # one stdlib frame cheaper per message.
+                base += span * random()
+            if bandwidth > 0 and size_bytes > 0:
+                base += size_bytes / bandwidth
+            return base
+
         return delay

@@ -64,9 +64,10 @@ class ConsensusLog:
         self._total_committed = 0
 
     def slot(self, seq: int) -> SlotState:
-        if seq not in self._slots:
-            self._slots[seq] = SlotState(seq=seq)
-        return self._slots[seq]
+        slot = self._slots.get(seq)
+        if slot is None:
+            slot = self._slots[seq] = SlotState(seq=seq)
+        return slot
 
     def has_slot(self, seq: int) -> bool:
         return seq in self._slots

@@ -22,6 +22,30 @@ CHECKPOINT_BASE_BYTES = 256
 CHECKPOINT_REQUEST_BYTES = 128
 
 
+class MessageRouter(dict):
+    """``type(message)`` → handler, resolved once per concrete type.
+
+    ``routes`` is an ordered sequence of ``(message class, handler)``.  A
+    type seen for the first time gets the handler of the first class it
+    subclasses — the order an ``isinstance`` chain would try them in — or
+    ``default``; after that a dispatch is one dict subscript.
+    """
+
+    def __init__(self, routes, default=None) -> None:
+        super().__init__()
+        self._routes = tuple(routes)
+        self._default = default
+
+    def __missing__(self, message_type: type):
+        handler = self._default
+        for base, candidate in self._routes:
+            if issubclass(message_type, base):
+                handler = candidate
+                break
+        self[message_type] = handler
+        return handler
+
+
 @dataclass(frozen=True)
 class PrePrepareMsg:
     """Primary's proposal assigning sequence ``seq`` to a batch in ``view``."""

@@ -29,6 +29,7 @@ from repro.consensus.messages import (
     CheckpointMsg,
     CheckpointRequestMsg,
     CommitMsg,
+    MessageRouter,
     NewViewMsg,
     PREPARE_BYTES,
     PREPREPARE_BYTES,
@@ -52,6 +53,30 @@ class ReplicaTransport:
 
     def broadcast(self, message: Any, size_bytes: int, targets: Optional[List[str]] = None) -> None:  # pragma: no cover
         raise NotImplementedError
+
+
+class NetworkTransport(ReplicaTransport):
+    """The simulated network as a hosted ordering engine sees it.
+
+    The host sets :attr:`crashed` while it is down: a crashed node sends
+    nothing, not even from CPU completions that were already in flight.
+    """
+
+    def __init__(self, network, name: str, replicas: List[str]) -> None:
+        self._network = network
+        self._name = name
+        self._peers = [replica for replica in replicas if replica != name]
+        self.crashed = False
+
+    def send(self, dst: str, message: Any, size_bytes: int) -> None:
+        if not self.crashed:
+            self._network.send(self._name, dst, message, size_bytes)
+
+    def broadcast(self, message: Any, size_bytes: int, targets: Optional[List[str]] = None) -> None:
+        if not self.crashed:
+            self._network.broadcast(
+                self._name, self._peers if targets is None else targets, message, size_bytes
+            )
 
 
 @dataclass
@@ -134,6 +159,17 @@ class PBFTReplica:
         self._peer_views: Dict[str, int] = {}
         self._checkpoints_sent = 0
         self._checkpoints_adopted = 0
+        self._handlers = MessageRouter(
+            (
+                (PrePrepareMsg, self.on_preprepare),
+                (PrepareMsg, self.on_prepare),
+                (CommitMsg, self.on_commit),
+                (ViewChangeMsg, self.on_view_change),
+                (NewViewMsg, self.on_new_view),
+                (CheckpointMsg, self.on_checkpoint),
+                (CheckpointRequestMsg, self.on_checkpoint_request),
+            )
+        )
 
     # ------------------------------------------------------------------ properties
 
@@ -250,22 +286,10 @@ class PBFTReplica:
         """Dispatch a consensus message.  Returns True if it was consumed."""
         if self._crashed:
             return True
-        if isinstance(message, PrePrepareMsg):
-            self.on_preprepare(message, sender)
-        elif isinstance(message, PrepareMsg):
-            self.on_prepare(message, sender)
-        elif isinstance(message, CommitMsg):
-            self.on_commit(message, sender)
-        elif isinstance(message, ViewChangeMsg):
-            self.on_view_change(message, sender)
-        elif isinstance(message, NewViewMsg):
-            self.on_new_view(message, sender)
-        elif isinstance(message, CheckpointMsg):
-            self.on_checkpoint(message, sender)
-        elif isinstance(message, CheckpointRequestMsg):
-            self.on_checkpoint_request(message, sender)
-        else:
+        handler = self._handlers[type(message)]
+        if handler is None:
             return False
+        handler(message, sender)
         return True
 
     def on_preprepare(self, message: PrePrepareMsg, sender: str) -> None:

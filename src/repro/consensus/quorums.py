@@ -42,8 +42,10 @@ class QuorumTracker(Generic[VoteKey]):
         Duplicate votes from the same voter for the same key are ignored, as
         required to tolerate byzantine vote replays.
         """
-        voters = self._votes.setdefault(key, {})
-        if voter in voters:
+        voters = self._votes.get(key)
+        if voters is None:
+            voters = self._votes[key] = {}
+        elif voter in voters:
             return False
         voters[voter] = payload
         if key not in self._reached and len(voters) >= self._threshold:

@@ -21,8 +21,9 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.cloud.lambda_cloud import ServerlessCloud, SpawnRequest
 from repro.consensus.log import CommittedEntry
+from repro.consensus.messages import MessageRouter
 from repro.consensus.paxos import PaxosConfig, PaxosReplica
-from repro.consensus.pbft import PBFTConfig, PBFTReplica, ReplicaTransport
+from repro.consensus.pbft import NetworkTransport, PBFTConfig, PBFTReplica
 from repro.core.certificates import build_certificate
 from repro.core.config import ConflictMode, ProtocolConfig, SpawnPolicyName
 from repro.core.conflict import ConflictPlanner
@@ -44,24 +45,6 @@ from repro.sim.network import Network
 from repro.sim.process import SimProcess
 from repro.sim.tracing import Tracer
 from repro.workload.transactions import Transaction, TransactionBatch
-
-
-class _NodeTransport(ReplicaTransport):
-    """Adapter exposing the network to the ordering engine."""
-
-    def __init__(self, node: "ShimNode") -> None:
-        self._node = node
-
-    def send(self, dst: str, message: Any, size_bytes: int) -> None:
-        if self._node.is_crashed:
-            return
-        self._node.network.send(self._node.name, dst, message, size_bytes)
-
-    def broadcast(self, message: Any, size_bytes: int, targets: Optional[List[str]] = None) -> None:
-        if self._node.is_crashed:
-            return
-        recipients = targets if targets is not None else self._node.peer_names
-        self._node.network.broadcast(self._node.name, recipients, message, size_bytes)
 
 
 class ShimNode(SimProcess):
@@ -89,7 +72,6 @@ class ShimNode(SimProcess):
         super().__init__(sim, name, region, cores=config.shim_cores)
         self._network = network
         self._config = config
-        self._shim_names = list(shim_names)
         self._signer = signer
         self._costs = costs
         self._cloud = cloud
@@ -129,7 +111,7 @@ class ShimNode(SimProcess):
                 num_executors=config.num_executors, regions=executor_regions
             )
 
-        transport = _NodeTransport(self)
+        transport = self._transport = NetworkTransport(network, name, shim_names)
         if consensus_engine == "paxos":
             self._replica = PaxosReplica(
                 replica_id=name,
@@ -160,6 +142,16 @@ class ShimNode(SimProcess):
                 obs=obs,
                 behaviour=behaviour,
             )
+        self._handlers = MessageRouter(
+            (
+                (ClientRequestMsg, self._on_client_request),
+                (ErrorMsg, self._on_error),
+                (ReplaceMsg, self._on_replace),
+                (AckMsg, self._on_ack),
+                (ResponseMsg, self._on_verified_notice),
+            ),
+            default=self._replica.handle,
+        )
 
     # ------------------------------------------------------------------ properties
 
@@ -170,10 +162,6 @@ class ShimNode(SimProcess):
     @property
     def replica(self):
         return self._replica
-
-    @property
-    def peer_names(self) -> List[str]:
-        return [peer for peer in self._shim_names if peer != self.name]
 
     @property
     def is_primary(self) -> bool:
@@ -217,7 +205,7 @@ class ShimNode(SimProcess):
         """
         if self._crashed:
             return
-        self._crashed = True
+        self._crashed = self._transport.crashed = True
         self._pending_txns.clear()
         if self._flush_timer is not None:
             self._flush_timer.cancel()
@@ -236,7 +224,7 @@ class ShimNode(SimProcess):
         """Restart the node; the replica initiates checkpoint catch-up."""
         if not self._crashed:
             return
-        self._crashed = False
+        self._crashed = self._transport.crashed = False
         if hasattr(self._replica, "recover"):
             self._replica.recover()
         self._trace("node.recovered")
@@ -248,18 +236,7 @@ class ShimNode(SimProcess):
             return
         if self._behaviour is not None and self._behaviour.is_crashed():
             return
-        if isinstance(message, ClientRequestMsg):
-            self._on_client_request(message, sender)
-        elif isinstance(message, ErrorMsg):
-            self._on_error(message, sender)
-        elif isinstance(message, ReplaceMsg):
-            self._on_replace(message, sender)
-        elif isinstance(message, AckMsg):
-            self._on_ack(message, sender)
-        elif isinstance(message, ResponseMsg):
-            self._on_verified_notice(message, sender)
-        else:
-            self._replica.handle(message, sender)
+        self._handlers[type(message)](message, sender)
 
     # ------------------------------------------------------------------ client requests
 

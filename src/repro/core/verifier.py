@@ -220,8 +220,8 @@ class Verifier(SimProcess):
             # Map this batch's requests once per sequence number; further
             # VERIFYs for the same seq carry the same (shared) batch.
             request_to_seq = self._request_to_seq
-            for txn in message.batch.transactions:
-                request_to_seq.setdefault(txn.request_id, seq)
+            for (_origin, request_id), _txn_ids in message.batch.request_groups:
+                request_to_seq.setdefault(request_id, seq)
         if state.timer is None:
             state.timer = self.set_timer(self._quorum_timeout, self._on_quorum_timeout, seq)
         votes = state.votes.get(message.match_key, 0) + 1

@@ -36,7 +36,7 @@ from repro.errors import KernelUnavailableError
 #: Calling-convention tag; must equal ``_impl.BUILD_TAG`` or the extension
 #: is treated as absent (stale .so from an older checkout).  Bump both in
 #: lockstep whenever the C API between chooser and extension changes.
-KERNEL_BUILD_TAG = "repro-ckernel-2"
+KERNEL_BUILD_TAG = "repro-ckernel-3"
 
 #: The compiled module when active, else ``None``.  Consumers must treat
 #: this as opaque and call :func:`configure_types` etc. through this module.

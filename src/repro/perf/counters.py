@@ -1,9 +1,9 @@
 """Process-global hot-path counters.
 
 The counters quantify how well the PR's memoisation layers work on a given
-workload (digest cache hit rate, batch-execution reuse, fast-path event
-scheduling).  They measure *implementation* efficiency only — nothing in the
-simulation's virtual-time behaviour reads them.
+workload (digest cache hit rate, batch-execution reuse, heap compaction).
+They measure *implementation* efficiency only — nothing in the simulation's
+virtual-time behaviour reads them.
 """
 
 from __future__ import annotations
@@ -24,14 +24,10 @@ class PerfCounters:
     batch_executions: int = 0
     #: Batch executions answered from the per-batch/versions memo.
     batch_execution_cache_hits: int = 0
-    #: Events pushed through ``Simulator.schedule_fast`` (no Event wrapper).
-    events_scheduled_fast: int = 0
-    #: Events dispatched straight from the kernel's deferred slot — each one
-    #: a coalesced back-to-back event whose heappush/heappop pair was elided.
+    #: Always 0: the kernel's deferred slot is gone.  The field stays because
+    #: ``perfledger/child.py`` reads it (``sim.engine.coalesced_ratio``) and
+    #: that directory changes only in benchmark PRs.
     events_coalesced: int = 0
-    #: Slot occupants demoted to the heap by an earlier arrival (the
-    #: coalescing fast lane's bookkeeping overhead).
-    events_displaced: int = 0
     #: Cancelled events removed by batched heap compaction.
     events_compacted: int = 0
     #: CPU jobs that queued behind busy cores and completed through the

@@ -16,25 +16,10 @@ Cancelled events are marked by nulling the callback slot and are physically
 removed in batches once they make up half the queue, so a workload that
 cancels many timers (client timeouts, per-request consensus timers) never
 degrades into scanning dead entries.
-
-Event coalescing (the second perf overhaul): fire-and-forget events pass
-through a one-entry *deferred slot* instead of going straight into the
-heap.  The dispatch loop always runs ``min(slot, heap top)`` (the same
-``(time, priority, seq)`` total order as before, compared by C list
-comparison), so execution order — and therefore every simulated result —
-is bit-identical to the heap-only kernel; the A/B suite in
-``tests/test_perf_determinism.py`` enforces this.  The payoff is the
-back-to-back pattern CPU resources produce under load: a busy core's next
-completion is very often the globally next event, and such events are now
-scheduled and dispatched without a single ``heappush``/``heappop`` pair
-(counted in ``PERF.events_coalesced``; entries demoted from the slot by an
-earlier arrival count as ``PERF.events_displaced``).  Disable with
-:func:`event_coalescing_disabled` for A/B measurements.
 """
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import heapq
 from typing import Any, Callable, List, Optional
@@ -42,39 +27,15 @@ from typing import Any, Callable, List, Optional
 from repro.errors import SimulationError
 from repro.perf import PERF
 
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+
 #: Index of the callback slot inside a heap entry; ``None`` marks the entry
 #: cancelled.
 _CB = 3
 #: Compaction triggers when at least this many cancelled entries exist AND
 #: they outnumber the live ones.
 _COMPACT_MIN_CANCELLED = 256
-
-#: Process-global default for the deferred-slot fast lane.  Read once at
-#: ``Simulator`` construction time — deliberately *not* a ProtocolConfig
-#: field, because it is a host-side implementation detail that must never
-#: enter a point's content address.
-_COALESCING_ENABLED = True
-
-
-def set_event_coalescing(enabled: bool) -> None:
-    """Turn the deferred-slot fast lane on or off for new simulators."""
-    global _COALESCING_ENABLED
-    _COALESCING_ENABLED = bool(enabled)
-
-
-def event_coalescing_enabled() -> bool:
-    return _COALESCING_ENABLED
-
-
-@contextlib.contextmanager
-def event_coalescing_disabled():
-    """A/B helper: simulators built inside the block use the heap-only path."""
-    previous = _COALESCING_ENABLED
-    set_event_coalescing(False)
-    try:
-        yield
-    finally:
-        set_event_coalescing(previous)
 
 
 class Event:
@@ -138,11 +99,6 @@ class Simulator:
         self._events_processed = 0
         self._running = False
         self._cancelled = 0
-        # Deferred slot: at most one fire-and-forget entry not yet in the
-        # heap.  Only schedule_fast entries land here, so a slotted entry can
-        # never be cancelled (no Event handle exists for it).
-        self._slot: Optional[list] = None
-        self._coalesce = _COALESCING_ENABLED
 
     @property
     def now(self) -> float:
@@ -156,8 +112,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued (cancelled and slotted included)."""
-        return len(self._queue) + (1 if self._slot is not None else 0)
+        """Number of events still queued (cancelled ones included)."""
+        return len(self._queue)
 
     def schedule(
         self,
@@ -185,7 +141,7 @@ class Simulator:
             )
         self._seq += 1
         entry = [time, priority, self._seq, callback, args]
-        heapq.heappush(self._queue, entry)
+        _heappush(self._queue, entry)
         return Event(entry, self)
 
     def schedule_fast(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
@@ -194,30 +150,11 @@ class Simulator:
         The hot path used by the network and CPU resources, whose events are
         never cancelled.  A negative delay would silently rewind the virtual
         clock, so it still fails fast like :meth:`schedule`.
-
-        With coalescing on, the entry is parked in the deferred slot when
-        possible: the slot always keeps the *earlier* of its occupant and
-        the newcomer (the other is pushed to the heap), and the dispatch
-        loop runs ``min(slot, heap top)``, so ordering is exactly the
-        heap-only order while back-to-back events skip the heap entirely.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule an event {delay} seconds in the past")
         self._seq += 1
-        entry = [self._now + delay, 0, self._seq, callback, args]
-        PERF.events_scheduled_fast += 1
-        if self._coalesce:
-            slot = self._slot
-            if slot is None:
-                self._slot = entry
-                return
-            if entry < slot:
-                # The newcomer fires first: it takes the slot, the previous
-                # occupant is demoted to the heap.
-                self._slot = entry
-                entry = slot
-                PERF.events_displaced += 1
-        heapq.heappush(self._queue, entry)
+        _heappush(self._queue, [self._now + delay, 0, self._seq, callback, args])
 
     # ------------------------------------------------------------------ queue upkeep
 
@@ -230,44 +167,35 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Physically remove cancelled entries and re-heapify (batched)."""
-        PERF.events_compacted += self._cancelled
-        self._queue = [entry for entry in self._queue if entry[_CB] is not None]
-        heapq.heapify(self._queue)
-        self._cancelled = 0
+        """Physically remove cancelled entries and re-heapify (batched).
 
-    def _next_entry(self) -> Optional[list]:
-        """Pop and return the next live entry in (time, priority, seq) order."""
+        In place: :meth:`run` holds the queue in a local across callbacks.
+        """
+        PERF.events_compacted += self._cancelled
         queue = self._queue
-        while True:
-            slot = self._slot
-            if slot is not None and (not queue or slot < queue[0]):
-                self._slot = None
-                PERF.events_coalesced += 1
-                return slot
-            if not queue:
-                return None
-            entry = heapq.heappop(queue)
-            if entry[_CB] is None:
-                self._cancelled -= 1
-                continue
-            return entry
+        queue[:] = [entry for entry in queue if entry[_CB] is not None]
+        heapq.heapify(queue)
+        self._cancelled = 0
 
     # ------------------------------------------------------------------ running
 
     def step(self) -> bool:
         """Run the next non-cancelled event.  Returns False if none remain."""
-        entry = self._next_entry()
-        if entry is None:
-            return False
-        self._now = entry[0]
-        self._events_processed += 1
-        callback = entry[_CB]
-        args = entry[4]
-        entry[_CB] = None  # a late cancel() of this entry must be a no-op
-        entry[4] = ()
-        callback(*args)
-        return True
+        queue = self._queue
+        while queue:
+            entry = _heappop(queue)
+            callback = entry[_CB]
+            if callback is None:
+                self._cancelled -= 1
+                continue
+            self._now = entry[0]
+            self._events_processed += 1
+            args = entry[4]
+            entry[_CB] = None  # a late cancel() of this entry must be a no-op
+            entry[4] = ()
+            callback(*args)
+            return True
+        return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or ``max_events``.
@@ -277,9 +205,11 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
-        executed = 0
         queue = self._queue
-        pop = heapq.heappop
+        pop = _heappop
+        horizon = float("inf") if until is None else until
+        # Counts down to zero; a negative budget (no limit) never gets there.
+        budget = -1 if max_events is None else max(max_events, 0)
         # The event loop allocates millions of small, mostly-immutable,
         # acyclic objects per simulated second (messages, results, heap
         # entries); cyclic-GC passes over them find nothing yet cost ~25% of
@@ -292,45 +222,31 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            while True:
-                if max_events is not None and executed >= max_events:
-                    break
-                # Select min(slot, heap top) without popping yet: the until
-                # bound must leave the next event queued.
-                entry = self._slot
-                from_slot = True
-                if queue and (entry is None or queue[0] < entry):
+            while budget:
+                if queue:
+                    # Peek before popping: the until bound must leave the
+                    # next event queued.
                     entry = queue[0]
-                    from_slot = False
-                if entry is None:
-                    if until is not None and until > self._now:
-                        self._now = until
-                    break
-                callback = entry[_CB]
-                if callback is None:
-                    # Only heap entries are cancellable (the slot never holds
-                    # an Event-wrapped entry).
-                    pop(queue)
-                    self._cancelled -= 1
-                    continue
-                event_time = entry[0]
-                if until is not None and event_time > until:
+                    callback = entry[_CB]
+                    if callback is None:
+                        pop(queue)
+                        self._cancelled -= 1
+                        continue
+                    event_time = entry[0]
+                    if event_time <= horizon:
+                        pop(queue)
+                        self._now = event_time
+                        self._events_processed += 1
+                        budget -= 1
+                        args = entry[4]
+                        entry[_CB] = None  # a late cancel() of this entry must be a no-op
+                        entry[4] = ()
+                        callback(*args)
+                        continue
+                # Drained, or the next event lies past the horizon.
+                if until is not None and until > self._now:
                     self._now = until
-                    break
-                if from_slot:
-                    self._slot = None
-                    PERF.events_coalesced += 1
-                else:
-                    pop(queue)
-                self._now = event_time
-                self._events_processed += 1
-                executed += 1
-                args = entry[4]
-                entry[_CB] = None  # a late cancel() of this entry must be a no-op
-                entry[4] = ()
-                callback(*args)
-                if queue is not self._queue:  # a callback triggered compaction
-                    queue = self._queue
+                break
         finally:
             self._running = False
             if gc_was_enabled:

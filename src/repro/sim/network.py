@@ -33,6 +33,18 @@ class LatencyModel:
     ) -> float:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def bind(self, rng: DeterministicRNG) -> Callable[[str, str, int], float]:
+        """The delay function ``(src_region, dst_region, size_bytes)`` drawing from ``rng``.
+
+        A :class:`Network` binds its model once and calls the result per
+        message; a model overrides this to precompute what does not vary.
+        """
+
+        def delay(src_region: str, dst_region: str, size_bytes: int) -> float:
+            return self.one_way_delay(src_region, dst_region, size_bytes, rng)
+
+        return delay
+
 
 class UniformLatencyModel(LatencyModel):
     """Flat latency model: a base delay plus jitter plus bandwidth delay.
@@ -123,18 +135,18 @@ class Network:
     ) -> None:
         self._sim = sim
         self._schedule_fast = sim.schedule_fast
-        self._latency = latency_model
         self._rng = rng
+        self._delay = latency_model.bind(rng)
         self._faults = fault_plan or NetworkFaultPlan()
         # Subclasses (e.g. the region-outage plan) may decide partitioning
-        # dynamically: the base-class empty-set short-circuit in send() only
+        # dynamically: the base-class empty-set short-circuit in _transmit() only
         # applies to a plain NetworkFaultPlan.
         self._faults_subclassed = type(self._faults) is not NetworkFaultPlan
         # Dynamic lifecycle faults (fault timelines): endpoints currently
         # down and directed links currently cut.  Kept separate from the
         # fault plan so crash/recover/partition-heal events can flip them
         # mid-run without perturbing a scenario's static plan.  The boolean
-        # gate keeps the fault-free send() hot path to one falsy check.
+        # gate keeps the fault-free hot path to one falsy check per message.
         self._down: Set[str] = set()
         self._cut_links: Set[Tuple[str, str]] = set()
         self._lifecycle_faults = False
@@ -210,50 +222,67 @@ class Network:
 
     def send(self, src: str, dst: str, payload: Any, size_bytes: int = 0) -> None:
         """Send ``payload`` from ``src`` to ``dst`` applying the fault plan."""
+        self._transmit(src, (dst,), payload, size_bytes, False)
+
+    def broadcast(self, src: str, dsts, payload: Any, size_bytes: int = 0) -> None:
+        """Send the same payload to every destination in ``dsts`` but ``src`` itself.
+
+        Message for message a loop of :meth:`send`: the same counters, drops,
+        duplicates and RNG draws in the same order.
+        """
+        self._transmit(src, dsts, payload, size_bytes, True)
+
+    def _transmit(self, src: str, dsts, payload: Any, size_bytes: int, skip_src: bool) -> None:
+        """One message per destination; the per-sender work is done once."""
         endpoints = self._endpoints
         sender = endpoints.get(src)
         if sender is None:
             raise SimulationError(f"unknown sender endpoint {src!r}")
-        self._messages_sent += 1
-        self._bytes_sent += size_bytes
-        receiver = endpoints.get(dst)
-        if receiver is None:
-            # The destination crashed or was never registered: the message is lost.
-            self._messages_dropped += 1
-            return
-        if self._lifecycle_faults and (
-            src in self._down or dst in self._down or (src, dst) in self._cut_links
-        ):
-            self._messages_dropped += 1
-            return
+        src_region = sender.region
+        faults = self._faults
         # Fault checks are gated on the plan actually being active: the
         # gates draw nothing (``chance(0)`` never draws either), so the RNG
         # stream — and every simulated result — is unchanged.
-        faults = self._faults
-        if (
-            self._faults_subclassed or faults.partitions or faults.muted_endpoints
-        ) and faults.is_partitioned(src, dst):
-            self._messages_dropped += 1
-            return
-        if faults.drop_probability and self._rng.chance(faults.drop_probability):
-            self._messages_dropped += 1
-            return
-        delay = self._latency.one_way_delay(sender.region, receiver.region, size_bytes, self._rng)
-        delay += faults.extra_delay
-        self._schedule_fast(delay, self._deliver, src, dst, payload)
-        if faults.duplicate_probability and self._rng.chance(faults.duplicate_probability):
-            # The duplicate travels the wire too: schedule it strictly after
-            # the original delivery and account for its bytes.
-            duplicate_delay = max(delay * 1.5, delay + self.MIN_DUPLICATE_OFFSET)
-            self._bytes_sent += size_bytes
-            self._schedule_fast(duplicate_delay, self._deliver, src, dst, payload)
-
-    def broadcast(self, src: str, dsts, payload: Any, size_bytes: int = 0) -> None:
-        """Send the same payload to every destination in ``dsts``."""
+        lifecycle = self._lifecycle_faults
+        partitions = self._faults_subclassed or faults.partitions or faults.muted_endpoints
+        drop_probability = faults.drop_probability
+        duplicate_probability = faults.duplicate_probability
+        extra_delay = faults.extra_delay
+        delay_of = self._delay
+        schedule_fast = self._schedule_fast
+        deliver = self._deliver
+        sent = dropped = copies = 0
         for dst in dsts:
-            if dst == src:
+            if skip_src and dst == src:
                 continue
-            self.send(src, dst, payload, size_bytes)
+            sent += 1
+            receiver = endpoints.get(dst)
+            # Lost when the destination crashed or was never registered, a
+            # lifecycle fault or the plan separates the pair, or the plan's
+            # drop draw says so — checked, and drawn, in that order.
+            if (
+                receiver is None
+                or lifecycle and (
+                    src in self._down or dst in self._down or (src, dst) in self._cut_links
+                )
+                or partitions and faults.is_partitioned(src, dst)
+                or drop_probability and self._rng.chance(drop_probability)
+            ):
+                dropped += 1
+                continue
+            delay = delay_of(src_region, receiver.region, size_bytes) + extra_delay
+            schedule_fast(delay, deliver, src, dst, payload)
+            if duplicate_probability and self._rng.chance(duplicate_probability):
+                # The duplicate travels the wire too: schedule it strictly
+                # after the original delivery and account for its bytes.
+                copies += 1
+                schedule_fast(
+                    max(delay * 1.5, delay + self.MIN_DUPLICATE_OFFSET),
+                    deliver, src, dst, payload,
+                )
+        self._messages_sent += sent
+        self._messages_dropped += dropped
+        self._bytes_sent += (sent + copies) * size_bytes
 
     def _deliver(self, src: str, dst: str, payload: Any) -> None:
         endpoint = self._endpoints.get(dst)

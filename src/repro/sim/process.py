@@ -23,12 +23,8 @@ class CpuResource:
 
     Jobs beyond the core count wait in an intrusive FIFO; when a running
     job completes, the next queued job's completion is scheduled directly
-    through the kernel's fire-and-forget fast path.  Back-to-back
-    completions on a busy core are the kernel's best coalescing customers:
-    a saturated core's next completion is usually the globally next event,
-    so it travels through the deferred slot without touching the heap at
-    all (see ``repro.sim.engine``); ``PERF.cpu_jobs_coalesced`` counts the
-    jobs that completed through this chained path.
+    through the kernel's fire-and-forget fast path
+    (``PERF.cpu_jobs_coalesced`` counts the jobs chained this way).
     """
 
     def __init__(self, sim: Simulator, cores: int, name: str = "cpu") -> None:
@@ -185,10 +181,21 @@ class SimProcess:
         evaluating them at completion time (use a closure when a late read
         matters, e.g. the current primary after a possible view change).
         """
-        if self._cpu is None or service_time <= 0:
+        cpu = self._cpu
+        if cpu is None or service_time <= 0:
             on_done(*args)
+            return
+        # CpuResource.submit's start-or-queue step, written out here: every
+        # delivered message passes through, and calling submit would unpack
+        # and re-pack ``args`` inside one more frame.
+        if cpu._speed_factor != 1.0:
+            service_time *= cpu._speed_factor
+        if cpu._busy < cpu._cores:
+            cpu._busy += 1
+            cpu._busy_time += service_time
+            cpu._schedule_fast(service_time, cpu._finish, on_done, args)
         else:
-            self._cpu.submit(service_time, on_done, *args)
+            cpu._pending.append((service_time, on_done, args))
 
     def process_parallel(
         self,

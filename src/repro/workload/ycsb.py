@@ -70,9 +70,6 @@ class YCSBWorkload:
         # Per-client private key ranges guarantee non-conflicting transactions
         # from different clients never touch the same key.
         self._partition_size = max(1, config.num_records // config.clients)
-        # Key-selection is skewed (zipfian / per-client partitions), so the
-        # same key strings are formatted over and over; memoise them.
-        self._key_strings: dict = {}
         self._client_ids = [f"client-{index}" for index in range(config.clients)]
         # Pre-built samplers for the constant bounds of this workload: each is
         # draw-for-draw identical to randint (see DeterministicRNG), minus the
@@ -213,8 +210,6 @@ class YCSBWorkload:
         modulus = self._private_modulus
         draw_offset = self._draw_offset
         draw_value = self._draw_value
-        strings = self._key_strings
-        strings_get = strings.get
         starts = self._client_starts
         num_starts = len(starts)
         partition_size = self._partition_size
@@ -238,14 +233,14 @@ class YCSBWorkload:
                 op_append = op_list.append
                 for is_write in write_flags:
                     index = hot_keys + (start + draw_offset()) % modulus
-                    key = strings_get(index)
-                    if key is None:
-                        key = f"user{index}"
-                        strings[index] = key
                     op_append(
                         tuple_new(
                             Operation,
-                            (key, is_write, f"val-{draw_value()}" if is_write else None),
+                            (
+                                f"user{index}",
+                                is_write,
+                                f"val-{draw_value()}" if is_write else None,
+                            ),
                         )
                     )
                 operations = tuple(op_list)
@@ -308,7 +303,7 @@ class YCSBWorkload:
             if conflicting and op_index == 0:
                 # Conflicting transactions contend on the shared hot set, and the
                 # contended operation is always a write so any two of them conflict.
-                key = self._key_string(self._draw_hot())
+                key = self._hot_key()
                 is_write = True
             else:
                 key = self._private_key(client_index)
@@ -336,32 +331,19 @@ class YCSBWorkload:
         modulus = self._private_modulus
         draw_offset = self._draw_offset
         draw_value = self._draw_value
-        strings = self._key_strings
-        strings_get = strings.get
         tuple_new = tuple.__new__
         for is_write in self._write_flags:
             index = hot_keys + (start + draw_offset()) % modulus
-            key = strings_get(index)
-            if key is None:
-                key = f"user{index}"
-                strings[index] = key
             append(
                 tuple_new(
                     Operation,
-                    (key, is_write, f"val-{draw_value()}" if is_write else None),
+                    (f"user{index}", is_write, f"val-{draw_value()}" if is_write else None),
                 )
             )
         return tuple(operations)
 
-    def _key_string(self, index: int) -> str:
-        key = self._key_strings.get(index)
-        if key is None:
-            key = f"user{index}"
-            self._key_strings[index] = key
-        return key
-
     def _hot_key(self) -> str:
-        return self._key_string(self._draw_hot())
+        return f"user{self._draw_hot()}"
 
     def _private_key(self, client_index: int) -> str:
         config = self._config
@@ -375,13 +357,7 @@ class YCSBWorkload:
         else:
             offset = self._draw_offset()
         # Skip the hot range so private keys never collide with hot keys.
-        index = self._hot_count + (start + offset) % self._private_modulus
-        strings = self._key_strings
-        key = strings.get(index)
-        if key is None:
-            key = f"user{index}"
-            strings[index] = key
-        return key
+        return f"user{self._hot_count + (start + offset) % self._private_modulus}"
 
     def _rng_value(self) -> str:
         return f"val-{self._draw_value()}"

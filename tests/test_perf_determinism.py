@@ -1,15 +1,14 @@
 """Perf-overhaul guardrails.
 
 The hot-path PRs (cached digests, pooled event kernel, memoised execution,
-FastCryptoBackend, event coalescing, incremental verifier validation) must
+FastCryptoBackend, incremental verifier validation) must
 not change any simulated-time result.  These tests pin that down:
 
 * the same seed produces bit-identical runs;
 * the ``FastCryptoBackend`` produces results bit-identical to real crypto —
   commit sequence, latency statistics, and message counts included;
-* the kernel's event coalescing (deferred-slot fast lane) produces
-  bit-identical results with coalescing on vs. off, across all four
-  registered systems and under a byzantine scenario;
+* the kernel runs any program of schedules, cancels, compactions and
+  bounded runs in exactly sorted ``(time, priority, seq)`` order;
 * the supporting machinery (digest memo, canonicalisation fix, bounded
   samplers, execution memo, duplicate-delivery fix, incremental percentiles)
   behaves exactly like the unoptimised equivalents.
@@ -31,7 +30,7 @@ from repro.crypto.signatures import (
 )
 from repro.errors import ConfigurationError, CryptoError
 from repro.perf import PERF
-from repro.sim.engine import Simulator, event_coalescing_disabled, event_coalescing_enabled
+from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkFaultPlan, UniformLatencyModel
 from repro.sim.rng import DeterministicRNG
 from repro.sim.stats import LatencyRecorder
@@ -130,69 +129,29 @@ def test_unknown_crypto_backend_rejected():
         _small_config(crypto_backend="quantum")
 
 
-# ------------------------------------------------------------ event coalescing
-
-
-def _coalescing_fingerprint(system: str, scenarios=(), seed: int = 7):
-    """Simulated-result fingerprint of one short facade run.
-
-    ``events_processed`` is included on purpose: the deferred-slot fast lane
-    must not elide or duplicate a single kernel event.
-    """
-    from repro.api import RunSpec, run
-    from repro.api.facade import result_digest
-
-    result = run(
-        RunSpec(
-            system=system,
-            duration=0.6,
-            warmup=0.1,
-            seed=seed,
-            scenarios=list(scenarios),
-        )
-    )
-    return result_digest(result), result.events_processed
-
-
-@pytest.mark.parametrize(
-    "system", ["serverless_bft", "serverless_cft", "pbft_replicated", "noshim"]
-)
-def test_event_coalescing_bit_identical_across_systems(system):
-    """Coalescing on vs. off: same digests, same event count, per system."""
-    assert event_coalescing_enabled()
-    with_coalescing = _coalescing_fingerprint(system)
-    with event_coalescing_disabled():
-        without_coalescing = _coalescing_fingerprint(system)
-    assert event_coalescing_enabled()
-    assert with_coalescing == without_coalescing
-
-
-def test_event_coalescing_bit_identical_byzantine_scenario():
-    """A byzantine run (signature failures, corrupt results) is coalescing-proof."""
-    with_coalescing = _coalescing_fingerprint(
-        "serverless_bft", scenarios=("byzantine-executors",), seed=5
-    )
-    with event_coalescing_disabled():
-        without_coalescing = _coalescing_fingerprint(
-            "serverless_bft", scenarios=("byzantine-executors",), seed=5
-        )
-    assert with_coalescing == without_coalescing
+# ------------------------------------------------------------ event order
 
 
 def test_deferred_slot_preserves_schedule_order():
-    """Same-timestamp events run in seq order whether slotted or heaped."""
+    """Same-timestamp events run in seq order whichever call scheduled them.
+
+    (Named for the deferred slot the kernel once had; the order it pinned is
+    the heap's.)
+    """
     order = []
     sim = Simulator()
-    sim.schedule_fast(1.0, order.append, "fast-a")  # parked in the slot
-    sim.schedule(1.0, order.append, "timer-b")  # heap, later seq
-    sim.schedule_fast(1.0, order.append, "fast-c")  # demotes nothing, heap
-    sim.schedule_fast(0.5, order.append, "fast-d")  # earlier: takes the slot
+    sim.schedule_fast(1.0, order.append, "fast-a")
+    sim.schedule(1.0, order.append, "timer-b")
+    sim.schedule_fast(1.0, order.append, "fast-c")
+    sim.schedule_fast(0.5, order.append, "fast-d")
     sim.run_until_idle()
     assert order == ["fast-d", "fast-a", "timer-b", "fast-c"]
 
 
-def test_deferred_slot_counts_coalesced_events():
-    """A chain of back-to-back events runs straight from the slot."""
+def test_coalescing_disabled_uses_heap_only():
+    """The deferred slot is gone for good: every event goes through the heap,
+    and ``PERF.events_coalesced`` — a field kept only because perfledger's
+    ``sim.engine.coalesced_ratio`` row reads it — stays 0."""
     PERF.reset()
     sim = Simulator()
     remaining = [100]
@@ -205,16 +164,108 @@ def test_deferred_slot_counts_coalesced_events():
     sim.schedule_fast(0.0, tick)
     sim.run_until_idle()
     assert sim.events_processed == 101
-    assert PERF.events_coalesced >= 100  # every chained tick skipped the heap
+    assert PERF.events_coalesced == 0
 
 
-def test_coalescing_disabled_uses_heap_only():
-    with event_coalescing_disabled():
-        PERF.reset()
-        sim = Simulator()
-        sim.schedule_fast(0.1, lambda: None)
-        sim.run_until_idle()
-        assert PERF.events_coalesced == 0
+class _RandomProgram:
+    """A random kernel program that keeps its own model of what must run next.
+
+    Every pending event is modelled as ``(time, priority, seq)`` — ``seq``
+    mirrors the kernel's: one per schedule call, in call order — and each
+    callback checks that it is the smallest one pending.  Callbacks schedule
+    children, cancel other pending timers, cancel themselves (too late: a
+    no-op) and now and then cancel in bulk, which makes the kernel compact
+    its heap in the middle of a run.
+    """
+
+    LIMIT = 2_500
+
+    def __init__(self, seed: int) -> None:
+        self.rng = random.Random(seed)
+        self.sim = Simulator()
+        self.pending = {}  # seq -> (time, priority, seq)
+        self.timers = {}  # seq -> Event, the cancellable part of ``pending``
+        self.executed = 0
+        self.scheduled = 0
+
+    def schedule(self) -> None:
+        rng = self.rng
+        self.scheduled += 1
+        seq = self.scheduled
+        delay = rng.choice([0.0, 0.0, 0.001, rng.random(), rng.random() * 5])
+        priority = 0
+        if rng.random() < 0.4:
+            self.sim.schedule_fast(delay, self.fire, seq)
+        else:
+            priority = rng.choice([0, 0, -1, 1])
+            self.timers[seq] = self.sim.schedule(delay, self.fire, seq, priority=priority)
+        self.pending[seq] = (self.sim.now + delay, priority, seq)
+
+    def cancel(self, seq: int) -> None:
+        self.timers.pop(seq).cancel()
+        del self.pending[seq]
+
+    def fire(self, seq: int) -> None:
+        rng = self.rng
+        mine = self.pending.pop(seq)
+        assert self.sim.now == mine[0]
+        assert not self.pending or mine < min(self.pending.values())
+        self.executed += 1
+        own_handle = self.timers.pop(seq, None)
+        if own_handle is not None and rng.random() < 0.5:
+            own_handle.cancel()  # already running: must change nothing
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            if self.scheduled < self.LIMIT:
+                self.schedule()
+        if self.timers and rng.random() < 0.4:
+            self.cancel(rng.choice(sorted(self.timers)))
+        if rng.random() < 0.02:
+            for timer in sorted(self.timers):
+                self.cancel(timer)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_runs_random_programs_in_sorted_order(seed):
+    """schedule / schedule_fast / cancel / cancel-from-a-callback / compaction
+    mid-run / run(until) / run(max_events): every event that runs is the
+    smallest ``(time, priority, seq)`` pending, the first event past ``until``
+    stays queued, and the run ends with ``now == until``."""
+    program = _RandomProgram(seed)
+    sim = program.sim
+    for _ in range(800):
+        program.schedule()
+    compacted_before = PERF.events_compacted
+
+    horizon = 0.0
+    for _ in range(5):
+        horizon += program.rng.random()
+        assert sim.run(until=horizon) == horizon == sim.now
+        assert min(program.pending.values())[0] > horizon  # all due ran, the next did not
+        assert sim.pending_events >= len(program.pending)
+
+    before = program.executed
+    clock = sim.run(max_events=7)
+    assert program.executed == before + 7
+    assert clock == sim.now <= min(program.pending.values())[0]  # no jump to a bound
+    assert sim.run(max_events=0) == clock and program.executed == before + 7
+
+    sim.run_until_idle()
+    assert not program.pending
+    assert sim.events_processed == program.executed
+    assert sim.pending_events == 0
+    assert PERF.events_compacted > compacted_before, "no compaction happened mid-run"
+
+
+def test_run_until_keeps_the_next_event_queued_and_never_rewinds():
+    sim = Simulator()
+    hits = []
+    sim.schedule_fast(1.0, hits.append, "a")
+    sim.schedule_fast(2.0, hits.append, "b")
+    assert sim.run(until=1.5) == 1.5
+    assert hits == ["a"] and sim.pending_events == 1
+    assert sim.run(until=1.0) == 1.5  # a bound in the past moves nothing
+    assert sim.run(until=2.0) == 2.0 and hits == ["a", "b"]  # an event *at* the bound runs
+    assert sim.run(until=3.0) == 3.0  # drained: the clock still advances to the bound
 
 
 # ------------------------------------------------------------ crypto layer

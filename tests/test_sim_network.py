@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.cloud.regions import GeoLatencyModel, RegionCatalog
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.network import Network, NetworkFaultPlan, UniformLatencyModel
+from repro.sim.network import LatencyModel, Network, NetworkFaultPlan, UniformLatencyModel
 from repro.sim.rng import DeterministicRNG
+from repro.sweep.scenarios import RegionOutageFaultPlan
 
 
 def build_network(fault_plan=None, base_delay=0.001, jitter=0.0, bandwidth=0.0):
@@ -174,3 +176,128 @@ def test_cut_links_are_directed_and_healable():
     network.send("a", "b", "healed")
     sim.run_until_idle()
     assert ("healed", "a") in received
+
+
+# ------------------------------------------------------------ broadcast == loop of sends
+
+
+class _HalfSecondModel(LatencyModel):
+    """A model that implements only the interface method (no ``bind`` override)."""
+
+    def one_way_delay(self, src_region, dst_region, size_bytes, rng):
+        return 0.5 + rng.uniform(0.0, 0.1) + (0.25 if src_region != dst_region else 0.0)
+
+
+def _geo_model():
+    return GeoLatencyModel(RegionCatalog())
+
+
+def _outage_plan():
+    return RegionOutageFaultPlan("eu-west-1")
+
+
+_FANOUT_CASES = {
+    "plain": {},
+    "drop": dict(plan=lambda: NetworkFaultPlan(drop_probability=0.4)),
+    "duplicate": dict(plan=lambda: NetworkFaultPlan(duplicate_probability=0.4)),
+    "extra-delay": dict(plan=lambda: NetworkFaultPlan(extra_delay=0.25)),
+    "drop-duplicate-delay": dict(
+        plan=lambda: NetworkFaultPlan(
+            drop_probability=0.3, duplicate_probability=0.3, extra_delay=0.01
+        )
+    ),
+    "static-partition": dict(plan=lambda: NetworkFaultPlan(partitions={("a", "c"), ("d", "a")})),
+    "muted-sender": dict(plan=lambda: NetworkFaultPlan(muted_endpoints={"a"})),
+    "muted-receiver": dict(plan=lambda: NetworkFaultPlan(muted_endpoints={"c"})),
+    "endpoint-down": dict(lifecycle=lambda network: network.set_endpoint_down("c")),
+    "sender-down": dict(lifecycle=lambda network: network.set_endpoint_down("a")),
+    "cut-links": dict(lifecycle=lambda network: network.cut_links([("a", "d"), ("b", "a")])),
+    "healed-links": dict(
+        lifecycle=lambda network: (
+            network.cut_links([("a", "d")]), network.heal_links([("a", "d")])
+        )
+    ),
+    "unregistered-destination": dict(dsts=["b", "ghost", "c", "d"]),
+    "src-in-dsts": dict(dsts=["a", "b", "a", "c", "d"]),
+    "region-outage-plan": dict(plan=_outage_plan),
+    "uniform-model": dict(model=lambda: UniformLatencyModel(jitter=0.002, bandwidth_bytes_per_sec=1e6)),
+    "interface-only-model": dict(model=_HalfSecondModel),
+    "no-destinations": dict(dsts=[]),
+}
+
+
+def _fanout_network(model=_geo_model, plan=None, lifecycle=None, **_):
+    sim = Simulator()
+    rng = DeterministicRNG(42)
+    fault_plan = plan() if plan is not None else None
+    network = Network(sim, model(), rng, fault_plan=fault_plan)
+    if isinstance(fault_plan, RegionOutageFaultPlan):
+        fault_plan.bind(network)
+    deliveries = []
+    regions = {"a": "us-west-1", "b": "us-west-1", "c": "eu-west-1", "d": "ap-southeast-1"}
+    for name, region in regions.items():
+        network.register(
+            name, region,
+            lambda payload, src, name=name: deliveries.append((sim.now, name, src, payload)),
+        )
+    if lifecycle is not None:
+        lifecycle(network)
+    return sim, rng, network, deliveries
+
+
+def _fanout_state(sim, rng, network, deliveries):
+    sim.run_until_idle()
+    return (
+        deliveries,
+        network.messages_sent,
+        network.bytes_sent,
+        network.messages_dropped,
+        network.messages_delivered,
+        sim.events_processed,
+        rng.random(),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(_FANOUT_CASES))
+def test_broadcast_equals_a_loop_of_sends(case):
+    """Same deliveries at the same times in the same order, same counters,
+    and the RNG left at the same draw — under every gate a message passes."""
+    params = _FANOUT_CASES[case]
+    dsts = params.get("dsts", ["b", "c", "d"])
+    rounds = [("a", 216, "prepare"), ("a", 0, "empty"), ("b", 5392, "preprepare")]
+
+    one = _fanout_network(**params)
+    for src, size, payload in rounds:
+        one[2].broadcast(src, dsts, payload, size)
+
+    other = _fanout_network(**params)
+    for src, size, payload in rounds:
+        for dst in dsts:
+            if dst != src:
+                other[2].send(src, dst, payload, size)
+
+    broadcast_state = _fanout_state(*one)
+    assert broadcast_state == _fanout_state(*other)
+    assert broadcast_state[1] == sum(1 for src, _, _ in rounds for dst in dsts if dst != src)
+
+
+def test_broadcast_from_an_unknown_sender_is_rejected():
+    _sim, network = build_network()
+    network.register("a", "r", lambda msg, sender: None)
+    with pytest.raises(SimulationError):
+        network.broadcast("ghost", ["a"], "boo")
+    assert network.messages_sent == 0
+
+
+def test_geo_delay_function_matches_the_interface_method():
+    """``bind(rng)`` and ``one_way_delay(..., rng)`` are one function: same
+    float, one draw per call, for every pair and size."""
+    model = _geo_model()
+    bound_rng, plain_rng = DeterministicRNG(3), DeterministicRNG(3)
+    delay = model.bind(bound_rng)
+    names = model.catalog.names[:4]
+    for src in names:
+        for dst in names:
+            for size in (0, 216, 1_000_000):
+                assert delay(src, dst, size) == model.one_way_delay(src, dst, size, plain_rng)
+    assert bound_rng.random() == plain_rng.random()

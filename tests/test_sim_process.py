@@ -145,3 +145,27 @@ def test_speed_factor_must_be_positive():
     cpu = CpuResource(Simulator(), cores=1)
     with pytest.raises(SimulationError):
         cpu.set_speed_factor(0.0)
+
+
+def test_process_starts_and_queues_jobs_exactly_like_submit():
+    """``SimProcess.process`` writes ``CpuResource.submit``'s start-or-queue
+    step out inline: same completions, queueing, accounting and slow-down."""
+
+    def drive(use_process: bool):
+        sim = Simulator()
+        proc = _Recorder(sim, cores=2)
+        cpu = proc.cpu
+        enqueue = proc.process if use_process else cpu.submit
+        done = []
+        enqueue(0.0, done.append, ("zero", 0.0))  # free: runs at once, no core taken
+        for label, duration in (("a", 0.3), ("b", 0.1), ("c", 0.2), ("d", 0.4)):
+            enqueue(duration, lambda label=label: done.append((label, sim.now)))
+        queued_at_start = (cpu.busy_cores, cpu.queued_jobs)
+        cpu.set_speed_factor(2.0)
+        enqueue(0.05, done.append, ("slowed", None))
+        sim.run_until_idle()
+        return done, queued_at_start, cpu.busy_time, cpu.jobs_done, cpu.busy_cores, sim.now
+
+    via_process, via_submit = drive(True), drive(False)
+    assert via_process == via_submit
+    assert via_process[1] == (2, 2) and via_process[3] == 5
