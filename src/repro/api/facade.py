@@ -152,37 +152,37 @@ def run(spec: RunSpec, store=None) -> SimulationResult:
         )
     resolved = resolve(spec)
     direct_kwargs = spec.direct_runner_kwargs()
-    digest: Optional[str] = None
-    if store is not None:
-        if direct_kwargs:
-            raise ConfigurationError(
-                "a result store cannot cache runs carrying bespoke fault "
-                f"objects ({sorted(direct_kwargs)} are not part of the "
-                "content address); register the faults as a scenario preset "
-                "and name it in RunSpec.scenarios instead"
-            )
-        from repro.store.url import as_backend
-        from repro.sweep.serialization import result_from_dict
-        from repro.sweep.spec import point_digest
+    if store is None:
+        deployment = build_deployment(
+            resolved,
+            extra_runner_kwargs=direct_kwargs,
+            tracer_enabled=spec.tracer_enabled,
+        )
+        return deployment.run(
+            duration=float(resolved["duration"]), warmup=float(resolved["warmup"])
+        )
+    if direct_kwargs:
+        raise ConfigurationError(
+            "a result store cannot cache runs carrying bespoke fault "
+            f"objects ({sorted(direct_kwargs)} are not part of the "
+            "content address); register the faults as a scenario preset "
+            "and name it in RunSpec.scenarios instead"
+        )
+    from repro.store.url import as_backend
+    from repro.sweep.runner import _timed_simulate
+    from repro.sweep.serialization import result_from_dict
+    from repro.sweep.spec import point_digest
 
-        store = as_backend(store)
-        digest = point_digest(resolved)
-        record = store.get(digest)
-        if record is not None:
-            return result_from_dict(record["result"])
-    deployment = build_deployment(
-        resolved,
-        extra_runner_kwargs=direct_kwargs,
-        tracer_enabled=spec.tracer_enabled,
-    )
-    result = deployment.run(
-        duration=float(resolved["duration"]), warmup=float(resolved["warmup"])
-    )
-    if store is not None and digest is not None:
-        from repro.sweep.serialization import result_to_dict
-
-        store.put(digest, resolved, result_to_dict(result), sweep_name="api-run")
-    return result
+    store = as_backend(store)
+    digest = point_digest(resolved)
+    record = store.get(digest)
+    if record is not None:
+        return result_from_dict(record["result"])
+    # The build-and-run sweeps and pool workers store, so every record
+    # carries the same setup/simulate/collect timing split.
+    result_dict, timing = _timed_simulate(resolved, tracer_enabled=spec.tracer_enabled)
+    store.put(digest, resolved, result_dict, sweep_name="api-run", timing=timing)
+    return result_from_dict(result_dict)
 
 
 def run_replicates(
@@ -316,8 +316,8 @@ def build_system(
     """Registry-backed construction for callers holding pre-built configs.
 
     The lower-level sibling of :func:`run`: same adapters, same capability
-    validation, no declarative resolution.  Used by the kernel bench and the
-    integration tests, which hold :class:`ProtocolConfig` / :class:`YCSBConfig`
+    validation, no declarative resolution.  Used by the calibration run and
+    the integration tests, which hold :class:`ProtocolConfig` / :class:`YCSBConfig`
     objects and read the built deployment's components.
     """
     return get_system(system).build(config, workload, **kwargs)

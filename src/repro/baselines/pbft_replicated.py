@@ -34,7 +34,6 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.process import CpuResource, SimProcess
 from repro.sim.stats import ThroughputRecorder
-from repro.sim.tracing import Tracer
 from repro.storage.kvstore import VersionedKVStore
 from repro.workload.transactions import Transaction, TransactionBatch, execute_batch_cached
 from repro.workload.ycsb import YCSBConfig
@@ -56,7 +55,6 @@ class ReplicatedNode(SimProcess):
         per_operation_cost: float = 5e-6,
         throughput: Optional[ThroughputRecorder] = None,
         behaviour: Optional[NodeBehaviour] = None,
-        tracer: Optional[Tracer] = None,
         obs=None,
         batch_flush_timeout: float = 0.02,
     ) -> None:
@@ -66,7 +64,6 @@ class ReplicatedNode(SimProcess):
         self._signer = signer
         self._per_operation_cost = per_operation_cost
         self._throughput = throughput
-        self._tracer = tracer
         self._obs = obs
         self._behaviour = behaviour
         self._batch_flush_timeout = batch_flush_timeout
@@ -77,7 +74,6 @@ class ReplicatedNode(SimProcess):
         self._flush_timer = None
         self._batch_counter = 0
         self._executed_batches = 0
-        self._executed_txns = 0
 
         network.register(name, region, self.on_message)
         self._replica = PBFTReplica(
@@ -92,7 +88,6 @@ class ReplicatedNode(SimProcess):
             cost_model=config.crypto_costs,
             host=self,
             on_committed=self._on_committed,
-            tracer=tracer,
             obs=obs,
             behaviour=behaviour,
         )
@@ -117,10 +112,6 @@ class ReplicatedNode(SimProcess):
     @property
     def executed_batches(self) -> int:
         return self._executed_batches
-
-    @property
-    def executed_txns(self) -> int:
-        return self._executed_txns
 
     @property
     def store(self) -> VersionedKVStore:
@@ -187,10 +178,8 @@ class ReplicatedNode(SimProcess):
         result = execute_batch_cached(batch, reads.plain_values(), reads.versions_map())
         self._store.apply_write_sets([txn.writes for txn in result.txn_results])
         self._executed_batches += 1
-        self._executed_txns += len(batch)
-        if self._tracer is not None:
-            self._tracer.record(self.now, "replicated.executed", self.name, seq=entry.seq)
         if self._obs is not None:
+            self._obs.record(self.now, "replicated.executed", self.name, seq=entry.seq)
             self._obs.end_span("execute", entry.seq, self.now)
         if not self.is_primary:
             return
@@ -243,8 +232,7 @@ class ReplicatedPBFTDeployment(Deployment):
                     execution_threads=execution_threads,
                     throughput=self.throughput,
                     behaviour=node_behaviours.get(name),
-                    tracer=self._component_tracer,
-                    obs=self._component_obs,
+                    obs=self.obs,
                 )
             )
         # No verifier: the primary replica answers the clients itself.  With

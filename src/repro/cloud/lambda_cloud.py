@@ -125,9 +125,6 @@ class ServerlessCloud:
     def set_executor_factory(self, factory: Callable[..., Any]) -> None:
         self._factory = factory
 
-    def set_concurrency_limit(self, region: str, limit: int) -> None:
-        self._region_state(region).concurrency_limit = limit
-
     def running_executors(self, region: Optional[str] = None) -> int:
         if region is not None:
             return self._region_state(region).running

@@ -49,10 +49,6 @@ class ConflictPlanner:
     def outstanding(self) -> int:
         return sum(1 for entry in self._pending.values() if not entry.completed)
 
-    def is_dispatched(self, seq: int) -> bool:
-        entry = self._pending.get(seq)
-        return bool(entry and entry.dispatched)
-
     def locked_items(self) -> Set[str]:
         return set(self._locked_writes) | set(self._locked_reads)
 

@@ -80,8 +80,7 @@ class SimulationResult:
 
     @property
     def events_per_second(self) -> float:
-        """Kernel events executed per wall-clock second (host speed, not
-        simulated time — the number the kernel-throughput bench tracks)."""
+        """Kernel events executed per wall-clock second (host speed, not simulated time)."""
         if self.wall_clock_seconds <= 0:
             return 0.0
         return self.events_processed / self.wall_clock_seconds
@@ -109,15 +108,10 @@ class Deployment:
         self.sim = Simulator()
         self.rng = DeterministicRNG(config.seed)
         self.catalog = regions or RegionCatalog()
-        # One observability context per run: it owns the tracer, the
-        # commit-path span log, and the metrics registry.
-        self.obs = ObsContext(enabled=tracer_enabled)
-        self.tracer = self.obs.tracer
-        # Components skip tracing entirely on a None tracer; threading None
-        # when tracing is off removes a dead call per protocol step.  The
-        # obs context follows the exact same pattern.
-        self._component_tracer = self.tracer if tracer_enabled else None
-        self._component_obs = self.obs.component()
+        # The run's one recorder, handed to every component; None when
+        # tracing is off, which is the whole of the off path: components
+        # guard each instrumentation site with ``is not None``.
+        self.obs: Optional[ObsContext] = ObsContext() if tracer_enabled else None
         self.network = Network(
             self.sim,
             GeoLatencyModel(self.catalog),
@@ -160,8 +154,7 @@ class Deployment:
                     verifier_name=verifier_name,
                     client_timeout=config.client_timeout,
                     latency_recorder=self.latency,
-                    tracer=self._component_tracer,
-                    obs=self._component_obs,
+                    obs=self.obs,
                     client_index_offset=index * group_size,
                 )
             )
@@ -207,7 +200,8 @@ class Deployment:
             self.sim.schedule(index * stagger, group.start)
         # Per-run PERF discipline: delta over this baseline, not process
         # totals (warm pool workers and back-to-back runs share the global).
-        self.obs.on_run_start()
+        if self.obs is not None:
+            self.obs.on_run_start()
         # lint: ignore[DET001] wall_clock_seconds is a declared HOST_SPEED_FIELDS field
         started = time.perf_counter()
         self.sim.run(until=duration)
@@ -242,7 +236,7 @@ class Deployment:
         )
         if self.fault_engine is not None:
             result.extra.update(self.fault_engine.metrics(duration))
-        if self.obs.enabled:
+        if self.obs is not None:
             result.obs = self.obs.finalize(duration, extra=result.extra)
         return result
 
@@ -308,8 +302,7 @@ class ServerlessDeployment(Deployment):
             expected_executors=config.num_executors,
             quorum_timeout=config.verifier_quorum_timeout,
             throughput=self.throughput,
-            tracer=self._component_tracer,
-            obs=self._component_obs,
+            obs=self.obs,
         )
         self.storage_service = StorageService(
             sim=self.sim,
@@ -336,8 +329,7 @@ class ServerlessDeployment(Deployment):
                 verifier_name="verifier",
                 consensus_engine=consensus_engine,
                 behaviour=node_behaviours.get(name),
-                tracer=self._component_tracer,
-                obs=self._component_obs,
+                obs=self.obs,
             )
             self.nodes.append(node)
 
@@ -384,8 +376,7 @@ class ServerlessDeployment(Deployment):
             required_certificate_signers=self._executor_required_signers,
             per_operation_cost=self.config.executor_read_ops_cost,
             behaviour=behaviour,
-            tracer=self._component_tracer,
-            obs=self._component_obs,
+            obs=self.obs,
         )
         self._executor_counter += 1
         if isinstance(payload, ExecuteMsg):

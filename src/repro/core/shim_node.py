@@ -43,7 +43,6 @@ from repro.faults.byzantine import NodeBehaviour
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.process import SimProcess
-from repro.sim.tracing import Tracer
 from repro.workload.transactions import Transaction, TransactionBatch
 
 
@@ -65,7 +64,6 @@ class ShimNode(SimProcess):
         verifier_name: str,
         consensus_engine: str = "pbft",
         behaviour: Optional[NodeBehaviour] = None,
-        tracer: Optional[Tracer] = None,
         obs=None,
         batch_flush_timeout: float = 0.02,
     ) -> None:
@@ -77,7 +75,6 @@ class ShimNode(SimProcess):
         self._cloud = cloud
         self._verifier_name = verifier_name
         self._behaviour = behaviour
-        self._tracer = tracer
         self._obs = obs
         self._batch_flush_timeout = batch_flush_timeout
 
@@ -92,7 +89,6 @@ class ShimNode(SimProcess):
         self._request_seq: Dict[str, int] = {}
         self._retransmission_timers: Dict[str, Any] = {}
         self._spawned_executors = 0
-        self._forwarded_requests = 0
         self._planner = ConflictPlanner()
         self._primary_change_listeners: List[Callable[[str], None]] = []
         self._crashed = False
@@ -121,7 +117,6 @@ class ShimNode(SimProcess):
                 cost_model=costs,
                 host=self,
                 on_committed=self._on_committed,
-                tracer=tracer,
                 obs=obs,
             )
         else:
@@ -138,7 +133,6 @@ class ShimNode(SimProcess):
                 host=self,
                 on_committed=self._on_committed,
                 on_view_installed=self._on_view_installed,
-                tracer=tracer,
                 obs=obs,
                 behaviour=behaviour,
             )
@@ -176,16 +170,8 @@ class ShimNode(SimProcess):
         return self._spawned_executors
 
     @property
-    def forwarded_requests(self) -> int:
-        return self._forwarded_requests
-
-    @property
     def verified_sequence_numbers(self) -> set:
         return set(self._verified_seqs)
-
-    @property
-    def pending_transactions(self) -> int:
-        return len(self._pending_txns)
 
     def add_primary_change_listener(self, listener: Callable[[str], None]) -> None:
         self._primary_change_listeners.append(listener)
@@ -243,7 +229,6 @@ class ShimNode(SimProcess):
     def _on_client_request(self, request: ClientRequestMsg, sender: str) -> None:
         if not self.is_primary:
             # Non-primary nodes forward client requests to the current primary.
-            self._forwarded_requests += 1
             self.process(
                 self._config.message_handling_cost,
                 lambda: self._network.send(
@@ -478,5 +463,5 @@ class ShimNode(SimProcess):
         self._maybe_propose()
 
     def _trace(self, category: str, **details) -> None:
-        if self._tracer is not None:
-            self._tracer.record(self.now, category, self.name, **details)
+        if self._obs is not None:
+            self._obs.record(self.now, category, self.name, **details)

@@ -44,7 +44,6 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.process import SimProcess
 from repro.sim.stats import LatencyRecorder, ThroughputRecorder
-from repro.sim.tracing import Tracer
 from repro.storage.kvstore import VersionedKVStore
 
 
@@ -86,7 +85,6 @@ class Verifier(SimProcess):
         expected_executors: int,
         quorum_timeout: float = 2.0,
         throughput: Optional[ThroughputRecorder] = None,
-        tracer: Optional[Tracer] = None,
         obs=None,
         verify_processing_cost: float = 30e-6,
         write_cost_per_key: float = 5e-6,
@@ -102,7 +100,6 @@ class Verifier(SimProcess):
         self._expected_executors = expected_executors
         self._quorum_timeout = quorum_timeout
         self._throughput = throughput or ThroughputRecorder()
-        self._tracer = tracer
         self._obs = obs
         self._verify_processing_cost = verify_processing_cost
         self._write_cost_per_key = write_cost_per_key
@@ -131,7 +128,6 @@ class Verifier(SimProcess):
         self._ignored_verify = 0
         self._replace_sent = 0
         self._errors_sent = 0
-        self._acks_sent = 0
         network.register(name, region, self.on_message)
 
     # ------------------------------------------------------------------ metrics
@@ -159,14 +155,6 @@ class Verifier(SimProcess):
     @property
     def error_messages_sent(self) -> int:
         return self._errors_sent
-
-    @property
-    def ack_messages_sent(self) -> int:
-        return self._acks_sent
-
-    @property
-    def throughput_recorder(self) -> ThroughputRecorder:
-        return self._throughput
 
     @property
     def validated_sequence_numbers(self) -> Set[int]:
@@ -480,10 +468,9 @@ class Verifier(SimProcess):
             missing_seq=value if kind == "seq" else None,
             request_id=value if kind == "request" else None,
         )
-        self._acks_sent += 1
         for node in self._shim_nodes:
             self._network.send(self.name, node, ack, ack.size_bytes)
 
     def _trace(self, category: str, **details) -> None:
-        if self._tracer is not None:
-            self._tracer.record(self.now, category, self.name, **details)
+        if self._obs is not None:
+            self._obs.record(self.now, category, self.name, **details)

@@ -32,10 +32,3 @@ class PerBatchExecutorFaults:
         if seen < self._count:
             return self._behaviour_factory()
         return None
-
-
-class AllExecutorsHonest:
-    """Explicit no-op factory (every executor honest)."""
-
-    def __call__(self, executor_id: str, execute: ExecuteMsg) -> Optional[ExecutorBehaviour]:
-        return None

@@ -25,10 +25,8 @@ docstring names the incident or invariant it guards):
   ``except`` and silent ``except Exception: pass`` swallows.
 
 Suppression is explicit and reviewable: an inline ``# lint: ignore[RULE]``
-comment (same line or the line above) with a justification, or an entry in
-a checked-in baseline file whose ``reason`` field must be filled in —
-``check`` fails on unexplained baseline entries, so the baseline can only
-shrink honestly.
+comment (same line or the line above) with a justification.  There is no
+baseline file.
 
 Run it with ``python -m repro.lint check src`` (see :mod:`repro.lint.cli`).
 The linter reads source text only; it imports nothing it scans and cannot
@@ -39,10 +37,9 @@ from __future__ import annotations
 
 from repro.lint.engine import Finding, LintResult, iter_python_files, run_lint
 from repro.lint.rules import RULES, Rule, get_rules
-from repro.lint.suppress import Baseline, parse_ignores
+from repro.lint.suppress import parse_ignores
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintResult",
     "RULES",

@@ -1,43 +1,26 @@
-"""``python -m repro.lint`` — check / rules / baseline.
+"""``python -m repro.lint`` — check / rules.
 
 Exit codes (stable; CI depends on them):
 
-* ``0`` — clean: no error findings, no unexplained baseline entries.
-* ``1`` — findings (or unexplained baseline entries).
-* ``2`` — usage error (unknown rule, unreadable baseline, bad arguments).
+* ``0`` — clean: no error findings.
+* ``1`` — findings.
+* ``2`` — usage error (unknown rule, bad arguments).
 
 ``check`` prints one ``path:line:col CODE message`` line per error (the
 format editors and CI annotators already parse); ``--json`` emits the
 machine-readable document described in ``tests/test_lint.py`` instead.
 ``rules`` prints the catalog with each rule's why-it-exists rationale.
-``baseline`` writes the current findings into a baseline file with blank
-reasons — ``check`` keeps failing until a human justifies each entry, so
-baselining is a starting point for a cleanup, never an amnesty.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional, Sequence
 
 from repro.lint.engine import LintResult, run_lint
 from repro.lint.rules import RULES
-from repro.lint.suppress import Baseline
-
-#: Default baseline filename probed in the current directory.
-DEFAULT_BASELINE = "lint_baseline.json"
-
-
-def _load_baseline(path: Optional[str]) -> Optional[Baseline]:
-    """Resolve the baseline: explicit path, else ./lint_baseline.json if any."""
-    if path is not None:
-        return Baseline.load(path)
-    if os.path.exists(DEFAULT_BASELINE):
-        return Baseline.load(DEFAULT_BASELINE)
-    return None
 
 
 def _print_human(result: LintResult, show_suppressed: bool) -> None:
@@ -52,32 +35,16 @@ def _print_human(result: LintResult, show_suppressed: bool) -> None:
                 f"{finding.path}:{finding.line}:{finding.col}: "
                 f"{finding.rule} [{finding.status}] {finding.message}"
             )
-    for entry in result.unexplained_baseline:
-        print(
-            f"{entry['path']}: baseline entry for {entry['rule']} "
-            f"({entry['snippet'][:60]!r}) has no reason — justify or remove it"
-        )
-    for entry in result.stale_baseline:
-        print(
-            f"note: stale baseline entry {entry['rule']} at {entry['path']} "
-            f"matches nothing anymore; prune it"
-        )
     counts = result.counts()
     print(
         f"[lint] {result.files_scanned} files, "
-        f"{counts['error']} error(s), {counts['suppressed']} suppressed, "
-        f"{counts['baselined']} baselined"
+        f"{counts['error']} error(s), {counts['suppressed']} suppressed"
     )
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
-        baseline = None if args.no_baseline else _load_baseline(args.baseline)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        result = run_lint(args.paths, rules=args.rules, baseline=baseline)
+        result = run_lint(args.paths, rules=args.rules)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -112,34 +79,6 @@ def _cmd_rules(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    try:
-        result = run_lint(args.paths, rules=args.rules, baseline=None)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    errors = result.errors
-    baseline = Baseline.from_findings(errors)
-    if args.update and os.path.exists(args.output):
-        # Keep existing (possibly justified) entries that still match.
-        try:
-            existing = Baseline.load(args.output)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        kept = {entry.key(): entry for entry in existing.entries}
-        baseline.entries = [
-            kept.get(entry.key(), entry) for entry in baseline.entries
-        ]
-    baseline.save(args.output)
-    blank = sum(1 for entry in baseline.entries if not entry.explained)
-    print(
-        f"[lint] wrote {len(baseline.entries)} entries to {args.output}"
-        + (f" ({blank} still need a reason before check passes)" if blank else "")
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
@@ -158,39 +97,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only these rules",
     )
     check.add_argument(
-        "--baseline", default=None, help=f"baseline file (default: ./{DEFAULT_BASELINE})"
-    )
-    check.add_argument(
-        "--no-baseline", action="store_true", help="ignore any baseline file"
-    )
-    check.add_argument(
         "--show-suppressed",
         action="store_true",
-        help="also print suppressed/baselined findings",
+        help="also print suppressed findings",
     )
     check.set_defaults(func=_cmd_check)
 
     rules = sub.add_parser("rules", help="print the rule catalog")
     rules.add_argument("--json", action="store_true")
     rules.set_defaults(func=_cmd_rules)
-
-    baseline = sub.add_parser(
-        "baseline", help="write current findings to a baseline file"
-    )
-    baseline.add_argument("paths", nargs="*", default=["src"])
-    baseline.add_argument(
-        "--rules",
-        type=lambda value: [code for code in value.split(",") if code],
-        default=None,
-        metavar="CODE[,CODE...]",
-    )
-    baseline.add_argument("--output", default=DEFAULT_BASELINE)
-    baseline.add_argument(
-        "--update",
-        action="store_true",
-        help="keep reasons of existing entries that still match",
-    )
-    baseline.set_defaults(func=_cmd_baseline)
     return parser
 
 

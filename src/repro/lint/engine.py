@@ -8,11 +8,8 @@
    finding, not a crash),
 3. runs every file rule over each tree and every project rule over the
    whole tree set,
-4. classifies each finding as ``error``, ``suppressed`` (an inline
-   ``# lint: ignore[RULE]`` covers it), or ``baselined`` (a baseline
-   entry with a filled-in reason covers it), and
-5. reports unexplained baseline entries as errors and stale entries
-   (matching nothing anymore) for pruning.
+4. classifies each finding as ``error`` or ``suppressed`` (an inline
+   ``# lint: ignore[RULE]`` covers it).
 
 The engine reads source text only — nothing it scans is imported, so
 linting can never execute simulation code or perturb runtime digests.
@@ -26,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.rules import FileRule, ProjectRule, RawFinding, Rule, get_rules
-from repro.lint.suppress import Baseline, is_suppressed, parse_ignores
+from repro.lint.suppress import is_suppressed, parse_ignores
 
 #: Pseudo-rule code attached to files the parser rejects.
 SYNTAX_RULE = "SYNTAX"
@@ -41,10 +38,9 @@ class Finding:
     line: int
     col: int
     message: str
-    #: The stripped source line — what baseline entries match on, so line
-    #: drift from unrelated edits does not invalidate them.
+    #: The stripped source line.
     snippet: str = ""
-    #: ``error`` | ``suppressed`` | ``baselined``.
+    #: ``error`` | ``suppressed``.
     status: str = "error"
 
     def to_dict(self) -> Dict[str, object]:
@@ -65,10 +61,6 @@ class LintResult:
 
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    #: Baseline entries no current finding matches (prune them).
-    stale_baseline: List[Dict[str, str]] = field(default_factory=list)
-    #: Baseline entries without a justification (reported as errors).
-    unexplained_baseline: List[Dict[str, str]] = field(default_factory=list)
 
     @property
     def errors(self) -> List[Finding]:
@@ -76,10 +68,10 @@ class LintResult:
 
     @property
     def ok(self) -> bool:
-        return not self.errors and not self.unexplained_baseline
+        return not self.errors
 
     def counts(self) -> Dict[str, int]:
-        counts = {"error": 0, "suppressed": 0, "baselined": 0}
+        counts = {"error": 0, "suppressed": 0}
         for finding in self.findings:
             counts[finding.status] = counts.get(finding.status, 0) + 1
         return counts
@@ -92,8 +84,6 @@ class LintResult:
             "ok": self.ok,
             "counts": self.counts(),
             "findings": [finding.to_dict() for finding in self.findings],
-            "stale_baseline": list(self.stale_baseline),
-            "unexplained_baseline": list(self.unexplained_baseline),
         }
 
 
@@ -124,7 +114,7 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
 
 
 def _normalise(path: str) -> str:
-    """Stable, cwd-relative-when-possible posix path for reports/baselines."""
+    """Stable, cwd-relative-when-possible posix path for reports."""
     relative = os.path.relpath(path)
     chosen = relative if not relative.startswith("..") else os.path.abspath(path)
     return chosen.replace(os.sep, "/")
@@ -139,7 +129,6 @@ def _snippet(source_lines: Sequence[str], line: int) -> str:
 def run_lint(
     paths: Sequence[str],
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintResult:
     """Lint ``paths`` with the requested rules (all registered by default)."""
     selected: List[Rule] = get_rules(list(rules) if rules is not None else None)
@@ -201,19 +190,7 @@ def run_lint(
         )
         if is_suppressed(ignores.get(path, {}), code, item.line):
             finding.status = "suppressed"
-        elif baseline is not None:
-            entry = baseline.match(finding)
-            if entry is not None and entry.explained:
-                finding.status = "baselined"
         result.findings.append(finding)
 
     result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    if baseline is not None:
-        result.stale_baseline = [
-            entry.to_dict() for entry in baseline.stale_entries(result.findings)
-        ]
-        result.unexplained_baseline = [
-            entry.to_dict() for entry in baseline.unexplained_entries()
-        ]
     return result

@@ -39,7 +39,7 @@ class RawFinding:
 class Rule:
     """Base for all rules; concrete rules derive File/ProjectRule."""
 
-    #: Stable identifier, e.g. ``"DET001"`` — what ignores/baselines name.
+    #: Stable identifier, e.g. ``"DET001"`` — what inline ignores name.
     code: str = ""
     #: One-line human summary for the ``rules`` listing.
     summary: str = ""

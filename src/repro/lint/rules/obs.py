@@ -1,23 +1,23 @@
 """OBS003 — obs instrumentation without the ``is not None`` guard.
 
 Why this rule exists: the flight recorder's zero-cost-off invariant
-(PERFORMANCE.md) is that a disabled run executes the exact pre-obs hot
-path.  That holds because ``ObsContext.component()`` hands components
-``None`` when observability is off, and **every** instrumentation site is
-a single ``if self._obs is not None:`` branch.  One unguarded
-``self._obs.begin_span(...)`` either crashes obs-off runs
-(``AttributeError`` on ``None``) or — worse — forces ``component()`` to
-return a live object for disabled runs, quietly re-introducing per-event
-overhead that the obs-on/obs-off digest suite cannot see (digests stay
-identical; only the hot path got slower).
+(PERFORMANCE.md) is that an untraced run executes the exact pre-obs hot
+path.  That holds because an untraced deployment builds no recorder and
+hands every component ``None``, and **every** instrumentation site is a
+single ``if self._obs is not None:`` branch.  One unguarded
+``self._obs.begin_span(...)`` either crashes untraced runs
+(``AttributeError`` on ``None``) or — worse — tempts someone to hand
+untraced runs a live object, quietly re-introducing per-event overhead
+that the obs-on/obs-off digest suite cannot see (digests stay identical;
+only the hot path got slower).
 
 The rule flags *instrumentation* calls (``begin_span``/``end_span`` and
 metric-emission methods) on a receiver named ``obs`` / ``_obs`` (bare or
 as an attribute, e.g. ``self._obs``) that are not dominated by an
 ``is not None`` test of the same receiver.  Owner-side lifecycle calls —
-the simulation calling ``component()``/``on_run_start()``/``finalize()``
-on the concrete ``ObsContext`` it constructed — are not instrumentation
-sites and are exempt.  Recognised guard shapes::
+the deployment calling ``on_run_start()``/``finalize()`` on the
+``ObsContext`` it constructed — are not instrumentation sites and are
+exempt.  Recognised guard shapes::
 
     if self._obs is not None:
         self._obs.begin_span(...)          # guarded
@@ -43,9 +43,8 @@ from repro.lint.rules import FileRule, RawFinding, register
 _OBS_NAMES = frozenset({"obs", "_obs"})
 
 #: Per-event instrumentation methods a component may call on its (possibly
-#: None) obs handle.  Owner-side lifecycle methods (``component``,
-#: ``on_run_start``, ``finalize``, ...) are called on the concrete context
-#: and deliberately absent.
+#: None) obs handle.  Owner-side lifecycle methods (``on_run_start``,
+#: ``finalize``) are called on the concrete context and deliberately absent.
 _INSTRUMENTATION_METHODS = frozenset(
     {
         "begin_span",

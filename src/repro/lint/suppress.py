@@ -1,34 +1,18 @@
-"""Suppression: inline ``# lint: ignore[RULE]`` comments and the baseline.
+"""Suppression: inline ``# lint: ignore[RULE]`` comments.
 
-Two sanctioned ways to silence a finding, both reviewable in diffs:
+The one sanctioned way to silence a finding, reviewable in the diff that
+adds it: a comment on the offending line (or on a comment-only line
+directly above it)::
 
-* An inline comment on the offending line (or on a comment-only line
-  directly above it)::
+    started = time.perf_counter()  # lint: ignore[DET001] host wall-clock
 
-      started = time.perf_counter()  # lint: ignore[DET001] host wall-clock
-
-  Multiple codes separate with commas: ``# lint: ignore[DET001,EXC005]``.
-
-* A checked-in baseline file (JSON) listing pre-existing findings.  Each
-  entry matches by ``(rule, path, snippet)`` — not by line number, so
-  unrelated edits above a baselined site do not invalidate it — and must
-  carry a non-empty ``reason`` that does not start with ``TODO``:
-  ``check`` reports unexplained entries as errors, which is what keeps the
-  baseline an honest ratchet instead of a dumping ground.
+Multiple codes separate with commas: ``# lint: ignore[DET001,EXC005]``.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.lint.engine import Finding
-
-#: Current baseline file layout; bumped on incompatible changes.
-BASELINE_VERSION = 1
+from typing import Dict, Set
 
 _IGNORE_RE = re.compile(r"#\s*lint:\s*ignore\[([A-Za-z0-9_,\s]+)\]")
 _COMMENT_ONLY_RE = re.compile(r"^\s*#")
@@ -59,106 +43,3 @@ def parse_ignores(source: str) -> Dict[int, Set[str]]:
 def is_suppressed(ignores: Dict[int, Set[str]], rule: str, line: int) -> bool:
     """Whether an inline ignore covers ``rule`` at ``line``."""
     return rule.upper() in ignores.get(line, ())
-
-
-# ------------------------------------------------------------------ baseline
-
-
-@dataclass
-class BaselineEntry:
-    """One acknowledged pre-existing finding."""
-
-    rule: str
-    path: str
-    snippet: str
-    reason: str = ""
-
-    @property
-    def explained(self) -> bool:
-        """An entry is explained when someone wrote down *why* it stays."""
-        reason = self.reason.strip()
-        return bool(reason) and not reason.upper().startswith("TODO")
-
-    def key(self) -> Tuple[str, str, str]:
-        return (self.rule.upper(), self.path, self.snippet)
-
-    def to_dict(self) -> Dict[str, str]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "snippet": self.snippet,
-            "reason": self.reason,
-        }
-
-
-@dataclass
-class Baseline:
-    """The checked-in set of acknowledged findings."""
-
-    entries: List[BaselineEntry] = field(default_factory=list)
-    path: Optional[str] = None
-
-    @classmethod
-    def load(cls, path: str) -> "Baseline":
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if not isinstance(payload, dict) or "entries" not in payload:
-            raise ValueError(f"{path}: not a lint baseline file (no 'entries')")
-        version = payload.get("version")
-        if version != BASELINE_VERSION:
-            raise ValueError(
-                f"{path}: baseline version {version!r} != {BASELINE_VERSION}"
-            )
-        entries = [
-            BaselineEntry(
-                rule=str(raw.get("rule", "")),
-                path=str(raw.get("path", "")),
-                snippet=str(raw.get("snippet", "")),
-                reason=str(raw.get("reason", "")),
-            )
-            for raw in payload["entries"]
-        ]
-        return cls(entries=entries, path=path)
-
-    def save(self, path: str) -> None:
-        payload = {
-            "version": BASELINE_VERSION,
-            "entries": [entry.to_dict() for entry in sorted(
-                self.entries, key=lambda entry: entry.key()
-            )],
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    def match(self, finding: "Finding") -> Optional[BaselineEntry]:
-        """The entry covering ``finding``, or None."""
-        key = (finding.rule.upper(), finding.path, finding.snippet)
-        for entry in self.entries:
-            if entry.key() == key:
-                return entry
-        return None
-
-    def stale_entries(self, findings: List["Finding"]) -> List[BaselineEntry]:
-        """Entries that no current finding matches (fixed code → prune them)."""
-        seen = {(f.rule.upper(), f.path, f.snippet) for f in findings}
-        return [entry for entry in self.entries if entry.key() not in seen]
-
-    def unexplained_entries(self) -> List[BaselineEntry]:
-        return [entry for entry in self.entries if not entry.explained]
-
-    @classmethod
-    def from_findings(cls, findings: List["Finding"]) -> "Baseline":
-        """A baseline acknowledging every given finding (reasons left blank).
-
-        Blank reasons make ``check`` fail until a human justifies each
-        entry — writing a baseline is a starting point, not an amnesty.
-        """
-        entries = [
-            BaselineEntry(rule=f.rule, path=f.path, snippet=f.snippet)
-            for f in findings
-        ]
-        unique: Dict[Tuple[str, str, str], BaselineEntry] = {}
-        for entry in entries:
-            unique.setdefault(entry.key(), entry)
-        return cls(entries=list(unique.values()))

@@ -1,16 +1,19 @@
-"""The per-run observability context.
+"""The per-run recorder.
 
-One :class:`ObsContext` per deployment replaces the scattered fragments
-observability used to live in: the in-memory :class:`~repro.sim.tracing.Tracer`,
-the process-global :data:`repro.perf.PERF` counters (absorbed as a per-run
-snapshot/delta), and the watchdog's loose ``result.extra`` keys (mirrored as
-``fault.*`` gauges).  The simulation constructs it once, threads it to
-components the same way the tracer is threaded — ``None`` when disabled, so
-a disabled run pays zero per-event cost — and collects everything into one
-JSON-able payload at the end of the run.
+One :class:`ObsContext` per traced deployment records everything the run is
+later asked about: the bounded log of protocol milestones (consensus
+started, request committed, executors spawned, transaction verified, attack
+detected, view change, …) that tests and examples read back to assert
+protocol-level properties without poking at component internals, the
+commit-path span log, the process-global :data:`repro.perf.PERF` counters
+(absorbed as a per-run snapshot/delta), and the watchdog's loose
+``result.extra`` keys (mirrored as ``fault.*`` gauges).  A traced deployment
+hands the context to every component; an untraced one hands them ``None``
+and builds no context at all, so it pays one ``is not None`` test per
+instrumentation site and nothing else.
 
-The payload is attached to ``SimulationResult.obs``, which is a *host-side*
-field: it is excluded from ``simulated_fingerprint`` exactly like
+The collected payload is attached to ``SimulationResult.obs``, which is a
+*host-side* field: it is excluded from ``simulated_fingerprint`` exactly like
 ``wall_clock_seconds``, so observability on/off can never change a result
 digest (the A/B suite in ``tests/test_obs.py`` enforces this across all
 four systems).
@@ -18,18 +21,18 @@ four systems).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional
+import warnings
+from dataclasses import dataclass, field
+from typing import Any, Dict, Hashable, List, Mapping, Optional
 
 from repro.obs.export import OBS_SCHEMA_VERSION
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import DEFAULT_SPAN_CAPACITY, SpanLog
+from repro.obs.spans import SpanLog
 from repro.perf import PERF
 from repro.sim.stats import LatencyRecorder
-from repro.sim.tracing import Tracer
 
-#: Default bound on retained trace events per run (the tracer counts what
-#: it drops past this — see the exported header's ``trace_dropped``).
-DEFAULT_TRACE_CAPACITY = 250_000
+#: Bound on retained trace events per run: the first ``TRACE_CAPACITY`` are
+#: kept, the rest counted (the exported header's ``trace_dropped``).
+TRACE_CAPACITY = 250_000
 
 #: Span names of the commit path, in pipeline order (used by the CLI and
 #: report layer to order phase columns deterministically).
@@ -39,30 +42,68 @@ COMMIT_PHASES = ("request", "consensus", "spawn", "execute", "verify", "commit")
 FAULT_PHASES = ("view_change", "recovery")
 
 
-class ObsContext:
-    """Owns the tracer, span log, and metrics registry of one run."""
+@dataclass(frozen=True)
+class TraceEvent:
+    """One recorded milestone."""
 
-    def __init__(
-        self,
-        enabled: bool,
-        trace_capacity: Optional[int] = DEFAULT_TRACE_CAPACITY,
-        span_capacity: int = DEFAULT_SPAN_CAPACITY,
-    ) -> None:
-        self.enabled = bool(enabled)
-        self.tracer = Tracer(enabled=self.enabled, capacity=trace_capacity)
-        self.spans = SpanLog(capacity=span_capacity)
-        self.metrics = MetricsRegistry()
+    time: float
+    category: str
+    actor: str
+    details: Dict[str, Any] = field(default_factory=dict)
+
+
+class ObsContext:
+    """Owns the event log and the span log of one run and assembles its payload."""
+
+    def __init__(self) -> None:
+        self.spans = SpanLog()
+        self._events: List[TraceEvent] = []
+        self._dropped = 0
         self._perf_baseline: Optional[Dict[str, int]] = None
 
-    def component(self) -> Optional["ObsContext"]:
-        """What components receive: ``self`` when enabled, else ``None``.
+    # ------------------------------------------------------------------ event log
 
-        The same pattern the tracer uses — a component guards every
-        emission with ``if self._obs is not None``, so a disabled run has
-        no per-event branch beyond that single None test it already pays
-        for the tracer.
+    @property
+    def dropped(self) -> int:
+        """Events discarded because the log was already at capacity."""
+        return self._dropped
+
+    def record(self, time: float, category: str, actor: str, **details: Any) -> None:
+        """Append one milestone; past capacity, count it instead.
+
+        Keep-first-N: tests read the start of a run, and a silent discard
+        would make a truncated trace look complete — so the first drop
+        warns, once, and every drop is counted.
         """
-        return self if self.enabled else None
+        if len(self._events) >= TRACE_CAPACITY:
+            if self._dropped == 0:
+                warnings.warn(
+                    f"trace capacity {TRACE_CAPACITY} reached; further events "
+                    f"are dropped (counted in ObsContext.dropped)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            self._dropped += 1
+            return
+        self._events.append(TraceEvent(time=time, category=category, actor=actor, details=details))
+
+    def events(self, category: Optional[str] = None, actor: Optional[str] = None) -> List[TraceEvent]:
+        """Return recorded events, optionally filtered by category and actor."""
+        result = self._events
+        if category is not None:
+            result = [event for event in result if event.category == category]
+        if actor is not None:
+            result = [event for event in result if event.actor == actor]
+        return list(result)
+
+    def count(self, category: str) -> int:
+        return sum(1 for event in self._events if event.category == category)
+
+    def last(self, category: str) -> Optional[TraceEvent]:
+        for event in reversed(self._events):
+            if event.category == category:
+                return event
+        return None
 
     # ------------------------------------------------------------------ spans
 
@@ -83,19 +124,16 @@ class ObsContext:
         """
         self._perf_baseline = PERF.snapshot()
 
-    def perf_delta(self) -> Dict[str, int]:
-        return PERF.delta_since(self._perf_baseline or {})
-
     # ------------------------------------------------------------------ collect
 
     def finalize(
         self, duration: float, extra: Optional[Mapping[str, float]] = None
     ) -> Dict[str, object]:
         """Assemble the run's JSON-able observability payload."""
-        self.metrics.absorb_counters("perf", self.perf_delta())
-        if extra:
-            self.metrics.absorb_gauges("fault", extra)
-        self.metrics.gauge("run.duration", float(duration))
+        perf = PERF.delta_since(self._perf_baseline or {})
+        counters = {f"perf.{name}": float(value) for name, value in perf.items()}
+        gauges = {f"fault.{name}": float(value) for name, value in (extra or {}).items()}
+        gauges["run.duration"] = float(duration)
 
         phases: Dict[str, Dict[str, float]] = {}
         durations = self.spans.durations_by_name()
@@ -123,14 +161,17 @@ class ObsContext:
                 "actor": event.actor,
                 "details": dict(event.details),
             }
-            for event in self.tracer
+            for event in self._events
         ]
         return {
             "schema": OBS_SCHEMA_VERSION,
-            "metrics": self.metrics.snapshot(),
+            "metrics": {
+                "counters": dict(sorted(counters.items())),
+                "gauges": dict(sorted(gauges.items())),
+            },
             "phases": phases,
             "spans": [span.to_dict() for span in self.spans.spans()],
             "spans_open": self.spans.open_count,
             "spans_dropped": self.spans.dropped,
-            "trace": {"events": events, "dropped": self.tracer.dropped},
+            "trace": {"events": events, "dropped": self._dropped},
         }

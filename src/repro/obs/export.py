@@ -4,7 +4,7 @@ A payload (the ``obs`` dict attached to a traced
 :class:`~repro.core.runner.SimulationResult`) flattens to one JSONL record
 per line: a header first, then metrics, per-phase summaries, spans, and
 trace events.  The header carries the schema version and the explicit drop
-counts of both bounded collectors (span ring buffer, tracer capacity), so a
+counts of both bounded collectors (span ring buffer, event log), so a
 reader always knows whether — and how much — the trace was truncated.
 
 ``records_to_payload`` inverts ``payload_to_records`` exactly, and
@@ -28,7 +28,7 @@ RECORD_TYPES = ("header", "metric", "phase", "span", "event")
 #: Required keys per record type (beyond ``record`` itself).
 _REQUIRED_KEYS = {
     "header": ("schema", "spans", "spans_open", "spans_dropped", "events", "trace_dropped"),
-    "metric": ("kind", "name"),
+    "metric": ("kind", "name", "value"),
     "phase": ("name", "summary"),
     "span": ("name", "key", "actor", "start", "end"),
     "event": ("time", "category", "actor", "details"),
@@ -60,10 +60,6 @@ def payload_to_records(payload: Mapping[str, object]) -> List[Dict[str, object]]
             records.append(
                 {"record": "metric", "kind": kind[:-1], "name": name, "value": value}
             )
-    for name, summary in metrics.get("histograms", {}).items():  # type: ignore[union-attr]
-        records.append(
-            {"record": "metric", "kind": "histogram", "name": name, "summary": dict(summary)}
-        )
     for name, summary in phases.items():  # type: ignore[union-attr]
         records.append({"record": "phase", "name": name, "summary": dict(summary)})
     for span in spans:  # type: ignore[union-attr]
@@ -77,7 +73,7 @@ def records_to_payload(records: Iterable[Mapping[str, object]]) -> Dict[str, obj
     """Rebuild the payload dict from its record sequence (exact inverse)."""
     payload: Dict[str, object] = {
         "schema": OBS_SCHEMA_VERSION,
-        "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+        "metrics": {"counters": {}, "gauges": {}},
         "phases": {},
         "spans": [],
         "spans_open": 0,
@@ -93,11 +89,7 @@ def records_to_payload(records: Iterable[Mapping[str, object]]) -> Dict[str, obj
             payload["spans_dropped"] = record["spans_dropped"]
             payload["trace"]["dropped"] = record["trace_dropped"]  # type: ignore[index]
         elif kind == "metric":
-            metric_kind = record["kind"]
-            if metric_kind == "histogram":
-                metrics["histograms"][record["name"]] = dict(record["summary"])  # type: ignore[index,arg-type,call-overload]
-            else:
-                metrics[f"{metric_kind}s"][record["name"]] = record["value"]  # type: ignore[index,call-overload]
+            metrics[f"{record['kind']}s"][record["name"]] = record["value"]  # type: ignore[index,call-overload]
         elif kind == "phase":
             payload["phases"][record["name"]] = dict(record["summary"])  # type: ignore[index,arg-type,call-overload]
         elif kind == "span":
@@ -136,12 +128,15 @@ def validate_records(records: Iterable[Mapping[str, object]]) -> List[str]:
                 )
         elif kind in counts:
             counts[kind] += 1
-        if kind in ("phase", "metric") and "summary" in record:
+        elif kind == "metric":
+            if record["kind"] not in ("counter", "gauge"):
+                errors.append(f"record {index} (metric): unknown kind {record['kind']!r}")
+        elif kind == "phase":
             summary = record["summary"]
             if not isinstance(summary, Mapping) or any(
                 key not in summary for key in _SUMMARY_KEYS
             ):
-                errors.append(f"record {index} ({kind}): malformed summary")
+                errors.append(f"record {index} (phase): malformed summary")
     if header is None:
         errors.append("no header record")
     else:

@@ -1,18 +1,12 @@
-"""Performance instrumentation for the simulator's hot paths.
+"""Process-global hot-path counters.
 
-This package is deliberately tiny and dependency-free (it is imported by
-``repro.crypto.hashing``, near the bottom of the dependency graph):
-
-* :data:`PERF` — a process-global :class:`PerfCounters` instance the hot
-  paths increment (digest cache hits, memoised batch executions, fast-path
-  scheduling).  Counter increments are plain attribute adds, cheap enough to
-  leave enabled permanently.
-* :func:`profile_run` — a ``cProfile`` wrapper used by ``PERFORMANCE.md``'s
-  methodology and the kernel-throughput benchmark to produce hot-path
-  inventories.
+Deliberately tiny and dependency-free (``repro.crypto.hashing``, near the
+bottom of the dependency graph, imports it): :data:`PERF` is the one
+:class:`PerfCounters` instance the hot paths increment (digest cache hits,
+memoised batch executions, heap compaction).  Counter increments are plain
+attribute adds, cheap enough to leave enabled permanently.
 """
 
 from repro.perf.counters import PERF, PerfCounters
-from repro.perf.profile import ProfileReport, profile_run
 
-__all__ = ["PERF", "PerfCounters", "ProfileReport", "profile_run"]
+__all__ = ["PERF", "PerfCounters"]

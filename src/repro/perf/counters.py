@@ -66,15 +66,6 @@ class PerfCounters:
             for field in fields(self)
         }
 
-    @property
-    def digest_cache_hit_rate(self) -> float:
-        total = self.digests_computed + self.digest_cache_hits
-        return self.digest_cache_hits / total if total else 0.0
-
-    def format(self) -> str:
-        lines = [f"  {name:32s} {value:>12,}" for name, value in self.snapshot().items()]
-        return "perf counters:\n" + "\n".join(lines)
-
 
 #: The process-global counter set used by the hot paths.
 PERF = PerfCounters()

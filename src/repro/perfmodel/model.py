@@ -71,10 +71,6 @@ class PipelineBreakdown:
     max_batches_per_second: float
     bottleneck: str
 
-    @property
-    def max_txn_per_second(self) -> float:
-        return self.max_batches_per_second
-
 
 class AnalyticalModel:
     """Analytical throughput/latency/cost model for one deployment."""

@@ -11,7 +11,6 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.rng import DeterministicRNG
 from repro.sim.process import CpuResource, SimProcess
 from repro.sim.network import Endpoint, LatencyModel, Network, NetworkFaultPlan, UniformLatencyModel
-from repro.sim.tracing import TraceEvent, Tracer
 from repro.sim.stats import LatencyRecorder, ThroughputRecorder
 
 __all__ = [
@@ -26,7 +25,5 @@ __all__ = [
     "SimProcess",
     "Simulator",
     "ThroughputRecorder",
-    "TraceEvent",
-    "Tracer",
     "UniformLatencyModel",
 ]

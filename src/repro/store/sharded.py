@@ -96,7 +96,6 @@ class ShardedStore:
         self._dir = directory
         os.makedirs(directory, exist_ok=True)
         token = sanitize_token(shard) if shard is not None else default_shard_token()
-        self._token = token
         own_path = _shard_path(directory, token)
         self._own = JsonlBackend(own_path)
         self._peers = [
@@ -115,15 +114,6 @@ class ShardedStore:
     @property
     def path(self) -> str:
         return self._dir
-
-    @property
-    def shard_token(self) -> str:
-        return self._token
-
-    @property
-    def shard_path(self) -> str:
-        """The JSONL file this process appends to."""
-        return self._own.path
 
     def __len__(self) -> int:
         return len(self._records)

@@ -125,9 +125,6 @@ class YCSBWorkload:
     def config(self) -> YCSBConfig:
         return self._config
 
-    def initial_value(self) -> str:
-        return "v" * self._config.value_size_bytes
-
     # ------------------------------------------------------------- transactions
 
     def next_transaction(
@@ -358,6 +355,3 @@ class YCSBWorkload:
             offset = self._draw_offset()
         # Skip the hot range so private keys never collide with hot keys.
         return f"user{self._hot_count + (start + offset) % self._private_modulus}"
-
-    def _rng_value(self) -> str:
-        return f"val-{self._draw_value()}"

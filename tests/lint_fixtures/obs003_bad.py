@@ -6,8 +6,8 @@ class Executor:
         self._obs = obs
 
     def on_execute(self, seq, now):
-        # Unguarded: obs-off runs receive None here and crash (or force
-        # component() to return a live object, killing zero-cost-off).
+        # Unguarded: untraced runs receive None here and crash (or get
+        # handed a live recorder, killing zero-cost-off).
         self._obs.begin_span("execute", seq, now, "executor")  # <- OBS003
 
     def on_done(self, seq, now):
@@ -20,6 +20,9 @@ class Executor:
             obs.begin_span("execute", seq, now, "executor")  # guarded: fine
         obs = self._fresh()
         obs.end_span("execute", seq, now)  # <- OBS003 (reassigned after guard)
+
+    def _trace(self, category, now):
+        self._obs.record(now, category, "executor")  # <- OBS003
 
     def _fresh(self):
         return None

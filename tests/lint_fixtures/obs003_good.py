@@ -24,3 +24,7 @@ class Executor:
 
     def span_or_default(self, seq, now):
         return self._obs.begin_span("x", seq, now, "e") if self._obs is not None else None
+
+    def _trace(self, category, now):
+        if self._obs is not None:
+            self._obs.record(now, category, "executor")

@@ -330,6 +330,10 @@ def test_run_with_store_caches_and_resumes(tmp_path):
     first = run(spec, store=store_path)  # a path is accepted directly
     store = JsonlBackend(store_path)
     assert len(store) == 1 and spec_digest(spec) in store
+    # Same host-side fields as a sweep's or a pool worker's record.
+    assert set(store.get(spec_digest(spec))["timing"]) == {
+        "setup_seconds", "simulate_seconds", "collect_seconds",
+    }
 
     # Second run: served from the store, bit-identical simulated metrics.
     second = run(spec, store=store)

@@ -317,7 +317,7 @@ def test_duplicating_network_run_is_deterministic_and_one_verify_per_executor():
             tracer_enabled=True,
             duration=1.5,
         )
-        sent = [event.actor for event in simulation.tracer.events("executor.verify_sent")]
+        sent = [event.actor for event in simulation.obs.events("executor.verify_sent")]
         return result, sent
 
     first, sent = run()

@@ -110,7 +110,7 @@ def test_preloaded_storage_round_trip():
 
 def test_tracer_captures_protocol_milestones():
     simulation, _result = run_simulation(tracer_enabled=True)
-    tracer = simulation.tracer
+    tracer = simulation.obs
     assert tracer.count("pbft.committed") > 0
     assert tracer.count("node.executors_spawned") > 0
     assert tracer.count("verifier.validated") > 0

@@ -1,4 +1,4 @@
-"""Tests for ``repro.lint``: rules, suppression, baseline, CLI, clean tree.
+"""Tests for ``repro.lint``: rules, suppression, CLI, clean tree.
 
 Layers covered:
 
@@ -6,9 +6,7 @@ Layers covered:
   fixture and passes its ``_good.py`` twin (parametrised over the registry,
   so adding a rule without fixtures fails here);
 * the PR 2 ``hash()`` bug reconstruction is caught by DET001;
-* inline ``# lint: ignore[RULE]`` suppression and the baseline round trip
-  (write → unexplained entries still fail → justified entries pass →
-  stale entries reported);
+* inline ``# lint: ignore[RULE]`` suppression (the only exemption);
 * the JSON output schema and the CLI's stable exit codes;
 * the shipped tree itself lints clean (``check src`` exits 0) — the
   acceptance gate CI's static-analysis job re-runs;
@@ -27,7 +25,7 @@ import textwrap
 
 import pytest
 
-from repro.lint import Baseline, run_lint
+from repro.lint import run_lint
 from repro.lint.cli import main
 from repro.lint.rules import RULES, FileRule, ProjectRule
 
@@ -144,65 +142,19 @@ def test_suppression_is_rule_specific(tmp_path):
     assert len(result.errors) == 1  # DET001 is not covered by EXC005's ignore
 
 
-# ------------------------------------------------------------------ baseline
-
-
-def test_baseline_round_trip(tmp_path):
-    bad = os.path.join(FIXTURES, "exc005_bad.py")
-    findings = run_lint([bad]).errors
-    assert findings
-
-    baseline = Baseline.from_findings(findings)
-    baseline_path = tmp_path / "baseline.json"
-    baseline.save(str(baseline_path))
-
-    # Unexplained entries do NOT suppress — and are themselves errors.
-    loaded = Baseline.load(str(baseline_path))
-    result = run_lint([bad], baseline=loaded)
-    assert result.errors and result.unexplained_baseline
-    assert not result.ok
-
-    # Justify every entry: findings become `baselined`, check passes.
-    for entry in loaded.entries:
-        entry.reason = "pre-existing; tracked in cleanup issue #99"
-    loaded.save(str(baseline_path))
-    rejustified = Baseline.load(str(baseline_path))
-    result = run_lint([bad], baseline=rejustified)
-    assert result.ok
-    assert not result.errors
-    assert codes(result, status="baselined") == {"EXC005"}
-    assert not result.stale_baseline
-
-    # A baseline entry whose code was fixed shows up as stale.
-    good_only = run_lint([os.path.join(FIXTURES, "exc005_good.py")], baseline=rejustified)
-    assert len(good_only.stale_baseline) == len(rejustified.entries)
-
-
-def test_baseline_matches_by_snippet_not_line(tmp_path):
-    source = "import time\na = time.time()\n"
-    path = tmp_path / "drift.py"
-    path.write_text(source)
-    baseline = Baseline.from_findings(run_lint([str(path)]).errors)
-    for entry in baseline.entries:
-        entry.reason = "legacy wall-clock site"
-    # Shift the finding down two lines; the snippet still matches.
-    path.write_text("import time\n\n\na = time.time()\n")
-    result = run_lint([str(path)], baseline=baseline)
-    assert result.ok
-
-
 # ------------------------------------------------------------------ JSON + CLI
 
 
 def test_json_output_schema(capsys):
     bad = os.path.join(FIXTURES, "mut004_bad.py")
-    exit_code = main(["check", bad, "--no-baseline", "--json"])
+    exit_code = main(["check", bad, "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert exit_code == 1
     assert payload["version"] == 1
     assert payload["ok"] is False
     assert payload["files_scanned"] == 1
-    assert set(payload["counts"]) == {"error", "suppressed", "baselined"}
+    assert set(payload) == {"version", "ok", "files_scanned", "counts", "findings"}
+    assert set(payload["counts"]) == {"error", "suppressed"}
     assert payload["counts"]["error"] == len(payload["findings"])
     for finding in payload["findings"]:
         assert set(finding) == {
@@ -210,16 +162,15 @@ def test_json_output_schema(capsys):
         }
         assert finding["rule"] == "MUT004"
         assert finding["line"] > 0
-    assert payload["stale_baseline"] == []
-    assert payload["unexplained_baseline"] == []
 
 
 def test_cli_exit_codes(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
-    assert main(["check", str(clean), "--no-baseline"]) == 0
-    assert main(["check", os.path.join(FIXTURES, "det001_bad.py"), "--no-baseline"]) == 1
+    assert main(["check", str(clean)]) == 0
+    assert main(["check", os.path.join(FIXTURES, "det001_bad.py")]) == 1
     assert main(["check", str(clean), "--rules", "NOPE999"]) == 2
+    # There is no baseline file: the old flag is a usage error like any other.
     assert main(["check", str(clean), "--baseline", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
 
@@ -238,29 +189,8 @@ def test_cli_rules_listing(capsys):
 def test_cli_rule_selection(capsys):
     bad = os.path.join(FIXTURES, "det001_bad.py")
     # Restricting to another rule means the DET001 findings vanish.
-    assert main(["check", bad, "--no-baseline", "--rules", "EXC005"]) == 0
+    assert main(["check", bad, "--rules", "EXC005"]) == 0
     capsys.readouterr()
-
-
-def test_cli_baseline_subcommand(tmp_path, capsys, monkeypatch):
-    bad = os.path.join(FIXTURES, "exc005_bad.py")
-    out = tmp_path / "baseline.json"
-    assert main(["baseline", bad, "--output", str(out)]) == 0
-    capsys.readouterr()
-    # The freshly written baseline has blank reasons: check still fails.
-    assert main(["check", bad, "--baseline", str(out)]) == 1
-    capsys.readouterr()
-    # Justify, re-check: passes.  --update keeps the justified reasons.
-    loaded = Baseline.load(str(out))
-    for entry in loaded.entries:
-        entry.reason = "legacy; to be fixed"
-    loaded.save(str(out))
-    assert main(["check", bad, "--baseline", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["baseline", bad, "--output", str(out), "--update"]) == 0
-    capsys.readouterr()
-    reloaded = Baseline.load(str(out))
-    assert all(entry.reason == "legacy; to be fixed" for entry in reloaded.entries)
 
 
 # ------------------------------------------------------------------ the tree

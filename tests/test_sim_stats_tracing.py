@@ -1,11 +1,11 @@
-"""Unit tests for statistics recorders and the tracer."""
+"""Unit tests for statistics recorders and the recorder's event log."""
 
 import warnings
 
 import pytest
 
+from repro.obs import ObsContext
 from repro.sim.stats import LatencyRecorder, ThroughputRecorder
-from repro.sim.tracing import Tracer
 
 
 def test_latency_summary_basic():
@@ -76,34 +76,30 @@ def test_throughput_empty():
 
 
 def test_tracer_records_and_filters():
-    tracer = Tracer()
+    tracer = ObsContext()
     tracer.record(0.1, "pbft.committed", "node-0", seq=1)
     tracer.record(0.2, "pbft.committed", "node-1", seq=1)
     tracer.record(0.3, "verifier.validated", "verifier", seq=1)
-    assert len(tracer) == 3
+    assert len(tracer.events()) == 3
     assert tracer.count("pbft.committed") == 2
     assert len(tracer.events(category="pbft.committed", actor="node-0")) == 1
     assert tracer.last("verifier.validated").details["seq"] == 1
     assert tracer.last("missing") is None
 
 
-def test_tracer_disabled_records_nothing():
-    tracer = Tracer(enabled=False)
-    tracer.record(0.1, "anything", "actor")
-    assert len(tracer) == 0
-
-
-def test_tracer_capacity_limit():
-    tracer = Tracer(capacity=2)
+def test_tracer_capacity_limit(monkeypatch):
+    monkeypatch.setattr("repro.obs.context.TRACE_CAPACITY", 2)
+    tracer = ObsContext()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for index in range(5):
             tracer.record(index, "cat", "actor")
-    assert len(tracer) == 2
+    assert len(tracer.events()) == 2
 
 
-def test_tracer_counts_drops_and_warns_once():
-    tracer = Tracer(capacity=2)
+def test_tracer_counts_drops_and_warns_once(monkeypatch):
+    monkeypatch.setattr("repro.obs.context.TRACE_CAPACITY", 2)
+    tracer = ObsContext()
     assert tracer.dropped == 0
     tracer.record(0.0, "cat", "actor")
     tracer.record(0.1, "cat", "actor")
@@ -112,7 +108,7 @@ def test_tracer_counts_drops_and_warns_once():
         tracer.record(0.2, "cat", "actor")
         tracer.record(0.3, "cat", "actor")
     assert tracer.dropped == 2
-    assert len(tracer) == 2  # keep-first-N semantics unchanged
+    assert len(tracer.events()) == 2  # keep-first-N semantics unchanged
     runtime_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert len(runtime_warnings) == 1  # warned exactly once, on the first drop
     assert "trace capacity" in str(runtime_warnings[0].message)
