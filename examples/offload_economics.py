@@ -18,13 +18,14 @@ Run with:  python examples/offload_economics.py
 from _common import example_duration
 
 from repro.api import RunSpec, run
-from repro.bench import experiments
-from repro.bench.harness import format_table
+from repro.perfmodel import evaluate_sweep
+from repro.report import markdown_table
+from repro.sweep import build_sweep
 
 
 def model_sweep() -> None:
-    table = experiments.task_offloading()
-    print(format_table(table, float_format="{:,.2f}"))
+    table = evaluate_sweep(build_sweep("fig8-offloading", base="paper"))
+    print(markdown_table(table))
 
 
 def measured_point(execution_ms: int = 100) -> None:

@@ -5,14 +5,17 @@ This package is a from-scratch Python reproduction of the ICDE 2023 paper
 It contains the protocol itself (``repro.core``), every substrate the paper
 depends on (discrete-event simulation, network, cryptography, storage,
 serverless cloud, YCSB workloads), the baselines used in the evaluation,
-and a benchmark harness that regenerates every figure of the paper.
+and one preset per figure of the paper's evaluation (simulated at a
+scaled-down grid, modelled at the paper's).
 
 Typical entry points:
 
 * :mod:`repro.api` — the front door: ``run(RunSpec(...))`` builds and runs
   any registered system with composed scenarios and dotted-key overrides.
 * :class:`repro.core.config.ProtocolConfig` — configure a deployment.
-* :mod:`repro.bench.experiments` — regenerate the paper's figures.
+* :mod:`repro.sweep.presets` — the paper's figures by name
+  (``python -m repro.sweep run fig6-batching``; :mod:`repro.perfmodel`
+  answers their paper-scale grids).
 """
 
 from repro.core.config import ProtocolConfig

@@ -10,7 +10,7 @@
   (``serverless_bft``, ``serverless_cft``, ``pbft_replicated``,
   ``noshim``) is a :class:`~repro.api.registry.SystemAdapter` with
   declared capabilities; third-party systems register in one line, after
-  which sweeps, benches, and the CLI can drive them by name.
+  which sweeps, the figure presets, and the CLI can drive them by name.
 
 Example::
 

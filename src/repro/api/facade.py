@@ -1,7 +1,7 @@
 """The front door: ``run(RunSpec) -> SimulationResult``.
 
-Everything user-facing funnels through here — examples, benches, the sweep
-runner, and the CLI all resolve a spec to a plain-JSON dict
+Everything user-facing funnels through here — examples, the sweep runner
+(and so every figure preset), and the CLI all resolve a spec to a plain-JSON dict
 (:func:`resolve`), build the deployment through the system registry
 (:func:`build_deployment`), and run it.  One resolution path, one
 capability-validation path, one construction path: a point simulated by
@@ -316,9 +316,9 @@ def build_system(
     """Registry-backed construction for callers holding pre-built configs.
 
     The lower-level sibling of :func:`run`: same adapters, same capability
-    validation, no declarative resolution.  Used by the calibration run and
-    the integration tests, which hold :class:`ProtocolConfig` / :class:`YCSBConfig`
-    objects and read the built deployment's components.
+    validation, no declarative resolution.  Used by the integration tests,
+    which hold :class:`ProtocolConfig` / :class:`YCSBConfig` objects and read
+    the built deployment's components.
     """
     return get_system(system).build(config, workload, **kwargs)
 

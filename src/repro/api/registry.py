@@ -82,8 +82,12 @@ class SystemAdapter:
     #: Label used in experiment tables and figures (e.g. ``SERVERLESSBFT``).
     display_name: str = ""
     #: Matching :class:`repro.perfmodel.model.SystemKind` value, if the
-    #: analytical model covers this system (used by the Figure 7 sweep).
+    #: analytical model covers this system.
     model_kind: Optional[str] = None
+    #: ``ProtocolConfig`` fields the system pins whatever the spec says —
+    #: what makes it this variant rather than another (applied by
+    #: :meth:`effective_config` for the simulator and the model alike).
+    config_overrides: Mapping[str, object] = field(default_factory=dict, hash=False)
     #: Consensus engine the system is hardwired to, if not selectable.
     pinned_consensus: Optional[str] = None
     #: Constructor-specific keyword arguments the builder accepts beyond the
@@ -132,6 +136,12 @@ class SystemAdapter:
 
     # ------------------------------------------------------------------ building
 
+    def effective_config(self, config):
+        """``config`` with this system's pinned fields applied."""
+        if not self.config_overrides:
+            return config
+        return config.with_overrides(**self.config_overrides)
+
     def build(
         self,
         config,
@@ -162,7 +172,10 @@ class SystemAdapter:
         if CAP_EXECUTION_THREADS in self.capabilities:
             kwargs["execution_threads"] = execution_threads
         return self.builder(
-            config, workload=workload, tracer_enabled=tracer_enabled, **kwargs
+            self.effective_config(config),
+            workload=workload,
+            tracer_enabled=tracer_enabled,
+            **kwargs,
         )
 
 
@@ -203,36 +216,21 @@ def all_systems() -> List[SystemAdapter]:
 # ------------------------------------------------------------------ built-in systems
 
 
+#: Ingest cost of a deployment that skips byzantine-grade client checks.
+_LIGHT_INGEST = {"txn_ingest_cost": 15e-6}
+
+
 def _build_serverless_cft(config, workload=None, **kwargs):
     """SERVERLESSCFT (Section IX-H): the shim orders with Paxos.
 
     "As CFT protocols do not protect against byzantine attacks, they do not
     require cryptographic signatures, which in turn reduces the amount of
     work done per consensus.  Further, unlike PBFT, Paxos is linear."  So
-    the ordering engine is swapped and request ingest gets cheaper;
-    executors skip certificate verification because a CFT shim produces no
-    commit certificates.
+    the ordering engine is swapped and request ingest gets cheaper (the
+    adapter's ``config_overrides``); executors skip certificate verification
+    because a CFT shim produces no commit certificates.
     """
-    return ServerlessDeployment(
-        config.with_overrides(txn_ingest_cost=15e-6),
-        workload,
-        consensus_engine="paxos",
-        **kwargs,
-    )
-
-
-def _build_noshim(config, workload=None, **kwargs):
-    """NOSHIM (Section IX-H): "there is no shim; no BFT consensus takes place.
-    All the clients send their requests to a node, which instantaneously
-    spawns executors."
-
-    A shim of exactly one node is precisely that: with ``n_R = 1`` PBFT has
-    ``f_R = 0`` and a quorum of one, so a proposal commits in a single local
-    step and the executor/verifier pipeline is unchanged.
-    """
-    return ServerlessDeployment(
-        config.with_overrides(shim_nodes=1, txn_ingest_cost=15e-6), workload, **kwargs
-    )
+    return ServerlessDeployment(config, workload, consensus_engine="paxos", **kwargs)
 
 
 register_system(SystemAdapter(
@@ -261,6 +259,7 @@ register_system(SystemAdapter(
     ),
     display_name="SERVERLESSCFT",
     model_kind="serverlesscft",
+    config_overrides=_LIGHT_INGEST,
     pinned_consensus="paxos",
     extra_knobs=frozenset({"preload_storage"}),
 ))
@@ -273,15 +272,21 @@ register_system(SystemAdapter(
     model_kind="pbft",
     pinned_consensus="pbft",
 ))
+# NOSHIM (Section IX-H): "there is no shim; no BFT consensus takes place.  All
+# the clients send their requests to a node, which instantaneously spawns
+# executors."  A shim of exactly one node is precisely that: with n_R = 1 PBFT
+# has f_R = 0 and a quorum of one, so a proposal commits in a single local step
+# and the executor/verifier pipeline is unchanged.
 register_system(SystemAdapter(
     name="noshim",
     description="No consensus: one ingest node spawns executors immediately.",
-    builder=_build_noshim,
+    builder=ServerlessDeployment,
     capabilities=frozenset(
         {CAP_NODE_BEHAVIOURS, CAP_EXECUTOR_FAULTS, CAP_NETWORK_FAULTS, CAP_REGIONS}
     ),
     display_name="NOSHIM",
     model_kind="noshim",
+    config_overrides={**_LIGHT_INGEST, "shim_nodes": 1},
     pinned_consensus="pbft",
     extra_knobs=frozenset({"preload_storage"}),
 ))

@@ -309,38 +309,67 @@ def compose_runner_kwargs(
 
 # ------------------------------------------------------------------ base configs
 
+#: The three deployment bases a spec resolves on top of: ``ProtocolConfig``
+#: defaults per base, overridden by scenarios and then by the spec's own keys.
+#: ``"scale"`` is the scaled-down deployment every simulated point runs in
+#: seconds of wall-clock; ``"paper"`` is Section IX's setup (SERVBFT-8, 3
+#: executors in 3 regions, batches of 100, 80 k clients, YCSB over 600 k
+#: records) — evaluated by the analytical model, too large to simulate;
+#: ``"default"`` is the library's own dataclass defaults.
+_BASE_PROTOCOL: Dict[str, Dict[str, object]] = {
+    "scale": {
+        "shim_nodes": 4,
+        "batch_size": 25,
+        "num_clients": 200,
+        "client_groups": 8,
+        "num_executors": 3,
+        "num_executor_regions": 3,
+        "storage_records": 5_000,
+    },
+    "paper": {
+        "shim_nodes": 8,
+        "shim_cores": 16,
+        "batch_size": 100,
+        "num_executors": 3,
+        "num_executor_regions": 3,
+        "verifier_cores": 8,
+        "num_clients": 80_000,
+        "client_groups": 32,
+    },
+    "default": {},
+}
 
-def _base_protocol_config(base: str, overrides: Dict[str, object]) -> ProtocolConfig:
-    # Imported lazily: bench.defaults sits above this module in the layering
-    # (benches route their grids through the sweep layer, which lands here).
-    from repro.bench.defaults import PAPER, SCALE
-
-    if base == "scale":
-        return SCALE.protocol_config(**overrides)
-    if base == "paper":
-        shim_nodes = overrides.pop("shim_nodes", PAPER.medium_shim)
-        return PAPER.protocol_config(shim_nodes, **overrides)
-    return ProtocolConfig(**overrides)
-
-
-def _base_workload_config(base: str, overrides: Dict[str, object]) -> YCSBConfig:
-    from repro.bench.defaults import PAPER, SCALE
-
-    if base == "scale":
-        return SCALE.workload_config(**overrides)
-    if base == "paper":
-        return PAPER.workload_config(**overrides)
-    return YCSBConfig(**overrides)
+#: ``YCSBConfig`` defaults per base (same keys as :data:`_BASE_PROTOCOL`).
+_BASE_WORKLOAD: Dict[str, Dict[str, object]] = {
+    "scale": {
+        "num_records": 5_000,
+        "operations_per_transaction": 4,
+        "write_fraction": 0.5,
+        "clients": 200,
+    },
+    "paper": {
+        "num_records": 600_000,
+        "operations_per_transaction": 4,
+        "write_fraction": 0.5,
+        "conflict_fraction": 0.0,
+        "clients": 256,
+    },
+    "default": {},
+}
 
 
-_KNOWN_BASES = ("scale", "paper", "default")
+def _base_protocol_config(base: str, overrides: Mapping[str, object]) -> ProtocolConfig:
+    return ProtocolConfig(**{**_BASE_PROTOCOL[base], **overrides})  # type: ignore[arg-type]
+
+
+def _base_workload_config(base: str, overrides: Mapping[str, object]) -> YCSBConfig:
+    return YCSBConfig(**{**_BASE_WORKLOAD[base], **overrides})  # type: ignore[arg-type]
 
 
 def validate_base(base: str) -> str:
-    if base not in _KNOWN_BASES:
-        raise ConfigurationError(
-            f"unknown base {base!r} (expected 'scale', 'paper', or 'default')"
-        )
+    if base not in _BASE_PROTOCOL:
+        known = ", ".join(repr(name) for name in _BASE_PROTOCOL)
+        raise ConfigurationError(f"unknown base {base!r} (expected one of {known})")
     return base
 
 

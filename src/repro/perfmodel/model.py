@@ -17,14 +17,15 @@ from the same cost constants the discrete-event simulator charges
   metric of Figure 8.
 
 The model intentionally shares its parameters with the simulator so the two
-can be cross-validated (see :mod:`repro.perfmodel.calibration`).
+can be cross-validated on the same resolved point (see
+:func:`repro.perfmodel.evaluate_point`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cloud.billing import LambdaPricing, VmPricing
 from repro.cloud.regions import RegionCatalog
@@ -260,13 +261,13 @@ class AnalyticalModel:
         breakdown = self.breakdown()
         base_latency = breakdown.base_latency_seconds
         x_max_txn = breakdown.max_batches_per_second * self.config.batch_size
-        goodput_factor = 1.0 - self._abort_fraction()
+        goodput_factor = 1.0 - self.abort_fraction()
         x_unsaturated = clients / base_latency
         throughput = min(x_unsaturated, x_max_txn)
         latency = max(base_latency, clients / x_max_txn)
         return throughput * goodput_factor, latency
 
-    def _abort_fraction(self) -> float:
+    def abort_fraction(self) -> float:
         """Fraction of transactions aborted because of conflicts (Figure 6 xi)."""
         conflict = self.workload.conflict_fraction
         if conflict <= 0:
@@ -278,16 +279,6 @@ class AnalyticalModel:
         # with an earlier conflicting one still in flight; with deep pipelines
         # most of them do.
         return 0.85 * conflict
-
-    def sweep_clients(self, client_counts: Iterable[int]) -> List[Dict[str, float]]:
-        """Throughput/latency series for a client sweep (Figure 5)."""
-        rows = []
-        for clients in client_counts:
-            throughput, latency = self.throughput_latency(clients)
-            rows.append(
-                {"clients": float(clients), "throughput": throughput, "latency": latency}
-            )
-        return rows
 
     def cost_cents_per_kilo_txn(self, num_clients: Optional[int] = None) -> float:
         """Monetary cost (Figure 8 metric) at the achieved throughput."""

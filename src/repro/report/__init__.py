@@ -9,8 +9,9 @@ content-addressed result store (written by ``python -m repro.sweep run
   families; mean ± std for scalars, exactly-pooled latency means, and
   across-seed percentile *spreads* (percentiles are never averaged).
 * :mod:`repro.report.render` — byte-stable ``EXPERIMENTS.md`` rendering.
-* :mod:`repro.report.tables` — the shared markdown-table primitive (also
-  used by the analytical-model presets in :mod:`repro.bench.experiments`).
+* :mod:`repro.report.tables` — :class:`ExperimentTable` and the shared
+  markdown-table primitive (sweep tables and the analytical model's figure
+  tables render through it too).
 * :mod:`repro.report.plots` — matplotlib error-bar figures, optional.
 * :mod:`repro.report.cli` — ``python -m repro.report``.
 """

@@ -10,10 +10,11 @@ Typical flow::
     python -m repro.sweep run smoke --replicates 3 --store results.jsonl
     python -m repro.report --store results.jsonl --output EXPERIMENTS.md
 
-``--model-presets`` appends the analytical-model tables for the paper's
-fig5–fig8/ablation presets (evaluated instantly from the closed-form
-model, so the no-simulation guarantee holds).  ``--fail-empty`` makes an
-empty render a hard error — CI uses it to prove the store fed the tables.
+``--model-presets`` appends the analytical model's answer for the paper
+grid of every figure preset (``repro.sweep.figure_names()`` — evaluated
+instantly in closed form, so the no-simulation guarantee holds).
+``--fail-empty`` makes an empty render a hard error — CI uses it to prove
+the store fed the tables.
 """
 
 from __future__ import annotations
@@ -24,24 +25,27 @@ from typing import List, Optional
 
 from repro.errors import ReproError
 from repro.report.render import render_markdown
+from repro.report.tables import markdown_table
 from repro.store.url import open_store
 
 
-def _model_preset_sections(names: Optional[List[str]]) -> str:
-    # Imported lazily: the analytical presets live in the bench layer, which
-    # itself renders its tables through repro.report.tables.
-    from repro.bench.experiments import markdown_report
+def _model_preset_sections() -> str:
+    """Every figure's paper grid, answered by the analytical model."""
+    # Imported lazily: a plain store render needs neither the model nor the
+    # figure presets.
+    from repro.perfmodel import evaluate_sweep
+    from repro.sweep import build_sweep, figure_names
 
-    return "\n".join(
-        [
-            "# Analytical model (paper scale)",
-            "",
-            "Closed-form sweeps of the calibrated performance model — "
-            "evaluated directly, no simulation involved.",
-            "",
-            markdown_report(names),
-        ]
-    )
+    lines = [
+        "# Analytical model (paper scale)",
+        "",
+        "Closed-form sweeps of the calibrated performance model — "
+        "evaluated directly, no simulation involved.",
+    ]
+    for name in figure_names():
+        table = evaluate_sweep(build_sweep(name, base="paper"))
+        lines += ["", f"## {table.name}", "", markdown_table(table)]
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--model-presets",
         action="store_true",
-        help="append the analytical-model tables for the fig5–fig8/ablation presets",
+        help="append the analytical-model tables for the figure presets' paper grids",
     )
     parser.add_argument(
         "--fail-empty",
@@ -109,7 +113,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 4
         if args.model_presets:
-            document += "\n" + _model_preset_sections(None)
+            document += "\n" + _model_preset_sections()
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

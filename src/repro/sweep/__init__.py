@@ -15,17 +15,19 @@ them into declarative, cacheable, multi-core experiment runs:
   resume no matter which backend holds the records.
 * :mod:`repro.sweep.scenarios` — named fault/workload presets (region
   outage, partitions, byzantine executors, skewed YCSB, ...).
-* :mod:`repro.sweep.presets` — named sweeps (``fig6-executors``, ...) for
-  the CLI: ``python -m repro.sweep run fig6-executors --workers 4``.
+* :mod:`repro.sweep.presets` — named sweeps, among them the paper's eleven
+  figures (``fig6-executors``, ...; each also carries the paper's own grid,
+  which :mod:`repro.perfmodel` evaluates) for the CLI:
+  ``python -m repro.sweep run fig6-executors --workers 4``.
 """
 
-from repro.sweep.presets import build_sweep, register_sweep, sweep_names
-from repro.sweep.runner import (
-    DEFAULT_METRICS,
-    PointOutcome,
-    SweepReport,
-    run_sweep,
+from repro.sweep.presets import (
+    build_sweep,
+    figure_names,
+    register_sweep,
+    sweep_names,
 )
+from repro.sweep.runner import PointOutcome, SweepReport, run_sweep
 from repro.sweep.scenarios import (
     Scenario,
     all_scenarios,
@@ -52,7 +54,6 @@ from repro.sweep.spec import (
 )
 
 __all__ = [
-    "DEFAULT_METRICS",
     "GridSpec",
     "PointOutcome",
     "PointSpec",
@@ -63,6 +64,7 @@ __all__ = [
     "apply_overrides",
     "build_sweep",
     "expand_replicates",
+    "figure_names",
     "get_scenario",
     "point_digest",
     "register_scenario",

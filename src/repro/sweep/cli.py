@@ -31,8 +31,8 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.api.registry import all_systems
-from repro.bench.harness import format_table
 from repro.errors import ConfigurationError
+from repro.report.tables import markdown_table
 from repro.sweep.presets import build_sweep, sweep_names
 from repro.sweep.runner import print_progress, run_sweep
 from repro.sweep.scenarios import all_scenarios
@@ -65,7 +65,7 @@ def _load_sweep(
 def _cmd_list(_args: argparse.Namespace) -> int:
     for name in sweep_names():
         sweep = build_sweep(name)
-        print(f"{name:<18} {len(sweep):>3} points  base={sweep.base}")
+        print(f"{name:<28} {len(sweep):>3} points  base={sweep.base}")
     return 0
 
 
@@ -149,7 +149,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         tracer_enabled=args.trace,
     )
     print()
-    print(format_table(report.table(), float_format="{:,.3f}"))
+    print(markdown_table(report.table()))
     print()
     print(report.summary())
 

@@ -28,8 +28,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.facade import build_deployment
 from repro.api.registry import custom_systems as _custom_systems
-from repro.bench.harness import ExperimentTable
 from repro.core.runner import SimulationResult
+from repro.report.aggregate import DEFAULT_SCALAR_METRICS, resolve_result_field
+from repro.report.tables import ExperimentTable
 from repro.sweep.pool import discard_shared_pool, get_shared_pool
 from repro.sweep.scenarios import custom_scenarios
 from repro.sweep.serialization import result_from_dict, result_to_dict
@@ -157,27 +158,25 @@ class PointOutcome:
     def metric(self, path: str):
         """Look up a dotted path (e.g. ``latency.mean``) in the result dict.
 
-        ``abort_rate`` is computed (it is a property, not a stored field).
+        A path the result does not hold is None (fault-free points carry no
+        recovery metrics, say).  ``abort_rate`` is computed for a simulated
+        result (it is a property, not a stored field).
         """
         if self.result_dict is None:
             return None
-        if path == "abort_rate":
+        if path == "abort_rate" and path not in self.result_dict:
             committed = self.result_dict["committed_txns"]
             aborted = self.result_dict["aborted_txns"]
             total = committed + aborted  # type: ignore[operator]
             return aborted / total if total else 0.0  # type: ignore[operator]
-        value: object = self.result_dict
-        for part in path.split("."):
-            value = value[part]  # type: ignore[index]
-        return value
+        return resolve_result_field(self.result_dict, path)
 
 
-#: Default table columns: ``column name -> result-dict metric path``.
-DEFAULT_METRICS: Tuple[Tuple[str, str], ...] = (
-    ("throughput_txn_s", "throughput_txn_per_sec"),
+#: Default table columns (``column name -> result-dict metric path``): the
+#: report layer's scalar columns plus the mean latency.
+_TABLE_METRICS: Tuple[Tuple[str, str], ...] = (
+    *DEFAULT_SCALAR_METRICS,
     ("latency_s", "latency.mean"),
-    ("committed", "committed_txns"),
-    ("aborted", "aborted_txns"),
 )
 
 
@@ -202,7 +201,7 @@ class SweepReport:
         return sum(1 for outcome in self.outcomes if outcome.error is not None)
 
     def table(
-        self, metrics: Sequence[Tuple[str, str]] = DEFAULT_METRICS
+        self, metrics: Sequence[Tuple[str, str]] = _TABLE_METRICS
     ) -> ExperimentTable:
         """Aggregate the outcomes into an :class:`ExperimentTable`.
 

@@ -12,8 +12,8 @@ A scenario bundles three things under one name:
 * a one-line description for ``python -m repro.sweep scenarios``.
 
 Adding a new experiment axis is a one-line :func:`register_scenario` call
-(or a ``@scenario`` decorated factory) — every sweep, bench, and CLI run
-can then reference it by name.
+(or a ``@scenario`` decorated factory) — every sweep and CLI run can then
+reference it by name.
 """
 
 from __future__ import annotations

@@ -1,19 +1,32 @@
-"""Tests for the benchmark harness and per-figure experiment definitions."""
+"""Tests for experiment tables, the deployment bases and the per-figure presets."""
 
+import hashlib
 import warnings
 
 import pytest
 
-from repro.bench import experiments
-from repro.bench.defaults import PAPER, SCALE
-from repro.bench.harness import (
-    DuplicateSeriesKeyWarning,
-    ExperimentTable,
-    format_table,
+from repro.api import RunSpec, resolve, spec_digest
+from repro.perfmodel import MODEL_METRICS, evaluate_point, evaluate_sweep
+from repro.report.tables import DuplicateSeriesKeyWarning, ExperimentTable
+from repro.sweep import (
+    build_sweep,
+    figure_names,
+    point_digest,
+    resolve_point,
+    sweep_names,
 )
 
 
-# ------------------------------------------------------------------ harness
+def paper_table(name):
+    return evaluate_sweep(build_sweep(name, base="paper"))
+
+
+def paper_axis(name, axis):
+    """The values a figure's paper grid takes on one axis."""
+    return {point.labels[axis] for point in build_sweep(name, base="paper").points}
+
+
+# ------------------------------------------------------------------ experiment table
 
 
 def test_experiment_table_series_and_filters():
@@ -45,88 +58,330 @@ def test_series_warns_on_duplicate_keys():
         assert table.series("x", "y", system="A") == {1: 10.0}
 
 
-def test_format_table_renders_all_rows():
-    table = ExperimentTable(name="demo", columns=("a", "b"))
-    table.add(a="x", b=1.5)
-    table.add(a="longer-value", b=2.25)
-    rendered = format_table(table)
-    assert "demo" in rendered
-    assert "longer-value" in rendered
-    assert rendered.count("\n") >= 4
+# ------------------------------------------------------------------ deployment bases
 
 
 def test_paper_setup_constants_match_the_paper():
-    assert PAPER.medium_shim == 8
-    assert PAPER.large_shim == 32
-    assert PAPER.default_batch_size == 100
-    assert PAPER.max_regions == 11
-    assert PAPER.ycsb_records == 600_000
-    assert max(PAPER.replica_sweep) == 128
-    assert max(PAPER.executor_sweep) == 21
-    config = PAPER.protocol_config(8)
-    assert config.shim_nodes == 8 and config.batch_size == 100
-    workload = PAPER.workload_config()
-    assert workload.num_records == 600_000
+    resolved = resolve(RunSpec(base="paper"))
+    config, workload = resolved["config"], resolved["workload"]
+    assert config["shim_nodes"] == 8 and config["batch_size"] == 100
+    assert config["num_executors"] == 3 and config["num_executor_regions"] == 3
+    assert workload["num_records"] == 600_000
+    assert paper_axis("fig5-clients", "shim_nodes") == {8, 32}
+    assert max(paper_axis("fig7-baselines", "shim_nodes")) == 128
+    assert max(paper_axis("fig6-executors", "num_executors")) == 21
+    assert max(paper_axis("fig6-regions", "num_executor_regions")) == 11
 
 
 def test_simulation_scale_runs_fast_configs():
-    config = SCALE.protocol_config()
-    workload = SCALE.workload_config()
-    assert config.shim_nodes <= 8
-    assert workload.num_records <= 10_000
+    resolved = resolve(RunSpec(base="scale"))
+    assert resolved["config"]["shim_nodes"] <= 8
+    assert resolved["workload"]["num_records"] <= 10_000
 
 
-# ------------------------------------------------------------------ per-figure experiments
+#: ``spec_digest(RunSpec(base=b, seed=1))`` at the commit before the bases
+#: moved from ``bench/defaults.py`` into ``api/spec.py``.
+_BASE_GOLDEN = {
+    "scale": "f325de3f778890d6f39ae446292dfa498eb3ab2b70391f22c9ba5f4a8f41ff7f",
+    "paper": "d86bec0adb6471cff34fa6dd0df1aebb4f57c804fbac03217b5a1a99300dd9dc",
+    "default": "16719e5598a5dec1927225ba2fbcf50b40b7bd2397272e289f39744ca3cb5d37",
+}
+
+
+@pytest.mark.parametrize("base", sorted(_BASE_GOLDEN))
+def test_base_defaults_resolve_to_the_same_address(base):
+    assert spec_digest(RunSpec(base=base, seed=1)) == _BASE_GOLDEN[base]
+
+
+# ------------------------------------------------------------------ presets
+
+
+#: Per pre-existing preset: point count and sha256 over the concatenated point
+#: digests, computed before the figures were folded into one definition each.
+_PRESET_GOLDEN = {
+    "fig6-executors": (8, "d87da6c66cbe1edaf093b0d4b076ad8e3dd99fdf72be7aa0a62f410282b347a0"),
+    "fig6-batching": (8, "1e5c6226732ee97519b5436bc8acb84a589b312f39000a6f2e6c6d90fc3ff9e1"),
+    "fig6-conflicts": (4, "6075deb8104371267da7cc3ef64c84ae0f2412c74e7733422b06cdb551cddc30"),
+    "fig7-baselines": (4, "c33558f5b1013d39576ef84d41b19d11f1b5da8ec74c882ef3e1f59698c3cc2e"),
+    "fig8-offloading": (4, "be37dc01e3dd2d82a13657f9439e1d683992318f873644d3f93eba12c2b6bbfc"),
+    "smoke": (4, "8eeab22349887022e013fc16d6eae1694813f526de21bd0db79683c389955297"),
+    "chaos-drills": (10, "dec80c0b9ba4787732abb5d2783e700077bd2754a24fc3013894d3489776a318"),
+    "scenario-drills": (14, "a52206594789e091579be1b328f419d7f8eba1ab1d45b2ee5844462c744641e6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_GOLDEN))
+def test_preset_point_digests_did_not_move(name):
+    sweep = build_sweep(name)
+    digests = [point_digest(resolve_point(sweep, point)) for point in sweep.points]
+    count, golden = _PRESET_GOLDEN[name]
+    assert len(digests) == count
+    assert hashlib.sha256("".join(digests).encode()).hexdigest() == golden
+
+
+@pytest.mark.parametrize("name", sweep_names())
+def test_every_preset_builds_and_resolves(name):
+    """Every registered sweep builds and resolves; a figure does so at both
+    scales, and the model answers every point of both (no simulation)."""
+    bases = ("scale", "paper") if name in figure_names() else (None,)
+    for base in bases:
+        sweep = build_sweep(name, base=base)
+        assert sweep.name == name and sweep.base == (base or "scale")
+        for point in sweep.points:
+            resolved = resolve_point(sweep, point)
+            if base is not None:
+                assert evaluate_point(resolved)["throughput_txn_per_sec"] > 0
+
+
+def test_each_figure_is_registered_once():
+    assert len(figure_names()) == len(set(figure_names())) == 11
+    assert set(figure_names()) | {"smoke", "chaos-drills", "scenario-drills"} == set(
+        sweep_names()
+    )
+
+
+# ------------------------------------------------------------------ model golden
+
+#: Per figure: the metric columns the parent's ``bench.experiments`` table
+#: carried, and the sha256 over its rows — each row ``repr((*axis values,
+#: *cells))``, sorted, newline-joined — with the parent's axis spellings
+#: translated to the preset's labels (``SERVBFT-8`` → ``shim_nodes=8``,
+#: ``conflict_pct=10`` → ``conflict_fraction=0.1``, ``execution_ms=50`` →
+#: ``execution_seconds=0.05``, ``PBFT-8-ET`` → ``pbft_replicated`` with
+#: ``execution_threads=8``, ``primary_spawned`` / ``decentralized_spawned`` →
+#: one row per ``spawn_policy``).  ``repr`` round-trips a float, so equal
+#: hashes mean every cell is float-``==`` to the parent's.
+_MODEL_GOLDEN = {
+    "fig5-clients": (("throughput_txn_s", "latency_s"), "d56bcc37bea252837e00b8f70b3950e08cf7154874ba6c31a3abe534a6fbfb69"),
+    "fig6-executors": (("throughput_txn_s", "latency_s"), "78aa1f38013bb5da322822a6b53abbf823b1a0990a7c399255c9e12f7f7c8e0c"),
+    "fig6-batching": (("throughput_txn_s", "latency_s"), "d3bcc72e8e40e335e0ee9352d3469e7d8001e2440002d22dfaa947dc07f79265"),
+    "fig6-execution": (("throughput_txn_s", "latency_s"), "aab46ebcede1f96f973870d9dceff5eb36be0f26321eb3c898d7e2f2636c7421"),
+    "fig6-regions": (("throughput_txn_s", "latency_s"), "e170fb46d0c2220b20f58a4fe4ba12e92837117a246cd275b90446f5f64db5b4"),
+    "fig6-cores": (("throughput_txn_s", "latency_s"), "4ffe5c93978fd0f6779fbb85cafbfef8ff406ee6840d1569fda5d0f519751fa2"),
+    "fig6-conflicts": (("throughput_txn_s", "latency_s"), "3a1006ca98f28eb5cddd7d86e6bc28072ed8f95716067237b0865aa13c3bbbed"),
+    "fig7-baselines": (("throughput_txn_s", "latency_s"), "dd6f92aaae496023384205350710068baf9c43bdda5bbfaaf780aab2cc953f29"),
+    "fig8-offloading": (("throughput_txn_s", "cents_per_ktxn"), "ebe35d8536cd65225994eeb50bf9c1bd131d44d4cfe54764e2394cacfd99cc89"),
+    "ablation-spawning": (("executors_per_batch",), "0538811a9c76e0a1a270d2a70ddc959a74f25e47dcfd660edf3befa4f8e9db2b"),
+    "ablation-conflict-avoidance": (("throughput_txn_s", "abort_rate"), "23aca3e771c3261805f2d09aea9eee273a2e6a1150044da0e87994ac18d43b89"),
+}
+
+
+@pytest.mark.parametrize("name", figure_names())
+def test_model_cells_equal_the_parents(name):
+    table = paper_table(name)
+    metric_columns = {column for column, _path in MODEL_METRICS}
+    labels = [column for column in table.columns if column not in metric_columns]
+    cells, golden = _MODEL_GOLDEN[name]
+    rows = sorted(
+        repr(tuple(row[column] for column in (*labels, *cells))) for row in table.rows
+    )
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == golden
+
+
+# ------------------------------------------------------------------ per-figure shape
 
 
 @pytest.mark.parametrize(
-    "factory,key_column",
+    "name,key_column",
     [
-        (experiments.client_congestion, "clients"),
-        (experiments.executor_scaling, "executors"),
-        (experiments.batching, "batch_size"),
-        (experiments.expensive_execution, "execution_s"),
-        (experiments.region_distribution, "regions"),
-        (experiments.computing_power, "cores"),
-        (experiments.conflicting_transactions, "conflict_pct"),
+        pytest.param("fig5-clients", "num_clients", id="client_congestion-clients"),
+        pytest.param("fig6-executors", "num_executors", id="executor_scaling-executors"),
+        pytest.param("fig6-batching", "batch_size", id="batching-batch_size"),
+        pytest.param("fig6-execution", "execution_seconds", id="expensive_execution-execution_s"),
+        pytest.param("fig6-regions", "num_executor_regions", id="region_distribution-regions"),
+        pytest.param("fig6-cores", "shim_cores", id="computing_power-cores"),
+        pytest.param("fig6-conflicts", "conflict_fraction", id="conflicting_transactions-conflict_pct"),
     ],
 )
-def test_figure6_style_experiments_cover_both_shim_sizes(factory, key_column):
-    table = factory()
+def test_figure6_style_experiments_cover_both_shim_sizes(name, key_column):
+    table = paper_table(name)
     assert key_column in table.columns
-    systems = {row["system"] for row in table.rows}
-    assert systems == {"SERVBFT-8", "SERVBFT-32"}
+    assert set(table.column("shim_nodes")) == {8, 32}
     for row in table.rows:
         assert row["throughput_txn_s"] > 0
 
 
 def test_figure5_has_all_client_counts():
-    table = experiments.client_congestion()
-    assert len(table) == 2 * len(PAPER.client_sweep)
+    clients = paper_axis("fig5-clients", "num_clients")
+    assert min(clients) == 2_000 and max(clients) == 88_000
+    assert len(paper_table("fig5-clients")) == 2 * len(clients) == 24
 
 
 def test_figure7_covers_all_systems_and_replica_counts():
-    table = experiments.baseline_comparison()
-    systems = {row["system"] for row in table.rows}
-    assert systems == {"SERVERLESSBFT", "SERVERLESSCFT", "PBFT", "NOSHIM"}
-    assert len(table) == 4 * len(PAPER.replica_sweep)
+    table = paper_table("fig7-baselines")
+    assert set(table.column("system")) == {
+        "serverless_bft", "serverless_cft", "pbft_replicated", "noshim",
+    }
+    assert len(table) == 4 * len(paper_axis("fig7-baselines", "shim_nodes")) == 24
 
 
 def test_figure8_covers_serverless_and_thread_variants():
-    table = experiments.task_offloading()
-    systems = {row["system"] for row in table.rows}
-    assert systems == {"SERVBFT-32", "PBFT-1-ET", "PBFT-8-ET", "PBFT-16-ET"}
+    table = paper_table("fig8-offloading")
+    variants = {(row["system"], row["execution_threads"]) for row in table.rows}
+    assert variants == {
+        ("serverless_bft", None),
+        ("pbft_replicated", 1), ("pbft_replicated", 8), ("pbft_replicated", 16),
+    }
     assert all(row["cents_per_ktxn"] >= 0 for row in table.rows)
 
 
 def test_spawning_ablation_matches_equation_one():
-    table = experiments.spawning_policy_ablation(shim_nodes=4, executor_counts=(3, 21))
-    rows = {row["executors"]: row for row in table.rows}
-    assert rows[3]["decentralized_spawned"] == 4     # e = 1, n_R = 4
-    assert rows[21]["decentralized_spawned"] == 28   # e = ceil(21/3) = 7, n_R = 4
+    def spawned(executors):
+        spec = RunSpec(base="paper", overrides={
+            "shim_nodes": 4, "num_executors": executors, "spawn_policy": "decentralized",
+        })
+        return evaluate_point(resolve(spec))["executors_per_batch"]
+
+    assert spawned(3) == 4     # e = 1, n_R = 4
+    assert spawned(21) == 28   # e = ceil(21/3) = 7, n_R = 4
 
 
 def test_conflict_avoidance_ablation_rows():
-    table = experiments.conflict_avoidance_ablation()
-    modes = {row["mode"] for row in table.rows}
-    assert modes == {"optimistic", "conflict_avoidance"}
+    table = paper_table("ablation-conflict-avoidance")
+    assert set(table.column("conflict_mode")) == {"optimistic", "conflict_avoidance"}
+
+
+# ------------------------------------------------------------------ the paper's claims
+
+
+def _claim_fig5(table):
+    peak = {}
+    for shim in (8, 32):
+        throughput = table.series("num_clients", "throughput_txn_s", shim_nodes=shim)
+        latency = table.series("num_clients", "latency_s", shim_nodes=shim)
+        peak[shim] = max(throughput.values())
+        # Throughput grows with the client population, then saturates...
+        assert throughput[2_000] < throughput[88_000] >= 0.9 * peak[shim]
+        # ...and latency keeps increasing once it has.
+        assert latency[88_000] > latency[2_000]
+    # The smaller shim outperforms the larger one.
+    assert peak[8] > peak[32]
+
+
+def _claim_executors(table):
+    for shim in (8, 32):
+        throughput = table.series("num_executors", "throughput_txn_s", shim_nodes=shim)
+        latency = table.series("num_executors", "latency_s", shim_nodes=shim)
+        # More executors: lower throughput, higher latency (Section IX-B).
+        assert throughput[3] > throughput[21]
+        assert latency[3] < latency[21]
+
+
+def _claim_batching(table):
+    for shim in (8, 32):
+        throughput = table.series("batch_size", "throughput_txn_s", shim_nodes=shim)
+        # Throughput first rises with the batch size, then falls (too-large
+        # batches become expensive to communicate and process).
+        assert throughput[10] < throughput[100]
+        assert throughput[8_000] < max(throughput.values())
+
+
+def _claim_execution(table):
+    for shim in (8, 32):
+        throughput = table.series("execution_seconds", "throughput_txn_s", shim_nodes=shim)
+        latency = table.series("execution_seconds", "latency_s", shim_nodes=shim)
+        # Long execution dominates: the shim's own cost becomes insignificant.
+        assert throughput[0.0] > throughput[8.0]
+        assert latency[8.0] > latency[0.0] and latency[8.0] >= 8.0
+
+
+def _claim_regions(table):
+    for shim in (8, 32):
+        throughput = table.series("num_executor_regions", "throughput_txn_s", shim_nodes=shim)
+        latency = table.series("num_executor_regions", "latency_s", shim_nodes=shim)
+        # Roughly constant: the verifier only waits for the f_E+1 nearest
+        # executors (Section IX-E).
+        assert max(throughput.values()) <= 1.1 * min(throughput.values())
+        assert max(latency.values()) <= 1.2 * min(latency.values())
+
+
+def _claim_cores(table):
+    for shim in (8, 32):
+        throughput = table.series("shim_cores", "throughput_txn_s", shim_nodes=shim)
+        latency = table.series("shim_cores", "latency_s", shim_nodes=shim)
+        # More cores: higher throughput, lower latency (multi-threaded pipeline).
+        assert throughput[16] / throughput[2] >= 3.0
+        assert latency[16] < latency[2]
+
+
+def _claim_conflicts(table):
+    for shim in (8, 32):
+        throughput = table.series("conflict_fraction", "throughput_txn_s", shim_nodes=shim)
+        latency = table.series("conflict_fraction", "latency_s", shim_nodes=shim)
+        # Goodput decreases with the conflict rate (the paper reports
+        # 43–46 % at half the transactions conflicting); latency stays flat.
+        assert 0.2 <= 1.0 - throughput[0.5] / throughput[0.0] <= 0.7
+        assert abs(latency[0.5] - latency[0.0]) <= 0.25 * latency[0.0]
+
+
+def _claim_fig7(table):
+    by_system = {
+        system: table.series("shim_nodes", "throughput_txn_s", system=system)
+        for system in ("serverless_bft", "pbft_replicated", "serverless_cft", "noshim")
+    }
+    for replicas in (4, 8, 16, 32, 64, 128):
+        # The paper's ordering: SERVERLESSBFT < PBFT < SERVERLESSCFT < NOSHIM.
+        ordered = [series[replicas] for series in by_system.values()]
+        assert ordered == sorted(ordered) and len(set(ordered)) == 4
+    # Consensus-based systems degrade as the shim grows; NOSHIM stays flat.
+    assert by_system["serverless_bft"][4] > by_system["serverless_bft"][128]
+    noshim = by_system["noshim"]
+    assert abs(noshim[4] - noshim[128]) <= 0.05 * noshim[4]
+
+
+def _claim_fig8(table):
+    def series(value, system, threads):
+        return table.series(
+            "execution_seconds", value, system=system, execution_threads=threads
+        )
+
+    serverless = series("throughput_txn_s", "serverless_bft", None)
+    edge_1 = series("throughput_txn_s", "pbft_replicated", 1)
+    edge_16 = series("throughput_txn_s", "pbft_replicated", 16)
+    serverless_cost = series("cents_per_ktxn", "serverless_bft", None)
+    edge_1_cost = series("cents_per_ktxn", "pbft_replicated", 1)
+    for seconds in (0.5, 1.0, 2.0):
+        # Compute-heavy transactions: offloading keeps a large advantage over
+        # the resource-bounded edge, where more execution threads help...
+        assert serverless[seconds] > 10 * edge_16[seconds] > 10 * edge_1[seconds]
+        # ...and resource-boundedness also costs more per transaction.
+        assert edge_1_cost[seconds] > serverless_cost[seconds]
+
+
+def _claim_spawning(table):
+    primary = table.series("num_executors", "executors_per_batch", spawn_policy="primary")
+    decentralized = table.series(
+        "num_executors", "executors_per_batch", spawn_policy="decentralized"
+    )
+    for executors, spawned in primary.items():
+        # Equation (1): decentralized spawning never spawns fewer (overhead >= 1).
+        assert spawned == executors <= decentralized[executors]
+
+
+def _claim_conflict_avoidance(table):
+    optimistic = table.series("conflict_fraction", "abort_rate", conflict_mode="optimistic")
+    avoidance = table.series(
+        "conflict_fraction", "abort_rate", conflict_mode="conflict_avoidance"
+    )
+    for fraction in (0.1, 0.3, 0.5):
+        assert avoidance[fraction] < optimistic[fraction]
+
+
+_CLAIMS = {
+    "fig5-clients": _claim_fig5,
+    "fig6-executors": _claim_executors,
+    "fig6-batching": _claim_batching,
+    "fig6-execution": _claim_execution,
+    "fig6-regions": _claim_regions,
+    "fig6-cores": _claim_cores,
+    "fig6-conflicts": _claim_conflicts,
+    "fig7-baselines": _claim_fig7,
+    "fig8-offloading": _claim_fig8,
+    "ablation-spawning": _claim_spawning,
+    "ablation-conflict-avoidance": _claim_conflict_avoidance,
+}
+
+
+@pytest.mark.parametrize("name", figure_names())
+def test_model_reproduces_the_papers_claim(name):
+    _CLAIMS[name](paper_table(name))

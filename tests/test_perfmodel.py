@@ -1,11 +1,12 @@
-"""Tests for the analytical performance model and its calibration."""
+"""Tests for the analytical performance model and its agreement with the simulator."""
 
 import pytest
 
-from tests.helpers import make_config, make_workload
+from tests.helpers import DRILL_OVERRIDES
+from repro.api import RunSpec, resolve, run
 from repro.core.config import ConflictMode, ProtocolConfig
 from repro.errors import ConfigurationError
-from repro.perfmodel.calibration import calibration_ratio
+from repro.perfmodel import evaluate_point
 from repro.perfmodel.model import AnalyticalModel, SystemKind
 from repro.workload.ycsb import YCSBConfig
 
@@ -121,20 +122,30 @@ def test_region_spread_leaves_throughput_roughly_constant():
     assert abs(narrow_tput - wide_tput) <= 0.1 * narrow_tput
 
 
-def test_sweep_clients_produces_rows():
-    model = AnalyticalModel(paper_config(), paper_workload())
-    rows = model.sweep_clients([1_000, 10_000])
-    assert len(rows) == 2
-    assert set(rows[0]) == {"clients", "throughput", "latency"}
-
-
 def test_calibration_simulator_and_model_agree_within_an_order_of_magnitude():
-    config = make_config(num_clients=200, client_groups=8, batch_size=25)
-    workload = make_workload(clients=200, num_records=20_000)
-    calibration = calibration_ratio(config, workload, duration=2.0, warmup=0.4)
-    assert calibration.simulated_throughput > 0
-    assert calibration.modelled_throughput > 0
+    # make_config(num_clients=200, client_groups=8, batch_size=25) and
+    # make_workload(clients=200, num_records=20_000) with their default seeds,
+    # as one resolved point both the simulator and the model answer.
+    spec = RunSpec(
+        base="default",
+        seed=1,
+        duration=2.0,
+        warmup=0.4,
+        overrides={
+            **DRILL_OVERRIDES,
+            "protocol.num_clients": 200,
+            "protocol.client_groups": 8,
+            "protocol.batch_size": 25,
+            "workload.clients": 200,
+            "workload.num_records": 20_000,
+            "workload.seed": 2023,
+        },
+    )
+    simulated = run(spec)
+    modelled = evaluate_point(resolve(spec))
+    assert simulated.throughput_txn_per_sec > 0
+    assert modelled["throughput_txn_per_sec"] > 0
     # The model ignores queueing jitter and batching delay, so we only require
     # agreement within an order of magnitude on this small configuration.
-    assert 0.1 <= calibration.throughput_ratio <= 10.0
-    assert 0.1 <= calibration.latency_ratio <= 10.0
+    assert 0.1 <= simulated.throughput_txn_per_sec / modelled["throughput_txn_per_sec"] <= 10.0
+    assert 0.1 <= simulated.latency.mean / modelled["latency"]["mean"] <= 10.0

@@ -305,31 +305,36 @@ def test_render_recovery_columns_only_for_fault_runs(tmp_path):
 
 
 def test_markdown_table_renders_experiment_table():
-    from repro.bench.harness import ExperimentTable
+    from repro.report.tables import ExperimentTable
 
     table = ExperimentTable(name="demo", columns=("a", "b"))
     table.add(a="x", b=1.5)
     table.add(a="y", b=2.0)
+    table.add(a="z", b=None)
     rendered = markdown_table(table)
     assert rendered.startswith("| a | b |")
     assert "| x | 1.500 |" in rendered and "| y | 2.000 |" in rendered
+    assert "| z |  |" in rendered  # a missing metric is a blank cell
 
 
 def test_model_preset_tables_cover_the_figures():
-    from repro.bench.experiments import MODEL_PRESETS, model_preset_tables
+    from repro.perfmodel import evaluate_sweep
+    from repro.report.cli import _model_preset_sections
+    from repro.sweep import build_sweep, figure_names
 
-    assert {"fig5-client-congestion", "fig7-baseline-comparison",
-            "fig8-task-offloading", "ablation-spawning-policy"} <= set(MODEL_PRESETS)
-    tables = model_preset_tables(["fig5-client-congestion"])
-    assert len(tables) == 1 and len(tables[0]) > 0
+    assert {"fig5-clients", "fig7-baselines", "fig8-offloading",
+            "ablation-spawning"} <= set(figure_names())
+    assert len(evaluate_sweep(build_sweep("fig5-clients", base="paper"))) > 0
     with pytest.raises(ConfigurationError):
-        model_preset_tables(["fig99-imaginary"])
-    # markdown_report is the section renderer the report CLI embeds.
-    from repro.bench.experiments import markdown_report
-
-    fragment = markdown_report(["fig5-client-congestion"])
-    assert fragment.startswith("## fig5-client-congestion")
-    assert "| system | clients |" in fragment
+        build_sweep("fig99-imaginary", base="paper")
+    with pytest.raises(ConfigurationError):
+        build_sweep("smoke", base="paper")  # a drill has no paper grid
+    # The section renderer the report CLI embeds: one heading per figure.
+    fragment = _model_preset_sections()
+    assert [line[3:] for line in fragment.splitlines() if line.startswith("## ")] \
+        == figure_names()
+    assert "| shim_nodes | num_clients |" in fragment
+    assert fragment == _model_preset_sections()  # byte-stable
 
 
 # ------------------------------------------------------------------ CLI

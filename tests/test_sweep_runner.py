@@ -327,6 +327,31 @@ def test_replicate_expansion_reaches_the_report_table():
     assert table.column("replicate") == [0, 1, 0, 1]
 
 
+def test_missing_metric_is_a_blank_cell_not_a_crash():
+    """Fault-free points carry no recovery metrics: the cell is None."""
+    shared = {"crypto_backend": "fast", "num_clients": 40, "client_groups": 2}
+    sweep = SweepSpec(
+        name="mixed",
+        points=tuple(
+            PointSpec(
+                labels={"scenario": scenario},
+                scenario=scenario,
+                config=shared,
+                workload={"clients": 40},
+                duration=1.0,
+                warmup=0.0,
+            )
+            for scenario in ("baseline", "primary-crash")
+        ),
+    )
+    report = run_sweep(sweep)
+    assert report.failed == 0
+    table = report.table(metrics=(("unavail", "extra.unavailability_seconds"),))
+    unavailability = table.series("scenario", "unavail")
+    assert unavailability["baseline"] is None
+    assert unavailability["primary-crash"] >= 0.0
+
+
 # ------------------------------------------------------------------ scenarios end-to-end
 
 
