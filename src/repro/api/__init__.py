@@ -4,13 +4,18 @@
 
 * :class:`~repro.api.spec.RunSpec` — declare a run: system, composable
   scenario list, dotted-key protocol/workload overrides, fault plans,
-  seed, duration/warm-up.
-* :func:`~repro.api.facade.run` — ``run(RunSpec) -> SimulationResult``.
+  seed, duration/warm-up.  A sweep point is a ``RunSpec`` too.
+* :func:`~repro.api.facade.run` — ``run(RunSpec) -> SimulationResult``;
+  with a result store, and :func:`~repro.api.facade.run_replicates` always,
+  through the one executor :func:`repro.sweep.run_sweep`.
 * :mod:`repro.api.registry` — the pluggable system registry.  Each system
   (``serverless_bft``, ``serverless_cft``, ``pbft_replicated``,
   ``noshim``) is a :class:`~repro.api.registry.SystemAdapter` with
   declared capabilities; third-party systems register in one line, after
   which sweeps, the figure presets, and the CLI can drive them by name.
+* :mod:`repro.api.scenarios` — the scenario-preset registry beside it:
+  named fault/workload drills a spec composes by name
+  (:func:`register_scenario`, :func:`get_scenario`, :func:`scenario_names`).
 
 Example::
 
@@ -31,7 +36,6 @@ from repro.api.facade import (
     build_deployment,
     build_system,
     protocol_config_from_dict,
-    resolve,
     result_digest,
     run,
     run_replicates,
@@ -48,6 +52,15 @@ from repro.api.registry import (
     register_system,
     system_names,
 )
+from repro.api.scenarios import (
+    RegionOutageFaultPlan,
+    Scenario,
+    all_scenarios,
+    get_scenario,
+    register_scenario,
+    scenario_names,
+    validate_seed_label,
+)
 from repro.api.spec import (
     SPEC_SCHEMA_VERSION,
     ComposedScenarios,
@@ -57,30 +70,35 @@ from repro.api.spec import (
     compose_scenarios,
     normalize_scenarios,
     replicate_specs,
+    resolve,
     resolve_run,
     route_key,
     scenario_key,
     split_overrides,
-    validate_seed_label,
 )
 
 __all__ = [
     "DEFAULT_CONSENSUS_ENGINE",
     "SPEC_SCHEMA_VERSION",
     "ComposedScenarios",
+    "RegionOutageFaultPlan",
     "RunSpec",
+    "Scenario",
     "ScenarioConflictError",
     "SystemAdapter",
     "UnsupportedKnobError",
+    "all_scenarios",
     "all_systems",
     "build_deployment",
     "build_system",
     "compose_runner_kwargs",
     "compose_scenarios",
     "custom_systems",
+    "get_scenario",
     "get_system",
     "normalize_scenarios",
     "protocol_config_from_dict",
+    "register_scenario",
     "register_system",
     "replicate_specs",
     "run_replicates",
@@ -92,6 +110,7 @@ __all__ = [
     "route_key",
     "run",
     "scenario_key",
+    "scenario_names",
     "split_overrides",
     "system_names",
     "workload_config_from_dict",

@@ -11,8 +11,8 @@ The registry replaces the hardcoded ``if/elif`` system ladder the sweep
 runner used to carry: unsupported-knob errors now come from one validation
 path (:meth:`SystemAdapter.build`) instead of ad-hoc raises, and a
 third-party system plugs in with one :func:`register_system` call — after
-which it is addressable from :func:`repro.api.run`, ``PointSpec(system=...)``
-sweeps, and ``python -m repro.sweep`` exactly like the built-ins.
+which it is addressable from :func:`repro.api.run`, ``RunSpec(system=...)``
+sweep points, and ``python -m repro.sweep`` exactly like the built-ins.
 
 Adapters must be picklable (module-level builder functions) so that
 runtime-registered systems can be shipped to spawn-start sweep workers the
@@ -79,8 +79,6 @@ class SystemAdapter:
     description: str
     builder: Callable[..., object]
     capabilities: FrozenSet[str] = frozenset()
-    #: Label used in experiment tables and figures (e.g. ``SERVERLESSBFT``).
-    display_name: str = ""
     #: Matching :class:`repro.perfmodel.model.SystemKind` value, if the
     #: analytical model covers this system.
     model_kind: Optional[str] = None
@@ -103,8 +101,6 @@ class SystemAdapter:
             raise ConfigurationError(
                 f"system {self.name!r} declares unknown capabilities {sorted(unknown)}"
             )
-        if not self.display_name:
-            object.__setattr__(self, "display_name", self.name.upper())
 
     # ------------------------------------------------------------------ validation
 
@@ -246,7 +242,6 @@ register_system(SystemAdapter(
             CAP_CONSENSUS_ENGINE,
         }
     ),
-    display_name="SERVERLESSBFT",
     model_kind="serverlessbft",
     extra_knobs=frozenset({"preload_storage"}),
 ))
@@ -257,7 +252,6 @@ register_system(SystemAdapter(
     capabilities=frozenset(
         {CAP_NODE_BEHAVIOURS, CAP_EXECUTOR_FAULTS, CAP_NETWORK_FAULTS, CAP_REGIONS}
     ),
-    display_name="SERVERLESSCFT",
     model_kind="serverlesscft",
     config_overrides=_LIGHT_INGEST,
     pinned_consensus="paxos",
@@ -268,7 +262,6 @@ register_system(SystemAdapter(
     description="Classic replicated-execution PBFT: no executors, no verifier.",
     builder=ReplicatedPBFTDeployment,
     capabilities=frozenset({CAP_NODE_BEHAVIOURS, CAP_EXECUTION_THREADS}),
-    display_name="PBFT",
     model_kind="pbft",
     pinned_consensus="pbft",
 ))
@@ -284,7 +277,6 @@ register_system(SystemAdapter(
     capabilities=frozenset(
         {CAP_NODE_BEHAVIOURS, CAP_EXECUTOR_FAULTS, CAP_NETWORK_FAULTS, CAP_REGIONS}
     ),
-    display_name="NOSHIM",
     model_kind="noshim",
     config_overrides={**_LIGHT_INGEST, "shim_nodes": 1},
     pinned_consensus="pbft",

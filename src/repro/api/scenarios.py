@@ -11,9 +11,10 @@ A scenario bundles three things under one name:
   digests, and worker boundaries),
 * a one-line description for ``python -m repro.sweep scenarios``.
 
-Adding a new experiment axis is a one-line :func:`register_scenario` call
-(or a ``@scenario`` decorated factory) — every sweep and CLI run can then
-reference it by name.
+Adding a new experiment axis is a one-line :func:`register_scenario` call —
+every ``RunSpec``, sweep and CLI run can then reference it by name.  The
+registry sits beside the system registry (:mod:`repro.api.registry`);
+:mod:`repro.api.spec` composes scenario lists on top of it.
 """
 
 from __future__ import annotations
@@ -35,15 +36,35 @@ from repro.faults.injector import PerBatchExecutorFaults
 from repro.sim.network import NetworkFaultPlan
 
 
+def validate_seed_label(component: object, what: str) -> object:
+    """Reject ``/`` in a component that enters a ``derive_seed`` label path.
+
+    :func:`repro.sim.rng.derive_seed` joins its labels with ``/`` and no
+    escaping, so ``("a/b",)`` and ``("a", "b")`` derive the *same* seed.
+    Changing the derivation would invalidate every content-addressed result
+    store, so instead the components that reach seed derivation (scenario
+    names, replicate labels) are validated here: a ``/`` could silently
+    alias two distinct RNG streams, which is exactly what replicated runs
+    must never do.
+    """
+    if isinstance(component, str) and "/" in component:
+        raise ConfigurationError(
+            f"{what} {component!r} must not contain '/': seed derivation joins "
+            f"label components with '/', so it would alias another label path "
+            f"(e.g. derive_seed(s, 'a/b') == derive_seed(s, 'a', 'b'))"
+        )
+    return component
+
+
 class RegionOutageFaultPlan(NetworkFaultPlan):
     """Drops every message to or from endpoints hosted in a failed region.
 
     ``NetworkFaultPlan`` partitions are keyed by endpoint *name*, but
     executors are spawned dynamically with generated names, so a region
     outage cannot be expressed as a static name set.  This plan instead
-    resolves endpoint regions through the live network once the runner binds
-    it (see ``repro.sweep.runner``): any endpoint registered in the outage
-    region is unreachable for the whole run.
+    resolves endpoint regions through the live network once
+    :func:`repro.api.facade.build_deployment` binds it: any endpoint
+    registered in the outage region is unreachable for the whole run.
     """
 
     def __init__(self, outage_region: str) -> None:
@@ -97,8 +118,6 @@ def register_scenario(scenario: Scenario, replace: bool = False) -> Scenario:
     key is a ``derive_seed`` label component), so names containing ``/``
     are rejected — they would alias another label path.
     """
-    from repro.api.spec import validate_seed_label
-
     validate_seed_label(scenario.name, "scenario name")
     if scenario.name in _REGISTRY and not replace:
         raise ConfigurationError(f"scenario {scenario.name!r} is already registered")

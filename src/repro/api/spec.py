@@ -2,9 +2,12 @@
 
 :class:`RunSpec` describes one deployment run declaratively — which system
 to build (resolved through :mod:`repro.api.registry`), a *list* of scenario
-presets to compose, dotted-key protocol/workload overrides, fault plans,
-seed, and duration/warm-up.  :func:`repro.api.run` turns a ``RunSpec`` into
-a :class:`~repro.core.runner.SimulationResult`.
+presets to compose (:mod:`repro.api.scenarios`), dotted-key protocol/workload
+overrides, fault plans, seed, and duration/warm-up.  It is also the one
+description of a sweep point: a :class:`repro.sweep.SweepSpec` is a tuple of
+``RunSpec`` s.  :func:`resolve` turns a ``RunSpec`` into the plain-JSON dict
+that determines the run, and :func:`repro.api.run` into a
+:class:`~repro.core.runner.SimulationResult`.
 
 This module is also where dotted-key override resolution lives — the sweep
 layer (grid axes, ``--set`` CLI overrides) and the facade route every key
@@ -28,6 +31,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.api.scenarios import get_scenario, validate_seed_label
 from repro.core.config import ProtocolConfig
 from repro.errors import ConfigurationError
 from repro.sim.rng import derive_seed
@@ -70,9 +74,9 @@ def jsonify(value: Any) -> Any:
 _CONFIG_FIELDS = frozenset(ProtocolConfig.__dataclass_fields__)
 _WORKLOAD_FIELDS = frozenset(YCSBConfig.__dataclass_fields__)
 
-#: Run-level keys (PointSpec / RunSpec fields, not config or workload knobs).
-#: ``seed`` is deliberately absent: a bare ``seed`` routes to the protocol
-#: config, which the per-point seed derivation has always honoured.
+#: Run-level keys (RunSpec fields, not config or workload knobs).  ``seed``
+#: is deliberately absent: a bare ``seed`` routes to the protocol config,
+#: which the per-point seed derivation has always honoured.
 _RUN_FIELDS = frozenset(
     {
         "system",
@@ -114,7 +118,7 @@ def route_key(key: str) -> Tuple[str, str]:
             raise ConfigurationError(f"{key!r}: {kind} has no field {fieldname!r}")
         return target, fieldname
     if key in _RUN_FIELDS:
-        return "run", "scenario" if key == "scenarios" else key
+        return "run", "scenarios" if key == "scenario" else key
     if key in _CONFIG_FIELDS:
         return "config", key
     if key in _WORKLOAD_FIELDS:
@@ -140,27 +144,18 @@ def split_overrides(
     return config, workload, run
 
 
-# ------------------------------------------------------------------ seed-label hygiene
+def dotted_overrides(
+    config: Mapping[str, object], workload: Mapping[str, object]
+) -> Dict[str, object]:
+    """Spell config and workload fields as one explicitly prefixed mapping.
 
-
-def validate_seed_label(component: object, what: str) -> object:
-    """Reject ``/`` in a component that enters a ``derive_seed`` label path.
-
-    :func:`repro.sim.rng.derive_seed` joins its labels with ``/`` and no
-    escaping, so ``("a/b",)`` and ``("a", "b")`` derive the *same* seed.
-    Changing the derivation would invalidate every content-addressed result
-    store, so instead the components that reach seed derivation (scenario
-    names, replicate labels) are validated here: a ``/`` could silently
-    alias two distinct RNG streams, which is exactly what replicated runs
-    must never do.
+    The inverse of :func:`split_overrides` for the two config targets: every
+    key comes out as ``protocol.<field>`` or ``workload.<field>``, so a
+    ``workload.seed`` can never be routed to the protocol config.
     """
-    if isinstance(component, str) and "/" in component:
-        raise ConfigurationError(
-            f"{what} {component!r} must not contain '/': seed derivation joins "
-            f"label components with '/', so it would alias another label path "
-            f"(e.g. derive_seed(s, 'a/b') == derive_seed(s, 'a', 'b'))"
-        )
-    return component
+    dotted = {f"protocol.{key}": value for key, value in config.items()}
+    dotted.update((f"workload.{key}", value) for key, value in workload.items())
+    return dotted
 
 
 # ------------------------------------------------------------------ scenario composition
@@ -234,8 +229,6 @@ def compose_scenarios(scenario: ScenarioSelector) -> ComposedScenarios:
     agrees on the value; otherwise :class:`ScenarioConflictError` names the
     two scenarios and the key.
     """
-    from repro.sweep.scenarios import get_scenario
-
     names = normalize_scenarios(scenario)
     config: Dict[str, object] = {}
     workload: Dict[str, object] = {}
@@ -297,8 +290,6 @@ def compose_runner_kwargs(
     (behaviour objects carry state); contributions merge under
     :func:`merge_runner_knob`'s conflict rules.
     """
-    from repro.sweep.scenarios import get_scenario
-
     merged: Dict[str, object] = {}
     sources: Dict[str, str] = {}
     for name in normalize_scenarios(scenario):
@@ -425,9 +416,11 @@ class RunSpec:
     subject to the same conflict rules and the system's declared
     capabilities.
 
-    ``seed=None`` uses the ``seed`` override if one was given, else the
-    deployment default (1); either way the materialised seed ends up in the
-    resolved run, so resolution is always fully pinned.
+    ``seed=None`` leaves the seed unpinned.  Resolved on its own
+    (:func:`resolve`), the run takes the ``seed`` override if one was given,
+    else 1; as a sweep point it takes the seed derived from the sweep (see
+    :func:`repro.sweep.spec.point_seed`).  Either way the materialised seed
+    ends up in the resolved run, so resolution is always fully pinned.
 
     ``replicates`` declares how many statistically independent repetitions
     of this run the caller wants: :func:`replicate_specs` expands the spec
@@ -464,15 +457,12 @@ class RunSpec:
             raise ConfigurationError("warmup must be inside [0, duration)")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
-        config_ov, _workload_ov, run_ov = split_overrides(self.overrides)
+        _config_ov, _workload_ov, run_ov = split_overrides(self.overrides)
         if run_ov:
             raise ConfigurationError(
                 f"run-level keys {sorted(run_ov)} belong in RunSpec fields, "
                 f"not in overrides"
             )
-        if self.seed is None:
-            seed = int(config_ov.get("seed", 1))  # type: ignore[arg-type]
-            object.__setattr__(self, "seed", seed)
 
     def direct_runner_kwargs(self) -> Dict[str, object]:
         """The bespoke fault objects attached directly to this spec."""
@@ -486,23 +476,13 @@ class RunSpec:
         return kwargs
 
 
-def replicate_fields(
-    labels: Mapping[str, object], base_seed: int, index: int
-) -> Dict[str, object]:
-    """The field changes that turn a spec into its ``index``-th replicate.
-
-    One definition of the family contract — seed chain extended with the
-    replicate index, ``replicate`` label recorded, count collapsed to 1 —
-    shared by :func:`replicate_specs` (facade) and
-    :func:`repro.sweep.spec.expand_replicates` (sweeps), so a facade-run
-    replicate and a sweep-run replicate of the same configuration are
-    guaranteed the same content address and report group.
-    """
-    return {
-        "replicates": 1,
-        "seed": derive_seed(base_seed, "replicate", index),
-        "labels": {**dict(labels), "replicate": index},
-    }
+def run_seed(spec: RunSpec) -> int:
+    """The seed a spec resolves with on its own: pinned, else the ``seed``
+    override, else 1."""
+    if spec.seed is not None:
+        return spec.seed
+    config_ov, _workload_ov, _run_ov = split_overrides(spec.overrides)
+    return int(config_ov.get("seed", 1))  # type: ignore[arg-type]
 
 
 def replicate_specs(spec: RunSpec) -> Tuple[RunSpec, ...]:
@@ -511,17 +491,23 @@ def replicate_specs(spec: RunSpec) -> Tuple[RunSpec, ...]:
     ``replicates=1`` returns the spec itself unchanged, so resolution and
     content address stay bit-identical to the single-run era.  For
     ``replicates=N`` each replicate ``i`` pins the seed
-    ``derive_seed(spec.seed, "replicate", i)`` — the spec's own seed chain
-    extended with the replicate index — and records the index in ``labels``
-    so result-store records and report tables can group the family back
-    together.  Every replicate is a plain ``replicates=1`` spec: it
-    resolves, digests, and caches like any other run.
+    ``derive_seed(run_seed(spec), "replicate", i)`` — the spec's own seed
+    chain extended with the replicate index — and records the index in
+    ``labels`` so result-store records and report tables can group the
+    family back together.  Every replicate is a plain ``replicates=1`` spec:
+    it resolves, digests, and caches like any other run.  Facade runs and
+    sweep points (:func:`repro.sweep.spec.expand_replicates`) both expand
+    here, so a replicate has one content address whichever ran it.
     """
     if spec.replicates == 1:
         return (spec,)
+    base_seed = run_seed(spec)
     return tuple(
         dataclasses.replace(
-            spec, **replicate_fields(spec.labels, int(spec.seed), index)
+            spec,
+            replicates=1,
+            seed=derive_seed(base_seed, "replicate", index),
+            labels={**dict(spec.labels), "replicate": index},
         )
         for index in range(spec.replicates)
     )
@@ -577,3 +563,26 @@ def resolve_run(
         "workload": jsonify(dataclasses.asdict(workload)),
         "labels": jsonify(dict(labels)),
     }
+
+
+def resolve(spec: RunSpec) -> Dict[str, object]:
+    """Expand a :class:`RunSpec` into the plain-JSON dict that determines it.
+
+    The one resolution path of facade runs and sweep points alike, so
+    ``repro.sweep.point_digest`` of the result is the run's cache key
+    wherever it ran.  An unpinned seed resolves by :func:`run_seed`.
+    """
+    config_overrides, workload_overrides, _run = split_overrides(spec.overrides)
+    return resolve_run(
+        base=spec.base,
+        system=spec.system,
+        consensus_engine=spec.consensus_engine,
+        scenarios=spec.scenarios,
+        execution_threads=spec.execution_threads,
+        duration=spec.duration,
+        warmup=spec.warmup,
+        seed=run_seed(spec),
+        config_overrides=config_overrides,
+        workload_overrides=workload_overrides,
+        labels=spec.labels,
+    )

@@ -3,22 +3,26 @@
 The paper's evaluation is a family of parameter sweeps; this package turns
 them into declarative, cacheable, multi-core experiment runs:
 
-* :mod:`repro.sweep.spec` — :class:`GridSpec` / :class:`PointSpec` /
-  :class:`SweepSpec` describe a sweep declaratively; each point resolves to
-  a content-addressed spec (SHA-256 of the fully resolved configuration).
+* :mod:`repro.sweep.spec` — :class:`GridSpec` / :class:`SweepSpec` describe
+  a sweep declaratively; every point is a :class:`repro.api.RunSpec` and
+  resolves to a content-addressed spec (SHA-256 of the fully resolved
+  configuration).
 * :mod:`repro.sweep.runner` — :func:`run_sweep` executes points in-process
-  or across CPU cores with bit-identical simulated results either way.
+  or across CPU cores with bit-identical simulated results either way.  It
+  is the one executor: ``repro.api.run(store=...)`` and
+  ``repro.api.run_replicates`` go through it too.
 * :mod:`repro.store` — the result warehouse: backends keyed by point
   digest (append-only JSONL, indexed sqlite, per-worker shards with a
   deterministic merge) behind one :class:`~repro.store.ResultBackend`
   protocol, so re-runs skip simulated points and interrupted sweeps
   resume no matter which backend holds the records.
-* :mod:`repro.sweep.scenarios` — named fault/workload presets (region
-  outage, partitions, byzantine executors, skewed YCSB, ...).
 * :mod:`repro.sweep.presets` — named sweeps, among them the paper's eleven
   figures (``fig6-executors``, ...; each also carries the paper's own grid,
   which :mod:`repro.perfmodel` evaluates) for the CLI:
   ``python -m repro.sweep run fig6-executors --workers 4``.
+
+Scenario presets (region outage, partitions, byzantine executors, skewed
+YCSB, ...) live beside the system registry in :mod:`repro.api.scenarios`.
 """
 
 from repro.sweep.presets import (
@@ -28,13 +32,6 @@ from repro.sweep.presets import (
     sweep_names,
 )
 from repro.sweep.runner import PointOutcome, SweepReport, run_sweep
-from repro.sweep.scenarios import (
-    Scenario,
-    all_scenarios,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-)
 from repro.sweep.serialization import (
     result_from_dict,
     result_to_dict,
@@ -42,7 +39,6 @@ from repro.sweep.serialization import (
 )
 from repro.sweep.spec import (
     GridSpec,
-    PointSpec,
     SweepSpec,
     apply_overrides,
     expand_replicates,
@@ -50,33 +46,25 @@ from repro.sweep.spec import (
     resolve_point,
     sweep_from_dict,
     sweep_from_grid,
-    with_replicates,
 )
 
 __all__ = [
     "GridSpec",
     "PointOutcome",
-    "PointSpec",
-    "Scenario",
     "SweepReport",
     "SweepSpec",
-    "all_scenarios",
     "apply_overrides",
     "build_sweep",
     "expand_replicates",
     "figure_names",
-    "get_scenario",
     "point_digest",
-    "register_scenario",
     "register_sweep",
     "resolve_point",
     "result_from_dict",
     "result_to_dict",
     "run_sweep",
-    "scenario_names",
     "simulated_fingerprint",
     "sweep_from_dict",
     "sweep_from_grid",
     "sweep_names",
-    "with_replicates",
 ]

@@ -31,19 +31,13 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.api.registry import all_systems
+from repro.api.scenarios import all_scenarios
 from repro.errors import ConfigurationError
 from repro.report.tables import markdown_table
 from repro.sweep.presets import build_sweep, sweep_names
 from repro.sweep.runner import print_progress, run_sweep
-from repro.sweep.scenarios import all_scenarios
 from repro.store.url import open_store
-from repro.sweep.spec import (
-    SweepSpec,
-    apply_overrides,
-    expand_replicates,
-    sweep_from_dict,
-    with_replicates,
-)
+from repro.sweep.spec import SweepSpec, apply_overrides, expand_replicates, sweep_from_dict
 
 
 def _load_sweep(
@@ -65,7 +59,8 @@ def _load_sweep(
 def _cmd_list(_args: argparse.Namespace) -> int:
     for name in sweep_names():
         sweep = build_sweep(name)
-        print(f"{name:<28} {len(sweep):>3} points  base={sweep.base}")
+        bases = ",".join(sorted({point.base for point in sweep.points}))
+        print(f"{name:<28} {len(sweep):>3} points  base={bases}")
     return 0
 
 
@@ -132,7 +127,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         sweep = _load_sweep(args.sweep, args.duration, args.warmup, args.seed)
         sweep = apply_overrides(sweep, _parse_set_overrides(args.set or []))
         if args.replicates is not None:
-            sweep = with_replicates(sweep, args.replicates)
+            sweep = apply_overrides(sweep, {"replicates": args.replicates})
         if args.shard_count > 1:
             sweep = _grid_shard(sweep, args.shard_index, args.shard_count)
     except (ConfigurationError, OSError, json.JSONDecodeError) as exc:

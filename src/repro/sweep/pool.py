@@ -1,11 +1,12 @@
-"""Warm worker pools for sweep and replicate execution.
+"""The warm worker pool of the one executor.
 
 A cold ``ProcessPoolExecutor`` pays interpreter start-up plus the full
-``repro`` import graph in every worker, for every ``run_sweep`` /
-``run_replicates`` call — a fixed tax per *invocation* that the replicate
-axis multiplies.  This module keeps one process-global pool alive and hands
-it to every caller that asks for the same worker count, so the tax is paid
-once per process instead of once per call.
+``repro`` import graph in every worker, for every ``run_sweep`` call — and
+``repro.api.run_replicates`` is a ``run_sweep`` call — a fixed tax per
+*invocation* that the replicate axis multiplies.  ``run_sweep`` is this
+module's only client: it keeps one process-global pool alive and hands it
+to every call that asks for the same worker count, so the tax is paid once
+per process instead of once per call.
 
 Correctness notes:
 
@@ -20,7 +21,8 @@ Correctness notes:
   stall-budget timeout is discarded; the next caller gets a fresh spawn.
 
 ``pool_spawn_count()`` exposes how many pools this process created — CI
-asserts that two back-to-back ``run_replicates`` calls spawn exactly one.
+asserts that ``run_replicates``, ``run_sweep`` and ``run_replicates`` again,
+interleaved, spawn exactly one.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ warm-up, and seed.
 
 The eleven figures of Section IX (Figures 5–8 plus the spawning and
 conflict-avoidance ablations) are each registered once and carry their grid
-at two scales, selected by the sweep's ``base``: ``"scale"`` is the
-scaled-down grid small enough to simulate message by message
+at two scales, selected by ``base`` (every point carries it): ``"scale"`` is
+the scaled-down grid small enough to simulate message by message
 (``python -m repro.sweep run fig6-batching``), ``"paper"`` the paper's own
 axis values, answered by the analytical model
 (``repro.perfmodel.evaluate_sweep(build_sweep(name, base="paper"))``, or
@@ -23,7 +23,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.sweep.spec import GridSpec, PointSpec, SweepSpec, sweep_from_grid
+from repro.api.spec import RunSpec
+from repro.sweep.spec import GridSpec, SweepSpec, sweep_from_grid
 
 _REGISTRY: Dict[str, Callable[..., SweepSpec]] = {}
 
@@ -144,7 +145,7 @@ def _figure(
             raise ConfigurationError(
                 f"figure {name!r} has no {base!r} grid (known: {', '.join(grids)})"
             )
-        points: List[PointSpec] = []
+        points: List[RunSpec] = []
         for block in grids[base]:
             points.extend(
                 sweep_from_grid(
@@ -152,7 +153,7 @@ def _figure(
                     **block,
                 ).points
             )
-        return SweepSpec(name=name, points=tuple(points), base=base, seed=seed)
+        return SweepSpec(name=name, points=tuple(points), seed=seed)
 
     build.__doc__ = doc
     register_sweep(name)(build)

@@ -16,6 +16,10 @@ written to the result store immediately) and accept a stall budget
 running are recorded as failed and their workers are killed.  Progress is
 reported per point through a callback (the CLI prints ``[sweep] 3/8
 simulated batch_size=25 ... (1.9s)`` lines).
+
+``run_sweep`` is the one executor: :func:`repro.api.run` with a store and
+:func:`repro.api.run_replicates` run their spec as an ``"api-run"`` sweep
+through it and re-raise the exception a failed :class:`PointOutcome` keeps.
 """
 
 from __future__ import annotations
@@ -27,20 +31,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.facade import build_deployment
-from repro.api.registry import custom_systems as _custom_systems
+from repro.api.registry import custom_systems, register_system
+from repro.api.scenarios import custom_scenarios, register_scenario
+from repro.api.spec import RunSpec
 from repro.core.runner import SimulationResult
 from repro.report.aggregate import DEFAULT_SCALAR_METRICS, resolve_result_field
 from repro.report.tables import ExperimentTable
 from repro.sweep.pool import discard_shared_pool, get_shared_pool
-from repro.sweep.scenarios import custom_scenarios
 from repro.sweep.serialization import result_from_dict, result_to_dict
-from repro.sweep.spec import (
-    PointSpec,
-    SweepSpec,
-    expand_replicates,
-    point_digest,
-    resolve_point,
-)
+from repro.sweep.spec import SweepSpec, expand_replicates, point_digest, resolve_point
 from repro.errors import ConfigurationError
 from repro.store.backend import ResultBackend
 
@@ -60,9 +59,6 @@ def _register_worker_state(scenarios, systems) -> None:
     so a long-lived warm pool also serves scenarios/systems registered
     *after* it was created; re-registration is a few idempotent dict writes.
     """
-    from repro.api.registry import register_system
-    from repro.sweep.scenarios import register_scenario
-
     for scenario in scenarios:
         register_scenario(scenario, replace=True)
     for adapter in systems:
@@ -124,12 +120,16 @@ def _simulate_point_task(
 class PointOutcome:
     """What happened to one point of a sweep run."""
 
-    point: PointSpec
+    point: RunSpec
     resolved: Dict[str, object]
     digest: str
     result_dict: Optional[Dict[str, object]] = None
     cached: bool = False
-    error: Optional[str] = None
+    #: What the point failed with, kept as caught (a stalled point holds a
+    #: ``TimeoutError``) so ``repro.api.run_replicates`` can re-raise it.
+    exception: Optional[BaseException] = None
+    #: Host seconds of a simulated point: ``sum(timing.values())`` whichever
+    #: path ran it; 0.0 for a cached point, the budget for a stalled one.
     wall_clock_seconds: float = 0.0
     #: Host-side cost split of a simulated point (setup_seconds /
     #: simulate_seconds / collect_seconds); None for cached/failed points.
@@ -142,6 +142,13 @@ class PointOutcome:
     @property
     def ok(self) -> bool:
         return self.result_dict is not None
+
+    @property
+    def error(self) -> Optional[str]:
+        """``"Type: message"`` of :attr:`exception`, or None."""
+        if self.exception is None:
+            return None
+        return f"{type(self.exception).__name__}: {self.exception}"
 
     @property
     def status(self) -> str:
@@ -253,7 +260,7 @@ def _should_retry(exc: BaseException, retries: int, limit: int = WORKER_RETRY_LI
     return isinstance(exc, BrokenExecutor) and retries < limit
 
 
-def _format_labels(point: PointSpec) -> str:
+def _format_labels(point: RunSpec) -> str:
     if not point.labels:
         return "-"
     return " ".join(f"{key}={value}" for key, value in point.labels.items())
@@ -289,6 +296,8 @@ def run_sweep(
     Points carrying ``replicates=N`` are expanded into N per-seed points
     first (see :func:`repro.sweep.spec.expand_replicates`), so the report's
     outcomes — and the store's records — hold one entry per replicate.
+    Points that share a digest simulate once; a point whose pool worker
+    dies is re-run once on a fresh pool.
 
     ``tracer_enabled=True`` runs every simulated point with the flight
     recorder on; the observability payload rides inside each result dict
@@ -311,12 +320,7 @@ def run_sweep(
                 _format_labels(point), type(exc).__name__, exc,
             )
             outcomes.append(
-                PointOutcome(
-                    point=point,
-                    resolved={},
-                    digest="",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+                PointOutcome(point=point, resolved={}, digest="", exception=exc)
             )
             continue
         outcomes.append(
@@ -357,6 +361,8 @@ def run_sweep(
 
     def finish(outcome: PointOutcome) -> None:
         nonlocal done
+        if outcome.timing is not None:
+            outcome.wall_clock_seconds = sum(outcome.timing.values())
         if outcome.ok and store is not None:
             store.put(
                 outcome.digest,
@@ -374,7 +380,7 @@ def run_sweep(
                 twin.result_dict = dict(outcome.result_dict)
                 twin.cached = True
             else:
-                twin.error = outcome.error
+                twin.exception = outcome.exception
                 twin.wall_clock_seconds = outcome.wall_clock_seconds
             done += 1
             if progress is not None:
@@ -385,6 +391,7 @@ def run_sweep(
     def harvest(future, outcome: PointOutcome) -> None:
         try:
             outcome.result_dict, outcome.timing = future.result()
+            outcome.exception = None
         except Exception as exc:
             # Process-boundary catch: a worker can die (BrokenExecutor) or
             # re-raise literally anything the simulation threw.  Never
@@ -393,6 +400,7 @@ def run_sweep(
                 "point %s failed in worker: %s: %s",
                 _format_labels(outcome.point), type(exc).__name__, exc,
             )
+            outcome.exception = exc
             if _should_retry(exc, outcome.retries):
                 # Worker death: the point gets one more attempt on a fresh
                 # pool (the broken pool poisons every pending future, so
@@ -400,17 +408,12 @@ def run_sweep(
                 outcome.retries += 1
                 retry_queue.append(outcome)
                 return
-            outcome.error = f"{type(exc).__name__}: {exc}"
-        if outcome.ok:
-            outcome.wall_clock_seconds = float(
-                outcome.result_dict.get("wall_clock_seconds", 0.0)
-            )
         finish(outcome)
 
     if workers > 1 and executable:
         timed_out = False
         task_scenarios = custom_scenarios()
-        task_systems = _custom_systems()
+        task_systems = custom_systems()
 
         def drain(future_map) -> bool:
             """Harvest one batch of futures; True if the stall budget hit.
@@ -434,7 +437,7 @@ def run_sweep(
                             # returning empty and this loop: keep the result.
                             harvest(future, outcome)
                             continue
-                        outcome.error = f"no result within {timeout:g}s"
+                        outcome.exception = TimeoutError(f"no result within {timeout:g}s")
                         outcome.wall_clock_seconds = float(timeout or 0.0)
                         finish(outcome)
                     return True
@@ -469,9 +472,8 @@ def run_sweep(
                 for outcome in retries
             })
         for outcome in retry_queue:
-            # Retry was cut short by a stall timeout (or a second death):
-            # close the point out as failed rather than leaving it silent.
-            outcome.error = "worker died and retry did not complete"
+            # Retry was cut short by a stall timeout: close the point out as
+            # failed with its worker-death exception rather than silently.
             finish(outcome)
         if timed_out:
             # A timed-out worker is still executing its point and a plain
@@ -481,7 +483,6 @@ def run_sweep(
             discard_shared_pool(terminate=True)
     else:
         for outcome in executable:
-            point_started = time.perf_counter()  # lint: ignore[DET001] host timing
             try:
                 outcome.result_dict, outcome.timing = _timed_simulate(
                     outcome.resolved, tracer_enabled=tracer_enabled
@@ -493,9 +494,7 @@ def run_sweep(
                     "point %s failed: %s: %s",
                     _format_labels(outcome.point), type(exc).__name__, exc,
                 )
-                outcome.error = f"{type(exc).__name__}: {exc}"
-            # lint: ignore[DET001] wall_clock_seconds is a declared HOST_SPEED_FIELDS field
-            outcome.wall_clock_seconds = time.perf_counter() - point_started
+                outcome.exception = exc
             finish(outcome)
 
     return SweepReport(

@@ -5,22 +5,29 @@
 * scenario composition — ``["region-outage", "skewed-ycsb"]`` applies both
   presets in list order, conflicting compositions fail loudly,
 * one validation path for unsupported knobs (registry capabilities),
-* runtime-registered systems work end-to-end (``PointSpec`` validation,
+* runtime-registered systems work end-to-end (``RunSpec`` validation,
   ``repro.api.run``, sweeps, CLI),
+* ``run(store=...)`` and ``run_replicates`` go through the sweep executor:
+  caching, pooled workers, exception re-raise, worker-death retry,
 * the facade never emits a ``DeprecationWarning``.
 """
 
+import functools
+import os
 import warnings
 
 import pytest
 
 from repro.api import (
     RunSpec,
+    Scenario,
     ScenarioConflictError,
     SystemAdapter,
     UnsupportedKnobError,
     build_deployment,
+    build_system,
     compose_scenarios,
+    register_scenario,
     register_system,
     replicate_specs,
     resolve,
@@ -28,11 +35,13 @@ from repro.api import (
     route_key,
     run,
     run_replicates,
+    scenario_key,
     spec_digest,
     system_names,
 )
 from repro.errors import ConfigurationError
-from repro.sweep import PointSpec, Scenario, SweepSpec, register_scenario, run_sweep
+from repro.store import JsonlBackend
+from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.cli import main as sweep_cli
 
 #: Small, fast deployment every test here reuses.
@@ -90,15 +99,14 @@ def test_composed_scenario_point_runs_through_sweep_and_facade():
     facade_result = run(_spec(scenarios=list(scenario_list), seed=11))
     assert facade_result.committed_txns > 0
 
-    point = PointSpec(
+    point = RunSpec(
         labels={"drill": "composed"},
-        scenario=scenario_list,
-        config={"num_clients": 40, "client_groups": 2},
-        workload={"clients": 40},
+        scenarios=scenario_list,
+        overrides={"num_clients": 40, "client_groups": 2, "workload.clients": 40},
         duration=0.4,
         warmup=0.1,
     )
-    assert point.scenario_label == "region-outage+skewed-ycsb"
+    assert scenario_key(point.scenarios) == "region-outage+skewed-ycsb"
     report = run_sweep(SweepSpec(name="composed", points=(point,)))
     assert report.failed == 0
     assert report.outcomes[0].resolved["scenarios"] == list(scenario_list)
@@ -232,7 +240,8 @@ def test_route_key_routing():
     assert route_key("write_fraction") == ("workload", "write_fraction")
     assert route_key("seed") == ("config", "seed")  # historical axis routing
     assert route_key("system") == ("run", "system")
-    assert route_key("scenarios") == ("run", "scenario")
+    assert route_key("scenarios") == ("run", "scenarios")
+    assert route_key("scenario") == ("run", "scenarios")
     with pytest.raises(ConfigurationError):
         route_key("protocol.write_fraction")  # YCSB field, wrong prefix
     with pytest.raises(ConfigurationError):
@@ -276,14 +285,9 @@ def test_runtime_registered_system_end_to_end():
         ),
         replace=True,
     )
-    # PointSpec validation defers to the registry.
-    point = PointSpec(
-        labels={"system": "unit-test-tuned-noshim"},
-        system="unit-test-tuned-noshim",
-        config={"crypto_backend": "fast", "num_clients": 40, "client_groups": 2},
-        workload={"clients": 40},
-        duration=0.4,
-        warmup=0.1,
+    # Point validation defers to the registry.
+    point = _spec(
+        labels={"system": "unit-test-tuned-noshim"}, system="unit-test-tuned-noshim"
     )
     report = run_sweep(SweepSpec(name="custom-system", points=(point,)))
     assert report.failed == 0 and report.outcomes[0].result.committed_txns > 0
@@ -292,7 +296,7 @@ def test_runtime_registered_system_end_to_end():
     second = run(_spec(system="unit-test-tuned-noshim", seed=2))
     assert result_digest(first) == result_digest(second)
     with pytest.raises(ConfigurationError):
-        PointSpec(system="still-not-a-system")
+        RunSpec(system="still-not-a-system")
 
 
 def test_runtime_registered_system_ships_to_workers():
@@ -323,8 +327,6 @@ def test_facade_construction_never_warns():
 
 
 def test_run_with_store_caches_and_resumes(tmp_path):
-    from repro.store import JsonlBackend
-
     store_path = str(tmp_path / "api.jsonl")
     spec = _spec()
     first = run(spec, store=store_path)  # a path is accepted directly
@@ -346,24 +348,20 @@ def test_run_with_store_caches_and_resumes(tmp_path):
 
 
 def test_run_store_shares_addresses_with_sweeps(tmp_path):
-    """An ad-hoc facade run and a sweep point with the same resolved config
-    share one cache entry — same content-address space."""
-    from repro.store import JsonlBackend
-
-    store = JsonlBackend(str(tmp_path / "shared.jsonl"))
+    """The same RunSpec object is a cached facade run and a cached sweep
+    point — one content-address space, whichever ran it first."""
+    path = tmp_path / "shared.jsonl"
+    store = JsonlBackend(str(path))
     spec = _spec(seed=11)
     run(spec, store=store)
-    point = PointSpec(
-        labels={},
-        config={key: value for key, value in FAST_OVERRIDES.items()
-                if not key.startswith("workload.")},
-        workload={"clients": 40},
-        seed=11,
-        duration=0.4,
-        warmup=0.1,
-    )
-    report = run_sweep(SweepSpec(name="shared", points=(point,)), store=store)
+    report = run_sweep(SweepSpec(name="shared", points=(spec,)), store=store)
     assert report.cached == 1 and report.simulated == 0
+
+    swept_first = _spec(seed=12)
+    run_sweep(SweepSpec(name="shared", points=(swept_first,)), store=store)
+    records = path.read_text().count("\n")
+    run(swept_first, store=store)
+    assert path.read_text().count("\n") == records  # served, not re-simulated
 
 
 def test_run_with_store_rejects_bespoke_fault_objects(tmp_path):
@@ -372,13 +370,14 @@ def test_run_with_store_rejects_bespoke_fault_objects(tmp_path):
     spec = _spec(node_behaviours={"node-3": CrashBehaviour()})
     with pytest.raises(ConfigurationError, match="scenario preset"):
         run(spec, store=str(tmp_path / "never.jsonl"))
+    # run_replicates rejects them on every path, store or not.
+    with pytest.raises(ConfigurationError, match="scenario preset"):
+        run_replicates(spec)
     # Without a store the bespoke objects remain fully supported.
     assert run(spec).committed_txns > 0
 
 
 def test_run_replicates_expands_caches_and_differs_per_seed(tmp_path):
-    from repro.store import JsonlBackend
-
     store = JsonlBackend(str(tmp_path / "family.jsonl"))
     spec = _spec(replicates=2)
     family = run_replicates(spec, store=store)
@@ -396,6 +395,84 @@ def test_run_replicates_expands_caches_and_differs_per_seed(tmp_path):
     # Expansion is the single-spec identity for replicates=1.
     single = _spec()
     assert replicate_specs(single) == (single,)
+
+
+def test_run_replicates_pooled_persists_and_matches_serial(tmp_path):
+    path = tmp_path / "pooled.jsonl"
+    spec = _spec(replicates=2, seed=21)
+    pooled = run_replicates(spec, workers=2, store=str(path))
+    assert len(JsonlBackend(str(path))) == 2
+    records = path.read_text().count("\n")
+    # Second call: 100% cached — nothing is simulated, so nothing appended.
+    again = run_replicates(spec, workers=2, store=str(path))
+    assert path.read_text().count("\n") == records
+    serial = [result_digest(result) for result in run_replicates(spec)]
+    assert [result_digest(result) for result in pooled] == serial
+    assert [result_digest(result) for result in again] == serial
+
+
+class _BuildFailure(RuntimeError):
+    """What ``_odd_seed_fails`` raises, to check the type survives a worker."""
+
+
+def _odd_seed_fails(config, workload=None, **kwargs):
+    if config.seed % 2:
+        raise _BuildFailure(f"refusing odd seed {config.seed}")
+    return build_system("noshim", config, workload, **kwargs)
+
+
+def _die_once(marker, config, workload=None, **kwargs):
+    """Kill the building worker process unless ``marker`` already exists."""
+    if not os.path.exists(marker):
+        with open(marker, "w", encoding="utf-8"):
+            pass
+        os._exit(1)
+    return build_system("noshim", config, workload, **kwargs)
+
+
+def _register_for_test(monkeypatch, name, builder):
+    """Register a runtime system for one test (removed again afterwards)."""
+    from repro.api import registry
+
+    adapter = SystemAdapter(name=name, description="test-only system", builder=builder)
+    monkeypatch.setitem(registry._REGISTRY, name, adapter)
+
+
+def test_run_replicates_reraises_a_worker_error_after_storing_siblings(
+    tmp_path, monkeypatch
+):
+    _register_for_test(monkeypatch, "unit-test-odd-seed-fails", _odd_seed_fails)
+    # The first spec seed whose replicate 0 builds and replicate 1 raises.
+    spec = next(
+        candidate
+        for candidate in (
+            _spec(system="unit-test-odd-seed-fails", seed=seed, replicates=2)
+            for seed in range(1, 64)
+        )
+        if [resolve(r)["config"]["seed"] % 2 for r in replicate_specs(candidate)]
+        == [0, 1]
+    )
+    store = JsonlBackend(str(tmp_path / "family.jsonl"))
+    with pytest.raises(_BuildFailure):
+        run_replicates(spec, workers=2, store=store)
+    assert list(store.iter_records())[0]["digest"] == spec_digest(
+        replicate_specs(spec)[0]
+    )
+    assert len(store) == 1
+
+
+def test_run_replicates_survives_a_worker_death(tmp_path, monkeypatch):
+    marker = str(tmp_path / "died-once")
+    _register_for_test(
+        monkeypatch, "unit-test-dies-once", functools.partial(_die_once, marker)
+    )
+    store = JsonlBackend(str(tmp_path / "retried.jsonl"))
+    family = run_replicates(
+        _spec(system="unit-test-dies-once", replicates=2), workers=2, store=store
+    )
+    assert os.path.exists(marker)  # a worker really died on the first attempt
+    assert len(family) == 2 and all(result.committed_txns > 0 for result in family)
+    assert any(record.get("retries") == 1 for record in store.iter_records())
 
 
 def test_cli_list_systems(capsys):

@@ -9,7 +9,9 @@ from repro.api import RunSpec, resolve, spec_digest
 from repro.perfmodel import MODEL_METRICS, evaluate_point, evaluate_sweep
 from repro.report.tables import DuplicateSeriesKeyWarning, ExperimentTable
 from repro.sweep import (
+    apply_overrides,
     build_sweep,
+    expand_replicates,
     figure_names,
     point_digest,
     resolve_point,
@@ -96,27 +98,65 @@ def test_base_defaults_resolve_to_the_same_address(base):
 # ------------------------------------------------------------------ presets
 
 
-#: Per pre-existing preset: point count and sha256 over the concatenated point
-#: digests, computed before the figures were folded into one definition each.
+#: Per registered sweep: point count and sha256 over the concatenated point
+#: digests of ``expand_replicates(sweep)``.  A bare name is the sweep at its
+#: default (``"scale"``) base, ``@paper`` a figure's paper grid, and
+#: ``smoke@replicates=2`` the smoke sweep after ``--replicates 2``.  The
+#: pre-existing scale entries date from before the figures were folded into
+#: one definition each; the rest from before sweep points became RunSpecs.
 _PRESET_GOLDEN = {
-    "fig6-executors": (8, "d87da6c66cbe1edaf093b0d4b076ad8e3dd99fdf72be7aa0a62f410282b347a0"),
-    "fig6-batching": (8, "1e5c6226732ee97519b5436bc8acb84a589b312f39000a6f2e6c6d90fc3ff9e1"),
-    "fig6-conflicts": (4, "6075deb8104371267da7cc3ef64c84ae0f2412c74e7733422b06cdb551cddc30"),
-    "fig7-baselines": (4, "c33558f5b1013d39576ef84d41b19d11f1b5da8ec74c882ef3e1f59698c3cc2e"),
-    "fig8-offloading": (4, "be37dc01e3dd2d82a13657f9439e1d683992318f873644d3f93eba12c2b6bbfc"),
-    "smoke": (4, "8eeab22349887022e013fc16d6eae1694813f526de21bd0db79683c389955297"),
+    "ablation-conflict-avoidance": (2, "778b47925a904c6413e34070318f55d26409496bfcb96acef32e30bdcfc9086e"),
+    "ablation-conflict-avoidance@paper": (8, "11dc711abc8802004ad871389aeceb7eb95ca5dcaebf72d4c7ef43d11c3345bc"),
+    "ablation-spawning": (2, "83ed268c47bb4797930b50f3fd9a9b2271a08342362ef34a601f7aa9f6c51d5e"),
+    "ablation-spawning@paper": (6, "2865795ecd4bd4c78eacc5df07dba10a5f60720d22e2845e81c3024780857120"),
     "chaos-drills": (10, "dec80c0b9ba4787732abb5d2783e700077bd2754a24fc3013894d3489776a318"),
+    "fig5-clients": (2, "4605bbf28027fc5312a3ce48095b1bda7371b71b68fc748115d4360a686ba307"),
+    "fig5-clients@paper": (24, "ef27267fa74a68e37c506142323c3bcbd8406c5f530fde395aa6cc3fa914c925"),
+    "fig6-batching": (8, "1e5c6226732ee97519b5436bc8acb84a589b312f39000a6f2e6c6d90fc3ff9e1"),
+    "fig6-batching@paper": (12, "70897a5f2564572c51b7210b4862b3b6bfee0c1284d614fa88c818c5778fd316"),
+    "fig6-conflicts": (4, "6075deb8104371267da7cc3ef64c84ae0f2412c74e7733422b06cdb551cddc30"),
+    "fig6-conflicts@paper": (12, "8a8fb5414fdd1113f8e7f125989ff41bd3732e9ebd3fb6b5a57db9433594acf3"),
+    "fig6-cores": (2, "31985e81b3c8a5faef0a80cc83a733f830b6dc16dfdec0f0d1fa1b84d59b871a"),
+    "fig6-cores@paper": (10, "cb92eabc7655e22b2b16ac31a2be4a5fbc12295da88548833455b4f97e11793f"),
+    "fig6-execution": (2, "50ab5a19211c11aa554c75e8bccbc2b3c806825a079cb5847dc01c7f01a20172"),
+    "fig6-execution@paper": (10, "e8e5f5e8e828b5eb0886c87fee708dfe53ea2f43243bb00e0bcd7de34d0d541f"),
+    "fig6-executors": (8, "d87da6c66cbe1edaf093b0d4b076ad8e3dd99fdf72be7aa0a62f410282b347a0"),
+    "fig6-executors@paper": (10, "11a4d435e9aa93125a56bda56041c51adadc0ca373a4283bb32947f45ae7873e"),
+    "fig6-regions": (2, "7f25f5d6279e5076f0da0e6fc6b0aaed9179a54b4cd832c873f6b26fff6a517a"),
+    "fig6-regions@paper": (8, "bacfff43eef041ca3d36a0ba574f5f38789f0812925f01b60574778730d11987"),
+    "fig7-baselines": (4, "c33558f5b1013d39576ef84d41b19d11f1b5da8ec74c882ef3e1f59698c3cc2e"),
+    "fig7-baselines@paper": (24, "1e48c1970844e6cef2351aecd26ac9cef259b93b1a80e6de3403a22e9d35caf5"),
+    "fig8-offloading": (4, "be37dc01e3dd2d82a13657f9439e1d683992318f873644d3f93eba12c2b6bbfc"),
+    "fig8-offloading@paper": (28, "6a42a3d908281ec3194ad81d81217046b2ea2371407db99b0b45a70c65d754e9"),
     "scenario-drills": (14, "a52206594789e091579be1b328f419d7f8eba1ab1d45b2ee5844462c744641e6"),
+    "smoke": (4, "8eeab22349887022e013fc16d6eae1694813f526de21bd0db79683c389955297"),
+    "smoke@replicates=2": (8, "387800d09bd1fe7007604b5bb66604f62c464a333a1921c72c02493a55a2c5e2"),
 }
+
+
+def _golden_sweep(key):
+    name, _at, variant = key.partition("@")
+    if variant == "paper":
+        return build_sweep(name, base="paper")
+    sweep = build_sweep(name)
+    if variant:  # "replicates=N"
+        sweep = apply_overrides(sweep, {"replicates": int(variant.partition("=")[2])})
+    return sweep
 
 
 @pytest.mark.parametrize("name", sorted(_PRESET_GOLDEN))
 def test_preset_point_digests_did_not_move(name):
-    sweep = build_sweep(name)
+    sweep = expand_replicates(_golden_sweep(name))
     digests = [point_digest(resolve_point(sweep, point)) for point in sweep.points]
     count, golden = _PRESET_GOLDEN[name]
     assert len(digests) == count
     assert hashlib.sha256("".join(digests).encode()).hexdigest() == golden
+
+
+def test_preset_golden_covers_every_sweep():
+    covered = {key.partition("@")[0] for key in _PRESET_GOLDEN}
+    assert covered == set(sweep_names())
+    assert {f"{name}@paper" for name in figure_names()} <= set(_PRESET_GOLDEN)
 
 
 @pytest.mark.parametrize("name", sweep_names())
@@ -126,7 +166,8 @@ def test_every_preset_builds_and_resolves(name):
     bases = ("scale", "paper") if name in figure_names() else (None,)
     for base in bases:
         sweep = build_sweep(name, base=base)
-        assert sweep.name == name and sweep.base == (base or "scale")
+        assert sweep.name == name
+        assert {point.base for point in sweep.points} == {base or "scale"}
         for point in sweep.points:
             resolved = resolve_point(sweep, point)
             if base is not None:

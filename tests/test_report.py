@@ -204,7 +204,7 @@ def test_aggregate_separates_systems_with_identical_labels():
 # ------------------------------------------------------------------ rendering
 
 
-def _store_with_replicates(tmp_path):
+def _replicated_store(tmp_path):
     store = JsonlBackend(str(tmp_path / "results.jsonl"))
     for index, (throughput, p99) in enumerate(((100.0, 0.1), (120.0, 0.5))):
         record = fake_record(
@@ -221,7 +221,7 @@ def _store_with_replicates(tmp_path):
 
 
 def test_render_shows_spread_not_averaged_p99(tmp_path):
-    store = _store_with_replicates(tmp_path)
+    store = _replicated_store(tmp_path)
     document = render_markdown(store)
     # The spread of the two per-seed p99s...
     assert "0.1000–0.5000" in document
@@ -232,7 +232,7 @@ def test_render_shows_spread_not_averaged_p99(tmp_path):
 
 
 def test_render_is_byte_stable_across_renders(tmp_path):
-    store = _store_with_replicates(tmp_path)
+    store = _replicated_store(tmp_path)
     first = render_markdown(store)
     second = render_markdown(JsonlBackend(store.path))  # fresh load from disk
     assert first == second
@@ -341,7 +341,7 @@ def test_model_preset_tables_cover_the_figures():
 
 
 def test_report_cli_renders_and_fail_empty(tmp_path, capsys):
-    store = _store_with_replicates(tmp_path)
+    store = _replicated_store(tmp_path)
     output = tmp_path / "EXPERIMENTS.md"
     assert report_cli(["--store", store.path, "--output", str(output),
                        "--fail-empty"]) == 0
@@ -363,7 +363,7 @@ def test_fail_empty_not_masked_by_model_presets_or_bad_filter(tmp_path, capsys):
     assert report_cli(["--store", empty, "--fail-empty", "--model-presets"]) == 4
     capsys.readouterr()
 
-    store = _store_with_replicates(tmp_path)
+    store = _replicated_store(tmp_path)
     assert report_cli(["--store", store.path, "--fail-empty",
                        "--sweep", "no-such-sweep"]) == 4
     assert "--sweep filter" in capsys.readouterr().err
@@ -372,7 +372,7 @@ def test_fail_empty_not_masked_by_model_presets_or_bad_filter(tmp_path, capsys):
 def test_sweep_cli_report_alias(tmp_path, capsys):
     from repro.sweep.cli import main as sweep_cli
 
-    store = _store_with_replicates(tmp_path)
+    store = _replicated_store(tmp_path)
     assert sweep_cli(["report", "--store", store.path, "--fail-empty"]) == 0
     assert "## unit" in capsys.readouterr().out
 
@@ -408,6 +408,6 @@ def test_report_never_simulates(tmp_path, monkeypatch):
 
     monkeypatch.setattr(facade, "build_deployment", explode)
     monkeypatch.setattr(facade, "run", explode)
-    store = _store_with_replicates(tmp_path)
+    store = _replicated_store(tmp_path)
     document = render_markdown(JsonlBackend(store.path))
     assert "## unit" in document

@@ -7,7 +7,7 @@ from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network, NetworkFaultPlan, UniformLatencyModel
 from repro.sim.rng import DeterministicRNG
-from repro.sweep.scenarios import RegionOutageFaultPlan
+from repro.api import RegionOutageFaultPlan
 
 
 def build_network(fault_plan=None, base_delay=0.001, jitter=0.0, bandwidth=0.0):

@@ -32,7 +32,8 @@ from repro.store import (
     open_store,
 )
 from repro.store.cli import main as store_cli
-from repro.sweep import PointSpec, SweepSpec, run_sweep
+from repro.api import RunSpec
+from repro.sweep import SweepSpec, run_sweep
 
 
 def _tiny_sweep(name="warehouse"):
@@ -41,10 +42,9 @@ def _tiny_sweep(name="warehouse"):
     return SweepSpec(
         name=name,
         points=tuple(
-            PointSpec(
+            RunSpec(
                 labels={"batch_size": batch_size},
-                config=dict(shared, batch_size=batch_size),
-                workload={"clients": 60},
+                overrides={**shared, "batch_size": batch_size, "workload.clients": 60},
                 duration=0.4,
                 warmup=0.1,
             )

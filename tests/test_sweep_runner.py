@@ -12,9 +12,10 @@ import json
 
 import pytest
 
+from repro.api import RunSpec
 from repro.sweep import (
-    PointSpec,
     SweepSpec,
+    apply_overrides,
     result_from_dict,
     result_to_dict,
     run_sweep,
@@ -31,10 +32,9 @@ def _tiny_sweep(name="tiny"):
     return SweepSpec(
         name=name,
         points=tuple(
-            PointSpec(
+            RunSpec(
                 labels={"batch_size": batch_size},
-                config=dict(shared, batch_size=batch_size),
-                workload={"clients": 60},
+                overrides={**shared, "batch_size": batch_size, "workload.clients": 60},
                 duration=0.4,
                 warmup=0.1,
             )
@@ -68,14 +68,14 @@ def test_result_round_trips_through_dict():
 def test_failed_points_are_reported_not_raised():
     good = _tiny_sweep().points[0]
     # Rejected at resolution time (ProtocolConfig.validate).
-    bad_config = PointSpec(
+    bad_config = RunSpec(
         labels={"kind": "bad-config"},
-        config={"client_groups": 0},
+        overrides={"client_groups": 0},
         duration=0.4,
         warmup=0.1,
     )
     # Resolves fine but blows up when the deployment is built.
-    bad_engine = PointSpec(
+    bad_engine = RunSpec(
         labels={"kind": "bad-engine"},
         consensus_engine="raft",
         duration=0.4,
@@ -160,10 +160,14 @@ def test_duplicate_digest_points_simulate_once():
     # Two pinned-seed points with identical configs share a digest: only the
     # representative runs, the twin is served from its result.
     twin_points = tuple(
-        PointSpec(
+        RunSpec(
             labels={"replicate": index},
-            config={"crypto_backend": "fast", "num_clients": 60, "client_groups": 4},
-            workload={"clients": 60},
+            overrides={
+                "crypto_backend": "fast",
+                "num_clients": 60,
+                "client_groups": 4,
+                "workload.clients": 60,
+            },
             seed=5,
             duration=0.4,
             warmup=0.1,
@@ -179,7 +183,7 @@ def test_duplicate_digest_points_simulate_once():
 
 
 def test_runtime_registered_scenario_works_in_parallel_workers():
-    from repro.sweep import Scenario, register_scenario
+    from repro.api import Scenario, register_scenario
 
     register_scenario(
         Scenario(
@@ -190,10 +194,10 @@ def test_runtime_registered_scenario_works_in_parallel_workers():
         replace=True,
     )
     points = tuple(
-        PointSpec(
+        RunSpec(
             labels={"b": batch_size},
-            scenario="unit-test-custom",
-            config={"batch_size": batch_size, "crypto_backend": "fast"},
+            scenarios="unit-test-custom",
+            overrides={"batch_size": batch_size, "crypto_backend": "fast"},
             duration=0.4,
             warmup=0.1,
         )
@@ -272,9 +276,9 @@ def test_parallel_stall_timeout_fails_running_points_promptly():
     import time
 
     points = tuple(
-        PointSpec(
+        RunSpec(
             labels={"b": batch_size},
-            config={"batch_size": batch_size, "crypto_backend": "fast"},
+            overrides={"batch_size": batch_size, "crypto_backend": "fast"},
             duration=2.0,
             warmup=0.2,
         )
@@ -287,9 +291,20 @@ def test_parallel_stall_timeout_fails_running_points_promptly():
     elapsed = time.perf_counter() - started
     assert report.failed == 2
     assert all("no result within" in outcome.error for outcome in report.outcomes)
+    assert all(isinstance(outcome.exception, TimeoutError) for outcome in report.outcomes)
     # The hung workers are terminated instead of blocking pool shutdown: the
     # call must return long before the 2 s points would have finished.
     assert elapsed < 10.0
+
+
+def test_wall_clock_seconds_is_the_timing_sum_on_both_paths():
+    """A simulated point's wall clock means one thing serially and pooled:
+    build + run + collect, i.e. the sum of its stored timing split."""
+    sweep = SweepSpec(name="wall", points=(_tiny_sweep().points[0],))
+    for workers in (0, 2):
+        outcome = run_sweep(sweep, workers=workers).outcomes[0]
+        assert outcome.timing is not None, workers
+        assert outcome.wall_clock_seconds == sum(outcome.timing.values()), workers
 
 
 # ------------------------------------------------------------------ replicates end-to-end
@@ -298,9 +313,7 @@ def test_parallel_stall_timeout_fails_running_points_promptly():
 def test_replicated_sweep_simulates_distinct_seeds_and_caches(tmp_path):
     """ISSUE 4 acceptance: replicates=N yields N distinct per-seed digests
     that are 100% cache hits on re-run."""
-    from repro.sweep import with_replicates
-
-    sweep = with_replicates(_tiny_sweep("replicated"), 2)
+    sweep = apply_overrides(_tiny_sweep("replicated"), {"replicates": 2})
     store = JsonlBackend(str(tmp_path / "rep.jsonl"))
     first = run_sweep(sweep, store=store)
     assert first.simulated == 4 and first.failed == 0  # 2 points x 2 seeds
@@ -319,9 +332,7 @@ def test_replicated_sweep_simulates_distinct_seeds_and_caches(tmp_path):
 
 
 def test_replicate_expansion_reaches_the_report_table():
-    from repro.sweep import with_replicates
-
-    report = run_sweep(with_replicates(_tiny_sweep("labelled"), 2))
+    report = run_sweep(apply_overrides(_tiny_sweep("labelled"), {"replicates": 2}))
     table = report.table()
     assert "replicate" in table.columns
     assert table.column("replicate") == [0, 1, 0, 1]
@@ -333,11 +344,10 @@ def test_missing_metric_is_a_blank_cell_not_a_crash():
     sweep = SweepSpec(
         name="mixed",
         points=tuple(
-            PointSpec(
+            RunSpec(
                 labels={"scenario": scenario},
-                scenario=scenario,
-                config=shared,
-                workload={"clients": 40},
+                scenarios=scenario,
+                overrides={**shared, "workload.clients": 40},
                 duration=1.0,
                 warmup=0.0,
             )
@@ -357,11 +367,10 @@ def test_missing_metric_is_a_blank_cell_not_a_crash():
 
 @pytest.mark.parametrize("scenario", ["region-outage", "byzantine-executors"])
 def test_scenario_points_simulate(scenario):
-    point = PointSpec(
+    point = RunSpec(
         labels={"scenario": scenario},
-        scenario=scenario,
-        config={"num_clients": 40, "client_groups": 2},
-        workload={"clients": 40},
+        scenarios=scenario,
+        overrides={"num_clients": 40, "client_groups": 2, "workload.clients": 40},
         duration=0.4,
         warmup=0.1,
     )
@@ -372,11 +381,15 @@ def test_scenario_points_simulate(scenario):
 
 def test_baseline_system_points_simulate():
     points = tuple(
-        PointSpec(
+        RunSpec(
             labels={"system": system},
             system=system,
-            config={"crypto_backend": "fast", "num_clients": 40, "client_groups": 2},
-            workload={"clients": 40},
+            overrides={
+                "crypto_backend": "fast",
+                "num_clients": 40,
+                "client_groups": 2,
+                "workload.clients": 40,
+            },
             execution_threads=2,
             duration=0.4,
             warmup=0.1,

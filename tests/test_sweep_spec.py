@@ -2,19 +2,17 @@
 
 import pytest
 
+from repro.api import RunSpec, get_scenario, scenario_names
 from repro.errors import ConfigurationError
 from repro.sweep import (
     GridSpec,
-    PointSpec,
     SweepSpec,
+    apply_overrides,
     expand_replicates,
-    get_scenario,
     point_digest,
     resolve_point,
-    scenario_names,
     sweep_from_dict,
     sweep_from_grid,
-    with_replicates,
 )
 from repro.sweep.spec import point_seed
 
@@ -40,30 +38,33 @@ def test_grid_rejects_empty_axis_and_duplicates():
 
 
 def test_point_spec_validation():
+    """A sweep point is a RunSpec: it validates on construction."""
     with pytest.raises(ConfigurationError):
-        PointSpec(system="martian")
+        RunSpec(system="martian")
     with pytest.raises(ConfigurationError):
-        PointSpec(duration=0.0)
+        RunSpec(duration=0.0)
     with pytest.raises(ConfigurationError):
-        PointSpec(duration=1.0, warmup=1.0)
+        RunSpec(duration=1.0, warmup=1.0)  # warm-up must end before the run
+    sweep = SweepSpec(name="s", points=(RunSpec(duration=1.0, warmup=0.5),))
+    assert sweep.points[0].seed is None  # unpinned until the sweep derives it
 
 
 def test_sweep_spec_validation():
     with pytest.raises(ConfigurationError):
-        SweepSpec(name="", points=(PointSpec(),))
+        SweepSpec(name="", points=(RunSpec(),))
     with pytest.raises(ConfigurationError):
         SweepSpec(name="empty", points=())
     with pytest.raises(ConfigurationError):
-        SweepSpec(name="s", points=(PointSpec(),), base="nope")
+        SweepSpec(name="s", points=(RunSpec(base="nope"),))
 
 
 # ------------------------------------------------------------------ resolution
 
 
 def _sweep(**kwargs):
-    point = PointSpec(
+    point = RunSpec(
         labels={"batch_size": 5},
-        config={"batch_size": 5},
+        overrides={"protocol.batch_size": 5},
         duration=0.5,
         warmup=0.1,
         **kwargs,
@@ -87,9 +88,9 @@ def test_resolution_pins_every_config_field():
 def test_point_seed_is_stable_and_label_dependent():
     sweep, point = _sweep()
     assert point_seed(sweep, point) == point_seed(sweep, point)
-    other = PointSpec(labels={"batch_size": 6}, config={"batch_size": 6})
+    other = RunSpec(labels={"batch_size": 6}, overrides={"batch_size": 6})
     assert point_seed(sweep, point) != point_seed(sweep, other)
-    pinned = PointSpec(labels={"batch_size": 5}, seed=77)
+    pinned = RunSpec(labels={"batch_size": 5}, seed=77)
     assert point_seed(sweep, pinned) == 77
 
 
@@ -109,16 +110,16 @@ def test_digest_stable_and_covers_only_simulated_knobs():
 
 def test_relabelling_shares_cache_only_with_pinned_seeds():
     # Pinned seed: labels are pure presentation, the address is unchanged.
-    pinned_a = PointSpec(labels={"batch_size": 5}, config={"batch_size": 5}, seed=7)
-    pinned_b = PointSpec(labels={"bs": 5}, config={"batch_size": 5}, seed=7)
+    pinned_a = RunSpec(labels={"batch_size": 5}, overrides={"batch_size": 5}, seed=7)
+    pinned_b = RunSpec(labels={"bs": 5}, overrides={"batch_size": 5}, seed=7)
     sweep = SweepSpec(name="unit", points=(pinned_a, pinned_b))
     assert point_digest(resolve_point(sweep, pinned_a)) == point_digest(
         resolve_point(sweep, pinned_b)
     )
     # Derived seed: different labels mean a different derived seed, hence a
     # different address (independent replicates, not cache-sharing aliases).
-    derived_a = PointSpec(labels={"batch_size": 5}, config={"batch_size": 5})
-    derived_b = PointSpec(labels={"bs": 5}, config={"batch_size": 5})
+    derived_a = RunSpec(labels={"batch_size": 5}, overrides={"batch_size": 5})
+    derived_b = RunSpec(labels={"bs": 5}, overrides={"batch_size": 5})
     assert point_digest(resolve_point(sweep, derived_a)) != point_digest(
         resolve_point(sweep, derived_b)
     )
@@ -134,10 +135,10 @@ def test_digest_survives_json_round_trip():
 
 
 def test_scenario_overrides_sit_under_point_overrides():
-    point = PointSpec(
+    point = RunSpec(
         labels={},
-        scenario="conflict-heavy",
-        workload={"conflict_fraction": 0.5},
+        scenarios="conflict-heavy",
+        overrides={"workload.conflict_fraction": 0.5},
         duration=0.5,
         warmup=0.1,
     )
@@ -160,9 +161,9 @@ def test_replicates_one_leaves_sweep_untouched():
 
 
 def test_replicates_expand_to_distinct_stable_digests():
-    point = PointSpec(
+    point = RunSpec(
         labels={"batch_size": 5},
-        config={"batch_size": 5},
+        overrides={"batch_size": 5},
         duration=0.5,
         warmup=0.1,
         replicates=3,
@@ -183,7 +184,7 @@ def test_replicate_seeds_derive_from_the_point_seed_chain():
     from repro.sim.rng import derive_seed
 
     sweep, point = _sweep()
-    replicated = with_replicates(sweep, 2)
+    replicated = apply_overrides(sweep, {"replicates": 2})
     expanded = expand_replicates(replicated)
     base = point_seed(sweep, point)
     assert [p.seed for p in expanded.points] == [
@@ -194,9 +195,9 @@ def test_replicate_seeds_derive_from_the_point_seed_chain():
 
 def test_replicates_validation():
     with pytest.raises(ConfigurationError):
-        PointSpec(replicates=0)
+        RunSpec(replicates=0)
     with pytest.raises(ConfigurationError):
-        with_replicates(SweepSpec(name="s", points=(PointSpec(),)), 0)
+        apply_overrides(SweepSpec(name="s", points=(RunSpec(),)), {"replicates": 0})
 
 
 def test_replicates_route_as_a_run_field():
@@ -229,17 +230,15 @@ def test_derive_seed_slash_collision_is_documented():
 
 def test_scenario_names_with_slash_are_rejected():
     from repro.api.spec import normalize_scenarios
-    from repro.sweep.scenarios import Scenario, register_scenario
+    from repro.api import Scenario, register_scenario
 
     with pytest.raises(ConfigurationError, match="must not contain '/'"):
         register_scenario(Scenario(name="outage/us-east", description="bad"))
     with pytest.raises(ConfigurationError, match="must not contain '/'"):
         normalize_scenarios("a/b")
     with pytest.raises(ConfigurationError, match="must not contain '/'"):
-        PointSpec(scenario=["baseline", "x/y"])
+        RunSpec(scenarios=["baseline", "x/y"])
     with pytest.raises(ConfigurationError, match="must not contain '/'"):
-        from repro.api import RunSpec
-
         RunSpec(scenarios=["x/y"])
 
 
@@ -278,9 +277,52 @@ def test_sweep_from_grid_routes_axes():
     )
     assert len(sweep) == 4
     first = sweep.points[0]
-    assert first.config == {"batch_size": 5}
-    assert first.workload == {"write_fraction": 0.5}
-    assert {point.scenario for point in sweep.points} == {"baseline", "lossy-network"}
+    assert first.overrides == {
+        "protocol.batch_size": 5,
+        "workload.write_fraction": 0.5,
+    }
+    assert {point.scenarios for point in sweep.points} == {
+        ("baseline",),
+        ("lossy-network",),
+    }
+
+
+def test_workload_seed_constant_never_seeds_the_protocol():
+    """Grid constants are written ``protocol.`` / ``workload.``: a workload
+    seed stays the workload's and the point seed is still derived."""
+    sweep = sweep_from_grid(
+        name="workload-seed", grid=GridSpec({"batch_size": (5,)}), workload={"seed": 3}
+    )
+    point = sweep.points[0]
+    resolved = resolve_point(sweep, point)
+    assert point.overrides["workload.seed"] == 3
+    assert resolved["workload"]["seed"] == 3
+    assert resolved["config"]["seed"] == point_seed(sweep, point) != 3
+
+
+def test_set_overrides_win_over_the_points_own_values():
+    """``--set`` beats the point's value for the same field, however either
+    is spelled, and ``scenario`` / ``scenarios`` both land in ``scenarios``."""
+    bare = RunSpec(overrides={"batch_size": 5, "write_fraction": 0.5})
+    prefixed = RunSpec(
+        overrides={"protocol.batch_size": 5, "workload.write_fraction": 0.5}
+    )
+    sweep = SweepSpec(name="set", points=(bare, prefixed))
+    for overrides in (
+        {"batch_size": 9, "write_fraction": 0.9},
+        {"protocol.batch_size": 9, "workload.write_fraction": 0.9},
+        {"config.batch_size": 9, "workload.write_fraction": 0.9},
+    ):
+        applied = apply_overrides(sweep, overrides)
+        for point in applied.points:
+            resolved = resolve_point(applied, point)
+            assert resolved["config"]["batch_size"] == 9
+            assert resolved["workload"]["write_fraction"] == 0.9
+    for key in ("scenario", "scenarios"):
+        applied = apply_overrides(sweep, {key: ["region-outage", "skewed-ycsb"]})
+        assert {point.scenarios for point in applied.points} == {
+            ("region-outage", "skewed-ycsb")
+        }
 
 
 def test_sweep_from_grid_rejects_unknown_axis_and_shadowed_constant():
@@ -306,7 +348,7 @@ def test_sweep_from_dict():
         }
     )
     assert sweep.name == "filed" and sweep.seed == 9 and len(sweep) == 2
-    assert sweep.points[0].config["crypto_backend"] == "fast"
+    assert sweep.points[0].overrides["protocol.crypto_backend"] == "fast"
     with pytest.raises(ConfigurationError):
         sweep_from_dict({"name": "no-grid"})
     with pytest.raises(ConfigurationError):

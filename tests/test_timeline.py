@@ -24,7 +24,7 @@ from repro.faults.timeline import (
     parse_timeline,
 )
 from repro.sweep.runner import _should_retry
-from repro.sweep.scenarios import get_scenario
+from repro.api import get_scenario
 
 
 # ------------------------------------------------------------------ DSL
