@@ -3,7 +3,8 @@
  * PERFORMANCE.md):
  *
  *   1. execute_batch      — deterministic batch execution over the
- *                           Operation/VersionedValue namedtuple layout with
+ *                           Operation namedtuple layout and a read's plain
+ *                           key -> value / key -> version dicts, with
  *                           single-pass canonical-chunk accumulation, hashed
  *                           once through hashlib.sha256, byte-identical to
  *                           the Python loop;

@@ -99,9 +99,14 @@ def resolve_backend(backend: Optional[object]) -> CryptoBackend:
         raise CryptoError(f"unknown crypto backend {backend!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
-    """A digital signature over a message digest."""
+    """A digital signature over a message digest.
+
+    Slotted: every signed message and certificate carries one, and without
+    a per-instance ``__dict__`` each is one collector-tracked object instead
+    of two.
+    """
 
     signer: str
     message_digest: str

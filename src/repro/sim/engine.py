@@ -256,10 +256,15 @@ class Simulator:
                 # pass over everything the run retained (~0.5s on the default
                 # point).  Freezing parks those survivors in the permanent
                 # generation and resets the counters; unfreezing right after
-                # returns them to the oldest generation, so they are still
-                # collected at the *next natural* gen-2 collection instead of
-                # right now.  Skipped when the embedding process froze
-                # objects of its own (unfreeze would release those too).
+                # returns them to the oldest generation, to wait for the next
+                # natural gen-2 collection — which a process that runs points
+                # back to back never reaches.  So the sweep runner's point
+                # primitive (``repro.sweep.runner._timed_simulate``) pauses
+                # the collector itself before the build: this branch is
+                # skipped there, and the primitive reclaims the finished
+                # deployment in one young-generation pass.  Also skipped
+                # when the embedding process froze objects of its own
+                # (unfreeze would release those too).
                 if gc.get_freeze_count() == 0:
                     gc.freeze()
                     gc.enable()

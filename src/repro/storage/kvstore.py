@@ -8,6 +8,7 @@ keys and only applies the writes if the versions still match (the paper's
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import StorageError
@@ -16,11 +17,9 @@ from repro.errors import StorageError
 class VersionedValue(NamedTuple):
     """A value together with the version at which it was last written.
 
-    A NamedTuple rather than a frozen dataclass: the store allocates one per
-    committed write on the verifier's hot path, and tuple construction runs
-    entirely in C (no per-instance ``__dict__``).  Field access, equality,
-    and ``VersionedValue(value=..., version=...)`` construction are
-    unchanged for callers.
+    What :meth:`VersionedKVStore.read` and :attr:`ReadResult.values` return;
+    the store itself keeps no instances (it holds flat value and version
+    maps), so one is built only when a caller asks for this view.
     """
 
     value: str
@@ -89,21 +88,23 @@ class ReadResult:
         return True
 
 
-#: Shared immutable sentinel returned for keys that were never written:
-#: allocating a fresh ``VersionedValue("", 0)`` per missing read dominates the
-#: storage profile on non-preloaded runs.
-_MISSING = VersionedValue(value="", version=0)
-
-
 class VersionedKVStore:
     """A simple in-memory versioned key-value store.
 
     Missing keys read as ``VersionedValue("", 0)`` so that workloads touching
     keys that were never loaded still behave deterministically.
+
+    The state is two flat maps with the same key order, key → value and key
+    → version, rather than one ``VersionedValue`` per key: strings and small
+    ints are not tracked by the cyclic collector, so a store of any size
+    adds two container objects to the garbage a finished run leaves, not
+    one tuple per key ever written.  ``VersionedValue`` is built on demand
+    by :meth:`read` and :attr:`ReadResult.values`.
     """
 
     def __init__(self) -> None:
-        self._data: Dict[str, VersionedValue] = {}
+        self._values: Dict[str, str] = {}
+        self._versions: Dict[str, int] = {}
         self._reads = 0
         self._writes = 0
         self._mutations = 0
@@ -128,7 +129,7 @@ class VersionedKVStore:
     _MUTATION_LOG_LIMIT = 128
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._versions)
 
     @property
     def read_count(self) -> int:
@@ -147,25 +148,25 @@ class VersionedKVStore:
         """Bulk-load the initial YCSB table (600 k records in the paper)."""
         if num_records < 0:
             raise StorageError("cannot load a negative number of records")
-        initial = VersionedValue(value=value, version=1)
-        for index in range(num_records):
-            self._data[f"{key_prefix}{index}"] = initial
+        keys = [f"{key_prefix}{index}" for index in range(num_records)]
+        self._values.update(dict.fromkeys(keys, value))
+        self._versions.update(dict.fromkeys(keys, 1))
         if num_records:
             self._note_mutation(None)
 
     def contains(self, key: str) -> bool:
-        return key in self._data
+        return key in self._versions
 
     def read(self, key: str) -> VersionedValue:
         self._reads += 1
-        return self._data.get(key, _MISSING)
+        return VersionedValue(self._values.get(key, ""), self._versions.get(key, 0))
 
     def read_many(self, keys: Iterable[str]) -> ReadResult:
         if not isinstance(keys, tuple):
             keys = tuple(keys)
         self._reads += len(keys)
         token = self._mutations
-        get = self._data.get
+        version_of = self._versions.get
         cached = self._read_cache.get(keys)
         if cached is not None:
             if cached.snapshot_token == token:
@@ -183,13 +184,13 @@ class VersionedKVStore:
             if state < 0:
                 # Versions determine values, so an int-tuple comparison is
                 # enough to prove the cached result is still exact.
-                versions = tuple(get(key, _MISSING).version for key in keys)
+                versions = tuple(map(version_of, keys, repeat(0)))
                 if versions == cached.versions_tuple():
                     return cached
-        entries = [get(key, _MISSING) for key in keys]
+        # Both maps come from C-level constructors: no per-key Python frame.
         result = ReadResult(
-            dict(zip(keys, [entry[0] for entry in entries])),
-            dict(zip(keys, [entry[1] for entry in entries])),
+            dict(zip(keys, map(self._values.get, keys, repeat("")))),
+            dict(zip(keys, map(version_of, keys, repeat(0)))),
             token,
         )
         cache = self._read_cache
@@ -199,8 +200,8 @@ class VersionedKVStore:
         return result
 
     def current_versions(self, keys: Iterable[str]) -> Dict[str, int]:
-        get = self._data.get
-        return {key: get(key, _MISSING).version for key in keys}
+        get = self._versions.get
+        return {key: get(key, 0) for key in keys}
 
     def version_of(self, key: str) -> int:
         """Current version of one key (0 if never written; no read counted).
@@ -208,7 +209,7 @@ class VersionedKVStore:
         The verifier's incremental validation seeds its live version map
         through this instead of snapshotting whole key sets per batch.
         """
-        return self._data.get(key, _MISSING).version
+        return self._versions.get(key, 0)
 
     def _note_mutation(self, changed: Optional[List[str]]) -> None:
         self._mutations += 1
@@ -251,13 +252,12 @@ class VersionedKVStore:
 
         Returns the new version of every written key.
         """
-        data = self._data
+        values = self._values
+        versions = self._versions
         new_versions: Dict[str, int] = {}
         for key, value in writes.items():
-            current = data.get(key, _MISSING)
-            updated = VersionedValue(value=value, version=current.version + 1)
-            data[key] = updated
-            new_versions[key] = updated.version
+            values[key] = value
+            versions[key] = new_versions[key] = versions.get(key, 0) + 1
         if new_versions:
             self._writes += len(new_versions)
             self._note_mutation(list(new_versions))
@@ -270,24 +270,24 @@ class VersionedKVStore:
         the same key bump its version again — minus the per-set call and
         result-dict overhead the verifier's hot path doesn't need.
         """
-        data = self._data
-        get = data.get
-        new = tuple.__new__
+        values = self._values
+        versions = self._versions
+        get = versions.get
         changed: List[str] = []
-        append_changed = changed.append
+        extend_changed = changed.extend
         for writes in write_sets:
-            for key, value in writes.items():
-                # One C-level tuple construction per committed write (this
-                # is the verifier's write loop).
-                data[key] = new(VersionedValue, (value, get(key, _MISSING).version + 1))
-                append_changed(key)
+            # The verifier's write loop: values in one C update, then one
+            # version bump per committed write.
+            values.update(writes)
+            for key in writes:
+                versions[key] = get(key, 0) + 1
+            extend_changed(writes)
         if changed:
             self._writes += len(changed)
             self._note_mutation(changed)
 
     def get_value(self, key: str) -> Optional[str]:
-        entry = self._data.get(key)
-        return entry.value if entry is not None else None
+        return self._values.get(key)
 
     def keys(self) -> List[str]:
-        return list(self._data.keys())
+        return list(self._versions)

@@ -24,6 +24,7 @@ through it and re-raise the exception a failed :class:`PointOutcome` keeps.
 
 from __future__ import annotations
 
+import gc
 import logging
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
@@ -77,20 +78,41 @@ def _timed_simulate(
     call this, which is what makes parallel runs bit-identical to serial.
     The timing dict records where the host seconds went: ``setup_seconds``
     (deployment construction), ``simulate_seconds`` (the event loop), and
-    ``collect_seconds`` (metric collection + serialisation).  Stored next to
-    each result so warm-pool amortisation is measurable from the store.
+    ``collect_seconds`` (metric collection + serialisation + reclaim).
+    Stored next to each result so warm-pool amortisation is measurable from
+    the store.
+
+    The point owns its deployment's whole lifetime.  The cyclic collector is
+    paused from before the build until the result dict exists; on CPython's
+    generational collector everything the point allocated is then still in
+    the youngest generation, so once the deployment and the
+    :class:`SimulationResult` are dropped one ``gc.collect(0)`` reclaims
+    them in O(point), not O(host heap).  The caller's collector setting is
+    restored afterwards, also when the point raises.  (Left to itself,
+    ``Simulator.run`` parks a finished deployment in the oldest generation,
+    which a process that only runs points never collects: loops over points
+    belong in :func:`run_sweep` / :func:`repro.api.run_replicates`, not in
+    ``repro.api.run(spec)``.)
     """
-    # lint: ignore[DET001] host wall-clock accounting (feeds `timing`, never a digest)
-    started = time.perf_counter()
-    simulation = build_deployment(resolved, tracer_enabled=tracer_enabled)
-    setup_seconds = time.perf_counter() - started  # lint: ignore[DET001] host timing
-    result = simulation.run(
-        duration=float(resolved["duration"]),  # type: ignore[arg-type]
-        warmup=float(resolved["warmup"]),  # type: ignore[arg-type]
-    )
-    result_dict = result_to_dict(result)
+    collector_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        # lint: ignore[DET001] host wall-clock accounting (feeds `timing`, never a digest)
+        started = time.perf_counter()
+        deployment = build_deployment(resolved, tracer_enabled=tracer_enabled)
+        setup_seconds = time.perf_counter() - started  # lint: ignore[DET001] host timing
+        result = deployment.run(
+            duration=float(resolved["duration"]),  # type: ignore[arg-type]
+            warmup=float(resolved["warmup"]),  # type: ignore[arg-type]
+        )
+        simulate_seconds = result.wall_clock_seconds
+        result_dict = result_to_dict(result)
+    finally:
+        deployment = result = None
+        gc.collect(0)
+        if collector_was_on:
+            gc.enable()
     total = time.perf_counter() - started  # lint: ignore[DET001] host timing
-    simulate_seconds = result.wall_clock_seconds
     timing = {
         "setup_seconds": setup_seconds,
         "simulate_seconds": simulate_seconds,
@@ -388,32 +410,60 @@ def run_sweep(
 
     retry_queue: List[PointOutcome] = []
 
+    def fail_in_pool(outcome: PointOutcome, exc: BaseException) -> None:
+        logger.warning(
+            "point %s failed in worker: %s: %s",
+            _format_labels(outcome.point), type(exc).__name__, exc,
+        )
+        outcome.exception = exc
+        if _should_retry(exc, outcome.retries):
+            # Worker death: the point gets one more attempt on a fresh
+            # pool (the broken pool poisons every pending future, so
+            # innocent bystander points land here too).
+            outcome.retries += 1
+            retry_queue.append(outcome)
+            return
+        finish(outcome)
+
     def harvest(future, outcome: PointOutcome) -> None:
         try:
             outcome.result_dict, outcome.timing = future.result()
-            outcome.exception = None
         except Exception as exc:
             # Process-boundary catch: a worker can die (BrokenExecutor) or
             # re-raise literally anything the simulation threw.  Never
             # silent — the failure is logged and recorded on the outcome.
-            logger.warning(
-                "point %s failed in worker: %s: %s",
-                _format_labels(outcome.point), type(exc).__name__, exc,
-            )
-            outcome.exception = exc
-            if _should_retry(exc, outcome.retries):
-                # Worker death: the point gets one more attempt on a fresh
-                # pool (the broken pool poisons every pending future, so
-                # innocent bystander points land here too).
-                outcome.retries += 1
-                retry_queue.append(outcome)
-                return
+            fail_in_pool(outcome, exc)
+            return
+        outcome.exception = None
         finish(outcome)
 
     if workers > 1 and executable:
         timed_out = False
         task_scenarios = custom_scenarios()
         task_systems = custom_systems()
+
+        def submit(pool, batch: List[PointOutcome]) -> Dict[object, PointOutcome]:
+            """Submit ``batch`` to ``pool``; the futures map back to their points.
+
+            A worker that dies while the batch is still being submitted
+            breaks the pool under ``submit`` itself: that point and every
+            one not yet submitted fail with the same ``BrokenExecutor`` and
+            take the worker-death path (:func:`_should_retry`) like a
+            future the broken pool poisoned.
+            """
+            future_map: Dict[object, PointOutcome] = {}
+            for index, outcome in enumerate(batch):
+                try:
+                    future = pool.submit(
+                        _simulate_point_task, outcome.resolved, task_scenarios,
+                        task_systems, tracer_enabled,
+                    )
+                except BrokenExecutor as exc:
+                    for unsubmitted in batch[index:]:
+                        fail_in_pool(unsubmitted, exc)
+                    break
+                future_map[future] = outcome
+            return future_map
 
         def drain(future_map) -> bool:
             """Harvest one batch of futures; True if the stall budget hit.
@@ -449,28 +499,14 @@ def run_sweep(
         # in this process, so interpreter + import start-up is paid once.
         # Runtime-registered scenarios/systems ship with each task (a warm
         # pool may predate the registration).
-        pool = get_shared_pool(workers)
-        timed_out = drain({
-            pool.submit(
-                _simulate_point_task, outcome.resolved, task_scenarios,
-                task_systems, tracer_enabled,
-            ): outcome
-            for outcome in executable
-        })
+        timed_out = drain(submit(get_shared_pool(workers), executable))
         if retry_queue and not timed_out:
             # A worker died: the shared pool is broken.  Terminate it, spawn
             # a fresh one, and re-run each affected point once (a second
             # death fails the point for good — ``retries`` caps re-queueing).
             discard_shared_pool(terminate=True)
-            pool = get_shared_pool(workers)
             retries, retry_queue = retry_queue, []
-            timed_out = drain({
-                pool.submit(
-                    _simulate_point_task, outcome.resolved, task_scenarios,
-                    task_systems, tracer_enabled,
-                ): outcome
-                for outcome in retries
-            })
+            timed_out = drain(submit(get_shared_pool(workers), retries))
         for outcome in retry_queue:
             # Retry was cut short by a stall timeout: close the point out as
             # failed with its worker-death exception rather than silently.

@@ -1,5 +1,7 @@
 """Unit tests for the cryptography substrate."""
 
+import dataclasses
+
 import pytest
 
 from repro.crypto.costs import CryptoCostModel
@@ -73,6 +75,18 @@ def test_sign_and_verify_roundtrip():
     assert signer.verify(message, signature)
     other = SignatureService(store, "node-1")
     assert other.verify(message, signature)  # anyone can verify a DS
+
+
+def test_signature_is_slotted_and_keeps_its_value_semantics():
+    signature = SignatureService(KeyStore(), "node-0").sign("payload")
+    assert not hasattr(signature, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        signature.value = "forged"  # type: ignore[misc]
+    copy = dataclasses.replace(signature)
+    assert copy == signature and hash(copy) == hash(signature)
+    forged = dataclasses.replace(signature, signer="node-1")
+    assert forged != signature and forged.value == signature.value
+    assert len({signature, copy, forged}) == 2
 
 
 def test_tampered_payload_fails_verification():

@@ -46,6 +46,32 @@ def test_read_many_and_version_matching():
     assert not snapshot.matches_versions(store.current_versions(["x", "y", "z"]))
 
 
+def test_keys_keep_first_write_order_and_len_counts_keys():
+    store = VersionedKVStore()
+    store.apply_writes({"b": "1", "a": "2"})
+    store.apply_write_sets([{"c": "3", "b": "4"}, {"a": "5"}])
+    store.load(2, key_prefix="k")
+    store.apply_writes({"b": "6"})
+    assert store.keys() == ["b", "a", "c", "k0", "k1"]
+    assert len(store) == 5
+    assert store.read("b") == VersionedValue("6", 3)
+    assert store.read("k1") == VersionedValue("x" * 100, 1)
+
+
+def test_read_result_values_is_the_versioned_value_view():
+    store = VersionedKVStore()
+    store.apply_writes({"x": "1", "y": "2"})
+    store.apply_writes({"x": "3"})
+    snapshot = store.read_many(("x", "y", "z"))
+    assert snapshot.values == {
+        "x": VersionedValue("3", 2),
+        "y": VersionedValue("2", 1),
+        "z": VersionedValue("", 0),
+    }
+    assert snapshot.plain_values() == {"x": "3", "y": "2", "z": ""}
+    assert snapshot.versions_tuple() == (2, 1, 0)
+
+
 def test_negative_load_rejected():
     with pytest.raises(StorageError):
         VersionedKVStore().load(-1)

@@ -8,14 +8,20 @@ The load-bearing guarantees (ISSUE 2 acceptance criteria):
   points re-simulated.
 """
 
+import dataclasses
+import gc
 import json
+import weakref
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.api import RunSpec
+from repro.api import RunSpec, UnsupportedKnobError
 from repro.sweep import (
     SweepSpec,
     apply_overrides,
+    build_sweep,
     result_from_dict,
     result_to_dict,
     run_sweep,
@@ -305,6 +311,142 @@ def test_wall_clock_seconds_is_the_timing_sum_on_both_paths():
         outcome = run_sweep(sweep, workers=workers).outcomes[0]
         assert outcome.timing is not None, workers
         assert outcome.wall_clock_seconds == sum(outcome.timing.values()), workers
+
+
+class _InProcessPool:
+    """A pool stand-in that runs every task in-process as it is submitted."""
+
+    def __init__(self, break_on_submit=None):
+        self.submits = 0
+        self.break_on_submit = break_on_submit
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if self.submits == self.break_on_submit:
+            raise BrokenProcessPool("a worker died while tasks were being submitted")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_a_pool_that_breaks_during_submission_retries_the_rest(monkeypatch):
+    """A worker death surfacing from ``submit`` itself (a warm pool breaks
+    before the batch is fully submitted) fails the point being submitted and
+    every later one with the worker-death error, and the retry pass re-runs
+    them on a fresh pool instead of ``run_sweep`` crashing."""
+    import repro.sweep.runner as runner_module
+
+    pools = iter([_InProcessPool(break_on_submit=2), _InProcessPool()])
+    monkeypatch.setattr(runner_module, "get_shared_pool", lambda workers: next(pools))
+    monkeypatch.setattr(runner_module, "discard_shared_pool", lambda terminate=False: None)
+    base = _tiny_sweep().points[0]
+    sweep = SweepSpec(
+        name="broken-submit",
+        points=tuple(
+            dataclasses.replace(
+                base,
+                labels={"batch_size": size},
+                overrides={**base.overrides, "batch_size": size},
+            )
+            for size in (5, 10, 20)
+        ),
+    )
+    report = run_sweep(sweep, workers=2)
+    assert report.failed == 0 and report.simulated == 3
+    assert [outcome.retries for outcome in report.outcomes] == [0, 1, 1]
+
+
+# ------------------------------------------------------------------ point lifetime
+
+
+def _live_deployments() -> set:
+    """Pool probe: ids of the Deployments alive (or uncollected) in this process."""
+    from repro.core.runner import Deployment
+
+    return {id(obj) for obj in gc.get_objects() if isinstance(obj, Deployment)}
+
+
+def _record_deployments(monkeypatch):
+    """Wrap the runner's ``build_deployment``; weak references to what it built."""
+    import repro.sweep.runner as runner_module
+
+    built = []
+    real_build = runner_module.build_deployment
+
+    def recording_build(*args, **kwargs):
+        deployment = real_build(*args, **kwargs)
+        built.append(weakref.ref(deployment))
+        return deployment
+
+    monkeypatch.setattr(runner_module, "build_deployment", recording_build)
+    return built
+
+
+def test_no_deployment_outlives_its_serial_point(monkeypatch):
+    built = _record_deployments(monkeypatch)
+    report = run_sweep(build_sweep("smoke", duration=0.3, warmup=0.05))
+    assert report.simulated == 4 and len(built) == 4
+    assert [ref() for ref in built] == [None] * 4
+
+
+def test_no_deployment_outlives_its_pooled_point():
+    from repro.sweep.pool import discard_shared_pool, get_shared_pool
+
+    # A forked worker inherits this process's heap: spawn the pool from a
+    # collected one, so the only Deployments a worker can hold beyond those
+    # still alive here (same ids after a fork) are the ones its points built.
+    gc.collect()
+    discard_shared_pool()
+    inherited = _live_deployments()
+    report = run_sweep(build_sweep("smoke", duration=0.3, warmup=0.05), workers=2)
+    assert report.simulated == 4
+    pool = get_shared_pool(2)
+    for _ in range(2):
+        assert pool.submit(_live_deployments).result(timeout=60) <= inherited
+
+
+@pytest.mark.parametrize("collector_on", [True, False])
+def test_a_point_restores_the_callers_collector_and_reclaims(monkeypatch, collector_on):
+    from repro.api import SystemAdapter, build_system
+    from repro.api import registry
+    from repro.sweep import resolve_point
+    from repro.sweep.runner import _timed_simulate
+
+    built = _record_deployments(monkeypatch)
+    # No capabilities: a scenario's fault plan makes its build raise.
+    monkeypatch.setitem(
+        registry._REGISTRY,
+        "unit-test-no-knobs",
+        SystemAdapter(
+            name="unit-test-no-knobs",
+            description="test-only system without capabilities",
+            builder=lambda config, workload=None, **kwargs: build_system(
+                "noshim", config, workload, **kwargs
+            ),
+        ),
+    )
+    sweep = _tiny_sweep("lifetime")
+    good = resolve_point(sweep, sweep.points[0])
+    bad = resolve_point(
+        sweep,
+        dataclasses.replace(
+            sweep.points[0], system="unit-test-no-knobs", scenarios="region-outage"
+        ),
+    )
+    was_on = gc.isenabled()
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        result_dict, timing = _timed_simulate(good)
+        assert gc.isenabled() is collector_on
+        assert result_dict["committed_txns"] > 0 and set(timing) == {
+            "setup_seconds", "simulate_seconds", "collect_seconds",
+        }
+        assert len(built) == 1 and built[0]() is None
+        with pytest.raises(UnsupportedKnobError):
+            _timed_simulate(bad)
+        assert gc.isenabled() is collector_on
+    finally:
+        (gc.enable if was_on else gc.disable)()
 
 
 # ------------------------------------------------------------------ replicates end-to-end
