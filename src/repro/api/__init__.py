@@ -3,8 +3,9 @@
 ``repro.api`` is the stable, user-facing surface of the reproduction:
 
 * :class:`~repro.api.spec.RunSpec` — declare a run: system, composable
-  scenario list, dotted-key protocol/workload overrides, fault plans,
-  seed, duration/warm-up.  A sweep point is a ``RunSpec`` too.
+  scenario list (the only way faults enter a run), dotted-key
+  protocol/workload overrides, seed, duration/warm-up.  A spec is pure
+  data, and a sweep point is a ``RunSpec`` too.
 * :func:`~repro.api.facade.run` — ``run(RunSpec) -> SimulationResult``;
   with a result store, and :func:`~repro.api.facade.run_replicates` always,
   through the one executor :func:`repro.sweep.run_sweep`.
@@ -53,7 +54,6 @@ from repro.api.registry import (
     system_names,
 )
 from repro.api.scenarios import (
-    RegionOutageFaultPlan,
     Scenario,
     all_scenarios,
     get_scenario,
@@ -81,7 +81,6 @@ __all__ = [
     "DEFAULT_CONSENSUS_ENGINE",
     "SPEC_SCHEMA_VERSION",
     "ComposedScenarios",
-    "RegionOutageFaultPlan",
     "RunSpec",
     "Scenario",
     "ScenarioConflictError",

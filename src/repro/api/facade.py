@@ -19,7 +19,6 @@ from repro.api.registry import get_system
 from repro.api.spec import (
     RunSpec,
     compose_runner_kwargs,
-    merge_runner_knob,
     replicate_specs,
     resolve,
     run_seed,
@@ -52,30 +51,19 @@ def workload_config_from_dict(payload: Mapping[str, object]) -> YCSBConfig:
 # ------------------------------------------------------------------ resolve / build / run
 
 
-def build_deployment(
-    resolved: Mapping[str, object],
-    extra_runner_kwargs: Optional[Mapping[str, object]] = None,
-    tracer_enabled: bool = False,
-):
+def build_deployment(resolved: Mapping[str, object], tracer_enabled: bool = False):
     """Construct the deployment a resolved run describes (any system kind).
 
-    Scenario runner knobs are built fresh in the executing process and
-    merged with ``extra_runner_kwargs`` (bespoke fault objects a caller
-    attached directly to its :class:`RunSpec`) under the scenario conflict
-    rules: disjoint ``node_behaviours`` merge, any other overlap raises
-    :class:`~repro.api.spec.ScenarioConflictError`.  The selected system's
-    adapter validates every knob against its declared capabilities before
-    construction — the one place unsupported-knob errors come from.
+    The composed scenarios' runner knobs are built fresh in the executing
+    process (:func:`~repro.api.spec.compose_runner_kwargs`).  The selected
+    system's adapter validates every knob against its declared capabilities
+    before construction — the one place unsupported-knob errors come from.
     """
     adapter = get_system(str(resolved["system"]))
     kwargs = compose_runner_kwargs(resolved["scenarios"], resolved)
-    sources = {key: "a composed scenario" for key in kwargs}
-    for key, value in dict(extra_runner_kwargs or {}).items():
-        merge_runner_knob(kwargs, sources, key, value, "the spec's direct fault knobs")
-
     config = protocol_config_from_dict(resolved["config"])  # type: ignore[arg-type]
     workload = workload_config_from_dict(resolved["workload"])  # type: ignore[arg-type]
-    deployment = adapter.build(
+    return adapter.build(
         config,
         workload,
         consensus_engine=str(resolved["consensus_engine"]),
@@ -83,13 +71,6 @@ def build_deployment(
         tracer_enabled=tracer_enabled,
         **kwargs,
     )
-
-    # Region-aware fault plans need the live endpoint table (executors are
-    # spawned dynamically); bind once the network exists.
-    plan = kwargs.get("network_fault_plan")
-    if plan is not None and hasattr(plan, "bind"):
-        plan.bind(deployment.network)
-    return deployment
 
 
 def spec_digest(spec: RunSpec) -> str:
@@ -109,11 +90,9 @@ def run(spec: RunSpec, store=None) -> SimulationResult:
     """Resolve, build, and run one deployment — the single front door.
 
     Without a ``store`` this is the primitive: the deployment is built right
-    here, and it is the only entry that accepts bespoke fault objects
-    attached directly to the spec (``node_behaviours`` /
-    ``executor_behaviour_factory`` / ``network_fault_plan``).  It leaves the
-    finished deployment to the caller's cyclic collector, which in a process
-    that does nothing but run points may never get to it.  A one-shot call
+    here.  It leaves the finished deployment to the caller's cyclic
+    collector, which in a process that does nothing but run points may never
+    get to it.  A one-shot call
     gets that memory back at process exit for free, where collecting here
     would cost every call a pass over the dead deployment (≈0.05 s on the
     default point at 3 virtual seconds).  A loop over points should
@@ -127,10 +106,7 @@ def run(spec: RunSpec, store=None) -> SimulationResult:
     anything, and a finished run is appended to the store so the next
     identical ``run`` call never re-simulates.  The backend choice is
     host-side bookkeeping — it never affects the content address or the
-    result.  Bespoke fault objects are **not** part of the content address,
-    so caching them would alias a faulted run with a clean one; such specs
-    are rejected when a store is given — register the faults as a scenario
-    preset (:func:`repro.api.register_scenario`) instead.
+    result.
     """
     if spec.replicates != 1:
         raise ConfigurationError(
@@ -140,11 +116,7 @@ def run(spec: RunSpec, store=None) -> SimulationResult:
     if store is not None:
         return run_replicates(spec, store=store)[0]
     resolved = resolve(spec)
-    deployment = build_deployment(
-        resolved,
-        extra_runner_kwargs=spec.direct_runner_kwargs(),
-        tracer_enabled=spec.tracer_enabled,
-    )
+    deployment = build_deployment(resolved, tracer_enabled=spec.tracer_enabled)
     return deployment.run(
         duration=float(resolved["duration"]), warmup=float(resolved["warmup"])
     )
@@ -172,20 +144,10 @@ def run_replicates(
 
     The first failure in replicate order is re-raised — a stall as a
     ``TimeoutError`` — after every finished sibling is in the store.
-    Specs carrying bespoke fault objects are rejected on every path: they
-    are neither addressable nor shippable to a worker (register a scenario
-    preset instead).  The unpinned seed is pinned first (:func:`run_seed`),
-    so a family resolves exactly as :func:`resolve` would, not with a seed
-    derived from the ``"api-run"`` sweep.
+    The unpinned seed is pinned first (:func:`run_seed`), so a family
+    resolves exactly as :func:`resolve` would, not with a seed derived from
+    the ``"api-run"`` sweep.
     """
-    direct_kwargs = spec.direct_runner_kwargs()
-    if direct_kwargs:
-        raise ConfigurationError(
-            f"bespoke fault objects ({sorted(direct_kwargs)}) are not part of "
-            "the content address and cannot be shipped to a pool worker, so "
-            "only run(spec) without a store accepts them; register the faults "
-            "as a scenario preset and name it in RunSpec.scenarios instead"
-        )
     from repro.store.url import as_backend
     from repro.sweep.runner import run_sweep
     from repro.sweep.spec import SweepSpec
@@ -213,9 +175,11 @@ def build_system(
     """Registry-backed construction for callers holding pre-built configs.
 
     The lower-level sibling of :func:`run`: same adapters, same capability
-    validation, no declarative resolution.  Used by the integration tests,
-    which hold :class:`ProtocolConfig` / :class:`YCSBConfig` objects and read
-    the built deployment's components.
+    validation, no declarative resolution.  It is where fault objects are
+    passed directly (``node_behaviours=``, ``executor_behaviour_factory=``,
+    ``network_fault_plan=``), where a spec can only name scenarios.  Used by
+    the integration tests, which hold :class:`ProtocolConfig` /
+    :class:`YCSBConfig` objects and read the built deployment's components.
     """
     return get_system(system).build(config, workload, **kwargs)
 

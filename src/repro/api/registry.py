@@ -35,7 +35,6 @@ DEFAULT_CONSENSUS_ENGINE = "pbft"
 CAP_NODE_BEHAVIOURS = "node_behaviours"
 CAP_EXECUTOR_FAULTS = "executor_faults"
 CAP_NETWORK_FAULTS = "network_faults"
-CAP_REGIONS = "regions"
 CAP_CONSENSUS_ENGINE = "consensus_engine"
 CAP_EXECUTION_THREADS = "execution_threads"
 
@@ -44,7 +43,6 @@ ALL_CAPABILITIES = frozenset(
         CAP_NODE_BEHAVIOURS,
         CAP_EXECUTOR_FAULTS,
         CAP_NETWORK_FAULTS,
-        CAP_REGIONS,
         CAP_CONSENSUS_ENGINE,
         CAP_EXECUTION_THREADS,
     }
@@ -57,7 +55,6 @@ KNOB_CAPABILITIES: Mapping[str, str] = {
     "node_behaviours": CAP_NODE_BEHAVIOURS,
     "executor_behaviour_factory": CAP_EXECUTOR_FAULTS,
     "network_fault_plan": CAP_NETWORK_FAULTS,
-    "regions": CAP_REGIONS,
 }
 
 
@@ -234,13 +231,7 @@ register_system(SystemAdapter(
     description="ServerlessBFT: PBFT shim, serverless executors, trusted verifier.",
     builder=ServerlessDeployment,
     capabilities=frozenset(
-        {
-            CAP_NODE_BEHAVIOURS,
-            CAP_EXECUTOR_FAULTS,
-            CAP_NETWORK_FAULTS,
-            CAP_REGIONS,
-            CAP_CONSENSUS_ENGINE,
-        }
+        {CAP_NODE_BEHAVIOURS, CAP_EXECUTOR_FAULTS, CAP_NETWORK_FAULTS, CAP_CONSENSUS_ENGINE}
     ),
     model_kind="serverlessbft",
     extra_knobs=frozenset({"preload_storage"}),
@@ -249,9 +240,7 @@ register_system(SystemAdapter(
     name="serverless_cft",
     description="Crash-fault-tolerant shim (Paxos, no signatures), same pipeline.",
     builder=_build_serverless_cft,
-    capabilities=frozenset(
-        {CAP_NODE_BEHAVIOURS, CAP_EXECUTOR_FAULTS, CAP_NETWORK_FAULTS, CAP_REGIONS}
-    ),
+    capabilities=frozenset({CAP_NODE_BEHAVIOURS, CAP_EXECUTOR_FAULTS, CAP_NETWORK_FAULTS}),
     model_kind="serverlesscft",
     config_overrides=_LIGHT_INGEST,
     pinned_consensus="paxos",
@@ -274,9 +263,7 @@ register_system(SystemAdapter(
     name="noshim",
     description="No consensus: one ingest node spawns executors immediately.",
     builder=ServerlessDeployment,
-    capabilities=frozenset(
-        {CAP_NODE_BEHAVIOURS, CAP_EXECUTOR_FAULTS, CAP_NETWORK_FAULTS, CAP_REGIONS}
-    ),
+    capabilities=frozenset({CAP_NODE_BEHAVIOURS, CAP_EXECUTOR_FAULTS, CAP_NETWORK_FAULTS}),
     model_kind="noshim",
     config_overrides={**_LIGHT_INGEST, "shim_nodes": 1},
     pinned_consensus="pbft",

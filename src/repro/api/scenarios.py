@@ -12,7 +12,8 @@ A scenario bundles three things under one name:
 * a one-line description for ``python -m repro.sweep scenarios``.
 
 Adding a new experiment axis is a one-line :func:`register_scenario` call —
-every ``RunSpec``, sweep and CLI run can then reference it by name.  The
+every ``RunSpec``, sweep and CLI run can then reference it by name.  It is
+also the only way faults reach a ``RunSpec``, which holds no live objects.  The
 registry sits beside the system registry (:mod:`repro.api.registry`);
 :mod:`repro.api.spec` composes scenario lists on top of it.
 """
@@ -54,39 +55,6 @@ def validate_seed_label(component: object, what: str) -> object:
             f"(e.g. derive_seed(s, 'a/b') == derive_seed(s, 'a', 'b'))"
         )
     return component
-
-
-class RegionOutageFaultPlan(NetworkFaultPlan):
-    """Drops every message to or from endpoints hosted in a failed region.
-
-    ``NetworkFaultPlan`` partitions are keyed by endpoint *name*, but
-    executors are spawned dynamically with generated names, so a region
-    outage cannot be expressed as a static name set.  This plan instead
-    resolves endpoint regions through the live network once
-    :func:`repro.api.facade.build_deployment` binds it: any endpoint
-    registered in the outage region is unreachable for the whole run.
-    """
-
-    def __init__(self, outage_region: str) -> None:
-        super().__init__()
-        self.outage_region = outage_region
-        self._network = None
-
-    def bind(self, network) -> None:
-        """Attach the live network so endpoint regions can be resolved."""
-        self._network = network
-
-    def is_partitioned(self, src: str, dst: str) -> bool:
-        if super().is_partitioned(src, dst):
-            return True
-        network = self._network
-        if network is None:
-            return False
-        outage = self.outage_region
-        for name in (src, dst):
-            if network.has_endpoint(name) and network.region_of(name) == outage:
-                return True
-        return False
 
 
 @dataclass(frozen=True)
@@ -156,18 +124,17 @@ def _partition_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
     # Isolate the last shim node from its peers (up to f_R = 1 for the
     # 4-node scale deployment): consensus must keep committing without it.
     shim_nodes = int(resolved["config"]["shim_nodes"])  # type: ignore[index]
-    plan = NetworkFaultPlan()
     victim = f"node-{shim_nodes - 1}"
-    for index in range(shim_nodes - 1):
-        plan.partition(victim, f"node-{index}")
-    return {"network_fault_plan": plan}
+    peers = [f"node-{index}" for index in range(shim_nodes - 1)]
+    partitions = {(victim, peer) for peer in peers} | {(peer, victim) for peer in peers}
+    return {"network_fault_plan": NetworkFaultPlan(partitions=frozenset(partitions))}
 
 
 def _region_outage_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
     # us-east-2 is the third executor region of the paper's catalog order:
     # executors spawned there never reach the verifier, so the shim's spawn
     # redundancy and the verifier's quorum timeout carry the run.
-    return {"network_fault_plan": RegionOutageFaultPlan("us-east-2")}
+    return {"network_fault_plan": NetworkFaultPlan(down_regions=frozenset({"us-east-2"}))}
 
 
 def _byzantine_executor_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
@@ -186,7 +153,7 @@ def _silent_executor_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]
 # built fresh in the executing process by the factories below, so only the
 # scenario name travels through specs and digests — which is what makes the
 # drills composable ("request-suppression" + "skewed-ycsb" is one point) and
-# content-addressable, unlike bespoke fault objects attached to a RunSpec.
+# content-addressable.
 
 #: Aggressive protocol timers shared by the node drills: detection and view
 #: change must fit inside a short drill run.  Scenario defaults sit *under*

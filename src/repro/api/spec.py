@@ -2,8 +2,9 @@
 
 :class:`RunSpec` describes one deployment run declaratively — which system
 to build (resolved through :mod:`repro.api.registry`), a *list* of scenario
-presets to compose (:mod:`repro.api.scenarios`), dotted-key protocol/workload
-overrides, fault plans, seed, and duration/warm-up.  It is also the one
+presets to compose (:mod:`repro.api.scenarios`, the only way faults enter a
+run), dotted-key protocol/workload overrides, seed, and duration/warm-up.
+A spec is pure data: it holds no live objects.  It is also the one
 description of a sweep point: a :class:`repro.sweep.SweepSpec` is a tuple of
 ``RunSpec`` s.  :func:`resolve` turns a ``RunSpec`` into the plain-JSON dict
 that determines the run, and :func:`repro.api.run` into a
@@ -29,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.scenarios import get_scenario, validate_seed_label
 from repro.core.config import ProtocolConfig
@@ -245,56 +246,39 @@ def compose_scenarios(scenario: ScenarioSelector) -> ComposedScenarios:
     )
 
 
-def merge_runner_knob(
-    merged: Dict[str, object],
-    sources: Dict[str, str],
-    key: str,
-    value: object,
-    source: str,
-) -> None:
-    """Merge one runner knob contribution into ``merged`` under conflict rules.
-
-    ``node_behaviours`` dicts merge when they target disjoint nodes; any
-    other overlap — two network fault plans, two executor behaviour
-    factories, two behaviours for the same node — is a
-    :class:`ScenarioConflictError`.  The same rules govern scenario-vs-
-    scenario and scenario-vs-direct-spec contributions.
-    """
-    if key not in merged:
-        merged[key] = value
-        sources[key] = source
-        return
-    if key == "node_behaviours":
-        existing: Dict[str, object] = dict(merged[key])  # type: ignore[arg-type]
-        overlap = sorted(set(existing) & set(value))  # type: ignore[arg-type]
-        if overlap:
-            raise ScenarioConflictError(
-                f"{sources[key]} and {source} both assign behaviours to "
-                f"nodes {overlap}"
-            )
-        existing.update(value)  # type: ignore[arg-type]
-        merged[key] = existing
-        return
-    raise ScenarioConflictError(
-        f"{sources[key]} and {source} both set runner knob {key!r}; "
-        f"compose contributions that inject disjoint faults"
-    )
-
-
 def compose_runner_kwargs(
     scenario: ScenarioSelector, resolved: Mapping[str, object]
 ) -> Dict[str, object]:
     """Build and merge the runner knobs of every scenario in the list.
 
     Each scenario's ``runner_kwargs_factory`` runs in the executing process
-    (behaviour objects carry state); contributions merge under
-    :func:`merge_runner_knob`'s conflict rules.
+    (behaviour objects carry state).  ``node_behaviours`` dicts merge when
+    they target disjoint nodes; any other overlap — two network fault
+    plans, two executor behaviour factories, two behaviours for the same
+    node — is a :class:`ScenarioConflictError`.
     """
     merged: Dict[str, object] = {}
     sources: Dict[str, str] = {}
     for name in normalize_scenarios(scenario):
         for key, value in get_scenario(name).runner_kwargs(resolved).items():
-            merge_runner_knob(merged, sources, key, value, f"scenario {name!r}")
+            if key not in merged:
+                merged[key] = value
+                sources[key] = name
+                continue
+            if key != "node_behaviours":
+                raise ScenarioConflictError(
+                    f"scenarios {sources[key]!r} and {name!r} both set runner "
+                    f"knob {key!r}; compose scenarios that inject disjoint faults"
+                )
+            existing: Dict[str, object] = dict(merged[key])  # type: ignore[arg-type]
+            overlap = sorted(set(existing) & set(value))  # type: ignore[arg-type]
+            if overlap:
+                raise ScenarioConflictError(
+                    f"scenarios {sources[key]!r} and {name!r} both assign "
+                    f"behaviours to nodes {overlap}"
+                )
+            existing.update(value)  # type: ignore[arg-type]
+            merged[key] = existing
     return merged
 
 
@@ -388,17 +372,9 @@ ADDRESSED_RUNSPEC_FIELDS = (
 
 #: RunSpec fields deliberately *outside* the content address, each with its
 #: reason: ``replicates`` is expansion-only (every expanded replicate pins a
-#: derived seed, which *is* addressed); the three bespoke fault knobs carry
-#: live Python objects the facade rejects as non-addressable when a store is
-#: in play; ``tracer_enabled`` is a collection flag — traced and untraced
-#: runs of the same point must share one digest (PR 7's invariant).
-NON_ADDRESSED_RUNSPEC_FIELDS = (
-    "replicates",
-    "node_behaviours",
-    "executor_behaviour_factory",
-    "network_fault_plan",
-    "tracer_enabled",
-)
+#: derived seed, which *is* addressed); ``tracer_enabled`` is a collection
+#: flag — traced and untraced runs of the same point must share one digest.
+NON_ADDRESSED_RUNSPEC_FIELDS = ("replicates", "tracer_enabled")
 
 
 @dataclass(frozen=True)
@@ -410,11 +386,11 @@ class RunSpec:
     (see :func:`route_key`); run-level knobs (system, duration, ...) are
     proper fields of this class and are rejected inside ``overrides``.
 
-    ``scenarios`` composes any number of presets in order; the direct fault
-    knobs (``node_behaviours``/``executor_behaviour_factory``/
-    ``network_fault_plan``) let callers inject bespoke fault objects on top,
-    subject to the same conflict rules and the system's declared
-    capabilities.
+    ``scenarios`` composes any number of presets in order, and is the only
+    way faults enter a spec: every field is plain data, so every spec is
+    addressable and ships to a pool worker.  To inject a custom fault
+    object, register a scenario that builds it
+    (:func:`repro.api.register_scenario`).
 
     ``seed=None`` leaves the seed unpinned.  Resolved on its own
     (:func:`resolve`), the run takes the ``seed`` override if one was given,
@@ -439,9 +415,6 @@ class RunSpec:
     consensus_engine: str = "pbft"
     execution_threads: int = 16
     replicates: int = 1
-    node_behaviours: Optional[Mapping[str, object]] = None
-    executor_behaviour_factory: Optional[Callable] = None
-    network_fault_plan: Optional[object] = None
     labels: Mapping[str, object] = field(default_factory=dict)
     tracer_enabled: bool = False
 
@@ -463,17 +436,6 @@ class RunSpec:
                 f"run-level keys {sorted(run_ov)} belong in RunSpec fields, "
                 f"not in overrides"
             )
-
-    def direct_runner_kwargs(self) -> Dict[str, object]:
-        """The bespoke fault objects attached directly to this spec."""
-        kwargs: Dict[str, object] = {}
-        if self.node_behaviours is not None:
-            kwargs["node_behaviours"] = dict(self.node_behaviours)
-        if self.executor_behaviour_factory is not None:
-            kwargs["executor_behaviour_factory"] = self.executor_behaviour_factory
-        if self.network_fault_plan is not None:
-            kwargs["network_fault_plan"] = self.network_fault_plan
-        return kwargs
 
 
 def run_seed(spec: RunSpec) -> int:

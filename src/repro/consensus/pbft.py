@@ -90,7 +90,6 @@ class PBFTConfig:
     #: install before escalating to the next candidate view.  ``None`` or 0
     #: falls back to ``request_timeout``.
     viewchange_timeout: Optional[float] = None
-    use_threshold_certificates: bool = False
 
 
 class PBFTReplica:

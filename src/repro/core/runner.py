@@ -100,14 +100,13 @@ class Deployment:
         config: ProtocolConfig,
         workload: Optional[YCSBConfig] = None,
         network_fault_plan: Optional[NetworkFaultPlan] = None,
-        regions: Optional[RegionCatalog] = None,
         tracer_enabled: bool = False,
     ) -> None:
         self.config = config
         self.workload_config = workload or YCSBConfig(clients=config.num_clients, seed=config.seed)
         self.sim = Simulator()
         self.rng = DeterministicRNG(config.seed)
-        self.catalog = regions or RegionCatalog()
+        self.catalog = RegionCatalog()
         # The run's one recorder, handed to every component; None when
         # tracing is off, which is the whole of the off path: components
         # guard each instrumentation site with ``is not None``.
@@ -254,7 +253,6 @@ class ServerlessDeployment(Deployment):
             Callable[[str, ExecuteMsg], Optional[ExecutorBehaviour]]
         ] = None,
         network_fault_plan: Optional[NetworkFaultPlan] = None,
-        regions: Optional[RegionCatalog] = None,
         tracer_enabled: bool = False,
         preload_storage: bool = False,
     ) -> None:
@@ -264,7 +262,6 @@ class ServerlessDeployment(Deployment):
             config,
             workload,
             network_fault_plan=network_fault_plan,
-            regions=regions,
             tracer_enabled=tracer_enabled,
         )
         self.consensus_engine = consensus_engine

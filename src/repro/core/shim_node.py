@@ -433,11 +433,17 @@ class ShimNode(SimProcess):
     def _on_ack(self, message: AckMsg, sender: str) -> None:
         if sender != self._verifier_name:
             return
-        for key in list(self._retransmission_timers):
-            matches_seq = message.missing_seq is not None and f"seq:{message.missing_seq}" in key
-            matches_request = message.request_id is not None and str(message.request_id) in key
-            if matches_seq or matches_request:
-                self._retransmission_timers.pop(key).cancel()
+        # Exactly the keys ErrorMsg.canonical() built: seq 1's ACK must leave
+        # seq 12's timer armed, or a stuck request is never escalated.
+        keys = []
+        if message.missing_seq is not None:
+            keys.append(f"error:seq:{message.missing_seq}")
+        if message.request_id is not None:
+            keys.append(f"error:request:{message.request_id}")
+        for key in keys:
+            timer = self._retransmission_timers.pop(key, None)
+            if timer is not None:
+                timer.cancel()
 
     def _on_retransmission_timeout(self, key: str) -> None:
         """The primary never resolved a forwarded ERROR: ask for a view change."""

@@ -16,8 +16,8 @@ must appear in exactly one declared partition:
 * ``RunSpec`` fields (``src/repro/api/spec.py``) partition into
   ``ADDRESSED_RUNSPEC_FIELDS`` (captured by ``resolve_run`` → in the
   content address) and ``NON_ADDRESSED_RUNSPEC_FIELDS`` (deliberately
-  outside it — collection flags, bespoke fault objects, expansion-only
-  counts — each justified at the declaration site).
+  outside it — collection flags and expansion-only counts, each justified
+  at the declaration site).
 * ``SimulationResult`` fields (``src/repro/core/runner.py``) partition
   into ``SIMULATED_RESULT_FIELDS`` and ``HOST_SPEED_FIELDS`` (both in
   ``src/repro/sweep/serialization.py``).

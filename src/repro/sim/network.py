@@ -7,14 +7,14 @@ Messages between components travel over a simulated network with:
 * serialisation delay proportional to the message size (the paper reports
   exact message sizes: PREPREPARE 5392 B, PREPARE 216 B, COMMIT 220 B,
   EXECUTE 3320 B, RESPONSE 2270 B);
-* optional fault injection — drops, duplicates, extra delay, and partitions —
-  used by the byzantine-attack tests and examples.
+* optional fault injection — drops, duplicates, extra delay, partitions and
+  region outages — named by the scenario presets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
@@ -78,34 +78,28 @@ class UniformLatencyModel(LatencyModel):
         return delay
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkFaultPlan:
-    """Describes network-level faults to inject.
+    """The network-level faults of a run, fixed for its whole length.
 
     ``drop_probability`` / ``duplicate_probability`` apply to every message;
     ``extra_delay`` adds a fixed delay; ``partitions`` is a set of directed
     ``(src, dst)`` endpoint-name pairs whose messages are silently dropped,
-    and ``muted_endpoints`` silences a sender entirely (crash emulation).
+    and ``down_regions`` drops every message to or from an endpoint hosted
+    in one of those regions — executors spawned there mid-run included.
+    Faults that start or heal mid-run belong to the fault timeline
+    (:meth:`Network.cut_links`, :meth:`Network.set_endpoint_down`).
     """
 
     drop_probability: float = 0.0
     duplicate_probability: float = 0.0
     extra_delay: float = 0.0
-    partitions: Set[Tuple[str, str]] = field(default_factory=set)
-    muted_endpoints: Set[str] = field(default_factory=set)
+    partitions: FrozenSet[Tuple[str, str]] = frozenset()
+    down_regions: FrozenSet[str] = frozenset()
 
-    def is_partitioned(self, src: str, dst: str) -> bool:
-        return (src, dst) in self.partitions or src in self.muted_endpoints
-
-    def partition(self, src: str, dst: str, bidirectional: bool = True) -> None:
-        self.partitions.add((src, dst))
-        if bidirectional:
-            self.partitions.add((dst, src))
-
-    def heal(self) -> None:
-        """Remove all partitions and muted endpoints."""
-        self.partitions.clear()
-        self.muted_endpoints.clear()
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "partitions", frozenset(self.partitions))
+        object.__setattr__(self, "down_regions", frozenset(self.down_regions))
 
 
 @dataclass
@@ -138,10 +132,6 @@ class Network:
         self._rng = rng
         self._delay = latency_model.bind(rng)
         self._faults = fault_plan or NetworkFaultPlan()
-        # Subclasses (e.g. the region-outage plan) may decide partitioning
-        # dynamically: the base-class empty-set short-circuit in _transmit() only
-        # applies to a plain NetworkFaultPlan.
-        self._faults_subclassed = type(self._faults) is not NetworkFaultPlan
         # Dynamic lifecycle faults (fault timelines): endpoints currently
         # down and directed links currently cut.  Kept separate from the
         # fault plan so crash/recover/partition-heal events can flip them
@@ -244,7 +234,9 @@ class Network:
         # gates draw nothing (``chance(0)`` never draws either), so the RNG
         # stream — and every simulated result — is unchanged.
         lifecycle = self._lifecycle_faults
-        partitions = self._faults_subclassed or faults.partitions or faults.muted_endpoints
+        partitions = faults.partitions
+        down_regions = faults.down_regions
+        static_cuts = partitions or down_regions
         drop_probability = faults.drop_probability
         duplicate_probability = faults.duplicate_probability
         extra_delay = faults.extra_delay
@@ -265,7 +257,11 @@ class Network:
                 or lifecycle and (
                     src in self._down or dst in self._down or (src, dst) in self._cut_links
                 )
-                or partitions and faults.is_partitioned(src, dst)
+                or static_cuts and (
+                    (src, dst) in partitions
+                    or src_region in down_regions
+                    or receiver.region in down_regions
+                )
                 or drop_probability and self._rng.chance(drop_probability)
             ):
                 dropped += 1

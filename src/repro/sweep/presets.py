@@ -361,9 +361,7 @@ def scenario_drills(
                     "skewed-ycsb",
                     "write-heavy",
                     "conflict-heavy",
-                    # node-level byzantine drills (scenario presets since the
-                    # replication PR; previously reachable only by attaching
-                    # bespoke fault objects to a RunSpec)
+                    # node-level byzantine drills
                     "request-suppression",
                     "fewer-executors",
                     "duplicate-spawning",

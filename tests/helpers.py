@@ -45,7 +45,7 @@ def run_simulation(
 
 
 #: ``make_config()``/``make_workload()`` as dotted facade overrides, for
-#: drills that go through scenario presets instead of bespoke fault objects.
+#: drills that go through scenario presets instead of constructor fault objects.
 DRILL_OVERRIDES = {
     "protocol.shim_nodes": 4,
     "protocol.num_executors": 3,
@@ -71,8 +71,8 @@ def run_drill(
 
     Returns ``(simulation, result)`` like :func:`run_simulation`, but the
     fault machinery comes from the named scenario preset(s) — the path a
-    sweep point or a composed ``RunSpec`` takes — rather than from bespoke
-    fault objects attached to the constructor.
+    sweep point or a composed ``RunSpec`` takes — rather than from fault
+    objects passed to the constructor.
     """
     from repro.api import RunSpec
     from repro.api.facade import build_deployment, resolve

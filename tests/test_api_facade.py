@@ -85,11 +85,9 @@ def test_composed_scenarios_apply_in_list_order():
     assert resolved["scenario"] == "region-outage+skewed-ycsb"
     # skewed-ycsb's workload contribution survives the merge...
     assert resolved["workload"]["zipfian_theta"] == 0.9
-    # ...and region-outage's fault plan is built and bound at deploy time.
+    # ...and region-outage's fault plan is built at deploy time.
     deployment = build_deployment(resolved)
-    plan = deployment.network.fault_plan
-    deployment.network.register("probe-endpoint", "us-east-2", lambda *_args: None)
-    assert plan.is_partitioned("probe-endpoint", "verifier")
+    assert deployment.network.fault_plan.down_regions == {"us-east-2"}
     # Resolution is deterministic: same spec, same resolved dict.
     assert resolve(spec) == resolved
 
@@ -139,60 +137,62 @@ def test_overlapping_scenario_keys_conflict():
     assert resolved["workload"]["zipfian_theta"] == 0.9
 
 
-def test_direct_fault_knobs_merge_with_scenarios_on_disjoint_nodes():
-    from repro.api import build_deployment
+def _crash_node(name, resolved):
     from repro.faults.byzantine import CrashBehaviour
 
-    # request-suppression attaches a behaviour to node-0; the spec adds one
-    # for node-3 — disjoint, so the dicts merge.
-    spec = _spec(
-        scenarios=["request-suppression"], node_behaviours={"node-3": CrashBehaviour()}
-    )
+    return {"node_behaviours": {name: CrashBehaviour()}}
+
+
+def test_direct_fault_knobs_merge_with_scenarios_on_disjoint_nodes(monkeypatch):
+    from repro.api import scenarios
+
+    for victim in ("node-0", "node-3"):
+        name = f"unit-test-crash-{victim}"
+        monkeypatch.setitem(scenarios._REGISTRY, name, Scenario(
+            name=name,
+            description="test-only crash of one node",
+            runner_kwargs_factory=functools.partial(_crash_node, victim),
+        ))
+    # request-suppression attaches a behaviour to node-0, the second scenario
+    # one to node-3 — disjoint, so the dicts merge.
     deployment = build_deployment(
-        resolve(spec), extra_runner_kwargs=spec.direct_runner_kwargs()
+        resolve(_spec(scenarios=["request-suppression", "unit-test-crash-node-3"]))
     )
     behaviours = {
         node.name for node in deployment.nodes if node._behaviour is not None
     }
     assert behaviours == {"node-0", "node-3"}
-    # The same node from both sources is a conflict.
-    clashing = _spec(
-        scenarios=["request-suppression"], node_behaviours={"node-0": CrashBehaviour()}
+    # The same node from both scenarios is a conflict.
+    clashing = _spec(scenarios=["request-suppression", "unit-test-crash-node-0"])
+    with pytest.raises(ScenarioConflictError, match="node-0"):
+        build_deployment(resolve(clashing))
+
+
+def _small_config():
+    from repro.core.config import ProtocolConfig
+
+    return ProtocolConfig(
+        crypto_backend="fast", num_clients=40, client_groups=2, storage_records=200
     )
-    with pytest.raises(ScenarioConflictError):
-        build_deployment(
-            resolve(clashing), extra_runner_kwargs=clashing.direct_runner_kwargs()
-        )
 
 
 def test_constructor_extra_knobs_pass_through():
     # preload_storage is not a capability knob but a constructor switch the
     # serverless systems accept; the registry passes it through.
-    from repro.api import build_system
-    from repro.core.config import ProtocolConfig
+    from repro.sim.network import NetworkFaultPlan
 
-    deployment = build_system(
-        "serverless_bft",
-        ProtocolConfig(
-            crypto_backend="fast", num_clients=40, client_groups=2,
-            storage_records=200,
-        ),
-        preload_storage=True,
-    )
+    deployment = build_system("serverless_bft", _small_config(), preload_storage=True)
     assert deployment.run(duration=0.3, warmup=0.05).committed_txns > 0
     with pytest.raises(UnsupportedKnobError):
-        run(_spec(system="pbft_replicated", network_fault_plan=object()))
+        build_system(
+            "pbft_replicated", _small_config(), network_fault_plan=NetworkFaultPlan()
+        )
 
 
 def test_overlapping_runner_knobs_conflict():
     # Both presets build a network fault plan: composing them is ambiguous.
     with pytest.raises(ScenarioConflictError):
         run(_spec(scenarios=["lossy-network", "region-outage"]))
-    # A direct fault object clashing with a scenario's knob is caught too.
-    from repro.sim.network import NetworkFaultPlan
-
-    with pytest.raises(ScenarioConflictError):
-        run(_spec(scenarios=["lossy-network"], network_fault_plan=NetworkFaultPlan()))
 
 
 # ------------------------------------------------------------------ capability validation
@@ -203,18 +203,15 @@ def test_unsupported_knobs_error_from_one_path():
     with pytest.raises(UnsupportedKnobError) as excinfo:
         run(_spec(system="pbft_replicated", scenarios=["region-outage"]))
     assert "network_fault_plan" in str(excinfo.value)
-    # ...and a directly-attached one produce the same error type.
+    # ...and one passed to the constructor produce the same error type.
     from repro.faults.injector import PerBatchExecutorFaults
     from repro.faults.byzantine import WrongResultBehaviour
 
     with pytest.raises(UnsupportedKnobError):
-        run(
-            _spec(
-                system="pbft_replicated",
-                executor_behaviour_factory=PerBatchExecutorFaults(
-                    1, WrongResultBehaviour
-                ),
-            )
+        build_system(
+            "pbft_replicated",
+            _small_config(),
+            executor_behaviour_factory=PerBatchExecutorFaults(1, WrongResultBehaviour),
         )
 
 
@@ -364,17 +361,16 @@ def test_run_store_shares_addresses_with_sweeps(tmp_path):
     assert path.read_text().count("\n") == records  # served, not re-simulated
 
 
-def test_run_with_store_rejects_bespoke_fault_objects(tmp_path):
+def test_run_with_store_rejects_bespoke_fault_objects():
+    """A spec is pure data: fault objects have no field to ride in on."""
+    import dataclasses
+
     from repro.faults.byzantine import CrashBehaviour
 
-    spec = _spec(node_behaviours={"node-3": CrashBehaviour()})
-    with pytest.raises(ConfigurationError, match="scenario preset"):
-        run(spec, store=str(tmp_path / "never.jsonl"))
-    # run_replicates rejects them on every path, store or not.
-    with pytest.raises(ConfigurationError, match="scenario preset"):
-        run_replicates(spec)
-    # Without a store the bespoke objects remain fully supported.
-    assert run(spec).committed_txns > 0
+    for knob in ("node_behaviours", "executor_behaviour_factory", "network_fault_plan"):
+        with pytest.raises(TypeError, match=knob):
+            RunSpec(**{knob: {"node-3": CrashBehaviour()}})
+    assert len(dataclasses.fields(RunSpec)) == 12
 
 
 def test_run_replicates_expands_caches_and_differs_per_seed(tmp_path):

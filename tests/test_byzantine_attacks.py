@@ -4,7 +4,7 @@ The node-level drills run through *scenario presets*
 (``request-suppression``, ``fewer-executors``, ``duplicate-spawning``,
 ``verify-flooding``, ``delayed-spawning``) — the same registry path sweeps
 and composed ``RunSpec``s take — so these tests also pin down that the
-presets inject exactly the behaviours the bespoke fault objects used to.
+presets inject exactly the behaviours a constructor is handed directly.
 Attacks without a preset (crashing a specific backup, equivocation-style
 setups) keep the direct-constructor path.
 """
@@ -57,39 +57,41 @@ def test_fewer_executors_attack_detected_by_verifier():
 
 
 def test_drill_scenario_matches_bespoke_fault_objects():
-    """The preset injects exactly what the bespoke spec used to.
+    """The preset injects exactly what the constructor is handed directly.
 
-    Same seed, same overrides: a run whose faults come from the
+    Same resolved config: a run whose faults come from the
     ``request-suppression`` scenario must be bit-identical (result digest)
-    to one with ``RequestIgnoranceBehaviour`` attached directly — the
-    guarantee that migrating the drills onto the registry changed nothing
-    about the simulated runs.
+    to one built with ``RequestIgnoranceBehaviour`` passed to
+    ``build_system`` — the guarantee that naming a fault changes nothing
+    about the simulated run.
     """
-    from repro.api import RunSpec, run
-    from repro.api.facade import result_digest
+    from repro.api import (
+        RunSpec,
+        build_system,
+        protocol_config_from_dict,
+        resolve,
+        result_digest,
+        run,
+        workload_config_from_dict,
+    )
     from tests.helpers import DRILL_OVERRIDES
 
-    timers = {
-        "protocol.client_timeout": 0.4,
-        "protocol.node_request_timeout": 0.6,
-        "protocol.retransmission_timeout": 0.4,
-        "protocol.verifier_quorum_timeout": 0.4,
-    }
-    via_scenario = run(RunSpec(
+    spec = RunSpec(
         base="default",
-        overrides={**DRILL_OVERRIDES, **timers},
+        overrides=DRILL_OVERRIDES,
         scenarios=["request-suppression"],
         duration=2.0,
         warmup=0.0,
-    ))
-    via_bespoke = run(RunSpec(
-        base="default",
-        overrides={**DRILL_OVERRIDES, **timers},
+    )
+    via_scenario = run(spec)
+    resolved = resolve(spec)
+    via_constructor = build_system(
+        "serverless_bft",
+        protocol_config_from_dict(resolved["config"]),
+        workload_config_from_dict(resolved["workload"]),
         node_behaviours={"node-0": RequestIgnoranceBehaviour(drop_every=1)},
-        duration=2.0,
-        warmup=0.0,
-    ))
-    assert result_digest(via_scenario) == result_digest(via_bespoke)
+    ).run(duration=2.0, warmup=0.0)
+    assert result_digest(via_scenario) == result_digest(via_constructor)
 
 
 def test_drill_scenarios_compose_with_workload_presets():

@@ -309,6 +309,31 @@ def test_error_message_canonical_distinguishes_forms():
     assert "r1" in ErrorMsg(request=request).canonical()
 
 
+def test_verifier_ack_cancels_only_its_own_retransmission_timer():
+    """A backup forwarding ERRORs keeps one timer per problem (Figure 4,
+    Lines 15–17); the verifier's ACK for seq 1 must leave seq 12's timer
+    armed, and the ACK for ``…-req-1`` must leave ``…-req-12``'s."""
+    from repro.api import build_system
+    from repro.core.messages import AckMsg
+    from tests.helpers import make_config, make_workload
+
+    backup = build_system("serverless_bft", make_config(), make_workload()).nodes[1]
+    timers = backup._retransmission_timers
+
+    def request(request_id):
+        return ClientRequestMsg(request_id=request_id, origin="client-group-0", transactions=())
+
+    for seq in (1, 12):
+        backup.on_message(ErrorMsg(missing_seq=seq), "verifier")
+    backup.on_message(AckMsg(missing_seq=1), "verifier")
+    assert set(timers) == {"error:seq:12"}
+
+    for request_id in ("client-group-0-req-1", "client-group-0-req-12"):
+        backup.on_message(ErrorMsg(request=request(request_id)), "verifier")
+    backup.on_message(AckMsg(request_id="client-group-0-req-1"), "verifier")
+    assert set(timers) == {"error:seq:12", "error:request:client-group-0-req-12"}
+
+
 def test_response_txn_count():
     response = ResponseMsg(
         request_id="r", seq=1, digest="d",

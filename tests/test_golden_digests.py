@@ -2,7 +2,8 @@
 
 ``(spec_digest, result_digest)`` literals for the four systems on the small
 drill config, plus one composed byzantine + fault-timeline run, recorded at
-the commit before the ``Deployment`` base class was extracted (PR 13).  They
+the commit before the ``Deployment`` base class was extracted (PR 13), and
+the network-fault scenarios (``GOLDEN_NETWORK_SCENARIOS``).  They
 are stable across ``PYTHONHASHSEED``, kernel variant and obs on/off; a
 digest that varies with any of those is a determinism bug to report, not a
 literal to re-pin.  Re-pin only for a change that *means* to alter simulated
@@ -40,6 +41,31 @@ GOLDEN_BYZANTINE_TIMELINE = (
     "df17cd1d706792da0769d205a93647c7847d803ed7837fc4650b976ae8b74a54",
 )
 
+#: The network-fault scenarios, recorded while the region outage was still a
+#: ``NetworkFaultPlan`` subclass bound to the live network after construction.
+GOLDEN_NETWORK_SCENARIOS = {
+    ("serverless_bft", "lossy-network"): (
+        "025b4f3340391716e50f845862972566a3046c8907189637d968c715135f89e2",
+        "02ce0d430ebf727450dc589822935fac60a1081fde90596e94a69ae4d3ef2852",
+    ),
+    ("serverless_bft", "network-partition"): (
+        "19686dbfbb8256c0e617f0924249eb39b5b69d9271a6cc494022e30c511eb222",
+        "881e8dec4353d95aef8e99f310e6f7cbb2d63ff1c8f69552155a2a6ea80ecf71",
+    ),
+    ("serverless_bft", "region-outage"): (
+        "916d0681b9726bce2b375d20a12caf87869c2298bf0ecfa74e67db599ad0f7fb",
+        "a3435d85cbe5fa71382e3e6bbd33d92803f6ef4aee444b9915d620ece043235c",
+    ),
+    ("serverless_bft", "region-outage+skewed-ycsb"): (
+        "9f2cb0c03591bf718023cb7fc135a04ebd86166b1e5e646a77ed407adbacc8a1",
+        "070d4e3b0cae3295838c211da5ac9a41a9cd703c52b2675af93951caacfd681b",
+    ),
+    ("noshim", "region-outage"): (
+        "de392eff78f95b162f49611b038743a7edea0b701a262f72f06a3d566b382364",
+        "250f06f15ad3bc144f16d8afe15240bf5455e64dae9ad2a24a96984b9e234aeb",
+    ),
+}
+
 
 def _spec(system: str, scenarios=(), **extra_overrides) -> RunSpec:
     return RunSpec(
@@ -66,3 +92,14 @@ def test_byzantine_executors_with_fault_timeline_matches_golden():
         **{"protocol.fault_timeline": "crash:primary@0.2; recover:primary@0.4"},
     )
     assert (spec_digest(spec), result_digest(run(spec))) == GOLDEN_BYZANTINE_TIMELINE
+
+
+@pytest.mark.parametrize(
+    "system, scenarios",
+    sorted(GOLDEN_NETWORK_SCENARIOS),
+    ids=[f"{system}-{scenarios}" for system, scenarios in sorted(GOLDEN_NETWORK_SCENARIOS)],
+)
+def test_network_scenario_digests_match_golden(system, scenarios):
+    spec = _spec(system, scenarios=scenarios.split("+"))
+    expected = GOLDEN_NETWORK_SCENARIOS[system, scenarios]
+    assert (spec_digest(spec), result_digest(run(spec))) == expected

@@ -7,7 +7,6 @@ from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network, NetworkFaultPlan, UniformLatencyModel
 from repro.sim.rng import DeterministicRNG
-from repro.api import RegionOutageFaultPlan
 
 
 def build_network(fault_plan=None, base_delay=0.001, jitter=0.0, bandwidth=0.0):
@@ -82,32 +81,40 @@ def test_duplicate_probability_duplicates_messages():
 
 
 def test_partition_blocks_directed_traffic_and_heals():
-    plan = NetworkFaultPlan()
-    plan.partition("a", "b", bidirectional=False)
+    """A plan's partition is directed and lasts the whole run; a timeline's
+    cut on top of it heals without lifting the plan's."""
+    plan = NetworkFaultPlan(partitions={("a", "b")})
     sim, network = build_network(fault_plan=plan)
     received = {"a": [], "b": []}
     network.register("a", "r", lambda msg, sender: received["a"].append(msg))
     network.register("b", "r", lambda msg, sender: received["b"].append(msg))
+    network.cut_links([("b", "a")])
     network.send("a", "b", "blocked")
-    network.send("b", "a", "allowed")
+    network.send("b", "a", "cut")
     sim.run_until_idle()
-    assert received["b"] == []
-    assert received["a"] == ["allowed"]
-    plan.heal()
-    network.send("a", "b", "after-heal")
+    assert received == {"a": [], "b": []}
+    network.heal_links([("b", "a")])
+    network.send("a", "b", "still-blocked")
+    network.send("b", "a", "after-heal")
     sim.run_until_idle()
-    assert received["b"] == ["after-heal"]
+    assert received == {"a": ["after-heal"], "b": []}
+    assert network.fault_plan.partitions == frozenset({("a", "b")})
 
 
-def test_muted_endpoint_cannot_send():
-    plan = NetworkFaultPlan(muted_endpoints={"a"})
-    sim, network = build_network(fault_plan=plan)
+def test_down_region_drops_traffic_of_endpoints_registered_later():
+    """An outage names a region, so an endpoint that joins mid-run under a
+    fresh name (a spawned executor) is cut in both directions."""
+    sim, network = build_network(fault_plan=NetworkFaultPlan(down_regions={"us-east-2"}))
     received = []
-    network.register("a", "r", lambda msg, sender: None)
-    network.register("b", "r", lambda msg, sender: received.append(msg))
-    network.send("a", "b", "silenced")
+    network.register("verifier", "us-west-1", lambda msg, sender: received.append(msg))
+    network.register("executor-7", "us-east-2", lambda msg, sender: received.append(msg))
+    network.register("executor-8", "eu-west-1", lambda msg, sender: received.append(msg))
+    network.send("executor-7", "verifier", "from-outage")
+    network.send("verifier", "executor-7", "into-outage")
+    network.send("executor-8", "verifier", "healthy")
     sim.run_until_idle()
-    assert received == []
+    assert received == ["healthy"]
+    assert network.messages_dropped == 2
 
 
 def test_broadcast_skips_sender():
@@ -192,10 +199,6 @@ def _geo_model():
     return GeoLatencyModel(RegionCatalog())
 
 
-def _outage_plan():
-    return RegionOutageFaultPlan("eu-west-1")
-
-
 _FANOUT_CASES = {
     "plain": {},
     "drop": dict(plan=lambda: NetworkFaultPlan(drop_probability=0.4)),
@@ -207,8 +210,6 @@ _FANOUT_CASES = {
         )
     ),
     "static-partition": dict(plan=lambda: NetworkFaultPlan(partitions={("a", "c"), ("d", "a")})),
-    "muted-sender": dict(plan=lambda: NetworkFaultPlan(muted_endpoints={"a"})),
-    "muted-receiver": dict(plan=lambda: NetworkFaultPlan(muted_endpoints={"c"})),
     "endpoint-down": dict(lifecycle=lambda network: network.set_endpoint_down("c")),
     "sender-down": dict(lifecycle=lambda network: network.set_endpoint_down("a")),
     "cut-links": dict(lifecycle=lambda network: network.cut_links([("a", "d"), ("b", "a")])),
@@ -219,7 +220,7 @@ _FANOUT_CASES = {
     ),
     "unregistered-destination": dict(dsts=["b", "ghost", "c", "d"]),
     "src-in-dsts": dict(dsts=["a", "b", "a", "c", "d"]),
-    "region-outage-plan": dict(plan=_outage_plan),
+    "region-outage-plan": dict(plan=lambda: NetworkFaultPlan(down_regions={"eu-west-1"})),
     "uniform-model": dict(model=lambda: UniformLatencyModel(jitter=0.002, bandwidth_bytes_per_sec=1e6)),
     "interface-only-model": dict(model=_HalfSecondModel),
     "no-destinations": dict(dsts=[]),
@@ -229,10 +230,7 @@ _FANOUT_CASES = {
 def _fanout_network(model=_geo_model, plan=None, lifecycle=None, **_):
     sim = Simulator()
     rng = DeterministicRNG(42)
-    fault_plan = plan() if plan is not None else None
-    network = Network(sim, model(), rng, fault_plan=fault_plan)
-    if isinstance(fault_plan, RegionOutageFaultPlan):
-        fault_plan.bind(network)
+    network = Network(sim, model(), rng, fault_plan=plan() if plan is not None else None)
     deliveries = []
     regions = {"a": "us-west-1", "b": "us-west-1", "c": "eu-west-1", "d": "ap-southeast-1"}
     for name, region in regions.items():

@@ -553,11 +553,13 @@ def test_region_outage_plan_drops_executor_region_traffic():
         scenario="region-outage",
         scenarios=["region-outage"],
     )
-    simulation = build_deployment(resolved)
-    plan = simulation.network.fault_plan
-    simulation.network.register("probe-endpoint", "us-east-2", lambda *_args: None)
-    assert plan.is_partitioned("probe-endpoint", "verifier")
-    assert not plan.is_partitioned("node-0", "verifier")
+    network = build_deployment(resolved).network
+    network.register("probe-endpoint", "us-east-2", lambda *_args: None)
+    dropped = network.messages_dropped
+    network.send("probe-endpoint", "verifier", "lost", 10)
+    assert network.messages_dropped == dropped + 1
+    network.send("node-0", "verifier", "delivered", 10)
+    assert network.messages_dropped == dropped + 1
 
 
 # ------------------------------------------------------------------ CLI
