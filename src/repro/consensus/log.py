@@ -9,8 +9,10 @@ The log also maintains the *stable checkpoint* watermark (Section V-B):
 once 2f+1 replicas have checkpointed through a sequence number — and this
 replica has committed everything up to it — slots and retained entries at or
 below the watermark are truncated, which is what bounds the log's memory
-under long runs and rolling restarts.  Truncated sequence numbers still
-count as committed (``is_committed``), they just no longer carry payloads.
+under long runs and rolling restarts.  (A Paxos replica moves the watermark
+itself, to its committed prefix, every checkpoint interval.)  Truncated
+sequence numbers still count as committed (``is_committed``), they just no
+longer carry payloads.
 """
 
 from __future__ import annotations
@@ -60,7 +62,10 @@ class ConsensusLog:
         self._slots: Dict[int, SlotState] = {}
         self._committed: Dict[int, CommittedEntry] = {}
         self._last_checkpoint_seq = 0
-        self._stable_seq = 0
+        #: Highest truncated (stable-checkpointed) sequence number.  A plain
+        #: attribute, not a property: every vote a replica counts reads it.
+        #: Advanced only through :meth:`mark_stable` / :meth:`skip_to_stable`.
+        self.stable_seq = 0
         self._total_committed = 0
 
     def slot(self, seq: int) -> SlotState:
@@ -81,10 +86,10 @@ class ConsensusLog:
         return self._total_committed
 
     def is_committed(self, seq: int) -> bool:
-        return seq <= self._stable_seq or seq in self._committed
+        return seq <= self.stable_seq or seq in self._committed
 
     def record_commit(self, entry: CommittedEntry) -> None:
-        if entry.seq <= self._stable_seq:
+        if entry.seq <= self.stable_seq:
             return
         if entry.seq not in self._committed:
             self._total_committed += 1
@@ -101,7 +106,7 @@ class ConsensusLog:
 
     def max_committed_seq(self) -> int:
         retained = max(self._committed) if self._committed else 0
-        return max(self._stable_seq, retained)
+        return max(self.stable_seq, retained)
 
     def prepared_uncommitted(self) -> List[SlotState]:
         """Slots that prepared but did not commit (carried into view changes)."""
@@ -122,16 +127,11 @@ class ConsensusLog:
         """Sequence numbers ≤ ``seq`` that this replica has not committed."""
         return [
             candidate
-            for candidate in range(self._stable_seq + 1, seq + 1)
+            for candidate in range(self.stable_seq + 1, seq + 1)
             if candidate not in self._committed
         ]
 
     # ------------------------------------------------------------------ checkpoints
-
-    @property
-    def stable_seq(self) -> int:
-        """Highest truncated (2f+1-checkpointed) sequence number."""
-        return self._stable_seq
 
     @property
     def retained_commits(self) -> int:
@@ -144,7 +144,7 @@ class ConsensusLog:
 
     def contiguous_committed_through(self) -> int:
         """Largest seq such that every sequence number ≤ it is committed."""
-        seq = self._stable_seq
+        seq = self.stable_seq
         while (seq + 1) in self._committed:
             seq += 1
         return seq
@@ -156,9 +156,9 @@ class ConsensusLog:
         committed (use :meth:`contiguous_committed_through` to clamp), so
         truncation never changes what ``is_committed`` reports.
         """
-        if seq <= self._stable_seq:
+        if seq <= self.stable_seq:
             return
-        self._stable_seq = seq
+        self.stable_seq = seq
         self._truncate()
 
     def skip_to_stable(self, seq: int) -> None:
@@ -168,12 +168,12 @@ class ConsensusLog:
         certificates were truncated cluster-wide); used by a recovering node
         whose catch-up responders no longer retain the early certificates.
         """
-        if seq <= self._stable_seq:
+        if seq <= self.stable_seq:
             return
-        for candidate in range(self._stable_seq + 1, seq + 1):
+        for candidate in range(self.stable_seq + 1, seq + 1):
             if candidate not in self._committed:
                 self._total_committed += 1
-        self._stable_seq = seq
+        self.stable_seq = seq
         self._truncate()
 
     def drop_volatile(self) -> None:
@@ -185,11 +185,11 @@ class ConsensusLog:
         """
         self._slots.clear()
         self._committed.clear()
-        self._total_committed = self._stable_seq
-        self._last_checkpoint_seq = self._stable_seq
+        self._total_committed = self.stable_seq
+        self._last_checkpoint_seq = self.stable_seq
 
     def _truncate(self) -> None:
-        stable = self._stable_seq
+        stable = self.stable_seq
         for seq in [seq for seq in self._committed if seq <= stable]:
             del self._committed[seq]
         for seq in [seq for seq in self._slots if seq <= stable]:

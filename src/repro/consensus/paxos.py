@@ -6,6 +6,12 @@ communication (replicas answer only to the leader), and majority quorums.
 This module implements a stable-leader Multi-Paxos in the same host/transport
 framework as :class:`repro.consensus.pbft.PBFTReplica` so the two can be
 swapped inside a shim node.
+
+Like PBFT's stable checkpoints, every ``checkpoint_interval`` commits a
+replica moves its stable watermark to its contiguously committed prefix and
+truncates the log and the accepted-vote keys at or below it.  The leader
+never changes, so no replica ever asks for a decided slot again: the
+watermark needs no checkpoint messages.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ PAXOS_LEARN_BYTES = 160
 class PaxosConfig:
     """Tunable knobs of the CFT shim."""
 
-    request_timeout: float = 2.0
+    checkpoint_interval: int = 64
 
 
 class PaxosReplica:
@@ -153,12 +159,15 @@ class PaxosReplica:
     def on_accept(self, message: PaxosAcceptMsg, sender: str) -> None:
         if sender != self.leader or message.ballot != self._ballot:
             return
-        slot = self._log.slot(message.seq)
-        slot.view = message.ballot
-        slot.digest = message.digest
-        slot.batch = message.batch
-        slot.preprepared = True
-        slot.prepared = True
+        if message.seq > self._log.stable_seq:
+            # A late duplicate for a truncated slot is still acknowledged,
+            # but re-creates nothing.
+            slot = self._log.slot(message.seq)
+            slot.view = message.ballot
+            slot.digest = message.digest
+            slot.batch = message.batch
+            slot.preprepared = True
+            slot.prepared = True
         reply = PaxosAcceptedMsg(
             ballot=message.ballot, seq=message.seq, digest=message.digest, replica=self._id
         )
@@ -173,6 +182,8 @@ class PaxosReplica:
         self._host.process(self._costs.mac_verify, self._record_accepted, message, sender)
 
     def _record_accepted(self, message: PaxosAcceptedMsg, sender: str) -> None:
+        if message.seq <= self._log.stable_seq:
+            return  # a late vote for a truncated slot
         key = (message.ballot, message.seq, message.digest)
         if self._accepted_quorum.add(key, sender):
             slot = self._log.slot(message.seq)
@@ -213,7 +224,22 @@ class PaxosReplica:
         self._trace("paxos.committed", seq=seq)
         if self._obs is not None:
             self._obs.end_span("consensus", seq, self._host.now)
+        self._maybe_truncate(seq)
         self._on_committed(entry)
+
+    def _maybe_truncate(self, seq: int) -> None:
+        """Every ``checkpoint_interval`` commits, truncate the decided prefix."""
+        interval = self._config.checkpoint_interval
+        if interval <= 0 or seq - self._log.last_checkpoint_seq < interval:
+            return
+        # The next check is one interval later even if a commit still missing
+        # below ``seq`` holds the watermark back now.
+        self._log.advance_checkpoint(seq)
+        stable = self._log.contiguous_committed_through()
+        if stable > self._log.stable_seq:
+            self._log.mark_stable(stable)
+            self._accepted_quorum.drop_through(stable)
+            self._trace("paxos.stable_checkpoint", stable=stable)
 
     def _trace(self, category: str, **details) -> None:
         if self._obs is not None:

@@ -327,7 +327,10 @@ class PBFTReplica:
         self._host.process(self._costs.mac_verify, self._record_prepare, message, sender)
 
     def _record_prepare(self, message: PrepareMsg, sender: str) -> None:
-        if self._crashed:
+        # A vote at or below the stable watermark is for a truncated,
+        # decided sequence number: counting it would re-create its slot and
+        # tracker key (see _retire_votes).
+        if self._crashed or message.seq <= self._log.stable_seq:
             return
         key = (message.view, message.seq, message.digest)
         if self._prepare_quorum.add(key, sender):
@@ -373,7 +376,7 @@ class PBFTReplica:
         self._host.process(self._costs.ds_verify, self._record_commit_vote, message, sender)
 
     def _record_commit_vote(self, message: CommitMsg, sender: str) -> None:
-        if self._crashed:
+        if self._crashed or message.seq <= self._log.stable_seq:
             return
         key = (message.view, message.seq, message.digest)
         slot = self._log.slot(message.seq)
@@ -745,7 +748,18 @@ class PBFTReplica:
         if stable > self._log.stable_seq:
             self._log.mark_stable(stable)
             self._log.advance_checkpoint(stable)
+            self._retire_votes()
             self._trace("pbft.stable_checkpoint", stable=stable)
+
+    def _retire_votes(self) -> None:
+        """Drop the prepare and commit votes at or below the stable watermark.
+
+        The log truncated those sequence numbers, and the vote handlers turn
+        away any later vote for them, so the tracker keys are dead weight.
+        """
+        stable = self._log.stable_seq
+        self._prepare_quorum.drop_through(stable)
+        self._commit_quorum.drop_through(stable)
 
     def _maybe_skip_to_peer_stable(self) -> None:
         """Recovery skip-ahead: adopt an f+1-vouched stable watermark.
@@ -762,6 +776,7 @@ class PBFTReplica:
         if candidate > self._log.stable_seq:
             self._log.skip_to_stable(candidate)
             self._log.advance_checkpoint(candidate)
+            self._retire_votes()
             self._next_seq = max(self._next_seq, candidate)
             self._trace("pbft.recovery_skip_ahead", stable=candidate)
 

@@ -16,7 +16,6 @@ from typing import (
     Hashable,
     List,
     Optional,
-    Set,
     Tuple,
     TypeVar,
 )
@@ -28,9 +27,10 @@ class QuorumTracker(Generic[VoteKey]):
     """Counts distinct voters per key and fires once a threshold is reached."""
 
     def __init__(self, threshold: int) -> None:
+        if threshold < 1:
+            raise ValueError(f"a quorum needs at least one vote, not {threshold}")
         self._threshold = threshold
         self._votes: Dict[VoteKey, Dict[str, Any]] = {}
-        self._reached: Set[VoteKey] = set()
 
     @property
     def threshold(self) -> int:
@@ -40,7 +40,9 @@ class QuorumTracker(Generic[VoteKey]):
         """Record a vote.  Returns True the *first* time the quorum is reached.
 
         Duplicate votes from the same voter for the same key are ignored, as
-        required to tolerate byzantine vote replays.
+        required to tolerate byzantine vote replays.  A key gains one voter
+        per counted vote, so the quorum is first reached exactly when the
+        count equals the threshold.
         """
         voters = self._votes.get(key)
         if voters is None:
@@ -48,16 +50,13 @@ class QuorumTracker(Generic[VoteKey]):
         elif voter in voters:
             return False
         voters[voter] = payload
-        if key not in self._reached and len(voters) >= self._threshold:
-            self._reached.add(key)
-            return True
-        return False
+        return len(voters) == self._threshold
 
     def count(self, key: VoteKey) -> int:
         return len(self._votes.get(key, {}))
 
     def reached(self, key: VoteKey) -> bool:
-        return key in self._reached
+        return self.count(key) >= self._threshold
 
     def voters(self, key: VoteKey) -> List[str]:
         return list(self._votes.get(key, {}))
@@ -82,4 +81,12 @@ class QuorumTracker(Generic[VoteKey]):
 
     def clear(self, key: VoteKey) -> None:
         self._votes.pop(key, None)
-        self._reached.discard(key)
+
+    def drop_through(self, seq: int) -> None:
+        """Forget every ``(view, seq, digest)`` key with a sequence number ≤ ``seq``.
+
+        For the per-sequence trackers of an ordering engine, called when its
+        stable watermark reaches ``seq``: the engine counts no vote at or
+        below the watermark again, so those keys are dead.
+        """
+        self._votes = {key: voters for key, voters in self._votes.items() if key[1] > seq}

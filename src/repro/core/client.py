@@ -124,6 +124,8 @@ class ClientGroup(SimProcess):
     def _send_next_request(self) -> None:
         if self._stop_time is not None and self.now >= self._stop_time:
             return
+        # ``<endpoint>-req-<n>`` with n counting up: the verifier tells this
+        # endpoint's newer requests from older ones by that numbering.
         request_id = f"{self.name}-req-{next(self._request_counter)}"
         transactions = self._workload.next_transactions(
             self._group_size,

@@ -12,8 +12,8 @@ aborts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.errors import ProtocolViolation
 from repro.workload.transactions import TransactionBatch
@@ -26,28 +26,28 @@ class _PendingBatch:
     read_set: FrozenSet[str]
     write_set: FrozenSet[str]
     dispatched: bool = False
-    completed: bool = False
 
 
 class ConflictPlanner:
     """Logical lock map plus dispatch queue used by the primary.
 
-    Usage: ``add`` every committed batch in sequence order, dispatch whatever
-    ``ready()`` returns, and call ``complete(seq)`` when the verifier confirms
-    a batch — the return value lists batches that became dispatchable.
+    Usage: ``add`` every committed batch, dispatch whatever ``ready()``
+    returns, and call ``complete(seq)`` when the verifier confirms a batch —
+    the return value lists batches that became dispatchable.  A confirmed
+    batch is retired, dispatched or not, so the planner holds only the
+    batches still awaiting the verifier.
     """
 
     def __init__(self) -> None:
         self._pending: Dict[int, _PendingBatch] = {}
         self._locked_writes: Dict[str, int] = {}
         self._locked_reads: Dict[str, Set[int]] = {}
-        self._dispatch_order: List[int] = []
 
     # ------------------------------------------------------------------ queries
 
     @property
     def outstanding(self) -> int:
-        return sum(1 for entry in self._pending.values() if not entry.completed)
+        return len(self._pending)
 
     def locked_items(self) -> Set[str]:
         return set(self._locked_writes) | set(self._locked_reads)
@@ -64,14 +64,13 @@ class ConflictPlanner:
             read_set=batch.read_set,
             write_set=batch.write_set,
         )
-        self._dispatch_order.append(seq)
 
     def ready(self) -> List[Tuple[int, TransactionBatch]]:
         """Batches that can be dispatched now (locks acquired as a side effect)."""
         dispatchable: List[Tuple[int, TransactionBatch]] = []
-        for seq in sorted(self._dispatch_order):
+        for seq in sorted(self._pending):
             entry = self._pending[seq]
-            if entry.dispatched or entry.completed:
+            if entry.dispatched:
                 continue
             if self._conflicts_with_dispatched(entry):
                 # Batches must be considered in sequence order; a blocked batch
@@ -86,13 +85,11 @@ class ConflictPlanner:
         return dispatchable
 
     def complete(self, seq: int) -> List[Tuple[int, TransactionBatch]]:
-        """Mark a dispatched batch as verified; returns newly dispatchable batches."""
-        entry = self._pending.get(seq)
+        """Retire a verified batch; returns newly dispatchable batches."""
+        entry = self._pending.pop(seq, None)
         if entry is None:
             return []
-        if not entry.completed:
-            entry.completed = True
-            self._release(entry)
+        self._release(entry)
         return self.ready()
 
     # ------------------------------------------------------------------ internals

@@ -112,7 +112,7 @@ class ShimNode(SimProcess):
             self._replica = PaxosReplica(
                 replica_id=name,
                 replicas=shim_names,
-                config=PaxosConfig(request_timeout=config.node_request_timeout),
+                config=PaxosConfig(checkpoint_interval=config.checkpoint_interval),
                 transport=transport,
                 cost_model=costs,
                 host=self,

@@ -17,6 +17,11 @@ REPLACE (byzantine primary), and later ACKs the shim once the problem is
 resolved.  Flooding is mitigated by ignoring VERIFY messages for already
 matched sequence numbers (Section V-C).
 
+What the verifier keeps is what is in flight: per-sequence state until the
+sequence number is settled, and per client endpoint only its latest request
+(the one a closed-loop endpoint can still retransmit) with the replies sent
+for it.  Concurrency control reads the store's own versions.
+
 For conflicting transactions with unknown read-write sets (Section VI-B) the
 verifier runs abort detection: a timer per sequence number that, on expiry,
 either blames the primary (fewer than ``2f_E + 1`` VERIFY messages received)
@@ -26,7 +31,7 @@ not match because of the conflict).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.messages import (
     AbortMsg,
@@ -64,6 +69,23 @@ class _SeqState:
         self.abort_tagged = False
         self.representative: Optional[VerifyMsg] = None
         self.timer = None
+
+
+class _LatestRequest:
+    """Figure 4's retransmission record for one client endpoint.
+
+    It holds the endpoint's newest request: the sequence number of its first
+    VERIFY and every reply sent for it since.  A closed-loop endpoint sends
+    its next request only once this one is answered, and it retransmits only
+    its outstanding request, so a newer request replaces the record.
+    """
+
+    __slots__ = ("request_id", "seq", "replies")
+
+    def __init__(self, request_id: str, seq: int) -> None:
+        self.request_id = request_id
+        self.seq = seq
+        self.replies: List[Union[ResponseMsg, AbortMsg]] = []
 
 
 class Verifier(SimProcess):
@@ -104,23 +126,15 @@ class Verifier(SimProcess):
         self._verify_processing_cost = verify_processing_cost
         self._write_cost_per_key = write_cost_per_key
 
+        # Validation is strictly in order: every sequence number below
+        # ``_kmax`` is settled, and none at or above it is.
         self._kmax = 1
-        # Live version map for incremental concurrency control: key ->
-        # current store version, seeded lazily per key and bumped on every
-        # commit this verifier applies.  The verifier is the store's only
-        # writer after construction; ``_live_mutations`` tracks the store's
-        # mutation counter so a foreign write (preload, test harness poking
-        # the store directly) is detected and invalidates the map wholesale.
-        self._live_versions: Dict[str, int] = {}
-        self._live_mutations = -1
         # Unvalidated sequence numbers only: an entry pins its matched VERIFY
         # (batch + result), so it goes when the sequence number is settled.
         self._seq_state: Dict[int, _SeqState] = {}
-        self._validated: Set[int] = set()
-        # Figure 4's retransmission cache: kept for the whole run, so a
+        # Figure 4's retransmission cache, one record per client endpoint: a
         # client that times out on a settled request still gets its answer.
-        self._responses_sent: Dict[str, List] = {}
-        self._request_to_seq: Dict[str, int] = {}
+        self._latest_requests: Dict[str, _LatestRequest] = {}
         self._pending_errors: Dict[Tuple[str, object], bool] = {}
 
         self._committed_txns = 0
@@ -158,7 +172,7 @@ class Verifier(SimProcess):
 
     @property
     def validated_sequence_numbers(self) -> Set[int]:
-        return set(self._validated)
+        return set(range(1, self._kmax))
 
     # ------------------------------------------------------------------ dispatch
 
@@ -189,7 +203,7 @@ class Verifier(SimProcess):
         if not valid:
             return
         seq = message.seq
-        if seq in self._validated:
+        if seq < self._kmax:
             self._ignored_verify += 1
             return
         state = self._seq_state.setdefault(seq, _SeqState())
@@ -205,11 +219,21 @@ class Verifier(SimProcess):
             state.representative = message
             if self._obs is not None:
                 self._obs.begin_span("verify", seq, self.now, self.name)
-            # Map this batch's requests once per sequence number; further
-            # VERIFYs for the same seq carry the same (shared) batch.
-            request_to_seq = self._request_to_seq
-            for (_origin, request_id), _txn_ids in message.batch.request_groups:
-                request_to_seq.setdefault(request_id, seq)
+            # Note this batch's requests once per sequence number; further
+            # VERIFYs for the same seq carry the same (shared) batch.  A
+            # request newer than its endpoint's record replaces it; an older
+            # one (a duplicate ordered late) is not noted at all.  Requests
+            # of one endpoint are numbered ``<endpoint>-req-<n>`` (see
+            # ClientGroup), so the longer id is newer and equal lengths
+            # compare as text.
+            latest_requests = self._latest_requests
+            for (origin, request_id), _txn_ids in message.batch.request_groups:
+                latest = latest_requests.get(origin)
+                if latest is None or (len(request_id), request_id) > (
+                    len(latest.request_id),
+                    latest.request_id,
+                ):
+                    latest_requests[origin] = _LatestRequest(request_id, seq)
         if state.timer is None:
             state.timer = self.set_timer(self._quorum_timeout, self._on_quorum_timeout, seq)
         votes = state.votes.get(message.match_key, 0) + 1
@@ -238,25 +262,12 @@ class Verifier(SimProcess):
     def _validate_sequence(self, seq: int, message: VerifyMsg) -> None:
         committed_ids: List[str] = []
         aborted_ids: List[str] = []
-        write_keys = 0
         # The unit of concurrency control is the whole batch: every transaction
         # is validated against the storage state *before* this sequence number
         # is applied (executors executed the batch against that same state), so
         # transactions inside one batch never abort each other.
-        #
-        # Incremental validation: instead of snapshotting the batch's key
-        # versions from the store per sequence number, the check probes the
-        # live version map — seeded once per key, bumped alongside every
-        # write this verifier applies — so the per-batch cost is O(touched
-        # keys) dict probes, all in C set comparisons.
         store = self._store
         result = message.result
-        live = self._live_versions
-        if store.mutation_count != self._live_mutations:
-            # The store changed outside this verifier's own commits: drop
-            # the map and reseed lazily from the store's current state.
-            live.clear()
-            self._live_mutations = store.mutation_count
         pending_writes: List[Dict[str, str]] = []
         observed_token = result.__dict__.get("_observed_token", -1)
         if (
@@ -272,43 +283,20 @@ class Verifier(SimProcess):
             for txn_result in result.txn_results:
                 pending_writes.append(txn_result.writes)
                 committed_ids.append(txn_result.txn_id)
-                write_keys += len(txn_result.writes)
         else:
-            # Seed only the batch keys the map has never seen; keys already
-            # written or validated before cost a C membership test each.
-            missing = [key for key in message.batch.sorted_keys if key not in live]
-            if missing:
-                live.update(store.current_versions(missing))
-            live_items = live.items()
-            batch_keys = message.batch.keys
+            # The store's current versions of exactly the batch's keys, so
+            # one dict-view comparison per transaction, set-wise in C, checks
+            # both that every reported (key, version) pair is current and
+            # that every reported key lies inside the batch: a fabricated
+            # version for a key outside the batch aborts.
+            current = store.current_versions(message.batch.sorted_keys).items()
             for txn_result in result.txn_results:
-                read_versions = txn_result.read_versions
-                # dict-view comparisons run set-wise in C: every reported
-                # (key, version) pair must match the live map, and the
-                # reported keys must lie inside the batch's key set — a
-                # fabricated version for a key outside the batch fails the
-                # second check and aborts, exactly as it fell outside the
-                # old per-batch snapshot.
-                if (
-                    read_versions.items() <= live_items
-                    and read_versions.keys() <= batch_keys
-                ):
+                if txn_result.read_versions.items() <= current:
                     pending_writes.append(txn_result.writes)
                     committed_ids.append(txn_result.txn_id)
-                    write_keys += len(txn_result.writes)
                 else:
                     aborted_ids.append(txn_result.txn_id)
-        # Mirror the store's version bumps for every *seeded* key: a key
-        # written by several transactions bumps once per write, matching
-        # apply_write_sets exactly; keys the map never seeded (fast-path
-        # batches, fabricated byzantine writes) simply stay unseeded.
-        for writes in pending_writes:
-            for key in writes:
-                version = live.get(key)
-                if version is not None:
-                    live[key] = version + 1
         store.apply_write_sets(pending_writes)
-        self._live_mutations = store.mutation_count
         self._committed_txns += len(committed_ids)
         self._aborted_txns += len(aborted_ids)
         self._throughput.record_commit(self.now, len(committed_ids))
@@ -349,7 +337,7 @@ class Verifier(SimProcess):
                 committed_txn_ids=committed,
                 aborted_txn_ids=aborted,
             )
-            self._responses_sent.setdefault(request_id, []).append((origin, response))
+            self._cache_reply(origin, request_id, response)
             if origin:
                 self._network.send(self.name, origin, response, response.size_bytes)
             self._resolve_pending(("request", request_id))
@@ -368,12 +356,9 @@ class Verifier(SimProcess):
         message = state.representative
         aborted = 0
         if message is not None:
-            per_request: Dict[Tuple[str, str], List[str]] = {}
-            for txn in message.batch.transactions:
-                per_request.setdefault((txn.origin, txn.request_id), []).append(txn.txn_id)
-            for (origin, request_id), txn_ids in per_request.items():
-                abort = AbortMsg(request_id=request_id, seq=seq, txn_ids=tuple(txn_ids))
-                self._responses_sent.setdefault(request_id, []).append((origin, abort))
+            for (origin, request_id), txn_ids in message.batch.request_groups:
+                abort = AbortMsg(request_id=request_id, seq=seq, txn_ids=txn_ids)
+                self._cache_reply(origin, request_id, abort)
                 if origin:
                     self._network.send(self.name, origin, abort, abort.size_bytes)
                 aborted += len(txn_ids)
@@ -388,9 +373,8 @@ class Verifier(SimProcess):
         if self._obs is not None:
             self._obs.end_span("verify", seq, self.now)
             self._obs.begin_span("commit", seq, self.now, self.name)
-        self._validated.add(seq)
-        # Settled: late VERIFYs are turned away by ``_validated`` and client
-        # retransmissions are answered from ``_responses_sent``, so nothing
+        # Settled: late VERIFYs are turned away by ``_kmax`` and client
+        # retransmissions are answered from ``_latest_requests``, so nothing
         # reads the per-sequence state (and the batch it pins) again.
         state = self._seq_state.pop(seq, None)
         if state is not None and state.timer is not None:
@@ -403,7 +387,7 @@ class Verifier(SimProcess):
     def _on_quorum_timeout(self, seq: int) -> None:
         """Verifier abort detection for conflicting transactions (Section VI-B)."""
         state = self._seq_state.get(seq)
-        if state is None or state.matched is not None or seq in self._validated:
+        if state is None or state.matched is not None or seq < self._kmax:
             return
         state.timer = None
         received = len(state.distinct_executors)
@@ -425,15 +409,9 @@ class Verifier(SimProcess):
     def _handle_client_request(self, request: ClientRequestMsg, sender: str) -> None:
         """Verifier action on receiving a client request (Figure 4, Lines 6–14)."""
         request_id = request.request_id
-        cached = self._responses_sent.get(request_id)
-        if cached:
-            for origin, response in cached:
-                target = origin or sender
-                self._network.send(self.name, target, response, response.size_bytes)
-            return
-        seq = self._request_to_seq.get(request_id)
-        if seq is None:
-            # Never saw any VERIFY for this request: tell the shim it is missing.
+        latest = self._latest_requests.get(request.origin)
+        if latest is None or latest.request_id != request_id:
+            # No VERIFY of this request on record: tell the shim it is missing.
             self._errors_sent += 1
             self._pending_errors[("request", request_id)] = True
             error = ErrorMsg(request=request)
@@ -441,6 +419,12 @@ class Verifier(SimProcess):
                 self._network.send(self.name, node, error, error.size_bytes)
             self._trace("verifier.error_missing_request", request_id=request_id)
             return
+        if latest.replies:
+            target = request.origin or sender
+            for reply in latest.replies:
+                self._network.send(self.name, target, reply, reply.size_bytes)
+            return
+        seq = latest.seq
         state = self._seq_state.get(seq)
         if state is not None and (state.matched is not None or state.abort_tagged):
             # The request is matched but stuck behind k_max: report the gap.
@@ -454,6 +438,12 @@ class Verifier(SimProcess):
             # We saw VERIFY messages but no f_E+1 matching quorum: blame the primary.
             self._broadcast_replace(ReplaceMsg(request_id=request_id, seq=seq))
             self._trace("verifier.replace_for_request", request_id=request_id, seq=seq)
+
+    def _cache_reply(self, origin: str, request_id: str, reply) -> None:
+        """Keep ``reply`` for a retransmission if it answers the endpoint's latest request."""
+        latest = self._latest_requests.get(origin)
+        if latest is not None and latest.request_id == request_id:
+            latest.replies.append(reply)
 
     def _broadcast_replace(self, message: ReplaceMsg) -> None:
         self._replace_sent += 1

@@ -200,16 +200,14 @@ class VersionedKVStore:
         return result
 
     def current_versions(self, keys: Iterable[str]) -> Dict[str, int]:
-        get = self._versions.get
-        return {key: get(key, 0) for key in keys}
+        """Current version of each key (0 if never written; no read counted).
 
-    def version_of(self, key: str) -> int:
-        """Current version of one key (0 if never written; no read counted).
-
-        The verifier's incremental validation seeds its live version map
-        through this instead of snapshotting whole key sets per batch.
+        What the verifier checks a batch's reported read versions against;
+        built by C-level constructors, like :meth:`read_many`'s maps.
         """
-        return self._versions.get(key, 0)
+        if not isinstance(keys, tuple):
+            keys = tuple(keys)
+        return dict(zip(keys, map(self._versions.get, keys, repeat(0))))
 
     def _note_mutation(self, changed: Optional[List[str]]) -> None:
         self._mutations += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro import kernel
 from repro.perf import PERF
@@ -61,39 +61,43 @@ class Transaction:
     # immutable, yet they are recomputed on every access across the protocol's
     # hot paths (conflict planning, storage reads, request/batch hashing).
     # They are memoised on the instance; frozen dataclasses still carry a
-    # ``__dict__``, so ``object.__setattr__`` works.
+    # ``__dict__``, so ``object.__setattr__`` works.  Each memo reads through
+    # to a class-level ``None`` until it is set (ClassVars, not fields), so a
+    # first access is a plain miss, not a raised AttributeError.
+    _read_set: ClassVar[Optional[FrozenSet[str]]] = None
+    _write_set: ClassVar[Optional[FrozenSet[str]]] = None
+    _keys: ClassVar[Optional[FrozenSet[str]]] = None
+    _sorted_keys: ClassVar[Optional[Tuple[str, ...]]] = None
+    _canonical: ClassVar[Optional[str]] = None
 
     # Operations are namedtuples, so the comprehensions below unpack them
     # directly (C-level) instead of reading attributes one by one.
 
     @property
     def read_set(self) -> FrozenSet[str]:
-        try:
-            return self._read_set
-        except AttributeError:
+        cached = self._read_set
+        if cached is None:
             cached = frozenset(key for key, is_write, _value in self.operations if not is_write)
             object.__setattr__(self, "_read_set", cached)
-            return cached
+        return cached
 
     @property
     def write_set(self) -> FrozenSet[str]:
-        try:
-            return self._write_set
-        except AttributeError:
+        cached = self._write_set
+        if cached is None:
             cached = frozenset(key for key, is_write, _value in self.operations if is_write)
             object.__setattr__(self, "_write_set", cached)
-            return cached
+        return cached
 
     @property
     def keys(self) -> FrozenSet[str]:
-        try:
-            return self._keys
-        except AttributeError:
+        cached = self._keys
+        if cached is None:
             # Computed straight from the operations (== read_set | write_set)
             # so the hot execution path doesn't materialise both sub-sets.
             cached = frozenset(key for key, _w, _v in self.operations)
             object.__setattr__(self, "_keys", cached)
-            return cached
+        return cached
 
     @property
     def sorted_keys(self) -> Tuple[str, ...]:
@@ -103,22 +107,20 @@ class Transaction:
         identical ordering to ``sorted(self.keys)``, without materialising
         the frozenset on that path.
         """
-        try:
-            return self._sorted_keys
-        except AttributeError:
+        cached = self._sorted_keys
+        if cached is None:
             cached = tuple(sorted({key for key, _w, _v in self.operations}))
             object.__setattr__(self, "_sorted_keys", cached)
-            return cached
+        return cached
 
     def canonical(self) -> str:
-        try:
-            return self._canonical
-        except AttributeError:
+        cached = self._canonical
+        if cached is None:
             # Construction is delegated to the active kernel variant (bound
             # at module bottom); both build the identical string.
             cached = _transaction_canonical(self)
             object.__setattr__(self, "_canonical", cached)
-            return cached
+        return cached
 
 
 def transactions_conflict(first: Transaction, second: Transaction) -> bool:

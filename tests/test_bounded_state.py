@@ -1,10 +1,14 @@
 """Retained-state audit: what a run keeps must not grow with its length.
 
 Executors terminate (Figure 3, Line 20), the verifier forgets a sequence
-number once it is validated, a shim node forgets a committed entry once the
-verifier has acknowledged it, and stable checkpoints truncate the PBFT log —
-so the live per-executor, per-sequence and per-batch state of a run is
-bounded by what is in flight, not by how long it has been running.
+number once it is validated and keeps replies only for each client
+endpoint's latest request, a shim node forgets a committed entry once the
+verifier has acknowledged it, the conflict planner retires verified
+batches, and stable watermarks truncate the PBFT and Paxos logs and their
+vote trackers — so the live per-executor, per-sequence and per-batch state
+of a run is bounded by what is in flight, not by how long it has been
+running.  What still grows on purpose is the cloud's invocation ledger and
+the key store's executor identities (PERFORMANCE.md).
 
 The first half audits whole deployments at T and 3T virtual seconds; the
 second half pins each retirement on its own: what is forgotten, and what
@@ -21,7 +25,9 @@ from repro.cloud.billing import CostModel
 from repro.cloud.lambda_cloud import ServerlessCloud, SpawnRequest
 from repro.cloud.regions import RegionCatalog
 from repro.consensus.log import CommittedEntry
+from repro.consensus.messages import CommitMsg, PrepareMsg
 from repro.core.certificates import CommitCertificate
+from repro.core.conflict import ConflictPlanner
 from repro.core.executor import Executor
 from repro.core.messages import ClientRequestMsg, ExecuteMsg, ResponseMsg, VerifyMsg
 from repro.crypto.costs import CryptoCostModel
@@ -35,6 +41,7 @@ from repro.storage.kvstore import VersionedKVStore
 from repro.storage.service import StorageReadReply, StorageReadRequest
 from repro.workload.transactions import Operation, Transaction, TransactionBatch
 from tests.helpers import DRILL_OVERRIDES, make_config, make_workload, run_drill, run_simulation
+from tests.test_pbft import Cluster as PBFTCluster
 from tests.test_verifier_unit import Harness as VerifierHarness
 
 OVERRIDES = {**DRILL_OVERRIDES, "protocol.crypto_backend": "fast"}
@@ -46,20 +53,33 @@ WINDOW = DRILL_OVERRIDES["protocol.num_clients"] // DRILL_OVERRIDES["protocol.ba
 # ------------------------------------------------------------------ whole-run audit
 
 
-def _audit(system: str, duration: float) -> dict:
+def _tracker_keys(replica) -> int:
+    """Vote keys in an ordering engine's largest per-sequence quorum tracker."""
+    trackers = ("_prepare_quorum", "_commit_quorum", "_accepted_quorum")
+    return max(
+        len(getattr(replica, name).keys()) for name in trackers if hasattr(replica, name)
+    )
+
+
+def _audit(system: str, duration: float, overrides=None) -> dict:
     """Run one drill and count what is still alive afterwards.
 
     Everything the run built dies with this frame, so back-to-back audits
     never count each other's objects.
     """
     spec = RunSpec(
-        system=system, base="default", overrides=OVERRIDES, duration=duration, warmup=0.0
+        system=system,
+        base="default",
+        overrides={**OVERRIDES, **(overrides or {})},
+        duration=duration,
+        warmup=0.0,
     )
     deployment = build_deployment(resolve(spec))
     result = deployment.run(duration=duration, warmup=0.0)
     gc.collect()
     replicated = system == "pbft_replicated"  # every replica owns a store; no verifier, no cloud
     stores = [node.store for node in deployment.nodes] if replicated else [deployment.store]
+    replicas = [node.replica for node in deployment.nodes]
     counts = {
         "committed": result.committed_txns,
         "endpoints": len(deployment.network._endpoints),
@@ -72,10 +92,22 @@ def _audit(system: str, duration: float) -> dict:
         "read_cache": max(len(store._read_cache) for store in stores),
         "batches": sum(1 for obj in gc.get_objects() if type(obj) is TransactionBatch),
         "batch_bound": 2 * deployment.config.checkpoint_interval + 4 * WINDOW,
+        "slot_bound": 2 * deployment.config.checkpoint_interval + WINDOW,
+        "tracker_keys": max(_tracker_keys(replica) for replica in replicas),
+        "log_slots": max(replica.log.slot_count for replica in replicas),
+        "planner_pending": max(
+            (len(node._planner._pending) for node in deployment.nodes if hasattr(node, "_planner")),
+            default=0,
+        ),
+        "reply_endpoints": 0,
+        "cached_replies": 0,
     }
     if not replicated:
         counts["fixed_endpoints"] += 2  # verifier + storage
         counts["seq_state"] = len(deployment.verifier._seq_state)
+        latest = deployment.verifier._latest_requests.values()
+        counts["reply_endpoints"] = len(latest)
+        counts["cached_replies"] = sum(len(record.replies) for record in latest)
         counts["running_executors"] = sum(
             1
             for handle in deployment.cloud.handles
@@ -86,10 +118,24 @@ def _audit(system: str, duration: float) -> dict:
     return counts
 
 
-@pytest.mark.parametrize("system", ["serverless_bft", "noshim", "pbft_replicated"])
-def test_retained_state_does_not_scale_with_run_length(system):
-    short, long = _audit(system, 1.0), _audit(system, 3.0)
+@pytest.mark.parametrize(
+    "system, overrides",
+    [
+        pytest.param("serverless_bft", None, id="serverless_bft"),
+        pytest.param("serverless_cft", None, id="serverless_cft"),
+        pytest.param("noshim", None, id="noshim"),
+        pytest.param("pbft_replicated", None, id="pbft_replicated"),
+        pytest.param(
+            "serverless_bft",
+            {"protocol.conflict_mode": "conflict_avoidance"},
+            id="serverless_bft-conflict_avoidance",
+        ),
+    ],
+)
+def test_retained_state_does_not_scale_with_run_length(system, overrides):
+    short, long = _audit(system, 1.0, overrides), _audit(system, 3.0, overrides)
     assert long["committed"] > 2 * short["committed"]  # the long run did ~3x the work
+    groups = DRILL_OVERRIDES["protocol.client_groups"]
     for counts in (short, long):
         # Only executors that are running right now are on the network.
         assert counts["endpoints"] == counts["fixed_endpoints"] + counts["running_executors"]
@@ -101,6 +147,17 @@ def test_retained_state_does_not_scale_with_run_length(system):
         # Batches live in PBFT log slots (truncated at the stable checkpoint,
         # which trails by up to one interval) and in the in-flight window.
         assert counts["batches"] <= counts["batch_bound"]
+        # The log's slots and each quorum tracker's vote keys (PBFT and
+        # Paxos alike) stop at the stable watermark: at most two checkpoint
+        # intervals plus the in-flight window.  The planner holds only
+        # batches the verifier has not confirmed.
+        assert counts["log_slots"] <= counts["slot_bound"]
+        assert counts["tracker_keys"] <= counts["slot_bound"]
+        assert counts["planner_pending"] <= WINDOW
+        # One retransmission record per client endpoint, holding the replies
+        # of its latest request (a request spans at most a few batches).
+        assert counts["reply_endpoints"] <= groups
+        assert counts["cached_replies"] <= 4 * groups
 
 
 # ------------------------------------------------------------------ verifier
@@ -147,6 +204,107 @@ def test_retransmission_of_a_settled_request_gets_the_cached_response():
     resent = harness.client_messages(ResponseMsg)
     assert len(resent) == 2 and resent[1] is first[0]
     assert harness.verifier.error_messages_sent == 0  # not "missing", not "stuck"
+
+
+def _settle(harness, seq, request_id, keys=("k1",)):
+    """Validate one batch carrying ``request_id`` at ``seq``."""
+    batch = harness.make_batch(seq, keys=keys, request_id=request_id)
+    harness.deliver(harness.make_verify(seq, "executor-0", batch), "executor-0")
+    harness.deliver(harness.make_verify(seq, "executor-1", batch), "executor-1")
+    return harness.client_messages(ResponseMsg)[-1]
+
+
+def _retransmit(harness, request_id):
+    request = ClientRequestMsg(request_id=request_id, origin="client-group-0", transactions=())
+    harness.deliver(request, "client-group-0")
+
+
+def _cached(harness):
+    return {
+        origin: (record.request_id, list(record.replies))
+        for origin, record in harness.verifier._latest_requests.items()
+    }
+
+
+def test_an_endpoints_older_request_is_forgotten_once_its_next_is_answered():
+    harness = VerifierHarness()
+    _settle(harness, 1, "client-group-0-req-0")
+    second = _settle(harness, 2, "client-group-0-req-1")
+    assert _cached(harness) == {"client-group-0": ("client-group-0-req-1", [second])}
+    # The endpoint never asks about a settled request again; if something
+    # does, the verifier no longer knows it and reports it missing.
+    _retransmit(harness, "client-group-0-req-0")
+    assert harness.verifier.error_messages_sent == 1
+    assert len(harness.client_messages(ResponseMsg)) == 2
+
+
+def test_a_late_duplicate_of_an_older_request_keeps_the_newer_replies():
+    harness = VerifierHarness()
+    _settle(harness, 1, "client-group-0-req-9")
+    newer = _settle(harness, 2, "client-group-0-req-10")
+    # The primary ordered req-9 a second time (an ERROR-path re-order or a
+    # duplicated client message); its batch validates after req-10's.
+    duplicate = _settle(harness, 3, "client-group-0-req-9", keys=("k2",))
+    assert duplicate.request_id == "client-group-0-req-9"  # answered as before
+    assert _cached(harness) == {"client-group-0": ("client-group-0-req-10", [newer])}
+    _retransmit(harness, "client-group-0-req-10")
+    assert harness.client_messages(ResponseMsg)[-1] is newer
+    assert harness.verifier.error_messages_sent == 0
+
+
+# ------------------------------------------------------------------ ordering engines
+
+
+def test_a_vote_at_or_below_the_stable_watermark_creates_no_slot_and_no_key():
+    cluster = PBFTCluster(checkpoint_interval=2)
+    for index in range(10):
+        cluster.primary().propose(f"batch-{index}")
+    cluster.run(until=2.0)
+    replica = cluster.replicas["node-1"]
+    stable = replica.log.stable_seq
+    assert stable >= 8
+
+    def tracked_seqs():
+        keys = replica._prepare_quorum.keys() + replica._commit_quorum.keys()
+        return {seq for _view, seq, _digest in keys}
+
+    assert min(tracked_seqs(), default=stable + 1) > stable  # retired with the slots
+    prepare = PrepareMsg(view=0, seq=1, digest="late", replica="node-2")
+    unsigned = CommitMsg(view=0, seq=1, digest="late", replica="node-2")
+    signature = SignatureService(cluster.keystore, "node-2").sign(unsigned)
+    commit = CommitMsg(view=0, seq=1, digest="late", replica="node-2", signature=signature)
+    replica.handle(prepare, "node-2")
+    replica.handle(commit, "node-2")
+    cluster.run(until=3.0)
+    assert not replica.log.has_slot(1)
+    assert 1 not in tracked_seqs()
+    assert replica.log.is_committed(1)
+
+
+# ------------------------------------------------------------------ conflict planner
+
+
+def _planned_batch(seq: int) -> TransactionBatch:
+    txn = Transaction(
+        txn_id=f"txn-{seq}",
+        client_id="client-0",
+        operations=(Operation(key="hot", is_write=True, value="v"),),
+    )
+    return TransactionBatch(batch_id=f"batch-{seq}", transactions=(txn,))
+
+
+def test_conflict_planner_retires_a_batch_verified_before_it_was_released():
+    planner = ConflictPlanner()
+    planner.add(1, _planned_batch(1))
+    assert [seq for seq, _batch in planner.ready()] == [1]
+    planner.add(2, _planned_batch(2))
+    assert planner.ready() == []  # seq 2 waits for seq 1's lock on "hot"
+    # A lagging node: the verifier confirms seq 2 before seq 1 released it.
+    assert planner.complete(2) == []
+    assert list(planner._pending) == [1]
+    assert planner.complete(1) == []  # seq 2 is settled: never dispatched
+    assert planner._pending == {} and planner.locked_items() == set()
+    assert planner.outstanding == 0
 
 
 # ------------------------------------------------------------------ shim node

@@ -4,6 +4,7 @@ from typing import Dict, List
 
 import pytest
 
+from repro.consensus.messages import PaxosAcceptedMsg
 from repro.consensus.paxos import PaxosConfig, PaxosReplica
 from repro.crypto.costs import CryptoCostModel
 from repro.errors import ProtocolViolation
@@ -45,7 +46,7 @@ class _Transport:
 
 
 class PaxosCluster:
-    def __init__(self, n: int = 3) -> None:
+    def __init__(self, n: int = 3, checkpoint_interval: int = 64) -> None:
         self.sim = Simulator()
         self.names = [f"node-{index}" for index in range(n)]
         self.committed: Dict[str, List] = {name: [] for name in self.names}
@@ -54,7 +55,7 @@ class PaxosCluster:
             name: PaxosReplica(
                 replica_id=name,
                 replicas=self.names,
-                config=PaxosConfig(),
+                config=PaxosConfig(checkpoint_interval=checkpoint_interval),
                 transport=_Transport(self, name),
                 cost_model=CryptoCostModel(),
                 host=_Host(self.sim),
@@ -136,3 +137,21 @@ def test_accept_from_non_leader_is_ignored():
     )
     cluster.run()
     assert cluster.committed["node-1"] == []
+
+
+def test_log_truncates_at_the_stable_watermark():
+    cluster = PaxosCluster(n=3, checkpoint_interval=4)
+    for index in range(20):
+        cluster.leader().propose(f"batch-{index}")
+    cluster.run()
+    for name, replica in cluster.replicas.items():
+        assert [entry.seq for entry in cluster.committed[name]] == list(range(1, 21))
+        log = replica.log
+        assert log.committed_count() == 20 and log.is_committed(1)
+        assert log.stable_seq >= 16
+        assert log.slot_count <= 4
+    # A late ACCEPTED for a truncated slot re-creates neither slot nor vote key.
+    leader = cluster.leader()
+    leader.handle(PaxosAcceptedMsg(ballot=0, seq=1, digest="late", replica="node-2"), "node-2")
+    assert not leader.log.has_slot(1)
+    assert all(key[1] > leader.log.stable_seq for key in leader._accepted_quorum.keys())

@@ -245,21 +245,28 @@ def test_quorum_timeout_with_few_reports_blames_the_primary():
 
 
 def test_live_version_map_tracks_commits_and_matches_store():
-    """Incremental validation: the live map mirrors the store across commits."""
+    """Back-to-back commits on one key each validate against the store's versions.
+
+    The verifier once mirrored the store's versions in a map of its own; it
+    now reads the store, so what is left to pin is the outcome.
+    """
     harness = Harness()
     for seq in (1, 2, 3):
         batch = harness.make_batch(seq, keys=("k1", f"k{seq}x"))
         harness.deliver(harness.make_verify(seq, "executor-0", batch), "executor-0")
         harness.deliver(harness.make_verify(seq, "executor-1", batch), "executor-1")
     assert harness.verifier.kmax == 4
+    assert harness.verifier.aborted_txns == 0
+    assert [r.committed_txn_ids for r in harness.client_messages(ResponseMsg)] == [
+        ("txn-1",), ("txn-2",), ("txn-3",)
+    ]
     assert harness.store.read("k1").version == 3  # bumped by every batch
-    live = harness.verifier._live_versions
-    for key, version in live.items():
-        assert version == harness.store.version_of(key), key
+    for seq in (1, 2, 3):
+        assert harness.store.read(f"k{seq}x").version == 1
 
 
 def test_live_version_map_consistent_after_aborts():
-    """An aborted sequence leaves the store and live map untouched."""
+    """An aborted sequence leaves the store untouched."""
     harness = Harness()
     batch1 = harness.make_batch(1, keys=("k1",))
     harness.deliver(harness.make_verify(1, "executor-0", batch1), "executor-0")
@@ -271,17 +278,18 @@ def test_live_version_map_consistent_after_aborts():
     harness.deliver(harness.make_verify(2, "executor-1", batch2, stale=True), "executor-1")
     assert harness.verifier.aborted_txns == 1
     assert harness.store.read("k1").version == 1
-    assert harness.verifier._live_versions["k1"] == 1
-    # A later, fresh batch on the same key validates against the live map.
+    assert harness.store.write_count == 1
+    # A later, fresh batch on the same key validates against the store.
     batch3 = harness.make_batch(3, keys=("k1",))
     harness.deliver(harness.make_verify(3, "executor-0", batch3), "executor-0")
     harness.deliver(harness.make_verify(3, "executor-1", batch3), "executor-1")
+    assert harness.client_messages(ResponseMsg)[-1].committed_txn_ids == ("txn-3",)
+    assert harness.verifier.aborted_txns == 1
     assert harness.store.read("k1").version == 2
-    assert harness.verifier._live_versions["k1"] == 2
 
 
 def test_live_version_map_consistent_after_replace_timeout_abort():
-    """The timeout-abort path (REPLACE machinery) keeps the map exact."""
+    """After a timeout abort (REPLACE machinery) the next batch still validates."""
     harness = Harness(quorum_timeout=0.2, executor_faults=1, expected_executors=4)
     batch = harness.make_batch(1, keys=("k1",))
     harness.deliver(harness.make_verify(1, "executor-0", batch), "executor-0")
@@ -294,13 +302,12 @@ def test_live_version_map_consistent_after_replace_timeout_abort():
     batch2 = harness.make_batch(2, keys=("k1",))
     harness.deliver(harness.make_verify(2, "executor-0", batch2), "executor-0")
     harness.deliver(harness.make_verify(2, "executor-1", batch2), "executor-1")
+    assert harness.client_messages(ResponseMsg)[-1].committed_txn_ids == ("txn-2",)
     assert harness.store.read("k1").version == 1
-    live = harness.verifier._live_versions
-    assert live.get("k1") == 1
 
 
 def test_foreign_store_write_invalidates_live_map():
-    """A write bypassing the verifier is detected via the mutation counter."""
+    """A write bypassing the verifier counts: validation reads the store itself."""
     harness = Harness()
     batch1 = harness.make_batch(1, keys=("k1",))
     harness.deliver(harness.make_verify(1, "executor-0", batch1), "executor-0")
@@ -309,13 +316,20 @@ def test_foreign_store_write_invalidates_live_map():
     # Poke the store directly (no verifier involvement).
     harness.store.apply_writes({"k1": "foreign"})
     assert harness.store.read("k1").version == 2
-    # Executors that observed the foreign version still commit...
+    # Executors that observed the foreign version commit...
     batch2 = harness.make_batch(2, keys=("k1",))
     harness.deliver(harness.make_verify(2, "executor-0", batch2), "executor-0")
     harness.deliver(harness.make_verify(2, "executor-1", batch2), "executor-1")
+    assert harness.client_messages(ResponseMsg)[-1].committed_txn_ids == ("txn-2",)
     assert harness.store.read("k1").version == 3
-    # ...and the reseeded live map is exact again.
-    assert harness.verifier._live_versions["k1"] == 3
+    # ...and executors that read k1 before the foreign write abort.
+    batch3 = harness.make_batch(3, keys=("k1",))
+    stale = [harness.make_verify(3, executor, batch3) for executor in ("executor-0", "executor-1")]
+    harness.store.apply_writes({"k1": "foreign-again"})
+    for verify in stale:
+        harness.deliver(verify, verify.executor)
+    assert harness.client_messages(ResponseMsg)[-1].aborted_txn_ids == ("txn-3",)
+    assert harness.store.read("k1").version == 4
 
 
 def test_fabricated_read_version_outside_batch_aborts():
