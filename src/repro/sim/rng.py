@@ -77,8 +77,10 @@ class DeterministicRNG:
         loop exactly — the same ``getrandbits`` calls in the same order — so
         the draw *sequence* is bit-identical to calling :meth:`randint`, while
         skipping the three stdlib wrapper frames per draw.  The workload
-        generator pre-builds one sampler per constant bound (partition size,
-        hot-key count, value range) on its hottest path.
+        generator's general builder pre-builds one sampler per constant
+        bound (partition size, hot-key count, value range); its generation
+        loop and the compiled kernel inline this exact loop, so this stays
+        their reference.
         """
         if width <= 0:
             raise ValueError("width must be positive")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro import kernel
 from repro.perf import PERF
@@ -63,7 +63,9 @@ class Transaction:
     # They are memoised on the instance; frozen dataclasses still carry a
     # ``__dict__``, so ``object.__setattr__`` works.  Each memo reads through
     # to a class-level ``None`` until it is set (ClassVars, not fields), so a
-    # first access is a plain miss, not a raised AttributeError.
+    # first access is a plain miss, not a raised AttributeError.  The
+    # pure-Python YCSB generator seeds ``_canonical`` and ``_sorted_keys``
+    # while it draws a transaction, so its transactions never miss those.
     _read_set: ClassVar[Optional[FrozenSet[str]]] = None
     _write_set: ClassVar[Optional[FrozenSet[str]]] = None
     _keys: ClassVar[Optional[FrozenSet[str]]] = None
@@ -234,10 +236,6 @@ class TransactionBatch:
                 cached = max(txn.execution_seconds for txn in self.transactions)
             object.__setattr__(self, "_execution_seconds", cached)
         return cached
-
-    @property
-    def rw_sets_known(self) -> bool:
-        return all(txn.rw_sets_known for txn in self.transactions)
 
     def conflicts_with(self, other: "TransactionBatch") -> bool:
         if self.write_set & other.keys:
@@ -475,11 +473,3 @@ _c_execute_batch = kernel.c_execute_batch()
 _execute_batch_impl = _execute_batch_py if _c_execute_batch is None else _execute_batch_c
 _transaction_canonical = kernel.c_transaction_canonical() or _transaction_canonical_py
 _batch_canonical = kernel.c_batch_canonical() or _batch_canonical_py
-
-
-def merge_batches(batches: Iterable[TransactionBatch], batch_id: str) -> TransactionBatch:
-    """Concatenate several batches into one (used by re-batching utilities)."""
-    transactions: List[Transaction] = []
-    for batch in batches:
-        transactions.extend(batch.transactions)
-    return TransactionBatch(batch_id=batch_id, transactions=tuple(transactions))

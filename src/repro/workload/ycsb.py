@@ -18,8 +18,8 @@ read and write operations, with
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro import kernel
 from repro.errors import WorkloadError
@@ -70,16 +70,21 @@ class YCSBWorkload:
         # Per-client private key ranges guarantee non-conflicting transactions
         # from different clients never touch the same key.
         self._partition_size = max(1, config.num_records // config.clients)
-        self._client_ids = [f"client-{index}" for index in range(config.clients)]
-        # Pre-built samplers for the constant bounds of this workload: each is
-        # draw-for-draw identical to randint (see DeterministicRNG), minus the
-        # stdlib wrapper frames — next_transaction draws ~6 of these per call.
-        # The bounds are recorded alongside the samplers: the compiled kernel
-        # re-derives the same rejection loops from them (drawing through the
-        # same ``getrandbits``), so C and Python draws stay sequence-identical.
+        # Per-client-index tables (id string, partition start).  They start at
+        # ``config.clients`` entries and grow on demand to the highest client
+        # index a caller pins, so they stay bounded by the deployment's
+        # client count.
+        self._client_ids: List[str] = []
+        self._client_starts: Tuple[int, ...] = ()
+        self._num_records = config.num_records
+        self._grow_client_tables(config.clients)
+        # The constant bounds of this workload.  The general operation
+        # builder draws through bounded_int_fn samplers; the generation loop
+        # and the compiled kernel both re-derive the same rejection loops
+        # from the bounds (drawing through the same ``getrandbits``), so every
+        # path's draw sequence is identical to randint's.
         self._client_bound = config.clients
         self._value_bound = 10**9 + 1
-        self._draw_client = self._rng.bounded_int_fn(self._client_bound)
         self._draw_hot = self._rng.bounded_int_fn(config.hot_keys)
         self._draw_offset = self._rng.bounded_int_fn(self._partition_size)
         self._draw_value = self._rng.bounded_int_fn(self._value_bound)
@@ -90,22 +95,16 @@ class YCSBWorkload:
         self._private_modulus = max(1, config.num_records - config.hot_keys)
         # conflict_fraction == 0 means chance() never draws; skip the call.
         self._has_conflicts = config.conflict_fraction > 0.0
-        # With no conflicts and uniform keys the per-transaction dispatch in
-        # next_transaction is constant: branch once here, not per call.
+        # With no conflicts and uniform keys every transaction takes the
+        # uniform builder; the compiled kernel branches on this flag.
         self._uniform_only = not self._has_conflicts and config.zipfian_theta <= 0
-        # Key-choice tables and per-transaction attribute hoists: the frozen
-        # config never changes after construction, so every per-call config
-        # attribute read in the generation loop is precomputable.  None of
-        # this changes a single RNG draw — only how the drawn values are
-        # turned into keys and transactions.
+        # Per-transaction attribute hoists: the frozen config never changes
+        # after construction.  None of this changes a single RNG draw — only
+        # how the drawn values are turned into keys and transactions.
         self._conflict_fraction = config.conflict_fraction
         self._execution_seconds = config.execution_seconds
+        self._execution_text = f"{config.execution_seconds}"
         self._rw_sets_known = config.rw_sets_known
-        self._num_client_ids = len(self._client_ids)
-        self._client_starts = tuple(
-            (index * self._partition_size) % config.num_records
-            for index in range(config.clients)
-        )
         self._write_flags = tuple(
             op_index < self._writes_target
             for op_index in range(config.operations_per_transaction)
@@ -114,7 +113,6 @@ class YCSBWorkload:
         self._next_txn_index = self._txn_counter.__next__
         self._next_batch_index = self._batch_counter.__next__
         self._hot_count = config.hot_keys
-        self._num_records = config.num_records
         # Compiled generation fast path, bound per instance so tests can
         # force the pure-Python loop (``workload._c_generate = None``) for
         # in-process A/B comparisons.  ``None`` whenever the chooser picked
@@ -135,37 +133,13 @@ class YCSBWorkload:
     ) -> Transaction:
         """Generate the next transaction, optionally pinned to a client.
 
-        ``origin``/``request_id`` let callers stamp the delivery metadata at
-        construction time instead of rebuilding the frozen transaction with
-        ``dataclasses.replace`` afterwards (the client hot path).
+        Without ``client_index`` the client is drawn.  ``origin`` /
+        ``request_id`` stamp the delivery metadata at construction time
+        instead of rebuilding the frozen transaction afterwards.
         """
         if client_index is None:
-            client_index = self._draw_client()
-        if client_index < self._num_client_ids:
-            client_id = self._client_ids[client_index]
-        else:
-            client_id = f"client-{client_index}"
-        txn_id = f"txn-{self._next_txn_index()}"
-        if self._uniform_only:
-            operations = self._build_operations_uniform(client_index)
-        else:
-            conflicting = self._has_conflicts and self._chance(self._conflict_fraction)
-            operations = self._build_operations(client_index, conflicting)
-        # Fast frozen-dataclass construction: a generated transaction is the
-        # single hottest allocation in a run (batch size x clients per
-        # second), and the frozen __init__'s per-field object.__setattr__
-        # overhead is measurable.  Filling __dict__ directly is equivalent —
-        # dataclass equality/hash read the same attributes.
-        txn = object.__new__(Transaction)
-        txn_dict = txn.__dict__
-        txn_dict["txn_id"] = txn_id
-        txn_dict["client_id"] = client_id
-        txn_dict["operations"] = operations
-        txn_dict["execution_seconds"] = self._execution_seconds
-        txn_dict["rw_sets_known"] = self._rw_sets_known
-        txn_dict["origin"] = origin
-        txn_dict["request_id"] = request_id
-        return txn
+            return self._generate(1, 0, origin, request_id, True)[0]
+        return self._generate(1, client_index, origin, request_id, False)[0]
 
     def next_transactions(
         self,
@@ -177,73 +151,137 @@ class YCSBWorkload:
         """Generate ``count`` transactions pinned to consecutive client slots.
 
         Draw-for-draw identical to calling :meth:`next_transaction` with
-        ``client_index = client_index_offset + slot`` for each slot; the
-        hoisted loop serves the client group's request path (one request per
-        round trip carrying ``group_size`` transactions), where the
-        per-transaction attribute reads of the single-transaction entry
-        point are measurable.
+        ``client_index = client_index_offset + slot`` for each slot; this is
+        the client group's request path (one request per round trip carrying
+        ``group_size`` transactions).
         """
+        return self._generate(count, client_index_offset, origin, request_id, False)
+
+    def transactions(self, count: int, client_index: Optional[int] = None) -> List[Transaction]:
+        next_transaction = self.next_transaction
+        return [next_transaction(client_index) for _ in range(count)]
+
+    # ------------------------------------------------------------------ batches
+
+    def next_batch(self, batch_size: int) -> TransactionBatch:
+        """Generate a batch of ``batch_size`` transactions (paper default 100),
+        each from a drawn client."""
+        if batch_size <= 0:
+            raise WorkloadError("batch_size must be positive")
+        batch_id = f"batch-{self._next_batch_index()}"
+        return TransactionBatch(
+            batch_id=batch_id, transactions=self._generate(batch_size, 0, "", "", True)
+        )
+
+    # ---------------------------------------------------------------- internals
+
+    def _generate(
+        self,
+        count: int,
+        client_index_offset: int,
+        origin: str,
+        request_id: str,
+        draw_client: bool,
+    ) -> Tuple[Transaction, ...]:
+        """Every entry point's dispatch: the compiled loop when the chooser
+        bound one, else :meth:`_generate_py` (same arguments, same draws)."""
         c_generate = self._c_generate
-        if c_generate is not None:
-            txns = c_generate(self, count, client_index_offset, origin, request_id, False)
-            PERF.ckernel_txns_generated += count
-            return txns
-        uniform_only = self._uniform_only
-        build_general = self._build_operations
+        if c_generate is None:
+            return self._generate_py(count, client_index_offset, origin, request_id, draw_client)
+        PERF.ckernel_txns_generated += count
+        return c_generate(self, count, client_index_offset, origin, request_id, draw_client)
+
+    def _generate_py(
+        self,
+        count: int,
+        client_index_offset: int,
+        origin: str,
+        request_id: str,
+        draw_client: bool,
+    ) -> Tuple[Transaction, ...]:
+        """The authoritative generation loop: draw and describe in one pass.
+
+        Each transaction leaves with its canonical string and sorted keys
+        memoised (``_canonical`` / ``_sorted_keys``, the exact values
+        :meth:`Transaction.canonical` and :attr:`Transaction.sorted_keys`
+        would build), so neither the client's request digest nor batch
+        execution walks its operations again.  The client draw and the
+        uniform path's key and value draws inline ``bounded_int_fn``'s
+        rejection loop, ``getrandbits`` call for ``getrandbits`` call;
+        conflicting and zipfian transactions take :meth:`_build_operations`.
+        """
+        if not draw_client and client_index_offset + count > len(self._client_ids):
+            self._grow_client_tables(client_index_offset + count)
+        client_ids = self._client_ids
+        starts = self._client_starts
+        next_index = self._next_txn_index
         has_conflicts = self._has_conflicts
         chance = self._chance
         conflict_fraction = self._conflict_fraction
-        client_ids = self._client_ids
-        num_ids = self._num_client_ids
-        next_index = self._next_txn_index
+        zipfian = self._config.zipfian_theta > 0
+        build_general = self._build_operations
         execution_seconds = self._execution_seconds
+        execution_text = self._execution_text
         rw_sets_known = self._rw_sets_known
-        txn_new = Transaction.__new__
-        # Locals for the inlined uniform-key operation builder (identical
-        # draws and results to _build_operations_uniform, minus one call
-        # frame and its locals re-binding per transaction).
-        write_flags = self._write_flags
+        getrandbits = self._rng.getrandbits
+        client_bound = self._client_bound
+        client_bits = client_bound.bit_length()
+        partition_size = self._partition_size
+        offset_bits = partition_size.bit_length()
+        value_bound = self._value_bound
+        value_bits = value_bound.bit_length()
         hot_keys = self._hot_count
         modulus = self._private_modulus
-        draw_offset = self._draw_offset
-        draw_value = self._draw_value
-        starts = self._client_starts
-        num_starts = len(starts)
-        partition_size = self._partition_size
-        num_records = self._num_records
+        # write_flags is writes-first, so the uniform builder runs two loops.
+        write_slots = range(self._writes_target)
+        read_slots = range(len(self._write_flags) - self._writes_target)
+        txn_new = Transaction.__new__
         tuple_new = tuple.__new__
         transactions: List[Transaction] = []
         append = transactions.append
         for slot in range(count):
-            client_index = client_index_offset + slot
-            if client_index < num_ids:
-                client_id = client_ids[client_index]
+            if draw_client:
+                client_index = getrandbits(client_bits)
+                while client_index >= client_bound:
+                    client_index = getrandbits(client_bits)
             else:
-                client_id = f"client-{client_index}"
+                client_index = client_index_offset + slot
+            client_id = client_ids[client_index]
             txn_id = f"txn-{next_index()}"
-            if uniform_only:
-                if client_index < num_starts:
-                    start = starts[client_index]
-                else:
-                    start = (client_index * partition_size) % num_records
-                op_list: List[Operation] = []
-                op_append = op_list.append
-                for is_write in write_flags:
-                    index = hot_keys + (start + draw_offset()) % modulus
-                    op_append(
-                        tuple_new(
-                            Operation,
-                            (
-                                f"user{index}",
-                                is_write,
-                                f"val-{draw_value()}" if is_write else None,
-                            ),
-                        )
-                    )
-                operations = tuple(op_list)
-            else:
-                conflicting = has_conflicts and chance(conflict_fraction)
+            conflicting = has_conflicts and chance(conflict_fraction)
+            if conflicting or zipfian:
                 operations = build_general(client_index, conflicting)
+                parts = [f"{'W' if is_write else 'R'}:{key}:{value or ''}"
+                         for key, is_write, value in operations]
+                keys = [op[0] for op in operations]
+            else:
+                start = starts[client_index]
+                ops: List[Operation] = []
+                parts = []
+                keys = []
+                for _ in write_slots:
+                    offset = getrandbits(offset_bits)
+                    while offset >= partition_size:
+                        offset = getrandbits(offset_bits)
+                    key = f"user{hot_keys + (start + offset) % modulus}"
+                    drawn = getrandbits(value_bits)
+                    while drawn >= value_bound:
+                        drawn = getrandbits(value_bits)
+                    value = f"val-{drawn}"
+                    ops.append(tuple_new(Operation, (key, True, value)))
+                    parts.append(f"W:{key}:{value}")
+                    keys.append(key)
+                for _ in read_slots:
+                    offset = getrandbits(offset_bits)
+                    while offset >= partition_size:
+                        offset = getrandbits(offset_bits)
+                    key = f"user{hot_keys + (start + offset) % modulus}"
+                    ops.append(tuple_new(Operation, (key, False, None)))
+                    parts.append(f"R:{key}:")
+                    keys.append(key)
+                operations = tuple(ops)
+            # Fast frozen-dataclass construction: filling __dict__ directly
+            # is equivalent (dataclass equality/hash read the same fields).
             txn = txn_new(Transaction)
             txn_dict = txn.__dict__
             txn_dict["txn_id"] = txn_id
@@ -253,46 +291,24 @@ class YCSBWorkload:
             txn_dict["rw_sets_known"] = rw_sets_known
             txn_dict["origin"] = origin
             txn_dict["request_id"] = request_id
+            txn_dict["_canonical"] = (
+                f"txn:{txn_id}:{client_id}:{';'.join(parts)}:{execution_text}"
+            )
+            txn_dict["_sorted_keys"] = tuple(sorted(set(keys)))
             append(txn)
         return tuple(transactions)
 
-    def transactions(self, count: int, client_index: Optional[int] = None) -> List[Transaction]:
-        next_transaction = self.next_transaction
-        return [next_transaction(client_index) for _ in range(count)]
-
-    def transaction_stream(self) -> Iterator[Transaction]:
-        while True:
-            yield self.next_transaction()
-
-    # ------------------------------------------------------------------ batches
-
-    def next_batch(self, batch_size: int) -> TransactionBatch:
-        """Generate a batch of ``batch_size`` transactions (paper default 100)."""
-        if batch_size <= 0:
-            raise WorkloadError("batch_size must be positive")
-        batch_id = f"batch-{self._next_batch_index()}"
-        c_generate = self._c_generate
-        if c_generate is not None:
-            # draw_client=True: the C loop draws the client per transaction,
-            # exactly as next_transaction() does below.
-            transactions = c_generate(self, batch_size, 0, "", "", True)
-            PERF.ckernel_txns_generated += batch_size
-            return TransactionBatch(batch_id=batch_id, transactions=transactions)
-        next_transaction = self.next_transaction
-        return TransactionBatch(
-            batch_id=batch_id,
-            transactions=tuple(next_transaction() for _ in range(batch_size)),
+    def _grow_client_tables(self, size: int) -> None:
+        """Extend the per-client-index tables to cover indices below ``size``."""
+        first = len(self._client_ids)
+        self._client_ids.extend(f"client-{index}" for index in range(first, size))
+        self._client_starts += tuple(
+            (index * self._partition_size) % self._num_records for index in range(first, size)
         )
 
-    def batches(self, count: int, batch_size: int) -> List[TransactionBatch]:
-        return [self.next_batch(batch_size) for _ in range(count)]
-
-    # ---------------------------------------------------------------- internals
-
     def _build_operations(self, client_index: int, conflicting: bool) -> Tuple[Operation, ...]:
-        config = self._config
-        if not conflicting and config.zipfian_theta <= 0:
-            return self._build_operations_uniform(client_index)
+        """Conflicting or zipfian-keyed operations (the compiled kernel calls
+        this too, for every transaction off the uniform-only path)."""
         operations: List[Operation] = []
         append = operations.append
         tuple_new = tuple.__new__
@@ -308,35 +324,6 @@ class YCSBWorkload:
             # C-level namedtuple construction; ycsb always passes a non-None
             # value for writes, so Operation's normalisation is a no-op here.
             append(tuple_new(Operation, (key, is_write, value)))
-        return tuple(operations)
-
-    def _build_operations_uniform(self, client_index: int) -> Tuple[Operation, ...]:
-        """The non-conflicting uniform-key path, fully inlined.
-
-        Identical draws and results to the general loop above — this is the
-        default workload's innermost loop (hundreds of thousands of calls per
-        simulated second), so the key-draw helpers are expanded in place.
-        """
-        operations: List[Operation] = []
-        append = operations.append
-        starts = self._client_starts
-        if client_index < len(starts):
-            start = starts[client_index]
-        else:
-            start = (client_index * self._partition_size) % self._num_records
-        hot_keys = self._hot_count
-        modulus = self._private_modulus
-        draw_offset = self._draw_offset
-        draw_value = self._draw_value
-        tuple_new = tuple.__new__
-        for is_write in self._write_flags:
-            index = hot_keys + (start + draw_offset()) % modulus
-            append(
-                tuple_new(
-                    Operation,
-                    (f"user{index}", is_write, f"val-{draw_value()}" if is_write else None),
-                )
-            )
         return tuple(operations)
 
     def _hot_key(self) -> str:

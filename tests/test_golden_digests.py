@@ -2,12 +2,13 @@
 
 ``(spec_digest, result_digest)`` literals for the four systems on the small
 drill config, plus one composed byzantine + fault-timeline run, recorded at
-the commit before the ``Deployment`` base class was extracted (PR 13), and
-the network-fault scenarios (``GOLDEN_NETWORK_SCENARIOS``).  They
-are stable across ``PYTHONHASHSEED``, kernel variant and obs on/off; a
-digest that varies with any of those is a determinism bug to report, not a
-literal to re-pin.  Re-pin only for a change that *means* to alter simulated
-behaviour, and say so in CHANGES.md.
+the commit before the ``Deployment`` base class was extracted (PR 13), the
+network-fault scenarios (``GOLDEN_NETWORK_SCENARIOS``) and a point with more
+clients than key partitions (``GOLDEN_CLIENT_OVERFLOW``).  They are stable
+across ``PYTHONHASHSEED``, kernel variant and obs on/off; a digest that
+varies with any of those is a determinism bug to report, not a literal to
+re-pin.  Re-pin only for a change that *means* to alter simulated behaviour,
+and say so in CHANGES.md.
 """
 
 import pytest
@@ -67,6 +68,15 @@ GOLDEN_NETWORK_SCENARIOS = {
 }
 
 
+#: Eight key partitions under forty clients, recorded before the generation
+#: loop grew per-client-index tables: client indices 8..39 are the branch
+#: the default base takes for 1 584 of its 1 600 clients.
+GOLDEN_CLIENT_OVERFLOW = (
+    "6b0da22c30b06c79e9082a7194e6916c41e4c533bf28e1d53152d4f57eb5731d",
+    "c4129203ca5663efaa99cdde403199c3bea88787ad1fbac112ed1702cd303fe3",
+)
+
+
 def _spec(system: str, scenarios=(), **extra_overrides) -> RunSpec:
     return RunSpec(
         system=system,
@@ -103,3 +113,8 @@ def test_network_scenario_digests_match_golden(system, scenarios):
     spec = _spec(system, scenarios=scenarios.split("+"))
     expected = GOLDEN_NETWORK_SCENARIOS[system, scenarios]
     assert (spec_digest(spec), result_digest(run(spec))) == expected
+
+
+def test_client_index_overflow_matches_golden():
+    spec = _spec("serverless_bft", **{"workload.clients": 8})
+    assert (spec_digest(spec), result_digest(run(spec))) == GOLDEN_CLIENT_OVERFLOW

@@ -341,6 +341,47 @@ def test_ycsb_next_batch_draw_identity():
         assert batch_c.transactions == batch_p.transactions
 
 
+_MEMO_SHAPES = {
+    "uniform": dict(conflict_fraction=0.0, zipfian_theta=0.0),
+    "conflicts": dict(conflict_fraction=0.4, zipfian_theta=0.0),
+    "zipfian": dict(conflict_fraction=0.0, zipfian_theta=0.9),
+    "rw-sets-unknown": dict(conflict_fraction=0.0, zipfian_theta=0.0, rw_sets_known=False),
+    "execution-0.05": dict(conflict_fraction=0.0, zipfian_theta=0.0, execution_seconds=0.05),
+}
+
+
+@pytest.mark.parametrize("generator", ["py", pytest.param("c", marks=needs_active_c)])
+@pytest.mark.parametrize("shape", sorted(_MEMO_SHAPES))
+def test_generated_transactions_carry_exact_memos(shape, generator):
+    """Every entry point hands out transactions whose canonical string and
+    sorted keys are exactly what the transaction model would build.
+
+    The pure-Python loop seeds both memos as it draws, so its memos are read
+    straight from the instance dict: a path that skips one or builds it
+    differently fails here.  The compiled loop leaves them to be built
+    lazily, so only its public accessors are checked.
+    """
+    from repro.workload import transactions as T
+    from repro.workload.ycsb import YCSBWorkload
+
+    wl = YCSBWorkload(_zip_config(num_records=600, **_MEMO_SHAPES[shape]))
+    if generator == "py":
+        wl._c_generate = None
+    txns = [wl.next_transaction() for _ in range(10)]
+    # Indices 9 and 23 lie beyond the config's six clients.
+    txns += [wl.next_transaction(index, origin="o", request_id="s") for index in (0, 5, 9, 23)]
+    txns += wl.next_transactions(20, client_index_offset=4, origin="o", request_id="r")
+    txns += wl.next_batch(15).transactions
+    for txn in txns:
+        expected_canonical = T._transaction_canonical_py(txn)
+        expected_keys = tuple(sorted({op.key for op in txn.operations}))
+        if generator == "py":
+            assert txn.__dict__.get("_canonical") == expected_canonical
+            assert txn.__dict__.get("_sorted_keys") == expected_keys
+        assert txn.canonical() == expected_canonical
+        assert txn.sorted_keys == expected_keys
+
+
 # ---------------------------------------------------- end-to-end A/B gate
 
 _AB_PROGRAM = """

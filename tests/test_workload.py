@@ -8,7 +8,6 @@ from repro.workload.transactions import (
     Transaction,
     TransactionBatch,
     execute_batch,
-    merge_batches,
     transactions_conflict,
 )
 from repro.workload.ycsb import YCSBConfig, YCSBWorkload
@@ -95,14 +94,6 @@ def test_execute_batch_result_changes_with_storage_state():
     assert first.result_digest != second.result_digest
 
 
-def test_merge_batches():
-    batch_a = TransactionBatch("b1", (make_txn("t1"),))
-    batch_b = TransactionBatch("b2", (make_txn("t2"), make_txn("t3")))
-    merged = merge_batches([batch_a, batch_b], "merged")
-    assert len(merged) == 3
-    assert merged.batch_id == "merged"
-
-
 # ------------------------------------------------------------------ YCSB generator
 
 
@@ -169,8 +160,7 @@ def test_conflict_fraction_roughly_respected():
 
 def test_batches_have_unique_ids_and_requested_size():
     workload = YCSBWorkload(YCSBConfig(num_records=1000))
-    batches = workload.batches(3, batch_size=20)
-    assert len(batches) == 3
+    batches = [workload.next_batch(20) for _ in range(3)]
     assert all(len(batch) == 20 for batch in batches)
     assert len({batch.batch_id for batch in batches}) == 3
     with pytest.raises(WorkloadError):
@@ -183,10 +173,3 @@ def test_execution_seconds_and_rw_flags_propagate():
     assert txn.execution_seconds == pytest.approx(1.5)
     assert txn.rw_sets_known is False
 
-
-def test_transaction_stream_is_infinite_generator():
-    workload = YCSBWorkload(YCSBConfig(num_records=1000))
-    stream = workload.transaction_stream()
-    first = next(stream)
-    second = next(stream)
-    assert first.txn_id != second.txn_id
