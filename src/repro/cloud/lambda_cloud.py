@@ -12,13 +12,17 @@ spawn them.  This module models that control plane:
 * accountability and payment — every spawn is billed to the shim node that
   requested it via :class:`repro.cloud.billing.CostModel`, and executors can
   never spawn further executors.
+
+The cloud keeps a record only for invocations in flight: ``finish`` bills
+the invocation and drops its handle, and an id it issued is recognised from
+the id counter alone (:meth:`ServerlessCloud.issued`).
 """
 
 from __future__ import annotations
 
-import itertools
+import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.cloud.billing import CostModel
@@ -26,6 +30,8 @@ from repro.cloud.regions import RegionCatalog
 from repro.errors import CloudError
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRNG
+
+_EXECUTOR_ID = re.compile(r"executor-(0|[1-9][0-9]*)\Z")
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,6 @@ class ExecutorHandle:
     start_time: Optional[float] = None
     finish_time: Optional[float] = None
     cost: float = 0.0
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def duration(self) -> float:
@@ -100,11 +105,9 @@ class ServerlessCloud:
         self._regions: Dict[str, _RegionState] = {
             name: _RegionState(concurrency_limit_per_region) for name in catalog.names
         }
-        self._counter = itertools.count()
         self._handles: Dict[str, ExecutorHandle] = {}
         self._spawn_count = 0
         self._rejected_spawns = 0
-        self._known_executor_ids: set = set()
 
     @property
     def spawn_count(self) -> int:
@@ -116,6 +119,7 @@ class ServerlessCloud:
 
     @property
     def handles(self) -> List[ExecutorHandle]:
+        """The invocations still in flight (spawned, not yet finished)."""
         return list(self._handles.values())
 
     @property
@@ -124,6 +128,11 @@ class ServerlessCloud:
 
     def set_executor_factory(self, factory: Callable[..., Any]) -> None:
         self._factory = factory
+
+    def issued(self, executor_id: str) -> bool:
+        """Whether this cloud has handed out ``executor_id`` (ids count up from 0)."""
+        match = _EXECUTOR_ID.match(executor_id)
+        return match is not None and int(match.group(1)) < self._spawn_count
 
     def running_executors(self, region: Optional[str] = None) -> int:
         if region is not None:
@@ -138,14 +147,13 @@ class ServerlessCloud:
             raise CloudError("the serverless cloud has no executor factory configured")
         if request.region not in self._regions:
             raise CloudError(f"unknown region {request.region!r}")
-        if request.spawner in self._known_executor_ids and not self._allow_executor_spawns:
+        if not self._allow_executor_spawns and self.issued(request.spawner):
             # Accountability: executors cannot spawn further executors.
             self._rejected_spawns += 1
             raise CloudError(
                 f"executor {request.spawner!r} attempted to spawn an executor; rejected"
             )
-        executor_id = f"executor-{next(self._counter)}"
-        self._known_executor_ids.add(executor_id)
+        executor_id = f"executor-{self._spawn_count}"
         handle = ExecutorHandle(
             executor_id=executor_id,
             region=request.region,
@@ -179,13 +187,15 @@ class ServerlessCloud:
             for region in regions
         ]
 
-    def finish(self, executor_id: str) -> ExecutorHandle:
-        """Report that an executor finished; frees its slot and bills the spawner."""
-        handle = self._handles.get(executor_id)
+    def finish(self, executor_id: str) -> None:
+        """Report that an executor finished: free its slot, bill the spawner and
+        drop the invocation's record.  Finishing a retired executor again is a
+        no-op."""
+        handle = self._handles.pop(executor_id, None)
         if handle is None:
+            if self.issued(executor_id):
+                return
             raise CloudError(f"unknown executor {executor_id!r}")
-        if handle.finish_time is not None:
-            return handle
         handle.finish_time = self._sim.now
         state = self._region_state(handle.region)
         state.running = max(0, state.running - 1)
@@ -194,7 +204,6 @@ class ServerlessCloud:
         if state.queue:
             next_launch = state.queue.popleft()
             next_launch()
-        return handle
 
     # ------------------------------------------------------------------ internals
 

@@ -282,6 +282,9 @@ class ServerlessDeployment(Deployment):
             warm_start_latency=config.warm_start_latency,
             concurrency_limit_per_region=config.executor_concurrency_limit,
         )
+        # An executor's key pair is derived from its id when asked for, so
+        # neither the cloud nor the key store keeps anything per spawn.
+        self.keystore.derive_issued(self.cloud.issued)
 
         # --- verifier + storage ---------------------------------------------------------
         self.verifier = Verifier(

@@ -81,6 +81,8 @@ class ShimNode(SimProcess):
         self._pending_txns: Deque[Transaction] = deque()
         self._flush_timer = None
         self._batch_counter = 0
+        # Verifier notices that overtook this node's own commit of the
+        # sequence number; the commit consumes its notice.
         self._verified_seqs: set = set()
         # Committed here but not yet acknowledged by the verifier: exactly the
         # sequence numbers a (new) primary may still have to spawn for.  An
@@ -171,6 +173,7 @@ class ShimNode(SimProcess):
 
     @property
     def verified_sequence_numbers(self) -> set:
+        """Sequence numbers the verifier confirmed before this node committed them."""
         return set(self._verified_seqs)
 
     def add_primary_change_listener(self, listener: Callable[[str], None]) -> None:
@@ -291,6 +294,8 @@ class ShimNode(SimProcess):
     # ------------------------------------------------------------------ commits and spawning
 
     def _on_committed(self, entry: CommittedEntry) -> None:
+        overtaken = entry.seq in self._verified_seqs
+        self._verified_seqs.discard(entry.seq)
         if entry.batch is None:
             # Committed via a featherweight checkpoint without the payload:
             # nothing to execute locally (the shim never executes anyway).
@@ -303,7 +308,7 @@ class ShimNode(SimProcess):
         else:
             # Optimistic concurrent spawning (Section VI-A).
             self._spawn_for_seq(entry.seq)
-        if entry.seq in self._verified_seqs:
+        if overtaken:
             # The verifier's notice overtook this node's own commit.
             del self._committed_entries[entry.seq]
 
@@ -376,7 +381,8 @@ class ShimNode(SimProcess):
     def _on_verified_notice(self, message: ResponseMsg, sender: str) -> None:
         if sender != self._verifier_name:
             return
-        self._verified_seqs.add(message.seq)
+        if not self._replica.log.is_committed(message.seq):
+            self._verified_seqs.add(message.seq)
         self._committed_entries.pop(message.seq, None)
         if self._obs is not None:
             self._obs.end_span("commit", message.seq, self.now)

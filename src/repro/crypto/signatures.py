@@ -136,11 +136,13 @@ class SignatureService:
     """
 
     def __init__(self, keystore: KeyStore, owner: str, backend: Optional[object] = None) -> None:
-        keystore.create_identity(owner)
         self._keystore = keystore
         self._owner = owner
         self._backend = resolve_backend(backend)
-        self._private_key = keystore.private_key(owner)
+        try:
+            self._private_key = keystore.private_key(owner)
+        except CryptoError:  # a component not yet registered
+            self._private_key = keystore.create_identity(owner).private_key
 
     @property
     def owner(self) -> str:
@@ -179,9 +181,10 @@ class SignatureService:
         """Verify a signature against an already-computed payload digest."""
         if message_digest != signature.message_digest:
             return False
-        if not self._keystore.has_identity(signature.signer):
-            return False
-        private_key = self._keystore.private_key(signature.signer)
+        try:
+            private_key = self._keystore.private_key(signature.signer)
+        except CryptoError:
+            return False  # nobody in this deployment has that identity
         return self._backend.matches(private_key, signature.message_digest, signature.value)
 
     def verify_message(self, message: SignedMessage) -> bool:

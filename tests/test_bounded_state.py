@@ -7,8 +7,9 @@ verifier has acknowledged it, the conflict planner retires verified
 batches, and stable watermarks truncate the PBFT and Paxos logs and their
 vote trackers — so the live per-executor, per-sequence and per-batch state
 of a run is bounded by what is in flight, not by how long it has been
-running.  What still grows on purpose is the cloud's invocation ledger and
-the key store's executor identities (PERFORMANCE.md).
+running.  The cloud drops an invocation's record when it bills it, and the
+key store derives executor keys instead of storing them, so neither grows
+with the number of spawns either (PERFORMANCE.md).
 
 The first half audits whole deployments at T and 3T virtual seconds; the
 second half pins each retirement on its own: what is forgotten, and what
@@ -34,6 +35,7 @@ from repro.crypto.costs import CryptoCostModel
 from repro.crypto.hashing import digest
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import SignatureService
+from repro.errors import CloudError
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkFaultPlan, UniformLatencyModel
 from repro.sim.rng import DeterministicRNG
@@ -84,6 +86,8 @@ def _audit(system: str, duration: float, overrides=None) -> dict:
         "committed": result.committed_txns,
         "endpoints": len(deployment.network._endpoints),
         "fixed_endpoints": len(deployment.nodes) + len(deployment.clients),
+        "identities": len(deployment.keystore._keypairs),
+        "fixed_identities": len(deployment.nodes) + len(deployment.clients),
         "running_executors": 0,
         "seq_state": 0,
         "committed_entries": max(
@@ -104,17 +108,17 @@ def _audit(system: str, duration: float, overrides=None) -> dict:
     }
     if not replicated:
         counts["fixed_endpoints"] += 2  # verifier + storage
+        counts["fixed_identities"] += 1  # the verifier; storage signs nothing
         counts["seq_state"] = len(deployment.verifier._seq_state)
         latest = deployment.verifier._latest_requests.values()
         counts["reply_endpoints"] = len(latest)
         counts["cached_replies"] = sum(len(record.replies) for record in latest)
-        counts["running_executors"] = sum(
-            1
-            for handle in deployment.cloud.handles
-            if handle.start_time is not None and handle.finish_time is None
-        )
-        # Kept on purpose: the cloud's ledger still lists every invocation.
-        assert len(deployment.cloud.handles) == deployment.cloud.spawn_count
+        handles = deployment.cloud.handles
+        counts["running_executors"] = sum(1 for handle in handles if handle.start_time is not None)
+        # The ledger lists invocations in flight only: a finished one is
+        # billed and dropped.
+        assert all(handle.finish_time is None for handle in handles)
+        assert len(handles) == deployment.cloud.running_executors()
     return counts
 
 
@@ -139,6 +143,8 @@ def test_retained_state_does_not_scale_with_run_length(system, overrides):
     for counts in (short, long):
         # Only executors that are running right now are on the network.
         assert counts["endpoints"] == counts["fixed_endpoints"] + counts["running_executors"]
+        # Only long-lived components have stored keys: executor keys are derived.
+        assert counts["identities"] == counts["fixed_identities"]
         assert counts["seq_state"] <= 4 * WINDOW
         assert counts["committed_entries"] <= 4 * WINDOW
         # One cached read per batch recently in flight: the store's
@@ -158,6 +164,32 @@ def test_retained_state_does_not_scale_with_run_length(system, overrides):
         # of its latest request (a request spans at most a few batches).
         assert counts["reply_endpoints"] <= groups
         assert counts["cached_replies"] <= 4 * groups
+
+
+def test_a_fault_timeline_point_keeps_no_per_spawn_record():
+    # geo-faults' shape at drill size: 11 executors per batch, real crypto,
+    # crash / recover / partition through the run.
+    spec = RunSpec(
+        system="serverless_bft",
+        base="default",
+        overrides={
+            **DRILL_OVERRIDES,
+            "protocol.num_executors": 11,
+            "protocol.num_executor_regions": 11,
+            "protocol.fault_timeline": (
+                "crash:primary@0.3;recover:primary@0.8;partition:node-1@1.0-1.2"
+            ),
+        },
+        duration=1.6,
+        warmup=0.0,
+    )
+    deployment = build_deployment(resolve(spec))
+    result = deployment.run(duration=1.6, warmup=0.0)
+    cloud = deployment.cloud
+    assert result.committed_txns > 0 and cloud.spawn_count > 5 * 11
+    assert len(cloud.handles) <= cloud.running_executors()
+    long_lived = {*deployment.shim_names, "verifier", *(group.name for group in deployment.clients)}
+    assert set(deployment.keystore._keypairs) == long_lived
 
 
 # ------------------------------------------------------------------ verifier
@@ -320,23 +352,33 @@ def _entry(seq: int) -> CommittedEntry:
     return CommittedEntry(seq=seq, view=0, digest=digest(batch), batch=batch, certificate=())
 
 
+def _commit(node, seq: int) -> None:
+    """Deliver a decision the way an ordering engine does: log it, then call back."""
+    entry = _entry(seq)
+    node.replica.log.record_commit(entry)
+    node._on_committed(entry)
+
+
 def test_shim_entry_retires_in_either_arrival_order():
     deployment = build_system("serverless_bft", make_config(), make_workload())
     primary = deployment.nodes[0]
-    # Commit first, notice second: the usual order.
-    primary._on_committed(_entry(1))
+    # Commit first, notice second: the usual order.  The notice is not kept.
+    _commit(primary, 1)
     assert list(primary._committed_entries) == [1]
     primary.on_message(ResponseMsg(request_id="", seq=1, digest="d"), "verifier")
     assert primary._committed_entries == {}
-    # Notice first (a lagging node): the commit still spawns, and keeps nothing.
+    assert primary.verified_sequence_numbers == set()
+    # Notice first (a lagging node): the notice waits for the commit, which
+    # still spawns, consumes the notice and keeps nothing.
     primary.on_message(ResponseMsg(request_id="", seq=2, digest="d"), "verifier")
-    primary._on_committed(_entry(2))
+    assert primary.verified_sequence_numbers == {2}
+    _commit(primary, 2)
     assert primary._committed_entries == {}
+    assert primary.verified_sequence_numbers == set()
     deployment.sim.run(until=0.01)
     assert primary.spawned_executors == 2 * deployment.config.num_executors
-    assert primary.verified_sequence_numbers == {1, 2}
     # A notice from anybody but the verifier retires nothing.
-    primary._on_committed(_entry(3))
+    _commit(primary, 3)
     primary.on_message(ResponseMsg(request_id="", seq=3, digest="d"), "node-1")
     assert list(primary._committed_entries) == [3]
 
@@ -346,13 +388,13 @@ def test_new_primary_respawns_exactly_the_unverified_sequences():
     deployment.run(duration=0.6, warmup=0.0)
     node = deployment.nodes[1]
     log = node.replica.log
-    unverified = [
-        seq
-        for seq in range(1, log.max_committed_seq() + 1)
-        if log.is_committed(seq) and seq not in node._verified_seqs
-    ]
+    committed = [seq for seq in range(1, log.max_committed_seq() + 1) if log.is_committed(seq)]
+    unverified = sorted(node._committed_entries)
+    verified = [seq for seq in committed if seq not in node._committed_entries]
     assert unverified, "the run was cut mid-flight: some sequence must be unverified"
-    assert len(node._verified_seqs) > len(unverified)
+    assert len(verified) > len(unverified)
+    # Whatever the verifier has not settled is still pending here.
+    assert {seq for seq in committed if seq >= deployment.verifier.kmax} <= set(unverified)
     respawned = []
     node._spawn_for_seq = respawned.append
     node._on_view_installed(1, node.name)
@@ -360,7 +402,7 @@ def test_new_primary_respawns_exactly_the_unverified_sequences():
     # ... and a verifier ERROR names a sequence number: only a pending one respawns.
     respawned.clear()
     node._respawn_if_known(unverified[0])
-    node._respawn_if_known(min(node._verified_seqs))
+    node._respawn_if_known(min(verified))
     assert respawned == [unverified[0]]
 
 
@@ -371,7 +413,8 @@ def test_view_change_drill_still_recovers_with_retired_state():
     assert result.view_changes > 0
     assert result.committed_txns > 0
     for node in simulation.nodes:
-        assert set(node._committed_entries).isdisjoint(node._verified_seqs)
+        # A node keeps a verifier notice only while it is ahead of its own commit.
+        assert not any(node.replica.log.is_committed(seq) for seq in node._verified_seqs)
 
 
 # ------------------------------------------------------------------ executor
@@ -380,12 +423,12 @@ def test_view_change_drill_still_recovers_with_retired_state():
 class ExecutorHarness:
     """One executor between a scripted storage and a recording verifier."""
 
-    def __init__(self, duplicate_after=None):
+    def __init__(self, duplicate_after=None, keystore=None):
         self.sim = Simulator()
         self.network = Network(
             self.sim, UniformLatencyModel(base_delay=0.001, jitter=0.0), DeterministicRNG(1)
         )
-        self.keystore = KeyStore()
+        self.keystore = keystore or KeyStore()
         self.store = VersionedKVStore()
         self.verifies = []
         self.network.register("verifier", "us-west-1", lambda msg, sender: self.verifies.append(msg))
@@ -399,6 +442,7 @@ class ExecutorHarness:
             rng=DeterministicRNG(2),
             executor_factory=self._factory,
         )
+        self.keystore.derive_issued(self.cloud.issued)  # as a deployment wires it
         self.executor = None
 
     def _serve_read(self, message, sender):
@@ -442,12 +486,37 @@ def test_executor_terminates_after_its_verify():
     assert harness.executor._finished
     assert harness.executor._pending_execute is None  # the EXECUTE (and its batch) is let go
     assert not harness.network.has_endpoint(handle.executor_id)
-    # The cloud's ledger is untouched: the invocation is billed and listed.
-    assert harness.cloud.handles == [handle] and handle.finish_time is not None
-    assert harness.cloud.finish(handle.executor_id) is handle
-    # The identity outlives the function: a late VERIFY must still verify.
+    # The invocation is billed once and its record dropped.
+    assert harness.cloud.handles == [] and handle.finish_time is not None
+    report = harness.cloud.cost_model.report
+    assert report.lambda_invocations == 1
+    assert report.per_spawner_cost == {"node-0": handle.cost} and handle.cost > 0
+    harness.cloud.finish(handle.executor_id)  # a second finish is a no-op
+    assert report.lambda_invocations == 1 and report.per_spawner_cost == {"node-0": handle.cost}
+    # A retired executor is still refused as a spawner.
+    with pytest.raises(CloudError):
+        harness.cloud.spawn(SpawnRequest(handle.executor_id, "us-west-1", "nested"))
+    # The identity outlives the function without being stored: it is derived,
+    # so a late VERIFY still verifies.
+    assert handle.executor_id not in harness.keystore._keypairs
     verify = harness.verifies[0]
     assert SignatureService(harness.keystore, "verifier").verify(verify, verify.signature)
+
+
+def test_a_retired_executors_late_verify_verifies_and_is_ignored():
+    verifier = VerifierHarness()
+    executor = ExecutorHarness(keystore=verifier.keystore)
+    handle = executor.spawn()
+    late = executor.verifies[0]
+    assert late.executor == handle.executor_id and executor.cloud.handles == []
+    # Two other executors settle the sequence before the retired one's VERIFY lands.
+    for other in ("executor-7", "executor-8"):
+        verifier.deliver(verifier.make_verify(1, other, late.batch), other)
+    assert verifier.verifier.kmax == 2
+    ignored = verifier.verifier.ignored_verify_messages
+    verifier.deliver(late, handle.executor_id)
+    # An invalid signature would be dropped before the count: it verified.
+    assert verifier.verifier.ignored_verify_messages == ignored + 1
 
 
 @pytest.mark.parametrize(

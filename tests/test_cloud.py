@@ -150,12 +150,32 @@ def test_finish_bills_the_spawner_and_frees_the_slot():
     handle = cloud.spawn(SpawnRequest("node-3", "us-west-1", "job"))
     sim.run_until_idle()
     assert cloud.running_executors("us-west-1") == 1
-    finished = cloud.finish(handle.executor_id)
-    assert finished.cost > 0
+    assert cloud.handles == [handle]
+    cloud.finish(handle.executor_id)
+    assert handle.cost > 0
     assert cloud.running_executors("us-west-1") == 0
-    assert cloud.cost_model.report.per_spawner_cost["node-3"] > 0
-    # Finishing twice is idempotent.
-    assert cloud.finish(handle.executor_id).cost == finished.cost
+    report = cloud.cost_model.report
+    assert report.per_spawner_cost == {"node-3": handle.cost}
+    # The bill is all that is kept: the invocation's record is dropped.
+    assert cloud.handles == []
+    # Finishing twice is a no-op: billed once, the slot freed once.
+    cloud.finish(handle.executor_id)
+    assert report.lambda_invocations == 1 and report.per_spawner_cost == {"node-3": handle.cost}
+    assert cloud.running_executors("us-west-1") == 0
+
+
+def test_issued_ids_are_recognised_without_a_record():
+    sim, cloud, factory = build_cloud()
+    handles = cloud.spawn_many("node-0", ["us-west-1", "us-west-2"], "job")
+    assert [h.executor_id for h in handles] == ["executor-0", "executor-1"]
+    sim.run_until_idle()
+    for handle in handles:
+        cloud.finish(handle.executor_id)
+    assert cloud.issued("executor-0") and cloud.issued("executor-1")
+    for never in ("executor-2", "executor-01", "executor--1", "executor-1 ", "node-0", "executor-"):
+        assert not cloud.issued(never)
+    with pytest.raises(CloudError):
+        cloud.finish("executor-2")
 
 
 def test_concurrency_limit_queues_spawns():

@@ -117,6 +117,28 @@ def test_unknown_signer_fails_verification():
     assert not other.verify("payload", signature)
 
 
+def test_issued_executor_keys_are_derived_not_stored():
+    store = KeyStore("secret")
+    issued = {"executor-0"}
+    store.derive_issued(issued.__contains__)
+    executor = SignatureService(store, "executor-0")
+    verifier = SignatureService(store, "verifier")
+    assert store._keypairs.keys() == {"verifier"}
+    assert store.private_key("executor-0") == generate_keypair("executor-0", "secret").private_key
+    assert store.public_key("executor-0") == generate_keypair("executor-0", "secret").public_key
+    signature = executor.sign("payload")
+    assert verifier.verify("payload", signature)
+    # A signer the cloud never issued has no key: its signature fails, and
+    # asking for its key still raises.
+    forged = dataclasses.replace(signature, signer="executor-1")
+    assert not verifier.verify("payload", forged)
+    assert not store.has_identity("executor-1")
+    with pytest.raises(CryptoError):
+        store.private_key("executor-1")
+    with pytest.raises(CryptoError):
+        store.private_key("ghost")
+
+
 def test_require_valid_raises_on_bad_signature():
     store = KeyStore()
     signer = SignatureService(store, "node-0")
