@@ -14,11 +14,15 @@ virtual second through the first third.  It fails unless
 
 The first third must span many checkpoint intervals for its high-water to
 be the steady state's; a run of a few seconds fails on in-flight noise
-alone.  CI's ``soak`` job runs serverless_bft, serverless_cft and
-noshim at 180 s and pbft_replicated at 60 s (about 2.5 minutes on a 2-core
-host):
+alone.  An optional third argument names a scenario preset to compose, so
+a fault early in the run (``region-outage-heal`` partitions a node from
+0.3 s to 0.9 s) must leave the state as bounded as a fault-free run.  CI's
+``soak`` job runs serverless_bft, serverless_cft and noshim at 180 s,
+pbft_replicated at 60 s, and serverless_bft and serverless_cft with
+``region-outage-heal`` at 60 s (about 3 minutes on a 2-core host):
 
     PYTHONPATH=src python benchmarks/soak.py serverless_bft 180
+    PYTHONPATH=src python benchmarks/soak.py serverless_cft 60 region-outage-heal
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import gc
 import resource
 import sys
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.api import RunSpec, result_digest
 from repro.api.facade import build_deployment, resolve
@@ -90,11 +94,17 @@ def audit(deployment) -> Dict[str, int]:
     return sizes
 
 
-def soak(system: str, seconds: float) -> Tuple[str, List[dict]]:
+def soak(system: str, seconds: float, scenario: Optional[str] = None) -> Tuple[str, List[dict]]:
     """One run: its result digest and a probe per virtual second of the first
     third, plus one at the end."""
     spec = RunSpec(
-        system=system, base="default", overrides=DRILL, duration=seconds, warmup=1.0, seed=1
+        system=system,
+        scenarios=(scenario,) if scenario else (),
+        base="default",
+        overrides=DRILL,
+        duration=seconds,
+        warmup=1.0,
+        seed=1,
     )
     deployment = build_deployment(resolve(spec))
     cloud = getattr(deployment, "cloud", None)
@@ -118,16 +128,17 @@ def soak(system: str, seconds: float) -> Tuple[str, List[dict]]:
     return result_digest(result), probes
 
 
-def main(system: str, seconds: float) -> int:
-    (first, probes), (second, _) = soak(system, seconds), soak(system, seconds)
+def main(system: str, seconds: float, scenario: Optional[str] = None) -> int:
+    (first, probes), (second, _) = soak(system, seconds, scenario), soak(system, seconds, scenario)
     third, end = probes[-2], probes[-1]
     early = {name: max(p["sizes"][name] for p in probes[:-1]) for name in end["sizes"]}
     spawns = end["spawns"] - third["spawns"]
     requests = end["requests"] - third["requests"]
     growth_mb = end["peak_mb"] - third["peak_mb"]
     allowed_mb = (BYTES_PER_SPAWN * spawns + BYTES_PER_REQUEST * requests) / 2**20
+    label = f"{system} + {scenario}" if scenario else system
     print(
-        f"{system} {seconds:g} s: digest {first[:16]}, peak RSS {third['peak_mb']:.1f} MB at "
+        f"{label} {seconds:g} s: digest {first[:16]}, peak RSS {third['peak_mb']:.1f} MB at "
         f"{third['t']:g} s -> {end['peak_mb']:.1f} MB, +{growth_mb:.1f} MB over {spawns} "
         f"spawns and {requests} requests (allowed +{allowed_mb:.1f} MB)"
     )
@@ -147,4 +158,4 @@ def main(system: str, seconds: float) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1], float(sys.argv[2])))
+    sys.exit(main(sys.argv[1], float(sys.argv[2]), *sys.argv[3:4]))

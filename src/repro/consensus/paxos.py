@@ -11,7 +11,10 @@ Like PBFT's stable checkpoints, every ``checkpoint_interval`` commits a
 replica moves its stable watermark to its contiguously committed prefix and
 truncates the log and the accepted-vote keys at or below it.  The leader
 never changes, so no replica ever asks for a decided slot again: the
-watermark needs no checkpoint messages.
+watermark needs no checkpoint messages.  For the same reason a follower
+that missed a LEARN never fills the hole, so a hole more than two
+checkpoint intervals below the newest decided slot counts as decided and
+the watermark passes it.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ class PaxosReplica:
         host,
         on_committed: Callable[[CommittedEntry], None],
         obs=None,
+        on_stable: Optional[Callable[[int], None]] = None,
     ) -> None:
         if replica_id not in replicas:
             raise ProtocolViolation(f"replica {replica_id!r} is not part of the shim {replicas}")
@@ -81,6 +85,7 @@ class PaxosReplica:
         self._host = host
         self._on_committed = on_committed
         self._obs = obs
+        self._on_stable = on_stable
 
         self._ballot = 0
         self._next_seq = 0
@@ -235,11 +240,16 @@ class PaxosReplica:
         # The next check is one interval later even if a commit still missing
         # below ``seq`` holds the watermark back now.
         self._log.advance_checkpoint(seq)
-        stable = self._log.contiguous_committed_through()
-        if stable > self._log.stable_seq:
-            self._log.mark_stable(stable)
+        previous = self._log.stable_seq
+        # The leader sends each LEARN once: a hole this far back stays one.
+        self._log.skip_to_stable(self._log.max_committed_seq() - 2 * interval - 1)
+        self._log.mark_stable(self._log.contiguous_committed_through())
+        stable = self._log.stable_seq
+        if stable > previous:
             self._accepted_quorum.drop_through(stable)
             self._trace("paxos.stable_checkpoint", stable=stable)
+            if self._on_stable is not None:
+                self._on_stable(stable)
 
     def _trace(self, category: str, **details) -> None:
         if self._obs is not None:

@@ -114,6 +114,7 @@ class PBFTReplica:
         on_view_installed: Optional[Callable[[int, str], None]] = None,
         obs=None,
         behaviour=None,
+        on_stable: Optional[Callable[[int], None]] = None,
     ) -> None:
         if replica_id not in replicas:
             raise ProtocolViolation(f"replica {replica_id!r} is not part of the shim {replicas}")
@@ -129,6 +130,7 @@ class PBFTReplica:
         self._host = host
         self._on_committed = on_committed
         self._on_view_installed = on_view_installed
+        self._on_stable = on_stable
         self._obs = obs
         self._behaviour = behaviour
 
@@ -723,6 +725,12 @@ class PBFTReplica:
             self._checkpoints_adopted += 1
             self._trace("pbft.checkpoint_adopted", from_replica=sender, adopted=adopted)
         self._update_stable()
+        if not self._catching_up and (
+            self._log.contiguous_committed_through() < self._log.max_committed_seq()
+        ):
+            # Partitioned past a checkpoint: the hole's certificates may be
+            # truncated everywhere, so only the f+1 skip can move the watermark.
+            self._maybe_skip_to_peer_stable()
         if verification_cost:
             self._host.process_parallel(verification_cost, 16, lambda: None)
 
@@ -756,18 +764,26 @@ class PBFTReplica:
 
         The log truncated those sequence numbers, and the vote handlers turn
         away any later vote for them, so the tracker keys are dead weight.
+        The host hears of the new watermark too: no decision at or below it
+        reaches ``on_committed`` again.
         """
         stable = self._log.stable_seq
         self._prepare_quorum.drop_through(stable)
         self._commit_quorum.drop_through(stable)
+        if self._on_stable is not None:
+            self._on_stable(stable)
 
     def _maybe_skip_to_peer_stable(self) -> None:
-        """Recovery skip-ahead: adopt an f+1-vouched stable watermark.
+        """Skip-ahead: adopt an f+1-vouched stable watermark.
 
-        f+1 signed checkpoint replies claiming ``stable >= S`` include at
-        least one honest replica that truncated at S — which itself required
-        a 2f+1 checkpoint quorum — so the decisions below S are final even
-        though their certificates are no longer retained anywhere.
+        f+1 signed checkpoints claiming ``stable >= S`` include at least one
+        honest replica that truncated at S — which itself required a 2f+1
+        checkpoint quorum — so the decisions below S are final even though
+        their certificates are no longer retained anywhere.  A recovering
+        replica runs this on every catch-up reply; a replica that was cut
+        off (a partition) while its peers checkpointed past a hole in its
+        log runs it on every CHECKPOINT, since no peer can send that hole's
+        certificates again.
         """
         values = sorted(self._peer_stable_seqs.values(), reverse=True)
         if len(values) <= self._f:

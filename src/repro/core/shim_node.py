@@ -82,7 +82,8 @@ class ShimNode(SimProcess):
         self._flush_timer = None
         self._batch_counter = 0
         # Verifier notices that overtook this node's own commit of the
-        # sequence number; the commit consumes its notice.
+        # sequence number; the commit consumes its notice, or the stable
+        # watermark passing it does.
         self._verified_seqs: set = set()
         # Committed here but not yet acknowledged by the verifier: exactly the
         # sequence numbers a (new) primary may still have to spawn for.  An
@@ -120,6 +121,7 @@ class ShimNode(SimProcess):
                 host=self,
                 on_committed=self._on_committed,
                 obs=obs,
+                on_stable=self._on_stable,
             )
         else:
             self._replica = PBFTReplica(
@@ -137,6 +139,7 @@ class ShimNode(SimProcess):
                 on_view_installed=self._on_view_installed,
                 obs=obs,
                 behaviour=behaviour,
+                on_stable=self._on_stable,
             )
         self._handlers = MessageRouter(
             (
@@ -311,6 +314,15 @@ class ShimNode(SimProcess):
         if overtaken:
             # The verifier's notice overtook this node's own commit.
             del self._committed_entries[entry.seq]
+
+    def _on_stable(self, stable: int) -> None:
+        """The replica's watermark moved: no commit at or below it will come.
+
+        A notice waiting for a sequence number the replica skipped past (a
+        recovery or a partition) would otherwise wait forever.
+        """
+        if self._verified_seqs:
+            self._verified_seqs = {seq for seq in self._verified_seqs if seq > stable}
 
     def _spawn_for_seq(self, seq: int) -> None:
         entry = self._committed_entries.get(seq)

@@ -7,9 +7,15 @@ verifier has acknowledged it, the conflict planner retires verified
 batches, and stable watermarks truncate the PBFT and Paxos logs and their
 vote trackers — so the live per-executor, per-sequence and per-batch state
 of a run is bounded by what is in flight, not by how long it has been
-running.  The cloud drops an invocation's record when it bills it, and the
-key store derives executor keys instead of storing them, so neither grows
-with the number of spawns either (PERFORMANCE.md).
+running.  A watermark truncates only a prefix the replica has decided, so
+a replica with a hole in its log — one that was partitioned while its peers
+checkpointed past it, or a Paxos follower that missed a LEARN — would hold
+everything after the hole; such a replica counts the hole as decided once
+its peers' checkpoints (PBFT) or the newest decided slot (Paxos) lie far
+enough past it, and its watermark rejoins the cluster's.  The cloud drops
+an invocation's record when it bills it, and the key store derives
+executor keys instead of storing them, so neither grows with the number of
+spawns either (PERFORMANCE.md).
 
 The first half audits whole deployments at T and 3T virtual seconds; the
 second half pins each retirement on its own: what is forgotten, and what
@@ -27,6 +33,7 @@ from repro.cloud.lambda_cloud import ServerlessCloud, SpawnRequest
 from repro.cloud.regions import RegionCatalog
 from repro.consensus.log import CommittedEntry
 from repro.consensus.messages import CommitMsg, PrepareMsg
+from repro.consensus.paxos import PaxosLearnMsg
 from repro.core.certificates import CommitCertificate
 from repro.core.conflict import ConflictPlanner
 from repro.core.executor import Executor
@@ -43,6 +50,7 @@ from repro.storage.kvstore import VersionedKVStore
 from repro.storage.service import StorageReadReply, StorageReadRequest
 from repro.workload.transactions import Operation, Transaction, TransactionBatch
 from tests.helpers import DRILL_OVERRIDES, make_config, make_workload, run_drill, run_simulation
+from tests.test_paxos import PaxosCluster
 from tests.test_pbft import Cluster as PBFTCluster
 from tests.test_verifier_unit import Harness as VerifierHarness
 
@@ -63,7 +71,7 @@ def _tracker_keys(replica) -> int:
     )
 
 
-def _audit(system: str, duration: float, overrides=None) -> dict:
+def _audit(system: str, duration: float, overrides=None, scenarios=()) -> dict:
     """Run one drill and count what is still alive afterwards.
 
     Everything the run built dies with this frame, so back-to-back audits
@@ -71,6 +79,7 @@ def _audit(system: str, duration: float, overrides=None) -> dict:
     """
     spec = RunSpec(
         system=system,
+        scenarios=scenarios,
         base="default",
         overrides={**OVERRIDES, **(overrides or {})},
         duration=duration,
@@ -99,6 +108,7 @@ def _audit(system: str, duration: float, overrides=None) -> dict:
         "slot_bound": 2 * deployment.config.checkpoint_interval + WINDOW,
         "tracker_keys": max(_tracker_keys(replica) for replica in replicas),
         "log_slots": max(replica.log.slot_count for replica in replicas),
+        "log_commits": max(replica.log.retained_commits for replica in replicas),
         "planner_pending": max(
             (len(node._planner._pending) for node in deployment.nodes if hasattr(node, "_planner")),
             default=0,
@@ -164,6 +174,23 @@ def test_retained_state_does_not_scale_with_run_length(system, overrides):
         # of its latest request (a request spans at most a few batches).
         assert counts["reply_endpoints"] <= groups
         assert counts["cached_replies"] <= 4 * groups
+
+
+@pytest.mark.parametrize(
+    "system, scenario",
+    [
+        ("serverless_bft", "region-outage-heal"),
+        ("serverless_cft", "region-outage-heal"),
+        ("serverless_cft", "checkpoint-lag"),
+    ],
+)
+def test_a_replica_that_lagged_through_a_fault_rejoins_the_watermark(system, scenario):
+    # The partitioned (or crashed) replica misses sequence numbers its peers
+    # then truncate; every replica's log still ends within the bound.
+    counts = _audit(system, 3.0, scenarios=(scenario,))
+    assert counts["committed"] > 0
+    for name in ("log_slots", "log_commits", "tracker_keys"):
+        assert counts[name] <= counts["slot_bound"], (name, counts[name], counts["slot_bound"])
 
 
 def test_a_fault_timeline_point_keeps_no_per_spawn_record():
@@ -313,6 +340,58 @@ def test_a_vote_at_or_below_the_stable_watermark_creates_no_slot_and_no_key():
     assert replica.log.is_committed(1)
 
 
+def test_a_replica_partitioned_past_a_checkpoint_rejoins_the_watermark():
+    cluster = PBFTCluster(checkpoint_interval=4)
+    lagging = cluster.replicas["node-3"]
+
+    def propose(count: int, until: float) -> None:
+        for _ in range(count):
+            cluster.primary().propose(f"batch-{cluster.primary()._next_seq + 1}")
+        cluster.run(until=until)
+
+    propose(4, until=0.5)
+    assert lagging.log.stable_seq == 4
+    for peer in cluster.names[:3]:  # cut node-3 off both ways
+        cluster.block(peer, "node-3")
+        cluster.block("node-3", peer)
+    propose(12, until=1.0)  # the peers commit 5-16 and truncate them
+    assert lagging.log.max_committed_seq() == 4
+    cluster.blocked_links.clear()  # heal
+    propose(24, until=1.5)
+    # No peer retains 5-16 any more, yet node-3 moved with the cluster: it
+    # counts the hole as decided and keeps only what lies past the watermark.
+    peers_stable = min(cluster.replicas[name].log.stable_seq for name in cluster.names[:3])
+    assert lagging.log.stable_seq >= peers_stable - 4
+    assert lagging.log.is_committed(10) and not lagging.log.has_slot(10)
+    assert lagging.log.slot_count <= 8
+    assert all(seq > lagging.log.stable_seq for _v, seq, _d in lagging._commit_quorum.keys())
+    # The skipped sequence numbers were never handed up; the rest were, once.
+    delivered = [entry.seq for entry in cluster.committed["node-3"]]
+    assert delivered[:4] == [1, 2, 3, 4] and 10 not in delivered
+    assert delivered == sorted(set(delivered)) and delivered[-1] == 40
+
+
+def test_a_paxos_follower_counts_an_old_hole_as_decided():
+    cluster = PaxosCluster(n=3, checkpoint_interval=4)
+    route = cluster.route
+
+    def drop_one_learn(src, dst, message):
+        if not (dst == "node-2" and isinstance(message, PaxosLearnMsg) and message.seq == 3):
+            route(src, dst, message)
+
+    cluster.route = drop_one_learn
+    for index in range(40):
+        cluster.leader().propose(f"batch-{index}")
+    cluster.run()
+    follower = cluster.replicas["node-2"]
+    assert [entry.seq for entry in cluster.committed["node-2"]] == [1, 2, *range(4, 41)]
+    # The leader sends each LEARN once: two intervals on, the hole counts as
+    # decided and the watermark passes it.
+    assert follower.log.is_committed(3) and follower.log.committed_count() == 40
+    assert follower.log.stable_seq >= 40 - 3 * 4
+    assert follower.log.slot_count <= 3 * 4
+
+
 # ------------------------------------------------------------------ conflict planner
 
 
@@ -381,6 +460,22 @@ def test_shim_entry_retires_in_either_arrival_order():
     _commit(primary, 3)
     primary.on_message(ResponseMsg(request_id="", seq=3, digest="d"), "node-1")
     assert list(primary._committed_entries) == [3]
+
+
+def test_a_notice_for_a_skipped_sequence_goes_with_the_watermark():
+    deployment = build_system("serverless_bft", make_config(), make_workload())
+    node = deployment.nodes[3]
+    # Notices for seqs 5 and 9 overtake this node's commits of them ...
+    for seq in (5, 9):
+        node.on_message(ResponseMsg(request_id="", seq=seq, digest="d"), "verifier")
+    assert node.verified_sequence_numbers == {5, 9}
+    # ... and then f+1 peers vouch for stable checkpoint 8: the replica skips
+    # to it, so seq 5 never commits here and its notice goes.
+    replica = node.replica
+    replica._peer_stable_seqs.update({"node-1": 8, "node-2": 8})
+    replica._maybe_skip_to_peer_stable()
+    assert replica.log.stable_seq == 8
+    assert node.verified_sequence_numbers == {9}
 
 
 def test_new_primary_respawns_exactly_the_unverified_sequences():
