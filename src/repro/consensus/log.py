@@ -13,6 +13,13 @@ under long runs and rolling restarts.  (A Paxos replica moves the watermark
 itself, to its committed prefix, every checkpoint interval.)  Truncated
 sequence numbers still count as committed (``is_committed``), they just no
 longer carry payloads.
+
+A committed sequence number keeps its view, digest and certificate but not
+its batch (:meth:`ConsensusLog.record_commit`): checkpoints and catch-up
+replies carry only ``(digest, view, certificate)``, and view changes and
+checkpoint adoption read the batches of uncommitted slots only.  The engine
+hands the batch to the layer above in the entry it commits, and that layer
+keeps it for as long as it still needs it.
 """
 
 from __future__ import annotations
@@ -46,7 +53,11 @@ class SlotState:
 
 @dataclass(frozen=True)
 class CommittedEntry:
-    """A decision handed to the layer above the ordering engine."""
+    """A decision handed to the layer above the ordering engine.
+
+    ``batch`` is None for a decision adopted from a checkpoint without its
+    payload, and in every entry the log retains.
+    """
 
     seq: int
     view: int
@@ -89,17 +100,25 @@ class ConsensusLog:
         return seq <= self.stable_seq or seq in self._committed
 
     def record_commit(self, entry: CommittedEntry) -> None:
+        """Record a decision; the log keeps its certificate, not its batch."""
         if entry.seq <= self.stable_seq:
             return
         if entry.seq not in self._committed:
             self._total_committed += 1
+        if entry.batch is not None:
+            entry = CommittedEntry(
+                seq=entry.seq,
+                view=entry.view,
+                digest=entry.digest,
+                batch=None,
+                certificate=entry.certificate,
+            )
         self._committed[entry.seq] = entry
         slot = self.slot(entry.seq)
         slot.committed = True
         slot.digest = entry.digest
         slot.view = entry.view
-        if entry.batch is not None:
-            slot.batch = entry.batch
+        slot.batch = None
 
     def committed_since(self, seq_exclusive: int) -> List[CommittedEntry]:
         return [entry for seq, entry in sorted(self._committed.items()) if seq > seq_exclusive]

@@ -158,7 +158,7 @@ def test_retained_state_does_not_scale_with_run_length(system, overrides):
         assert counts["seq_state"] <= 4 * WINDOW
         assert counts["committed_entries"] <= 4 * WINDOW
         # One cached read per batch recently in flight: the store's
-        # mutation-log window (128) plus racing re-reads, never one per batch.
+        # mutation-log window (32) plus racing re-reads, never one per batch.
         assert counts["read_cache"] <= 2 * VersionedKVStore._MUTATION_LOG_LIMIT
         # Batches live in PBFT log slots (truncated at the stable checkpoint,
         # which trails by up to one interval) and in the in-flight window.
@@ -510,6 +510,95 @@ def test_view_change_drill_still_recovers_with_retired_state():
     for node in simulation.nodes:
         # A node keeps a verifier notice only while it is ahead of its own commit.
         assert not any(node.replica.log.is_committed(seq) for seq in node._verified_seqs)
+
+
+# ------------------------------------------------------------------ settled batches
+
+
+def _payload_seqs(log) -> set:
+    """Sequence numbers whose slot or retained entry still holds a batch."""
+    return {seq for seq, slot in log._slots.items() if slot.batch is not None} | {
+        seq for seq, entry in log._committed.items() if entry.batch is not None
+    }
+
+
+@pytest.mark.parametrize("system", ["serverless_bft", "serverless_cft", "pbft_replicated"])
+def test_a_settled_sequence_keeps_only_its_certificate(system):
+    spec = RunSpec(
+        system=system, base="default", overrides=OVERRIDES, duration=3.0, warmup=0.0
+    )
+    deployment = build_deployment(resolve(spec))
+    result = deployment.run(duration=3.0, warmup=0.0)
+    assert result.committed_txns > 0
+    for node in deployment.nodes:
+        replica, log = node.replica, node.replica.log
+        # No log holds a committed sequence's batch, settled or not ...
+        assert not any(log.is_committed(seq) for seq in _payload_seqs(log))
+        if system != "pbft_replicated":
+            # ... the node itself keeps the batches the verifier has not
+            # settled, for a new primary to spawn for.
+            assert all(entry.batch is not None for entry in node._committed_entries.values())
+            assert all(seq >= deployment.verifier.kmax - WINDOW for seq in node._committed_entries)
+        # ... and the certificates of one checkpoint interval stay.
+        assert log.retained_commits > WINDOW
+        for seq, entry in log._committed.items():
+            slot = log._slots[seq]
+            assert slot.committed and slot.digest == entry.digest and slot.view == entry.view
+            if system != "serverless_cft":  # Paxos decisions carry no signatures
+                valid = replica._count_valid_certificate(
+                    seq, entry.digest, entry.certificate, entry.view
+                )
+                assert valid >= replica.quorum_size
+
+
+def test_a_committed_batch_leaves_the_log_in_either_arrival_order():
+    deployment = build_system("serverless_bft", make_config(), make_workload())
+    node = deployment.nodes[0]
+    log = node.replica.log
+    # Commit first, notice second: the log keeps the certificate only, and
+    # the node keeps the batch until the notice.
+    _commit(node, 1)
+    assert _payload_seqs(log) == set()
+    assert node._committed_entries[1].batch is not None
+    assert log.committed_entries()[0].digest == node._committed_entries[1].digest
+    node.on_message(ResponseMsg(request_id="", seq=1, digest="d"), "verifier")
+    assert node._committed_entries == {}
+    # Notice first: the proposed batch stays in its slot until this node's
+    # own commit, which still spawns for it.
+    proposal = _entry(2)
+    slot = log.slot(2)
+    slot.digest, slot.batch, slot.preprepared = proposal.digest, proposal.batch, True
+    node.on_message(ResponseMsg(request_id="", seq=2, digest="d"), "verifier")
+    assert _payload_seqs(log) == {2}
+    log.record_commit(proposal)
+    node._on_committed(proposal)
+    assert _payload_seqs(log) == set()
+    assert [entry.digest for entry in log.committed_entries()][1] == proposal.digest
+    deployment.sim.run(until=0.01)
+    assert node.spawned_executors == 2 * deployment.config.num_executors
+
+
+def test_a_view_change_still_reproposes_an_uncommitted_slot_with_its_batch():
+    cluster = PBFTCluster(request_timeout=10.0)
+    cluster.primary().propose("settled")
+    cluster.run(until=0.5)
+    for name in cluster.names:
+        assert cluster.committed[name][0].batch == "settled"
+        assert _payload_seqs(cluster.replicas[name].log) == set()
+    # Slot 2 prepared but did not commit before the view change: it keeps
+    # its batch, so the new primary can re-propose it.
+    for name in ("node-1", "node-2", "node-3"):
+        slot = cluster.replicas[name].log.slot(2)
+        slot.digest, slot.batch = digest("carried-batch"), "carried-batch"
+        slot.preprepared = slot.prepared = True
+    cluster.replicas["node-2"].request_view_change(reason="test")
+    cluster.replicas["node-3"].request_view_change(reason="test")
+    cluster.run(until=3.0)
+    for name in cluster.names:
+        assert cluster.replicas[name].view == 1
+        assert [entry.seq for entry in cluster.committed[name]] == [1, 2]
+        assert cluster.committed[name][1].batch == "carried-batch"
+        assert _payload_seqs(cluster.replicas[name].log) == set()
 
 
 # ------------------------------------------------------------------ executor

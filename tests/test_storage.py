@@ -113,3 +113,25 @@ def test_storage_service_ignores_unrelated_messages():
     service.on_message("not-a-read-request", "someone")
     sim.run_until_idle()
     assert service.requests_served == 0
+
+
+def test_store_history_spans_reads_in_flight():
+    # The mutation log keeps the newest 16-32 mutations, and no cached read
+    # outlives it: the oldest snapshot any workload proves fresh is far younger.
+    store = VersionedKVStore()
+    store.load(50)
+    first = store.read_many(("user0", "user1"))
+    for index in range(100):
+        store.read_many((f"user{index % 50}",))
+        store.apply_write_sets([{f"user{index % 50}": f"v{index}"}])
+        assert len(store._mutation_log) <= 32
+        assert all(
+            read.snapshot_token >= store._mutation_log_base for read in store._read_cache.values()
+        )
+    assert len(store._mutation_log) >= 16
+    # A token older than the window is "unknown", never a wrong "unchanged";
+    # a read of its keys is exact again.
+    assert store.keys_changed_since(first.snapshot_token, {"user0"}) == -1
+    again = store.read_many(("user0", "user1"))
+    assert again.plain_values() == {"user0": "v50", "user1": "v51"}
+    assert again.versions_map() == store.current_versions(("user0", "user1"))
