@@ -39,7 +39,6 @@ def run_fleet(drones: int) -> None:
             "protocol.batch_size": 25,
             "protocol.num_clients": 200,          # each drone also issues client requests
             "protocol.client_groups": 8,
-            "protocol.spawn_api_cost": 0.0008,
             "workload.num_records": 10_000,
             "workload.operations_per_transaction": 4,
             "workload.write_fraction": 0.5,

@@ -25,7 +25,6 @@ from repro.api.spec import (
 )
 from repro.core.config import ConflictMode, ProtocolConfig, SpawnPolicyName
 from repro.core.runner import SimulationResult
-from repro.crypto.costs import CryptoCostModel
 from repro.errors import ConfigurationError
 from repro.workload.ycsb import YCSBConfig
 
@@ -38,9 +37,6 @@ def protocol_config_from_dict(payload: Mapping[str, object]) -> ProtocolConfig:
     data = dict(payload)
     data["spawn_policy"] = SpawnPolicyName(data["spawn_policy"])
     data["conflict_mode"] = ConflictMode(data["conflict_mode"])
-    data["crypto_costs"] = CryptoCostModel(**data["crypto_costs"])  # type: ignore[arg-type]
-    if data.get("executor_regions") is not None:
-        data["executor_regions"] = list(data["executor_regions"])  # type: ignore[arg-type]
     return ProtocolConfig(**data)  # type: ignore[arg-type]
 
 

@@ -307,7 +307,6 @@ _BASE_PROTOCOL: Dict[str, Dict[str, object]] = {
         "batch_size": 100,
         "num_executors": 3,
         "num_executor_regions": 3,
-        "verifier_cores": 8,
         "num_clients": 80_000,
         "client_groups": 32,
     },

@@ -27,6 +27,7 @@ from repro.consensus.pbft import NetworkTransport, PBFTConfig, PBFTReplica
 from repro.core.config import ProtocolConfig
 from repro.core.messages import ClientRequestMsg, ResponseMsg
 from repro.core.runner import Deployment
+from repro.crypto.costs import CRYPTO_COSTS
 from repro.crypto.signatures import SignatureService
 from repro.errors import ConfigurationError
 from repro.faults.byzantine import NodeBehaviour
@@ -85,7 +86,7 @@ class ReplicatedNode(SimProcess):
             ),
             transport=NetworkTransport(network, name, shim_names),
             signer=signer,
-            cost_model=config.crypto_costs,
+            cost_model=CRYPTO_COSTS,
             host=self,
             on_committed=self._on_committed,
             obs=obs,
@@ -129,8 +130,8 @@ class ReplicatedNode(SimProcess):
             self._network.send(self.name, self._replica.primary, request, request.size_bytes)
             return
         verification = (
-            self._config.crypto_costs.ds_verify
-            + self._config.crypto_costs.hash_cost(request.size_bytes)
+            CRYPTO_COSTS.ds_verify
+            + CRYPTO_COSTS.hash_cost(request.size_bytes)
             + self._config.txn_ingest_cost * max(1, len(request.transactions))
         )
         self.process_parallel(

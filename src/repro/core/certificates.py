@@ -7,19 +7,19 @@ number.  Executors refuse EXECUTE messages without a valid certificate — this
 is what stops a byzantine node from spawning executors for requests the shim
 never ordered.
 
-The remark in Section IV-C notes the certificate can be compressed with
-threshold signatures; :class:`CommitCertificate` supports both encodings.
+Section IV-C remarks that the certificate can be compressed into one
+threshold signature.  That is not modelled: each share signs its own
+replica's COMMIT payload, so the shares cover different messages and do not
+combine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.consensus.messages import CommitMsg
 from repro.crypto.signatures import Signature, SignatureService
-from repro.crypto.threshold import ThresholdSignature, ThresholdSigner
-from repro.errors import CryptoError
 from repro.perf import PERF
 
 
@@ -31,7 +31,6 @@ class CommitCertificate:
     seq: int
     digest: str
     signatures: Tuple[Signature, ...] = ()
-    threshold_signature: Optional[ThresholdSignature] = None
 
     def canonical(self) -> str:
         signers = ",".join(sorted(sig.signer for sig in self.signatures))
@@ -39,15 +38,11 @@ class CommitCertificate:
 
     @property
     def signer_count(self) -> int:
-        if self.threshold_signature is not None:
-            return len(self.threshold_signature.signers)
         return len({sig.signer for sig in self.signatures})
 
     @property
     def size_bytes(self) -> int:
-        """Wire size: 96 B per signature, or one constant threshold signature."""
-        if self.threshold_signature is not None:
-            return self.threshold_signature.size_bytes
+        """Wire size: 96 B per signature."""
         return 96 * len(self.signatures)
 
     def verify(self, verifier: SignatureService, required: int) -> bool:
@@ -60,11 +55,6 @@ class CommitCertificate:
         and signature validity depends only on the deployment's shared key
         store, so re-checking per executor would be pure waste.
         """
-        if self.threshold_signature is not None:
-            return (
-                len(self.threshold_signature.signers) >= required
-                and self.threshold_signature.message_digest is not None
-            )
         valid_signers = self.__dict__.get("_valid_signers")
         if valid_signers is None:
             valid_signers = set()
@@ -81,34 +71,5 @@ class CommitCertificate:
 
     def verification_cost(self, cost_model, required: int) -> float:
         """CPU cost of verifying this certificate."""
-        if self.threshold_signature is not None:
-            return cost_model.threshold_verify
         return cost_model.ds_verify * min(len(self.signatures), max(required, 0))
 
-
-def build_certificate(
-    view: int,
-    seq: int,
-    digest: str,
-    signatures: Tuple[Signature, ...],
-    use_threshold: bool = False,
-    threshold: int = 0,
-) -> CommitCertificate:
-    """Build a certificate from collected commit signatures."""
-    if use_threshold and threshold > 0:
-        # Threshold aggregation requires every share to cover the *same*
-        # payload.  PBFT commit signatures cover per-replica COMMIT messages,
-        # so aggregation only succeeds for deployments whose nodes sign the
-        # shared (view, seq, digest) payload; otherwise fall back to the
-        # plain signature-set certificate.
-        try:
-            signer = ThresholdSigner(threshold)
-            aggregate = signer.aggregate(signatures)
-            return CommitCertificate(
-                view=view, seq=seq, digest=digest, threshold_signature=aggregate
-            )
-        except CryptoError:
-            # Shares cover different digests (per-replica COMMIT payloads)
-            # or too few distinct signers: fall through to the plain cert.
-            pass
-    return CommitCertificate(view=view, seq=seq, digest=digest, signatures=tuple(signatures))

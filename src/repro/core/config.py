@@ -3,11 +3,29 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
-from repro.crypto.costs import CryptoCostModel
 from repro.errors import ConfigurationError
+
+# Deployment constants no experiment varies.  The spec keeps a field only
+# while a preset, scenario, figure or test varies it; a value nothing varies
+# lives here.
+
+#: Cores of the verifier VM (Section IX's setup: an 8-core verifier VM).
+VERIFIER_CORES = 8
+#: Concurrent executions one cloud region admits, a provider quota (see
+#: :mod:`repro.cloud.lambda_cloud`).
+EXECUTOR_CONCURRENCY_LIMIT = 2500
+#: Calibration: CPU seconds a shim node spends on one spawn API call to the
+#: serverless cloud.
+SPAWN_API_COST = 0.0008
+#: Calibration: CPU seconds an executor spends per key-value operation it
+#: reads from the remote storage layer.
+EXECUTOR_READ_OPS_COST = 20e-6
+#: Calibration: CPU seconds a non-primary shim node spends forwarding a
+#: client request to the primary.
+MESSAGE_HANDLING_COST = 4e-6
 
 
 class SpawnPolicyName(str, enum.Enum):
@@ -50,16 +68,11 @@ class ProtocolConfig:
     # --- serverless executors ---------------------------------------------------
     num_executors: int = 3
     executor_faults: Optional[int] = None
-    executor_regions: Optional[List[str]] = None
     num_executor_regions: int = 3
-    executor_concurrency_limit: int = 2500
     cold_start_latency: float = 0.150
     warm_start_latency: float = 0.015
-    spawn_api_cost: float = 0.0008
-    executor_read_ops_cost: float = 20e-6
 
     # --- verifier / storage ------------------------------------------------------
-    verifier_cores: int = 8
     verifier_region: str = "us-west-1"
     storage_records: int = 600_000
 
@@ -77,7 +90,6 @@ class ProtocolConfig:
     # --- behaviour --------------------------------------------------------------
     spawn_policy: SpawnPolicyName = SpawnPolicyName.PRIMARY
     conflict_mode: ConflictMode = ConflictMode.OPTIMISTIC
-    use_threshold_certificates: bool = False
 
     # --- fault timelines ----------------------------------------------------------
     #: Scheduled fault events driving node lifecycle mid-run, as a compact
@@ -92,8 +104,6 @@ class ProtocolConfig:
     #: values) or "fast" (deterministic tokens; identical simulated-time
     #: results, much cheaper wall-clock).  See repro.crypto.signatures.
     crypto_backend: str = "real"
-    crypto_costs: CryptoCostModel = field(default_factory=CryptoCostModel)
-    message_handling_cost: float = 4e-6
     #: CPU time the primary spends ingesting one client transaction
     #: (parsing, request bookkeeping, its share of signature checking).
     #: Crash-fault-tolerant and no-shim deployments use a smaller value
@@ -137,8 +147,6 @@ class ProtocolConfig:
 
     def regions_for_executors(self, catalog_names: List[str]) -> List[str]:
         """Regions executors are spread over, in the paper's region order."""
-        if self.executor_regions:
-            return list(self.executor_regions)
         count = min(self.num_executor_regions, len(catalog_names))
         return catalog_names[: max(1, count)]
 
@@ -151,16 +159,13 @@ class ProtocolConfig:
             raise ConfigurationError("shim_nodes must satisfy n_R >= 3 f_R + 1")
         if self.num_executors < 1:
             raise ConfigurationError("num_executors must be at least 1")
-        if self.executor_faults is not None:
-            minimum = (
-                3 * self.executor_faults + 1
-                if self.conflict_mode is ConflictMode.OPTIMISTIC
-                else 2 * self.executor_faults + 1
-            )
-            if self.executor_faults > 0 and self.num_executors < 2 * self.executor_faults + 1:
+        if self.executor_faults is not None and self.executor_faults > 0:
+            minimum = 2 * self.executor_faults + 1
+            if self.num_executors < minimum:
                 raise ConfigurationError(
                     f"num_executors={self.num_executors} cannot tolerate "
-                    f"f_E={self.executor_faults} byzantine executors (need >= {minimum})"
+                    f"f_E={self.executor_faults} byzantine executors "
+                    f"(need >= 2f_E+1 = {minimum})"
                 )
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be at least 1")
@@ -168,8 +173,8 @@ class ProtocolConfig:
             raise ConfigurationError("num_clients must be at least 1")
         if self.client_groups < 1:
             raise ConfigurationError("client_groups must be at least 1")
-        if self.shim_cores < 1 or self.verifier_cores < 1:
-            raise ConfigurationError("core counts must be at least 1")
+        if self.shim_cores < 1:
+            raise ConfigurationError("shim_cores must be at least 1")
         if self.crypto_backend not in ("real", "fast"):
             raise ConfigurationError(
                 f"crypto_backend must be 'real' or 'fast', got {self.crypto_backend!r}"

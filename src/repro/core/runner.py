@@ -20,11 +20,17 @@ from repro.cloud.billing import BillingReport, CostModel
 from repro.cloud.lambda_cloud import ServerlessCloud
 from repro.cloud.regions import GeoLatencyModel, RegionCatalog
 from repro.core.client import ClientGroup
-from repro.core.config import ProtocolConfig
+from repro.core.config import (
+    EXECUTOR_CONCURRENCY_LIMIT,
+    EXECUTOR_READ_OPS_COST,
+    VERIFIER_CORES,
+    ProtocolConfig,
+)
 from repro.core.executor import Executor
 from repro.core.messages import ExecuteMsg
 from repro.core.shim_node import ShimNode
 from repro.core.verifier import Verifier
+from repro.crypto.costs import CRYPTO_COSTS
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import SignatureService, resolve_backend
 from repro.errors import ConfigurationError
@@ -148,7 +154,7 @@ class Deployment:
                     group_size=group_size,
                     workload=self.workload,
                     signer=self._make_signer(f"client-group-{index}"),
-                    costs=config.crypto_costs,
+                    costs=CRYPTO_COSTS,
                     primary_name=self.shim_names[0],
                     verifier_name=verifier_name,
                     client_timeout=config.client_timeout,
@@ -280,7 +286,7 @@ class ServerlessDeployment(Deployment):
             executor_factory=self._spawn_executor,
             cold_start_latency=config.cold_start_latency,
             warm_start_latency=config.warm_start_latency,
-            concurrency_limit_per_region=config.executor_concurrency_limit,
+            concurrency_limit_per_region=EXECUTOR_CONCURRENCY_LIMIT,
         )
         # An executor's key pair is derived from its id when asked for, so
         # neither the cloud nor the key store keeps anything per spawn.
@@ -292,10 +298,10 @@ class ServerlessDeployment(Deployment):
             network=self.network,
             name="verifier",
             region=config.verifier_region,
-            cores=config.verifier_cores,
+            cores=VERIFIER_CORES,
             store=self.store,
             signer=self._make_signer("verifier"),
-            costs=config.crypto_costs,
+            costs=CRYPTO_COSTS,
             shim_node_names=self.shim_names,
             match_quorum=config.executor_match_quorum,
             executor_faults=config.derived_executor_faults,
@@ -323,7 +329,7 @@ class ServerlessDeployment(Deployment):
                 config=config,
                 shim_names=self.shim_names,
                 signer=self._make_signer(name),
-                costs=config.crypto_costs,
+                costs=CRYPTO_COSTS,
                 cloud=self.cloud,
                 executor_regions=executor_regions,
                 verifier_name="verifier",
@@ -369,12 +375,12 @@ class ServerlessDeployment(Deployment):
             name=executor_id,
             region=region,
             signer=self._make_signer(executor_id),
-            costs=self.config.crypto_costs,
+            costs=CRYPTO_COSTS,
             cloud=self.cloud,
             storage_name="storage",
             verifier_name="verifier",
             required_certificate_signers=self._executor_required_signers,
-            per_operation_cost=self.config.executor_read_ops_cost,
+            per_operation_cost=EXECUTOR_READ_OPS_COST,
             behaviour=behaviour,
             obs=self.obs,
         )
@@ -396,7 +402,7 @@ class ServerlessDeployment(Deployment):
         super()._charge_vm_fleets(duration)
         self.cost_model.charge_vm_fleet(
             machines=1,
-            cores=self.config.verifier_cores,
+            cores=VERIFIER_CORES,
             memory_gb=8.0,
             duration_seconds=duration,
         )

@@ -24,8 +24,14 @@ from repro.consensus.log import CommittedEntry
 from repro.consensus.messages import MessageRouter
 from repro.consensus.paxos import PaxosConfig, PaxosReplica
 from repro.consensus.pbft import NetworkTransport, PBFTConfig, PBFTReplica
-from repro.core.certificates import build_certificate
-from repro.core.config import ConflictMode, ProtocolConfig, SpawnPolicyName
+from repro.core.certificates import CommitCertificate
+from repro.core.config import (
+    MESSAGE_HANDLING_COST,
+    SPAWN_API_COST,
+    ConflictMode,
+    ProtocolConfig,
+    SpawnPolicyName,
+)
 from repro.core.conflict import ConflictPlanner
 from repro.core.messages import (
     AckMsg,
@@ -236,7 +242,7 @@ class ShimNode(SimProcess):
         if not self.is_primary:
             # Non-primary nodes forward client requests to the current primary.
             self.process(
-                self._config.message_handling_cost,
+                MESSAGE_HANDLING_COST,
                 lambda: self._network.send(
                     self.name, self.current_primary, request, request.size_bytes
                 ),
@@ -343,13 +349,11 @@ class ShimNode(SimProcess):
         if not regions:
             self._trace("node.spawn_suppressed", seq=seq)
             return
-        certificate = build_certificate(
+        certificate = CommitCertificate(
             view=entry.view,
             seq=entry.seq,
             digest=entry.digest,
             signatures=entry.certificate,
-            use_threshold=self._config.use_threshold_certificates,
-            threshold=self._config.shim_quorum,
         )
         unsigned = ExecuteMsg(
             seq=entry.seq,
@@ -372,7 +376,7 @@ class ShimNode(SimProcess):
         seed_cached_digest(execute, signature.message_digest)
         if self._obs is not None:
             self._obs.begin_span("spawn", seq, self.now, self.name)
-        spawn_cost = self._config.spawn_api_cost * len(regions) + self._costs.ds_sign
+        spawn_cost = SPAWN_API_COST * len(regions) + self._costs.ds_sign
         self.process(spawn_cost, self._invoke_cloud, execute, regions, delay)
 
     def _invoke_cloud(self, execute: ExecuteMsg, regions: List[str], delay: float) -> None:

@@ -9,12 +9,12 @@ those primitives provide inside the simulation:
   of an honest component (enforced by keeping private keys secret inside
   :class:`KeyStore`);
 * MACs are cheaper but only pairwise-verifiable;
-* digests are collision-resistant (SHA-256);
-* threshold signatures aggregate ``2f+1`` shares into one constant-size proof.
+* digests are collision-resistant (SHA-256).
 
 The :class:`CryptoCostModel` charges realistic CPU time for each operation so
 the MAC-vs-DS and certificate-size trade-offs discussed in the paper survive
-in the performance results.
+in the performance results; every deployment charges
+:data:`repro.crypto.costs.CRYPTO_COSTS`.
 """
 
 from repro.crypto.hashing import cached_digest, digest, seed_cached_digest
@@ -29,7 +29,6 @@ from repro.crypto.signatures import (
     SignedMessage,
     resolve_backend,
 )
-from repro.crypto.threshold import ThresholdSignature, ThresholdSigner
 from repro.crypto.costs import CryptoCostModel
 
 __all__ = [
@@ -43,8 +42,6 @@ __all__ = [
     "Signature",
     "SignatureService",
     "SignedMessage",
-    "ThresholdSignature",
-    "ThresholdSigner",
     "cached_digest",
     "digest",
     "resolve_backend",

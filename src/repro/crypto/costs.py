@@ -22,36 +22,12 @@ class CryptoCostModel:
     mac_sign: float = 3e-6
     mac_verify: float = 3e-6
     hash_per_kb: float = 1.5e-6
-    threshold_combine: float = 180e-6
-    threshold_verify: float = 250e-6
 
     def hash_cost(self, size_bytes: int) -> float:
         """Cost of hashing a message of ``size_bytes``."""
         return self.hash_per_kb * max(1.0, size_bytes / 1024.0)
 
-    def certificate_verify_cost(self, signatures: int, threshold: bool = False) -> float:
-        """Cost of verifying a commit certificate.
 
-        A plain certificate requires verifying every one of its ``signatures``
-        digital signatures; a threshold certificate verifies in constant time.
-        """
-        if threshold:
-            return self.threshold_verify
-        return self.ds_verify * max(0, signatures)
-
-    def scaled(self, factor: float) -> "CryptoCostModel":
-        """Return a copy with every cost multiplied by ``factor``.
-
-        Used to model slower edge hardware (the computing-power experiment
-        varies cores, not clock speed, but tests use this to exercise the
-        model).
-        """
-        return CryptoCostModel(
-            ds_sign=self.ds_sign * factor,
-            ds_verify=self.ds_verify * factor,
-            mac_sign=self.mac_sign * factor,
-            mac_verify=self.mac_verify * factor,
-            hash_per_kb=self.hash_per_kb * factor,
-            threshold_combine=self.threshold_combine * factor,
-            threshold_verify=self.threshold_verify * factor,
-        )
+#: The cost model every component charges by default.  Components take a
+#: ``costs=`` argument so a test can inject another model.
+CRYPTO_COSTS = CryptoCostModel()

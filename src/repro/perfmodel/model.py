@@ -4,7 +4,8 @@ The model treats the deployment as a pipeline of resources — the primary's
 cores, a non-primary replica's cores, the verifier's cores, the serverless
 executor pool, and the primary's NIC — each with a per-batch demand derived
 from the same cost constants the discrete-event simulator charges
-(:class:`repro.crypto.costs.CryptoCostModel`, message sizes, spawn API cost).
+(:data:`repro.crypto.costs.CRYPTO_COSTS`, message sizes, and the deployment
+constants of :mod:`repro.core.config` such as ``SPAWN_API_COST``).
 
 * **Maximum throughput** is the reciprocal of the largest per-batch demand
   divided by that resource's capacity (the pipeline bottleneck).
@@ -29,7 +30,15 @@ from typing import Dict, Optional, Tuple
 
 from repro.cloud.billing import LambdaPricing, VmPricing
 from repro.cloud.regions import RegionCatalog
-from repro.core.config import ConflictMode, ProtocolConfig
+from repro.core.config import (
+    EXECUTOR_CONCURRENCY_LIMIT,
+    EXECUTOR_READ_OPS_COST,
+    SPAWN_API_COST,
+    VERIFIER_CORES,
+    ConflictMode,
+    ProtocolConfig,
+)
+from repro.crypto.costs import CRYPTO_COSTS
 from repro.errors import ConfigurationError
 from repro.workload.ycsb import YCSBConfig
 
@@ -46,7 +55,7 @@ _BATCH_QUADRATIC_COST = 5e-10
 
 #: CPU cost of executing one key-value operation locally on a shim node
 #: (replicated-execution baseline); remote executors pay the larger
-#: ``executor_read_ops_cost`` because they fetch data over the network.
+#: ``EXECUTOR_READ_OPS_COST`` because they fetch data over the network.
 _LOCAL_OPERATION_COST = 5e-6
 
 
@@ -99,7 +108,7 @@ class AnalyticalModel:
     def breakdown(self) -> PipelineBreakdown:
         """Per-batch demands on every pipeline resource and the bottleneck."""
         config = self.config
-        costs = config.crypto_costs
+        costs = CRYPTO_COSTS
         n = config.shim_nodes if self.system is not SystemKind.NOSHIM else 1
         batch = config.batch_size
         ops = self.workload.operations_per_transaction
@@ -158,13 +167,13 @@ class AnalyticalModel:
             SystemKind.NOSHIM,
         )
         if offloads:
-            primary += config.num_executors * config.spawn_api_cost + costs.ds_sign
+            primary += config.num_executors * SPAWN_API_COST + costs.ds_sign
             verifier = config.num_executors * (costs.ds_verify + 30e-6) + batch * 5e-6
             executor_time = (
                 costs.ds_verify * (config.shim_quorum if byzantine else 0)
                 + self._storage_rtt()
                 + exec_seconds
-                + config.executor_read_ops_cost * ops * batch
+                + EXECUTOR_READ_OPS_COST * ops * batch
                 + costs.ds_sign
             )
         else:
@@ -182,9 +191,9 @@ class AnalyticalModel:
         if n > 1:
             capacities["replica-cpu"] = config.shim_cores / replica if replica > 0 else float("inf")
         if offloads and verifier > 0:
-            capacities["verifier-cpu"] = config.verifier_cores / verifier
+            capacities["verifier-cpu"] = VERIFIER_CORES / verifier
         if offloads and executor_time > 0:
-            pool = config.executor_concurrency_limit * max(1, config.num_executor_regions)
+            pool = EXECUTOR_CONCURRENCY_LIMIT * max(1, config.num_executor_regions)
             capacities["executor-pool"] = pool / (config.num_executors * executor_time)
         if not offloads:
             local_exec = exec_seconds + _LOCAL_OPERATION_COST * ops * batch
@@ -244,7 +253,7 @@ class AnalyticalModel:
             latency += config.warm_start_latency + to_region  # spawn + EXECUTE delivery
             latency += executor_time
             latency += to_region  # VERIFY back to the verifier
-            latency += verifier / config.verifier_cores
+            latency += verifier / VERIFIER_CORES
             latency += intra  # RESPONSE to the client
         else:
             latency += self.workload.execution_seconds
@@ -297,7 +306,7 @@ class AnalyticalModel:
         )
         lambda_dollars_per_sec = 0.0
         if offloads:
-            vm_dollars_per_sec += self.vm_pricing.vm_cost(config.verifier_cores, 8.0, 1.0)
+            vm_dollars_per_sec += self.vm_pricing.vm_cost(VERIFIER_CORES, 8.0, 1.0)
             breakdown = self.breakdown()
             batches_per_sec = throughput / config.batch_size
             invocations_per_sec = batches_per_sec * config.num_executors

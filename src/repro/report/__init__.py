@@ -3,7 +3,7 @@
 The paper's figures are means over repeated runs; this package turns a
 content-addressed result store (written by ``python -m repro.sweep run
 ... --replicates N`` or :func:`repro.api.run_replicates`) into
-``EXPERIMENTS.md`` tables and error-bar plots — without re-simulating:
+``EXPERIMENTS.md`` tables with error bars — without re-simulating:
 
 * :mod:`repro.report.aggregate` — group store records into replicate
   families; mean ± std for scalars, exactly-pooled latency means, and
@@ -12,7 +12,6 @@ content-addressed result store (written by ``python -m repro.sweep run
 * :mod:`repro.report.tables` — :class:`ExperimentTable` and the shared
   markdown-table primitive (sweep tables and the analytical model's figure
   tables render through it too).
-* :mod:`repro.report.plots` — matplotlib error-bar figures, optional.
 * :mod:`repro.report.cli` — ``python -m repro.report``.
 """
 

@@ -1,9 +1,8 @@
 """Command-line entry point: ``python -m repro.report``.
 
 Loads a content-addressed result store, aggregates its records across
-replicate seeds, and renders ``EXPERIMENTS.md`` tables (and, with
-matplotlib installed, error-bar plots) — without running a single
-simulation.  ``python -m repro.sweep report`` is a thin alias.
+replicate seeds, and renders ``EXPERIMENTS.md`` tables — without running a
+single simulation.  ``python -m repro.sweep report`` is a thin alias.
 
 Typical flow::
 
@@ -72,13 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="only render the named sweep(s) (repeatable; default: all in store)",
     )
     parser.add_argument(
-        "--plots",
-        metavar="DIR",
-        default="",
-        help="also write error-bar PNGs to DIR (needs matplotlib; skipped "
-        "with a notice otherwise)",
-    )
-    parser.add_argument(
         "--model-presets",
         action="store_true",
         help="append the analytical-model tables for the figure presets' paper grids",
@@ -125,21 +117,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write(document)
         print(f"[report] wrote {args.output} ({len(store)} store records)")
 
-    if args.plots:
-        from repro.report.plots import matplotlib_available, render_plots
-        from repro.report.aggregate import load_store_points
-
-        if not matplotlib_available():
-            print(
-                "[report] matplotlib not installed — skipping plots "
-                "(tables were rendered)",
-            )
-        else:
-            written = render_plots(
-                load_store_points(store, sweeps=args.sweep), args.plots
-            )
-            for path in written:
-                print(f"[report] wrote {path}")
     return 0
 
 

@@ -166,8 +166,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     argv: List[str] = ["--store", args.store, "--output", args.output]
     for name in args.sweep or []:
         argv += ["--sweep", name]
-    if args.plots:
-        argv += ["--plots", args.plots]
     if args.model_presets:
         argv.append("--model-presets")
     if args.fail_empty:
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="render EXPERIMENTS.md tables/plots from a result store "
+        help="render EXPERIMENTS.md tables from a result store "
         "(alias for python -m repro.report; never simulates)",
     )
     report.add_argument(
@@ -279,9 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--sweep", action="append", metavar="NAME", help="filter to the named sweep(s)"
-    )
-    report.add_argument(
-        "--plots", metavar="DIR", default="", help="write error-bar PNGs to DIR"
     )
     report.add_argument(
         "--model-presets", action="store_true", help="append analytical-model tables"

@@ -41,7 +41,6 @@ class YCSBConfig:
     clients: int = 16
     execution_seconds: float = 0.0
     rw_sets_known: bool = True
-    value_size_bytes: int = 100
     seed: int = 2023
 
     def __post_init__(self) -> None:

@@ -245,6 +245,21 @@ def test_route_key_routing():
         route_key("mystery.knob")
     with pytest.raises(ConfigurationError):
         route_key("warp_factor")
+    # Fields retired to module constants or deleted fail loudly, by name.
+    retired = [
+        "protocol.verifier_cores",
+        "protocol.executor_concurrency_limit",
+        "protocol.spawn_api_cost",
+        "protocol.executor_read_ops_cost",
+        "protocol.message_handling_cost",
+        "protocol.crypto_costs",
+        "protocol.executor_regions",
+        "protocol.use_threshold_certificates",
+        "workload.value_size_bytes",
+    ]
+    for key in retired:
+        with pytest.raises(ConfigurationError, match=key.split(".")[1]):
+            route_key(key)
 
 
 def test_dotted_overrides_reach_the_configs():

@@ -82,11 +82,13 @@ def test_simulation_scale_runs_fast_configs():
 
 
 #: ``spec_digest(RunSpec(base=b, seed=1))`` at the commit before the bases
-#: moved from ``bench/defaults.py`` into ``api/spec.py``.
+#: moved from ``bench/defaults.py`` into ``api/spec.py``, re-pinned when nine
+#: config fields nobody set left the resolved spec (they became module
+#: constants or were deleted; every result digest stayed put).
 _BASE_GOLDEN = {
-    "scale": "f325de3f778890d6f39ae446292dfa498eb3ab2b70391f22c9ba5f4a8f41ff7f",
-    "paper": "d86bec0adb6471cff34fa6dd0df1aebb4f57c804fbac03217b5a1a99300dd9dc",
-    "default": "16719e5598a5dec1927225ba2fbcf50b40b7bd2397272e289f39744ca3cb5d37",
+    "scale": "3ad8122b387a50d830ea74cc8e848a5675e3d454b73beb775f3ac9e1c4d56453",
+    "paper": "4e07f3d5d87ab56211389fa2975f2665b9d383738831e858c388155261281d48",
+    "default": "ed0180c901db11918bb3ac3328f7b6ef0affc1b6d4921c9540965689d7e119c0",
 }
 
 
@@ -101,36 +103,35 @@ def test_base_defaults_resolve_to_the_same_address(base):
 #: Per registered sweep: point count and sha256 over the concatenated point
 #: digests of ``expand_replicates(sweep)``.  A bare name is the sweep at its
 #: default (``"scale"``) base, ``@paper`` a figure's paper grid, and
-#: ``smoke@replicates=2`` the smoke sweep after ``--replicates 2``.  The
-#: pre-existing scale entries date from before the figures were folded into
-#: one definition each; the rest from before sweep points became RunSpecs.
+#: ``smoke@replicates=2`` the smoke sweep after ``--replicates 2``.  Re-pinned
+#: with :data:`_BASE_GOLDEN` when the nine unset config fields left the spec.
 _PRESET_GOLDEN = {
-    "ablation-conflict-avoidance": (2, "778b47925a904c6413e34070318f55d26409496bfcb96acef32e30bdcfc9086e"),
-    "ablation-conflict-avoidance@paper": (8, "11dc711abc8802004ad871389aeceb7eb95ca5dcaebf72d4c7ef43d11c3345bc"),
-    "ablation-spawning": (2, "83ed268c47bb4797930b50f3fd9a9b2271a08342362ef34a601f7aa9f6c51d5e"),
-    "ablation-spawning@paper": (6, "2865795ecd4bd4c78eacc5df07dba10a5f60720d22e2845e81c3024780857120"),
-    "chaos-drills": (10, "dec80c0b9ba4787732abb5d2783e700077bd2754a24fc3013894d3489776a318"),
-    "fig5-clients": (2, "4605bbf28027fc5312a3ce48095b1bda7371b71b68fc748115d4360a686ba307"),
-    "fig5-clients@paper": (24, "ef27267fa74a68e37c506142323c3bcbd8406c5f530fde395aa6cc3fa914c925"),
-    "fig6-batching": (8, "1e5c6226732ee97519b5436bc8acb84a589b312f39000a6f2e6c6d90fc3ff9e1"),
-    "fig6-batching@paper": (12, "70897a5f2564572c51b7210b4862b3b6bfee0c1284d614fa88c818c5778fd316"),
-    "fig6-conflicts": (4, "6075deb8104371267da7cc3ef64c84ae0f2412c74e7733422b06cdb551cddc30"),
-    "fig6-conflicts@paper": (12, "8a8fb5414fdd1113f8e7f125989ff41bd3732e9ebd3fb6b5a57db9433594acf3"),
-    "fig6-cores": (2, "31985e81b3c8a5faef0a80cc83a733f830b6dc16dfdec0f0d1fa1b84d59b871a"),
-    "fig6-cores@paper": (10, "cb92eabc7655e22b2b16ac31a2be4a5fbc12295da88548833455b4f97e11793f"),
-    "fig6-execution": (2, "50ab5a19211c11aa554c75e8bccbc2b3c806825a079cb5847dc01c7f01a20172"),
-    "fig6-execution@paper": (10, "e8e5f5e8e828b5eb0886c87fee708dfe53ea2f43243bb00e0bcd7de34d0d541f"),
-    "fig6-executors": (8, "d87da6c66cbe1edaf093b0d4b076ad8e3dd99fdf72be7aa0a62f410282b347a0"),
-    "fig6-executors@paper": (10, "11a4d435e9aa93125a56bda56041c51adadc0ca373a4283bb32947f45ae7873e"),
-    "fig6-regions": (2, "7f25f5d6279e5076f0da0e6fc6b0aaed9179a54b4cd832c873f6b26fff6a517a"),
-    "fig6-regions@paper": (8, "bacfff43eef041ca3d36a0ba574f5f38789f0812925f01b60574778730d11987"),
-    "fig7-baselines": (4, "c33558f5b1013d39576ef84d41b19d11f1b5da8ec74c882ef3e1f59698c3cc2e"),
-    "fig7-baselines@paper": (24, "1e48c1970844e6cef2351aecd26ac9cef259b93b1a80e6de3403a22e9d35caf5"),
-    "fig8-offloading": (4, "be37dc01e3dd2d82a13657f9439e1d683992318f873644d3f93eba12c2b6bbfc"),
-    "fig8-offloading@paper": (28, "6a42a3d908281ec3194ad81d81217046b2ea2371407db99b0b45a70c65d754e9"),
-    "scenario-drills": (14, "a52206594789e091579be1b328f419d7f8eba1ab1d45b2ee5844462c744641e6"),
-    "smoke": (4, "8eeab22349887022e013fc16d6eae1694813f526de21bd0db79683c389955297"),
-    "smoke@replicates=2": (8, "387800d09bd1fe7007604b5bb66604f62c464a333a1921c72c02493a55a2c5e2"),
+    "ablation-conflict-avoidance": (2, "1c61c02d6b96ae937cd2b2b10b41138fbbf8382535e9fca816d87f527e3bdf72"),
+    "ablation-conflict-avoidance@paper": (8, "0fa065889381c97090277fe735549806e358877fb180679ec3d7a40512885bce"),
+    "ablation-spawning": (2, "63af4e390a9951eeb7241aa0151143de239c6997e2cf6cd56e1a122d0fa29733"),
+    "ablation-spawning@paper": (6, "445b3d0935efbf686eadc3c6c5644e16115286848f0d6a88be0db2e1f12bb7ef"),
+    "chaos-drills": (10, "57854708f67f03db00eeabdccc8806df37f485984e3df0dd6f249990759a8fb8"),
+    "fig5-clients": (2, "9bb97b8dffa0c04a7176b944636e9bc56d8e12745b9d5386ba731126c70d31ee"),
+    "fig5-clients@paper": (24, "8a2ab60c440baf3eb5070c40609221543a255d0752977c6e7f197885ede68119"),
+    "fig6-batching": (8, "7336c8cbea3ae5c8d53edf83a15e70b28545ff2ce34578842d3f5329c0b9ecd5"),
+    "fig6-batching@paper": (12, "cc36d09898db1f3c1fc410954a7a6bc1eae578637565757e6af256b3d66344f3"),
+    "fig6-conflicts": (4, "b1d1c3a8a44cca3bdb89792fd268e0dd94993316fbb989a9eaaedb4eb419e4ca"),
+    "fig6-conflicts@paper": (12, "16fdea16f2be8bccdff97c1f8c2cc198aa45314765e12635f1410c3fc0afd10f"),
+    "fig6-cores": (2, "76af8b3e1214c007539bda51747a7c6f6f81833a13bde0876547176b28b0c359"),
+    "fig6-cores@paper": (10, "f1ba9cafdd7ddc98ee714f8c91460e2b90f41168f8eb08867ae1c71303db0ea2"),
+    "fig6-execution": (2, "c49e6e375840078bca1e6fab7023a4b6ab8057b7d321591839856a5180d652c0"),
+    "fig6-execution@paper": (10, "8266ede548eb1a86bfa25bf9d0b923b1137be1010b989e136bf02be732cad7d3"),
+    "fig6-executors": (8, "384709dee1f49da3edb2eb7118d76d7c56ea9c700908a179166dae90361ccb85"),
+    "fig6-executors@paper": (10, "876e3adc5e2dc81e391eded2270f90119a72c15142e0d812bca8158914cae684"),
+    "fig6-regions": (2, "e400ea5d841863c8109ba90960ded5c6e51890ee0aac2e352cdc2bc5ded77be2"),
+    "fig6-regions@paper": (8, "f31af64d1e6bdad3f19b7432d326b0764cadc19b4fcc7e63d7f0a29dfa26e142"),
+    "fig7-baselines": (4, "890ba37cac4d696b5627ba3f01d64bb3b628d5c7ddccca4ede6df43776cc8ea0"),
+    "fig7-baselines@paper": (24, "ec6e83edb7975b0f12520f68ea7e32c54a6bb0aae1cb91df0ee22fee8ef67088"),
+    "fig8-offloading": (4, "7bcb560907ad3b0c826c54a2b29d27022c92dd2c73b93fec2898750ef55fd005"),
+    "fig8-offloading@paper": (28, "18e2c9dc685a2eb6473a4352d2c2969ac347ad17bb696045a2d8158be32af222"),
+    "scenario-drills": (14, "8a73451b5d318956b7747df8b26443cf195bee5c661a40ad353981179329d619"),
+    "smoke": (4, "625087729d0417c2848667ef5bd85ffef19c0f0a23fe2ab8ca1cb28a2adfe9ae"),
+    "smoke@replicates=2": (8, "a3edf67b44feda89f8d57eba7152c11c2395840953456287a5ef63f74cf8cf66"),
 }
 
 

@@ -4,7 +4,7 @@ conflict planner, and message envelopes."""
 import pytest
 
 from repro.consensus.messages import CommitMsg
-from repro.core.certificates import CommitCertificate, build_certificate
+from repro.core.certificates import CommitCertificate
 from repro.core.config import ConflictMode, ProtocolConfig, SpawnPolicyName
 from repro.core.conflict import ConflictPlanner
 from repro.core.messages import ClientRequestMsg, ErrorMsg, ExecuteMsg, ResponseMsg, VerifyMsg
@@ -15,6 +15,7 @@ from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import SignatureService
 from repro.errors import ConfigurationError, ProtocolViolation
 from repro.workload.transactions import Operation, Transaction, TransactionBatch, execute_batch
+from repro.workload.ycsb import YCSBConfig
 
 
 # ------------------------------------------------------------------ config
@@ -47,10 +48,59 @@ def test_config_validation_errors():
         ProtocolConfig(num_executors=0)
     with pytest.raises(ConfigurationError):
         ProtocolConfig(num_executors=2, executor_faults=2)
+    # The message names the bound the check enforces.
+    with pytest.raises(ConfigurationError, match=r"need >= 2f_E\+1 = 3"):
+        ProtocolConfig(num_executors=2, executor_faults=1)
+    ProtocolConfig(num_executors=3, executor_faults=1)
     with pytest.raises(ConfigurationError):
         ProtocolConfig(shim_cores=0)
     with pytest.raises(ConfigurationError):
         ProtocolConfig(num_clients=0)
+
+
+def test_config_surface_is_pinned():
+    # A field belongs in the spec only while a preset, scenario, figure or
+    # test varies it; anything else is a named module constant.  Adding a
+    # field means editing this list on purpose.
+    assert sorted(ProtocolConfig.__dataclass_fields__) == [
+        "batch_size",
+        "checkpoint_interval",
+        "client_groups",
+        "client_region",
+        "client_timeout",
+        "cold_start_latency",
+        "conflict_mode",
+        "crypto_backend",
+        "executor_faults",
+        "fault_timeline",
+        "node_request_timeout",
+        "num_clients",
+        "num_executor_regions",
+        "num_executors",
+        "retransmission_timeout",
+        "seed",
+        "shim_cores",
+        "shim_nodes",
+        "shim_region",
+        "spawn_policy",
+        "storage_records",
+        "txn_ingest_cost",
+        "verifier_quorum_timeout",
+        "verifier_region",
+        "warm_start_latency",
+    ]
+    assert sorted(YCSBConfig.__dataclass_fields__) == [
+        "clients",
+        "conflict_fraction",
+        "execution_seconds",
+        "hot_keys",
+        "num_records",
+        "operations_per_transaction",
+        "rw_sets_known",
+        "seed",
+        "write_fraction",
+        "zipfian_theta",
+    ]
 
 
 def test_with_overrides_creates_modified_copy():
@@ -65,8 +115,6 @@ def test_regions_for_executors_uses_paper_order():
     config = ProtocolConfig(num_executor_regions=3)
     names = ["us-west-1", "us-west-2", "us-east-2", "ca-central-1"]
     assert config.regions_for_executors(names) == ["us-west-1", "us-west-2", "us-east-2"]
-    explicit = ProtocolConfig(executor_regions=["eu-west-1"])
-    assert explicit.regions_for_executors(names) == ["eu-west-1"]
 
 
 def test_clients_per_group():
@@ -83,7 +131,7 @@ def build_cert(keystore, view=0, seq=1, batch_digest="d", signers=("node-0", "no
     for name in signers:
         unsigned = CommitMsg(view=view, seq=seq, digest=batch_digest, replica=name)
         signatures.append(SignatureService(keystore, name).sign(unsigned.canonical()))
-    return build_certificate(view, seq, batch_digest, tuple(signatures))
+    return CommitCertificate(view, seq, batch_digest, tuple(signatures))
 
 
 def test_certificate_verifies_with_quorum_of_valid_signatures():

@@ -8,7 +8,6 @@ from repro.crypto.costs import CryptoCostModel
 from repro.crypto.hashing import canonical_bytes, digest
 from repro.crypto.keys import KeyStore, generate_keypair
 from repro.crypto.signatures import MacAuthenticator, SignatureService
-from repro.crypto.threshold import ThresholdSigner
 from repro.errors import CryptoError
 
 
@@ -162,45 +161,6 @@ def test_mac_roundtrip_and_mismatch():
     assert not bob.verify("ping", peer="alice", tag=None)
 
 
-# ------------------------------------------------------------------ threshold signatures
-
-
-def test_threshold_aggregation_and_verification():
-    store = KeyStore()
-    payload = "commit:1:7:digest"
-    shares = [SignatureService(store, f"node-{i}").sign(payload) for i in range(3)]
-    signer = ThresholdSigner(threshold=3)
-    aggregate = signer.aggregate(shares)
-    assert aggregate.size_bytes == 96
-    assert signer.verify(payload, aggregate)
-    assert not signer.verify("other-payload", aggregate)
-
-
-def test_threshold_requires_enough_distinct_shares():
-    store = KeyStore()
-    payload = "commit:1:7:digest"
-    share = SignatureService(store, "node-0").sign(payload)
-    signer = ThresholdSigner(threshold=3)
-    with pytest.raises(CryptoError):
-        signer.aggregate([share, share, share])  # same signer three times
-    with pytest.raises(CryptoError):
-        signer.aggregate([])
-
-
-def test_threshold_rejects_mixed_digests():
-    store = KeyStore()
-    signer = ThresholdSigner(threshold=2)
-    share_a = SignatureService(store, "node-0").sign("payload-a")
-    share_b = SignatureService(store, "node-1").sign("payload-b")
-    with pytest.raises(CryptoError):
-        signer.aggregate([share_a, share_b])
-
-
-def test_threshold_must_be_positive():
-    with pytest.raises(CryptoError):
-        ThresholdSigner(0)
-
-
 # ------------------------------------------------------------------ cost model
 
 
@@ -209,8 +169,3 @@ def test_cost_model_ratios_and_scaling():
     assert costs.ds_verify > costs.mac_verify
     assert costs.ds_sign > costs.mac_sign
     assert costs.hash_cost(2048) > costs.hash_cost(100)
-    assert costs.certificate_verify_cost(5) == pytest.approx(5 * costs.ds_verify)
-    assert costs.certificate_verify_cost(5, threshold=True) == pytest.approx(costs.threshold_verify)
-    doubled = costs.scaled(2.0)
-    assert doubled.ds_sign == pytest.approx(2 * costs.ds_sign)
-    assert doubled.mac_verify == pytest.approx(2 * costs.mac_verify)

@@ -85,12 +85,6 @@ def test_verifier_flooding_counter_stays_low_without_attack():
     assert result.verifier_ignored_verify <= result.cloud_invocations
 
 
-def test_threshold_certificates_mode_still_commits():
-    config = make_config(use_threshold_certificates=True)
-    _simulation, result = run_simulation(config=config)
-    assert result.committed_txns > 0
-
-
 def test_invalid_run_parameters_rejected():
     simulation = build_system("serverless_bft", make_config(), make_workload())
     with pytest.raises(ConfigurationError):
