@@ -118,6 +118,9 @@ def audit(deployment) -> Dict[str, int]:
     stores = [shared] if shared is not None else [node.store for node in deployment.nodes]
     for store in stores:
         note("store_history", len(store._mutation_log))
+        # The version map holds only rewritten keys: at most store_keys.
+        note("store_keys", len(store))
+        note("store_versions", len(store._versions))
         note("cached_reads", len(store._read_cache))
     verifier = getattr(deployment, "verifier", None)
     if verifier is not None:

@@ -83,7 +83,12 @@ class PipelineBreakdown:
 
 
 class AnalyticalModel:
-    """Analytical throughput/latency/cost model for one deployment."""
+    """Analytical throughput/latency/cost model for one deployment.
+
+    ``config`` is the deployment's effective config: a system's pinned
+    fields (:meth:`repro.api.SystemAdapter.effective_config`) already
+    applied, so NOSHIM arrives as the one-node shim it is.
+    """
 
     def __init__(
         self,
@@ -109,7 +114,7 @@ class AnalyticalModel:
         """Per-batch demands on every pipeline resource and the bottleneck."""
         config = self.config
         costs = CRYPTO_COSTS
-        n = config.shim_nodes if self.system is not SystemKind.NOSHIM else 1
+        n = config.shim_nodes
         batch = config.batch_size
         ops = self.workload.operations_per_transaction
         exec_seconds = self.workload.execution_seconds
@@ -235,7 +240,7 @@ class AnalyticalModel:
         config = self.config
         intra = self.catalog.one_way_latency(config.shim_region, config.shim_region)
         latency = intra  # client -> primary
-        if self.system is not SystemKind.NOSHIM and config.shim_nodes > 1:
+        if config.shim_nodes > 1:
             latency += 3 * intra  # PREPREPARE, PREPARE, COMMIT one-way hops
         latency += primary / config.shim_cores
         latency += replica / config.shim_cores

@@ -9,6 +9,7 @@ keys and only applies the writes if the versions still match (the paper's
 from __future__ import annotations
 
 from itertools import repeat
+from operator import contains, index
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import StorageError
@@ -40,7 +41,7 @@ class ReadResult:
     (``values``) is derived only if somebody asks for it.
     """
 
-    __slots__ = ("snapshot_token", "_plain_values", "_versions_map", "_versions_tuple", "_values")
+    __slots__ = ("snapshot_token", "_plain_values", "_versions_map", "_values")
 
     def __init__(
         self, plain_values: Dict[str, str], versions_map: Dict[str, int], snapshot_token: int = -1
@@ -48,7 +49,6 @@ class ReadResult:
         self.snapshot_token = snapshot_token
         self._plain_values = plain_values
         self._versions_map = versions_map
-        self._versions_tuple: Optional[Tuple[int, ...]] = None
         self._values: Optional[Dict[str, VersionedValue]] = None
 
     @property
@@ -64,13 +64,6 @@ class ReadResult:
 
     def versions(self) -> Dict[str, int]:
         return dict(self._versions_map)
-
-    def versions_tuple(self) -> Tuple[int, ...]:
-        """Versions in key-insertion order, memoised (cheap state identity)."""
-        cached = self._versions_tuple
-        if cached is None:
-            cached = self._versions_tuple = tuple(self._versions_map.values())
-        return cached
 
     def versions_map(self) -> Dict[str, int]:
         """Like :meth:`versions`, without the copy (callers must not mutate)."""
@@ -94,12 +87,36 @@ class VersionedKVStore:
     Missing keys read as ``VersionedValue("", 0)`` so that workloads touching
     keys that were never loaded still behave deterministically.
 
-    The state is two flat maps with the same key order, key → value and key
-    → version, rather than one ``VersionedValue`` per key: strings and small
-    ints are not tracked by the cyclic collector, so a store of any size
-    adds two container objects to the garbage a finished run leaves, not
-    one tuple per key ever written.  ``VersionedValue`` is built on demand
-    by :meth:`read` and :attr:`ReadResult.values`.
+    The state is two flat maps, key → value and key → version, rather than
+    one ``VersionedValue`` per key: strings and small ints are not tracked
+    by the cyclic collector, so a store of any size adds two container
+    objects to the garbage a finished run leaves, not one tuple per key ever
+    written.  ``VersionedValue`` is built on demand by :meth:`read` and
+    :attr:`ReadResult.values`.
+
+    The version map is sparse.  A key in the value map with no version
+    entry is at version 1 (written once, or bulk-loaded); a key in neither
+    map is at 0.  Only a write to a stored key adds or bumps an entry.
+    Every version that leaves the store is derived with that default, so
+    readers get the same plain ``{key: version}`` dicts a full map would
+    give.  The value map alone holds the key set and its first-write order.
+    Keys and version entries at the end of the single-point perfledger
+    workloads (seed 1):
+
+      ==========================  =======  ===============  ===============
+      run                         keys     version entries  at version 1
+      ==========================  =======  ===============  ===============
+      default-point, 1 s          33 978   886              33 092
+      default-point, 3 s          134 682  16 080           118 602
+      wide-shim (``scale``), 3 s  4 936    4 701            235
+      geo-faults (``scale``)      5 000    5 000            0
+      ==========================  =======  ===============  ===============
+
+    Short runs of the ``default`` base write most keys once, so the map
+    shrinks (the ``paper`` base, 600 k records at about 1.2 writes per key
+    per virtual second, should have the same shape at 1 s); on the ``scale``
+    base nearly every key is rewritten and the map stays full size, as it
+    was before.
     """
 
     def __init__(self) -> None:
@@ -148,7 +165,7 @@ class VersionedKVStore:
     _MUTATION_LOG_LIMIT = 32
 
     def __len__(self) -> int:
-        return len(self._versions)
+        return len(self._values)
 
     @property
     def read_count(self) -> int:
@@ -169,23 +186,29 @@ class VersionedKVStore:
             raise StorageError("cannot load a negative number of records")
         keys = [f"{key_prefix}{index}" for index in range(num_records)]
         self._values.update(dict.fromkeys(keys, value))
-        self._versions.update(dict.fromkeys(keys, 1))
+        versions = self._versions
+        if versions:
+            # A reloaded key starts again at version 1: no entry.
+            for key in versions.keys() & keys:
+                del versions[key]
         if num_records:
             self._note_mutation(None)
 
     def contains(self, key: str) -> bool:
-        return key in self._versions
+        return key in self._values
 
     def read(self, key: str) -> VersionedValue:
         self._reads += 1
-        return VersionedValue(self._values.get(key, ""), self._versions.get(key, 0))
+        values = self._values
+        if key in values:
+            return VersionedValue(values[key], self._versions.get(key, 1))
+        return VersionedValue("", 0)
 
     def read_many(self, keys: Iterable[str]) -> ReadResult:
         if not isinstance(keys, tuple):
             keys = tuple(keys)
         self._reads += len(keys)
         token = self._mutations
-        version_of = self._versions.get
         cached = self._read_cache.get(keys)
         if cached is not None:
             if cached.snapshot_token == token:
@@ -193,23 +216,15 @@ class VersionedKVStore:
             # The store changed since the cached read, but maybe not under
             # *these* keys (commits touch disjoint key partitions most of
             # the time).  The mutation log usually proves disjointness with
-            # one C set check per commit since the snapshot; only an
-            # out-of-window token falls back to the per-key comparison.
-            # Returning the cached object (old token included) keeps every
-            # memo keyed on it valid.
-            state = self.keys_changed_since(cached.snapshot_token, cached.versions_map().keys())
-            if state == 0:
+            # one C set check per commit since the snapshot; an unknown
+            # answer (a bulk load since) reads again.  Returning the cached
+            # object (old token included) keeps every memo keyed on it valid.
+            if self.keys_changed_since(cached.snapshot_token, cached.versions_map().keys()) == 0:
                 return cached
-            if state < 0:
-                # Versions determine values, so an int-tuple comparison is
-                # enough to prove the cached result is still exact.
-                versions = tuple(map(version_of, keys, repeat(0)))
-                if versions == cached.versions_tuple():
-                    return cached
         # Both maps come from C-level constructors: no per-key Python frame.
         result = ReadResult(
             dict(zip(keys, map(self._values.get, keys, repeat("")))),
-            dict(zip(keys, map(version_of, keys, repeat(0)))),
+            self._versions_of(keys),
             token,
         )
         cache = self._read_cache
@@ -226,7 +241,14 @@ class VersionedKVStore:
         """
         if not isinstance(keys, tuple):
             keys = tuple(keys)
-        return dict(zip(keys, map(self._versions.get, keys, repeat(0))))
+        return self._versions_of(keys)
+
+    def _versions_of(self, keys: Tuple[str, ...]) -> Dict[str, int]:
+        """Key → version in the order of ``keys``, with no per-key Python
+        frame: its entry, else 1 if stored, else 0 (``index`` turns the
+        membership test into a plain int, so a version never reads True)."""
+        stored = map(index, map(contains, repeat(self._values), keys))
+        return dict(zip(keys, map(self._versions.get, keys, stored)))
 
     def _note_mutation(self, changed: Optional[List[str]]) -> None:
         self._mutations += 1
@@ -273,8 +295,11 @@ class VersionedKVStore:
         versions = self._versions
         new_versions: Dict[str, int] = {}
         for key, value in writes.items():
+            if key in values:
+                versions[key] = new_versions[key] = versions.get(key, 1) + 1
+            else:
+                new_versions[key] = 1
             values[key] = value
-            versions[key] = new_versions[key] = versions.get(key, 0) + 1
         if new_versions:
             self._writes += len(new_versions)
             self._note_mutation(list(new_versions))
@@ -293,11 +318,12 @@ class VersionedKVStore:
         changed: List[str] = []
         extend_changed = changed.extend
         for writes in write_sets:
-            # The verifier's write loop: values in one C update, then one
-            # version bump per committed write.
-            values.update(writes)
+            # The verifier's write loop: one version bump per rewritten key
+            # (a first write needs no entry), then the values in one C update.
             for key in writes:
-                versions[key] = get(key, 0) + 1
+                if key in values:
+                    versions[key] = get(key, 1) + 1
+            values.update(writes)
             extend_changed(writes)
         if changed:
             self._writes += len(changed)
@@ -307,4 +333,4 @@ class VersionedKVStore:
         return self._values.get(key)
 
     def keys(self) -> List[str]:
-        return list(self._versions)
+        return list(self._values)

@@ -29,7 +29,7 @@ import logging
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.facade import build_deployment
 from repro.api.registry import custom_systems, register_system
@@ -38,15 +38,37 @@ from repro.api.spec import RunSpec
 from repro.core.runner import SimulationResult
 from repro.report.aggregate import DEFAULT_SCALAR_METRICS, resolve_result_field
 from repro.report.tables import ExperimentTable
-from repro.sweep.pool import discard_shared_pool, get_shared_pool
 from repro.sweep.serialization import result_from_dict, result_to_dict
 from repro.sweep.spec import SweepSpec, expand_replicates, point_digest, resolve_point
 from repro.errors import ConfigurationError
 from repro.store.backend import ResultBackend
 
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
 logger = logging.getLogger("repro.sweep")
 
 ProgressCallback = Callable[["PointOutcome", int, int], None]
+
+
+# The worker pool module pulls in multiprocessing, sockets and pickle, 0.6-0.9
+# MB of RSS that a serial or single-point process never uses: it is imported
+# on first parallel use.  The two names stay attributes of this
+# module, so a test can stand in for the pool.
+
+
+def get_shared_pool(workers: int) -> ProcessPoolExecutor:
+    """:func:`repro.sweep.pool.get_shared_pool`, imported when first needed."""
+    from repro.sweep import pool
+
+    return pool.get_shared_pool(workers)
+
+
+def discard_shared_pool(terminate: bool = False) -> None:
+    """:func:`repro.sweep.pool.discard_shared_pool`, imported when first needed."""
+    from repro.sweep import pool
+
+    pool.discard_shared_pool(terminate)
 
 
 def _register_worker_state(scenarios, systems) -> None:

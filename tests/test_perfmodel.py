@@ -3,7 +3,7 @@
 import pytest
 
 from tests.helpers import DRILL_OVERRIDES
-from repro.api import RunSpec, resolve, run
+from repro.api import RunSpec, get_system, resolve, run
 from repro.core.config import ConflictMode, ProtocolConfig
 from repro.errors import ConfigurationError
 from repro.perfmodel import evaluate_point
@@ -74,13 +74,16 @@ def test_execution_time_dominates_latency():
 
 
 def test_system_ordering_matches_figure7():
+    # Each system's pinned fields (lighter ingest, NOSHIM's one node) come
+    # from its adapter, as they do for every modelled point.
     throughputs = {}
-    for system in SystemKind:
-        config = paper_config(shim_nodes=32)
-        if system in (SystemKind.SERVERLESS_CFT, SystemKind.NOSHIM):
-            config = config.with_overrides(txn_ingest_cost=15e-6)
+    for name in ("serverless_bft", "serverless_cft", "pbft_replicated", "noshim"):
+        adapter = get_system(name)
+        config = adapter.effective_config(paper_config(shim_nodes=32))
+        system = SystemKind(adapter.model_kind)
         model = AnalyticalModel(config, paper_workload(), system=system)
         throughputs[system] = model.throughput_latency()[0]
+    assert set(throughputs) == set(SystemKind)
     assert throughputs[SystemKind.SERVERLESS_BFT] < throughputs[SystemKind.PBFT_REPLICATED]
     assert throughputs[SystemKind.PBFT_REPLICATED] < throughputs[SystemKind.SERVERLESS_CFT]
     assert throughputs[SystemKind.SERVERLESS_CFT] < throughputs[SystemKind.NOSHIM]

@@ -69,7 +69,43 @@ def test_read_result_values_is_the_versioned_value_view():
         "z": VersionedValue("", 0),
     }
     assert snapshot.plain_values() == {"x": "3", "y": "2", "z": ""}
-    assert snapshot.versions_tuple() == (2, 1, 0)
+    assert list(snapshot.versions_map().items()) == [("x", 2), ("y", 1), ("z", 0)]
+
+
+def test_a_read_after_a_bulk_load_is_fresh():
+    # A load marks the history "unknown", so a cached read of its keys is
+    # read again: a reloaded key is back at version 1 with the loaded value.
+    store = VersionedKVStore()
+    store.load(3, value="old")
+    store.apply_writes({"user0": "a"})
+    store.apply_writes({"user0": "b", "extra": "c"})
+    before = store.read_many(("user0", "user1", "extra"))
+    assert before.versions_map() == {"user0": 3, "user1": 1, "extra": 1}
+    store.load(2, value="new")
+    after = store.read_many(("user0", "user1", "extra"))
+    assert after is not before
+    assert after.plain_values() == {"user0": "new", "user1": "new", "extra": "c"}
+    assert after.versions_map() == {"user0": 1, "user1": 1, "extra": 1}
+    assert after.versions_map() == store.current_versions(("user0", "user1", "extra"))
+    assert store.read("user0") == VersionedValue("new", 1)
+    store.apply_writes({"user0": "d"})
+    assert store.read("user0") == VersionedValue("d", 2)
+
+
+def test_only_rewritten_keys_keep_a_version_entry():
+    store = VersionedKVStore()
+    store.load(4)
+    store.apply_write_sets([{"user0": "a", "fresh": "b"}, {"user0": "c"}])
+    assert store.apply_writes({"user1": "d", "other": "e"}) == {"user1": 2, "other": 1}
+    assert store._versions == {"user0": 3, "user1": 2}
+    assert store.current_versions(("user0", "user1", "user2", "fresh", "ghost")) == {
+        "user0": 3,
+        "user1": 2,
+        "user2": 1,
+        "fresh": 1,
+        "ghost": 0,
+    }
+    assert len(store) == 6
 
 
 def test_negative_load_rejected():

@@ -11,6 +11,9 @@ The load-bearing guarantees (ISSUE 2 acceptance criteria):
 import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -354,6 +357,26 @@ def test_a_pool_that_breaks_during_submission_retries_the_rest(monkeypatch):
     report = run_sweep(sweep, workers=2)
     assert report.failed == 0 and report.simulated == 3
     assert [outcome.retries for outcome in report.outcomes] == [0, 1, 1]
+
+
+def test_a_single_point_process_does_not_import_the_worker_pool():
+    # The pool's imports (multiprocessing, sockets, pickle) cost 0.6-0.9 MB
+    # of RSS: a process that runs or stores points serially never pays it.
+    code = (
+        "import sys\n"
+        "import repro.api\n"
+        "from repro.sweep import point_digest, result_to_dict\n"
+        "from repro.report import render_markdown\n"
+        "from repro.store import open_store\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------ point lifetime
