@@ -175,7 +175,7 @@ class ReplicatedNode(SimProcess):
         # Replicas execute the same batch against equal store states, so the
         # n executions share one result through the batch's versions-keyed
         # memo (never a snapshot token: tokens belong to one store).
-        reads = self._store.read_many(batch.sorted_keys)
+        reads = self._store.read_many(batch.storage_keys)
         result = execute_batch_cached(batch, reads.plain_values(), reads.versions_map())
         self._store.apply_write_sets([txn.writes for txn in result.txn_results])
         self._executed_batches += 1

@@ -101,7 +101,7 @@ class Executor(SimProcess):
             self._trace("executor.invalid_certificate", seq=execute.seq, spawner=self._spawner)
             self._finish()
             return
-        keys = execute.batch.sorted_keys
+        keys = execute.batch.storage_keys
         if not keys:
             self._execute_with_data(execute, {}, {})
             return

@@ -269,14 +269,16 @@ class Verifier(SimProcess):
         store = self._store
         result = message.result
         pending_writes: List[Dict[str, str]] = []
-        observed_token = result.__dict__.get("_observed_token", -1)
+        hint = result.__dict__
+        observed_token = hint.get("_observed_token", -1)
         if (
             observed_token >= 0
-            and store.keys_changed_since(observed_token, message.batch.keys) == 0
+            and store.keys_changed_since(observed_token, hint["_observed_keys"]) == 0
         ):
             # Freshness fast path: an *honestly produced* result (only those
             # carry the token hint — byzantine corruption builds new result
-            # objects without it) observed a store state whose batch keys
+            # objects without it) observed a store state whose keys — the
+            # keys of the read it was computed from, all the batch's keys —
             # provably have not changed since, so every reported read
             # version matches by construction and the whole batch commits
             # without a probe.
@@ -289,7 +291,7 @@ class Verifier(SimProcess):
             # both that every reported (key, version) pair is current and
             # that every reported key lies inside the batch: a fabricated
             # version for a key outside the batch aborts.
-            current = store.current_versions(message.batch.sorted_keys).items()
+            current = store.current_versions(message.batch.storage_keys).items()
             for txn_result in result.txn_results:
                 if txn_result.read_versions.items() <= current:
                     pending_writes.append(txn_result.writes)

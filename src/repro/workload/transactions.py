@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import ClassVar, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro import kernel
@@ -173,24 +174,21 @@ class TransactionBatch:
         return cached
 
     @property
-    def keys(self) -> FrozenSet[str]:
-        cached = self.__dict__.get("_keys")
-        if cached is None:
-            # One pass over all operations (== read_set | write_set) without
-            # materialising 2 x batch_size intermediate frozensets.
-            cached = frozenset(
-                op[0] for txn in self.transactions for op in txn.operations
-            )
-            object.__setattr__(self, "_keys", cached)
-        return cached
+    def storage_keys(self) -> Tuple[str, ...]:
+        """Every key the batch touches, once, in first-occurrence order.
 
-    @property
-    def sorted_keys(self) -> Tuple[str, ...]:
-        """The batch's keys in sorted order (the storage-read request shape)."""
-        cached = self.__dict__.get("_sorted_keys")
+        The keys of each transaction's memoised ``sorted_keys`` in batch
+        order, duplicates dropped (``dict.fromkeys``, no frozenset and no
+        sort): what an executor reads from storage and the verifier's
+        probe asks versions for.  Nothing depends on the order — the
+        result digest walks each transaction's own sorted keys.
+        """
+        cached = self.__dict__.get("_storage_keys")
         if cached is None:
-            cached = tuple(sorted(self.keys))
-            object.__setattr__(self, "_sorted_keys", cached)
+            cached = tuple(
+                dict.fromkeys(chain.from_iterable([txn.sorted_keys for txn in self.transactions]))
+            )
+            object.__setattr__(self, "_storage_keys", cached)
         return cached
 
     @property
@@ -237,22 +235,13 @@ class TransactionBatch:
             object.__setattr__(self, "_execution_seconds", cached)
         return cached
 
-    def conflicts_with(self, other: "TransactionBatch") -> bool:
-        if self.write_set & other.keys:
-            return True
-        if other.write_set & self.keys:
-            return True
-        return False
-
     def canonical(self) -> str:
-        cached = self.__dict__.get("_canonical")
-        if cached is None:
-            # Delegated to the active kernel variant (bound at module
-            # bottom); both build the identical string, and the compiled
-            # path reads/seeds the per-transaction canonical memos directly.
-            cached = _batch_canonical(self)
-            object.__setattr__(self, "_canonical", cached)
-        return cached
+        # Not memoised: only the batch's digest is read again, and
+        # ``cached_digest`` keeps that; the ~11 KB text is built once.
+        # Delegated to the active kernel variant (bound at module bottom);
+        # both build the identical string, and the compiled path
+        # reads/seeds the per-transaction canonical memos directly.
+        return _batch_canonical(self)
 
 
 @dataclass(frozen=True)
@@ -310,6 +299,10 @@ def execute_batch_cached(
     versions (a racing commit) miss the memo and execute for real, preserving
     the conflict/abort behaviour bit-for-bit.  Byzantine result corruption
     happens *after* this call, so it never pollutes the memo.
+
+    With a snapshot token, ``read_versions`` must cover every key of
+    :attr:`TransactionBatch.storage_keys` (a storage read of them does):
+    the verifier's freshness fast path trusts the keys of that read.
     """
     memo = batch.__dict__.get("_execution_memo")
     if memo is None:
@@ -338,16 +331,19 @@ def execute_batch_cached(
     if snapshot_token >= 0:
         memo[snapshot_token] = result
         # Host-side freshness hint for the verifier: this (honest) result
-        # describes the store state identified by ``snapshot_token`` — also
-        # when served from the versions-key memo, since equal observed
-        # versions mean the two snapshots agree on every key the batch
-        # touches.  Byzantine corruption builds *new* result objects, which
-        # never carry the hint, so the verifier's fast path only ever sees
+        # describes the store state identified by ``snapshot_token`` on the
+        # keys of the read it was computed from (``_observed_keys``, a view
+        # the store's mutation log checks with ``isdisjoint``) — also when
+        # served from the versions-key memo, since equal observed versions
+        # mean the two snapshots agree on every key the batch touches.
+        # Byzantine corruption builds *new* result objects, which never
+        # carry the hint, so the verifier's fast path only ever sees
         # honestly produced results.  Not part of the canonical form or any
         # digest.
         current = result.__dict__.get("_observed_token", -1)
         if snapshot_token > current:
             object.__setattr__(result, "_observed_token", snapshot_token)
+            object.__setattr__(result, "_observed_keys", read_versions.keys())
     return result
 
 
@@ -358,10 +354,11 @@ def execute_batch(
 ) -> ExecutionResult:
     """Deterministically execute a batch given the values it read.
 
-    Writes derive from the transaction id and the values read, so any two
-    honest executors that observed the same storage state produce identical
-    :class:`ExecutionResult` objects (and byzantine executors that fabricate
-    results will not match them).
+    A write stores ``f"{value}:{txn_id}"``, the operation's own value and
+    the transaction id; the values and versions read enter only the result
+    digest.  So any two honest executors that observed the same storage
+    state produce identical :class:`ExecutionResult` objects (and
+    byzantine executors that fabricate results will not match them).
 
     Dispatches to the active kernel variant (see :mod:`repro.kernel`); the
     compiled and pure-Python implementations are bit-identical, gated by
@@ -456,8 +453,7 @@ def _transaction_canonical_py(txn: Transaction) -> str:
 
 
 def _batch_canonical_py(batch: "TransactionBatch") -> str:
-    """Uncached batch canonical construction (the memo lives in
-    :meth:`TransactionBatch.canonical`)."""
+    """Batch canonical construction (:meth:`TransactionBatch.canonical`)."""
     return f"batch:{batch.batch_id}:" + "|".join(
         [txn.canonical() for txn in batch.transactions]
     )

@@ -219,6 +219,32 @@ def test_a_fault_timeline_point_keeps_no_per_spawn_record():
     assert set(deployment.keystore._keypairs) == long_lived
 
 
+def test_a_batch_in_flight_is_described_once():
+    # The default point's shape (perfledger's default-point), short: a batch
+    # keeps one key tuple and its digest, not a key frozenset beside it,
+    # and not the canonical text its digest was taken from.
+    spec = RunSpec(
+        system="serverless_bft",
+        base="default",
+        overrides={"protocol.crypto_backend": "fast"},
+        duration=0.4,
+        warmup=0.1,
+    )
+    # Only this run's batches: other tests may leave theirs alive.
+    before = {id(obj) for obj in gc.get_objects() if type(obj) is TransactionBatch}
+    deployment = build_deployment(resolve(spec))
+    result = deployment.run(duration=0.4, warmup=0.1)
+    assert result.committed_txns > 0
+    batches = [
+        obj for obj in gc.get_objects() if type(obj) is TransactionBatch and id(obj) not in before
+    ]
+    assert any("_storage_keys" in batch.__dict__ for batch in batches)
+    for batch in batches:
+        memos = batch.__dict__
+        assert "_canonical" not in memos
+        assert not any(isinstance(value, frozenset) for value in memos.values()), sorted(memos)
+
+
 # ------------------------------------------------------------------ verifier
 
 

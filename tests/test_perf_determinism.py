@@ -406,8 +406,8 @@ def test_workload_generation_unchanged_by_fast_paths():
 def test_execute_batch_cached_shares_and_separates_results():
     workload = YCSBWorkload(YCSBConfig(clients=2, seed=3))
     batch = workload.next_batch(5)
-    versions_a = {key: 0 for key in batch.keys}
-    values = {key: "" for key in batch.keys}
+    versions_a = {key: 0 for key in batch.storage_keys}
+    values = {key: "" for key in batch.storage_keys}
     plain = execute_batch(batch, values, versions_a)
     cached_one = execute_batch_cached(batch, values, versions_a, snapshot_token=9)
     cached_two = execute_batch_cached(batch, values, versions_a, snapshot_token=9)

@@ -1,14 +1,22 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from dataclasses import replace
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.consensus.quorums import QuorumTracker
+from repro.core.certificates import CommitCertificate
 from repro.core.conflict import ConflictPlanner
+from repro.core.messages import ResponseMsg, VerifyMsg
 from repro.core.spawning import executors_per_node
+from repro.core.verifier import Verifier
+from repro.crypto.costs import CryptoCostModel
 from repro.crypto.hashing import digest
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import SignatureService
+from repro.sim.engine import Simulator
+from repro.sim.network import Network, UniformLatencyModel
 from repro.sim.rng import DeterministicRNG, spread_evenly
 from repro.sim.stats import LatencyRecorder
 from repro.storage.kvstore import VersionedKVStore
@@ -17,6 +25,7 @@ from repro.workload.transactions import (
     Transaction,
     TransactionBatch,
     execute_batch,
+    execute_batch_cached,
     transactions_conflict,
 )
 from repro.workload.ycsb import YCSBConfig, YCSBWorkload
@@ -269,6 +278,114 @@ def test_execute_batch_is_a_pure_function(txns, values):
         assert set(result.read_versions) == set(txn.keys)
 
 
+def _batch_of(txns, batch_id="b"):
+    """A batch of ``txns`` renumbered, one client request each."""
+    return TransactionBatch(
+        batch_id=batch_id,
+        transactions=tuple(
+            Transaction(
+                txn_id=f"t{i}",
+                client_id=txn.client_id,
+                operations=txn.operations,
+                origin="client-group-0",
+                request_id=f"req-{i}",
+            )
+            for i, txn in enumerate(txns)
+        ),
+    )
+
+
+def _store_with(writes_per_key):
+    """A store in which each key was written the given number of times."""
+    store = VersionedKVStore()
+    for key, count in sorted(writes_per_key.items()):
+        for n in range(count):
+            store.apply_writes({key: f"{key}-{n}"})
+    return store
+
+
+def _verifier_split(store, batch, result):
+    """What a verifier commits and aborts of ``batch`` given one VERIFY."""
+    sim = Simulator()
+    network = Network(sim, UniformLatencyModel(base_delay=0.0005, jitter=0.0), DeterministicRNG(1))
+    keystore = KeyStore()
+    replies = []
+    network.register("client-group-0", "us-west-1", lambda msg, sender: replies.append(msg))
+    verifier = Verifier(
+        sim=sim,
+        network=network,
+        name="verifier",
+        region="us-west-1",
+        cores=1,
+        store=store,
+        signer=SignatureService(keystore, "verifier"),
+        costs=CryptoCostModel(),
+        shim_node_names=[],
+        match_quorum=1,
+        executor_faults=0,
+        expected_executors=1,
+    )
+    batch_digest = digest(batch)
+    unsigned = VerifyMsg(
+        seq=1,
+        batch=batch,
+        digest=batch_digest,
+        certificate=CommitCertificate(view=0, seq=1, digest=batch_digest),
+        result=result,
+        executor="executor-0",
+    )
+    signature = SignatureService(keystore, "executor-0").sign(unsigned.canonical())
+    verifier.on_message(replace(unsigned, signature=signature), "executor-0")
+    sim.run_until_idle()
+    assert verifier.kmax == 2
+    responses = [msg for msg in replies if isinstance(msg, ResponseMsg)]
+    committed = {t for msg in responses for t in msg.committed_txn_ids}
+    aborted = {t for msg in responses for t in msg.aborted_txn_ids}
+    return committed, aborted
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=60)
+@given(
+    txns=st.lists(_txn_strategy("t"), min_size=1, max_size=5),
+    writes_per_key=st.dictionaries(keys=_key, values=st.integers(0, 3), max_size=8),
+    stale=st.sets(_key, max_size=3),
+    data=st.data(),
+)
+def test_the_order_of_a_batch_read_changes_nothing(txns, writes_per_key, stale, data):
+    batch = _batch_of(txns)
+    keys = batch.storage_keys
+    # One entry per key the batch touches, in first-occurrence order over
+    # each transaction's sorted keys.
+    flat = [key for txn in batch.transactions for key in txn.sorted_keys]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == set(flat)
+    assert [flat.index(key) for key in keys] == sorted(flat.index(key) for key in keys)
+    # Writes after the read make exactly the transactions touching them stale.
+    expected_committed = {
+        txn.txn_id for txn in batch.transactions if not set(txn.sorted_keys) & stale
+    }
+    expected_aborted = {txn.txn_id for txn in batch.transactions} - expected_committed
+
+    digests = set()
+    for order in (keys, tuple(data.draw(st.permutations(keys)))):
+        for cached in (False, True):
+            # A fresh batch and store per read, so no memo or cached read
+            # carries one read order into the next.
+            fresh = _batch_of(txns)
+            store = _store_with(writes_per_key)
+            read = store.read_many(order)
+            values, versions = read.plain_values(), read.versions_map()
+            if cached:  # carries the verifier's freshness hint
+                result = execute_batch_cached(fresh, values, versions, read.snapshot_token)
+            else:
+                result = execute_batch(fresh, values, versions)
+            digests.add(result.result_digest)
+            for key in sorted(stale):
+                store.apply_writes({key: "late"})
+            assert _verifier_split(store, fresh, result) == (expected_committed, expected_aborted)
+    assert len(digests) == 1
+
+
 @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=30)
 @given(
     seed=st.integers(min_value=0, max_value=1_000),
@@ -285,6 +402,13 @@ def test_ycsb_generator_respects_structure(seed, conflict):
 
 
 # ------------------------------------------------------------------ conflict planner
+
+
+def _batches_conflict(first, second):
+    """Two batches conflict if any of their transactions do."""
+    return any(
+        transactions_conflict(a, b) for a in first.transactions for b in second.transactions
+    )
 
 
 @given(
@@ -312,7 +436,7 @@ def test_conflict_planner_never_dispatches_conflicting_batches_concurrently(key_
         live = list(in_flight.values())
         for i in range(len(live)):
             for j in range(i + 1, len(live)):
-                assert not live[i].conflicts_with(live[j])
+                assert not _batches_conflict(live[i], live[j])
 
     for seq, batch in enumerate(batches, start=1):
         planner.add(seq, batch)

@@ -76,8 +76,9 @@ class Harness:
 
     def make_verify(self, seq, executor, batch=None, stale=False, corrupt=False):
         batch = batch or self.make_batch(seq)
-        versions = {key: (99 if stale else self.store.read(key).version) for key in batch.keys}
-        values = {key: self.store.read(key).value for key in batch.keys}
+        keys = batch.storage_keys
+        versions = {key: (99 if stale else self.store.read(key).version) for key in keys}
+        values = {key: self.store.read(key).value for key in keys}
         result = execute_batch(batch, values, versions)
         if corrupt:
             from dataclasses import replace

@@ -51,10 +51,13 @@ def test_batch_aggregates_and_conflicts():
     batch_a = TransactionBatch("b1", (make_txn("t1", writes=("x",)),))
     batch_b = TransactionBatch("b2", (make_txn("t2", reads=("x",)),))
     batch_c = TransactionBatch("b3", (make_txn("t3", reads=("z",)),))
-    assert batch_a.conflicts_with(batch_b)
-    assert not batch_a.conflicts_with(batch_c)
+    # The conflict planner's view of a batch: its read and write sets.
+    assert batch_a.write_set & (batch_b.read_set | batch_b.write_set)
+    assert not batch_a.write_set & (batch_c.read_set | batch_c.write_set)
+    assert not batch_c.write_set & (batch_a.read_set | batch_a.write_set)
     assert len(batch_a) == 1
     assert batch_a.write_set == {"x"}
+    assert batch_b.read_set == {"x"}
 
 
 def test_batch_execution_seconds_is_the_max_not_the_sum():
