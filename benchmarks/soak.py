@@ -33,6 +33,10 @@ with WINDOW = ``num_clients // batch_size`` batches of requests in flight
 * ``log_payloads`` <= WINDOW.  A log keeps the batch of an uncommitted
   slot only; the cases peak at 4 (pbft_replicated, ordering the whole
   window at once) and at 3 elsewhere.
+* ``tracker_voters`` <= WINDOW * 2 * n.  A vote key settles when it
+  reaches its quorum, so only the keys of the sequences still being
+  ordered hold voters: at most n each, in the prepare and commit trackers
+  (Paxos has one tracker).
 * ``cached_reads`` <= 2 * the store's history window.  A cached read lives
   no longer than the history (``VersionedKVStore._MUTATION_LOG_LIMIT``), one
   per batch read within it plus racing re-reads; the cases peak at 41.
@@ -107,9 +111,16 @@ def audit(deployment) -> Dict[str, int]:
         payloads = {seq for seq, slot in log._slots.items() if slot.batch is not None}
         payloads.update(seq for seq, entry in log._committed.items() if entry.batch is not None)
         note("log_payloads", len(payloads))
-        for tracker in ("_prepare_quorum", "_commit_quorum", "_accepted_quorum"):
-            if hasattr(replica, tracker):
-                note("tracker_keys", len(getattr(replica, tracker).keys()))
+        trackers = [
+            getattr(replica, name)
+            for name in ("_prepare_quorum", "_commit_quorum", "_accepted_quorum")
+            if hasattr(replica, name)
+        ]
+        for tracker in trackers:
+            note("tracker_keys", len(tracker.keys()))
+        # A decided key is settled and holds no voters: only the keys still
+        # collecting votes do.
+        note("tracker_voters", sum(len(voters) for t in trackers for voters in t._votes.values()))
         note("shim_entries", len(getattr(node, "_committed_entries", ())))
         if hasattr(node, "_planner"):
             note("planner", len(node._planner._pending))
@@ -141,6 +152,7 @@ def in_flight_bounds(config) -> Dict[str, int]:
         "batches": 4 * window,
         "log_payloads": window,
         "cached_reads": 2 * VersionedKVStore._MUTATION_LOG_LIMIT,
+        "tracker_voters": window * 2 * config.shim_nodes,
     }
 
 

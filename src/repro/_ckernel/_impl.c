@@ -12,7 +12,9 @@
  *                           the *same* random.Random.getrandbits rejection
  *                           loop as sim/rng.bounded_int_fn so the draw
  *                           sequence is bit-identical, with C-side key/value
- *                           formatting and transaction assembly;
+ *                           formatting and transaction assembly, seeding
+ *                           each transaction's canonical and sorted-keys
+ *                           memos as the pure-Python loop does;
  *   3b. transaction_canonical / batch_canonical — the canonical *strings*
  *                           of Transaction and TransactionBatch, reading and
  *                           seeding the per-transaction memo.
@@ -241,6 +243,44 @@ buf_sha256_hex(const buf_t *buf)
     return hex;
 }
 
+/* tuple(sorted(set(keys))) — Transaction.sorted_keys — without a Python
+ * frame: sort ``keys`` (a list the caller owns) in place, then drop
+ * adjacent duplicates; hash-based and comparison-based dedup agree for the
+ * str keys used here. */
+static PyObject *
+sorted_distinct_keys(PyObject *keys)
+{
+    Py_ssize_t n, k, kept = 0;
+
+    if (PyList_Sort(keys) < 0) {
+        return NULL;
+    }
+    n = PyList_GET_SIZE(keys);
+    for (k = 0; k < n; k++) {
+        PyObject *item = PyList_GET_ITEM(keys, k);
+        int duplicate = 0;
+
+        if (kept > 0) {
+            duplicate = PyObject_RichCompareBool(
+                PyList_GET_ITEM(keys, kept - 1), item, Py_EQ);
+            if (duplicate < 0) {
+                return NULL;
+            }
+        }
+        if (!duplicate) {
+            if (k != kept) {
+                Py_INCREF(item);
+                PyList_SetItem(keys, kept, item);
+            }
+            kept++;
+        }
+    }
+    if (PyList_SetSlice(keys, kept, n, NULL) < 0) {
+        return NULL;
+    }
+    return PyList_AsTuple(keys);
+}
+
 /* ------------------------------------------------ floor 1: execute_batch */
 
 /* Byte-identical mirror of transactions.execute_batch's chunk discipline:
@@ -416,38 +456,7 @@ ck_execute_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             goto txn_error;
         }
         if (sorted_keys == NULL) {
-            /* tuple(sorted({key, ...})) without the property's Python
-             * frame: sort, then drop adjacent duplicates — hash-based and
-             * comparison-based dedup agree for the str keys used here. */
-            Py_ssize_t n, k, kept = 0;
-
-            if (PyList_Sort(key_accum) < 0) {
-                goto txn_error;
-            }
-            n = PyList_GET_SIZE(key_accum);
-            for (k = 0; k < n; k++) {
-                PyObject *item = PyList_GET_ITEM(key_accum, k);
-                int duplicate = 0;
-
-                if (kept > 0) {
-                    duplicate = PyObject_RichCompareBool(
-                        PyList_GET_ITEM(key_accum, kept - 1), item, Py_EQ);
-                    if (duplicate < 0) {
-                        goto txn_error;
-                    }
-                }
-                if (!duplicate) {
-                    if (k != kept) {
-                        Py_INCREF(item);
-                        PyList_SetItem(key_accum, kept, item);
-                    }
-                    kept++;
-                }
-            }
-            if (PyList_SetSlice(key_accum, kept, n, NULL) < 0) {
-                goto txn_error;
-            }
-            sorted_keys = PyList_AsTuple(key_accum);
+            sorted_keys = sorted_distinct_keys(key_accum);
             if (sorted_keys == NULL) {
                 goto txn_error;
             }
@@ -596,6 +605,56 @@ attr_is_true(PyObject *obj, PyObject *name)
     result = PyObject_IsTrue(value);
     Py_DECREF(value);
     return result;
+}
+
+static PyObject *transaction_canonical_str(PyObject *txn);
+
+/* Seed a freshly drawn transaction's ``_canonical`` and ``_sorted_keys``
+ * memos with exactly what Transaction.canonical() and .sorted_keys build. */
+static int
+seed_txn_memos(PyObject *txn, PyObject *txn_dict, PyObject *operations)
+{
+    PyObject *ops_fast, *keys = NULL, *sorted_keys = NULL, *canonical = NULL;
+    Py_ssize_t n, j;
+    int rc = -1;
+
+    ops_fast = PySequence_Fast(operations, "operations must be a sequence");
+    if (ops_fast == NULL) {
+        return -1;
+    }
+    n = PySequence_Fast_GET_SIZE(ops_fast);
+    keys = PyList_New(n);
+    if (keys == NULL) {
+        goto done;
+    }
+    for (j = 0; j < n; j++) {
+        PyObject *op = PySequence_Fast_GET_ITEM(ops_fast, j);
+        PyObject *key;
+
+        if (!PyTuple_Check(op) || PyTuple_GET_SIZE(op) < 3) {
+            PyErr_SetString(PyExc_TypeError,
+                            "operation must be a (key, is_write, value) tuple");
+            goto done;
+        }
+        key = PyTuple_GET_ITEM(op, 0);
+        Py_INCREF(key);
+        PyList_SET_ITEM(keys, j, key);
+    }
+    sorted_keys = sorted_distinct_keys(keys);
+    canonical = sorted_keys ? transaction_canonical_str(txn) : NULL;
+    if (canonical == NULL ||
+        PyDict_SetItem(txn_dict, s_canonical_memo, canonical) < 0 ||
+        PyDict_SetItem(txn_dict, s_sorted_keys_memo, sorted_keys) < 0) {
+        goto done;
+    }
+    rc = 0;
+
+done:
+    Py_XDECREF(canonical);
+    Py_XDECREF(sorted_keys);
+    Py_XDECREF(keys);
+    Py_DECREF(ops_fast);
+    return rc;
 }
 
 static PyObject *
@@ -859,6 +918,11 @@ ck_generate_transactions(PyObject *self, PyObject *const *args, Py_ssize_t nargs
             PyDict_SetItem(txn_dict, s_rw_sets_known, rw_sets_known) < 0 ||
             PyDict_SetItem(txn_dict, s_origin, origin) < 0 ||
             PyDict_SetItem(txn_dict, s_request_id, request_id) < 0) {
+            goto slot_error;
+        }
+        /* Describe the transaction as it is drawn, as the pure-Python
+         * generator does: seed its canonical text and sorted keys. */
+        if (seed_txn_memos(txn, txn_dict, operations) < 0) {
             goto slot_error;
         }
         Py_DECREF(txn_dict);

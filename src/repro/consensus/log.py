@@ -30,9 +30,14 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.crypto.signatures import Signature
 
 
-@dataclass
+@dataclass(slots=True)
 class SlotState:
-    """Progress of one sequence number at one replica."""
+    """Progress of one sequence number at one replica.
+
+    ``commit_signatures`` collects the commit votes until the slot commits;
+    the commit snapshots them into the entry's certificate and empties the
+    dict, and a committed slot collects no more.
+    """
 
     seq: int
     view: int = 0
@@ -42,8 +47,6 @@ class SlotState:
     prepared: bool = False
     committed: bool = False
     commit_signatures: Dict[str, Signature] = field(default_factory=dict)
-    prepare_voters: List[str] = field(default_factory=list)
-    commit_voters: List[str] = field(default_factory=list)
 
     @property
     def certificate(self) -> Tuple[Signature, ...]:
@@ -51,7 +54,7 @@ class SlotState:
         return tuple(self.commit_signatures.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommittedEntry:
     """A decision handed to the layer above the ordering engine.
 
@@ -100,7 +103,11 @@ class ConsensusLog:
         return seq <= self.stable_seq or seq in self._committed
 
     def record_commit(self, entry: CommittedEntry) -> None:
-        """Record a decision; the log keeps its certificate, not its batch."""
+        """Record a decision; the log keeps its certificate, not its batch.
+
+        The slot's commit signatures go: ``entry.certificate`` is the one
+        copy of them that is read again.
+        """
         if entry.seq <= self.stable_seq:
             return
         if entry.seq not in self._committed:
@@ -119,6 +126,7 @@ class ConsensusLog:
         slot.digest = entry.digest
         slot.view = entry.view
         slot.batch = None
+        slot.commit_signatures.clear()
 
     def committed_since(self, seq_exclusive: int) -> List[CommittedEntry]:
         return [entry for seq, entry in sorted(self._committed.items()) if seq > seq_exclusive]

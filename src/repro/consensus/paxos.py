@@ -191,6 +191,7 @@ class PaxosReplica:
             return  # a late vote for a truncated slot
         key = (message.ballot, message.seq, message.digest)
         if self._accepted_quorum.add(key, sender):
+            self._accepted_quorum.settle(key)
             slot = self._log.slot(message.seq)
             if slot.committed:
                 return

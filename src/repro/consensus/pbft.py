@@ -336,9 +336,9 @@ class PBFTReplica:
             return
         key = (message.view, message.seq, message.digest)
         if self._prepare_quorum.add(key, sender):
+            self._prepare_quorum.settle(key)
             slot = self._log.slot(message.seq)
             slot.prepared = True
-            slot.prepare_voters = self._prepare_quorum.voters(key)
             self._trace("pbft.prepared", seq=message.seq)
             self._broadcast_commit(message.view, message.seq, message.digest)
 
@@ -380,15 +380,16 @@ class PBFTReplica:
     def _record_commit_vote(self, message: CommitMsg, sender: str) -> None:
         if self._crashed or message.seq <= self._log.stable_seq:
             return
-        key = (message.view, message.seq, message.digest)
         slot = self._log.slot(message.seq)
+        # A committed slot has its certificate: a late vote adds nothing.
+        if slot.committed:
+            return
         if message.signature is not None:
             slot.commit_signatures[sender] = message.signature
+        key = (message.view, message.seq, message.digest)
         if self._commit_quorum.add(key, sender, payload=message.signature):
-            if slot.committed:
-                return
+            self._commit_quorum.settle(key)
             slot.committed = True
-            slot.commit_voters = self._commit_quorum.voters(key)
             self._cancel_request_timer(message.seq)
             entry = CommittedEntry(
                 seq=message.seq,

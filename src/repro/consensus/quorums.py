@@ -3,24 +3,20 @@
 PBFT phases repeatedly need "identical messages from N distinct nodes".
 :class:`QuorumTracker` collects votes keyed by an arbitrary vote key (e.g.
 ``(view, seq, digest)``), deduplicates by sender, and reports when a
-threshold is met.
+threshold is met.  A caller that needs nothing from a key once it has
+fired settles it (:meth:`QuorumTracker.settle`): the key then holds no
+voters, only the fact that it decided.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Generic,
-    Hashable,
-    List,
-    Optional,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Dict, Generic, Hashable, List, TypeVar
 
 VoteKey = TypeVar("VoteKey", bound=Hashable)
+
+#: The voters of every settled key: one shared, never-mutated empty dict
+#: (``add`` returns before writing to it).
+_SETTLED: Dict[str, Any] = {}
 
 
 class QuorumTracker(Generic[VoteKey]):
@@ -42,21 +38,25 @@ class QuorumTracker(Generic[VoteKey]):
         Duplicate votes from the same voter for the same key are ignored, as
         required to tolerate byzantine vote replays.  A key gains one voter
         per counted vote, so the quorum is first reached exactly when the
-        count equals the threshold.
+        count equals the threshold.  A settled key has already fired, so
+        every later vote for it returns False.
         """
         voters = self._votes.get(key)
         if voters is None:
             voters = self._votes[key] = {}
-        elif voter in voters:
+        elif voters is _SETTLED or voter in voters:
             return False
         voters[voter] = payload
         return len(voters) == self._threshold
 
-    def count(self, key: VoteKey) -> int:
-        return len(self._votes.get(key, {}))
+    def settle(self, key: VoteKey) -> None:
+        """Drop a fired key's voters; it keeps only the fact that it decided.
 
-    def reached(self, key: VoteKey) -> bool:
-        return self.count(key) >= self._threshold
+        ``add`` answers every later vote for the key with False, exactly as
+        it does for a key past its threshold, and ``voters``/``payloads``
+        read empty.  ``drop_through`` forgets the key like any other.
+        """
+        self._votes[key] = _SETTLED
 
     def voters(self, key: VoteKey) -> List[str]:
         return list(self._votes.get(key, {}))
@@ -66,21 +66,6 @@ class QuorumTracker(Generic[VoteKey]):
 
     def keys(self) -> List[VoteKey]:
         return list(self._votes.keys())
-
-    def best_key_with_prefix(
-        self, prefix_filter: Callable[[VoteKey], bool]
-    ) -> Optional[Tuple[VoteKey, int]]:
-        """Return the key with the most votes among those accepted by ``prefix_filter``."""
-        best: Optional[Tuple[VoteKey, int]] = None
-        for key, voters in self._votes.items():
-            if not prefix_filter(key):
-                continue
-            if best is None or len(voters) > best[1]:
-                best = (key, len(voters))
-        return best
-
-    def clear(self, key: VoteKey) -> None:
-        self._votes.pop(key, None)
 
     def drop_through(self, seq: int) -> None:
         """Forget every ``(view, seq, digest)`` key with a sequence number ≤ ``seq``.

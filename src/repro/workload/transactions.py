@@ -64,9 +64,10 @@ class Transaction:
     # They are memoised on the instance; frozen dataclasses still carry a
     # ``__dict__``, so ``object.__setattr__`` works.  Each memo reads through
     # to a class-level ``None`` until it is set (ClassVars, not fields), so a
-    # first access is a plain miss, not a raised AttributeError.  The
-    # pure-Python YCSB generator seeds ``_canonical`` and ``_sorted_keys``
-    # while it draws a transaction, so its transactions never miss those.
+    # first access is a plain miss, not a raised AttributeError.  Both YCSB
+    # generators (pure Python and compiled) seed ``_canonical`` and
+    # ``_sorted_keys`` while they draw a transaction, so generated
+    # transactions never miss those.
     _read_set: ClassVar[Optional[FrozenSet[str]]] = None
     _write_set: ClassVar[Optional[FrozenSet[str]]] = None
     _keys: ClassVar[Optional[FrozenSet[str]]] = None

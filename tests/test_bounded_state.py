@@ -366,6 +366,38 @@ def test_a_vote_at_or_below_the_stable_watermark_creates_no_slot_and_no_key():
     assert replica.log.is_committed(1)
 
 
+def test_a_decided_vote_keeps_no_voters_and_a_committed_slot_no_signatures():
+    # n = 7: a key decides on its 5th vote, so 2 of its 7 votes arrive late
+    # at every replica; every vote is delivered.
+    cluster = PBFTCluster(n=7)
+    for index in range(6):
+        cluster.primary().propose(f"batch-{index}")
+    cluster.run(until=1.0)
+    quorum = cluster.primary().quorum_size
+    assert quorum == 5
+    for name in cluster.names:
+        replica, log = cluster.replicas[name], cluster.replicas[name].log
+        assert [entry.seq for entry in cluster.committed[name]] == [1, 2, 3, 4, 5, 6]
+        for tracker in (replica._prepare_quorum, replica._commit_quorum):
+            assert len(tracker.keys()) == 6  # every key decided, none dropped ...
+            assert all(tracker.voters(key) == [] for key in tracker.keys())  # ... and settled
+        for seq, entry in log._committed.items():
+            slot = log._slots[seq]
+            assert slot.committed and slot.commit_signatures == {}
+            assert len(entry.certificate) == quorum
+            valid = replica._count_valid_certificate(seq, entry.digest, entry.certificate, entry.view)
+            assert valid == quorum
+            assert not hasattr(slot, "__dict__") and not hasattr(entry, "__dict__")
+    # Paxos settles its accepted key the same way.
+    paxos = PaxosCluster(n=5)
+    for index in range(3):
+        paxos.leader().propose(f"batch-{index}")
+    paxos.run()
+    accepted = paxos.leader()._accepted_quorum
+    assert len(accepted.keys()) == 3
+    assert all(accepted.voters(key) == [] for key in accepted.keys())
+
+
 def test_a_replica_partitioned_past_a_checkpoint_rejoins_the_watermark():
     cluster = PBFTCluster(checkpoint_interval=4)
     lagging = cluster.replicas["node-3"]

@@ -356,10 +356,9 @@ def test_generated_transactions_carry_exact_memos(shape, generator):
     """Every entry point hands out transactions whose canonical string and
     sorted keys are exactly what the transaction model would build.
 
-    The pure-Python loop seeds both memos as it draws, so its memos are read
+    Both generators seed both memos as they draw, so the memos are read
     straight from the instance dict: a path that skips one or builds it
-    differently fails here.  The compiled loop leaves them to be built
-    lazily, so only its public accessors are checked.
+    differently fails here.
     """
     from repro.workload import transactions as T
     from repro.workload.ycsb import YCSBWorkload
@@ -375,9 +374,8 @@ def test_generated_transactions_carry_exact_memos(shape, generator):
     for txn in txns:
         expected_canonical = T._transaction_canonical_py(txn)
         expected_keys = tuple(sorted({op.key for op in txn.operations}))
-        if generator == "py":
-            assert txn.__dict__.get("_canonical") == expected_canonical
-            assert txn.__dict__.get("_sorted_keys") == expected_keys
+        assert txn.__dict__.get("_canonical") == expected_canonical
+        assert txn.__dict__.get("_sorted_keys") == expected_keys
         assert txn.canonical() == expected_canonical
         assert txn.sorted_keys == expected_keys
 

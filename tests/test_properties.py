@@ -40,11 +40,18 @@ from repro.workload.ycsb import YCSBConfig, YCSBWorkload
 )
 def test_quorum_reached_iff_enough_distinct_voters(voters, threshold):
     tracker = QuorumTracker(threshold)
-    fired = sum(1 for voter in voters if tracker.add("key", voter))
+    answers = [tracker.add("key", voter) for voter in voters]
     distinct = len(set(voters))
-    assert tracker.count("key") == distinct
-    assert tracker.reached("key") == (distinct >= threshold)
-    assert fired == (1 if distinct >= threshold else 0)
+    assert sorted(tracker.voters("key")) == sorted(set(voters))
+    assert sum(answers) == (1 if distinct >= threshold else 0)
+    # Settling the key when it fires changes no answer ``add`` gives.
+    settling = QuorumTracker(threshold)
+    settled_answers = []
+    for voter in voters:
+        settled_answers.append(settling.add("key", voter))
+        if settled_answers[-1]:
+            settling.settle("key")
+    assert settled_answers == answers
 
 
 # ------------------------------------------------------------------ spawning equations

@@ -11,8 +11,7 @@ def test_quorum_reached_exactly_once():
     assert tracker.add(key, "b") is False
     assert tracker.add(key, "c") is True
     assert tracker.add(key, "d") is False  # already reached
-    assert tracker.reached(key)
-    assert tracker.count(key) == 4
+    assert set(tracker.voters(key)) == {"a", "b", "c", "d"}
 
 
 def test_duplicate_voters_do_not_count():
@@ -20,8 +19,7 @@ def test_duplicate_voters_do_not_count():
     key = "slot-1"
     assert tracker.add(key, "a") is False
     assert tracker.add(key, "a") is False
-    assert tracker.count(key) == 1
-    assert not tracker.reached(key)
+    assert tracker.voters(key) == ["a"]
     assert tracker.add(key, "b") is True
 
 
@@ -37,28 +35,31 @@ def test_independent_keys_tracked_separately():
     tracker = QuorumTracker(threshold=2)
     tracker.add(("v", 1), "a")
     tracker.add(("v", 2), "a")
-    assert tracker.count(("v", 1)) == 1
-    assert tracker.count(("v", 2)) == 1
+    assert tracker.voters(("v", 1)) == ["a"]
+    assert tracker.voters(("v", 2)) == ["a"]
     assert set(tracker.keys()) == {("v", 1), ("v", 2)}
 
 
-def test_clear_resets_key():
-    tracker = QuorumTracker(threshold=1)
-    tracker.add("k", "a")
-    assert tracker.reached("k")
-    tracker.clear("k")
-    assert not tracker.reached("k")
-    assert tracker.count("k") == 0
-
-
-def test_best_key_with_prefix():
-    tracker = QuorumTracker(threshold=10)
-    tracker.add(("v1", "x"), "a")
-    tracker.add(("v1", "x"), "b")
-    tracker.add(("v2", "y"), "c")
-    best = tracker.best_key_with_prefix(lambda key: key[0] == "v1")
-    assert best == (("v1", "x"), 2)
-    assert tracker.best_key_with_prefix(lambda key: key[0] == "v3") is None
+def test_a_settled_key_keeps_no_voters_and_fires_no_more():
+    tracker = QuorumTracker(threshold=2)
+    decided, pending = ("v", 1, "d"), ("v", 2, "d")
+    tracker.add(decided, "a", payload="sig-a")
+    tracker.add(pending, "a", payload="sig-a")
+    assert tracker.add(decided, "b", payload="sig-b") is True
+    tracker.settle(decided)
+    assert tracker.voters(decided) == [] and tracker.payloads(decided) == []
+    # A new voter and a replayed one both return False, as after the
+    # threshold of an unsettled key ...
+    assert tracker.add(decided, "c") is False
+    assert tracker.add(decided, "a") is False
+    assert tracker.voters(decided) == []
+    # ... the key is still known (and dropped with the watermark) ...
+    assert set(tracker.keys()) == {decided, pending}
+    # ... and the other keys are unaffected.
+    assert tracker.voters(pending) == ["a"]
+    assert tracker.add(pending, "b") is True
+    tracker.drop_through(1)
+    assert tracker.keys() == [pending]
 
 
 # ------------------------------------------------------------------ consensus log
@@ -115,3 +116,7 @@ def test_slot_certificate_collects_distinct_signatures():
     slot.commit_signatures["node-1"] = "sig-1"
     slot.commit_signatures["node-0"] = "sig-0-bis"
     assert len(slot.certificate) == 2
+    # The committed entry takes the certificate; the slot keeps none.
+    log.record_commit(CommittedEntry(1, 0, "d", None, slot.certificate))
+    assert slot.commit_signatures == {}
+    assert log.committed_entries()[0].certificate == ("sig-0-bis", "sig-1")
