@@ -8,20 +8,21 @@
  *                           single-pass canonical-chunk accumulation, hashed
  *                           once through hashlib.sha256, byte-identical to
  *                           the Python loop;
- *   2. generate_transactions — YCSB transaction generation, drawing through
- *                           the *same* random.Random.getrandbits rejection
- *                           loop as sim/rng.bounded_int_fn so the draw
- *                           sequence is bit-identical, with C-side key/value
- *                           formatting and transaction assembly, seeding
- *                           each transaction's canonical and sorted-keys
- *                           memos as the pure-Python loop does;
- *   3b. transaction_canonical / batch_canonical — the canonical *strings*
- *                           of Transaction and TransactionBatch, reading and
- *                           seeding the per-transaction memo.
+ *   2. generate_transactions — uniform YCSB transaction generation (no
+ *                           conflicts, no zipfian keys: the one shape a
+ *                           benchmark workload draws), drawing through the
+ *                           *same* random.Random.getrandbits rejection loop
+ *                           as sim/rng.bounded_int_fn so the draw sequence is
+ *                           bit-identical, with C-side key/value formatting
+ *                           and transaction assembly, seeding each
+ *                           transaction's canonical and sorted-keys memos as
+ *                           the pure-Python loop does.  A workload that is
+ *                           not uniform-only is refused with ValueError.
  *
- * Canonical bytes and digests (the paper's H(.)) are deliberately not here:
- * crypto/hashing.py is their one implementation under every REPRO_KERNEL
- * value (a C leg for them bought nothing end to end; see PERFORMANCE.md).
+ * Canonical strings, canonical bytes and digests (the paper's H(.)) are
+ * deliberately not here: workload/transactions.py and crypto/hashing.py are
+ * their one implementation under every REPRO_KERNEL value (a C leg for them
+ * bought nothing end to end; see PERFORMANCE.md).
  *
  * The module is OPTIONAL: nothing imports it directly except
  * repro/kernel.py (the chooser — lint rule KER006 enforces this), and every
@@ -36,7 +37,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-#define CKERNEL_BUILD_TAG "repro-ckernel-3"
+#define CKERNEL_BUILD_TAG "repro-ckernel-4"
 
 /* ------------------------------------------------------------------ state */
 
@@ -53,10 +54,8 @@ static PyObject *g_zero = NULL;              /* PyLong 0 (versions default) */
 /* Interned attribute names. */
 static PyObject *s_txn_id, *s_client_id, *s_operations, *s_execution_seconds,
     *s_rw_sets_known, *s_origin, *s_request_id, *s_sorted_keys_memo,
-    *s_canonical_memo, *s_batch_id, *s_transactions, *s_writes,
-    *s_read_versions, *s_hexdigest;
-static PyObject *s_uniform_only, *s_has_conflicts, *s_conflict_fraction,
-    *s_chance, *s_build_operations, *s_client_ids, *s_client_starts,
+    *s_canonical_memo, *s_writes, *s_read_versions, *s_hexdigest;
+static PyObject *s_uniform_only, *s_client_ids, *s_client_starts,
     *s_write_flags, *s_hot_count, *s_private_modulus, *s_partition_size,
     *s_num_records, *s_wl_execution_seconds, *s_wl_rw_sets_known,
     *s_next_txn_index, *s_rng, *s_getrandbits, *s_value_bound, *s_client_bound;
@@ -607,366 +606,8 @@ attr_is_true(PyObject *obj, PyObject *name)
     return result;
 }
 
-static PyObject *transaction_canonical_str(PyObject *txn);
-
-/* Seed a freshly drawn transaction's ``_canonical`` and ``_sorted_keys``
- * memos with exactly what Transaction.canonical() and .sorted_keys build. */
-static int
-seed_txn_memos(PyObject *txn, PyObject *txn_dict, PyObject *operations)
-{
-    PyObject *ops_fast, *keys = NULL, *sorted_keys = NULL, *canonical = NULL;
-    Py_ssize_t n, j;
-    int rc = -1;
-
-    ops_fast = PySequence_Fast(operations, "operations must be a sequence");
-    if (ops_fast == NULL) {
-        return -1;
-    }
-    n = PySequence_Fast_GET_SIZE(ops_fast);
-    keys = PyList_New(n);
-    if (keys == NULL) {
-        goto done;
-    }
-    for (j = 0; j < n; j++) {
-        PyObject *op = PySequence_Fast_GET_ITEM(ops_fast, j);
-        PyObject *key;
-
-        if (!PyTuple_Check(op) || PyTuple_GET_SIZE(op) < 3) {
-            PyErr_SetString(PyExc_TypeError,
-                            "operation must be a (key, is_write, value) tuple");
-            goto done;
-        }
-        key = PyTuple_GET_ITEM(op, 0);
-        Py_INCREF(key);
-        PyList_SET_ITEM(keys, j, key);
-    }
-    sorted_keys = sorted_distinct_keys(keys);
-    canonical = sorted_keys ? transaction_canonical_str(txn) : NULL;
-    if (canonical == NULL ||
-        PyDict_SetItem(txn_dict, s_canonical_memo, canonical) < 0 ||
-        PyDict_SetItem(txn_dict, s_sorted_keys_memo, sorted_keys) < 0) {
-        goto done;
-    }
-    rc = 0;
-
-done:
-    Py_XDECREF(canonical);
-    Py_XDECREF(sorted_keys);
-    Py_XDECREF(keys);
-    Py_DECREF(ops_fast);
-    return rc;
-}
-
-static PyObject *
-ck_generate_transactions(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *workload, *origin, *request_id;
-    Py_ssize_t count, client_offset;
-    int draw_client;
-
-    /* Attribute pulls (once per call, not per transaction). */
-    PyObject *chance = NULL, *build_operations = NULL, *client_ids = NULL,
-        *client_starts = NULL, *write_flags = NULL,
-        *execution_seconds = NULL, *rw_sets_known = NULL, *next_txn_index = NULL,
-        *rng = NULL, *getrandbits = NULL, *conflict_fraction = NULL;
-    PyObject *offset_bits_obj = NULL, *value_bits_obj = NULL,
-        *client_bits_obj = NULL;
-    PyObject *result = NULL;
-    PyTypeObject *txn_type;
-    long hot_count, private_modulus, partition_size, num_records;
-    long value_bound, client_bound;
-    int uniform_only, has_conflicts;
-    Py_ssize_t n_ids, n_starts, n_ops, slot;
-    int ok = 0;
-
-    (void)self;
-    if (nargs != 6) {
-        PyErr_SetString(PyExc_TypeError,
-                        "generate_transactions expects (workload, count, "
-                        "client_index_offset, origin, request_id, draw_client)");
-        return NULL;
-    }
-    if (g_transaction_type == NULL || g_operation_type == NULL) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "_ckernel types not configured (call configure_types)");
-        return NULL;
-    }
-    workload = args[0];
-    count = PyLong_AsSsize_t(args[1]);
-    if (count == -1 && PyErr_Occurred()) {
-        return NULL;
-    }
-    client_offset = PyLong_AsSsize_t(args[2]);
-    if (client_offset == -1 && PyErr_Occurred()) {
-        return NULL;
-    }
-    origin = args[3];
-    request_id = args[4];
-    draw_client = PyObject_IsTrue(args[5]);
-    if (draw_client < 0) {
-        return NULL;
-    }
-    txn_type = (PyTypeObject *)g_transaction_type;
-
-    uniform_only = attr_is_true(workload, s_uniform_only);
-    has_conflicts = attr_is_true(workload, s_has_conflicts);
-    if (uniform_only < 0 || has_conflicts < 0) {
-        return NULL;
-    }
-    hot_count = attr_as_long(workload, s_hot_count);
-    private_modulus = attr_as_long(workload, s_private_modulus);
-    partition_size = attr_as_long(workload, s_partition_size);
-    num_records = attr_as_long(workload, s_num_records);
-    value_bound = attr_as_long(workload, s_value_bound);
-    client_bound = attr_as_long(workload, s_client_bound);
-    if (PyErr_Occurred()) {
-        return NULL;
-    }
-    if (private_modulus <= 0 || partition_size <= 0 || num_records <= 0 ||
-        value_bound <= 0 || client_bound <= 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "workload bounds must be positive");
-        return NULL;
-    }
-
-    chance = PyObject_GetAttr(workload, s_chance);
-    build_operations = PyObject_GetAttr(workload, s_build_operations);
-    client_ids = PyObject_GetAttr(workload, s_client_ids);
-    client_starts = PyObject_GetAttr(workload, s_client_starts);
-    write_flags = PyObject_GetAttr(workload, s_write_flags);
-    execution_seconds = PyObject_GetAttr(workload, s_wl_execution_seconds);
-    rw_sets_known = PyObject_GetAttr(workload, s_wl_rw_sets_known);
-    next_txn_index = PyObject_GetAttr(workload, s_next_txn_index);
-    conflict_fraction = PyObject_GetAttr(workload, s_conflict_fraction);
-    rng = PyObject_GetAttr(workload, s_rng);
-    if (chance == NULL || build_operations == NULL || client_ids == NULL ||
-        client_starts == NULL || write_flags == NULL ||
-        execution_seconds == NULL || rw_sets_known == NULL ||
-        next_txn_index == NULL || conflict_fraction == NULL || rng == NULL) {
-        goto done;
-    }
-    getrandbits = PyObject_GetAttr(rng, s_getrandbits);
-    if (getrandbits == NULL) {
-        goto done;
-    }
-    if (!PyList_Check(client_ids) || !PyTuple_Check(client_starts) ||
-        !PyTuple_Check(write_flags)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "workload attribute layout not recognised");
-        goto done;
-    }
-    n_ids = PyList_GET_SIZE(client_ids);
-    n_starts = PyTuple_GET_SIZE(client_starts);
-    n_ops = PyTuple_GET_SIZE(write_flags);
-
-    offset_bits_obj = PyLong_FromLong(bit_length(partition_size));
-    value_bits_obj = PyLong_FromLong(bit_length(value_bound));
-    client_bits_obj = PyLong_FromLong(bit_length(client_bound));
-    if (offset_bits_obj == NULL || value_bits_obj == NULL ||
-        client_bits_obj == NULL) {
-        goto done;
-    }
-
-    result = PyTuple_New(count);
-    if (result == NULL) {
-        goto done;
-    }
-
-    for (slot = 0; slot < count; slot++) {
-        Py_ssize_t client_index;
-        PyObject *client_id = NULL, *txn_id = NULL, *operations = NULL;
-        PyObject *index_obj = NULL, *txn = NULL, *txn_dict = NULL;
-
-        if (draw_client) {
-            long drawn = draw_bounded(getrandbits, client_bits_obj, client_bound);
-            if (drawn < 0) {
-                goto done;
-            }
-            client_index = (Py_ssize_t)drawn;
-        }
-        else {
-            client_index = client_offset + slot;
-        }
-
-        if (client_index >= 0 && client_index < n_ids) {
-            client_id = PyList_GET_ITEM(client_ids, client_index);
-            Py_INCREF(client_id);
-        }
-        else {
-            client_id = PyUnicode_FromFormat("client-%zd", client_index);
-            if (client_id == NULL) {
-                goto done;
-            }
-        }
-
-        index_obj = PyObject_CallNoArgs(next_txn_index);
-        if (index_obj == NULL) {
-            Py_DECREF(client_id);
-            goto done;
-        }
-        txn_id = PyUnicode_FromFormat("txn-%S", index_obj);
-        Py_DECREF(index_obj);
-        if (txn_id == NULL) {
-            Py_DECREF(client_id);
-            goto done;
-        }
-
-        if (uniform_only) {
-            long start;
-            Py_ssize_t j;
-
-            if (client_index >= 0 && client_index < n_starts) {
-                start = PyLong_AsLong(PyTuple_GET_ITEM(client_starts, client_index));
-                if (start == -1 && PyErr_Occurred()) {
-                    goto slot_error;
-                }
-            }
-            else {
-                start = py_mod((long)client_index * partition_size, num_records);
-            }
-            operations = PyTuple_New(n_ops);
-            if (operations == NULL) {
-                goto slot_error;
-            }
-            for (j = 0; j < n_ops; j++) {
-                PyObject *flag = PyTuple_GET_ITEM(write_flags, j);
-                PyObject *key, *value, *op;
-                long offset_draw, index;
-                int is_write = PyObject_IsTrue(flag);
-
-                if (is_write < 0) {
-                    goto slot_error;
-                }
-                offset_draw = draw_bounded(getrandbits, offset_bits_obj,
-                                           partition_size);
-                if (offset_draw < 0) {
-                    goto slot_error;
-                }
-                index = hot_count + py_mod(start + offset_draw, private_modulus);
-                key = PyUnicode_FromFormat("user%ld", index);
-                if (key == NULL) {
-                    goto slot_error;
-                }
-                if (is_write) {
-                    long value_draw = draw_bounded(getrandbits, value_bits_obj,
-                                                   value_bound);
-                    if (value_draw < 0) {
-                        Py_DECREF(key);
-                        goto slot_error;
-                    }
-                    value = PyUnicode_FromFormat("val-%ld", value_draw);
-                    if (value == NULL) {
-                        Py_DECREF(key);
-                        goto slot_error;
-                    }
-                }
-                else {
-                    value = Py_None;
-                    Py_INCREF(value);
-                }
-                op = make_operation(key, is_write ? Py_True : Py_False, value);
-                Py_DECREF(key);
-                Py_DECREF(value);
-                if (op == NULL) {
-                    goto slot_error;
-                }
-                PyTuple_SET_ITEM(operations, j, op);
-            }
-        }
-        else {
-            int conflicting = 0;
-
-            if (has_conflicts) {
-                PyObject *drew = PyObject_CallOneArg(chance, conflict_fraction);
-                if (drew == NULL) {
-                    goto slot_error;
-                }
-                conflicting = PyObject_IsTrue(drew);
-                Py_DECREF(drew);
-                if (conflicting < 0) {
-                    goto slot_error;
-                }
-            }
-            {
-                PyObject *ci_obj = PyLong_FromSsize_t(client_index);
-                if (ci_obj == NULL) {
-                    goto slot_error;
-                }
-                operations = PyObject_CallFunctionObjArgs(
-                    build_operations, ci_obj,
-                    conflicting ? Py_True : Py_False, NULL);
-                Py_DECREF(ci_obj);
-                if (operations == NULL) {
-                    goto slot_error;
-                }
-            }
-        }
-
-        /* Fast frozen-dataclass construction (see YCSBWorkload). */
-        txn = txn_type->tp_new(txn_type, g_empty_tuple, NULL);
-        if (txn == NULL) {
-            goto slot_error;
-        }
-        txn_dict = PyObject_GenericGetDict(txn, NULL);
-        if (txn_dict == NULL) {
-            goto slot_error;
-        }
-        if (PyDict_SetItem(txn_dict, s_txn_id, txn_id) < 0 ||
-            PyDict_SetItem(txn_dict, s_client_id, client_id) < 0 ||
-            PyDict_SetItem(txn_dict, s_operations, operations) < 0 ||
-            PyDict_SetItem(txn_dict, s_execution_seconds, execution_seconds) < 0 ||
-            PyDict_SetItem(txn_dict, s_rw_sets_known, rw_sets_known) < 0 ||
-            PyDict_SetItem(txn_dict, s_origin, origin) < 0 ||
-            PyDict_SetItem(txn_dict, s_request_id, request_id) < 0) {
-            goto slot_error;
-        }
-        /* Describe the transaction as it is drawn, as the pure-Python
-         * generator does: seed its canonical text and sorted keys. */
-        if (seed_txn_memos(txn, txn_dict, operations) < 0) {
-            goto slot_error;
-        }
-        Py_DECREF(txn_dict);
-        Py_DECREF(operations);
-        Py_DECREF(txn_id);
-        Py_DECREF(client_id);
-        PyTuple_SET_ITEM(result, slot, txn);
-        continue;
-
-    slot_error:
-        Py_XDECREF(txn_dict);
-        Py_XDECREF(txn);
-        Py_XDECREF(operations);
-        Py_XDECREF(txn_id);
-        Py_XDECREF(client_id);
-        goto done;
-    }
-    ok = 1;
-
-done:
-    Py_XDECREF(chance);
-    Py_XDECREF(build_operations);
-    Py_XDECREF(client_ids);
-    Py_XDECREF(client_starts);
-    Py_XDECREF(write_flags);
-    Py_XDECREF(execution_seconds);
-    Py_XDECREF(rw_sets_known);
-    Py_XDECREF(next_txn_index);
-    Py_XDECREF(conflict_fraction);
-    Py_XDECREF(rng);
-    Py_XDECREF(getrandbits);
-    Py_XDECREF(offset_bits_obj);
-    Py_XDECREF(value_bits_obj);
-    Py_XDECREF(client_bits_obj);
-    if (!ok) {
-        Py_XDECREF(result);
-        return NULL;
-    }
-    return result;
-}
-
-/* ------------------------------------ floor 3b: Transaction.canonical() */
-
-/* f"txn:{txn_id}:{client_id}:{ops}:{execution_seconds}" with
+/* Transaction.canonical():
+ * f"txn:{txn_id}:{client_id}:{ops}:{execution_seconds}" with
  * ops = ";".join(f"{'W' if is_write else 'R'}:{key}:{value or ''}" ...) */
 static PyObject *
 transaction_canonical_str(PyObject *txn)
@@ -1050,97 +691,324 @@ done:
     return result;
 }
 
-static PyObject *
-ck_transaction_canonical(PyObject *self, PyObject *txn)
+/* Seed a freshly drawn transaction's ``_canonical`` and ``_sorted_keys``
+ * memos with exactly what Transaction.canonical() and .sorted_keys build. */
+static int
+seed_txn_memos(PyObject *txn, PyObject *txn_dict, PyObject *operations)
 {
-    (void)self;
-    return transaction_canonical_str(txn);
-}
+    PyObject *ops_fast, *keys = NULL, *sorted_keys = NULL, *canonical = NULL;
+    Py_ssize_t n, j;
+    int rc = -1;
 
-/* Transaction.canonical() including its ``_canonical`` instance-dict memo:
- * return the memo when present, else build the string and memoise it —
- * identical observable behaviour to the Python property, minus the frame. */
-static PyObject *
-get_txn_canonical(PyObject *txn)
-{
-    PyObject *txn_dict = PyObject_GenericGetDict(txn, NULL);
-    PyObject *memo = NULL;
-
-    if (txn_dict == NULL) {
-        PyErr_Clear();
+    ops_fast = PySequence_Fast(operations, "operations must be a sequence");
+    if (ops_fast == NULL) {
+        return -1;
     }
-    else {
-        memo = PyDict_GetItemWithError(txn_dict, s_canonical_memo);
-        Py_XINCREF(memo);
-        Py_DECREF(txn_dict);
-        if (memo == NULL && PyErr_Occurred()) {
-            return NULL;
-        }
-    }
-    if (memo != NULL) {
-        return memo;
-    }
-    memo = transaction_canonical_str(txn);
-    if (memo == NULL) {
-        return NULL;
-    }
-    if (PyObject_GenericSetAttr(txn, s_canonical_memo, memo) < 0) {
-        PyErr_Clear(); /* memo-less instances just recompute */
-    }
-    return memo;
-}
-
-/* f"batch:{batch_id}:" + "|".join(txn.canonical() for txn in transactions),
- * reading/seeding each transaction's canonical memo along the way. */
-static PyObject *
-ck_batch_canonical(PyObject *self, PyObject *batch)
-{
-    PyObject *batch_id = NULL, *transactions = NULL, *txn_fast = NULL,
-        *result = NULL;
-    Py_ssize_t txn_count, i;
-    buf_t buf;
-
-    (void)self;
-    if (buf_init(&buf, 4096) < 0) {
-        return NULL;
-    }
-    batch_id = PyObject_GetAttr(batch, s_batch_id);
-    transactions = batch_id ? PyObject_GetAttr(batch, s_transactions) : NULL;
-    if (transactions == NULL) {
+    n = PySequence_Fast_GET_SIZE(ops_fast);
+    keys = PyList_New(n);
+    if (keys == NULL) {
         goto done;
     }
-    txn_fast = PySequence_Fast(transactions, "transactions must be a sequence");
-    if (txn_fast == NULL) {
-        goto done;
-    }
-    if (buf_append(&buf, "batch:", 6) < 0 ||
-        buf_append_str_obj(&buf, batch_id) < 0 ||
-        buf_append_char(&buf, ':') < 0) {
-        goto done;
-    }
-    txn_count = PySequence_Fast_GET_SIZE(txn_fast);
-    for (i = 0; i < txn_count; i++) {
-        PyObject *canonical =
-            get_txn_canonical(PySequence_Fast_GET_ITEM(txn_fast, i));
-        int failed;
+    for (j = 0; j < n; j++) {
+        PyObject *op = PySequence_Fast_GET_ITEM(ops_fast, j);
+        PyObject *key;
 
-        if (canonical == NULL) {
+        if (!PyTuple_Check(op) || PyTuple_GET_SIZE(op) < 3) {
+            PyErr_SetString(PyExc_TypeError,
+                            "operation must be a (key, is_write, value) tuple");
             goto done;
         }
-        failed = (i > 0 && buf_append_char(&buf, '|') < 0) ||
-                 buf_append_str_obj(&buf, canonical) < 0;
-        Py_DECREF(canonical);
-        if (failed) {
-            goto done;
-        }
+        key = PyTuple_GET_ITEM(op, 0);
+        Py_INCREF(key);
+        PyList_SET_ITEM(keys, j, key);
     }
-    result = PyUnicode_DecodeUTF8(buf.data, buf.len, NULL);
+    sorted_keys = sorted_distinct_keys(keys);
+    canonical = sorted_keys ? transaction_canonical_str(txn) : NULL;
+    if (canonical == NULL ||
+        PyDict_SetItem(txn_dict, s_canonical_memo, canonical) < 0 ||
+        PyDict_SetItem(txn_dict, s_sorted_keys_memo, sorted_keys) < 0) {
+        goto done;
+    }
+    rc = 0;
 
 done:
-    Py_XDECREF(txn_fast);
-    Py_XDECREF(transactions);
-    Py_XDECREF(batch_id);
-    buf_free(&buf);
+    Py_XDECREF(canonical);
+    Py_XDECREF(sorted_keys);
+    Py_XDECREF(keys);
+    Py_DECREF(ops_fast);
+    return rc;
+}
+
+static PyObject *
+ck_generate_transactions(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *workload, *origin, *request_id;
+    Py_ssize_t count, client_offset;
+    int draw_client;
+
+    /* Attribute pulls (once per call, not per transaction). */
+    PyObject *client_ids = NULL, *client_starts = NULL, *write_flags = NULL,
+        *execution_seconds = NULL, *rw_sets_known = NULL, *next_txn_index = NULL,
+        *rng = NULL, *getrandbits = NULL;
+    PyObject *offset_bits_obj = NULL, *value_bits_obj = NULL,
+        *client_bits_obj = NULL;
+    PyObject *result = NULL;
+    PyTypeObject *txn_type;
+    long hot_count, private_modulus, partition_size, num_records;
+    long value_bound, client_bound;
+    int uniform_only;
+    Py_ssize_t n_ids, n_starts, n_ops, slot;
+    int ok = 0;
+
+    (void)self;
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError,
+                        "generate_transactions expects (workload, count, "
+                        "client_index_offset, origin, request_id, draw_client)");
+        return NULL;
+    }
+    if (g_transaction_type == NULL || g_operation_type == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "_ckernel types not configured (call configure_types)");
+        return NULL;
+    }
+    workload = args[0];
+    count = PyLong_AsSsize_t(args[1]);
+    if (count == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    client_offset = PyLong_AsSsize_t(args[2]);
+    if (client_offset == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    origin = args[3];
+    request_id = args[4];
+    draw_client = PyObject_IsTrue(args[5]);
+    if (draw_client < 0) {
+        return NULL;
+    }
+    txn_type = (PyTypeObject *)g_transaction_type;
+
+    uniform_only = attr_is_true(workload, s_uniform_only);
+    if (uniform_only < 0) {
+        return NULL;
+    }
+    if (!uniform_only) {
+        PyErr_SetString(PyExc_ValueError,
+                        "generate_transactions draws uniform workloads only "
+                        "(no conflicts, no zipfian keys)");
+        return NULL;
+    }
+    hot_count = attr_as_long(workload, s_hot_count);
+    private_modulus = attr_as_long(workload, s_private_modulus);
+    partition_size = attr_as_long(workload, s_partition_size);
+    num_records = attr_as_long(workload, s_num_records);
+    value_bound = attr_as_long(workload, s_value_bound);
+    client_bound = attr_as_long(workload, s_client_bound);
+    if (PyErr_Occurred()) {
+        return NULL;
+    }
+    if (private_modulus <= 0 || partition_size <= 0 || num_records <= 0 ||
+        value_bound <= 0 || client_bound <= 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "workload bounds must be positive");
+        return NULL;
+    }
+
+    client_ids = PyObject_GetAttr(workload, s_client_ids);
+    client_starts = PyObject_GetAttr(workload, s_client_starts);
+    write_flags = PyObject_GetAttr(workload, s_write_flags);
+    execution_seconds = PyObject_GetAttr(workload, s_wl_execution_seconds);
+    rw_sets_known = PyObject_GetAttr(workload, s_wl_rw_sets_known);
+    next_txn_index = PyObject_GetAttr(workload, s_next_txn_index);
+    rng = PyObject_GetAttr(workload, s_rng);
+    if (client_ids == NULL || client_starts == NULL || write_flags == NULL ||
+        execution_seconds == NULL || rw_sets_known == NULL ||
+        next_txn_index == NULL || rng == NULL) {
+        goto done;
+    }
+    getrandbits = PyObject_GetAttr(rng, s_getrandbits);
+    if (getrandbits == NULL) {
+        goto done;
+    }
+    if (!PyList_Check(client_ids) || !PyTuple_Check(client_starts) ||
+        !PyTuple_Check(write_flags)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "workload attribute layout not recognised");
+        goto done;
+    }
+    n_ids = PyList_GET_SIZE(client_ids);
+    n_starts = PyTuple_GET_SIZE(client_starts);
+    n_ops = PyTuple_GET_SIZE(write_flags);
+
+    offset_bits_obj = PyLong_FromLong(bit_length(partition_size));
+    value_bits_obj = PyLong_FromLong(bit_length(value_bound));
+    client_bits_obj = PyLong_FromLong(bit_length(client_bound));
+    if (offset_bits_obj == NULL || value_bits_obj == NULL ||
+        client_bits_obj == NULL) {
+        goto done;
+    }
+
+    result = PyTuple_New(count);
+    if (result == NULL) {
+        goto done;
+    }
+
+    for (slot = 0; slot < count; slot++) {
+        Py_ssize_t client_index;
+        PyObject *client_id = NULL, *txn_id = NULL, *operations = NULL;
+        PyObject *index_obj = NULL, *txn = NULL, *txn_dict = NULL;
+        long start;
+        Py_ssize_t j;
+
+        if (draw_client) {
+            long drawn = draw_bounded(getrandbits, client_bits_obj, client_bound);
+            if (drawn < 0) {
+                goto done;
+            }
+            client_index = (Py_ssize_t)drawn;
+        }
+        else {
+            client_index = client_offset + slot;
+        }
+
+        if (client_index >= 0 && client_index < n_ids) {
+            client_id = PyList_GET_ITEM(client_ids, client_index);
+            Py_INCREF(client_id);
+        }
+        else {
+            client_id = PyUnicode_FromFormat("client-%zd", client_index);
+            if (client_id == NULL) {
+                goto done;
+            }
+        }
+
+        index_obj = PyObject_CallNoArgs(next_txn_index);
+        if (index_obj == NULL) {
+            Py_DECREF(client_id);
+            goto done;
+        }
+        txn_id = PyUnicode_FromFormat("txn-%S", index_obj);
+        Py_DECREF(index_obj);
+        if (txn_id == NULL) {
+            Py_DECREF(client_id);
+            goto done;
+        }
+
+        if (client_index >= 0 && client_index < n_starts) {
+            start = PyLong_AsLong(PyTuple_GET_ITEM(client_starts, client_index));
+            if (start == -1 && PyErr_Occurred()) {
+                goto slot_error;
+            }
+        }
+        else {
+            start = py_mod((long)client_index * partition_size, num_records);
+        }
+        operations = PyTuple_New(n_ops);
+        if (operations == NULL) {
+            goto slot_error;
+        }
+        for (j = 0; j < n_ops; j++) {
+            PyObject *flag = PyTuple_GET_ITEM(write_flags, j);
+            PyObject *key, *value, *op;
+            long offset_draw, index;
+            int is_write = PyObject_IsTrue(flag);
+
+            if (is_write < 0) {
+                goto slot_error;
+            }
+            offset_draw = draw_bounded(getrandbits, offset_bits_obj,
+                                       partition_size);
+            if (offset_draw < 0) {
+                goto slot_error;
+            }
+            index = hot_count + py_mod(start + offset_draw, private_modulus);
+            key = PyUnicode_FromFormat("user%ld", index);
+            if (key == NULL) {
+                goto slot_error;
+            }
+            if (is_write) {
+                long value_draw = draw_bounded(getrandbits, value_bits_obj,
+                                               value_bound);
+                if (value_draw < 0) {
+                    Py_DECREF(key);
+                    goto slot_error;
+                }
+                value = PyUnicode_FromFormat("val-%ld", value_draw);
+                if (value == NULL) {
+                    Py_DECREF(key);
+                    goto slot_error;
+                }
+            }
+            else {
+                value = Py_None;
+                Py_INCREF(value);
+            }
+            op = make_operation(key, is_write ? Py_True : Py_False, value);
+            Py_DECREF(key);
+            Py_DECREF(value);
+            if (op == NULL) {
+                goto slot_error;
+            }
+            PyTuple_SET_ITEM(operations, j, op);
+        }
+
+        /* Fast frozen-dataclass construction (see YCSBWorkload). */
+        txn = txn_type->tp_new(txn_type, g_empty_tuple, NULL);
+        if (txn == NULL) {
+            goto slot_error;
+        }
+        txn_dict = PyObject_GenericGetDict(txn, NULL);
+        if (txn_dict == NULL) {
+            goto slot_error;
+        }
+        if (PyDict_SetItem(txn_dict, s_txn_id, txn_id) < 0 ||
+            PyDict_SetItem(txn_dict, s_client_id, client_id) < 0 ||
+            PyDict_SetItem(txn_dict, s_operations, operations) < 0 ||
+            PyDict_SetItem(txn_dict, s_execution_seconds, execution_seconds) < 0 ||
+            PyDict_SetItem(txn_dict, s_rw_sets_known, rw_sets_known) < 0 ||
+            PyDict_SetItem(txn_dict, s_origin, origin) < 0 ||
+            PyDict_SetItem(txn_dict, s_request_id, request_id) < 0) {
+            goto slot_error;
+        }
+        /* Describe the transaction as it is drawn, as the pure-Python
+         * generator does: seed its canonical text and sorted keys. */
+        if (seed_txn_memos(txn, txn_dict, operations) < 0) {
+            goto slot_error;
+        }
+        Py_DECREF(txn_dict);
+        Py_DECREF(operations);
+        Py_DECREF(txn_id);
+        Py_DECREF(client_id);
+        PyTuple_SET_ITEM(result, slot, txn);
+        continue;
+
+    slot_error:
+        Py_XDECREF(txn_dict);
+        Py_XDECREF(txn);
+        Py_XDECREF(operations);
+        Py_XDECREF(txn_id);
+        Py_XDECREF(client_id);
+        goto done;
+    }
+    ok = 1;
+
+done:
+    Py_XDECREF(client_ids);
+    Py_XDECREF(client_starts);
+    Py_XDECREF(write_flags);
+    Py_XDECREF(execution_seconds);
+    Py_XDECREF(rw_sets_known);
+    Py_XDECREF(next_txn_index);
+    Py_XDECREF(rng);
+    Py_XDECREF(getrandbits);
+    Py_XDECREF(offset_bits_obj);
+    Py_XDECREF(value_bits_obj);
+    Py_XDECREF(client_bits_obj);
+    if (!ok) {
+        Py_XDECREF(result);
+        return NULL;
+    }
     return result;
 }
 
@@ -1186,11 +1054,6 @@ static PyMethodDef ckernel_methods[] = {
      (PyCFunction)(void (*)(void))ck_generate_transactions, METH_FASTCALL,
      "YCSB generation: (workload, count, client_index_offset, origin, "
      "request_id, draw_client) -> tuple of Transaction."},
-    {"transaction_canonical", ck_transaction_canonical, METH_O,
-     "Build a Transaction's canonical string (uncached)."},
-    {"batch_canonical", ck_batch_canonical, METH_O,
-     "Build a TransactionBatch's canonical string (reads/seeds the "
-     "per-transaction canonical memos)."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1226,16 +1089,10 @@ intern_all(void)
     INTERN(s_request_id, "request_id");
     INTERN(s_sorted_keys_memo, "_sorted_keys");
     INTERN(s_canonical_memo, "_canonical");
-    INTERN(s_batch_id, "batch_id");
-    INTERN(s_transactions, "transactions");
     INTERN(s_writes, "writes");
     INTERN(s_read_versions, "read_versions");
     INTERN(s_hexdigest, "hexdigest");
     INTERN(s_uniform_only, "_uniform_only");
-    INTERN(s_has_conflicts, "_has_conflicts");
-    INTERN(s_conflict_fraction, "_conflict_fraction");
-    INTERN(s_chance, "_chance");
-    INTERN(s_build_operations, "_build_operations");
     INTERN(s_client_ids, "_client_ids");
     INTERN(s_client_starts, "_client_starts");
     INTERN(s_write_flags, "_write_flags");

@@ -24,7 +24,7 @@ from typing import Deque, Dict, List, Optional
 from repro.consensus.log import CommittedEntry
 from repro.consensus.messages import MessageRouter
 from repro.consensus.pbft import NetworkTransport, PBFTConfig, PBFTReplica
-from repro.core.config import ProtocolConfig
+from repro.core.config import BATCH_FLUSH_TIMEOUT, REPLICA_OPERATION_COST, ProtocolConfig
 from repro.core.messages import ClientRequestMsg, ResponseMsg
 from repro.core.runner import Deployment
 from repro.crypto.costs import CRYPTO_COSTS
@@ -53,21 +53,17 @@ class ReplicatedNode(SimProcess):
         shim_names: List[str],
         signer: SignatureService,
         execution_threads: int,
-        per_operation_cost: float = 5e-6,
         throughput: Optional[ThroughputRecorder] = None,
         behaviour: Optional[NodeBehaviour] = None,
         obs=None,
-        batch_flush_timeout: float = 0.02,
     ) -> None:
         super().__init__(sim, name, region, cores=config.shim_cores)
         self._network = network
         self._config = config
         self._signer = signer
-        self._per_operation_cost = per_operation_cost
         self._throughput = throughput
         self._obs = obs
         self._behaviour = behaviour
-        self._batch_flush_timeout = batch_flush_timeout
 
         self._execution_pool = CpuResource(sim, execution_threads, name=f"{name}.exec")
         self._store = VersionedKVStore()
@@ -143,7 +139,7 @@ class ReplicatedNode(SimProcess):
         while len(self._pending_txns) >= self._config.batch_size:
             self._propose(self._config.batch_size)
         if self._pending_txns and self._flush_timer is None:
-            self._flush_timer = self.set_timer(self._batch_flush_timeout, self._flush)
+            self._flush_timer = self.set_timer(BATCH_FLUSH_TIMEOUT, self._flush)
 
     def _flush(self) -> None:
         self._flush_timer = None
@@ -166,7 +162,7 @@ class ReplicatedNode(SimProcess):
         batch: TransactionBatch = entry.batch
         if self._obs is not None:
             self._obs.begin_span("execute", entry.seq, self.now, self.name)
-        duration = batch.execution_seconds + self._per_operation_cost * batch.operation_count
+        duration = batch.execution_seconds + REPLICA_OPERATION_COST * batch.operation_count
         self._execution_pool.submit(
             max(1e-9, duration), lambda: self._after_execution(entry, batch)
         )

@@ -84,12 +84,10 @@ class PBFTConfig:
     """Tunable knobs of the shim's PBFT instance."""
 
     checkpoint_interval: int = 64
+    #: Also the base delay of the view-change escalation timer: after
+    #: broadcasting a VIEWCHANGE, wait this long (doubling per attempt) for
+    #: the new view to install before escalating to the next candidate view.
     request_timeout: float = 2.0
-    #: Base delay of the view-change escalation timer: after broadcasting a
-    #: VIEWCHANGE, wait this long (doubling per attempt) for the new view to
-    #: install before escalating to the next candidate view.  ``None`` or 0
-    #: falls back to ``request_timeout``.
-    viewchange_timeout: Optional[float] = None
 
 
 class PBFTReplica:
@@ -463,15 +461,9 @@ class PBFTReplica:
         self._arm_viewchange_timer()
         self.on_view_change(message, self._id)
 
-    def _viewchange_timeout_base(self) -> float:
-        configured = self._config.viewchange_timeout
-        if configured is not None and configured > 0:
-            return configured
-        return self._config.request_timeout
-
     def _arm_viewchange_timer(self) -> None:
         self._cancel_viewchange_timer()
-        delay = self._viewchange_timeout_base() * (2 ** self._viewchange_attempts)
+        delay = self._config.request_timeout * (2 ** self._viewchange_attempts)
         self._viewchange_timer = self._host.set_timer(delay, self._on_viewchange_timeout)
 
     def _cancel_viewchange_timer(self) -> None:
@@ -583,6 +575,10 @@ class PBFTReplica:
         self._sent_viewchange_for = {
             pending for pending in self._sent_viewchange_for if pending > new_view
         }
+        # ``on_view_change`` turns away every view up to this one, and a new
+        # primary read its quorum's payloads before adopting the view.
+        self._viewchange_quorum.drop_views_through(new_view)
+        self._viewchange_join.drop_views_through(new_view)
         self._next_seq = max(self._next_seq, self._log.max_committed_seq())
         self._trace("pbft.view_installed", view=new_view, primary=self.primary)
         if self._obs is not None:

@@ -75,3 +75,9 @@ class QuorumTracker(Generic[VoteKey]):
         below the watermark again, so those keys are dead.
         """
         self._votes = {key: voters for key, voters in self._votes.items() if key[1] > seq}
+
+    def drop_views_through(self, view: int) -> None:
+        """Forget every key ≤ ``view``, for a tracker keyed by the view a
+        VIEWCHANGE asks for: once ``view`` is installed, no vote for it or an
+        older view is counted again."""
+        self._votes = {key: voters for key, voters in self._votes.items() if key > view}

@@ -26,6 +26,15 @@ EXECUTOR_READ_OPS_COST = 20e-6
 #: Calibration: CPU seconds a non-primary shim node spends forwarding a
 #: client request to the primary.
 MESSAGE_HANDLING_COST = 4e-6
+#: Calibration: CPU seconds the verifier spends on one VERIFY message beyond
+#: checking its signature.
+VERIFY_PROCESSING_COST = 30e-6
+#: Calibration: CPU seconds a ``pbft_replicated`` replica spends per
+#: key-value operation it executes against its own store.
+REPLICA_OPERATION_COST = 5e-6
+#: Seconds a shim node (or a ``pbft_replicated`` replica) waits for more
+#: client transactions before it proposes a partial batch.
+BATCH_FLUSH_TIMEOUT = 0.02
 
 
 class SpawnPolicyName(str, enum.Enum):

@@ -25,6 +25,7 @@ import itertools
 from typing import Optional
 
 from repro.cloud.lambda_cloud import ServerlessCloud
+from repro.core.config import EXECUTOR_READ_OPS_COST
 from repro.core.messages import ExecuteMsg, VerifyMsg
 from repro.crypto.costs import CryptoCostModel
 from repro.crypto.hashing import seed_cached_digest
@@ -52,7 +53,6 @@ class Executor(SimProcess):
         storage_name: str,
         verifier_name: str,
         required_certificate_signers: int,
-        per_operation_cost: float = 20e-6,
         behaviour: Optional[ExecutorBehaviour] = None,
         obs=None,
     ) -> None:
@@ -64,7 +64,6 @@ class Executor(SimProcess):
         self._storage_name = storage_name
         self._verifier_name = verifier_name
         self._required_signers = required_certificate_signers
-        self._per_operation_cost = per_operation_cost
         self._behaviour = behaviour
         self._obs = obs
         self._read_counter = itertools.count()
@@ -138,7 +137,7 @@ class Executor(SimProcess):
     ) -> None:
         batch = execute.batch
         compute_time = batch.execution_seconds
-        compute_time += self._per_operation_cost * batch.operation_count
+        compute_time += EXECUTOR_READ_OPS_COST * batch.operation_count
         self.set_timer_fast(
             max(0.0, compute_time),
             self._finish_execution,

@@ -22,7 +22,6 @@ from repro.cloud.regions import GeoLatencyModel, RegionCatalog
 from repro.core.client import ClientGroup
 from repro.core.config import (
     EXECUTOR_CONCURRENCY_LIMIT,
-    EXECUTOR_READ_OPS_COST,
     VERIFIER_CORES,
     ProtocolConfig,
 )
@@ -358,7 +357,6 @@ class ServerlessDeployment(Deployment):
         self._executor_required_signers = (
             config.shim_quorum if consensus_engine == "pbft" else 0
         )
-        self._executor_counter = 0
 
     def _on_primary_change(self, primary: str) -> None:
         for group in self.clients:
@@ -380,11 +378,9 @@ class ServerlessDeployment(Deployment):
             storage_name="storage",
             verifier_name="verifier",
             required_certificate_signers=self._executor_required_signers,
-            per_operation_cost=EXECUTOR_READ_OPS_COST,
             behaviour=behaviour,
             obs=self.obs,
         )
-        self._executor_counter += 1
         if isinstance(payload, ExecuteMsg):
             executor.invoke(payload, spawner)
 

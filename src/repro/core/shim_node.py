@@ -26,6 +26,7 @@ from repro.consensus.paxos import PaxosConfig, PaxosReplica
 from repro.consensus.pbft import NetworkTransport, PBFTConfig, PBFTReplica
 from repro.core.certificates import CommitCertificate
 from repro.core.config import (
+    BATCH_FLUSH_TIMEOUT,
     MESSAGE_HANDLING_COST,
     SPAWN_API_COST,
     ConflictMode,
@@ -71,7 +72,6 @@ class ShimNode(SimProcess):
         consensus_engine: str = "pbft",
         behaviour: Optional[NodeBehaviour] = None,
         obs=None,
-        batch_flush_timeout: float = 0.02,
     ) -> None:
         super().__init__(sim, name, region, cores=config.shim_cores)
         self._network = network
@@ -82,7 +82,6 @@ class ShimNode(SimProcess):
         self._verifier_name = verifier_name
         self._behaviour = behaviour
         self._obs = obs
-        self._batch_flush_timeout = batch_flush_timeout
 
         self._pending_txns: Deque[Transaction] = deque()
         self._flush_timer = None
@@ -276,7 +275,7 @@ class ShimNode(SimProcess):
         while len(self._pending_txns) >= self._config.batch_size:
             self._propose_batch(self._config.batch_size)
         if self._pending_txns and self._flush_timer is None:
-            self._flush_timer = self.set_timer(self._batch_flush_timeout, self._flush_partial_batch)
+            self._flush_timer = self.set_timer(BATCH_FLUSH_TIMEOUT, self._flush_partial_batch)
 
     def _flush_partial_batch(self) -> None:
         self._flush_timer = None

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple, Union
 
+from repro.core.config import VERIFY_PROCESSING_COST
 from repro.core.messages import (
     AbortMsg,
     AckMsg,
@@ -108,8 +109,6 @@ class Verifier(SimProcess):
         quorum_timeout: float = 2.0,
         throughput: Optional[ThroughputRecorder] = None,
         obs=None,
-        verify_processing_cost: float = 30e-6,
-        write_cost_per_key: float = 5e-6,
     ) -> None:
         super().__init__(sim, name, region, cores=cores)
         self._network = network
@@ -123,8 +122,6 @@ class Verifier(SimProcess):
         self._quorum_timeout = quorum_timeout
         self._throughput = throughput or ThroughputRecorder()
         self._obs = obs
-        self._verify_processing_cost = verify_processing_cost
-        self._write_cost_per_key = write_cost_per_key
 
         # Validation is strictly in order: every sequence number below
         # ``_kmax`` is settled, and none at or above it is.
@@ -178,7 +175,7 @@ class Verifier(SimProcess):
 
     def on_message(self, message, sender: str) -> None:
         if isinstance(message, VerifyMsg):
-            cost = self._costs.ds_verify + self._verify_processing_cost
+            cost = self._costs.ds_verify + VERIFY_PROCESSING_COST
             self.process(cost, self._handle_verify, message, sender)
         elif isinstance(message, ClientRequestMsg):
             self.process(self._costs.ds_verify, self._handle_client_request, message, sender)
@@ -348,8 +345,7 @@ class Verifier(SimProcess):
         # the RESPONSE to the primary; we notify every shim node so conflict
         # planners and a future new primary stay in sync).
         notice = ResponseMsg(request_id="", seq=seq, digest=message.digest)
-        for node in self._shim_nodes:
-            self._network.send(self.name, node, notice, notice.size_bytes)
+        self._network.broadcast(self.name, self._shim_nodes, notice, notice.size_bytes)
 
         self._finish_sequence(seq)
 
@@ -417,8 +413,7 @@ class Verifier(SimProcess):
             self._errors_sent += 1
             self._pending_errors[("request", request_id)] = True
             error = ErrorMsg(request=request)
-            for node in self._shim_nodes:
-                self._network.send(self.name, node, error, error.size_bytes)
+            self._network.broadcast(self.name, self._shim_nodes, error, error.size_bytes)
             self._trace("verifier.error_missing_request", request_id=request_id)
             return
         if latest.replies:
@@ -433,8 +428,7 @@ class Verifier(SimProcess):
             self._errors_sent += 1
             self._pending_errors[("seq", self._kmax)] = True
             error = ErrorMsg(missing_seq=self._kmax)
-            for node in self._shim_nodes:
-                self._network.send(self.name, node, error, error.size_bytes)
+            self._network.broadcast(self.name, self._shim_nodes, error, error.size_bytes)
             self._trace("verifier.error_kmax", kmax=self._kmax, request_id=request_id)
         else:
             # We saw VERIFY messages but no f_E+1 matching quorum: blame the primary.
@@ -449,8 +443,7 @@ class Verifier(SimProcess):
 
     def _broadcast_replace(self, message: ReplaceMsg) -> None:
         self._replace_sent += 1
-        for node in self._shim_nodes:
-            self._network.send(self.name, node, message, message.size_bytes)
+        self._network.broadcast(self.name, self._shim_nodes, message, message.size_bytes)
 
     def _resolve_pending(self, key: Tuple[str, object]) -> None:
         if not self._pending_errors.pop(key, None):
@@ -460,8 +453,7 @@ class Verifier(SimProcess):
             missing_seq=value if kind == "seq" else None,
             request_id=value if kind == "request" else None,
         )
-        for node in self._shim_nodes:
-            self._network.send(self.name, node, ack, ack.size_bytes)
+        self._network.broadcast(self.name, self._shim_nodes, ack, ack.size_bytes)
 
     def _trace(self, category: str, **details) -> None:
         if self._obs is not None:

@@ -1,12 +1,13 @@
 """Kernel chooser: compiled fast path vs authoritative pure Python.
 
-The repo's measured hot floors — ``execute_batch``, YCSB transaction
-generation, and the ``Transaction`` / ``TransactionBatch`` canonical strings
-— each have two implementations: the authoritative pure-Python one, and an
-optional hand-written C extension (:mod:`repro._ckernel._impl`).  (Canonical
-bytes and digests are not a kernel floor: :mod:`repro.crypto.hashing` is
-their one implementation under every ``REPRO_KERNEL`` value.)  This module
-is the single place that decides which one runs:
+The repo's two measured hot floors — ``execute_batch`` and uniform YCSB
+transaction generation — each have two implementations: the authoritative
+pure-Python one, and an optional hand-written C extension
+(:mod:`repro._ckernel._impl`).  (Canonical strings, canonical bytes and
+digests are not a kernel floor: :mod:`repro.workload.transactions` and
+:mod:`repro.crypto.hashing` are their one implementation under every
+``REPRO_KERNEL`` value.)  This module is the single place that decides which
+one runs:
 
 * ``REPRO_KERNEL=py``    — force pure Python (what ``perf-smoke`` gates).
 * ``REPRO_KERNEL=c``     — require the compiled kernel; raise
@@ -36,7 +37,7 @@ from repro.errors import KernelUnavailableError
 #: Calling-convention tag; must equal ``_impl.BUILD_TAG`` or the extension
 #: is treated as absent (stale .so from an older checkout).  Bump both in
 #: lockstep whenever the C API between chooser and extension changes.
-KERNEL_BUILD_TAG = "repro-ckernel-3"
+KERNEL_BUILD_TAG = "repro-ckernel-4"
 
 #: The compiled module when active, else ``None``.  Consumers must treat
 #: this as opaque and call :func:`configure_types` etc. through this module.
@@ -130,15 +131,9 @@ def c_execute_batch() -> Optional[Any]:
 
 
 def c_generate_transactions() -> Optional[Any]:
-    """``(workload, count, offset, origin, request_id, draw_client) -> tuple``."""
+    """``(workload, count, offset, origin, request_id, draw_client) -> tuple``.
+
+    Uniform workloads only (``workload._uniform_only``); any other raises
+    ``ValueError`` rather than draw differently from the Python loop.
+    """
     return getattr(_impl, "generate_transactions", None)
-
-
-def c_transaction_canonical() -> Optional[Any]:
-    """``(txn) -> str`` — uncached canonical-string construction."""
-    return getattr(_impl, "transaction_canonical", None)
-
-
-def c_batch_canonical() -> Optional[Any]:
-    """``(batch) -> str`` — batch canonical string, seeding txn memos."""
-    return getattr(_impl, "batch_canonical", None)

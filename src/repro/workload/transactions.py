@@ -120,9 +120,7 @@ class Transaction:
     def canonical(self) -> str:
         cached = self._canonical
         if cached is None:
-            # Construction is delegated to the active kernel variant (bound
-            # at module bottom); both build the identical string.
-            cached = _transaction_canonical(self)
+            cached = _transaction_canonical_py(self)
             object.__setattr__(self, "_canonical", cached)
         return cached
 
@@ -239,10 +237,9 @@ class TransactionBatch:
     def canonical(self) -> str:
         # Not memoised: only the batch's digest is read again, and
         # ``cached_digest`` keeps that; the ~11 KB text is built once.
-        # Delegated to the active kernel variant (bound at module bottom);
-        # both build the identical string, and the compiled path
-        # reads/seeds the per-transaction canonical memos directly.
-        return _batch_canonical(self)
+        return f"batch:{self.batch_id}:" + "|".join(
+            [txn.canonical() for txn in self.transactions]
+        )
 
 
 @dataclass(frozen=True)
@@ -443,7 +440,8 @@ def _execute_batch_c(
 
 def _transaction_canonical_py(txn: Transaction) -> str:
     """Uncached canonical-string construction (the memo lives in
-    :meth:`Transaction.canonical`)."""
+    :meth:`Transaction.canonical`; both generators seed it with this exact
+    string as they draw)."""
     ops = ";".join(
         [
             f"{'W' if is_write else 'R'}:{key}:{value or ''}"
@@ -451,13 +449,6 @@ def _transaction_canonical_py(txn: Transaction) -> str:
         ]
     )
     return f"txn:{txn.txn_id}:{txn.client_id}:{ops}:{txn.execution_seconds}"
-
-
-def _batch_canonical_py(batch: "TransactionBatch") -> str:
-    """Batch canonical construction (:meth:`TransactionBatch.canonical`)."""
-    return f"batch:{batch.batch_id}:" + "|".join(
-        [txn.canonical() for txn in batch.transactions]
-    )
 
 
 # --------------------------------------------------------------------------
@@ -468,5 +459,3 @@ def _batch_canonical_py(batch: "TransactionBatch") -> str:
 kernel.configure_types(Operation, Transaction, TransactionResult)
 _c_execute_batch = kernel.c_execute_batch()
 _execute_batch_impl = _execute_batch_py if _c_execute_batch is None else _execute_batch_c
-_transaction_canonical = kernel.c_transaction_canonical() or _transaction_canonical_py
-_batch_canonical = kernel.c_batch_canonical() or _batch_canonical_py

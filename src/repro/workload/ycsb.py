@@ -95,7 +95,7 @@ class YCSBWorkload:
         # conflict_fraction == 0 means chance() never draws; skip the call.
         self._has_conflicts = config.conflict_fraction > 0.0
         # With no conflicts and uniform keys every transaction takes the
-        # uniform builder; the compiled kernel branches on this flag.
+        # uniform builder, the one shape the compiled kernel draws.
         self._uniform_only = not self._has_conflicts and config.zipfian_theta <= 0
         # Per-transaction attribute hoists: the frozen config never changes
         # after construction.  None of this changes a single RNG draw — only
@@ -115,8 +115,11 @@ class YCSBWorkload:
         # Compiled generation fast path, bound per instance so tests can
         # force the pure-Python loop (``workload._c_generate = None``) for
         # in-process A/B comparisons.  ``None`` whenever the chooser picked
-        # the pure-Python kernel.
-        self._c_generate = kernel.c_generate_transactions()
+        # the pure-Python kernel or the workload is not uniform-only (the
+        # compiled loop refuses conflicting and zipfian draws).
+        self._c_generate = (
+            kernel.c_generate_transactions() if self._uniform_only else None
+        )
 
     @property
     def config(self) -> YCSBConfig:
@@ -306,8 +309,8 @@ class YCSBWorkload:
         )
 
     def _build_operations(self, client_index: int, conflicting: bool) -> Tuple[Operation, ...]:
-        """Conflicting or zipfian-keyed operations (the compiled kernel calls
-        this too, for every transaction off the uniform-only path)."""
+        """Conflicting or zipfian-keyed operations (the generation loop's
+        general builder; the compiled kernel never draws these)."""
         operations: List[Operation] = []
         append = operations.append
         tuple_new = tuple.__new__

@@ -659,6 +659,30 @@ def test_a_view_change_still_reproposes_an_uncommitted_slot_with_its_batch():
         assert _payload_seqs(cluster.replicas[name].log) == set()
 
 
+def test_an_installed_view_leaves_no_view_change_votes():
+    # Three requested view changes, the second past a silent primary: node-2
+    # never gets a message out, so view 2 does not install and the others
+    # escalate to view 3.  After each install no tracker keeps a vote for
+    # the installed view or an older one.
+    cluster = PBFTCluster(request_timeout=0.5)
+    cluster.primary().propose("batch-0")
+    cluster.run(until=0.5)
+    for dst in cluster.names:
+        cluster.block("node-2", dst)
+    until = 0.5
+    for expected_view in (1, 3, 4):
+        for name in cluster.names:
+            cluster.replicas[name].request_view_change(reason="test")
+        until += 3.0
+        cluster.run(until=until)
+        for name in cluster.names:
+            replica = cluster.replicas[name]
+            if name != "node-2":
+                assert replica.view == expected_view
+            for tracker in (replica._viewchange_quorum, replica._viewchange_join):
+                assert all(key > replica.view for key in tracker.keys()), (name, tracker.keys())
+
+
 # ------------------------------------------------------------------ executor
 
 

@@ -1,10 +1,10 @@
 """Compiled-kernel gate: chooser semantics and C-vs-Python bit identity.
 
-The pure-Python implementations of the hot floors (batch execution, YCSB
-generation, transaction/batch canonical strings) stay authoritative; the
-compiled kernel is only allowed to exist because every observable it
-produces — digests, canonical strings, RNG draw sequences, end-to-end result
-digests — is bit-identical.  These tests are that gate.
+The pure-Python implementations of the hot floors (batch execution, uniform
+YCSB generation) stay authoritative; the compiled kernel is only allowed to
+exist because every observable it produces — digests, the canonical strings
+it seeds, RNG draw sequences, end-to-end result digests — is bit-identical.
+These tests are that gate.
 
 Tests that need the extension *importable* are marked ``needs_compiled``
 (they drive subprocesses with their own ``REPRO_KERNEL``); tests that need
@@ -172,8 +172,7 @@ def test_exported_surface_is_pinned_and_consumed():
         impl = kernel._impl
         public = {name for name in dir(impl) if not name.startswith("_")}
         assert public == {
-            "BUILD_TAG", "configure_types", "execute_batch",
-            "generate_transactions", "transaction_canonical", "batch_canonical",
+            "BUILD_TAG", "configure_types", "execute_batch", "generate_transactions",
         }, sorted(public)
         for name in public - {"BUILD_TAG", "configure_types"}:
             assert getattr(kernel, "c_" + name)() is getattr(impl, name), name
@@ -261,31 +260,10 @@ def test_execute_batch_exotic_mapping_falls_back():
     assert via_c_path.txn_results == direct_py.txn_results
 
 
-@needs_active_c
-def test_canonical_strings_ab_identity():
-    from repro.workload import transactions as T
-    from repro.workload.transactions import TransactionBatch
-    from repro.workload.ycsb import YCSBWorkload
-
-    c_txn = T._transaction_canonical
-    c_batch = T._batch_canonical
-    assert c_txn is not T._transaction_canonical_py
-
-    wl = YCSBWorkload(_zip_config(execution_seconds=0.25))
-    txns = wl.next_transactions(20)
-    for txn in txns:
-        assert c_txn(txn) == T._transaction_canonical_py(txn)
-    batch = TransactionBatch(batch_id="b-3", transactions=txns)
-    assert c_batch(batch) == T._batch_canonical_py(batch)
-    # And the memoising public entry points agree with both.
-    assert batch.canonical() == T._batch_canonical_py(batch)
-    for txn in txns:
-        assert txn.canonical() == T._transaction_canonical_py(txn)
-
-
 # -------------------------------------------- floor 2: YCSB draw identity
 
 _YCSB_VARIANTS = {
+    "uniform": dict(conflict_fraction=0.0, zipfian_theta=0.0),
     "default": dict(),
     "conflicts": dict(conflict_fraction=0.4),
     "zipfian": dict(conflict_fraction=0.0, zipfian_theta=0.95),
@@ -300,12 +278,15 @@ def test_ycsb_generation_draw_identity(variant):
 
     All three must be draw-for-draw identical: same transactions, same
     canonicals, and the same RNG state afterwards (checked by generating a
-    second wave from each workload).
+    second wave from each workload).  Only a uniform workload is bound to
+    the compiled loop; a conflicting or zipfian one draws in Python.
     """
     from repro.workload.ycsb import YCSBWorkload
 
     overrides = _YCSB_VARIANTS[variant]
     wl_c = YCSBWorkload(_zip_config(num_records=600, **overrides))
+    bound = kernel.c_generate_transactions() if variant == "uniform" else None
+    assert wl_c._c_generate is bound
     wl_hoisted = YCSBWorkload(_zip_config(num_records=600, **overrides))
     wl_hoisted._c_generate = None
     wl_single = YCSBWorkload(_zip_config(num_records=600, **overrides))
@@ -330,15 +311,33 @@ def test_ycsb_generation_draw_identity(variant):
 def test_ycsb_next_batch_draw_identity():
     from repro.workload.ycsb import YCSBWorkload
 
-    wl_c = YCSBWorkload(_zip_config(conflict_fraction=0.5))
-    wl_p = YCSBWorkload(_zip_config(conflict_fraction=0.5))
+    uniform = dict(conflict_fraction=0.0, zipfian_theta=0.0)
+    wl_c = YCSBWorkload(_zip_config(**uniform))
+    wl_p = YCSBWorkload(_zip_config(**uniform))
     wl_p._c_generate = None
+    assert wl_c._c_generate is not None
     for _ in range(4):
         batch_c = wl_c.next_batch(17)
         batch_p = wl_p.next_batch(17)
         assert batch_c.batch_id == batch_p.batch_id
         assert batch_c.canonical() == batch_p.canonical()
         assert batch_c.transactions == batch_p.transactions
+
+
+@needs_active_c
+@pytest.mark.parametrize("variant", sorted(set(_YCSB_VARIANTS) - {"uniform"}))
+def test_compiled_generator_refuses_a_non_uniform_workload(variant):
+    """The compiled loop draws the uniform shape only: handed a conflicting
+    or zipfian workload it raises before its first draw, so the workload's
+    RNG goes on exactly as if it had never been called."""
+    from repro.workload.ycsb import YCSBWorkload
+
+    c_generate = kernel.c_generate_transactions()
+    wl = YCSBWorkload(_zip_config(num_records=600, **_YCSB_VARIANTS[variant]))
+    untouched = YCSBWorkload(_zip_config(num_records=600, **_YCSB_VARIANTS[variant]))
+    with pytest.raises(ValueError, match="uniform"):
+        c_generate(wl, 5, 0, "", "", True)
+    assert wl.next_transactions(10) == untouched.next_transactions(10)
 
 
 _MEMO_SHAPES = {
@@ -447,7 +446,8 @@ def test_perf_counters_attribute_work_to_compiled_kernel():
     from repro.workload.transactions import TransactionBatch, execute_batch
     from repro.workload.ycsb import YCSBWorkload
 
-    wl = YCSBWorkload(_zip_config())
+    # Uniform: the one workload shape the compiled generator draws.
+    wl = YCSBWorkload(_zip_config(conflict_fraction=0.0, zipfian_theta=0.0))
     baseline = PERF.snapshot()
     txns = wl.next_transactions(10)
     batch = TransactionBatch(batch_id="b-9", transactions=txns)
