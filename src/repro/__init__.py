@@ -11,7 +11,7 @@ scaled-down grid, modelled at the paper's).
 Typical entry points:
 
 * :mod:`repro.api` — the front door: ``run(RunSpec(...))`` builds and runs
-  any registered system with composed scenarios and dotted-key overrides.
+  any of the four systems with composed scenarios and dotted-key overrides.
 * :class:`repro.core.config.ProtocolConfig` — configure a deployment.
 * :mod:`repro.sweep.presets` — the paper's figures by name
   (``python -m repro.sweep run fig6-batching``; :mod:`repro.perfmodel`

@@ -9,13 +9,13 @@
 * :func:`~repro.api.facade.run` — ``run(RunSpec) -> SimulationResult``;
   with a result store, and :func:`~repro.api.facade.run_replicates` always,
   through the one executor :func:`repro.sweep.run_sweep`.
-* :mod:`repro.api.registry` — the pluggable system registry.  Each system
-  (``serverless_bft``, ``serverless_cft``, ``pbft_replicated``,
-  ``noshim``) is a :class:`~repro.api.registry.SystemAdapter` with
-  declared capabilities; third-party systems register in one line, after
-  which sweeps, the figure presets, and the CLI can drive them by name.
-* :mod:`repro.api.scenarios` — the scenario-preset registry beside it:
-  named fault/workload drills a spec composes by name
+* :mod:`repro.api.registry` — the paper's four systems as one closed
+  table (``serverless_bft``, ``serverless_cft``, ``pbft_replicated``,
+  ``noshim``): each a :class:`~repro.api.registry.SystemAdapter` naming
+  the runner knobs its builder accepts.
+* :mod:`repro.api.scenarios` — the scenario-preset registry: named
+  fault/workload drills a spec composes by name, and the one place a
+  custom fault is registered at runtime
   (:func:`register_scenario`, :func:`get_scenario`, :func:`scenario_names`).
 
 Example::
@@ -44,13 +44,10 @@ from repro.api.facade import (
     workload_config_from_dict,
 )
 from repro.api.registry import (
-    DEFAULT_CONSENSUS_ENGINE,
     SystemAdapter,
     UnsupportedKnobError,
     all_systems,
-    custom_systems,
     get_system,
-    register_system,
     system_names,
 )
 from repro.api.scenarios import (
@@ -78,7 +75,6 @@ from repro.api.spec import (
 )
 
 __all__ = [
-    "DEFAULT_CONSENSUS_ENGINE",
     "SPEC_SCHEMA_VERSION",
     "ComposedScenarios",
     "RunSpec",
@@ -92,13 +88,11 @@ __all__ = [
     "build_system",
     "compose_runner_kwargs",
     "compose_scenarios",
-    "custom_systems",
     "get_scenario",
     "get_system",
     "normalize_scenarios",
     "protocol_config_from_dict",
     "register_scenario",
-    "register_system",
     "replicate_specs",
     "run_replicates",
     "spec_digest",

@@ -2,9 +2,9 @@
 
 Everything user-facing funnels through here — examples, the sweep runner
 (and so every figure preset), and the CLI all resolve a spec to a plain-JSON dict
-(:func:`~repro.api.spec.resolve`), build the deployment through the system
-registry (:func:`build_deployment`), and run it.  One resolution path, one
-capability-validation path, one construction path: a point simulated by
+(:func:`~repro.api.spec.resolve`), build the deployment from the table of
+the four systems (:func:`build_deployment`), and run it.  One resolution
+path, one knob-validation path, one construction path: a point simulated by
 ``repro.api.run`` is bit-identical to the same point simulated by a sweep
 worker on another core.  Runs that touch a result store or a worker pool go
 through the one executor, :func:`repro.sweep.run_sweep`.
@@ -52,7 +52,7 @@ def build_deployment(resolved: Mapping[str, object], tracer_enabled: bool = Fals
 
     The composed scenarios' runner knobs are built fresh in the executing
     process (:func:`~repro.api.spec.compose_runner_kwargs`).  The selected
-    system's adapter validates every knob against its declared capabilities
+    system's adapter validates every knob against the knobs it accepts
     before construction — the one place unsupported-knob errors come from.
     """
     adapter = get_system(str(resolved["system"]))
@@ -62,7 +62,6 @@ def build_deployment(resolved: Mapping[str, object], tracer_enabled: bool = Fals
     return adapter.build(
         config,
         workload,
-        consensus_engine=str(resolved["consensus_engine"]),
         execution_threads=int(resolved["execution_threads"]),  # type: ignore[arg-type]
         tracer_enabled=tracer_enabled,
         **kwargs,
@@ -168,9 +167,9 @@ def build_system(
     workload: Optional[YCSBConfig] = None,
     **kwargs,
 ):
-    """Registry-backed construction for callers holding pre-built configs.
+    """Construction for callers holding pre-built configs.
 
-    The lower-level sibling of :func:`run`: same adapters, same capability
+    The lower-level sibling of :func:`run`: same adapters, same knob
     validation, no declarative resolution.  It is where fault objects are
     passed directly (``node_behaviours=``, ``executor_behaviour_factory=``,
     ``network_fault_plan=``), where a spec can only name scenarios.  Used by

@@ -13,9 +13,8 @@ A scenario bundles three things under one name:
 
 Adding a new experiment axis is a one-line :func:`register_scenario` call —
 every ``RunSpec``, sweep and CLI run can then reference it by name.  It is
-also the only way faults reach a ``RunSpec``, which holds no live objects.  The
-registry sits beside the system registry (:mod:`repro.api.registry`);
-:mod:`repro.api.spec` composes scenario lists on top of it.
+also the only way faults reach a ``RunSpec``, which holds no live objects.
+:mod:`repro.api.spec` composes scenario lists on top of this registry.
 """
 
 from __future__ import annotations

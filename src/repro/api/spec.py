@@ -83,7 +83,6 @@ _RUN_FIELDS = frozenset(
         "system",
         "scenario",
         "scenarios",
-        "consensus_engine",
         "execution_threads",
         "duration",
         "warmup",
@@ -364,7 +363,6 @@ ADDRESSED_RUNSPEC_FIELDS = (
     "seed",
     "duration",
     "warmup",
-    "consensus_engine",
     "execution_threads",
     "labels",
 )
@@ -411,7 +409,6 @@ class RunSpec:
     seed: Optional[int] = None
     duration: float = 2.0
     warmup: float = 0.4
-    consensus_engine: str = "pbft"
     execution_threads: int = 16
     replicates: int = 1
     labels: Mapping[str, object] = field(default_factory=dict)
@@ -481,7 +478,6 @@ def resolve_run(
     *,
     base: str,
     system: str,
-    consensus_engine: str,
     scenarios: ScenarioSelector,
     execution_threads: int,
     duration: float,
@@ -514,7 +510,6 @@ def resolve_run(
     return {
         "schema": SPEC_SCHEMA_VERSION,
         "system": system,
-        "consensus_engine": consensus_engine,
         "scenario": "+".join(composed.names),
         "scenarios": list(composed.names),
         "execution_threads": execution_threads,
@@ -537,7 +532,6 @@ def resolve(spec: RunSpec) -> Dict[str, object]:
     return resolve_run(
         base=spec.base,
         system=spec.system,
-        consensus_engine=spec.consensus_engine,
         scenarios=spec.scenarios,
         execution_threads=spec.execution_threads,
         duration=spec.duration,

@@ -27,6 +27,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.cloud.billing import CostModel
 from repro.cloud.regions import RegionCatalog
+from repro.core.config import COLD_START_LATENCY, WARM_START_LATENCY
 from repro.errors import CloudError
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRNG
@@ -89,8 +90,8 @@ class ServerlessCloud:
         cost_model: CostModel,
         rng: DeterministicRNG,
         executor_factory: Optional[Callable[..., Any]] = None,
-        cold_start_latency: float = 0.150,
-        warm_start_latency: float = 0.015,
+        cold_start_latency: float = COLD_START_LATENCY,
+        warm_start_latency: float = WARM_START_LATENCY,
         concurrency_limit_per_region: int = 1000,
         allow_executor_spawns: bool = False,
     ) -> None:

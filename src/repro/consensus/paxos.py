@@ -105,17 +105,13 @@ class PaxosReplica:
         return self._majority
 
     @property
-    def leader(self) -> str:
+    def primary(self) -> str:
+        """The leader of the current ballot (named like PBFT's primary)."""
         return self._replicas[self._ballot % self._n]
 
     @property
     def is_primary(self) -> bool:
-        return self.leader == self._id
-
-    # Alias so shim nodes can treat PBFT and Paxos replicas uniformly.
-    @property
-    def is_leader(self) -> bool:
-        return self.is_primary
+        return self.primary == self._id
 
     @property
     def view(self) -> int:
@@ -127,7 +123,7 @@ class PaxosReplica:
 
     def propose(self, batch: Any) -> int:
         """Leader only: choose the next slot and replicate the batch."""
-        if not self.is_leader:
+        if not self.is_primary:
             raise ProtocolViolation(f"{self._id} is not the Paxos leader")
         self._next_seq += 1
         seq = self._next_seq
@@ -162,7 +158,7 @@ class PaxosReplica:
         return True
 
     def on_accept(self, message: PaxosAcceptMsg, sender: str) -> None:
-        if sender != self.leader or message.ballot != self._ballot:
+        if sender != self.primary or message.ballot != self._ballot:
             return
         if message.seq > self._log.stable_seq:
             # A late duplicate for a truncated slot is still acknowledged,
@@ -178,11 +174,11 @@ class PaxosReplica:
         )
         cost = self._costs.mac_verify + self._costs.mac_sign
         self._host.process(
-            cost, lambda: self._transport.send(self.leader, reply, PAXOS_ACCEPTED_BYTES)
+            cost, lambda: self._transport.send(self.primary, reply, PAXOS_ACCEPTED_BYTES)
         )
 
     def on_accepted(self, message: PaxosAcceptedMsg, sender: str) -> None:
-        if not self.is_leader or message.ballot != self._ballot:
+        if not self.is_primary or message.ballot != self._ballot:
             return
         self._host.process(self._costs.mac_verify, self._record_accepted, message, sender)
 
@@ -208,7 +204,7 @@ class PaxosReplica:
             self._commit(message.seq, message.ballot, message.digest, slot.batch)
 
     def on_learn(self, message: PaxosLearnMsg, sender: str) -> None:
-        if sender != self.leader:
+        if sender != self.primary:
             return
         if self._log.is_committed(message.seq):
             return

@@ -35,6 +35,12 @@ REPLICA_OPERATION_COST = 5e-6
 #: Seconds a shim node (or a ``pbft_replicated`` replica) waits for more
 #: client transactions before it proposes a partial batch.
 BATCH_FLUSH_TIMEOUT = 0.02
+#: Seconds the serverless cloud takes to spawn an executor in a fresh
+#: sandbox (a cold start).
+COLD_START_LATENCY = 0.150
+#: Seconds the serverless cloud takes to spawn an executor in a recently
+#: used sandbox of that region (a warm start).
+WARM_START_LATENCY = 0.015
 
 
 class SpawnPolicyName(str, enum.Enum):
@@ -78,8 +84,6 @@ class ProtocolConfig:
     num_executors: int = 3
     executor_faults: Optional[int] = None
     num_executor_regions: int = 3
-    cold_start_latency: float = 0.150
-    warm_start_latency: float = 0.015
 
     # --- verifier / storage ------------------------------------------------------
     verifier_region: str = "us-west-1"

@@ -5,9 +5,9 @@ simulation substrates, client groups, the single ``run(duration, warmup)``
 loop and the common :class:`SimulationResult` fields.
 :class:`ServerlessDeployment` adds the serverless-edge architecture on top:
 shim, serverless cloud, executors, verifier, and storage.  Deployments are
-built through the system registry (``repro.api.build_system`` /
-``repro.api.run``), which validates every knob against the system's
-capabilities first.
+built from the table of the four systems (``repro.api.build_system`` /
+``repro.api.run``), which first rejects any knob the system does not
+accept.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from repro.cloud.lambda_cloud import ServerlessCloud
 from repro.cloud.regions import GeoLatencyModel, RegionCatalog
 from repro.core.client import ClientGroup
 from repro.core.config import (
+    COLD_START_LATENCY,
     EXECUTOR_CONCURRENCY_LIMIT,
     VERIFIER_CORES,
+    WARM_START_LATENCY,
     ProtocolConfig,
 )
 from repro.core.executor import Executor
@@ -283,8 +285,8 @@ class ServerlessDeployment(Deployment):
             cost_model=self.cost_model,
             rng=self.rng.child("cloud"),
             executor_factory=self._spawn_executor,
-            cold_start_latency=config.cold_start_latency,
-            warm_start_latency=config.warm_start_latency,
+            cold_start_latency=COLD_START_LATENCY,
+            warm_start_latency=WARM_START_LATENCY,
             concurrency_limit_per_region=EXECUTOR_CONCURRENCY_LIMIT,
         )
         # An executor's key pair is derived from its id when asked for, so

@@ -173,7 +173,7 @@ class ShimNode(SimProcess):
 
     @property
     def current_primary(self) -> str:
-        return self._replica.primary if hasattr(self._replica, "primary") else self._replica.leader
+        return self._replica.primary
 
     @property
     def spawned_executors(self) -> int:

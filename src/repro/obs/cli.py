@@ -174,7 +174,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser, with_input: bool) -> Non
             metavar="FILE",
             help="read an existing JSONL export instead of running a point",
         )
-    parser.add_argument("--system", default="serverless_bft", help="registered system name")
+    parser.add_argument("--system", default="serverless_bft", help="system name (see list-systems)")
     parser.add_argument(
         "--scenario", action="append", metavar="NAME", help="scenario preset (repeatable)"
     )

@@ -15,7 +15,6 @@ from repro.api.facade import protocol_config_from_dict, workload_config_from_dic
 from repro.api.registry import get_system
 from repro.core.config import SpawnPolicyName
 from repro.core.spawning import executors_per_node
-from repro.errors import ConfigurationError
 from repro.perfmodel.model import AnalyticalModel, SystemKind
 from repro.report.tables import ExperimentTable
 from repro.sweep.runner import PointOutcome, SweepReport
@@ -41,17 +40,13 @@ def evaluate_point(resolved: Mapping[str, object]) -> Dict[str, object]:
     decentralized spawning, nothing for a system that executes at the edge.
     """
     adapter = get_system(str(resolved["system"]))
-    if adapter.model_kind is None:
-        raise ConfigurationError(
-            f"the analytical model does not cover system {adapter.name!r}"
-        )
     config = adapter.effective_config(
         protocol_config_from_dict(resolved["config"])  # type: ignore[arg-type]
     )
     model = AnalyticalModel(
         config,
         workload_config_from_dict(resolved["workload"]),  # type: ignore[arg-type]
-        system=SystemKind(adapter.model_kind),
+        system=SystemKind(resolved["system"]),
         execution_threads=int(resolved["execution_threads"]),  # type: ignore[call-overload]
     )
     throughput, latency = model.throughput_latency()

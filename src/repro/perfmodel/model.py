@@ -33,8 +33,10 @@ from repro.cloud.regions import RegionCatalog
 from repro.core.config import (
     EXECUTOR_CONCURRENCY_LIMIT,
     EXECUTOR_READ_OPS_COST,
+    REPLICA_OPERATION_COST,
     SPAWN_API_COST,
     VERIFIER_CORES,
+    WARM_START_LATENCY,
     ConflictMode,
     ProtocolConfig,
 )
@@ -53,18 +55,13 @@ _NIC_BYTES_PER_SEC = 1.25e9
 #: (Figure 6 iii/iv).
 _BATCH_QUADRATIC_COST = 5e-10
 
-#: CPU cost of executing one key-value operation locally on a shim node
-#: (replicated-execution baseline); remote executors pay the larger
-#: ``EXECUTOR_READ_OPS_COST`` because they fetch data over the network.
-_LOCAL_OPERATION_COST = 5e-6
-
 
 class SystemKind(str, enum.Enum):
-    """Which deployment the model describes."""
+    """Which deployment the model describes, by its system name."""
 
-    SERVERLESS_BFT = "serverlessbft"
-    SERVERLESS_CFT = "serverlesscft"
-    PBFT_REPLICATED = "pbft"
+    SERVERLESS_BFT = "serverless_bft"
+    SERVERLESS_CFT = "serverless_cft"
+    PBFT_REPLICATED = "pbft_replicated"
     NOSHIM = "noshim"
 
 
@@ -201,7 +198,7 @@ class AnalyticalModel:
             pool = EXECUTOR_CONCURRENCY_LIMIT * max(1, config.num_executor_regions)
             capacities["executor-pool"] = pool / (config.num_executors * executor_time)
         if not offloads:
-            local_exec = exec_seconds + _LOCAL_OPERATION_COST * ops * batch
+            local_exec = exec_seconds + REPLICA_OPERATION_COST * ops * batch
             if local_exec > 0:
                 capacities["execution-threads"] = self.execution_threads / local_exec
         if nic > 0:
@@ -255,7 +252,7 @@ class AnalyticalModel:
             latencies = sorted(self.catalog.one_way_latency(region, home) for region in regions)
             quorum_index = min(len(latencies) - 1, config.executor_match_quorum - 1)
             to_region = latencies[quorum_index]
-            latency += config.warm_start_latency + to_region  # spawn + EXECUTE delivery
+            latency += WARM_START_LATENCY + to_region  # spawn + EXECUTE delivery
             latency += executor_time
             latency += to_region  # VERIFY back to the verifier
             latency += verifier / VERIFIER_CORES

@@ -22,7 +22,7 @@ them into declarative, cacheable, multi-core experiment runs:
   ``python -m repro.sweep run fig6-executors --workers 4``.
 
 Scenario presets (region outage, partitions, byzantine executors, skewed
-YCSB, ...) live beside the system registry in :mod:`repro.api.scenarios`.
+YCSB, ...) live in :mod:`repro.api.scenarios`.
 """
 
 from repro.sweep.presets import (

@@ -4,7 +4,7 @@ Subcommands::
 
     list                     named sweeps and their point counts
     scenarios                scenario presets and their descriptions
-    list-systems             registered systems and their capabilities
+    list-systems             the four systems and the knobs each accepts
     run NAME_OR_FILE         run a named or file-defined (JSON) sweep
     report                   render EXPERIMENTS.md from a result store
 
@@ -72,9 +72,9 @@ def _cmd_scenarios(_args: argparse.Namespace) -> int:
 
 def _cmd_list_systems(_args: argparse.Namespace) -> int:
     for adapter in all_systems():
-        capabilities = ",".join(sorted(adapter.capabilities)) or "-"
+        knobs = ",".join(sorted(adapter.knobs))
         print(f"{adapter.name:<18} {adapter.description}")
-        print(f"{'':<18} capabilities: {capabilities}")
+        print(f"{'':<18} knobs: {knobs}")
     return 0
 
 
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_scenarios
     )
     sub.add_parser(
-        "list-systems", help="registered systems and their capabilities"
+        "list-systems", help="the four systems and the knobs each accepts"
     ).set_defaults(func=_cmd_list_systems)
 
     run = sub.add_parser("run", help="run a named or file-defined sweep")

@@ -10,7 +10,7 @@ per process instead of once per call.
 
 Correctness notes:
 
-* Runtime-registered scenarios and systems are **not** baked into the pool
+* Runtime-registered scenarios are **not** baked into the pool
   at spawn time (a pool created before a ``register_scenario`` call must
   still serve points using it): the task function re-registers them per
   task, which is a handful of idempotent dict writes.

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.facade import build_deployment
-from repro.api.registry import custom_systems, register_system
 from repro.api.scenarios import custom_scenarios, register_scenario
 from repro.api.spec import RunSpec
 from repro.core.runner import SimulationResult
@@ -69,23 +68,6 @@ def discard_shared_pool(terminate: bool = False) -> None:
     from repro.sweep import pool
 
     pool.discard_shared_pool(terminate)
-
-
-def _register_worker_state(scenarios, systems) -> None:
-    """Make runtime registrations visible inside a worker process.
-
-    Fork-start workers inherit the parent's registries; spawn-start workers
-    (macOS/Windows defaults) re-import the registry modules fresh and would
-    only know the built-in scenario presets and systems.  Both scenario
-    objects and system adapters must be picklable (module-level factories
-    and builder functions are).  Called per task rather than per pool spawn
-    so a long-lived warm pool also serves scenarios/systems registered
-    *after* it was created; re-registration is a few idempotent dict writes.
-    """
-    for scenario in scenarios:
-        register_scenario(scenario, replace=True)
-    for adapter in systems:
-        register_system(adapter, replace=True)
 
 
 # ------------------------------------------------------------------ simulating
@@ -144,16 +126,24 @@ def _timed_simulate(
 
 
 def _simulate_point_task(
-    resolved: Mapping[str, object], scenarios, systems, tracer_enabled: bool = False
+    resolved: Mapping[str, object], scenarios, tracer_enabled: bool = False
 ) -> Tuple[Dict[str, object], Dict[str, float]]:
-    """Warm-pool task: re-register runtime state, then simulate with timing.
+    """Warm-pool task: re-register runtime scenarios, then simulate with timing.
+
+    Fork-start workers inherit the parent's scenario registry; spawn-start
+    workers (macOS/Windows defaults) re-import it fresh and would only know
+    the built-in presets.  Scenario objects must be picklable (module-level
+    factories are).  Registering per task rather than per pool spawn lets a
+    long-lived warm pool serve scenarios registered *after* it was created;
+    re-registration is a few idempotent dict writes.
 
     ``tracer_enabled`` is a collection flag, not part of the point's content
     address: a traced worker run produces the same simulated fingerprint as
     an untraced one, plus the flight-recorder payload riding home on
     ``result_dict["obs"]``.
     """
-    _register_worker_state(scenarios, systems)
+    for scenario in scenarios:
+        register_scenario(scenario, replace=True)
     return _timed_simulate(resolved, tracer_enabled=tracer_enabled)
 
 
@@ -462,7 +452,6 @@ def run_sweep(
     if workers > 1 and executable:
         timed_out = False
         task_scenarios = custom_scenarios()
-        task_systems = custom_systems()
 
         def submit(pool, batch: List[PointOutcome]) -> Dict[object, PointOutcome]:
             """Submit ``batch`` to ``pool``; the futures map back to their points.
@@ -478,7 +467,7 @@ def run_sweep(
                 try:
                     future = pool.submit(
                         _simulate_point_task, outcome.resolved, task_scenarios,
-                        task_systems, tracer_enabled,
+                        tracer_enabled,
                     )
                 except BrokenExecutor as exc:
                     for unsubmitted in batch[index:]:
@@ -519,8 +508,8 @@ def run_sweep(
 
         # Warm worker pool: reused across run_sweep / run_replicates calls
         # in this process, so interpreter + import start-up is paid once.
-        # Runtime-registered scenarios/systems ship with each task (a warm
-        # pool may predate the registration).
+        # Runtime-registered scenarios ship with each task (a warm pool may
+        # predate the registration).
         timed_out = drain(submit(get_shared_pool(workers), executable))
         if retry_queue and not timed_out:
             # A worker died: the shared pool is broken.  Terminate it, spawn

@@ -242,12 +242,11 @@ def sweep_from_grid(
     Axes route through the facade's dotted-key resolver: ``ProtocolConfig``
     fields become ``protocol.`` overrides, ``YCSBConfig`` fields
     ``workload.`` overrides, and run-level names (``scenario`` / ``system``
-    / ``consensus_engine`` / ``execution_threads`` / ``duration`` /
-    ``warmup`` / ``replicates``) select the point variant.  ``config`` /
-    ``workload`` supply grid-wide constants; ``scenario`` may be a preset
-    name or a list of presets to compose; ``replicates`` asks for N
-    independent seeds per grid point; ``base`` is every point's deployment
-    base.
+    / ``execution_threads`` / ``duration`` / ``warmup`` / ``replicates``)
+    select the point variant.  ``config`` / ``workload`` supply grid-wide
+    constants; ``scenario`` may be a preset name or a list of presets to
+    compose; ``replicates`` asks for N independent seeds per grid point;
+    ``base`` is every point's deployment base.
     """
     shared_config = dict(config or {})
     shared_workload = dict(workload or {})

@@ -1,12 +1,10 @@
 """Tests for the ``repro.api`` front door (ISSUE 3 acceptance criteria).
 
-* registry parity smoke — one deterministic point through **every**
-  registered system, twice, with bit-identical result digests,
+* parity smoke — one deterministic point through **every** system,
+  twice, with bit-identical result digests,
 * scenario composition — ``["region-outage", "skewed-ycsb"]`` applies both
   presets in list order, conflicting compositions fail loudly,
-* one validation path for unsupported knobs (registry capabilities),
-* runtime-registered systems work end-to-end (``RunSpec`` validation,
-  ``repro.api.run``, sweeps, CLI),
+* one validation path for unsupported knobs (each system's ``knobs``),
 * ``run(store=...)`` and ``run_replicates`` go through the sweep executor:
   caching, pooled workers, exception re-raise, worker-death retry,
 * the facade never emits a ``DeprecationWarning``.
@@ -22,13 +20,11 @@ from repro.api import (
     RunSpec,
     Scenario,
     ScenarioConflictError,
-    SystemAdapter,
     UnsupportedKnobError,
     build_deployment,
     build_system,
     compose_scenarios,
     register_scenario,
-    register_system,
     replicate_specs,
     resolve,
     result_digest,
@@ -177,8 +173,8 @@ def _small_config():
 
 
 def test_constructor_extra_knobs_pass_through():
-    # preload_storage is not a capability knob but a constructor switch the
-    # serverless systems accept; the registry passes it through.
+    # preload_storage is not a fault knob but a constructor switch the
+    # serverless systems accept; the adapter passes it through.
     from repro.sim.network import NetworkFaultPlan
 
     deployment = build_system("serverless_bft", _small_config(), preload_storage=True)
@@ -195,7 +191,7 @@ def test_overlapping_runner_knobs_conflict():
         run(_spec(scenarios=["lossy-network", "region-outage"]))
 
 
-# ------------------------------------------------------------------ capability validation
+# ------------------------------------------------------------------ knob validation
 
 
 def test_unsupported_knobs_error_from_one_path():
@@ -255,6 +251,8 @@ def test_route_key_routing():
         "protocol.crypto_costs",
         "protocol.executor_regions",
         "protocol.use_threshold_certificates",
+        "protocol.cold_start_latency",
+        "protocol.warm_start_latency",
         "workload.value_size_bytes",
     ]
     for key in retired:
@@ -275,50 +273,6 @@ def test_dotted_overrides_reach_the_configs():
     assert resolved["config"]["batch_size"] == 7
     assert resolved["config"]["num_clients"] == 40
     assert resolved["workload"]["write_fraction"] == 0.75
-
-
-# ------------------------------------------------------------------ pluggable systems
-
-
-def _build_tuned_noshim(config, workload=None, **kwargs):
-    """A third-party system: NOSHIM with a cheaper ingest path."""
-    from repro.api import build_system
-
-    tuned = config.with_overrides(txn_ingest_cost=5e-6)
-    return build_system("noshim", tuned, workload, **kwargs)
-
-
-def test_runtime_registered_system_end_to_end():
-    register_system(
-        SystemAdapter(
-            name="unit-test-tuned-noshim",
-            description="runtime-registered system for the registry test",
-            builder=_build_tuned_noshim,
-        ),
-        replace=True,
-    )
-    # Point validation defers to the registry.
-    point = _spec(
-        labels={"system": "unit-test-tuned-noshim"}, system="unit-test-tuned-noshim"
-    )
-    report = run_sweep(SweepSpec(name="custom-system", points=(point,)))
-    assert report.failed == 0 and report.outcomes[0].result.committed_txns > 0
-    # The facade drives it by name like any built-in, deterministically.
-    first = run(_spec(system="unit-test-tuned-noshim", seed=2))
-    second = run(_spec(system="unit-test-tuned-noshim", seed=2))
-    assert result_digest(first) == result_digest(second)
-    with pytest.raises(ConfigurationError):
-        RunSpec(system="still-not-a-system")
-
-
-def test_runtime_registered_system_ships_to_workers():
-    from repro.api.registry import custom_systems
-    from repro.sweep.runner import _register_worker_state
-
-    adapters = custom_systems()
-    # Idempotent re-registration (what the pool initializer does in workers).
-    _register_worker_state([], adapters)
-    assert {adapter.name for adapter in adapters} <= set(system_names())
 
 
 # ------------------------------------------------------------------ no deprecated paths
@@ -385,7 +339,7 @@ def test_run_with_store_rejects_bespoke_fault_objects():
     for knob in ("node_behaviours", "executor_behaviour_factory", "network_fault_plan"):
         with pytest.raises(TypeError, match=knob):
             RunSpec(**{knob: {"node-3": CrashBehaviour()}})
-    assert len(dataclasses.fields(RunSpec)) == 12
+    assert len(dataclasses.fields(RunSpec)) == 11
 
 
 def test_run_replicates_expands_caches_and_differs_per_seed(tmp_path):
@@ -426,27 +380,34 @@ class _BuildFailure(RuntimeError):
     """What ``_odd_seed_fails`` raises, to check the type survives a worker."""
 
 
-def _odd_seed_fails(config, workload=None, **kwargs):
-    if config.seed % 2:
-        raise _BuildFailure(f"refusing odd seed {config.seed}")
-    return build_system("noshim", config, workload, **kwargs)
+def _odd_seed_fails(resolved):
+    """Runner knobs of a test-only scenario: none, or a raise on an odd seed."""
+    seed = resolved["config"]["seed"]
+    if seed % 2:
+        raise _BuildFailure(f"refusing odd seed {seed}")
+    return {}
 
 
-def _die_once(marker, config, workload=None, **kwargs):
+def _die_once(marker, resolved):
     """Kill the building worker process unless ``marker`` already exists."""
     if not os.path.exists(marker):
         with open(marker, "w", encoding="utf-8"):
             pass
         os._exit(1)
-    return build_system("noshim", config, workload, **kwargs)
+    return {}
 
 
-def _register_for_test(monkeypatch, name, builder):
-    """Register a runtime system for one test (removed again afterwards)."""
-    from repro.api import registry
+def _register_for_test(monkeypatch, name, factory):
+    """Register a runtime scenario for one test (removed again afterwards).
 
-    adapter = SystemAdapter(name=name, description="test-only system", builder=builder)
-    monkeypatch.setitem(registry._REGISTRY, name, adapter)
+    Its ``runner_kwargs_factory`` runs where the point is built, so a
+    pooled run ships the scenario to the worker and fails there.
+    """
+    from repro.api import scenarios
+
+    monkeypatch.setitem(scenarios._REGISTRY, name, Scenario(
+        name=name, description="test-only scenario", runner_kwargs_factory=factory,
+    ))
 
 
 def test_run_replicates_reraises_a_worker_error_after_storing_siblings(
@@ -457,7 +418,10 @@ def test_run_replicates_reraises_a_worker_error_after_storing_siblings(
     spec = next(
         candidate
         for candidate in (
-            _spec(system="unit-test-odd-seed-fails", seed=seed, replicates=2)
+            _spec(
+                system="noshim", scenarios=["unit-test-odd-seed-fails"],
+                seed=seed, replicates=2,
+            )
             for seed in range(1, 64)
         )
         if [resolve(r)["config"]["seed"] % 2 for r in replicate_specs(candidate)]
@@ -479,7 +443,9 @@ def test_run_replicates_survives_a_worker_death(tmp_path, monkeypatch):
     )
     store = JsonlBackend(str(tmp_path / "retried.jsonl"))
     family = run_replicates(
-        _spec(system="unit-test-dies-once", replicates=2), workers=2, store=store
+        _spec(system="noshim", scenarios=["unit-test-dies-once"], replicates=2),
+        workers=2,
+        store=store,
     )
     assert os.path.exists(marker)  # a worker really died on the first attempt
     assert len(family) == 2 and all(result.committed_txns > 0 for result in family)
@@ -491,7 +457,7 @@ def test_cli_list_systems(capsys):
     output = capsys.readouterr().out
     for name in ("serverless_bft", "serverless_cft", "pbft_replicated", "noshim"):
         assert name in output
-    assert "capabilities:" in output
+    assert "knobs:" in output
 
 
 def test_cli_set_overrides(tmp_path, capsys):

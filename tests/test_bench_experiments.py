@@ -84,11 +84,12 @@ def test_simulation_scale_runs_fast_configs():
 #: ``spec_digest(RunSpec(base=b, seed=1))`` at the commit before the bases
 #: moved from ``bench/defaults.py`` into ``api/spec.py``, re-pinned when nine
 #: config fields nobody set left the resolved spec (they became module
-#: constants or were deleted; every result digest stayed put).
+#: constants or were deleted; every result digest stayed put), and again when
+#: ``consensus_engine`` and the two spawn latencies left it.
 _BASE_GOLDEN = {
-    "scale": "3ad8122b387a50d830ea74cc8e848a5675e3d454b73beb775f3ac9e1c4d56453",
-    "paper": "4e07f3d5d87ab56211389fa2975f2665b9d383738831e858c388155261281d48",
-    "default": "ed0180c901db11918bb3ac3328f7b6ef0affc1b6d4921c9540965689d7e119c0",
+    "scale": "c7a8fab9aae9ed6ea0d1fa1be98379b53bdc52813ef57625532331e56ca9091f",
+    "paper": "c2c240c6e19ae35c81fa22c543990a17d261c435a24c7f8ac3737943eea2cb4b",
+    "default": "6aa7b98abca30e68dda5f7fc2093491c7ed00510d37981816f9e5d001a9ac954",
 }
 
 
@@ -104,34 +105,34 @@ def test_base_defaults_resolve_to_the_same_address(base):
 #: digests of ``expand_replicates(sweep)``.  A bare name is the sweep at its
 #: default (``"scale"``) base, ``@paper`` a figure's paper grid, and
 #: ``smoke@replicates=2`` the smoke sweep after ``--replicates 2``.  Re-pinned
-#: with :data:`_BASE_GOLDEN` when the nine unset config fields left the spec.
+#: with :data:`_BASE_GOLDEN` whenever unset fields left the spec.
 _PRESET_GOLDEN = {
-    "ablation-conflict-avoidance": (2, "1c61c02d6b96ae937cd2b2b10b41138fbbf8382535e9fca816d87f527e3bdf72"),
-    "ablation-conflict-avoidance@paper": (8, "0fa065889381c97090277fe735549806e358877fb180679ec3d7a40512885bce"),
-    "ablation-spawning": (2, "63af4e390a9951eeb7241aa0151143de239c6997e2cf6cd56e1a122d0fa29733"),
-    "ablation-spawning@paper": (6, "445b3d0935efbf686eadc3c6c5644e16115286848f0d6a88be0db2e1f12bb7ef"),
-    "chaos-drills": (10, "57854708f67f03db00eeabdccc8806df37f485984e3df0dd6f249990759a8fb8"),
-    "fig5-clients": (2, "9bb97b8dffa0c04a7176b944636e9bc56d8e12745b9d5386ba731126c70d31ee"),
-    "fig5-clients@paper": (24, "8a2ab60c440baf3eb5070c40609221543a255d0752977c6e7f197885ede68119"),
-    "fig6-batching": (8, "7336c8cbea3ae5c8d53edf83a15e70b28545ff2ce34578842d3f5329c0b9ecd5"),
-    "fig6-batching@paper": (12, "cc36d09898db1f3c1fc410954a7a6bc1eae578637565757e6af256b3d66344f3"),
-    "fig6-conflicts": (4, "b1d1c3a8a44cca3bdb89792fd268e0dd94993316fbb989a9eaaedb4eb419e4ca"),
-    "fig6-conflicts@paper": (12, "16fdea16f2be8bccdff97c1f8c2cc198aa45314765e12635f1410c3fc0afd10f"),
-    "fig6-cores": (2, "76af8b3e1214c007539bda51747a7c6f6f81833a13bde0876547176b28b0c359"),
-    "fig6-cores@paper": (10, "f1ba9cafdd7ddc98ee714f8c91460e2b90f41168f8eb08867ae1c71303db0ea2"),
-    "fig6-execution": (2, "c49e6e375840078bca1e6fab7023a4b6ab8057b7d321591839856a5180d652c0"),
-    "fig6-execution@paper": (10, "8266ede548eb1a86bfa25bf9d0b923b1137be1010b989e136bf02be732cad7d3"),
-    "fig6-executors": (8, "384709dee1f49da3edb2eb7118d76d7c56ea9c700908a179166dae90361ccb85"),
-    "fig6-executors@paper": (10, "876e3adc5e2dc81e391eded2270f90119a72c15142e0d812bca8158914cae684"),
-    "fig6-regions": (2, "e400ea5d841863c8109ba90960ded5c6e51890ee0aac2e352cdc2bc5ded77be2"),
-    "fig6-regions@paper": (8, "f31af64d1e6bdad3f19b7432d326b0764cadc19b4fcc7e63d7f0a29dfa26e142"),
-    "fig7-baselines": (4, "890ba37cac4d696b5627ba3f01d64bb3b628d5c7ddccca4ede6df43776cc8ea0"),
-    "fig7-baselines@paper": (24, "ec6e83edb7975b0f12520f68ea7e32c54a6bb0aae1cb91df0ee22fee8ef67088"),
-    "fig8-offloading": (4, "7bcb560907ad3b0c826c54a2b29d27022c92dd2c73b93fec2898750ef55fd005"),
-    "fig8-offloading@paper": (28, "18e2c9dc685a2eb6473a4352d2c2969ac347ad17bb696045a2d8158be32af222"),
-    "scenario-drills": (14, "8a73451b5d318956b7747df8b26443cf195bee5c661a40ad353981179329d619"),
-    "smoke": (4, "625087729d0417c2848667ef5bd85ffef19c0f0a23fe2ab8ca1cb28a2adfe9ae"),
-    "smoke@replicates=2": (8, "a3edf67b44feda89f8d57eba7152c11c2395840953456287a5ef63f74cf8cf66"),
+    "ablation-conflict-avoidance": (2, "5ac88c1e88f67fc4e53cc5e3e659329dba4eedccc071a11e1b124e6b690237e5"),
+    "ablation-conflict-avoidance@paper": (8, "78e866d5c18d740d00490b3964f60690f4d2f27ce81cd70745eb1839a350ee28"),
+    "ablation-spawning": (2, "c4a70f358fd08fb33432749f1fdb5bf2a334c3d80d4829f8231dd679176e07ed"),
+    "ablation-spawning@paper": (6, "d9fbbfe5181afbc92ceb8e5433adf61499bce8d4235c4c32c796e026ddec411b"),
+    "chaos-drills": (10, "137137824485a29cb1a1e84a9ff2ce5cbc1bbb2313f902d6f0df1b63a599519a"),
+    "fig5-clients": (2, "68dcc662cfb0465bbd026260cd2bf258344b9592b6bdd887b694e5ffd11b9dcb"),
+    "fig5-clients@paper": (24, "cbebd0d6fe2653aa57be19dc91d37b0fe9025ef5e915c10df85d45c40588d500"),
+    "fig6-batching": (8, "a9d1c7f728ce27c18d7d46f8b22f9c1091fc5677168e402943835b81d6be2340"),
+    "fig6-batching@paper": (12, "abc9e3de464e94bd25439f9e1102b86469f8ca0ceb9cca0fff8ba1a387047b9b"),
+    "fig6-conflicts": (4, "4faedb4fe2f6195494905ac4a68a8868cb0c67bfcce6cd667b2e9ff6bd148ea6"),
+    "fig6-conflicts@paper": (12, "0f99882ecea4aa95e7b4a2ff751335054a9a2f5d9ac570b98fdde13012612602"),
+    "fig6-cores": (2, "cd2674aac50a7298be5190c4e24603af2e77addcf22b75bf82a417efd1c5c850"),
+    "fig6-cores@paper": (10, "cba530f15cb1a8cdff24231ea084fba4b15fb47babea460d3c8740ee5c15d666"),
+    "fig6-execution": (2, "bd3c3a7356e88e066bc89903f8eec420aa4aa4c0833bdfb6715b0380fe56dd9d"),
+    "fig6-execution@paper": (10, "f53ed64e4f298adacb5c1707c371568a8864fb3f59ff63f867962df4ed958014"),
+    "fig6-executors": (8, "4e7711e6f616333b0139ddaa9c5b5a4ea7a65136f8860bc823160ae015fa3a10"),
+    "fig6-executors@paper": (10, "a8e119cf3177ff6effbb98db35e4396af8bd7c359acfaeec03ecc30f2d235490"),
+    "fig6-regions": (2, "fdca811a16e3cc1e00d688996d52801a78090c499b161c069fc968c62f0e7170"),
+    "fig6-regions@paper": (8, "d31c9465487902bffaeb9dc1627cf6a36772bcab2fb209dadf0f72cd26b54b8c"),
+    "fig7-baselines": (4, "acd2d0532098a640c1c503dced6043783276aadb94e76b433e3401953722475d"),
+    "fig7-baselines@paper": (24, "d99d447599df2c2ae03e75b1ed12adee64437ff90fe908f9693fca0b3ce610ba"),
+    "fig8-offloading": (4, "ecb58da90a0418c3394d0c3f8b7cf6aeeff2aee6a64701008571d14c0c604514"),
+    "fig8-offloading@paper": (28, "6a8bad95d9ef2158396c1e07a1c6357d27827a8ccc434ad5eab3879bf5302e5b"),
+    "scenario-drills": (14, "5b58fef3e439f5b0337dc38bec4693543362c07cce92d958d83bfb339eadcbd9"),
+    "smoke": (4, "0c01a7bd4f76e497360fc5d71eeffda75d2a3f8d157e840be9858ab01058a0a8"),
+    "smoke@replicates=2": (8, "8613366bf705791a2ab1665a6b75b7105bfbce8f8d3794137f195f331ca54bf1"),
 }
 
 

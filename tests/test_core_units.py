@@ -1,8 +1,11 @@
 """Unit tests for core building blocks: config, certificates, spawning,
 conflict planner, and message envelopes."""
 
+import dataclasses
+
 import pytest
 
+from repro.api import RunSpec, system_names
 from repro.consensus.messages import CommitMsg
 from repro.core.certificates import CommitCertificate
 from repro.core.config import ConflictMode, ProtocolConfig, SpawnPolicyName
@@ -68,7 +71,6 @@ def test_config_surface_is_pinned():
         "client_groups",
         "client_region",
         "client_timeout",
-        "cold_start_latency",
         "conflict_mode",
         "crypto_backend",
         "executor_faults",
@@ -87,7 +89,6 @@ def test_config_surface_is_pinned():
         "txn_ingest_cost",
         "verifier_quorum_timeout",
         "verifier_region",
-        "warm_start_latency",
     ]
     assert sorted(YCSBConfig.__dataclass_fields__) == [
         "clients",
@@ -100,6 +101,21 @@ def test_config_surface_is_pinned():
         "seed",
         "write_fraction",
         "zipfian_theta",
+    ]
+    # The paper's four systems, in table order, and what a run declares.
+    assert system_names() == ["serverless_bft", "serverless_cft", "pbft_replicated", "noshim"]
+    assert [spec_field.name for spec_field in dataclasses.fields(RunSpec)] == [
+        "system",
+        "scenarios",
+        "overrides",
+        "base",
+        "seed",
+        "duration",
+        "warmup",
+        "execution_threads",
+        "replicates",
+        "labels",
+        "tracer_enabled",
     ]
 
 

@@ -21,25 +21,25 @@ OVERRIDES = {**DRILL_OVERRIDES, "protocol.crypto_backend": "fast"}
 
 GOLDEN = {
     "serverless_bft": (
-        "9cd0cdbd228298dac3823c34d7f72efce058ac85e8dd5f014172687ce4ff48dd",
+        "96ca87e1b34d05988f69e1ea606f30b212254c26405f97742669c939a882444b",
         "bb783174e14413897d69566ccb4a677626a3031d3a0c99b4bcbaeb3f88ad294f",
     ),
     "serverless_cft": (
-        "5780670224a134bbabb5a3c197a20649528616c8a177899a1b634d5b66a22019",
+        "253a40ce3748fb51bd5a1a17bcf8009188ea6950c338d77e636c9ccbb888f92f",
         "b9fe180d45b574c2abc26190a3ef46983b68c30f260d293630cd831352452c3f",
     ),
     "pbft_replicated": (
-        "8fce9b0dca4af4994a70323705b45fe17c26223e691279dc9d5e58308f5812f6",
+        "4c56210f5f18ea0623d30d55c577fa2e54add0ea73b0c5509fbfb6213beccfd2",
         "7ce96b330bdd576f95a89620c9431c9f1207ee4b9d6b98f4ab152e67ca4c787e",
     ),
     "noshim": (
-        "fa6a86b608c6e531bf9bf49f2c03cf488bfbe31d1b8e2430772e8422ac60d25e",
+        "223ad8287f2154764c7d412a33e40209ff0472a6ed704873834b7e4a6dce278d",
         "118ad8add16a84725a8a55ec67b5e732163facd68041518577c03fe7d42b48bd",
     ),
 }
 
 GOLDEN_BYZANTINE_TIMELINE = (
-    "654ed77b2a882ea382ac42c77bec6e41a2e41f1064ddc1e5688535f6901d53a3",
+    "a0c7c8cbaf1a49e1aeb308f63a5f54a31fcb1510bfb55f5346d44a5ee76156ab",
     "df17cd1d706792da0769d205a93647c7847d803ed7837fc4650b976ae8b74a54",
 )
 
@@ -47,23 +47,23 @@ GOLDEN_BYZANTINE_TIMELINE = (
 #: ``NetworkFaultPlan`` subclass bound to the live network after construction.
 GOLDEN_NETWORK_SCENARIOS = {
     ("serverless_bft", "lossy-network"): (
-        "3d0dfae0b3458035e92e7ebe9d3e8909e85eb838f5244dad99a1c2d8c9f24fcf",
+        "c54094193fe3800cf5a16e42be64a07382ef0b2cb26742f7c2bd37ba23c09920",
         "02ce0d430ebf727450dc589822935fac60a1081fde90596e94a69ae4d3ef2852",
     ),
     ("serverless_bft", "network-partition"): (
-        "45fdf2c9f96e6ef61ee41f242d39fbc37e1caa61a06747d3d3190aaa0992c070",
+        "eb1f3ba97f2c500a725f7083fafdc650116d9cd9af09c5600317a9af77d8a78d",
         "881e8dec4353d95aef8e99f310e6f7cbb2d63ff1c8f69552155a2a6ea80ecf71",
     ),
     ("serverless_bft", "region-outage"): (
-        "36c0438e0dade2a01bfdd68de83f185edf951b1d4c3254ba1fd084d578ec3362",
+        "676f71667f1a8d9975e510bbd3a013c25389cde7cd37b1f48dc95dd5e0826659",
         "a3435d85cbe5fa71382e3e6bbd33d92803f6ef4aee444b9915d620ece043235c",
     ),
     ("serverless_bft", "region-outage+skewed-ycsb"): (
-        "23ddffa1f638e9f91aed434381c5979ef16e3ac85387a3f015ec6c038731f362",
+        "a908b1707f44359fa2cacf680da90890490f359d3e50909b265291e571062a50",
         "070d4e3b0cae3295838c211da5ac9a41a9cd703c52b2675af93951caacfd681b",
     ),
     ("noshim", "region-outage"): (
-        "563d1d4cbcb3bb419887195b25ca7ca5ee1970a6c892d2faf2b16eda55aef165",
+        "20f490bcff0042e91ae470b71bad7af41c81de3a0c588d73ad9e6548ed6c8e9d",
         "250f06f15ad3bc144f16d8afe15240bf5455e64dae9ad2a24a96984b9e234aeb",
     ),
 }
@@ -73,7 +73,7 @@ GOLDEN_NETWORK_SCENARIOS = {
 #: loop grew per-client-index tables: client indices 8..39 are the branch
 #: the default base takes for 1 584 of its 1 600 clients.
 GOLDEN_CLIENT_OVERFLOW = (
-    "d0674bf2ebac134248d673ec22340a4b260ec629bae3b75456684280e3b95e1e",
+    "bc6a3f19d284ecaf6ed9c86f743116dfc458ff702fc71c175f53971b053cc783",
     "c4129203ca5663efaa99cdde403199c3bea88787ad1fbac112ed1702cd303fe3",
 )
 

@@ -123,8 +123,8 @@ def test_quorum_sizes():
     replica = cluster.leader()
     assert replica.n == 5
     assert replica.majority == 3
-    assert replica.is_leader
-    assert not cluster.replicas["node-1"].is_leader
+    assert replica.is_primary
+    assert not cluster.replicas["node-1"].is_primary
 
 
 def test_accept_from_non_leader_is_ignored():

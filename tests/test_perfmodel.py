@@ -80,7 +80,7 @@ def test_system_ordering_matches_figure7():
     for name in ("serverless_bft", "serverless_cft", "pbft_replicated", "noshim"):
         adapter = get_system(name)
         config = adapter.effective_config(paper_config(shim_nodes=32))
-        system = SystemKind(adapter.model_kind)
+        system = SystemKind(name)
         model = AnalyticalModel(config, paper_workload(), system=system)
         throughputs[system] = model.throughput_latency()[0]
     assert set(throughputs) == set(SystemKind)

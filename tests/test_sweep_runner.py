@@ -84,16 +84,17 @@ def test_failed_points_are_reported_not_raised():
         warmup=0.1,
     )
     # Resolves fine but blows up when the deployment is built.
-    bad_engine = RunSpec(
-        labels={"kind": "bad-engine"},
-        consensus_engine="raft",
+    bad_knob = RunSpec(
+        labels={"kind": "bad-knob"},
+        system="pbft_replicated",
+        scenarios=("region-outage",),
         duration=0.4,
         warmup=0.1,
     )
-    report = run_sweep(SweepSpec(name="mixed", points=(good, bad_config, bad_engine)))
+    report = run_sweep(SweepSpec(name="mixed", points=(good, bad_config, bad_knob)))
     assert report.simulated == 1 and report.failed == 2
     assert report.outcomes[1].error is not None
-    assert "raft" in report.outcomes[2].error
+    assert "network_fault_plan" in report.outcomes[2].error
     # Failed points contribute no table rows.
     assert len(report.table()) == 1
 
@@ -430,30 +431,17 @@ def test_no_deployment_outlives_its_pooled_point():
 
 @pytest.mark.parametrize("collector_on", [True, False])
 def test_a_point_restores_the_callers_collector_and_reclaims(monkeypatch, collector_on):
-    from repro.api import SystemAdapter, build_system
-    from repro.api import registry
     from repro.sweep import resolve_point
     from repro.sweep.runner import _timed_simulate
 
     built = _record_deployments(monkeypatch)
-    # No capabilities: a scenario's fault plan makes its build raise.
-    monkeypatch.setitem(
-        registry._REGISTRY,
-        "unit-test-no-knobs",
-        SystemAdapter(
-            name="unit-test-no-knobs",
-            description="test-only system without capabilities",
-            builder=lambda config, workload=None, **kwargs: build_system(
-                "noshim", config, workload, **kwargs
-            ),
-        ),
-    )
     sweep = _tiny_sweep("lifetime")
     good = resolve_point(sweep, sweep.points[0])
+    # pbft_replicated hosts no network fault plan: the build raises.
     bad = resolve_point(
         sweep,
         dataclasses.replace(
-            sweep.points[0], system="unit-test-no-knobs", scenarios="region-outage"
+            sweep.points[0], system="pbft_replicated", scenarios="region-outage"
         ),
     )
     was_on = gc.isenabled()
@@ -465,7 +453,7 @@ def test_a_point_restores_the_callers_collector_and_reclaims(monkeypatch, collec
             "setup_seconds", "simulate_seconds", "collect_seconds",
         }
         assert len(built) == 1 and built[0]() is None
-        with pytest.raises(UnsupportedKnobError):
+        with pytest.raises(UnsupportedKnobError, match="network_fault_plan"):
             _timed_simulate(bad)
         assert gc.isenabled() is collector_on
     finally:
