@@ -72,7 +72,6 @@ DRILL = {
     "protocol.batch_size": 10,
     "protocol.num_clients": 40,
     "protocol.client_groups": 4,
-    "protocol.storage_records": 2_000,
     "workload.num_records": 2_000,
     "workload.clients": 40,
     "workload.operations_per_transaction": 4,

@@ -18,8 +18,8 @@ Each attack is a *scenario preset* (``request-suppression``,
 same names work in sweeps (``python -m repro.sweep run scenario-drills``),
 compose with other presets (``scenarios=["request-suppression",
 "skewed-ycsb"]``), and keep the run content-addressable.  A scenario is the
-only way a ``RunSpec`` names faults; to inject a custom fault object,
-register a scenario that builds it (``repro.api.register_scenario``).
+only way a ``RunSpec`` names faults; a custom fault object goes to the
+constructor instead (``repro.api.build_system(..., node_behaviours=...)``).
 
 Run with:  python examples/byzantine_attack_drill.py
 (CI runs every example with REPRO_EXAMPLE_DURATION=0.4 as a smoke test.)

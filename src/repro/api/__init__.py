@@ -13,10 +13,10 @@
   table (``serverless_bft``, ``serverless_cft``, ``pbft_replicated``,
   ``noshim``): each a :class:`~repro.api.registry.SystemAdapter` naming
   the runner knobs its builder accepts.
-* :mod:`repro.api.scenarios` — the scenario-preset registry: named
-  fault/workload drills a spec composes by name, and the one place a
-  custom fault is registered at runtime
-  (:func:`register_scenario`, :func:`get_scenario`, :func:`scenario_names`).
+* :mod:`repro.api.scenarios` — the paper's drills as one closed table:
+  named fault/workload setups a spec composes by name
+  (:func:`get_scenario`, :func:`scenario_names`).  A custom fault object
+  goes to :func:`build_system` as a constructor knob instead.
 
 Example::
 
@@ -54,7 +54,6 @@ from repro.api.scenarios import (
     Scenario,
     all_scenarios,
     get_scenario,
-    register_scenario,
     scenario_names,
     validate_seed_label,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "get_system",
     "normalize_scenarios",
     "protocol_config_from_dict",
-    "register_scenario",
     "replicate_specs",
     "run_replicates",
     "spec_digest",

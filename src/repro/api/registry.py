@@ -5,9 +5,9 @@ Section IX-H compares exactly four deployments: ``serverless_bft``,
 execution) and ``noshim``.  Each is a :class:`SystemAdapter`: a builder
 returning a deployment object with ``.run(duration, warmup) ->
 SimulationResult``, the ``ProtocolConfig`` fields the system pins, and the
-runner keyword arguments (``knobs``) its builder accepts.
-:meth:`SystemAdapter.build` is the one place an unsupported knob is
-rejected.  Tables and figure sweeps list the systems in table order.
+knobs it accepts (``knobs``).  :meth:`SystemAdapter.build` is the one
+place an unsupported knob is rejected.  Tables and figure sweeps list the
+systems in table order.
 """
 
 from __future__ import annotations
@@ -41,7 +41,10 @@ class SystemAdapter:
     #: what makes it this variant rather than another (applied by
     #: :meth:`effective_config` for the simulator and the model alike).
     config_overrides: Mapping[str, object] = field(hash=False)
-    #: Runner keyword arguments the builder accepts.
+    #: Runner keyword arguments the builder accepts, plus
+    #: ``"fault_timeline"`` if the system runs a non-empty
+    #: ``ProtocolConfig.fault_timeline`` (a config field: checked by
+    #: :meth:`build`, never passed to the builder).
     knobs: FrozenSet[str]
 
     def effective_config(self, config):
@@ -61,14 +64,18 @@ class SystemAdapter:
     ):
         """Validate the knobs against :attr:`knobs` and build.
 
-        A knob counts as requested only when its value is not ``None``;
+        A knob counts as requested only when its value is not ``None``, and
+        a non-empty ``config.fault_timeline`` requests ``"fault_timeline"``;
         :class:`UnsupportedKnobError` names *every* offending knob at once.
         ``execution_threads`` is a resource knob rather than a fault
         injection: a system without an execution thread pool drops the value
         instead of rejecting it (every sweep point carries a default).
         """
         kwargs = {knob: value for knob, value in knobs.items() if value is not None}
-        unsupported = sorted(set(kwargs) - self.knobs)
+        requested = set(kwargs)
+        if config.fault_timeline:
+            requested.add("fault_timeline")
+        unsupported = sorted(requested - self.knobs)
         if unsupported:
             raise UnsupportedKnobError(
                 f"system {self.name!r} does not support {unsupported} "
@@ -87,10 +94,10 @@ class SystemAdapter:
 #: Ingest cost of a deployment that skips byzantine-grade client checks.
 _LIGHT_INGEST = {"txn_ingest_cost": 15e-6}
 
-#: What a serverless deployment's builder (:class:`ServerlessDeployment`)
-#: accepts beyond its configs.
+#: What a serverless deployment (:class:`ServerlessDeployment`) accepts
+#: beyond its configs.
 _SERVERLESS_KNOBS = frozenset(
-    {"node_behaviours", "executor_behaviour_factory", "network_fault_plan", "preload_storage"}
+    {"node_behaviours", "executor_behaviour_factory", "network_fault_plan", "fault_timeline"}
 )
 
 
@@ -129,6 +136,8 @@ _SYSTEMS: Dict[str, SystemAdapter] = {
             description="Classic replicated-execution PBFT: no executors, no verifier.",
             builder=ReplicatedPBFTDeployment,
             config_overrides={},
+            # No fault_timeline: its replicas execute locally and have no
+            # checkpoint-based catch-up path for a recovered node.
             knobs=frozenset({"node_behaviours", "execution_threads"}),
         ),
         # NOSHIM (Section IX-H): "there is no shim; no BFT consensus takes

@@ -1,4 +1,4 @@
-"""Scenario-preset registry: named, reusable workload/fault setups.
+"""The paper's drills, one closed table: named workload/fault setups.
 
 A scenario bundles three things under one name:
 
@@ -11,10 +11,12 @@ A scenario bundles three things under one name:
   digests, and worker boundaries),
 * a one-line description for ``python -m repro.sweep scenarios``.
 
-Adding a new experiment axis is a one-line :func:`register_scenario` call —
-every ``RunSpec``, sweep and CLI run can then reference it by name.  It is
-also the only way faults reach a ``RunSpec``, which holds no live objects.
-:mod:`repro.api.spec` composes scenario lists on top of this registry.
+The table holds the paper's drills and nothing else, so every process that
+imports this module — a forked or a spawned pool worker alike — knows every
+scenario.  A scenario name is the only way a fault reaches a ``RunSpec``,
+which holds no live objects; a bespoke fault object goes to a constructor
+instead (``repro.api.build_system(..., node_behaviours=...)``).
+:mod:`repro.api.spec` composes scenario lists on top of this table.
 """
 
 from __future__ import annotations
@@ -73,39 +75,6 @@ class Scenario:
         if self.runner_kwargs_factory is None:
             return {}
         return dict(self.runner_kwargs_factory(resolved))
-
-
-_REGISTRY: Dict[str, Scenario] = {}
-
-
-def register_scenario(scenario: Scenario, replace: bool = False) -> Scenario:
-    """Add a scenario to the registry (``replace=True`` to redefine).
-
-    Scenario names enter per-point seed derivation (the canonical scenario
-    key is a ``derive_seed`` label component), so names containing ``/``
-    are rejected — they would alias another label path.
-    """
-    validate_seed_label(scenario.name, "scenario name")
-    if scenario.name in _REGISTRY and not replace:
-        raise ConfigurationError(f"scenario {scenario.name!r} is already registered")
-    _REGISTRY[scenario.name] = scenario
-    return scenario
-
-
-def get_scenario(name: str) -> Scenario:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ConfigurationError(f"unknown scenario {name!r} (known: {known})")
-
-
-def scenario_names() -> List[str]:
-    return sorted(_REGISTRY)
-
-
-def all_scenarios() -> List[Scenario]:
-    return [_REGISTRY[name] for name in scenario_names()]
 
 
 # ------------------------------------------------------------------ presets
@@ -193,159 +162,167 @@ def _verify_flooding_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]
     }
 
 
-register_scenario(Scenario(
-    name="baseline",
-    description="Fault-free run with the deployment's default workload.",
-))
-register_scenario(Scenario(
-    name="lossy-network",
-    description="1% message drops and 0.5% duplicate deliveries on every link.",
-    runner_kwargs_factory=_lossy_network_kwargs,
-))
-register_scenario(Scenario(
-    name="network-partition",
-    description="The last shim node is partitioned from all of its peers.",
-    runner_kwargs_factory=_partition_kwargs,
-))
-register_scenario(Scenario(
-    name="region-outage",
-    description="Executor region us-east-2 is unreachable for the whole run.",
-    runner_kwargs_factory=_region_outage_kwargs,
-))
-register_scenario(Scenario(
-    name="byzantine-executors",
-    description="The first executor of every batch returns a fabricated result.",
-    runner_kwargs_factory=_byzantine_executor_kwargs,
-))
-register_scenario(Scenario(
-    name="silent-executors",
-    description="The first executor of every batch never reports to the verifier.",
-    runner_kwargs_factory=_silent_executor_kwargs,
-))
-register_scenario(Scenario(
-    name="shim-crash",
-    description="The last shim node is crashed throughout (alias of node-crash at t=0).",
-    config_overrides={"fault_timeline": "crash:last@0"},
-))
-register_scenario(Scenario(
-    name="node-crash",
-    description="Crash one node mid-run (which/when via the fault_timeline knob).",
-    # The generalised form of shim-crash: override fault_timeline to pick the
-    # node (literal name, 'primary', or 'last') and the crash/recover times.
-    config_overrides={"fault_timeline": "crash:last@0.3"},
-))
-register_scenario(Scenario(
-    name="request-suppression",
-    description="Byzantine primary drops every client request until replaced.",
-    config_overrides=_ATTACK_TIMERS,
-    runner_kwargs_factory=_request_suppression_kwargs,
-))
-register_scenario(Scenario(
-    name="fewer-executors",
-    description="Byzantine primary spawns only 1 executor; verifier forces a view change.",
-    config_overrides=_ATTACK_TIMERS,
-    runner_kwargs_factory=_fewer_executors_kwargs,
-))
-register_scenario(Scenario(
-    name="duplicate-spawning",
-    description="Byzantine node spawns redundant executors (self-penalising flooding).",
-    config_overrides=_ATTACK_TIMERS,
-    runner_kwargs_factory=_duplicate_spawning_kwargs,
-))
-register_scenario(Scenario(
-    name="delayed-spawning",
-    description="Byzantine primary delays its own spawns (byzantine-abort attack).",
-    config_overrides=_ATTACK_TIMERS,
-    runner_kwargs_factory=_delayed_spawning_kwargs,
-))
-register_scenario(Scenario(
-    name="verify-flooding",
-    description="The first executor of every batch floods the verifier with duplicate VERIFYs.",
-    runner_kwargs_factory=_verify_flooding_kwargs,
-))
-# Crash–recovery drills (the paper's availability story, Sections V-A4/V-B):
-# dynamic fault timelines drive real node lifecycle — crash, checkpoint-based
-# catch-up on recovery, view-change escalation.  All use the aggressive
-# detection timers so fault, view change, and recovery fit in a short run.
-register_scenario(Scenario(
-    name="primary-crash",
-    description="Primary crashes at 0.3s and recovers at 1.2s; view change carries the run.",
-    config_overrides={
-        **_ATTACK_TIMERS,
-        "fault_timeline": "crash:primary@0.3;recover:primary@1.2",
-        "checkpoint_interval": 16,
-    },
-))
-register_scenario(Scenario(
-    name="rolling-restart",
-    description="Each shim node of the 4-node scale crashes and restarts in turn.",
-    config_overrides={
-        **_ATTACK_TIMERS,
-        "fault_timeline": (
-            "crash:node-0@0.2;recover:node-0@0.6;"
-            "crash:node-1@0.7;recover:node-1@1.1;"
-            "crash:node-2@1.2;recover:node-2@1.6;"
-            "crash:node-3@1.7;recover:node-3@2.1"
+_SCENARIOS: Dict[str, Scenario] = {
+    scenario.name: scenario
+    for scenario in (
+        Scenario(
+            name="baseline",
+            description="Fault-free run with the deployment's default workload.",
         ),
-        "checkpoint_interval": 8,
-    },
-))
-register_scenario(Scenario(
-    name="view-change-storm",
-    description="Two consecutive primaries crash; view change must escalate past v+1.",
-    config_overrides={
-        **_ATTACK_TIMERS,
-        "fault_timeline": (
-            "crash:node-0@0.2;crash:node-1@0.35;"
-            "recover:node-0@1.4;recover:node-1@1.6"
+        Scenario(
+            name="lossy-network",
+            description="1% message drops and 0.5% duplicate deliveries on every link.",
+            runner_kwargs_factory=_lossy_network_kwargs,
         ),
-        "checkpoint_interval": 16,
-    },
-))
-register_scenario(Scenario(
-    name="checkpoint-lag",
-    description="A node sleeps through many commits and catches up from stable checkpoints.",
-    config_overrides={
-        **_ATTACK_TIMERS,
-        "fault_timeline": "crash:last@0.15;recover:last@0.9",
-        "checkpoint_interval": 4,
-    },
-))
-register_scenario(Scenario(
-    name="region-outage-heal",
-    description="The last shim node is isolated from everyone at 0.3s; the partition heals at 0.9s.",
-    config_overrides={
-        **_ATTACK_TIMERS,
-        "fault_timeline": "partition:last@0.3-0.9",
-    },
-))
-register_scenario(Scenario(
-    name="skewed-ycsb",
-    description="Zipfian key selection (theta=0.9) instead of uniform keys.",
-    workload_overrides={"zipfian_theta": 0.9},
-))
-register_scenario(Scenario(
-    name="write-heavy",
-    description="90% of YCSB operations are writes.",
-    workload_overrides={"write_fraction": 0.9},
-))
-register_scenario(Scenario(
-    name="conflict-heavy",
-    description="30% conflicting transactions with unknown read-write sets.",
-    workload_overrides={"conflict_fraction": 0.3, "rw_sets_known": False},
-))
+        Scenario(
+            name="network-partition",
+            description="The last shim node is partitioned from all of its peers.",
+            runner_kwargs_factory=_partition_kwargs,
+        ),
+        Scenario(
+            name="region-outage",
+            description="Executor region us-east-2 is unreachable for the whole run.",
+            runner_kwargs_factory=_region_outage_kwargs,
+        ),
+        Scenario(
+            name="byzantine-executors",
+            description="The first executor of every batch returns a fabricated result.",
+            runner_kwargs_factory=_byzantine_executor_kwargs,
+        ),
+        Scenario(
+            name="silent-executors",
+            description="The first executor of every batch never reports to the verifier.",
+            runner_kwargs_factory=_silent_executor_kwargs,
+        ),
+        Scenario(
+            name="shim-crash",
+            description="The last shim node is crashed throughout (alias of node-crash at t=0).",
+            config_overrides={"fault_timeline": "crash:last@0"},
+        ),
+        Scenario(
+            name="node-crash",
+            description="Crash one node mid-run (which/when via the fault_timeline knob).",
+            # The generalised form of shim-crash: override fault_timeline to
+            # pick the node (literal name, 'primary', or 'last') and the
+            # crash/recover times.
+            config_overrides={"fault_timeline": "crash:last@0.3"},
+        ),
+        Scenario(
+            name="request-suppression",
+            description="Byzantine primary drops every client request until replaced.",
+            config_overrides=_ATTACK_TIMERS,
+            runner_kwargs_factory=_request_suppression_kwargs,
+        ),
+        Scenario(
+            name="fewer-executors",
+            description="Byzantine primary spawns only 1 executor; verifier forces a view change.",
+            config_overrides=_ATTACK_TIMERS,
+            runner_kwargs_factory=_fewer_executors_kwargs,
+        ),
+        Scenario(
+            name="duplicate-spawning",
+            description="Byzantine node spawns redundant executors (self-penalising flooding).",
+            config_overrides=_ATTACK_TIMERS,
+            runner_kwargs_factory=_duplicate_spawning_kwargs,
+        ),
+        Scenario(
+            name="delayed-spawning",
+            description="Byzantine primary delays its own spawns (byzantine-abort attack).",
+            config_overrides=_ATTACK_TIMERS,
+            runner_kwargs_factory=_delayed_spawning_kwargs,
+        ),
+        Scenario(
+            name="verify-flooding",
+            description="The first executor of every batch floods the verifier with duplicate VERIFYs.",
+            runner_kwargs_factory=_verify_flooding_kwargs,
+        ),
+        # Crash–recovery drills (the paper's availability story, Sections
+        # V-A4/V-B): dynamic fault timelines drive real node lifecycle —
+        # crash, checkpoint-based catch-up on recovery, view-change
+        # escalation.  All use the aggressive detection timers so fault, view
+        # change, and recovery fit in a short run.
+        Scenario(
+            name="primary-crash",
+            description="Primary crashes at 0.3s and recovers at 1.2s; view change carries the run.",
+            config_overrides={
+                **_ATTACK_TIMERS,
+                "fault_timeline": "crash:primary@0.3;recover:primary@1.2",
+                "checkpoint_interval": 16,
+            },
+        ),
+        Scenario(
+            name="rolling-restart",
+            description="Each shim node of the 4-node scale crashes and restarts in turn.",
+            config_overrides={
+                **_ATTACK_TIMERS,
+                "fault_timeline": (
+                    "crash:node-0@0.2;recover:node-0@0.6;"
+                    "crash:node-1@0.7;recover:node-1@1.1;"
+                    "crash:node-2@1.2;recover:node-2@1.6;"
+                    "crash:node-3@1.7;recover:node-3@2.1"
+                ),
+                "checkpoint_interval": 8,
+            },
+        ),
+        Scenario(
+            name="view-change-storm",
+            description="Two consecutive primaries crash; view change must escalate past v+1.",
+            config_overrides={
+                **_ATTACK_TIMERS,
+                "fault_timeline": (
+                    "crash:node-0@0.2;crash:node-1@0.35;"
+                    "recover:node-0@1.4;recover:node-1@1.6"
+                ),
+                "checkpoint_interval": 16,
+            },
+        ),
+        Scenario(
+            name="checkpoint-lag",
+            description="A node sleeps through many commits and catches up from stable checkpoints.",
+            config_overrides={
+                **_ATTACK_TIMERS,
+                "fault_timeline": "crash:last@0.15;recover:last@0.9",
+                "checkpoint_interval": 4,
+            },
+        ),
+        Scenario(
+            name="region-outage-heal",
+            description="The last shim node is isolated from everyone at 0.3s; the partition heals at 0.9s.",
+            config_overrides={
+                **_ATTACK_TIMERS,
+                "fault_timeline": "partition:last@0.3-0.9",
+            },
+        ),
+        Scenario(
+            name="skewed-ycsb",
+            description="Zipfian key selection (theta=0.9) instead of uniform keys.",
+            workload_overrides={"zipfian_theta": 0.9},
+        ),
+        Scenario(
+            name="write-heavy",
+            description="90% of YCSB operations are writes.",
+            workload_overrides={"write_fraction": 0.9},
+        ),
+        Scenario(
+            name="conflict-heavy",
+            description="30% conflicting transactions with unknown read-write sets.",
+            workload_overrides={"conflict_fraction": 0.3, "rw_sets_known": False},
+        ),
+    )
+}
 
-#: Presets registered by this module itself.  Anything beyond these was
-#: registered at runtime and must be shipped to spawn-start worker processes
-#: explicitly (see ``repro.sweep.runner``) — a fresh interpreter importing
-#: this module only gets the built-ins.
-BUILTIN_SCENARIO_NAMES = frozenset(_REGISTRY)
+
+def get_scenario(name: str) -> Scenario:
+    try:
+        return _SCENARIOS[name]
+    except KeyError:
+        known = ", ".join(sorted(_SCENARIOS))
+        raise ConfigurationError(f"unknown scenario {name!r} (known: {known})")
 
 
-def custom_scenarios() -> List[Scenario]:
-    """Scenarios registered after import (not built-in presets)."""
-    return [
-        scenario
-        for name, scenario in _REGISTRY.items()
-        if name not in BUILTIN_SCENARIO_NAMES
-    ]
+def scenario_names() -> List[str]:
+    return sorted(_SCENARIOS)
+
+
+def all_scenarios() -> List[Scenario]:
+    return [_SCENARIOS[name] for name in scenario_names()]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -156,6 +157,27 @@ def dotted_overrides(
     dotted = {f"protocol.{key}": value for key, value in config.items()}
     dotted.update((f"workload.{key}", value) for key, value in workload.items())
     return dotted
+
+
+def parse_set_overrides(pairs: Sequence[str]) -> Dict[str, object]:
+    """Parse repeated ``--set key=value`` flags; values are JSON when possible.
+
+    ``--set batch_size=25`` yields an int, ``--set scenario='["a","b"]'`` a
+    list, and anything that is not valid JSON stays a plain string
+    (``--set system=noshim``).  Both CLIs (``repro.sweep``, ``repro.obs``)
+    read their overrides through here.
+    """
+    overrides: Dict[str, object] = {}
+    for pair in pairs:
+        key, separator, raw = pair.partition("=")
+        if not separator or not key:
+            raise ConfigurationError(f"--set expects key=value, got {pair!r}")
+        try:
+            value: object = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        overrides[key] = value
+    return overrides
 
 
 # ------------------------------------------------------------------ scenario composition
@@ -288,8 +310,9 @@ def compose_runner_kwargs(
 #: ``"scale"`` is the scaled-down deployment every simulated point runs in
 #: seconds of wall-clock; ``"paper"`` is Section IX's setup (SERVBFT-8, 3
 #: executors in 3 regions, batches of 100, 80 k clients, YCSB over 600 k
-#: records) — evaluated by the analytical model, too large to simulate;
-#: ``"default"`` is the library's own dataclass defaults.
+#: records) — evaluated by the analytical model, and simulated at about
+#: 25 s of host time per virtual second; ``"default"`` is the library's own
+#: dataclass defaults.
 _BASE_PROTOCOL: Dict[str, Dict[str, object]] = {
     "scale": {
         "shim_nodes": 4,
@@ -298,7 +321,6 @@ _BASE_PROTOCOL: Dict[str, Dict[str, object]] = {
         "client_groups": 8,
         "num_executors": 3,
         "num_executor_regions": 3,
-        "storage_records": 5_000,
     },
     "paper": {
         "shim_nodes": 8,
@@ -385,9 +407,8 @@ class RunSpec:
 
     ``scenarios`` composes any number of presets in order, and is the only
     way faults enter a spec: every field is plain data, so every spec is
-    addressable and ships to a pool worker.  To inject a custom fault
-    object, register a scenario that builds it
-    (:func:`repro.api.register_scenario`).
+    addressable and ships to a pool worker.  A custom fault object is not
+    a spec: pass it to :func:`repro.api.build_system` as a constructor knob.
 
     ``seed=None`` leaves the seed unpinned.  Resolved on its own
     (:func:`resolve`), the run takes the ``seed`` override if one was given,

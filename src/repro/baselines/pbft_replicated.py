@@ -207,12 +207,6 @@ class ReplicatedPBFTDeployment(Deployment):
     ) -> None:
         if execution_threads < 1:
             raise ConfigurationError("execution_threads must be at least 1")
-        if config.fault_timeline:
-            raise ConfigurationError(
-                "pbft_replicated does not support fault_timeline: its replicas "
-                "execute state machines locally and have no checkpoint-based "
-                "catch-up path (use serverless_bft/serverless_cft/noshim)"
-            )
         super().__init__(config, workload, tracer_enabled=tracer_enabled)
         self.execution_threads = execution_threads
         node_behaviours = node_behaviours or {}

@@ -85,9 +85,8 @@ class ProtocolConfig:
     executor_faults: Optional[int] = None
     num_executor_regions: int = 3
 
-    # --- verifier / storage ------------------------------------------------------
+    # --- verifier ----------------------------------------------------------------
     verifier_region: str = "us-west-1"
-    storage_records: int = 600_000
 
     # --- clients -----------------------------------------------------------------
     num_clients: int = 1600

@@ -261,7 +261,6 @@ class ServerlessDeployment(Deployment):
         ] = None,
         network_fault_plan: Optional[NetworkFaultPlan] = None,
         tracer_enabled: bool = False,
-        preload_storage: bool = False,
     ) -> None:
         if consensus_engine not in ("pbft", "paxos"):
             raise ConfigurationError(f"unknown consensus engine {consensus_engine!r}")
@@ -275,8 +274,6 @@ class ServerlessDeployment(Deployment):
         self._executor_behaviour_factory = executor_behaviour_factory
         node_behaviours = node_behaviours or {}
         self.store = VersionedKVStore()
-        if preload_storage:
-            self.store.load(config.storage_records)
 
         # --- serverless cloud ---------------------------------------------------------
         self.cloud = ServerlessCloud(

@@ -34,21 +34,6 @@ from repro.obs.export import (
 _PHASE_COLUMNS = ("count", "mean", "p50", "p95", "p99")
 
 
-def _parse_set_overrides(pairs: List[str]) -> Dict[str, object]:
-    """Repeatable ``--set key=value`` flags; values are JSON when possible."""
-    overrides: Dict[str, object] = {}
-    for pair in pairs:
-        key, separator, raw = pair.partition("=")
-        if not separator or not key:
-            raise ConfigurationError(f"--set expects key=value, got {pair!r}")
-        try:
-            value: object = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        overrides[key] = value
-    return overrides
-
-
 def _traced_payload(args: argparse.Namespace) -> Tuple[Dict[str, object], Optional[object]]:
     """The obs payload for the subcommand: from ``--input`` or a fresh run."""
     if getattr(args, "input", None):
@@ -60,11 +45,12 @@ def _traced_payload(args: argparse.Namespace) -> Tuple[Dict[str, object], Option
             )
         return records_to_payload(records), None
     from repro.api import RunSpec, run
+    from repro.api.spec import parse_set_overrides
 
     spec = RunSpec(
         system=args.system,
         scenarios=tuple(args.scenario or []),
-        overrides=_parse_set_overrides(args.set or []),
+        overrides=parse_set_overrides(args.set or []),
         duration=args.duration,
         warmup=args.warmup,
         seed=args.seed,

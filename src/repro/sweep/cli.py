@@ -28,10 +28,11 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.api.registry import all_systems
 from repro.api.scenarios import all_scenarios
+from repro.api.spec import parse_set_overrides
 from repro.errors import ConfigurationError
 from repro.report.tables import markdown_table
 from repro.sweep.presets import build_sweep, sweep_names
@@ -78,28 +79,6 @@ def _cmd_list_systems(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_set_overrides(pairs: List[str]) -> Dict[str, object]:
-    """Parse repeated ``--set key=value`` flags; values are JSON when possible.
-
-    ``--set batch_size=25`` yields an int, ``--set scenario='["a","b"]'`` a
-    list, and anything that is not valid JSON stays a plain string
-    (``--set system=noshim``).
-    """
-    overrides: Dict[str, object] = {}
-    for pair in pairs:
-        key, separator, raw = pair.partition("=")
-        if not separator or not key:
-            raise ConfigurationError(
-                f"--set expects key=value, got {pair!r}"
-            )
-        try:
-            value: object = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        overrides[key] = value
-    return overrides
-
-
 def _grid_shard(sweep: SweepSpec, index: int, count: int) -> SweepSpec:
     """This host's slice of the grid: every ``count``-th expanded point.
 
@@ -125,7 +104,7 @@ def _grid_shard(sweep: SweepSpec, index: int, count: int) -> SweepSpec:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         sweep = _load_sweep(args.sweep, args.duration, args.warmup, args.seed)
-        sweep = apply_overrides(sweep, _parse_set_overrides(args.set or []))
+        sweep = apply_overrides(sweep, parse_set_overrides(args.set or []))
         if args.replicates is not None:
             sweep = apply_overrides(sweep, {"replicates": args.replicates})
         if args.shard_count > 1:

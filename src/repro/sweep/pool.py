@@ -10,10 +10,9 @@ per process instead of once per call.
 
 Correctness notes:
 
-* Runtime-registered scenarios are **not** baked into the pool
-  at spawn time (a pool created before a ``register_scenario`` call must
-  still serve points using it): the task function re-registers them per
-  task, which is a handful of idempotent dict writes.
+* A task carries only the resolved point: systems and scenarios are
+  closed tables, so a worker knows every one of them by importing
+  ``repro.api``, whether it was forked or spawned.
 * Workers are warmed by an initializer that imports the deployment stack,
   so the first point scheduled on each worker does not pay the import cost
   inside its measured wall-clock.

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.facade import build_deployment
-from repro.api.scenarios import custom_scenarios, register_scenario
 from repro.api.spec import RunSpec
 from repro.core.runner import SimulationResult
 from repro.report.aggregate import DEFAULT_SCALAR_METRICS, resolve_result_field
@@ -78,8 +77,12 @@ def _timed_simulate(
 ) -> Tuple[Dict[str, object], Dict[str, float]]:
     """Simulate one resolved point, separating setup from simulation time.
 
-    The serial path and the pool task (:func:`_simulate_point_task`) both
-    call this, which is what makes parallel runs bit-identical to serial.
+    The serial path and every pool task both call this, which is what
+    makes parallel runs bit-identical to serial.  ``tracer_enabled`` is a
+    collection flag, not part of the point's content address: a traced run
+    produces the same simulated fingerprint as an untraced one, plus the
+    flight-recorder payload riding home on ``result_dict["obs"]``.
+
     The timing dict records where the host seconds went: ``setup_seconds``
     (deployment construction), ``simulate_seconds`` (the event loop), and
     ``collect_seconds`` (metric collection + serialisation + reclaim).
@@ -123,28 +126,6 @@ def _timed_simulate(
         "collect_seconds": max(0.0, total - setup_seconds - simulate_seconds),
     }
     return result_dict, timing
-
-
-def _simulate_point_task(
-    resolved: Mapping[str, object], scenarios, tracer_enabled: bool = False
-) -> Tuple[Dict[str, object], Dict[str, float]]:
-    """Warm-pool task: re-register runtime scenarios, then simulate with timing.
-
-    Fork-start workers inherit the parent's scenario registry; spawn-start
-    workers (macOS/Windows defaults) re-import it fresh and would only know
-    the built-in presets.  Scenario objects must be picklable (module-level
-    factories are).  Registering per task rather than per pool spawn lets a
-    long-lived warm pool serve scenarios registered *after* it was created;
-    re-registration is a few idempotent dict writes.
-
-    ``tracer_enabled`` is a collection flag, not part of the point's content
-    address: a traced worker run produces the same simulated fingerprint as
-    an untraced one, plus the flight-recorder payload riding home on
-    ``result_dict["obs"]``.
-    """
-    for scenario in scenarios:
-        register_scenario(scenario, replace=True)
-    return _timed_simulate(resolved, tracer_enabled=tracer_enabled)
 
 
 # ------------------------------------------------------------------ outcomes
@@ -450,8 +431,6 @@ def run_sweep(
         finish(outcome)
 
     if workers > 1 and executable:
-        timed_out = False
-        task_scenarios = custom_scenarios()
 
         def submit(pool, batch: List[PointOutcome]) -> Dict[object, PointOutcome]:
             """Submit ``batch`` to ``pool``; the futures map back to their points.
@@ -465,10 +444,7 @@ def run_sweep(
             future_map: Dict[object, PointOutcome] = {}
             for index, outcome in enumerate(batch):
                 try:
-                    future = pool.submit(
-                        _simulate_point_task, outcome.resolved, task_scenarios,
-                        tracer_enabled,
-                    )
+                    future = pool.submit(_timed_simulate, outcome.resolved, tracer_enabled)
                 except BrokenExecutor as exc:
                     for unsubmitted in batch[index:]:
                         fail_in_pool(unsubmitted, exc)
@@ -508,8 +484,6 @@ def run_sweep(
 
         # Warm worker pool: reused across run_sweep / run_replicates calls
         # in this process, so interpreter + import start-up is paid once.
-        # Runtime-registered scenarios ship with each task (a warm pool may
-        # predate the registration).
         timed_out = drain(submit(get_shared_pool(workers), executable))
         if retry_queue and not timed_out:
             # A worker died: the shared pool is broken.  Terminate it, spawn

@@ -15,7 +15,6 @@ def make_config(**overrides) -> ProtocolConfig:
         batch_size=10,
         num_clients=40,
         client_groups=4,
-        storage_records=2_000,
     )
     params.update(overrides)
     return ProtocolConfig(**params)
@@ -53,7 +52,6 @@ DRILL_OVERRIDES = {
     "protocol.batch_size": 10,
     "protocol.num_clients": 40,
     "protocol.client_groups": 4,
-    "protocol.storage_records": 2_000,
     "workload.num_records": 2_000,
     "workload.clients": 40,
     "workload.operations_per_transaction": 4,

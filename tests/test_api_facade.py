@@ -11,6 +11,7 @@
 """
 
 import functools
+import multiprocessing
 import os
 import warnings
 
@@ -24,7 +25,6 @@ from repro.api import (
     build_deployment,
     build_system,
     compose_scenarios,
-    register_scenario,
     replicate_specs,
     resolve,
     result_digest,
@@ -39,6 +39,7 @@ from repro.errors import ConfigurationError
 from repro.store import JsonlBackend
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.cli import main as sweep_cli
+from repro.sweep.runner import discard_shared_pool
 
 #: Small, fast deployment every test here reuses.
 FAST_OVERRIDES = {
@@ -107,15 +108,14 @@ def test_composed_scenario_point_runs_through_sweep_and_facade():
     assert report.outcomes[0].result.committed_txns > 0
 
 
-def test_overlapping_scenario_keys_conflict():
-    register_scenario(
-        Scenario(
-            name="unit-test-mild-writes",
-            description="conflicts with write-heavy on purpose",
-            workload_overrides={"write_fraction": 0.1},
-        ),
-        replace=True,
-    )
+def test_overlapping_scenario_keys_conflict(monkeypatch):
+    from repro.api import scenarios
+
+    monkeypatch.setitem(scenarios._SCENARIOS, "unit-test-mild-writes", Scenario(
+        name="unit-test-mild-writes",
+        description="conflicts with write-heavy on purpose",
+        workload_overrides={"write_fraction": 0.1},
+    ))
     with pytest.raises(ScenarioConflictError) as excinfo:
         compose_scenarios(["write-heavy", "unit-test-mild-writes"])
     assert "write_fraction" in str(excinfo.value)
@@ -144,7 +144,7 @@ def test_direct_fault_knobs_merge_with_scenarios_on_disjoint_nodes(monkeypatch):
 
     for victim in ("node-0", "node-3"):
         name = f"unit-test-crash-{victim}"
-        monkeypatch.setitem(scenarios._REGISTRY, name, Scenario(
+        monkeypatch.setitem(scenarios._SCENARIOS, name, Scenario(
             name=name,
             description="test-only crash of one node",
             runner_kwargs_factory=functools.partial(_crash_node, victim),
@@ -167,17 +167,17 @@ def test_direct_fault_knobs_merge_with_scenarios_on_disjoint_nodes(monkeypatch):
 def _small_config():
     from repro.core.config import ProtocolConfig
 
-    return ProtocolConfig(
-        crypto_backend="fast", num_clients=40, client_groups=2, storage_records=200
-    )
+    return ProtocolConfig(crypto_backend="fast", num_clients=40, client_groups=2)
 
 
 def test_constructor_extra_knobs_pass_through():
-    # preload_storage is not a fault knob but a constructor switch the
-    # serverless systems accept; the adapter passes it through.
+    # A custom fault object is no scenario: it reaches a deployment as a
+    # constructor knob, which the adapter passes through unchanged.
     from repro.sim.network import NetworkFaultPlan
 
-    deployment = build_system("serverless_bft", _small_config(), preload_storage=True)
+    plan = NetworkFaultPlan(down_regions=frozenset({"us-east-2"}))
+    deployment = build_system("serverless_bft", _small_config(), network_fault_plan=plan)
+    assert deployment.network.fault_plan is plan
     assert deployment.run(duration=0.3, warmup=0.05).committed_txns > 0
     with pytest.raises(UnsupportedKnobError):
         build_system(
@@ -397,23 +397,34 @@ def _die_once(marker, resolved):
     return {}
 
 
-def _register_for_test(monkeypatch, name, factory):
-    """Register a runtime scenario for one test (removed again afterwards).
+@pytest.fixture
+def pooled_test_scenario(monkeypatch):
+    """Put a test-only scenario in the table for one test's worker pool.
 
     Its ``runner_kwargs_factory`` runs where the point is built, so a
-    pooled run ships the scenario to the worker and fails there.
+    pooled run fails in the worker.  A worker knows the table it inherited:
+    the shared pool is discarded before the patch, so the next one is forked
+    with the entry, and again afterwards, so no later test sees it.  A
+    spawned worker imports the table afresh, without the entry.
     """
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs fork-start workers to inherit a patched table")
     from repro.api import scenarios
 
-    monkeypatch.setitem(scenarios._REGISTRY, name, Scenario(
-        name=name, description="test-only scenario", runner_kwargs_factory=factory,
-    ))
+    def add(name, factory):
+        monkeypatch.setitem(scenarios._SCENARIOS, name, Scenario(
+            name=name, description="test-only scenario", runner_kwargs_factory=factory,
+        ))
+
+    discard_shared_pool()
+    yield add
+    discard_shared_pool()
 
 
 def test_run_replicates_reraises_a_worker_error_after_storing_siblings(
-    tmp_path, monkeypatch
+    tmp_path, pooled_test_scenario
 ):
-    _register_for_test(monkeypatch, "unit-test-odd-seed-fails", _odd_seed_fails)
+    pooled_test_scenario("unit-test-odd-seed-fails", _odd_seed_fails)
     # The first spec seed whose replicate 0 builds and replicate 1 raises.
     spec = next(
         candidate
@@ -436,11 +447,9 @@ def test_run_replicates_reraises_a_worker_error_after_storing_siblings(
     assert len(store) == 1
 
 
-def test_run_replicates_survives_a_worker_death(tmp_path, monkeypatch):
+def test_run_replicates_survives_a_worker_death(tmp_path, pooled_test_scenario):
     marker = str(tmp_path / "died-once")
-    _register_for_test(
-        monkeypatch, "unit-test-dies-once", functools.partial(_die_once, marker)
-    )
+    pooled_test_scenario("unit-test-dies-once", functools.partial(_die_once, marker))
     store = JsonlBackend(str(tmp_path / "retried.jsonl"))
     family = run_replicates(
         _spec(system="noshim", scenarios=["unit-test-dies-once"], replicates=2),

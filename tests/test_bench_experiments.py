@@ -84,12 +84,13 @@ def test_simulation_scale_runs_fast_configs():
 #: ``spec_digest(RunSpec(base=b, seed=1))`` at the commit before the bases
 #: moved from ``bench/defaults.py`` into ``api/spec.py``, re-pinned when nine
 #: config fields nobody set left the resolved spec (they became module
-#: constants or were deleted; every result digest stayed put), and again when
-#: ``consensus_engine`` and the two spawn latencies left it.
+#: constants or were deleted; every result digest stayed put), again when
+#: ``consensus_engine`` and the two spawn latencies left it, and again when
+#: ``storage_records`` (read only by a deleted storage preload) left it.
 _BASE_GOLDEN = {
-    "scale": "c7a8fab9aae9ed6ea0d1fa1be98379b53bdc52813ef57625532331e56ca9091f",
-    "paper": "c2c240c6e19ae35c81fa22c543990a17d261c435a24c7f8ac3737943eea2cb4b",
-    "default": "6aa7b98abca30e68dda5f7fc2093491c7ed00510d37981816f9e5d001a9ac954",
+    "scale": "eeefbf4594e7c04da8788bf3a450f54051b0e252c2e6be74f0765b65081abf89",
+    "paper": "b162f9b876ab5a32b7c00f7cc152915fbac637a6efb2fe64f649ee6c22bda3de",
+    "default": "3f9495307c248c49c8ee5185063d311def64b44d26355cc77c50c15852b6cfcd",
 }
 
 
@@ -107,32 +108,32 @@ def test_base_defaults_resolve_to_the_same_address(base):
 #: ``smoke@replicates=2`` the smoke sweep after ``--replicates 2``.  Re-pinned
 #: with :data:`_BASE_GOLDEN` whenever unset fields left the spec.
 _PRESET_GOLDEN = {
-    "ablation-conflict-avoidance": (2, "5ac88c1e88f67fc4e53cc5e3e659329dba4eedccc071a11e1b124e6b690237e5"),
-    "ablation-conflict-avoidance@paper": (8, "78e866d5c18d740d00490b3964f60690f4d2f27ce81cd70745eb1839a350ee28"),
-    "ablation-spawning": (2, "c4a70f358fd08fb33432749f1fdb5bf2a334c3d80d4829f8231dd679176e07ed"),
-    "ablation-spawning@paper": (6, "d9fbbfe5181afbc92ceb8e5433adf61499bce8d4235c4c32c796e026ddec411b"),
-    "chaos-drills": (10, "137137824485a29cb1a1e84a9ff2ce5cbc1bbb2313f902d6f0df1b63a599519a"),
-    "fig5-clients": (2, "68dcc662cfb0465bbd026260cd2bf258344b9592b6bdd887b694e5ffd11b9dcb"),
-    "fig5-clients@paper": (24, "cbebd0d6fe2653aa57be19dc91d37b0fe9025ef5e915c10df85d45c40588d500"),
-    "fig6-batching": (8, "a9d1c7f728ce27c18d7d46f8b22f9c1091fc5677168e402943835b81d6be2340"),
-    "fig6-batching@paper": (12, "abc9e3de464e94bd25439f9e1102b86469f8ca0ceb9cca0fff8ba1a387047b9b"),
-    "fig6-conflicts": (4, "4faedb4fe2f6195494905ac4a68a8868cb0c67bfcce6cd667b2e9ff6bd148ea6"),
-    "fig6-conflicts@paper": (12, "0f99882ecea4aa95e7b4a2ff751335054a9a2f5d9ac570b98fdde13012612602"),
-    "fig6-cores": (2, "cd2674aac50a7298be5190c4e24603af2e77addcf22b75bf82a417efd1c5c850"),
-    "fig6-cores@paper": (10, "cba530f15cb1a8cdff24231ea084fba4b15fb47babea460d3c8740ee5c15d666"),
-    "fig6-execution": (2, "bd3c3a7356e88e066bc89903f8eec420aa4aa4c0833bdfb6715b0380fe56dd9d"),
-    "fig6-execution@paper": (10, "f53ed64e4f298adacb5c1707c371568a8864fb3f59ff63f867962df4ed958014"),
-    "fig6-executors": (8, "4e7711e6f616333b0139ddaa9c5b5a4ea7a65136f8860bc823160ae015fa3a10"),
-    "fig6-executors@paper": (10, "a8e119cf3177ff6effbb98db35e4396af8bd7c359acfaeec03ecc30f2d235490"),
-    "fig6-regions": (2, "fdca811a16e3cc1e00d688996d52801a78090c499b161c069fc968c62f0e7170"),
-    "fig6-regions@paper": (8, "d31c9465487902bffaeb9dc1627cf6a36772bcab2fb209dadf0f72cd26b54b8c"),
-    "fig7-baselines": (4, "acd2d0532098a640c1c503dced6043783276aadb94e76b433e3401953722475d"),
-    "fig7-baselines@paper": (24, "d99d447599df2c2ae03e75b1ed12adee64437ff90fe908f9693fca0b3ce610ba"),
-    "fig8-offloading": (4, "ecb58da90a0418c3394d0c3f8b7cf6aeeff2aee6a64701008571d14c0c604514"),
-    "fig8-offloading@paper": (28, "6a8bad95d9ef2158396c1e07a1c6357d27827a8ccc434ad5eab3879bf5302e5b"),
-    "scenario-drills": (14, "5b58fef3e439f5b0337dc38bec4693543362c07cce92d958d83bfb339eadcbd9"),
-    "smoke": (4, "0c01a7bd4f76e497360fc5d71eeffda75d2a3f8d157e840be9858ab01058a0a8"),
-    "smoke@replicates=2": (8, "8613366bf705791a2ab1665a6b75b7105bfbce8f8d3794137f195f331ca54bf1"),
+    "ablation-conflict-avoidance": (2, "6cde6abeafb016eacc5c2c92da577ed11dc2fac6aeb6a9db83547960b33f9a0a"),
+    "ablation-conflict-avoidance@paper": (8, "539cebd7a2e6f5890a7787ae9decad30362b5c8acca76718e1c4c8ddc197a480"),
+    "ablation-spawning": (2, "8179f8807d66d66be3bd01844a396fec32807d9f2114dc78767e491ce6692a94"),
+    "ablation-spawning@paper": (6, "8bda3234d94ab6f78e65182185b3706e18fcc2243f4cc5227bd3cf5317206bbe"),
+    "chaos-drills": (10, "2dcdee010ec8a1f42961e19c9bc92a4cf9590e92e6dc09906bea537d7b90e7e7"),
+    "fig5-clients": (2, "40406fc936b1ed7a7a0032c281da756a0ae3a1b82ee95e6d98d630e7e7a73872"),
+    "fig5-clients@paper": (24, "52ad5fda42cb1b3e5d201bbc2e13829b349052e51c585be51fc31f346eaa84ab"),
+    "fig6-batching": (8, "aca4dc908f9c6bd93e987d1b13faa5fa4b445ed0362bc4fe867898ecaec270cc"),
+    "fig6-batching@paper": (12, "10252d4803a75c0cc5bce4cdcf359a632cef3ffc29263da9db94f66a6054e467"),
+    "fig6-conflicts": (4, "1c5336afb4bb0918a3b87483f1ce09eb557e1b6aa578ac5dff8e8d8faf399071"),
+    "fig6-conflicts@paper": (12, "7e1a76b5b4e5de6f3560c095931755782b85c245ef552f81114095defcdb91c8"),
+    "fig6-cores": (2, "0f053dd9c1791d347fea60d64ed81fb50af07b8b70789cc0fe992f10bb22612f"),
+    "fig6-cores@paper": (10, "b45e3d910a68dfd025bff1fa3bf2f12fd7cbfae468a2794e631aac1b27f1a177"),
+    "fig6-execution": (2, "86c248372aa7c9d553f71081d483712b82bcc793fe1440c338d2ebd88439b96b"),
+    "fig6-execution@paper": (10, "fdf7f0ca47340a47f558b83277efd5eeb89befbf89f08a6313f5820e2fdf5156"),
+    "fig6-executors": (8, "2913a85b87f01481788302734b0313c876736ca5cd2d6dcb3753e6a58b23072c"),
+    "fig6-executors@paper": (10, "c69136304f0e135b434ee84e85812e719abf1f158bdbbf90e58b694c634c9334"),
+    "fig6-regions": (2, "2853653dcb0bca5506e91e5974bf98b005c3ed3166886f06b925e53b24965f21"),
+    "fig6-regions@paper": (8, "6797e8ed140f16411a6ca4ac75150adc9b2935b030ed8e154361525609a4b1f7"),
+    "fig7-baselines": (4, "059f24208b130b1c5d7c6bfc7dd2acee1a6ac9320433d866f52c4c892649c9e9"),
+    "fig7-baselines@paper": (24, "6f1fc7fec2462df243154f74e9ac5c8e8f1dd5632460fdcee0c3976ccf47191b"),
+    "fig8-offloading": (4, "91ec58c961133447bda5ba466f5af0a361858ad869ff489fb3111d46c9510ada"),
+    "fig8-offloading@paper": (28, "15e55743ddc5004b30b8c0130c1107e762323fa8ed24ccd5d176f27afcedae04"),
+    "scenario-drills": (14, "c716c171cd7478b746c2fec17027192579fb5f9f9fc2af7c15389c5845637f1c"),
+    "smoke": (4, "d039e8154e99cbe5143473dca71d52f273c6af06ad3eae6867bc00a6d1872e55"),
+    "smoke@replicates=2": (8, "3029ddf7df34caa1e2fc88b0b094897145ba0c1d59418d5017af164dc60f881f"),
 }
 
 

@@ -85,7 +85,6 @@ def test_config_surface_is_pinned():
         "shim_nodes",
         "shim_region",
         "spawn_policy",
-        "storage_records",
         "txn_ingest_cost",
         "verifier_quorum_timeout",
         "verifier_region",

@@ -21,25 +21,25 @@ OVERRIDES = {**DRILL_OVERRIDES, "protocol.crypto_backend": "fast"}
 
 GOLDEN = {
     "serverless_bft": (
-        "96ca87e1b34d05988f69e1ea606f30b212254c26405f97742669c939a882444b",
+        "46372f102c2d9c84dcd186e224833cdecebdc93ba125293cd3de0909524980dc",
         "bb783174e14413897d69566ccb4a677626a3031d3a0c99b4bcbaeb3f88ad294f",
     ),
     "serverless_cft": (
-        "253a40ce3748fb51bd5a1a17bcf8009188ea6950c338d77e636c9ccbb888f92f",
+        "12df7182f2da844ab3ab80a2f256df8b5f190abc3f0539a8906d2c684ea841fd",
         "b9fe180d45b574c2abc26190a3ef46983b68c30f260d293630cd831352452c3f",
     ),
     "pbft_replicated": (
-        "4c56210f5f18ea0623d30d55c577fa2e54add0ea73b0c5509fbfb6213beccfd2",
+        "ef69d895bab1f0d737a6dc6e1bc70794e507bc90b383bb538bf9de47f0e61882",
         "7ce96b330bdd576f95a89620c9431c9f1207ee4b9d6b98f4ab152e67ca4c787e",
     ),
     "noshim": (
-        "223ad8287f2154764c7d412a33e40209ff0472a6ed704873834b7e4a6dce278d",
+        "11a2b66b97604613da87702e1641de8be107181e391d55eb5ead3286e418ab1e",
         "118ad8add16a84725a8a55ec67b5e732163facd68041518577c03fe7d42b48bd",
     ),
 }
 
 GOLDEN_BYZANTINE_TIMELINE = (
-    "a0c7c8cbaf1a49e1aeb308f63a5f54a31fcb1510bfb55f5346d44a5ee76156ab",
+    "54e3c27522da91efb2813c01cebabea2b0ebf9b2d0ba94d6ca47572a188a1e55",
     "df17cd1d706792da0769d205a93647c7847d803ed7837fc4650b976ae8b74a54",
 )
 
@@ -47,23 +47,23 @@ GOLDEN_BYZANTINE_TIMELINE = (
 #: ``NetworkFaultPlan`` subclass bound to the live network after construction.
 GOLDEN_NETWORK_SCENARIOS = {
     ("serverless_bft", "lossy-network"): (
-        "c54094193fe3800cf5a16e42be64a07382ef0b2cb26742f7c2bd37ba23c09920",
+        "5800756b09f5ed058fafd67fe8301715738b13e7db21b4d7be63c9ddc65e67a8",
         "02ce0d430ebf727450dc589822935fac60a1081fde90596e94a69ae4d3ef2852",
     ),
     ("serverless_bft", "network-partition"): (
-        "eb1f3ba97f2c500a725f7083fafdc650116d9cd9af09c5600317a9af77d8a78d",
+        "c2f4d53c8a5adce19f72548c5308354b223bca4a02bc937508b0044ab84fed93",
         "881e8dec4353d95aef8e99f310e6f7cbb2d63ff1c8f69552155a2a6ea80ecf71",
     ),
     ("serverless_bft", "region-outage"): (
-        "676f71667f1a8d9975e510bbd3a013c25389cde7cd37b1f48dc95dd5e0826659",
+        "cdf5f2846a8908ed734c91b82398ea5e02e976f672d55611f7201d7deca76eb0",
         "a3435d85cbe5fa71382e3e6bbd33d92803f6ef4aee444b9915d620ece043235c",
     ),
     ("serverless_bft", "region-outage+skewed-ycsb"): (
-        "a908b1707f44359fa2cacf680da90890490f359d3e50909b265291e571062a50",
+        "1d519dd1b422aac45bf7b8413752627ee2185b6667741568fa0f1a5d28595078",
         "070d4e3b0cae3295838c211da5ac9a41a9cd703c52b2675af93951caacfd681b",
     ),
     ("noshim", "region-outage"): (
-        "20f490bcff0042e91ae470b71bad7af41c81de3a0c588d73ad9e6548ed6c8e9d",
+        "bdfc66306861fccb9cca1116e4d53f0773ab9477892ed9c8a357d7f8b6373738",
         "250f06f15ad3bc144f16d8afe15240bf5455e64dae9ad2a24a96984b9e234aeb",
     ),
 }
@@ -73,7 +73,7 @@ GOLDEN_NETWORK_SCENARIOS = {
 #: loop grew per-client-index tables: client indices 8..39 are the branch
 #: the default base takes for 1 584 of its 1 600 clients.
 GOLDEN_CLIENT_OVERFLOW = (
-    "bc6a3f19d284ecaf6ed9c86f743116dfc458ff702fc71c175f53971b053cc783",
+    "ad7cbbf8c7eaa2f7f574affa68710ff8f1694a9c03582c33065366aa32ec14a0",
     "c4129203ca5663efaa99cdde403199c3bea88787ad1fbac112ed1702cd303fe3",
 )
 

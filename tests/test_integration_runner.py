@@ -95,13 +95,6 @@ def test_invalid_run_parameters_rejected():
         build_system("serverless_bft", make_config(), consensus_engine="raft")
 
 
-def test_preloaded_storage_round_trip():
-    config = make_config(storage_records=500)
-    simulation, result = run_simulation(config=config, preload_storage=True)
-    assert len(simulation.store) >= 500
-    assert result.committed_txns > 0
-
-
 def test_tracer_captures_protocol_milestones():
     simulation, _result = run_simulation(tracer_enabled=True)
     tracer = simulation.obs

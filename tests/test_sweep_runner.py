@@ -192,31 +192,6 @@ def test_duplicate_digest_points_simulate_once():
     )
 
 
-def test_runtime_registered_scenario_works_in_parallel_workers():
-    from repro.api import Scenario, register_scenario
-
-    register_scenario(
-        Scenario(
-            name="unit-test-custom",
-            description="runtime-registered preset for the worker-init test",
-            workload_overrides={"write_fraction": 0.25},
-        ),
-        replace=True,
-    )
-    points = tuple(
-        RunSpec(
-            labels={"b": batch_size},
-            scenarios="unit-test-custom",
-            overrides={"batch_size": batch_size, "crypto_backend": "fast"},
-            duration=0.4,
-            warmup=0.1,
-        )
-        for batch_size in (5, 10)
-    )
-    report = run_sweep(SweepSpec(name="custom-scenario", points=points), workers=2)
-    assert report.failed == 0 and report.simulated == 2
-
-
 def test_store_skips_torn_trailing_line(tmp_path):
     path = tmp_path / "results.jsonl"
     sweep = _tiny_sweep("torn")

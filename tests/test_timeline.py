@@ -12,7 +12,7 @@ import concurrent.futures
 
 import pytest
 
-from repro.api import RunSpec, run
+from repro.api import RunSpec, UnsupportedKnobError, get_system, run
 from repro.errors import ConfigurationError
 from repro.faults.timeline import (
     CrashEvent,
@@ -163,7 +163,9 @@ def test_fault_free_run_has_no_recovery_metrics():
 
 
 def test_pbft_replicated_rejects_fault_timeline():
-    with pytest.raises(ConfigurationError):
+    # The refusal is a knob of the system table, raised before any build.
+    assert "fault_timeline" not in get_system("pbft_replicated").knobs
+    with pytest.raises(UnsupportedKnobError, match="fault_timeline"):
         run(
             RunSpec(
                 system="pbft_replicated",
