@@ -18,24 +18,12 @@ Typical entry points:
   answers their paper-scale grids).
 """
 
-from repro.core.config import ProtocolConfig
-from repro.core.runner import SimulationResult
-from repro.workload.ycsb import YCSBConfig, YCSBWorkload
-
-__all__ = [
-    "ProtocolConfig",
-    "RunSpec",
-    "SimulationResult",
-    "YCSBConfig",
-    "YCSBWorkload",
-    "__version__",
-    "run",
-]
+__all__ = ["RunSpec", "__version__", "run"]
 
 
 def __getattr__(name: str):
-    # Lazy so that ``import repro`` stays light; the facade pulls in the
-    # sweep/scenario layers.
+    # Lazy so that ``import repro`` loads nothing: the data side (specs,
+    # stores, reports, the linter) never pays for the simulator.
     if name in ("RunSpec", "run"):
         from repro.api import RunSpec, run
 

@@ -24,9 +24,9 @@ from repro.api.spec import (
     run_seed,
 )
 from repro.core.config import ConflictMode, ProtocolConfig, SpawnPolicyName
-from repro.core.runner import SimulationResult
+from repro.core.result import SimulationResult
 from repro.errors import ConfigurationError
-from repro.workload.ycsb import YCSBConfig
+from repro.workload.config import YCSBConfig
 
 
 # ------------------------------------------------------------------ config rebuilding

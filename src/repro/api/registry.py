@@ -8,6 +8,9 @@ SimulationResult``, the ``ProtocolConfig`` fields the system pins, and the
 knobs it accepts (``knobs``).  :meth:`SystemAdapter.build` is the one
 place an unsupported knob is rejected.  Tables and figure sweeps list the
 systems in table order.
+
+Each builder imports its deployment class when first called, so naming,
+listing or validating a system loads no simulator.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Mapping
 
-from repro.baselines.pbft_replicated import ReplicatedPBFTDeployment
-from repro.core.runner import ServerlessDeployment
 from repro.errors import ConfigurationError
 
 
@@ -94,11 +95,19 @@ class SystemAdapter:
 #: Ingest cost of a deployment that skips byzantine-grade client checks.
 _LIGHT_INGEST = {"txn_ingest_cost": 15e-6}
 
-#: What a serverless deployment (:class:`ServerlessDeployment`) accepts
-#: beyond its configs.
+#: What a serverless deployment
+#: (:class:`~repro.core.runner.ServerlessDeployment`) accepts beyond its
+#: configs.
 _SERVERLESS_KNOBS = frozenset(
     {"node_behaviours", "executor_behaviour_factory", "network_fault_plan", "fault_timeline"}
 )
+
+
+def _build_serverless(config, workload=None, **kwargs):
+    """SERVERLESSBFT and NOSHIM: the serverless-edge deployment as configured."""
+    from repro.core.runner import ServerlessDeployment
+
+    return ServerlessDeployment(config, workload, **kwargs)
 
 
 def _build_serverless_cft(config, workload=None, **kwargs):
@@ -111,7 +120,16 @@ def _build_serverless_cft(config, workload=None, **kwargs):
     adapter's ``config_overrides``); executors skip certificate verification
     because a CFT shim produces no commit certificates.
     """
+    from repro.core.runner import ServerlessDeployment
+
     return ServerlessDeployment(config, workload, consensus_engine="paxos", **kwargs)
+
+
+def _build_pbft_replicated(config, workload=None, **kwargs):
+    """PBFT with replicated execution (:mod:`repro.baselines.pbft_replicated`)."""
+    from repro.baselines.pbft_replicated import ReplicatedPBFTDeployment
+
+    return ReplicatedPBFTDeployment(config, workload, **kwargs)
 
 
 _SYSTEMS: Dict[str, SystemAdapter] = {
@@ -120,7 +138,7 @@ _SYSTEMS: Dict[str, SystemAdapter] = {
         SystemAdapter(
             name="serverless_bft",
             description="ServerlessBFT: PBFT shim, serverless executors, trusted verifier.",
-            builder=ServerlessDeployment,
+            builder=_build_serverless,
             config_overrides={},
             knobs=_SERVERLESS_KNOBS,
         ),
@@ -134,7 +152,7 @@ _SYSTEMS: Dict[str, SystemAdapter] = {
         SystemAdapter(
             name="pbft_replicated",
             description="Classic replicated-execution PBFT: no executors, no verifier.",
-            builder=ReplicatedPBFTDeployment,
+            builder=_build_pbft_replicated,
             config_overrides={},
             # No fault_timeline: its replicas execute locally and have no
             # checkpoint-based catch-up path for a recovered node.
@@ -149,7 +167,7 @@ _SYSTEMS: Dict[str, SystemAdapter] = {
         SystemAdapter(
             name="noshim",
             description="No consensus: one ingest node spawns executors immediately.",
-            builder=ServerlessDeployment,
+            builder=_build_serverless,
             config_overrides={**_LIGHT_INGEST, "shim_nodes": 1},
             knobs=_SERVERLESS_KNOBS,
         ),

@@ -8,7 +8,7 @@ A spec is pure data: it holds no live objects.  It is also the one
 description of a sweep point: a :class:`repro.sweep.SweepSpec` is a tuple of
 ``RunSpec`` s.  :func:`resolve` turns a ``RunSpec`` into the plain-JSON dict
 that determines the run, and :func:`repro.api.run` into a
-:class:`~repro.core.runner.SimulationResult`.
+:class:`~repro.core.result.SimulationResult`.
 
 This module is also where dotted-key override resolution lives — the sweep
 layer (grid axes, ``--set`` CLI overrides) and the facade route every key
@@ -37,7 +37,7 @@ from repro.api.scenarios import get_scenario, validate_seed_label
 from repro.core.config import ProtocolConfig
 from repro.errors import ConfigurationError
 from repro.sim.rng import derive_seed
-from repro.workload.ycsb import YCSBConfig
+from repro.workload.config import YCSBConfig
 
 #: Bumped whenever the resolved-run layout changes incompatibly, so stale
 #: result-store entries can never be mistaken for current ones.

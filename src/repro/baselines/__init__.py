@@ -9,7 +9,3 @@
   comparison and, with a configurable number of execution threads, for the
   task-offloading study of Figure 8.
 """
-
-from repro.baselines.pbft_replicated import ReplicatedNode, ReplicatedPBFTDeployment
-
-__all__ = ["ReplicatedNode", "ReplicatedPBFTDeployment"]

@@ -37,7 +37,7 @@ from repro.sim.process import CpuResource, SimProcess
 from repro.sim.stats import ThroughputRecorder
 from repro.storage.kvstore import VersionedKVStore
 from repro.workload.transactions import Transaction, TransactionBatch, execute_batch_cached
-from repro.workload.ycsb import YCSBConfig
+from repro.workload.config import YCSBConfig
 
 
 class ReplicatedNode(SimProcess):

@@ -7,21 +7,3 @@ Lambda-like function service with cold/warm starts and concurrency limits,
 and a billing model using the published AWS Lambda and OCI prices
 (Figure 8's cents-per-kilo-transaction metric).
 """
-
-from repro.cloud.regions import GeoLatencyModel, Region, RegionCatalog, DEFAULT_REGIONS
-from repro.cloud.lambda_cloud import ExecutorHandle, ServerlessCloud, SpawnRequest
-from repro.cloud.billing import BillingReport, CostModel, LambdaPricing, VmPricing
-
-__all__ = [
-    "BillingReport",
-    "CostModel",
-    "DEFAULT_REGIONS",
-    "ExecutorHandle",
-    "GeoLatencyModel",
-    "LambdaPricing",
-    "Region",
-    "RegionCatalog",
-    "ServerlessCloud",
-    "SpawnRequest",
-    "VmPricing",
-]

@@ -6,38 +6,3 @@ Figure 7).  Both engines order opaque batches; the surrounding
 serverless-edge machinery (executor spawning, verifier, recovery) lives in
 :mod:`repro.core`.
 """
-
-from repro.consensus.messages import (
-    CheckpointMsg,
-    CommitMsg,
-    NewViewMsg,
-    PaxosAcceptMsg,
-    PaxosAcceptedMsg,
-    PrePrepareMsg,
-    PrepareMsg,
-    ViewChangeMsg,
-)
-from repro.consensus.quorums import QuorumTracker
-from repro.consensus.log import CommittedEntry, ConsensusLog, SlotState
-from repro.consensus.pbft import PBFTConfig, PBFTReplica, ReplicaTransport
-from repro.consensus.paxos import PaxosConfig, PaxosReplica
-
-__all__ = [
-    "CheckpointMsg",
-    "CommitMsg",
-    "CommittedEntry",
-    "ConsensusLog",
-    "NewViewMsg",
-    "PBFTConfig",
-    "PBFTReplica",
-    "PaxosAcceptMsg",
-    "PaxosAcceptedMsg",
-    "PaxosConfig",
-    "PaxosReplica",
-    "PrePrepareMsg",
-    "PrepareMsg",
-    "QuorumTracker",
-    "ReplicaTransport",
-    "SlotState",
-    "ViewChangeMsg",
-]

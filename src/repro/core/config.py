@@ -70,7 +70,7 @@ class ProtocolConfig:
     """All architecture-level knobs of a ServerlessBFT deployment.
 
     Workload-level knobs (read/write mix, conflict rate, execution length)
-    live in :class:`repro.workload.ycsb.YCSBConfig`.
+    live in :class:`repro.workload.config.YCSBConfig`.
     """
 
     # --- shim -----------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Deployment base class, the serverless-edge deployment, and run results.
+"""Deployment base class and the serverless-edge deployment.
 
 :class:`Deployment` owns what every system of the evaluation shares — the
 simulation substrates, client groups, the single ``run(duration, warmup)``
-loop and the common :class:`SimulationResult` fields.
+loop and the common :class:`~repro.core.result.SimulationResult` fields.
 :class:`ServerlessDeployment` adds the serverless-edge architecture on top:
 shim, serverless cloud, executors, verifier, and storage.  Deployments are
 built from the table of the four systems (``repro.api.build_system`` /
@@ -13,10 +13,9 @@ accept.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.cloud.billing import BillingReport, CostModel
+from repro.cloud.billing import CostModel
 from repro.cloud.lambda_cloud import ServerlessCloud
 from repro.cloud.regions import GeoLatencyModel, RegionCatalog
 from repro.core.client import ClientGroup
@@ -29,6 +28,7 @@ from repro.core.config import (
 )
 from repro.core.executor import Executor
 from repro.core.messages import ExecuteMsg
+from repro.core.result import SimulationResult
 from repro.core.shim_node import ShimNode
 from repro.core.verifier import Verifier
 from repro.crypto.costs import CRYPTO_COSTS
@@ -40,57 +40,11 @@ from repro.obs.context import ObsContext
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkFaultPlan
 from repro.sim.rng import DeterministicRNG
-from repro.sim.stats import LatencyRecorder, LatencySummary, ThroughputRecorder
+from repro.sim.stats import LatencyRecorder, ThroughputRecorder
 from repro.storage.kvstore import VersionedKVStore
 from repro.storage.service import StorageService
-from repro.workload.ycsb import YCSBConfig, YCSBWorkload
-
-
-@dataclass
-class SimulationResult:
-    """Metrics of one simulation run."""
-
-    duration: float
-    warmup: float
-    committed_txns: int
-    aborted_txns: int
-    throughput_txn_per_sec: float
-    latency: LatencySummary
-    completed_requests: int
-    client_retransmissions: int
-    spawned_executors: int
-    cloud_invocations: int
-    view_changes: int
-    verifier_ignored_verify: int
-    verifier_replace_sent: int
-    verifier_errors_sent: int
-    messages_sent: int
-    messages_dropped: int
-    bytes_sent: int
-    #: Host wall-clock seconds the run took and the resulting kernel
-    #: event rate — the perf-trajectory metrics recorded by the benches.
-    wall_clock_seconds: float = 0.0
-    events_processed: int = 0
-    billing: BillingReport = field(default_factory=BillingReport)
-    cents_per_kilo_txn: float = 0.0
-    extra: Dict[str, float] = field(default_factory=dict)
-    #: Observability payload (metrics/spans/trace) of a traced run; None
-    #: when observability was off.  Host-side diagnostics only: excluded
-    #: from ``simulated_fingerprint`` like ``wall_clock_seconds``, so a
-    #: traced and an untraced run of the same point share one digest.
-    obs: Optional[Dict[str, object]] = None
-
-    @property
-    def abort_rate(self) -> float:
-        total = self.committed_txns + self.aborted_txns
-        return self.aborted_txns / total if total else 0.0
-
-    @property
-    def events_per_second(self) -> float:
-        """Kernel events executed per wall-clock second (host speed, not simulated time)."""
-        if self.wall_clock_seconds <= 0:
-            return 0.0
-        return self.events_processed / self.wall_clock_seconds
+from repro.workload.config import YCSBConfig
+from repro.workload.ycsb import YCSBWorkload
 
 
 class Deployment:

@@ -6,53 +6,3 @@ to a shim node or an executor; honest components simply have no behaviour
 attached.  The protocol code consults these hooks at its decision points, so
 the attack surface is explicit and testable.
 """
-
-from repro.faults.byzantine import (
-    CrashBehaviour,
-    DelaySpawningBehaviour,
-    DuplicateSpawningBehaviour,
-    DuplicateVerifyBehaviour,
-    EquivocationBehaviour,
-    ExecutorBehaviour,
-    FewerExecutorsBehaviour,
-    NodeBehaviour,
-    NodesInDarkBehaviour,
-    RequestIgnoranceBehaviour,
-    SilentExecutorBehaviour,
-    UnsuccessfulConsensusBehaviour,
-    WrongResultBehaviour,
-)
-from repro.faults.timeline import (
-    CrashEvent,
-    FaultTimelineEngine,
-    LivenessWatchdog,
-    PartitionEvent,
-    RecoverEvent,
-    SlowEvent,
-    format_timeline,
-    parse_timeline,
-)
-
-__all__ = [
-    "CrashEvent",
-    "FaultTimelineEngine",
-    "LivenessWatchdog",
-    "PartitionEvent",
-    "RecoverEvent",
-    "SlowEvent",
-    "format_timeline",
-    "parse_timeline",
-    "CrashBehaviour",
-    "DelaySpawningBehaviour",
-    "DuplicateSpawningBehaviour",
-    "DuplicateVerifyBehaviour",
-    "EquivocationBehaviour",
-    "ExecutorBehaviour",
-    "FewerExecutorsBehaviour",
-    "NodeBehaviour",
-    "NodesInDarkBehaviour",
-    "RequestIgnoranceBehaviour",
-    "SilentExecutorBehaviour",
-    "UnsuccessfulConsensusBehaviour",
-    "WrongResultBehaviour",
-]

@@ -8,10 +8,12 @@ byzantine").
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from repro.core.messages import ExecuteMsg
 from repro.faults.byzantine import ExecutorBehaviour
+
+if TYPE_CHECKING:
+    from repro.core.messages import ExecuteMsg
 
 
 class PerBatchExecutorFaults:

@@ -18,7 +18,7 @@ must appear in exactly one declared partition:
   content address) and ``NON_ADDRESSED_RUNSPEC_FIELDS`` (deliberately
   outside it — collection flags and expansion-only counts, each justified
   at the declaration site).
-* ``SimulationResult`` fields (``src/repro/core/runner.py``) partition
+* ``SimulationResult`` fields (``src/repro/core/result.py``) partition
   into ``SIMULATED_RESULT_FIELDS`` and ``HOST_SPEED_FIELDS`` (both in
   ``src/repro/sweep/serialization.py``).
 * ``StoreRecord`` fields (``src/repro/store/record.py``) partition into

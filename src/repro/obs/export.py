@@ -1,7 +1,7 @@
 """Schema-versioned JSONL export of an observability payload.
 
 A payload (the ``obs`` dict attached to a traced
-:class:`~repro.core.runner.SimulationResult`) flattens to one JSONL record
+:class:`~repro.core.result.SimulationResult`) flattens to one JSONL record
 per line: a header first, then metrics, per-phase summaries, spans, and
 trace events.  The header carries the schema version and the explicit drop
 counts of both bounded collectors (span ring buffer, event log), so a

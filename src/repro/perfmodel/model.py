@@ -42,7 +42,7 @@ from repro.core.config import (
 )
 from repro.crypto.costs import CRYPTO_COSTS
 from repro.errors import ConfigurationError
-from repro.workload.ycsb import YCSBConfig
+from repro.workload.config import YCSBConfig
 
 #: Bytes of PREPREPARE payload per transaction (5392 B for the paper's batch of 100).
 _PREPREPARE_BYTES_PER_TXN = 54.0

@@ -7,15 +7,3 @@ store is a versioned key-value database so the verifier can run the
 concurrency-control check ("are the read-write sets the executor saw still
 current?") exactly as described in Section IV-D.
 """
-
-from repro.storage.kvstore import ReadResult, VersionedKVStore, VersionedValue
-from repro.storage.service import StorageReadReply, StorageReadRequest, StorageService
-
-__all__ = [
-    "ReadResult",
-    "StorageReadReply",
-    "StorageReadRequest",
-    "StorageService",
-    "VersionedKVStore",
-    "VersionedValue",
-]

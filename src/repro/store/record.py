@@ -9,7 +9,7 @@ identically from any of them.
 
 The fields partition into two declared groups, mirroring the
 ``SIMULATED_RESULT_FIELDS`` / ``HOST_SPEED_FIELDS`` discipline the DIG002
-lint rule enforces for :class:`~repro.core.runner.SimulationResult`:
+lint rule enforces for :class:`~repro.core.result.SimulationResult`:
 
 * ``ADDRESSED_RECORD_FIELDS`` — determined by the point's content address.
   ``point`` is what the digest hashes, ``digest`` is that hash, and
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from repro.cloud.billing import BillingReport
-from repro.core.runner import SimulationResult
+from repro.core.result import SimulationResult
 from repro.sim.stats import LatencySummary
 
 

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Seque
 
 from repro.api.facade import build_deployment
 from repro.api.spec import RunSpec
-from repro.core.runner import SimulationResult
+from repro.core.result import SimulationResult
 from repro.report.aggregate import DEFAULT_SCALAR_METRICS, resolve_result_field
 from repro.report.tables import ExperimentTable
 from repro.sweep.serialization import result_from_dict, result_to_dict

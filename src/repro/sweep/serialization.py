@@ -1,7 +1,7 @@
 """SimulationResult <-> plain-dict round-tripping.
 
 Sweep workers run in separate processes and the result store persists
-results as JSONL, so a :class:`~repro.core.runner.SimulationResult` must
+results as JSONL, so a :class:`~repro.core.result.SimulationResult` must
 survive dict/JSON round trips losslessly.  ``simulated_fingerprint``
 additionally strips the host-speed fields (wall-clock) so two runs of the
 same point can be compared for *simulated* bit-identity regardless of how
@@ -14,7 +14,7 @@ import dataclasses
 from typing import Dict, Mapping
 
 from repro.cloud.billing import BillingReport
-from repro.core.runner import SimulationResult
+from repro.core.result import SimulationResult
 from repro.sim.stats import LatencySummary
 
 # The schema tag — a fingerprint of the result layout derived from the

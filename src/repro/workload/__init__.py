@@ -6,26 +6,3 @@ controllable fraction of conflicting transactions, and an optional
 "expensive execution" phase emulating compute-intensive edge tasks
 (ML inference on UAV data, video analytics, …).
 """
-
-from repro.workload.transactions import (
-    ExecutionResult,
-    Operation,
-    Transaction,
-    TransactionBatch,
-    TransactionResult,
-    execute_batch,
-    transactions_conflict,
-)
-from repro.workload.ycsb import YCSBConfig, YCSBWorkload
-
-__all__ = [
-    "ExecutionResult",
-    "Operation",
-    "Transaction",
-    "TransactionBatch",
-    "TransactionResult",
-    "YCSBConfig",
-    "YCSBWorkload",
-    "execute_batch",
-    "transactions_conflict",
-]

@@ -215,7 +215,7 @@ def test_dig002_declarations_match_runtime():
         NON_ADDRESSED_RUNSPEC_FIELDS,
         RunSpec,
     )
-    from repro.core.runner import SimulationResult
+    from repro.core.result import SimulationResult
     from repro.sweep.serialization import HOST_SPEED_FIELDS, SIMULATED_RESULT_FIELDS
 
     spec_fields = {f.name for f in dataclasses.fields(RunSpec)}
