@@ -8,7 +8,9 @@ A scenario bundles three things under one name:
   executor behaviour factories, network fault plans — which is invoked
   inside whichever process executes the point (behaviour objects carry
   state and callbacks, so only the scenario *name* travels through specs,
-  digests, and worker boundaries),
+  digests, and worker boundaries); the factories import the fault and
+  network modules when they run, at a deployment's build, so the table
+  loads no simulator,
 * a one-line description for ``python -m repro.sweep scenarios``.
 
 The table holds the paper's drills and nothing else, so every process that
@@ -25,17 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.errors import ConfigurationError
-from repro.faults.byzantine import (
-    DelaySpawningBehaviour,
-    DuplicateSpawningBehaviour,
-    DuplicateVerifyBehaviour,
-    FewerExecutorsBehaviour,
-    RequestIgnoranceBehaviour,
-    SilentExecutorBehaviour,
-    WrongResultBehaviour,
-)
-from repro.faults.injector import PerBatchExecutorFaults
-from repro.sim.network import NetworkFaultPlan
 
 
 def validate_seed_label(component: object, what: str) -> object:
@@ -81,6 +72,8 @@ class Scenario:
 
 
 def _lossy_network_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
+    from repro.sim.network import NetworkFaultPlan
+
     return {
         "network_fault_plan": NetworkFaultPlan(
             drop_probability=0.01, duplicate_probability=0.005
@@ -89,6 +82,8 @@ def _lossy_network_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
 
 
 def _partition_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
+    from repro.sim.network import NetworkFaultPlan
+
     # Isolate the last shim node from its peers (up to f_R = 1 for the
     # 4-node scale deployment): consensus must keep committing without it.
     shim_nodes = int(resolved["config"]["shim_nodes"])  # type: ignore[index]
@@ -99,6 +94,8 @@ def _partition_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
 
 
 def _region_outage_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
+    from repro.sim.network import NetworkFaultPlan
+
     # us-east-2 is the third executor region of the paper's catalog order:
     # executors spawned there never reach the verifier, so the shim's spawn
     # redundancy and the verifier's quorum timeout carry the run.
@@ -106,12 +103,18 @@ def _region_outage_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
 
 
 def _byzantine_executor_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
+    from repro.faults.byzantine import WrongResultBehaviour
+    from repro.faults.injector import PerBatchExecutorFaults
+
     return {
         "executor_behaviour_factory": PerBatchExecutorFaults(1, WrongResultBehaviour)
     }
 
 
 def _silent_executor_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
+    from repro.faults.byzantine import SilentExecutorBehaviour
+    from repro.faults.injector import PerBatchExecutorFaults
+
     return {
         "executor_behaviour_factory": PerBatchExecutorFaults(1, SilentExecutorBehaviour)
     }
@@ -135,18 +138,26 @@ _ATTACK_TIMERS = {
 
 
 def _request_suppression_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
+    from repro.faults.byzantine import RequestIgnoranceBehaviour
+
     return {"node_behaviours": {"node-0": RequestIgnoranceBehaviour(drop_every=1)}}
 
 
 def _fewer_executors_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
+    from repro.faults.byzantine import FewerExecutorsBehaviour
+
     return {"node_behaviours": {"node-0": FewerExecutorsBehaviour(spawn_at_most=1)}}
 
 
 def _duplicate_spawning_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
+    from repro.faults.byzantine import DuplicateSpawningBehaviour
+
     return {"node_behaviours": {"node-0": DuplicateSpawningBehaviour(extra_per_batch=2)}}
 
 
 def _delayed_spawning_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
+    from repro.faults.byzantine import DelaySpawningBehaviour
+
     return {
         "node_behaviours": {
             "node-0": DelaySpawningBehaviour(delay_seconds=10.0, delay_every=1)
@@ -155,6 +166,9 @@ def _delayed_spawning_kwargs(resolved: Mapping[str, object]) -> Dict[str, object
 
 
 def _verify_flooding_kwargs(resolved: Mapping[str, object]) -> Dict[str, object]:
+    from repro.faults.byzantine import DuplicateVerifyBehaviour
+    from repro.faults.injector import PerBatchExecutorFaults
+
     return {
         "executor_behaviour_factory": PerBatchExecutorFaults(
             1, lambda: DuplicateVerifyBehaviour(copies=10)

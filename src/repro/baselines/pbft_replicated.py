@@ -6,9 +6,12 @@ is a replica and executes the request in the agreed order post consensus.
 As a result, there are no costs associated with spawning executors and
 waiting for the verifier to validate the requests." (Section IX-H.)
 
-Every replica executes each committed batch on its own execution-thread
-pool (the ``ET`` knob of Figure 8) against its own copy of the data store;
-the primary replies to the clients.  This baseline is used for:
+Every replica executes each committed batch: it pays the batch's CPU time
+on its own execution-thread pool (the ``ET`` knob of Figure 8), then applies
+the batch's state transition — its write sets — to its own copy of the data
+store.  Nothing verifies a replica's result, so no replica reads the store
+or computes a result digest.  The primary replies to the clients.  This
+baseline is used for:
 
 * Figure 7 — throughput/latency versus the number of replicas, and
 * Figure 8 — task offloading: with compute-heavy transactions the replicas
@@ -36,7 +39,7 @@ from repro.sim.network import Network
 from repro.sim.process import CpuResource, SimProcess
 from repro.sim.stats import ThroughputRecorder
 from repro.storage.kvstore import VersionedKVStore
-from repro.workload.transactions import Transaction, TransactionBatch, execute_batch_cached
+from repro.workload.transactions import Transaction, TransactionBatch
 from repro.workload.config import YCSBConfig
 
 
@@ -163,17 +166,13 @@ class ReplicatedNode(SimProcess):
         if self._obs is not None:
             self._obs.begin_span("execute", entry.seq, self.now, self.name)
         duration = batch.execution_seconds + REPLICA_OPERATION_COST * batch.operation_count
-        self._execution_pool.submit(
-            max(1e-9, duration), lambda: self._after_execution(entry, batch)
-        )
+        self._execution_pool.submit(max(1e-9, duration), self._after_execution, entry, batch)
 
     def _after_execution(self, entry: CommittedEntry, batch: TransactionBatch) -> None:
-        # Replicas execute the same batch against equal store states, so the
-        # n executions share one result through the batch's versions-keyed
-        # memo (never a snapshot token: tokens belong to one store).
-        reads = self._store.read_many(batch.storage_keys)
-        result = execute_batch_cached(batch, reads.plain_values(), reads.versions_map())
-        self._store.apply_write_sets([txn.writes for txn in result.txn_results])
+        # What a write stores does not depend on what was read, and nothing
+        # verifies a replica's result, so the state transition is the batch's
+        # write sets (one memo shared by the n replicas).
+        self._store.apply_write_sets(batch.writes)
         self._executed_batches += 1
         if self._obs is not None:
             self._obs.record(self.now, "replicated.executed", self.name, seq=entry.seq)

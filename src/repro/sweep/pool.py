@@ -13,10 +13,11 @@ Correctness notes:
 * A task carries only the resolved point: systems and scenarios are
   closed tables, so a worker knows every one of them by importing
   ``repro.api``, whether it was forked or spawned.
-* The deployment stack (``repro.core.runner`` and the replicated-PBFT
-  baseline) is imported in the parent before the pool is created: a forked
-  worker inherits it, and the first point scheduled on each worker does
-  not pay the import inside its ``setup_seconds``.  The same warm-up runs
+* The deployment stack (``repro.core.runner``, the replicated-PBFT
+  baseline and the fault injector the scenario drills build) is imported
+  in the parent before the pool is created: a forked worker inherits it,
+  and the first point scheduled on each worker does not pay the import
+  inside its ``setup_seconds``.  The same warm-up runs
   as each worker's initializer, where it costs nothing after a fork and
   pays the import once per worker under a spawning start method.
 * A pool that broke (worker crash) or whose processes were killed by the
@@ -42,6 +43,7 @@ def _warm_worker() -> None:
     """Import the deployment stack a task builds, once per process."""
     import repro.baselines.pbft_replicated  # noqa: F401
     import repro.core.runner  # noqa: F401
+    import repro.faults.injector  # noqa: F401
     import repro.sweep.runner  # noqa: F401
 
 

@@ -191,6 +191,31 @@ class TransactionBatch:
         return cached
 
     @property
+    def writes(self) -> Tuple[Dict[str, str], ...]:
+        """Each transaction's write set, in batch order.
+
+        ``{key: f"{value}:{txn_id}"}`` per transaction, a later write to a
+        key in the same transaction winning: exactly the ``writes`` of
+        :func:`execute_batch`'s results over *any* read maps, since what a
+        write stores does not depend on what was read.  A replica that
+        nobody verifies applies these instead of executing the batch.
+        """
+        cached = self.__dict__.get("_writes")
+        if cached is None:
+            cached = tuple(
+                [
+                    {
+                        key: f"{value}:{txn.txn_id}"
+                        for key, is_write, value in txn.operations
+                        if is_write
+                    }
+                    for txn in self.transactions
+                ]
+            )
+            object.__setattr__(self, "_writes", cached)
+        return cached
+
+    @property
     def request_groups(self) -> Tuple[Tuple[Tuple[str, str], Tuple[str, ...]], ...]:
         """Transaction ids grouped by ``(origin, request_id)``, in batch order.
 

@@ -2,6 +2,9 @@
 
 from tests.helpers import make_config, make_workload
 from repro.api import build_system
+from repro.perf import PERF
+from repro.storage.kvstore import VersionedKVStore
+from repro.workload.transactions import execute_batch
 
 
 def small_run(simulation, duration=1.5, warmup=0.2):
@@ -28,10 +31,29 @@ def test_serverless_cft_uses_paxos_and_commits():
     assert result.committed_txns > 0 and result.cloud_invocations > 0
 
 
+def _record_executions(node, executed):
+    """Wrap ``node``'s state transition to log what it executed, by sequence."""
+    apply = node._after_execution
+
+    def recording(entry, batch):
+        executed.append((entry.seq, batch))
+        apply(entry, batch)
+
+    node._after_execution = recording
+
+
 def test_pbft_replicated_executes_on_every_replica():
     config = make_config()
     simulation = build_system("pbft_replicated", config, make_workload(), execution_threads=4)
+    executed_by = {node.name: [] for node in simulation.nodes}
+    for node in simulation.nodes:
+        _record_executions(node, executed_by[node.name])
+    executions_before = PERF.batch_executions
     result = small_run(simulation)
+    # A replica applies what a batch writes: it reads nothing and executes
+    # nothing, since nothing verifies its result.
+    assert PERF.batch_executions == executions_before
+    assert all(node.store.read_count == 0 for node in simulation.nodes)
     assert result.committed_txns > 0
     assert result.spawned_executors == 0
     assert result.cloud_invocations == 0
@@ -44,6 +66,18 @@ def test_pbft_replicated_executes_on_every_replica():
     common = set(store_a.keys()) & set(store_b.keys())
     assert common
     assert all(store_a.read(key) == store_b.read(key) for key in common)
+    # Each store is what executing its batches in sequence order would leave:
+    # the same values and versions on every key.
+    for node in simulation.nodes:
+        batches = executed_by[node.name]
+        assert len(batches) == node.executed_batches
+        reference = VersionedKVStore()
+        for _seq, batch in sorted(batches, key=lambda item: item[0]):
+            reads = reference.read_many(batch.storage_keys)
+            executed = execute_batch(batch, reads.plain_values(), reads.versions_map())
+            reference.apply_write_sets([txn.writes for txn in executed.txn_results])
+        assert sorted(node.store.keys()) == sorted(reference.keys())
+        assert all(node.store.read(key) == reference.read(key) for key in reference.keys())
 
 
 def test_pbft_replicated_throughput_drops_with_fewer_execution_threads():

@@ -24,10 +24,18 @@ _SIMULATOR = (
     "repro.baselines.pbft_replicated",
 )
 
-#: ``repro.*`` modules that ``import repro.api, repro.sweep`` may load: 46
+#: Modules the scenario factories import when they run, at a deployment's build.
+_FAULT_MACHINERY = (
+    "repro.sim.engine",
+    "repro.sim.network",
+    "repro.faults.byzantine",
+    "repro.faults.injector",
+)
+
+#: ``repro.*`` modules that ``import repro.api, repro.sweep`` may load: 41
 #: today.  The simulator stack alone adds ~30, so creeping back past this
 #: ceiling means a spec-side module imports a deployment again.
-_API_SWEEP_MODULE_CEILING = 50
+_API_SWEEP_MODULE_CEILING = 44
 
 
 def _loaded(imports: str, watch=_SIMULATOR + ("repro.kernel",)) -> dict:
@@ -52,7 +60,7 @@ def test_data_side_packages_import_no_simulator_and_no_kernel(package):
 
 
 def test_api_and_sweep_import_no_deployment():
-    loaded = _loaded("repro.api, repro.sweep", watch=_SIMULATOR)
+    loaded = _loaded("repro.api, repro.sweep", watch=_SIMULATOR + _FAULT_MACHINERY)
     assert loaded["watched"] == []
     assert loaded["repro_modules"] <= _API_SWEEP_MODULE_CEILING, loaded
 
@@ -107,6 +115,7 @@ def test_a_shared_pool_is_warmed_in_the_parent_before_it_forks():
         pool = get_shared_pool(2)
         assert "repro.core.runner" in sys.modules
         assert "repro.baselines.pbft_replicated" in sys.modules
+        assert "repro.faults.injector" in sys.modules
         sys.meta_path.insert(0, _Record())
         assert pool.submit(_task).result(timeout=120) == ([], True)
         discard_shared_pool()

@@ -25,6 +25,7 @@ from repro.workload.transactions import (
     Transaction,
     TransactionBatch,
     execute_batch,
+    _execute_batch_py,
     execute_batch_cached,
     transactions_conflict,
 )
@@ -406,6 +407,55 @@ def test_ycsb_generator_respects_structure(seed, conflict):
     for txn in workload.transactions(10):
         assert len(txn.operations) == config.operations_per_transaction
         assert all(op.key.startswith("user") for op in txn.operations)
+
+
+#: Uniform, conflicting (hot keys) and zipfian draws over a small key space.
+_BATCH_KINDS = {
+    "uniform": {},
+    "conflicting": {"conflict_fraction": 0.5, "hot_keys": 2},
+    "zipfian": {"zipfian_theta": 0.9},
+}
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(sorted(_BATCH_KINDS)),
+    seed=st.integers(min_value=0, max_value=1_000),
+    size=st.integers(min_value=1, max_value=12),
+    write_fraction=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    data=st.data(),
+)
+def test_batch_writes_are_what_execution_writes_over_any_reads(
+    kind, seed, size, write_fraction, data
+):
+    workload = YCSBWorkload(
+        YCSBConfig(
+            num_records=40,
+            clients=4,
+            write_fraction=write_fraction,
+            seed=seed,
+            **_BATCH_KINDS[kind],
+        )
+    )
+    drawn = workload.next_batch(size)
+    # One more transaction writes the same key twice: the later write wins.
+    twice = Transaction(
+        txn_id="twice",
+        client_id="c",
+        operations=(
+            Operation(key="user0", is_write=True, value="first"),
+            Operation(key="user1", is_write=False),
+            Operation(key="user0", is_write=True, value="second"),
+        ),
+    )
+    batch = TransactionBatch(batch_id=drawn.batch_id, transactions=drawn.transactions + (twice,))
+    keys = st.sampled_from(batch.storage_keys)
+    values = data.draw(st.dictionaries(keys, st.text(max_size=4), max_size=8))
+    versions = data.draw(st.dictionaries(keys, st.integers(0, 5), max_size=8))
+    executed = _execute_batch_py(batch, values, versions)
+    assert list(batch.writes) == [result.writes for result in executed.txn_results]
+    assert batch.writes[-1] == {"user0": "second:twice"}
+    assert batch.writes is batch.writes  # memoised on the batch
 
 
 # ------------------------------------------------------------------ conflict planner
