@@ -2,12 +2,12 @@
  * handler-bound floors of the simulator the benchmark shows paying (see
  * PERFORMANCE.md):
  *
- *   1. execute_batch      — deterministic batch execution over the
- *                           Operation namedtuple layout and a read's plain
+ *   1. execute_batch      — a batch's result digest over the Operation
+ *                           namedtuple layout and a read's plain
  *                           key -> value / key -> version dicts, with
  *                           single-pass canonical-chunk accumulation, hashed
  *                           once through hashlib.sha256, byte-identical to
- *                           the Python loop;
+ *                           the Python loop (no per-transaction objects);
  *   2. generate_transactions — uniform YCSB transaction generation (no
  *                           conflicts, no zipfian keys: the one shape a
  *                           benchmark workload draws), drawing through the
@@ -37,7 +37,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-#define CKERNEL_BUILD_TAG "repro-ckernel-4"
+#define CKERNEL_BUILD_TAG "repro-ckernel-5"
 
 /* ------------------------------------------------------------------ state */
 
@@ -45,16 +45,14 @@
  * process-global state). */
 static PyObject *g_operation_type = NULL;    /* workload.transactions.Operation */
 static PyObject *g_transaction_type = NULL;  /* workload.transactions.Transaction */
-static PyObject *g_txn_result_type = NULL;   /* workload.transactions.TransactionResult */
 
 static PyObject *g_sha256 = NULL;            /* hashlib.sha256, bound at init */
 static PyObject *g_empty_tuple = NULL;
-static PyObject *g_zero = NULL;              /* PyLong 0 (versions default) */
 
 /* Interned attribute names. */
 static PyObject *s_txn_id, *s_client_id, *s_operations, *s_execution_seconds,
     *s_rw_sets_known, *s_origin, *s_request_id, *s_sorted_keys_memo,
-    *s_canonical_memo, *s_writes, *s_read_versions, *s_hexdigest;
+    *s_canonical_memo, *s_hexdigest;
 static PyObject *s_uniform_only, *s_client_ids, *s_client_starts,
     *s_write_flags, *s_hot_count, *s_private_modulus, *s_partition_size,
     *s_num_records, *s_wl_execution_seconds, *s_wl_rw_sets_known,
@@ -282,10 +280,12 @@ sorted_distinct_keys(PyObject *keys)
 
 /* ------------------------------------------------ floor 1: execute_batch */
 
-/* Byte-identical mirror of transactions.execute_batch's chunk discipline:
+/* Byte-identical mirror of transactions._execute_batch_py's chunk
+ * discipline, returning the digest only (the result's writes are the
+ * batch's memo and its versions the map passed in):
  *   chunks = [batch_id]
  *   per operation: f"{key}={read_values.get(key, '')}"
- *                  plus, for writes, new_value = f"{value}:{txn_id}"
+ *                  plus, for writes, f"{value}:{txn_id}"
  *   per sorted key: f"{key}@{read_versions.get(key, 0)}"
  *   digest = sha256("".join(chunks).encode("utf-8"))
  */
@@ -293,21 +293,15 @@ static PyObject *
 ck_execute_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *batch_id, *transactions, *read_values, *read_versions;
-    PyObject *txn_fast = NULL, *results = NULL, *digest_hex = NULL, *out = NULL;
+    PyObject *txn_fast = NULL, *digest_hex = NULL;
     Py_ssize_t txn_count, i;
     buf_t buf;
-    PyTypeObject *result_type;
 
     (void)self;
     if (nargs != 4) {
         PyErr_SetString(PyExc_TypeError,
                         "execute_batch expects (batch_id, transactions, "
                         "read_values, read_versions)");
-        return NULL;
-    }
-    if (g_txn_result_type == NULL) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "_ckernel types not configured (call configure_types)");
         return NULL;
     }
     batch_id = args[0];
@@ -319,7 +313,6 @@ ck_execute_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                         "execute_batch expects dict read_values/read_versions");
         return NULL;
     }
-    result_type = (PyTypeObject *)g_txn_result_type;
 
     if (buf_init(&buf, 8192) < 0) {
         return NULL;
@@ -333,17 +326,11 @@ ck_execute_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         goto error;
     }
     txn_count = PySequence_Fast_GET_SIZE(txn_fast);
-    results = PyTuple_New(txn_count);
-    if (results == NULL) {
-        goto error;
-    }
 
     for (i = 0; i < txn_count; i++) {
         PyObject *txn = PySequence_Fast_GET_ITEM(txn_fast, i);
         PyObject *txn_id = NULL, *operations = NULL, *ops_fast = NULL;
-        PyObject *writes = NULL, *observed = NULL, *sorted_keys = NULL;
-        PyObject *keys_fast = NULL, *txn_result = NULL, *result_dict = NULL;
-        PyObject *key_accum = NULL;
+        PyObject *sorted_keys = NULL, *keys_fast = NULL, *key_accum = NULL;
         Py_ssize_t op_count, key_count, j;
 
         txn_id = PyObject_GetAttr(txn, s_txn_id);
@@ -356,10 +343,6 @@ ck_execute_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         }
         ops_fast = PySequence_Fast(operations, "operations must be a sequence");
         if (ops_fast == NULL) {
-            goto txn_error;
-        }
-        writes = PyDict_New();
-        if (writes == NULL) {
             goto txn_error;
         }
         /* The sorted_keys property memoises its value as ``_sorted_keys``
@@ -422,38 +405,14 @@ ck_execute_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             if (truth < 0) {
                 goto txn_error;
             }
-            if (truth) {
-                /* new_value = f"{value}:{txn_id}" */
-                PyObject *value_str, *new_value;
-
-                if (PyUnicode_CheckExact(value)) {
-                    value_str = value;
-                    Py_INCREF(value_str);
-                }
-                else {
-                    value_str = PyObject_Str(value);
-                    if (value_str == NULL) {
-                        goto txn_error;
-                    }
-                }
-                new_value = PyUnicode_FromFormat("%U:%S", value_str, txn_id);
-                Py_DECREF(value_str);
-                if (new_value == NULL) {
-                    goto txn_error;
-                }
-                if (PyDict_SetItem(writes, key, new_value) < 0 ||
-                    buf_append_str_obj(&buf, new_value) < 0) {
-                    Py_DECREF(new_value);
-                    goto txn_error;
-                }
-                Py_DECREF(new_value);
+            /* f"{value}:{txn_id}" */
+            if (truth && (buf_append_str_obj(&buf, value) < 0 ||
+                          buf_append_char(&buf, ':') < 0 ||
+                          buf_append_str_obj(&buf, txn_id) < 0)) {
+                goto txn_error;
             }
         }
 
-        observed = PyDict_New();
-        if (observed == NULL) {
-            goto txn_error;
-        }
         if (sorted_keys == NULL) {
             sorted_keys = sorted_distinct_keys(key_accum);
             if (sorted_keys == NULL) {
@@ -472,20 +431,19 @@ ck_execute_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             PyObject *key = PySequence_Fast_GET_ITEM(keys_fast, j);
             PyObject *version = PyDict_GetItemWithError(read_versions, key);
 
-            if (version == NULL) {
-                if (PyErr_Occurred()) {
-                    goto txn_error;
-                }
-                version = g_zero;
-            }
-            if (PyDict_SetItem(observed, key, version) < 0) {
+            if (version == NULL && PyErr_Occurred()) {
                 goto txn_error;
             }
             if (buf_append_str_obj(&buf, key) < 0 ||
                 buf_append_char(&buf, '@') < 0) {
                 goto txn_error;
             }
-            if (PyLong_CheckExact(version)) {
+            if (version == NULL) {
+                if (buf_append_char(&buf, '0') < 0) {
+                    goto txn_error;
+                }
+            }
+            else if (PyLong_CheckExact(version)) {
                 long v = PyLong_AsLong(version);
                 if (v == -1 && PyErr_Occurred()) {
                     PyErr_Clear();
@@ -502,40 +460,18 @@ ck_execute_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             }
         }
 
-        /* Fast frozen-dataclass construction, mirroring the Python loop. */
-        txn_result = result_type->tp_new(result_type, g_empty_tuple, NULL);
-        if (txn_result == NULL) {
-            goto txn_error;
-        }
-        result_dict = PyObject_GenericGetDict(txn_result, NULL);
-        if (result_dict == NULL) {
-            goto txn_error;
-        }
-        if (PyDict_SetItem(result_dict, s_txn_id, txn_id) < 0 ||
-            PyDict_SetItem(result_dict, s_writes, writes) < 0 ||
-            PyDict_SetItem(result_dict, s_read_versions, observed) < 0) {
-            goto txn_error;
-        }
-        Py_DECREF(result_dict);
         Py_DECREF(keys_fast);
         Py_XDECREF(key_accum);
         Py_DECREF(sorted_keys);
-        Py_DECREF(observed);
-        Py_DECREF(writes);
         Py_DECREF(ops_fast);
         Py_DECREF(operations);
         Py_DECREF(txn_id);
-        PyTuple_SET_ITEM(results, i, txn_result);
         continue;
 
     txn_error:
-        Py_XDECREF(result_dict);
-        Py_XDECREF(txn_result);
         Py_XDECREF(keys_fast);
         Py_XDECREF(key_accum);
         Py_XDECREF(sorted_keys);
-        Py_XDECREF(observed);
-        Py_XDECREF(writes);
         Py_XDECREF(ops_fast);
         Py_XDECREF(operations);
         Py_XDECREF(txn_id);
@@ -543,17 +479,11 @@ ck_execute_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
 
     digest_hex = buf_sha256_hex(&buf);
-    if (digest_hex == NULL) {
-        goto error;
-    }
-    out = PyTuple_Pack(2, digest_hex, results);
-    Py_DECREF(digest_hex);
 
 error:
-    Py_XDECREF(results);
     Py_XDECREF(txn_fast);
     buf_free(&buf);
-    return out;
+    return digest_hex;
 }
 
 /* ------------------------------------------- floor 2: YCSB generation */
@@ -1017,15 +947,14 @@ done:
 static PyObject *
 ck_configure_types(PyObject *self, PyObject *args)
 {
-    PyObject *operation, *transaction, *txn_result;
+    PyObject *operation, *transaction;
 
     (void)self;
-    if (!PyArg_ParseTuple(args, "OOO", &operation, &transaction, &txn_result)) {
+    if (!PyArg_ParseTuple(args, "OO", &operation, &transaction)) {
         return NULL;
     }
-    if (!PyType_Check(operation) || !PyType_Check(transaction) ||
-        !PyType_Check(txn_result)) {
-        PyErr_SetString(PyExc_TypeError, "configure_types expects three types");
+    if (!PyType_Check(operation) || !PyType_Check(transaction)) {
+        PyErr_SetString(PyExc_TypeError, "configure_types expects two types");
         return NULL;
     }
     if (!PyType_IsSubtype((PyTypeObject *)operation, &PyTuple_Type)) {
@@ -1036,8 +965,6 @@ ck_configure_types(PyObject *self, PyObject *args)
     Py_XSETREF(g_operation_type, operation);
     Py_INCREF(transaction);
     Py_XSETREF(g_transaction_type, transaction);
-    Py_INCREF(txn_result);
-    Py_XSETREF(g_txn_result_type, txn_result);
     Py_RETURN_NONE;
 }
 
@@ -1045,11 +972,11 @@ ck_configure_types(PyObject *self, PyObject *args)
 
 static PyMethodDef ckernel_methods[] = {
     {"configure_types", ck_configure_types, METH_VARARGS,
-     "Register (Operation, Transaction, TransactionResult) for C construction."},
+     "Register (Operation, Transaction) for C construction."},
     {"execute_batch", (PyCFunction)(void (*)(void))ck_execute_batch,
      METH_FASTCALL,
      "Deterministic batch execution: (batch_id, transactions, read_values, "
-     "read_versions) -> (result_digest_hex, txn_results)."},
+     "read_versions) -> result_digest_hex."},
     {"generate_transactions",
      (PyCFunction)(void (*)(void))ck_generate_transactions, METH_FASTCALL,
      "YCSB generation: (workload, count, client_index_offset, origin, "
@@ -1089,8 +1016,6 @@ intern_all(void)
     INTERN(s_request_id, "request_id");
     INTERN(s_sorted_keys_memo, "_sorted_keys");
     INTERN(s_canonical_memo, "_canonical");
-    INTERN(s_writes, "writes");
-    INTERN(s_read_versions, "read_versions");
     INTERN(s_hexdigest, "hexdigest");
     INTERN(s_uniform_only, "_uniform_only");
     INTERN(s_client_ids, "_client_ids");
@@ -1120,8 +1045,7 @@ PyInit__impl(void)
         return NULL;
     }
     g_empty_tuple = PyTuple_New(0);
-    g_zero = PyLong_FromLong(0);
-    if (g_empty_tuple == NULL || g_zero == NULL) {
+    if (g_empty_tuple == NULL) {
         return NULL;
     }
     hashlib = PyImport_ImportModule("hashlib");

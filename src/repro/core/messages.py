@@ -117,7 +117,7 @@ class VerifyMsg:
 
     @property
     def size_bytes(self) -> int:
-        return VERIFY_BASE_BYTES + 64 * len(self.result.txn_results)
+        return VERIFY_BASE_BYTES + 64 * len(self.batch)
 
 
 @dataclass(frozen=True)

@@ -295,8 +295,11 @@ class ShimNode(SimProcess):
             batch_id=f"{self.name}-b{self._batch_counter}", transactions=transactions
         )
         seq = self._replica.propose(batch)
-        for txn in transactions:
-            self._request_seq[txn.request_id] = seq
+        # Once per client request (the batch's memoised grouping, which the
+        # verifier reads too), not once per transaction.
+        request_seq = self._request_seq
+        for (_origin, request_id), _txn_ids in batch.request_groups:
+            request_seq[request_id] = seq
         self._trace("node.batch_proposed", seq=seq, size=size)
 
     # ------------------------------------------------------------------ commits and spawning

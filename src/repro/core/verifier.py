@@ -257,54 +257,56 @@ class Verifier(SimProcess):
             self._validate_sequence(self._kmax, state.matched)
 
     def _validate_sequence(self, seq: int, message: VerifyMsg) -> None:
-        committed_ids: List[str] = []
-        aborted_ids: List[str] = []
         # The unit of concurrency control is the whole batch: every transaction
         # is validated against the storage state *before* this sequence number
         # is applied (executors executed the batch against that same state), so
         # transactions inside one batch never abort each other.
         store = self._store
+        batch = message.batch
         result = message.result
-        pending_writes: List[Dict[str, str]] = []
-        hint = result.__dict__
-        observed_token = hint.get("_observed_token", -1)
-        if (
-            observed_token >= 0
-            and store.keys_changed_since(observed_token, hint["_observed_keys"]) == 0
-        ):
-            # Freshness fast path: an *honestly produced* result (only those
-            # carry the token hint — byzantine corruption builds new result
-            # objects without it) observed a store state whose keys — the
-            # keys of the read it was computed from, all the batch's keys —
-            # provably have not changed since, so every reported read
-            # version matches by construction and the whole batch commits
-            # without a probe.
-            for txn_result in result.txn_results:
-                pending_writes.append(txn_result.writes)
-                committed_ids.append(txn_result.txn_id)
-        else:
-            # The store's current versions of exactly the batch's keys, so
-            # one dict-view comparison per transaction, set-wise in C, checks
-            # both that every reported (key, version) pair is current and
-            # that every reported key lies inside the batch: a fabricated
-            # version for a key outside the batch aborts.
-            current = store.current_versions(message.batch.storage_keys).items()
-            for txn_result in result.txn_results:
-                if txn_result.read_versions.items() <= current:
-                    pending_writes.append(txn_result.writes)
-                    committed_ids.append(txn_result.txn_id)
-                else:
-                    aborted_ids.append(txn_result.txn_id)
-        store.apply_write_sets(pending_writes)
-        self._committed_txns += len(committed_ids)
+        reported = result.read_versions
+        write_sets = result.writes
+        aborted_ids: List[str] = []
+        # Freshness fast path: an *honestly produced* result (only those
+        # carry the ``_observed_token`` hint — byzantine corruption builds
+        # new result objects without it) whose read keys, all the batch's
+        # keys, provably have not changed since the snapshot it observed
+        # matches the store by construction, so the whole batch commits
+        # without a probe.
+        observed_token = result.__dict__.get("_observed_token", -1)
+        if store.keys_changed_since(observed_token, reported.keys()) != 0:
+            # The store's current versions of exactly the batch's keys.  A
+            # report naming any other key set, or whose write sets do not
+            # line up with the batch's transactions, is malformed and aborts
+            # the whole sequence; otherwise a transaction commits iff none of
+            # its keys is stale — for an honest report, iff every version it
+            # read is still current.  The stale set is one set difference,
+            # in C.
+            current = store.current_versions(batch.storage_keys)
+            if reported.keys() != current.keys() or len(write_sets) != len(batch):
+                write_sets = ()
+                aborted_ids = [txn.txn_id for txn in batch.transactions]
+            else:
+                stale = dict(reported.items() - current.items()).keys()
+                if stale:
+                    committed_writes = []
+                    for txn, writes in zip(batch.transactions, write_sets):
+                        if stale.isdisjoint(txn.sorted_keys):
+                            committed_writes.append(writes)
+                        else:
+                            aborted_ids.append(txn.txn_id)
+                    write_sets = committed_writes
+        store.apply_write_sets(write_sets)
+        committed = len(batch) - len(aborted_ids)
+        self._committed_txns += committed
         self._aborted_txns += len(aborted_ids)
-        self._throughput.record_commit(self.now, len(committed_ids))
+        self._throughput.record_commit(self.now, committed)
         if aborted_ids:
             self._throughput.record_abort(self.now, len(aborted_ids))
         self._trace(
             "verifier.validated",
             seq=seq,
-            committed=len(committed_ids),
+            committed=committed,
             aborted=len(aborted_ids),
         )
 
@@ -312,28 +314,27 @@ class Verifier(SimProcess):
         # With no aborts (the common case) every grouped transaction
         # committed, so the groups are the outcome verbatim.
         if aborted_ids:
-            committed_set = set(committed_ids)
             aborted_set = set(aborted_ids)
             outcomes = [
                 (
                     origin,
                     request_id,
-                    tuple(t for t in txn_ids if t in committed_set),
+                    tuple(t for t in txn_ids if t not in aborted_set),
                     tuple(t for t in txn_ids if t in aborted_set),
                 )
-                for (origin, request_id), txn_ids in message.batch.request_groups
+                for (origin, request_id), txn_ids in batch.request_groups
             ]
         else:
             outcomes = [
                 (origin, request_id, txn_ids, ())
-                for (origin, request_id), txn_ids in message.batch.request_groups
+                for (origin, request_id), txn_ids in batch.request_groups
             ]
-        for origin, request_id, committed, aborted in outcomes:
+        for origin, request_id, committed_ids, aborted in outcomes:
             response = ResponseMsg(
                 request_id=request_id,
                 seq=seq,
                 digest=message.digest,
-                committed_txn_ids=committed,
+                committed_txn_ids=committed_ids,
                 aborted_txn_ids=aborted,
             )
             self._cache_reply(origin, request_id, response)

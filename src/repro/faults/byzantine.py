@@ -206,17 +206,12 @@ class WrongResultBehaviour(ExecutorBehaviour):
     def corrupt_result(self, result: Any) -> Any:
         from dataclasses import replace
 
-        corrupted_txns = tuple(
-            replace(
-                txn_result,
-                writes={key: f"{self.marker}-corrupted" for key in txn_result.writes},
-            )
-            for txn_result in result.txn_results
-        )
         return replace(
             result,
             result_digest=f"{self.marker}-{result.result_digest[:8]}",
-            txn_results=corrupted_txns,
+            writes=tuple(
+                {key: f"{self.marker}-corrupted" for key in writes} for writes in result.writes
+            ),
         )
 
 

@@ -37,7 +37,7 @@ from repro.errors import KernelUnavailableError
 #: Calling-convention tag; must equal ``_impl.BUILD_TAG`` or the extension
 #: is treated as absent (stale .so from an older checkout).  Bump both in
 #: lockstep whenever the C API between chooser and extension changes.
-KERNEL_BUILD_TAG = "repro-ckernel-4"
+KERNEL_BUILD_TAG = "repro-ckernel-5"
 
 #: The compiled module when active, else ``None``.  Consumers must treat
 #: this as opaque and call :func:`configure_types` etc. through this module.
@@ -114,10 +114,10 @@ def compiled_available() -> bool:
 # import time; it is a no-op on the pure-Python path so the call-site needs
 # no variant check.
 
-def configure_types(operation: type, transaction: type, txn_result: type) -> None:
+def configure_types(operation: type, transaction: type) -> None:
     """Register the workload types the C kernel constructs directly."""
     if _impl is not None:
-        _impl.configure_types(operation, transaction, txn_result)
+        _impl.configure_types(operation, transaction)
 
 
 # --------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def configure_types(operation: type, transaction: type, txn_result: type) -> Non
 # case, so the dispatch happens once at import, not per call.
 
 def c_execute_batch() -> Optional[Any]:
-    """``(batch_id, txns, read_values, read_versions) -> (digest, results)``."""
+    """``(batch_id, txns, read_values, read_versions) -> result_digest``."""
     return getattr(_impl, "execute_batch", None)
 
 

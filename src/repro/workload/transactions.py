@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import ClassVar, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
@@ -195,10 +195,10 @@ class TransactionBatch:
         """Each transaction's write set, in batch order.
 
         ``{key: f"{value}:{txn_id}"}`` per transaction, a later write to a
-        key in the same transaction winning: exactly the ``writes`` of
-        :func:`execute_batch`'s results over *any* read maps, since what a
-        write stores does not depend on what was read.  A replica that
-        nobody verifies applies these instead of executing the batch.
+        key in the same transaction winning.  What a write stores does not
+        depend on what was read, so every :func:`execute_batch` result of
+        the batch carries this very tuple as its ``writes``, and a replica
+        that nobody verifies applies it instead of executing the batch.
         """
         cached = self.__dict__.get("_writes")
         if cached is None:
@@ -268,41 +268,22 @@ class TransactionBatch:
 
 
 @dataclass(frozen=True)
-class TransactionResult:
-    """The deterministic result of executing one transaction."""
-
-    txn_id: str
-    writes: Dict[str, str] = field(default_factory=dict)
-    read_versions: Dict[str, int] = field(default_factory=dict)
-
-    def canonical(self) -> str:
-        writes = ";".join(f"{k}={v}" for k, v in sorted(self.writes.items()))
-        reads = ";".join(f"{k}@{v}" for k, v in sorted(self.read_versions.items()))
-        return f"txnresult:{self.txn_id}:{writes}:{reads}"
-
-
-@dataclass(frozen=True)
 class ExecutionResult:
     """The deterministic result of executing a batch against a storage snapshot.
 
-    Per-transaction read versions are recorded so the verifier can run its
-    concurrency-control check transaction by transaction and abort only the
-    transactions whose reads went stale (Section IV-D and VI-B).
+    ``writes`` is the batch's own :attr:`TransactionBatch.writes` (what a
+    write stores does not depend on what was read) and ``read_versions``
+    the key → version map the execution read, every key of
+    :attr:`TransactionBatch.storage_keys` for a storage read; both are
+    shared, never copied, so treat them as read-only.  The verifier checks
+    the reported versions against the store and aborts exactly the
+    transactions that touch a stale key (Section IV-D and VI-B).
     """
 
     batch_id: str
     result_digest: str
-    txn_results: Tuple[TransactionResult, ...] = ()
-
-    def canonical(self) -> str:
-        body = "|".join(result.canonical() for result in self.txn_results)
-        return f"result:{self.batch_id}:{self.result_digest}:{body}"
-
-    def result_for(self, txn_id: str) -> Optional[TransactionResult]:
-        for result in self.txn_results:
-            if result.txn_id == txn_id:
-                return result
-        return None
+    writes: Tuple[Dict[str, str], ...]
+    read_versions: Mapping[str, int]
 
 
 def execute_batch_cached(
@@ -355,18 +336,15 @@ def execute_batch_cached(
         memo[snapshot_token] = result
         # Host-side freshness hint for the verifier: this (honest) result
         # describes the store state identified by ``snapshot_token`` on the
-        # keys of the read it was computed from (``_observed_keys``, a view
-        # the store's mutation log checks with ``isdisjoint``) — also when
-        # served from the versions-key memo, since equal observed versions
-        # mean the two snapshots agree on every key the batch touches.
-        # Byzantine corruption builds *new* result objects, which never
-        # carry the hint, so the verifier's fast path only ever sees
-        # honestly produced results.  Not part of the canonical form or any
-        # digest.
-        current = result.__dict__.get("_observed_token", -1)
-        if snapshot_token > current:
+        # keys of its ``read_versions`` (the keys the store's mutation log
+        # checks with ``isdisjoint``) — also when served from the
+        # versions-key memo, since equal observed versions mean the two
+        # snapshots agree on every key the batch touches.  Byzantine
+        # corruption builds *new* result objects, which never carry the
+        # hint, so the verifier's fast path only ever sees honestly
+        # produced results.  Not part of any digest.
+        if snapshot_token > result.__dict__.get("_observed_token", -1):
             object.__setattr__(result, "_observed_token", snapshot_token)
-            object.__setattr__(result, "_observed_keys", read_versions.keys())
     return result
 
 
@@ -378,13 +356,15 @@ def execute_batch(
     """Deterministically execute a batch given the values it read.
 
     A write stores ``f"{value}:{txn_id}"``, the operation's own value and
-    the transaction id; the values and versions read enter only the result
-    digest.  So any two honest executors that observed the same storage
-    state produce identical :class:`ExecutionResult` objects (and
-    byzantine executors that fabricate results will not match them).
+    the transaction id, so the result's writes are the batch's own
+    :attr:`TransactionBatch.writes`; the values and versions read enter
+    only the result digest, and ``read_versions`` is kept as passed.  So
+    any two honest executors that observed the same storage state produce
+    equal :class:`ExecutionResult` objects (and byzantine executors that
+    fabricate results will not match them).
 
     Dispatches to the active kernel variant (see :mod:`repro.kernel`); the
-    compiled and pure-Python implementations are bit-identical, gated by
+    compiled and pure-Python digests are bit-identical, gated by
     ``tests/test_kernel.py``.
     """
     return _execute_batch_impl(batch, read_values, read_versions)
@@ -395,7 +375,11 @@ def _execute_batch_py(
     read_values: Mapping[str, str],
     read_versions: Mapping[str, int],
 ) -> ExecutionResult:
-    """The authoritative pure-Python batch execution loop."""
+    """The authoritative pure-Python batch execution loop.
+
+    Only the digest is computed: the writes are the batch's memo and the
+    versions are kept as passed.
+    """
     PERF.batch_executions += 1
     # Digest chunks are accumulated as *strings* and encoded in one pass at
     # the end: UTF-8 encoding distributes over concatenation, so the hashed
@@ -405,37 +389,22 @@ def _execute_batch_py(
     append_chunk = chunks.append
     values_get = read_values.get
     versions_get = read_versions.get
-    result_new = TransactionResult.__new__
-    txn_results: List[TransactionResult] = []
     for txn in batch.transactions:
         txn_id = txn.txn_id
-        writes: Dict[str, str] = {}
         for key, is_write, value in txn.operations:
             append_chunk(f"{key}={values_get(key, '')}")
             if is_write:
-                new_value = f"{value}:{txn_id}"
-                writes[key] = new_value
-                append_chunk(new_value)
+                append_chunk(f"{value}:{txn_id}")
         # The digest covers the observed versions too: VERIFY messages only
         # "match" (Figure 3, Line 23) when the executors saw the same storage
         # state, which is what the verifier's concurrency check relies on.
-        observed_versions: Dict[str, int] = {}
         for key in txn.sorted_keys:
-            version = versions_get(key, 0)
-            observed_versions[key] = version
-            append_chunk(f"{key}@{version}")
-        # Fast frozen-dataclass construction (see YCSBWorkload): this runs
-        # once per transaction per observed snapshot.
-        txn_result = result_new(TransactionResult)
-        result_dict = txn_result.__dict__
-        result_dict["txn_id"] = txn_id
-        result_dict["writes"] = writes
-        result_dict["read_versions"] = observed_versions
-        txn_results.append(txn_result)
+            append_chunk(f"{key}@{versions_get(key, 0)}")
     return ExecutionResult(
-        batch_id=batch.batch_id,
-        result_digest=hashlib.sha256("".join(chunks).encode("utf-8")).hexdigest(),
-        txn_results=tuple(txn_results),
+        batch.batch_id,
+        hashlib.sha256("".join(chunks).encode("utf-8")).hexdigest(),
+        batch.writes,
+        read_versions,
     )
 
 
@@ -453,13 +422,11 @@ def _execute_batch_c(
         return _execute_batch_py(batch, read_values, read_versions)
     PERF.batch_executions += 1
     PERF.ckernel_batches_executed += 1
-    digest, txn_results = _c_execute_batch(
-        batch.batch_id, batch.transactions, read_values, read_versions
-    )
     return ExecutionResult(
-        batch_id=batch.batch_id,
-        result_digest=digest,
-        txn_results=txn_results,
+        batch.batch_id,
+        _c_execute_batch(batch.batch_id, batch.transactions, read_values, read_versions),
+        batch.writes,
+        read_versions,
     )
 
 
@@ -481,6 +448,6 @@ def _transaction_canonical_py(txn: Transaction) -> str:
 # hot-floor implementations once, at import (repro.kernel decided the
 # variant when *it* was imported).  KER006 keeps all of this routed through
 # repro.kernel — nothing here touches repro._ckernel directly.
-kernel.configure_types(Operation, Transaction, TransactionResult)
+kernel.configure_types(Operation, Transaction)
 _c_execute_batch = kernel.c_execute_batch()
 _execute_batch_impl = _execute_batch_py if _c_execute_batch is None else _execute_batch_c

@@ -178,7 +178,7 @@ def test_exported_surface_is_pinned_and_consumed():
             assert getattr(kernel, "c_" + name)() is getattr(impl, name), name
         # configure_types is relayed, not handed out: the relay must reach C.
         try:
-            kernel.configure_types(int, int, int)
+            kernel.configure_types(int, int)
         except TypeError as exc:
             assert "tuple subclass" in str(exc)
         else:
@@ -222,19 +222,19 @@ def test_execute_batch_ab_identity():
 
     read_values = {f"user{i}": f"val-{i}" for i in range(0, 400, 3)}
     read_versions = {f"user{i}": i % 7 for i in range(0, 400, 2)}
-    res_c = T._execute_batch_c(
-        TransactionBatch(batch_id="b-1", transactions=txns_c),
-        dict(read_values),
-        dict(read_versions),
-    )
+    batch_c = TransactionBatch(batch_id="b-1", transactions=txns_c)
+    versions_c = dict(read_versions)
+    res_c = T._execute_batch_c(batch_c, dict(read_values), versions_c)
     res_p = T._execute_batch_py(
         TransactionBatch(batch_id="b-1", transactions=txns_p),
         dict(read_values),
         dict(read_versions),
     )
     assert res_c.result_digest == res_p.result_digest
-    assert res_c.txn_results == res_p.txn_results
-    assert res_c.canonical() == res_p.canonical()
+    assert res_c == res_p  # batch id, digest, writes and read versions
+    # A result holds the batch's writes and the versions it read, uncopied.
+    assert res_c.writes is batch_c.writes
+    assert res_c.read_versions is versions_c
     # The C loop memoises sorted_keys exactly as the property would.
     for txn_c, txn_p in zip(txns_c, txns_p):
         memo = txn_c.__dict__.get("_sorted_keys")
@@ -257,7 +257,7 @@ def test_execute_batch_exotic_mapping_falls_back():
     via_c_path = T._execute_batch_c(batch, values, versions)
     direct_py = T._execute_batch_py(batch, values, versions)
     assert via_c_path.result_digest == direct_py.result_digest
-    assert via_c_path.txn_results == direct_py.txn_results
+    assert via_c_path == direct_py
 
 
 # -------------------------------------------- floor 2: YCSB draw identity

@@ -19,8 +19,9 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network, UniformLatencyModel
 from repro.sim.rng import DeterministicRNG, spread_evenly
 from repro.sim.stats import LatencyRecorder
-from repro.storage.kvstore import VersionedKVStore
+from repro.storage.kvstore import VersionedKVStore, VersionedValue
 from repro.workload.transactions import (
+    ExecutionResult,
     Operation,
     Transaction,
     TransactionBatch,
@@ -279,11 +280,11 @@ def test_execute_batch_is_a_pure_function(txns, values):
     first = execute_batch(batch, values, versions)
     second = execute_batch(batch, values, versions)
     assert first == second
-    assert {r.txn_id for r in first.txn_results} == {txn.txn_id for txn in txns}
-    for result in first.txn_results:
-        txn = next(t for t in txns if t.txn_id == result.txn_id)
-        assert set(result.writes) == set(txn.write_set)
-        assert set(result.read_versions) == set(txn.keys)
+    assert first.result_digest == second.result_digest
+    assert len(first.writes) == len(txns)
+    for txn, writes in zip(txns, first.writes):
+        assert set(writes) == set(txn.write_set)
+    assert first.read_versions is versions
 
 
 def _batch_of(txns, batch_id="b"):
@@ -394,6 +395,54 @@ def test_the_order_of_a_batch_read_changes_nothing(txns, writes_per_key, stale, 
     assert len(digests) == 1
 
 
+@settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=80)
+@given(
+    txns=st.lists(_txn_strategy("t"), min_size=1, max_size=5),
+    writes_per_key=st.dictionaries(keys=_key, values=st.integers(0, 3), max_size=8),
+    data=st.data(),
+)
+def test_a_batch_commits_exactly_the_transactions_whose_reads_are_current(
+    txns, writes_per_key, data
+):
+    batch = _batch_of(txns)
+    keys = batch.storage_keys
+    everyone = {txn.txn_id for txn in batch.transactions}
+    # Observed versions, current or not, for exactly the batch's keys.
+    observed = {key: data.draw(st.integers(0, 4)) for key in keys}
+    store = _store_with(writes_per_key)
+    current = store.current_versions(keys)
+    before = {key: store.read(key) for key in store.keys()}
+    result = ExecutionResult(batch.batch_id, "observed", batch.writes, observed)
+    # The per-transaction reference: every version it read is still current.
+    expected = {
+        txn.txn_id
+        for txn in batch.transactions
+        if all(observed[key] == current[key] for key in txn.sorted_keys)
+    }
+    assert _verifier_split(store, batch, result) == (expected, everyone - expected)
+    # Exactly the committed transactions' writes reach the store, in order.
+    after = dict(before)
+    for txn, writes in zip(batch.transactions, batch.writes):
+        if txn.txn_id in expected:
+            for key, value in writes.items():
+                version = after[key].version if key in after else 0
+                after[key] = VersionedValue(value, version + 1)
+    assert {key: store.read(key) for key in store.keys()} == after
+
+    # A report that names a key outside the batch, even at its current
+    # version, omits one of the batch's keys, or leaves out a write set
+    # aborts the whole sequence.
+    malformed = [(batch.writes, dict(observed, zzz=0)), (batch.writes[:-1], observed)]
+    if keys:
+        omitted = data.draw(st.sampled_from(keys))
+        malformed.append((batch.writes, {key: observed[key] for key in keys if key != omitted}))
+    for writes, reported in malformed:
+        store = _store_with(writes_per_key)
+        result = ExecutionResult(batch.batch_id, "malformed", writes, reported)
+        assert _verifier_split(store, batch, result) == (set(), everyone)
+        assert {key: store.read(key) for key in store.keys()} == before
+
+
 @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=30)
 @given(
     seed=st.integers(min_value=0, max_value=1_000),
@@ -453,7 +502,16 @@ def test_batch_writes_are_what_execution_writes_over_any_reads(
     values = data.draw(st.dictionaries(keys, st.text(max_size=4), max_size=8))
     versions = data.draw(st.dictionaries(keys, st.integers(0, 5), max_size=8))
     executed = _execute_batch_py(batch, values, versions)
-    assert list(batch.writes) == [result.writes for result in executed.txn_results]
+    # The reference replays each transaction's operations in order.
+    reference = []
+    for txn in batch.transactions:
+        writes = {}
+        for operation in txn.operations:
+            if operation.is_write:
+                writes[operation.key] = f"{operation.value}:{txn.txn_id}"
+        reference.append(writes)
+    assert list(batch.writes) == reference
+    assert executed.writes is batch.writes
     assert batch.writes[-1] == {"user0": "second:twice"}
     assert batch.writes is batch.writes  # memoised on the batch
 

