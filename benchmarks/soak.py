@@ -37,9 +37,11 @@ with WINDOW = ``num_clients // batch_size`` batches of requests in flight
   reaches its quorum, so only the keys of the sequences still being
   ordered hold voters: at most n each, in the prepare and commit trackers
   (Paxos has one tracker).
-* ``cached_reads`` <= 2 * the store's history window.  A cached read lives
-  no longer than the history (``VersionedKVStore._MUTATION_LOG_LIMIT``), one
-  per batch read within it plus racing re-reads; the cases peak at 41.
+* ``cached_reads`` <= 64.  Every write to the store empties its read
+  cache, so it holds the reads since the last write: one per batch read
+  in that gap.  Counted after every read, the CI cases peak at 8 (the
+  probes see at most 5); pbft_replicated's replicas only apply writes
+  and hold 0.
 
 An optional third argument names a scenario preset to compose, so
 a fault early in the run (``region-outage-heal`` partitions a node from
@@ -61,7 +63,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.api import RunSpec, result_digest
 from repro.api.facade import build_deployment, resolve
-from repro.storage.kvstore import VersionedKVStore
 from repro.workload.transactions import TransactionBatch
 
 #: The drill config of ``tests/helpers.py`` with fast crypto.
@@ -127,7 +128,6 @@ def audit(deployment) -> Dict[str, int]:
     shared = getattr(deployment, "store", None)
     stores = [shared] if shared is not None else [node.store for node in deployment.nodes]
     for store in stores:
-        note("store_history", len(store._mutation_log))
         # The version map holds only rewritten keys: at most store_keys.
         note("store_keys", len(store))
         note("store_versions", len(store._versions))
@@ -150,7 +150,7 @@ def in_flight_bounds(config) -> Dict[str, int]:
     return {
         "batches": 4 * window,
         "log_payloads": window,
-        "cached_reads": 2 * VersionedKVStore._MUTATION_LOG_LIMIT,
+        "cached_reads": 64,
         "tracker_voters": window * 2 * config.shim_nodes,
     }
 

@@ -121,37 +121,25 @@ class Executor(SimProcess):
         self._pending_execute = None
         # Executors spawned for the same batch usually receive the same
         # (cached) ReadResult object, so these maps are built only once
-        # per observed storage snapshot.
+        # between two writes to the store.
         result = message.result
-        self._execute_with_data(
-            execute,
-            result.plain_values(),
-            result.versions_map(),
-            snapshot_token=result.snapshot_token,
-        )
+        self._execute_with_data(execute, result.plain_values(), result.versions_map())
 
     # ------------------------------------------------------------------ execution
 
-    def _execute_with_data(
-        self, execute: ExecuteMsg, values, versions, snapshot_token: int = -1
-    ) -> None:
+    def _execute_with_data(self, execute: ExecuteMsg, values, versions) -> None:
         batch = execute.batch
         compute_time = batch.execution_seconds
         compute_time += EXECUTOR_READ_OPS_COST * batch.operation_count
         self.set_timer_fast(
-            max(0.0, compute_time),
-            self._finish_execution,
-            execute,
-            values,
-            versions,
-            snapshot_token,
+            max(0.0, compute_time), self._finish_execution, execute, values, versions
         )
 
-    def _finish_execution(self, execute: ExecuteMsg, values, versions, snapshot_token=-1) -> None:
+    def _finish_execution(self, execute: ExecuteMsg, values, versions) -> None:
         # Honest execution is deterministic, so the 3f_E+1 executors spawned
         # for one batch share the memoised result when they observed the same
         # storage versions; byzantine corruption happens after the memo.
-        result = execute_batch_cached(execute.batch, values, versions, snapshot_token)
+        result = execute_batch_cached(execute.batch, values, versions)
         if self._behaviour is not None:
             result = self._behaviour.corrupt_result(result)
         unsigned = VerifyMsg(

@@ -267,35 +267,28 @@ class Verifier(SimProcess):
         reported = result.read_versions
         write_sets = result.writes
         aborted_ids: List[str] = []
-        # Freshness fast path: an *honestly produced* result (only those
-        # carry the ``_observed_token`` hint — byzantine corruption builds
-        # new result objects without it) whose read keys, all the batch's
-        # keys, provably have not changed since the snapshot it observed
-        # matches the store by construction, so the whole batch commits
-        # without a probe.
-        observed_token = result.__dict__.get("_observed_token", -1)
-        if store.keys_changed_since(observed_token, reported.keys()) != 0:
-            # The store's current versions of exactly the batch's keys.  A
-            # report naming any other key set, or whose write sets do not
-            # line up with the batch's transactions, is malformed and aborts
-            # the whole sequence; otherwise a transaction commits iff none of
-            # its keys is stale — for an honest report, iff every version it
-            # read is still current.  The stale set is one set difference,
-            # in C.
-            current = store.current_versions(batch.storage_keys)
-            if reported.keys() != current.keys() or len(write_sets) != len(batch):
-                write_sets = ()
-                aborted_ids = [txn.txn_id for txn in batch.transactions]
-            else:
-                stale = dict(reported.items() - current.items()).keys()
-                if stale:
-                    committed_writes = []
-                    for txn, writes in zip(batch.transactions, write_sets):
-                        if stale.isdisjoint(txn.sorted_keys):
-                            committed_writes.append(writes)
-                        else:
-                            aborted_ids.append(txn.txn_id)
-                    write_sets = committed_writes
+        # The decision reads the report and the store alone, never an
+        # attribute a host attached to the result object.  Against the
+        # store's current versions of exactly the batch's keys, a report
+        # naming any other key set, or whose write sets do not line up with
+        # the batch's transactions, is malformed and aborts the whole
+        # sequence; otherwise a transaction commits iff none of its keys is
+        # stale — for an honest report, iff every version it read is still
+        # current.  The stale set is one set difference, in C.
+        current = store.current_versions(batch.storage_keys)
+        if reported.keys() != current.keys() or len(write_sets) != len(batch):
+            write_sets = ()
+            aborted_ids = [txn.txn_id for txn in batch.transactions]
+        else:
+            stale = dict(reported.items() - current.items()).keys()
+            if stale:
+                committed_writes = []
+                for txn, writes in zip(batch.transactions, write_sets):
+                    if stale.isdisjoint(txn.sorted_keys):
+                        committed_writes.append(writes)
+                    else:
+                        aborted_ids.append(txn.txn_id)
+                write_sets = committed_writes
         store.apply_write_sets(write_sets)
         committed = len(batch) - len(aborted_ids)
         self._committed_txns += committed

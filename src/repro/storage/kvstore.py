@@ -18,9 +18,9 @@ from repro.errors import StorageError
 class VersionedValue(NamedTuple):
     """A value together with the version at which it was last written.
 
-    What :meth:`VersionedKVStore.read` and :attr:`ReadResult.values` return;
-    the store itself keeps no instances (it holds flat value and version
-    maps), so one is built only when a caller asks for this view.
+    What :meth:`VersionedKVStore.read` returns; the store itself keeps no
+    instances (it holds flat value and version maps), so one is built only
+    when a caller asks for this view.
     """
 
     value: str
@@ -30,55 +30,25 @@ class VersionedValue(NamedTuple):
 class ReadResult:
     """The outcome of reading a set of keys at one point in time.
 
-    ``snapshot_token`` identifies the store state the read observed: the
-    store's mutation counter at read time.  Two reads with the same token saw
-    the exact same state, which lets executors share memoised execution
-    results without comparing per-key versions (-1 = unknown/manual).
-
     A read is held as the two maps its consumers execute against — key →
     value and key → version, same key order — and shared by every executor
-    of a batch, so treat them as read-only.  The ``VersionedValue`` view
-    (``values``) is derived only if somebody asks for it.
+    of a batch that reads before the store's next write, so treat them as
+    read-only.
     """
 
-    __slots__ = ("snapshot_token", "_plain_values", "_versions_map", "_values")
+    __slots__ = ("_plain_values", "_versions_map")
 
-    def __init__(
-        self, plain_values: Dict[str, str], versions_map: Dict[str, int], snapshot_token: int = -1
-    ) -> None:
-        self.snapshot_token = snapshot_token
+    def __init__(self, plain_values: Dict[str, str], versions_map: Dict[str, int]) -> None:
         self._plain_values = plain_values
         self._versions_map = versions_map
-        self._values: Optional[Dict[str, VersionedValue]] = None
-
-    @property
-    def values(self) -> Dict[str, VersionedValue]:
-        cached = self._values
-        if cached is None:
-            versions = self._versions_map
-            cached = self._values = {
-                key: VersionedValue(value, versions[key])
-                for key, value in self._plain_values.items()
-            }
-        return cached
-
-    def versions(self) -> Dict[str, int]:
-        return dict(self._versions_map)
 
     def versions_map(self) -> Dict[str, int]:
-        """Like :meth:`versions`, without the copy (callers must not mutate)."""
+        """The key → version mapping (callers must not mutate)."""
         return self._versions_map
 
     def plain_values(self) -> Dict[str, str]:
         """The raw key → value mapping (callers must not mutate)."""
         return self._plain_values
-
-    def matches_versions(self, other_versions: Mapping[str, int]) -> bool:
-        """True if every key we read has the same version as in ``other_versions``."""
-        for key, version in self._versions_map.items():
-            if other_versions.get(key) != version:
-                return False
-        return True
 
 
 class VersionedKVStore:
@@ -91,8 +61,7 @@ class VersionedKVStore:
     one ``VersionedValue`` per key: strings and small ints are not tracked
     by the cyclic collector, so a store of any size adds two container
     objects to the garbage a finished run leaves, not one tuple per key ever
-    written.  ``VersionedValue`` is built on demand by :meth:`read` and
-    :attr:`ReadResult.values`.
+    written.  ``VersionedValue`` is built on demand by :meth:`read`.
 
     The version map is sparse.  A key in the value map with no version
     entry is at version 1 (written once, or bulk-loaded); a key in neither
@@ -124,45 +93,15 @@ class VersionedKVStore:
         self._versions: Dict[str, int] = {}
         self._reads = 0
         self._writes = 0
-        self._mutations = 0
-        # keys-tuple -> ReadResult at some recent snapshot: the paper spawns
+        # keys-tuple -> ReadResult since the last write: the paper spawns
         # 3f_E+1 executors per batch, and all of them read the same key set —
         # in the common race-free case they hit this cache and share one
-        # ReadResult object (and its value/version maps).  Only batches
-        # currently in flight benefit, so an entry is evicted once its
-        # snapshot token leaves the mutation-log window (_note_mutation);
+        # ReadResult object (and its value/version maps).  Every write
+        # empties it, so a cached read is always current;
         # _READ_CACHE_LIMIT caps a store that is read but never written.
         self._read_cache: Dict[Tuple[str, ...], ReadResult] = {}
-        # Keys changed by each mutation, ``self._mutation_log[i]`` holding
-        # the keys of mutation ``self._mutation_log_base + i + 1`` (None =
-        # "many/unknown", e.g. a bulk load).  Lets snapshot consumers prove
-        # "nothing I read changed since token T" with one C disjointness
-        # check instead of re-reading every key; trimmed so only the recent
-        # window is answerable (older tokens report "unknown").
-        self._mutation_log: List[Optional[List[str]]] = []
-        self._mutation_log_base = 0
 
     _READ_CACHE_LIMIT = 1024
-    #: The history window.  The log keeps the newest 16-32 mutations and a
-    #: cached read lives no longer: it need only span the reads in flight.
-    #: The oldest snapshot a run proved fresh, and what the single-point
-    #: perfledger workloads (seed 1) count with the window at 32 and at 128:
-    #:
-    #:   ===============================  ======  ==============================
-    #:   run                              oldest  read misses / version probes /
-    #:                                            batch executions
-    #:   ===============================  ======  ==============================
-    #:   default-point                    15      805 / 429 / 803 at both
-    #:   wide-shim                        7       489 / 9 / 489 at both
-    #:   geo-faults                       4       1 751 / 747 / 1 743 at both
-    #:   scenario matrix, 138 rows, 5 s   7
-    #:   ``base="paper"``, 1.5 s          53      1 249 / 70 / 1 248 (1 248 misses
-    #:                                            at 128)
-    #:   ===============================  ======  ==============================
-    #:
-    #: Any window gives the same results: a token older than the window
-    #: takes the exact per-key path, and a dropped read is read again.
-    _MUTATION_LOG_LIMIT = 32
 
     def __len__(self) -> int:
         return len(self._values)
@@ -174,11 +113,6 @@ class VersionedKVStore:
     @property
     def write_count(self) -> int:
         return self._writes
-
-    @property
-    def mutation_count(self) -> int:
-        """Bumps whenever the store's state changes (snapshot identity)."""
-        return self._mutations
 
     def load(self, num_records: int, key_prefix: str = "user", value: str = "x" * 100) -> None:
         """Bulk-load the initial YCSB table (600 k records in the paper)."""
@@ -192,7 +126,7 @@ class VersionedKVStore:
             for key in versions.keys() & keys:
                 del versions[key]
         if num_records:
-            self._note_mutation(None)
+            self._read_cache.clear()
 
     def contains(self, key: str) -> bool:
         return key in self._values
@@ -208,27 +142,16 @@ class VersionedKVStore:
         if not isinstance(keys, tuple):
             keys = tuple(keys)
         self._reads += len(keys)
-        token = self._mutations
-        cached = self._read_cache.get(keys)
+        cache = self._read_cache
+        cached = cache.get(keys)
         if cached is not None:
-            if cached.snapshot_token == token:
-                return cached
-            # The store changed since the cached read, but maybe not under
-            # *these* keys (commits touch disjoint key partitions most of
-            # the time).  The mutation log usually proves disjointness with
-            # one C set check per commit since the snapshot; an unknown
-            # answer (a bulk load since) reads again.  Returning the cached
-            # object (old token included) keeps every memo keyed on it valid.
-            if self.keys_changed_since(cached.snapshot_token, cached.versions_map().keys()) == 0:
-                return cached
+            return cached
         # Both maps come from C-level constructors: no per-key Python frame.
         result = ReadResult(
             dict(zip(keys, map(self._values.get, keys, repeat("")))),
             self._versions_of(keys),
-            token,
         )
-        cache = self._read_cache
-        if cached is None and len(cache) >= self._READ_CACHE_LIMIT:
+        if len(cache) >= self._READ_CACHE_LIMIT:
             del cache[next(iter(cache))]
         cache[keys] = result
         return result
@@ -250,42 +173,6 @@ class VersionedKVStore:
         stored = map(index, map(contains, repeat(self._values), keys))
         return dict(zip(keys, map(self._versions.get, keys, stored)))
 
-    def _note_mutation(self, changed: Optional[List[str]]) -> None:
-        self._mutations += 1
-        log = self._mutation_log
-        log.append(changed)
-        if len(log) > self._MUTATION_LOG_LIMIT:
-            half = self._MUTATION_LOG_LIMIT // 2
-            del log[:half]
-            base = self._mutation_log_base = self._mutation_log_base + half
-            # Cached reads older than the window belong to batches long out
-            # of flight (and could only be revalidated key by key): drop them.
-            cache = self._read_cache
-            for keys in [k for k, read in cache.items() if read.snapshot_token < base]:
-                del cache[keys]
-
-    def keys_changed_since(self, token: int, keys) -> int:
-        """Did any of ``keys`` change after snapshot ``token``?
-
-        Returns 0 (provably unchanged), 1 (provably changed: some key's
-        version was bumped — versions are monotone under writes, so any
-        snapshot of these keys taken at ``token`` is stale), or -1 (unknown:
-        the token predates the retained log window or a bulk load happened).
-        ``keys`` must support ``isdisjoint`` (set, frozenset, or dict view).
-        """
-        if token < 0:
-            return -1
-        base = self._mutation_log_base
-        if token < base:
-            return -1
-        changed = False
-        for entry in self._mutation_log[token - base :]:
-            if entry is None:
-                return -1
-            if not changed and not keys.isdisjoint(entry):
-                changed = True
-        return 1 if changed else 0
-
     def apply_writes(self, writes: Mapping[str, str]) -> Dict[str, int]:
         """Apply a write set atomically, bumping each key's version.
 
@@ -302,7 +189,7 @@ class VersionedKVStore:
             values[key] = value
         if new_versions:
             self._writes += len(new_versions)
-            self._note_mutation(list(new_versions))
+            self._read_cache.clear()
         return new_versions
 
     def apply_write_sets(self, write_sets: Iterable[Mapping[str, str]]) -> None:
@@ -315,8 +202,7 @@ class VersionedKVStore:
         values = self._values
         versions = self._versions
         get = versions.get
-        changed: List[str] = []
-        extend_changed = changed.extend
+        written = 0
         for writes in write_sets:
             # The verifier's write loop: one version bump per rewritten key
             # (a first write needs no entry), then the values in one C update.
@@ -324,10 +210,10 @@ class VersionedKVStore:
                 if key in values:
                     versions[key] = get(key, 1) + 1
             values.update(writes)
-            extend_changed(writes)
-        if changed:
-            self._writes += len(changed)
-            self._note_mutation(changed)
+            written += len(writes)
+        if written:
+            self._writes += written
+            self._read_cache.clear()
 
     def get_value(self, key: str) -> Optional[str]:
         return self._values.get(key)

@@ -290,7 +290,6 @@ def execute_batch_cached(
     batch: TransactionBatch,
     read_values: Mapping[str, str],
     read_versions: Mapping[str, int],
-    snapshot_token: int = -1,
 ) -> ExecutionResult:
     """Memoising wrapper around :func:`execute_batch`.
 
@@ -298,31 +297,17 @@ def execute_batch_cached(
     observed, and a key's value is determined by its version (versions bump on
     every write).  The paper spawns ``3f_E + 1`` executors per committed
     batch, so in the common race-free case the same (batch, versions) pair is
-    executed several times — the memo, stored on the (shared) batch instance,
-    collapses those to one real execution.  Executors that observed *different*
-    versions (a racing commit) miss the memo and execute for real, preserving
-    the conflict/abort behaviour bit-for-bit.  Byzantine result corruption
+    executed several times — the memo, stored on the (shared) batch instance
+    and keyed on the observed versions alone, collapses those to one real
+    execution.  Executors that observed *different* versions (a racing
+    commit) miss the memo and execute for real, preserving the
+    conflict/abort behaviour bit-for-bit.  Byzantine result corruption
     happens *after* this call, so it never pollutes the memo.
-
-    With a snapshot token, ``read_versions`` must cover every key of
-    :attr:`TransactionBatch.storage_keys` (a storage read of them does):
-    the verifier's freshness fast path trusts the keys of that read.
     """
     memo = batch.__dict__.get("_execution_memo")
     if memo is None:
         memo = {}
         object.__setattr__(batch, "_execution_memo", memo)
-    # Two-level key: a non-negative snapshot token identifies the exact store
-    # state the read observed (O(1) hit, no per-key work).  Tokens churn on
-    # *any* store write, though, so on a token miss fall back to the observed
-    # versions themselves — executors whose reads straddled an unrelated
-    # commit still share one execution.  A spurious mismatch merely
-    # re-executes, which is always correct.
-    if snapshot_token >= 0:
-        result = memo.get(snapshot_token)
-        if result is not None:
-            PERF.batch_execution_cache_hits += 1
-            return result
     # Keys and versions as two flat tuples: the same equality relation as
     # the (key, version) pairs, without one 2-tuple per key on every miss.
     versions_key = (tuple(read_versions), tuple(read_versions.values()))
@@ -332,19 +317,6 @@ def execute_batch_cached(
         memo[versions_key] = result
     else:
         PERF.batch_execution_cache_hits += 1
-    if snapshot_token >= 0:
-        memo[snapshot_token] = result
-        # Host-side freshness hint for the verifier: this (honest) result
-        # describes the store state identified by ``snapshot_token`` on the
-        # keys of its ``read_versions`` (the keys the store's mutation log
-        # checks with ``isdisjoint``) — also when served from the
-        # versions-key memo, since equal observed versions mean the two
-        # snapshots agree on every key the batch touches.  Byzantine
-        # corruption builds *new* result objects, which never carry the
-        # hint, so the verifier's fast path only ever sees honestly
-        # produced results.  Not part of any digest.
-        if snapshot_token > result.__dict__.get("_observed_token", -1):
-            object.__setattr__(result, "_observed_token", snapshot_token)
     return result
 
 

@@ -157,9 +157,9 @@ def test_retained_state_does_not_scale_with_run_length(system, overrides):
         assert counts["identities"] == counts["fixed_identities"]
         assert counts["seq_state"] <= 4 * WINDOW
         assert counts["committed_entries"] <= 4 * WINDOW
-        # One cached read per batch recently in flight: the store's
-        # mutation-log window (32) plus racing re-reads, never one per batch.
-        assert counts["read_cache"] <= 2 * VersionedKVStore._MUTATION_LOG_LIMIT
+        # The read cache holds only the reads since the store's last write,
+        # never one per batch.
+        assert counts["read_cache"] <= 64
         # Batches live in PBFT log slots (truncated at the stable checkpoint,
         # which trails by up to one interval) and in the in-flight window.
         assert counts["batches"] <= counts["batch_bound"]
@@ -830,20 +830,30 @@ def test_lossy_network_preset_same_digest_twice():
 # ------------------------------------------------------------------ storage read cache
 
 
-def test_read_cache_evicts_reads_that_left_the_mutation_window():
+def test_a_write_empties_the_read_cache():
     store = VersionedKVStore()
     store.load(50)
-    old = store.read_many(("user1", "user2"))
-    assert store.read_many(("user1", "user2")) is old  # in-flight sharing
-    for index in range(2 * VersionedKVStore._MUTATION_LOG_LIMIT):
-        store.apply_write_sets([{f"other{index}": "v"}])
-        store.read_many((f"other{index}",))
-    assert ("user1", "user2") not in store._read_cache
-    assert len(store._read_cache) <= VersionedKVStore._MUTATION_LOG_LIMIT
-    fresh = store.read_many(("user1", "user2"))
-    assert fresh is not old and fresh.snapshot_token == store.mutation_count
-    assert fresh.versions_map() == old.versions_map()
-    assert fresh.plain_values() == old.plain_values()
+    old = store.read_many(("user0", "user1"))
+    assert store.read_many(("user0", "user1")) is old  # an unchanged store shares
+    for write in (
+        lambda: store.apply_writes({"other": "v"}),
+        lambda: store.apply_write_sets([{"user0": "a"}, {"user1": "b"}]),
+        lambda: store.load(2, value="new"),
+    ):
+        old = store.read_many(("user0", "user1"))
+        write()
+        assert store._read_cache == {}
+        fresh = store.read_many(("user0", "user1"))
+        assert fresh is not old
+        assert fresh.plain_values() == {key: store.get_value(key) for key in ("user0", "user1")}
+        assert fresh.versions_map() == store.current_versions(("user0", "user1"))
+    assert fresh.plain_values() == {"user0": "new", "user1": "new"}
+    assert fresh.versions_map() == {"user0": 1, "user1": 1}
+    # Writes that change nothing keep what is cached.
+    store.apply_writes({})
+    store.apply_write_sets([{}])
+    store.load(0)
+    assert store.read_many(("user0", "user1")) is fresh
 
 
 def test_read_cache_of_a_never_written_store_is_capped():

@@ -409,18 +409,18 @@ def test_execute_batch_cached_shares_and_separates_results():
     versions_a = {key: 0 for key in batch.storage_keys}
     values = {key: "" for key in batch.storage_keys}
     plain = execute_batch(batch, values, versions_a)
-    cached_one = execute_batch_cached(batch, values, versions_a, snapshot_token=9)
-    cached_two = execute_batch_cached(batch, values, versions_a, snapshot_token=9)
-    assert cached_one is cached_two  # memo hit via snapshot token
+    cached_one = execute_batch_cached(batch, values, versions_a)
+    cached_two = execute_batch_cached(batch, values, versions_a)
+    assert cached_one is cached_two  # memo hit on the observed versions
     assert cached_one == plain  # and identical to the uncached path
-    # Same versions under a different token also share via the versions key.
-    cached_three = execute_batch_cached(batch, values, versions_a, snapshot_token=12)
+    # Equal versions in another map (another read) share the result too.
+    cached_three = execute_batch_cached(batch, dict(values), dict(versions_a))
     assert cached_three is cached_one
     # A genuinely different snapshot yields a different result object/digest.
     versions_b = dict(versions_a)
     any_key = next(iter(versions_b))
     versions_b[any_key] = 5
-    different = execute_batch_cached(batch, values, versions_b, snapshot_token=13)
+    different = execute_batch_cached(batch, values, versions_b)
     assert different is not cached_one
     assert different.result_digest != cached_one.result_digest
 

@@ -152,7 +152,7 @@ def test_kvstore_versions_grow_monotonically(writes, rounds):
             assert versions[key] == round_index
             assert store.read(key).version == round_index
     snapshot = store.read_many(writes.keys())
-    assert snapshot.matches_versions(store.current_versions(writes.keys()))
+    assert snapshot.versions_map() == store.current_versions(writes.keys())
 
 
 _store_key = st.sampled_from(["k0", "k1", "k2", "k3", "a", "b"])
@@ -165,18 +165,17 @@ _store_op = st.one_of(
     st.tuples(st.just("read"), _store_key),
     st.tuples(st.just("read_many"), _store_keys),
     st.tuples(st.just("current_versions"), _store_keys),
-    st.tuples(st.just("keys_changed_since"), st.integers(0, 40), _store_keys),
 )
 
 
 @settings(max_examples=150, deadline=None)
 @given(ops=st.lists(_store_op, max_size=40))
 def test_kvstore_matches_a_full_version_map(ops):
-    # The store keeps version entries only for rewritten keys; a reference
-    # holding every key's (value, version) must agree with it at every step.
+    # The store keeps version entries only for rewritten keys and caches
+    # reads until the next write; a reference holding every key's
+    # (value, version) must agree with it at every step.
     store = VersionedKVStore()
     model = {}
-    history = []  # keys changed by each mutation (None = a bulk load)
 
     def expected(key):
         return model.get(key, ("", 0))
@@ -188,23 +187,15 @@ def test_kvstore_matches_a_full_version_map(ops):
             store.load(count, key_prefix="k", value=value)
             for index in range(count):
                 model[f"k{index}"] = (value, 1)
-            if count:
-                history.append(None)
         elif kind == "apply_writes":
             bumped = {key: expected(key)[1] + 1 for key in op[1]}
             assert store.apply_writes(op[1]) == bumped
             model.update((key, (value, bumped[key])) for key, value in op[1].items())
-            if bumped:
-                history.append(set(bumped))
         elif kind == "apply_write_sets":
             store.apply_write_sets(op[1])
-            changed = set()
             for writes in op[1]:
                 for key, value in writes.items():
                     model[key] = (value, expected(key)[1] + 1)
-                changed.update(writes)
-            if changed:
-                history.append(changed)
         elif kind == "read":
             got = store.read(op[1])
             assert tuple(got) == expected(op[1]) and type(got.version) is int
@@ -214,21 +205,12 @@ def test_kvstore_matches_a_full_version_map(ops):
             assert list(got.versions_map().items()) == [
                 (key, expected(key)[1]) for key in dict.fromkeys(op[1])
             ]
-        elif kind == "current_versions":
+        else:
             got = store.current_versions(op[1])
             assert got == {key: expected(key)[1] for key in op[1]}
             assert all(type(version) is int for version in got.values())
-        else:
-            _, token, keys = op
-            token = min(token, len(history))
-            since = history[token:]
-            exact = -1 if None in since else int(any(not c.isdisjoint(keys) for c in since))
-            got = store.keys_changed_since(token, set(keys))
-            # The store may forget history past its window, never misreport it.
-            assert got == exact or (got == -1 and len(since) > 16)
         assert len(store) == len(model)
         assert store.keys() == list(model)
-        assert store.mutation_count == len(history)
         for key in ("k0", "a", "z"):
             assert store.contains(key) == (key in model)
             assert store.get_value(key) == model.get(key, (None,))[0]
@@ -384,8 +366,8 @@ def test_the_order_of_a_batch_read_changes_nothing(txns, writes_per_key, stale, 
             store = _store_with(writes_per_key)
             read = store.read_many(order)
             values, versions = read.plain_values(), read.versions_map()
-            if cached:  # carries the verifier's freshness hint
-                result = execute_batch_cached(fresh, values, versions, read.snapshot_token)
+            if cached:
+                result = execute_batch_cached(fresh, values, versions)
             else:
                 result = execute_batch(fresh, values, versions)
             digests.add(result.result_digest)

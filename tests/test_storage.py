@@ -40,10 +40,10 @@ def test_read_many_and_version_matching():
     store = VersionedKVStore()
     store.apply_writes({"x": "1", "y": "2"})
     snapshot = store.read_many(["x", "y", "z"])
-    assert snapshot.versions() == {"x": 1, "y": 1, "z": 0}
-    assert snapshot.matches_versions(store.current_versions(["x", "y", "z"]))
+    assert snapshot.versions_map() == {"x": 1, "y": 1, "z": 0}
+    assert snapshot.versions_map() == store.current_versions(["x", "y", "z"])
     store.apply_writes({"x": "changed"})
-    assert not snapshot.matches_versions(store.current_versions(["x", "y", "z"]))
+    assert snapshot.versions_map() != store.current_versions(["x", "y", "z"])
 
 
 def test_keys_keep_first_write_order_and_len_counts_keys():
@@ -58,23 +58,18 @@ def test_keys_keep_first_write_order_and_len_counts_keys():
     assert store.read("k1") == VersionedValue("x" * 100, 1)
 
 
-def test_read_result_values_is_the_versioned_value_view():
+def test_read_result_holds_values_and_versions_in_key_order():
     store = VersionedKVStore()
     store.apply_writes({"x": "1", "y": "2"})
     store.apply_writes({"x": "3"})
     snapshot = store.read_many(("x", "y", "z"))
-    assert snapshot.values == {
-        "x": VersionedValue("3", 2),
-        "y": VersionedValue("2", 1),
-        "z": VersionedValue("", 0),
-    }
-    assert snapshot.plain_values() == {"x": "3", "y": "2", "z": ""}
+    assert list(snapshot.plain_values().items()) == [("x", "3"), ("y", "2"), ("z", "")]
     assert list(snapshot.versions_map().items()) == [("x", 2), ("y", 1), ("z", 0)]
 
 
 def test_a_read_after_a_bulk_load_is_fresh():
-    # A load marks the history "unknown", so a cached read of its keys is
-    # read again: a reloaded key is back at version 1 with the loaded value.
+    # A load empties the read cache, so a cached read of its keys is read
+    # again: a reloaded key is back at version 1 with the loaded value.
     store = VersionedKVStore()
     store.load(3, value="old")
     store.apply_writes({"user0": "a"})
@@ -138,7 +133,7 @@ def test_storage_service_answers_read_requests_over_network():
     assert sender == "storage"
     assert isinstance(reply, StorageReadReply)
     assert reply.request_id == "r1"
-    assert reply.result.versions() == {"k1": 1, "k2": 1, "missing": 0}
+    assert reply.result.versions_map() == {"k1": 1, "k2": 1, "missing": 0}
     assert service.requests_served == 1
 
 
@@ -150,24 +145,3 @@ def test_storage_service_ignores_unrelated_messages():
     sim.run_until_idle()
     assert service.requests_served == 0
 
-
-def test_store_history_spans_reads_in_flight():
-    # The mutation log keeps the newest 16-32 mutations, and no cached read
-    # outlives it: the oldest snapshot any workload proves fresh is far younger.
-    store = VersionedKVStore()
-    store.load(50)
-    first = store.read_many(("user0", "user1"))
-    for index in range(100):
-        store.read_many((f"user{index % 50}",))
-        store.apply_write_sets([{f"user{index % 50}": f"v{index}"}])
-        assert len(store._mutation_log) <= 32
-        assert all(
-            read.snapshot_token >= store._mutation_log_base for read in store._read_cache.values()
-        )
-    assert len(store._mutation_log) >= 16
-    # A token older than the window is "unknown", never a wrong "unchanged";
-    # a read of its keys is exact again.
-    assert store.keys_changed_since(first.snapshot_token, {"user0"}) == -1
-    again = store.read_many(("user0", "user1"))
-    assert again.plain_values() == {"user0": "v50", "user1": "v51"}
-    assert again.versions_map() == store.current_versions(("user0", "user1"))

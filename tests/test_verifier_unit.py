@@ -164,6 +164,21 @@ def test_stale_reads_abort_the_transaction():
     assert harness.verifier.aborted_txns == 1
 
 
+def test_a_host_side_attribute_on_a_result_changes_nothing():
+    # The commit decision reads the report and the store only: an attribute
+    # a host attached to a stale result does not let it commit.
+    harness = Harness()
+    batch = harness.make_batch(1)
+    for executor in ("executor-0", "executor-1"):
+        verify = harness.make_verify(1, executor, batch, stale=True)
+        object.__setattr__(verify.result, "_observed_token", 0)
+        harness.deliver(verify, executor)
+    responses = harness.client_messages(ResponseMsg)
+    assert len(responses) == 1
+    assert responses[0].aborted_txn_ids == ("txn-1",)
+    assert harness.store.read("k1").version == 0
+
+
 def test_duplicate_and_post_quorum_verify_messages_are_ignored():
     harness = Harness()
     batch = harness.make_batch(1)
