@@ -42,7 +42,6 @@ SPEC = RunSpec(
         "protocol.client_groups": 4,
         "protocol.batch_size": 5,
         "protocol.crypto_backend": "fast",
-        "workload.clients": 60,
     },
 )
 

@@ -7,7 +7,8 @@ virtual second through the first third.  It fails unless
 
 * the two runs have equal result digests;
 * no audited container is larger at the end than its high-water over the
-  first third;
+  first third, and every node's stable watermark still moves in the last
+  third;
 * no container that holds only work in flight exceeds its bound at any
   probe (``in_flight_bounds``);
 * peak RSS grows over the last two thirds by no more than what still grows
@@ -16,10 +17,17 @@ virtual second through the first third.  It fails unless
 
 The first third must span many checkpoint intervals for its high-water to
 be the steady state's; a run of a few seconds fails on in-flight noise
-alone.  Live batches, the log slots that still hold one and the store's
-cached reads are such noise even in a long run: they swing with the phase
-of the closed loop, so a once-a-second probe need not catch their
-high-water.  Each is held to an explicit bound from the config instead,
+alone.  The containers a stable checkpoint truncates (``CHECKPOINTED``:
+log slots, retained commits, vote-tracker keys) fill through each
+checkpoint interval and empty at its end, so a probe at an arbitrary
+moment reads an arbitrary phase of that cycle: an end probe late in an
+interval reads more than every once-a-second probe of the first third
+without anything growing.  They are sampled instead the moment a node's
+watermark moves, and the end is that node's last such sample: like is
+compared with like.  Live batches, the log slots that still hold one and
+the store's cached reads are in-flight noise even in a long run: they swing
+with the phase of the closed loop, so a once-a-second probe need not catch
+their high-water.  Each is held to an explicit bound from the config instead,
 with WINDOW = ``num_clients // batch_size`` batches of requests in flight
 (4 on the drill config):
 
@@ -74,7 +82,6 @@ DRILL = {
     "protocol.num_clients": 40,
     "protocol.client_groups": 4,
     "workload.num_records": 2_000,
-    "workload.clients": 40,
     "workload.operations_per_transaction": 4,
     "workload.write_fraction": 0.5,
     "protocol.crypto_backend": "fast",
@@ -92,10 +99,54 @@ BYTES_PER_SPAWN = 64
 #: merges them.  pbft_replicated spawns nothing, and its 180 s soak grows
 #: 18 B per request; the allowance is about twice that.
 BYTES_PER_REQUEST = 40
+#: The containers a stable checkpoint truncates, sampled per node as its
+#: watermark moves (:func:`watch_checkpoints`) rather than by ``audit``.
+CHECKPOINTED = ("log_slots", "log_commits", "tracker_keys")
+
+
+def trackers(replica) -> list:
+    """The replica's vote trackers (PBFT has two, Paxos one)."""
+    return [
+        getattr(replica, name)
+        for name in ("_prepare_quorum", "_commit_quorum", "_accepted_quorum")
+        if hasattr(replica, name)
+    ]
+
+
+#: Per node, ``(virtual time, CHECKPOINTED sizes)`` at each watermark move.
+Checkpoints = Dict[str, List[Tuple[float, Dict[str, int]]]]
+
+
+def watch_checkpoints(deployment) -> Checkpoints:
+    """Sample each node's ``CHECKPOINTED`` sizes whenever its watermark moves.
+
+    The replica tells its host of a new watermark after truncating its log
+    and retiring the votes at or below it; the sample is taken right after,
+    so every sample sits at the same phase of the checkpoint cycle.
+    """
+    samples: Checkpoints = {}
+    for node in deployment.nodes:
+        replica = node.replica
+        notify = replica._on_stable
+        mine = samples[node.name] = []
+
+        def on_stable(stable: int, replica=replica, mine=mine, notify=notify) -> None:
+            if notify is not None:
+                notify(stable)
+            sizes = {
+                "log_slots": replica.log.slot_count,
+                "log_commits": replica.log.retained_commits,
+                "tracker_keys": max(len(tracker.keys()) for tracker in trackers(replica)),
+            }
+            mine.append((deployment.sim.now, sizes))
+
+        replica._on_stable = on_stable
+    return samples
 
 
 def audit(deployment) -> Dict[str, int]:
-    """Sizes of the per-run protocol containers (the largest node's for per-node ones)."""
+    """Sizes of the per-run protocol containers (the largest node's for
+    per-node ones), apart from the ``CHECKPOINTED`` ones."""
     gc.collect()
     sizes = {"batches": sum(1 for obj in gc.get_objects() if type(obj) is TransactionBatch)}
 
@@ -105,22 +156,14 @@ def audit(deployment) -> Dict[str, int]:
     for node in deployment.nodes:
         replica = node.replica
         log = replica.log
-        note("log_slots", log.slot_count)
-        note("log_commits", log.retained_commits)
         # A log keeps the batch of an uncommitted slot only.
         payloads = {seq for seq, slot in log._slots.items() if slot.batch is not None}
         payloads.update(seq for seq, entry in log._committed.items() if entry.batch is not None)
         note("log_payloads", len(payloads))
-        trackers = [
-            getattr(replica, name)
-            for name in ("_prepare_quorum", "_commit_quorum", "_accepted_quorum")
-            if hasattr(replica, name)
-        ]
-        for tracker in trackers:
-            note("tracker_keys", len(tracker.keys()))
         # A decided key is settled and holds no voters: only the keys still
         # collecting votes do.
-        note("tracker_voters", sum(len(voters) for t in trackers for voters in t._votes.values()))
+        voters = sum(len(keyed) for t in trackers(replica) for keyed in t._votes.values())
+        note("tracker_voters", voters)
         note("shim_entries", len(getattr(node, "_committed_entries", ())))
         if hasattr(node, "_planner"):
             note("planner", len(node._planner._pending))
@@ -157,9 +200,10 @@ def in_flight_bounds(config) -> Dict[str, int]:
 
 def soak(
     system: str, seconds: float, scenario: Optional[str] = None
-) -> Tuple[str, List[dict], Dict[str, int]]:
+) -> Tuple[str, List[dict], Checkpoints, Dict[str, int]]:
     """One run: its result digest, a probe per virtual second of the first
-    third plus one at the end, and its in-flight bounds."""
+    third plus one at the end, its checkpoint samples and its in-flight
+    bounds."""
     spec = RunSpec(
         system=system,
         scenarios=(scenario,) if scenario else (),
@@ -171,6 +215,7 @@ def soak(
     )
     deployment = build_deployment(resolve(spec))
     cloud = getattr(deployment, "cloud", None)
+    checkpoints = watch_checkpoints(deployment)
     probes = []
 
     def probe() -> None:
@@ -188,16 +233,30 @@ def soak(
         deployment.sim.schedule(float(second), probe)
     result = deployment.run(duration=seconds, warmup=1.0)
     probe()
-    return result_digest(result), probes, in_flight_bounds(deployment.config)
+    return result_digest(result), probes, checkpoints, in_flight_bounds(deployment.config)
 
 
 def main(system: str, seconds: float, scenario: Optional[str] = None) -> int:
-    (first, probes, bounds), (second, _, _) = (
+    (first, probes, checkpoints, bounds), (second, _, _, _) = (
         soak(system, seconds, scenario),
         soak(system, seconds, scenario),
     )
     third, end = probes[-2], probes[-1]
     early = {name: max(p["sizes"][name] for p in probes[:-1]) for name in end["sizes"]}
+    # A checkpointed container's end is each node's last watermark move,
+    # held against every move of the first third.
+    stalled = sorted(
+        node for node, samples in checkpoints.items() if not samples or samples[-1][0] <= third["t"]
+    )
+    for name in CHECKPOINTED:
+        early[name] = max(
+            (sizes[name] for samples in checkpoints.values() for t, sizes in samples
+             if t <= third["t"]),
+            default=0,
+        )
+        end["sizes"][name] = max(
+            (samples[-1][1][name] for samples in checkpoints.values() if samples), default=0
+        )
     spawns = end["spawns"] - third["spawns"]
     requests = end["requests"] - third["requests"]
     growth_mb = end["peak_mb"] - third["peak_mb"]
@@ -220,6 +279,8 @@ def main(system: str, seconds: float, scenario: Optional[str] = None) -> int:
         failures.append("two runs of one spec disagree")
     if grown:
         failures.append(f"containers larger at the end than in the first third: {grown}")
+    if stalled:
+        failures.append(f"stable watermark stopped moving after the first third: {stalled}")
     if over:
         failures.append(f"in-flight containers over their bound: {over}")
     if growth_mb > allowed_mb:

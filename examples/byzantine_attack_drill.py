@@ -44,7 +44,6 @@ BASE_OVERRIDES = {
     "protocol.verifier_quorum_timeout": 0.5,
     "protocol.retransmission_timeout": 0.5,
     "workload.num_records": 5_000,
-    "workload.clients": 40,
 }
 
 

@@ -43,7 +43,6 @@ def measured_point(execution_ms: int = 100) -> None:
                 "protocol.num_clients": 200,
                 "protocol.client_groups": 8,
                 "workload.num_records": 10_000,
-                "workload.clients": 200,
                 "workload.execution_seconds": execution_ms / 1000.0,
             },
             execution_threads=execution_threads,

@@ -32,7 +32,6 @@ def main() -> None:
             "workload.num_records": 10_000,
             "workload.operations_per_transaction": 4,
             "workload.write_fraction": 0.5,
-            "workload.clients": 400,
         },
         duration=example_duration(3.0),
         warmup=min(0.5, example_duration(3.0) / 4),

@@ -43,7 +43,6 @@ def run_fleet(drones: int) -> None:
             "workload.operations_per_transaction": 4,
             "workload.write_fraction": 0.5,
             "workload.execution_seconds": 0.1,    # on-flight ML inference, offloaded
-            "workload.clients": 200,
         },
         duration=duration,
         warmup=min(0.5, duration / 4),

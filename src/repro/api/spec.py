@@ -37,7 +37,7 @@ from repro.api.scenarios import get_scenario, validate_seed_label
 from repro.core.config import ProtocolConfig
 from repro.errors import ConfigurationError
 from repro.sim.rng import derive_seed
-from repro.workload.config import YCSBConfig
+from repro.workload.config import YCSBConfig, follow_clients
 
 #: Bumped whenever the resolved-run layout changes incompatibly, so stale
 #: result-store entries can never be mistaken for current ones.
@@ -340,25 +340,15 @@ _BASE_WORKLOAD: Dict[str, Dict[str, object]] = {
         "num_records": 5_000,
         "operations_per_transaction": 4,
         "write_fraction": 0.5,
-        "clients": 200,
     },
     "paper": {
         "num_records": 600_000,
         "operations_per_transaction": 4,
         "write_fraction": 0.5,
         "conflict_fraction": 0.0,
-        "clients": 256,
     },
     "default": {},
 }
-
-
-def _base_protocol_config(base: str, overrides: Mapping[str, object]) -> ProtocolConfig:
-    return ProtocolConfig(**{**_BASE_PROTOCOL[base], **overrides})  # type: ignore[arg-type]
-
-
-def _base_workload_config(base: str, overrides: Mapping[str, object]) -> YCSBConfig:
-    return YCSBConfig(**{**_BASE_WORKLOAD[base], **overrides})  # type: ignore[arg-type]
 
 
 def validate_base(base: str) -> str:
@@ -517,16 +507,18 @@ def resolve_run(
     """
     composed = compose_scenarios(scenarios)
 
-    config_ov: Dict[str, object] = dict(composed.config_overrides)
+    config_ov: Dict[str, object] = dict(_BASE_PROTOCOL[validate_base(base)])
+    config_ov.update(composed.config_overrides)
     config_ov.update(config_overrides)
     config_ov["seed"] = seed
 
-    workload_ov: Dict[str, object] = dict(composed.workload_overrides)
+    workload_ov: Dict[str, object] = dict(_BASE_WORKLOAD[base])
+    workload_ov.update(composed.workload_overrides)
     workload_ov.update(workload_overrides)
     workload_ov.setdefault("seed", derive_seed(seed, "workload"))
 
-    config = _base_protocol_config(validate_base(base), config_ov)
-    workload = _base_workload_config(base, workload_ov)
+    config = ProtocolConfig(**config_ov)  # type: ignore[arg-type]
+    workload = follow_clients(YCSBConfig(**workload_ov), config.num_clients)  # type: ignore[arg-type]
 
     return {
         "schema": SPEC_SCHEMA_VERSION,

@@ -43,7 +43,7 @@ from repro.sim.rng import DeterministicRNG
 from repro.sim.stats import LatencyRecorder, ThroughputRecorder
 from repro.storage.kvstore import VersionedKVStore
 from repro.storage.service import StorageService
-from repro.workload.config import YCSBConfig
+from repro.workload.config import YCSBConfig, follow_clients
 from repro.workload.ycsb import YCSBWorkload
 
 
@@ -64,7 +64,7 @@ class Deployment:
         tracer_enabled: bool = False,
     ) -> None:
         self.config = config
-        self.workload_config = workload or YCSBConfig(clients=config.num_clients, seed=config.seed)
+        self.workload_config = follow_clients(workload or YCSBConfig(seed=config.seed), config.num_clients)
         self.sim = Simulator()
         self.rng = DeterministicRNG(config.seed)
         self.catalog = RegionCatalog()

@@ -42,7 +42,7 @@ from repro.core.config import (
 )
 from repro.crypto.costs import CRYPTO_COSTS
 from repro.errors import ConfigurationError
-from repro.workload.config import YCSBConfig
+from repro.workload.config import YCSBConfig, follow_clients
 
 #: Bytes of PREPREPARE payload per transaction (5392 B for the paper's batch of 100).
 _PREPREPARE_BYTES_PER_TXN = 54.0
@@ -98,7 +98,7 @@ class AnalyticalModel:
         vm_pricing: Optional[VmPricing] = None,
     ) -> None:
         self.config = config
-        self.workload = workload or YCSBConfig(clients=config.num_clients)
+        self.workload = follow_clients(workload or YCSBConfig(), config.num_clients)
         self.system = SystemKind(system)
         self.execution_threads = max(1, execution_threads)
         self.catalog = catalog or RegionCatalog()

@@ -95,7 +95,6 @@ def smoke(duration: float = 0.5, warmup: float = 0.1, seed: int = 1) -> SweepSpe
         name="smoke",
         grid=GridSpec({"batch_size": (5, 25), "num_executors": (3, 5)}),
         config={**_FAST, "num_clients": 60, "client_groups": 4},
-        workload={"clients": 60},
         duration=duration,
         warmup=warmup,
         seed=seed,
@@ -239,7 +238,6 @@ _figure(
     scale=[_grid(
         {"shim_cores": (2, 16)},
         config={"num_clients": 2_000, "client_groups": 8, "batch_size": 100},
-        workload={"clients": 2_000},
     )],
     paper=[_grid({"shim_nodes": _SHIMS, "shim_cores": (2, 4, 8, 12, 16)})],
 )
@@ -261,7 +259,6 @@ _figure(
     scale=[_grid(
         {"system": _SYSTEMS},
         config={"num_clients": 100, "client_groups": 4},
-        workload={"clients": 100},
     )],
     paper=[_grid({"system": _SYSTEMS, "shim_nodes": (4, 8, 16, 32, 64, 128)})],
     duration=1.0,
@@ -333,7 +330,6 @@ def chaos_drills(
             }
         ),
         config={"num_clients": 60, "client_groups": 4},
-        workload={"clients": 60},
         duration=duration,
         warmup=warmup,
         seed=seed,
@@ -370,7 +366,6 @@ def scenario_drills(
             }
         ),
         config={"num_clients": 60, "client_groups": 4},
-        workload={"clients": 60},
         duration=duration,
         warmup=warmup,
         seed=seed,

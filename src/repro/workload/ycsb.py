@@ -37,22 +37,23 @@ class YCSBWorkload:
         self._txn_counter = itertools.count()
         self._batch_counter = itertools.count()
         # Per-client private key ranges guarantee non-conflicting transactions
-        # from different clients never touch the same key.
-        self._partition_size = max(1, config.num_records // config.clients)
+        # from different clients never touch the same key.  A standalone
+        # config given no client count draws as one client.
+        clients = config.clients or 1
+        self._partition_size = max(1, config.num_records // clients)
         # Per-client-index tables (id string, partition start).  They start at
-        # ``config.clients`` entries and grow on demand to the highest client
-        # index a caller pins, so they stay bounded by the deployment's
-        # client count.
+        # ``clients`` entries; a standalone caller pinning a higher index
+        # grows them on demand.
         self._client_ids: List[str] = []
         self._client_starts: Tuple[int, ...] = ()
         self._num_records = config.num_records
-        self._grow_client_tables(config.clients)
+        self._grow_client_tables(clients)
         # The constant bounds of this workload.  The general operation
         # builder draws through bounded_int_fn samplers; the generation loop
         # and the compiled kernel both re-derive the same rejection loops
         # from the bounds (drawing through the same ``getrandbits``), so every
         # path's draw sequence is identical to randint's.
-        self._client_bound = config.clients
+        self._client_bound = clients
         self._value_bound = 10**9 + 1
         self._draw_hot = self._rng.bounded_int_fn(config.hot_keys)
         self._draw_offset = self._rng.bounded_int_fn(self._partition_size)
@@ -303,11 +304,7 @@ class YCSBWorkload:
 
     def _private_key(self, client_index: int) -> str:
         config = self._config
-        starts = self._client_starts
-        if client_index < len(starts):
-            start = starts[client_index]
-        else:
-            start = (client_index * self._partition_size) % self._num_records
+        start = self._client_starts[client_index]
         if config.zipfian_theta > 0:
             offset = self._rng.zipf_index(self._partition_size, config.zipfian_theta)
         else:

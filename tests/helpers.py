@@ -21,7 +21,7 @@ def make_config(**overrides) -> ProtocolConfig:
 
 
 def make_workload(**overrides) -> YCSBConfig:
-    params = dict(num_records=2_000, clients=40, operations_per_transaction=4, write_fraction=0.5)
+    params = dict(num_records=2_000, operations_per_transaction=4, write_fraction=0.5)
     params.update(overrides)
     return YCSBConfig(**params)
 
@@ -53,7 +53,6 @@ DRILL_OVERRIDES = {
     "protocol.num_clients": 40,
     "protocol.client_groups": 4,
     "workload.num_records": 2_000,
-    "workload.clients": 40,
     "workload.operations_per_transaction": 4,
     "workload.write_fraction": 0.5,
 }

@@ -46,7 +46,6 @@ FAST_OVERRIDES = {
     "crypto_backend": "fast",
     "num_clients": 40,
     "client_groups": 2,
-    "workload.clients": 40,
 }
 
 
@@ -97,7 +96,7 @@ def test_composed_scenario_point_runs_through_sweep_and_facade():
     point = RunSpec(
         labels={"drill": "composed"},
         scenarios=scenario_list,
-        overrides={"num_clients": 40, "client_groups": 2, "workload.clients": 40},
+        overrides={"num_clients": 40, "client_groups": 2},
         duration=0.4,
         warmup=0.1,
     )

@@ -85,7 +85,7 @@ def test_pbft_replicated_executes_on_every_replica():
 
 def test_pbft_replicated_throughput_drops_with_fewer_execution_threads():
     config = make_config(num_clients=200, client_groups=8, batch_size=20)
-    workload = make_workload(execution_seconds=0.05, clients=200)
+    workload = make_workload(execution_seconds=0.05)
     slow = build_system("pbft_replicated", config, workload, execution_threads=1)
     fast = build_system("pbft_replicated", config, workload, execution_threads=16)
     slow_result = small_run(slow, duration=2.0)
@@ -95,7 +95,7 @@ def test_pbft_replicated_throughput_drops_with_fewer_execution_threads():
 
 def test_offloading_beats_edge_only_execution_for_heavy_transactions():
     config = make_config(num_clients=200, client_groups=8, batch_size=20)
-    workload = make_workload(execution_seconds=0.1, clients=200)
+    workload = make_workload(execution_seconds=0.1)
     serverless = build_system("serverless_bft", config, workload)
     edge_only = build_system("pbft_replicated", config, workload, execution_threads=1)
     serverless_result = small_run(serverless, duration=2.0)

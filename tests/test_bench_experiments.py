@@ -85,12 +85,14 @@ def test_simulation_scale_runs_fast_configs():
 #: moved from ``bench/defaults.py`` into ``api/spec.py``, re-pinned when nine
 #: config fields nobody set left the resolved spec (they became module
 #: constants or were deleted; every result digest stayed put), again when
-#: ``consensus_engine`` and the two spawn latencies left it, and again when
-#: ``storage_records`` (read only by a deleted storage preload) left it.
+#: ``consensus_engine`` and the two spawn latencies left it, again when
+#: ``storage_records`` (read only by a deleted storage preload) left it, and
+#: again when ``workload.clients`` began following ``num_clients`` (the
+#: ``default`` and ``paper`` bases had cut 16 and 256 key partitions).
 _BASE_GOLDEN = {
     "scale": "eeefbf4594e7c04da8788bf3a450f54051b0e252c2e6be74f0765b65081abf89",
-    "paper": "b162f9b876ab5a32b7c00f7cc152915fbac637a6efb2fe64f649ee6c22bda3de",
-    "default": "3f9495307c248c49c8ee5185063d311def64b44d26355cc77c50c15852b6cfcd",
+    "paper": "fba61b5f5254a0b05658f9a14e86a9ffb1dea3596534d7fa7b042873caa5df53",
+    "default": "e4e0507a2821b1c9de57cef21af1d851790520dbc76842a83d53442ed5db8cdb",
 }
 
 
@@ -106,31 +108,32 @@ def test_base_defaults_resolve_to_the_same_address(base):
 #: digests of ``expand_replicates(sweep)``.  A bare name is the sweep at its
 #: default (``"scale"``) base, ``@paper`` a figure's paper grid, and
 #: ``smoke@replicates=2`` the smoke sweep after ``--replicates 2``.  Re-pinned
-#: with :data:`_BASE_GOLDEN` whenever unset fields left the spec.
+#: with :data:`_BASE_GOLDEN` whenever unset fields left the spec, and the
+#: ``@paper`` grids when their key partitions began following ``num_clients``.
 _PRESET_GOLDEN = {
     "ablation-conflict-avoidance": (2, "6cde6abeafb016eacc5c2c92da577ed11dc2fac6aeb6a9db83547960b33f9a0a"),
-    "ablation-conflict-avoidance@paper": (8, "539cebd7a2e6f5890a7787ae9decad30362b5c8acca76718e1c4c8ddc197a480"),
+    "ablation-conflict-avoidance@paper": (8, "d8766c9d7310e6a48d83ebde868fa36e636268d964560b1e9c18b0468060f696"),
     "ablation-spawning": (2, "8179f8807d66d66be3bd01844a396fec32807d9f2114dc78767e491ce6692a94"),
-    "ablation-spawning@paper": (6, "8bda3234d94ab6f78e65182185b3706e18fcc2243f4cc5227bd3cf5317206bbe"),
+    "ablation-spawning@paper": (6, "fd18c3c4e2896c89eb6ed33ee8e030e91b032689dc35e1a7e43d9b0ec452c3c7"),
     "chaos-drills": (10, "2dcdee010ec8a1f42961e19c9bc92a4cf9590e92e6dc09906bea537d7b90e7e7"),
     "fig5-clients": (2, "40406fc936b1ed7a7a0032c281da756a0ae3a1b82ee95e6d98d630e7e7a73872"),
-    "fig5-clients@paper": (24, "52ad5fda42cb1b3e5d201bbc2e13829b349052e51c585be51fc31f346eaa84ab"),
+    "fig5-clients@paper": (24, "9b87e9b5bdcbbed60de24ffa0a468a56b18a80e107b42ef3acb6d7eea2ead3af"),
     "fig6-batching": (8, "aca4dc908f9c6bd93e987d1b13faa5fa4b445ed0362bc4fe867898ecaec270cc"),
-    "fig6-batching@paper": (12, "10252d4803a75c0cc5bce4cdcf359a632cef3ffc29263da9db94f66a6054e467"),
+    "fig6-batching@paper": (12, "3466832cb34e9e1a428e20745201ab1cbfe3aa8639456a186381eba520081065"),
     "fig6-conflicts": (4, "1c5336afb4bb0918a3b87483f1ce09eb557e1b6aa578ac5dff8e8d8faf399071"),
-    "fig6-conflicts@paper": (12, "7e1a76b5b4e5de6f3560c095931755782b85c245ef552f81114095defcdb91c8"),
+    "fig6-conflicts@paper": (12, "c50d2002a0838a55644836b67c9fae95ce27a99fc0d107a73258b54c18ae3272"),
     "fig6-cores": (2, "0f053dd9c1791d347fea60d64ed81fb50af07b8b70789cc0fe992f10bb22612f"),
-    "fig6-cores@paper": (10, "b45e3d910a68dfd025bff1fa3bf2f12fd7cbfae468a2794e631aac1b27f1a177"),
+    "fig6-cores@paper": (10, "434738569ea94bf74e7724c780ac0beaf18ba0b99a595a3b8ca1f9614b909c7f"),
     "fig6-execution": (2, "86c248372aa7c9d553f71081d483712b82bcc793fe1440c338d2ebd88439b96b"),
-    "fig6-execution@paper": (10, "fdf7f0ca47340a47f558b83277efd5eeb89befbf89f08a6313f5820e2fdf5156"),
+    "fig6-execution@paper": (10, "17eeebd10fadfec79513f581b22e40544eb663a0a5829828e3dc00344dc2cafb"),
     "fig6-executors": (8, "2913a85b87f01481788302734b0313c876736ca5cd2d6dcb3753e6a58b23072c"),
-    "fig6-executors@paper": (10, "c69136304f0e135b434ee84e85812e719abf1f158bdbbf90e58b694c634c9334"),
+    "fig6-executors@paper": (10, "dca44219eb9c835193f75843a9b1fd844d8a0db520cff2ac7d4df7c8d2c6a0bb"),
     "fig6-regions": (2, "2853653dcb0bca5506e91e5974bf98b005c3ed3166886f06b925e53b24965f21"),
-    "fig6-regions@paper": (8, "6797e8ed140f16411a6ca4ac75150adc9b2935b030ed8e154361525609a4b1f7"),
+    "fig6-regions@paper": (8, "353f92166023300c5ed744d63774e30f5d5fc1864a27740844d50941b30ecbf7"),
     "fig7-baselines": (4, "059f24208b130b1c5d7c6bfc7dd2acee1a6ac9320433d866f52c4c892649c9e9"),
-    "fig7-baselines@paper": (24, "6f1fc7fec2462df243154f74e9ac5c8e8f1dd5632460fdcee0c3976ccf47191b"),
+    "fig7-baselines@paper": (24, "e20d06d5b6b6c0680c7b7b0340c4114a8bffb10518b77a717fb51a2af716d537"),
     "fig8-offloading": (4, "91ec58c961133447bda5ba466f5af0a361858ad869ff489fb3111d46c9510ada"),
-    "fig8-offloading@paper": (28, "15e55743ddc5004b30b8c0130c1107e762323fa8ed24ccd5d176f27afcedae04"),
+    "fig8-offloading@paper": (28, "bb4d2d67e674712dd688450da595dad3d6106b5e377e6842b6b4ea6c8742b90f"),
     "scenario-drills": (14, "c716c171cd7478b746c2fec17027192579fb5f9f9fc2af7c15389c5845637f1c"),
     "smoke": (4, "d039e8154e99cbe5143473dca71d52f273c6af06ad3eae6867bc00a6d1872e55"),
     "smoke@replicates=2": (8, "3029ddf7df34caa1e2fc88b0b094897145ba0c1d59418d5017af164dc60f881f"),

@@ -3,8 +3,9 @@
 ``(spec_digest, result_digest)`` literals for the four systems on the small
 drill config, plus one composed byzantine + fault-timeline run, recorded at
 the commit before the ``Deployment`` base class was extracted (PR 13), the
-network-fault scenarios (``GOLDEN_NETWORK_SCENARIOS``) and a point with more
-clients than key partitions (``GOLDEN_CLIENT_OVERFLOW``).  They are stable
+network-fault scenarios (``GOLDEN_NETWORK_SCENARIOS``) and a standalone
+generator drawing for more clients than it has key partitions
+(``GOLDEN_CLIENT_OVERFLOW``).  They are stable
 across ``PYTHONHASHSEED``, kernel variant and obs on/off; a digest that
 varies with any of those is a determinism bug to report, not a literal to
 re-pin.  Re-pin only for a change that *means* to alter simulated behaviour,
@@ -12,9 +13,12 @@ and say so in CHANGES.md.  A spec half alone moves when the settable spec
 changes shape; the result half must not move with it.
 """
 
+import hashlib
+
 import pytest
 
 from repro.api import RunSpec, result_digest, run, spec_digest
+from repro.workload.ycsb import YCSBConfig, YCSBWorkload
 from tests.helpers import DRILL_OVERRIDES
 
 OVERRIDES = {**DRILL_OVERRIDES, "protocol.crypto_backend": "fast"}
@@ -69,13 +73,13 @@ GOLDEN_NETWORK_SCENARIOS = {
 }
 
 
-#: Eight key partitions under forty clients, recorded before the generation
-#: loop grew per-client-index tables: client indices 8..39 are the branch
-#: the default base takes for 1 584 of its 1 600 clients.
-GOLDEN_CLIENT_OVERFLOW = (
-    "ad7cbbf8c7eaa2f7f574affa68710ff8f1694a9c03582c33065366aa32ec14a0",
-    "c4129203ca5663efaa99cdde403199c3bea88787ad1fbac112ed1702cd303fe3",
-)
+#: sha256 over the canonicals of 44 transactions a standalone generator with
+#: eight key partitions draws for client indices up to 40.  Indices 8 and up
+#: take the beyond-table branch: the Python loop grows its per-client tables,
+#: the compiled loop builds the id and partition start inline.  A deployment
+#: no longer reaches that branch (its partitions follow ``num_clients``), so
+#: the golden is the generator's own, recorded before that change.
+GOLDEN_CLIENT_OVERFLOW = "2e4fefcb41607e1921cbacc70b30a3b22b707ad595629413318d72c20baa33e9"
 
 
 def _spec(system: str, scenarios=(), **extra_overrides) -> RunSpec:
@@ -117,5 +121,8 @@ def test_network_scenario_digests_match_golden(system, scenarios):
 
 
 def test_client_index_overflow_matches_golden():
-    spec = _spec("serverless_bft", **{"workload.clients": 8})
-    assert (spec_digest(spec), result_digest(run(spec))) == GOLDEN_CLIENT_OVERFLOW
+    workload = YCSBWorkload(YCSBConfig(num_records=2_000, clients=8, seed=11))
+    txns = workload.next_transactions(40, origin="o", request_id="r")
+    txns += tuple(workload.next_transaction(index) for index in (7, 8, 39, 40))
+    canonicals = "\n".join(txn.canonical() for txn in txns)
+    assert hashlib.sha256(canonicals.encode()).hexdigest() == GOLDEN_CLIENT_OVERFLOW

@@ -19,7 +19,7 @@ def paper_config(**overrides) -> ProtocolConfig:
 
 
 def paper_workload(**overrides) -> YCSBConfig:
-    params = dict(num_records=600_000, clients=256)
+    params = dict(num_records=600_000)
     params.update(overrides)
     return YCSBConfig(**params)
 
@@ -127,7 +127,7 @@ def test_region_spread_leaves_throughput_roughly_constant():
 
 def test_calibration_simulator_and_model_agree_within_an_order_of_magnitude():
     # make_config(num_clients=200, client_groups=8, batch_size=25) and
-    # make_workload(clients=200, num_records=20_000) with their default seeds,
+    # make_workload(num_records=20_000) with their default seeds,
     # as one resolved point both the simulator and the model answer.
     spec = RunSpec(
         base="default",
@@ -139,7 +139,6 @@ def test_calibration_simulator_and_model_agree_within_an_order_of_magnitude():
             "protocol.num_clients": 200,
             "protocol.client_groups": 8,
             "protocol.batch_size": 25,
-            "workload.clients": 200,
             "workload.num_records": 20_000,
             "workload.seed": 2023,
         },

@@ -44,7 +44,7 @@ def _tiny_sweep(name="warehouse"):
         points=tuple(
             RunSpec(
                 labels={"batch_size": batch_size},
-                overrides={**shared, "batch_size": batch_size, "workload.clients": 60},
+                overrides={**shared, "batch_size": batch_size},
                 duration=0.4,
                 warmup=0.1,
             )
@@ -433,7 +433,6 @@ def test_facade_run_accepts_any_backend_url(warehouse_run, tmp_path):
             "crypto_backend": "fast",
             "num_clients": 40,
             "client_groups": 2,
-            "workload.clients": 40,
         },
         duration=0.4,
         warmup=0.1,

@@ -43,7 +43,7 @@ def _tiny_sweep(name="tiny"):
         points=tuple(
             RunSpec(
                 labels={"batch_size": batch_size},
-                overrides={**shared, "batch_size": batch_size, "workload.clients": 60},
+                overrides={**shared, "batch_size": batch_size},
                 duration=0.4,
                 warmup=0.1,
             )
@@ -176,7 +176,6 @@ def test_duplicate_digest_points_simulate_once():
                 "crypto_backend": "fast",
                 "num_clients": 60,
                 "client_groups": 4,
-                "workload.clients": 60,
             },
             seed=5,
             duration=0.4,
@@ -475,7 +474,7 @@ def test_missing_metric_is_a_blank_cell_not_a_crash():
             RunSpec(
                 labels={"scenario": scenario},
                 scenarios=scenario,
-                overrides={**shared, "workload.clients": 40},
+                overrides=shared,
                 duration=1.0,
                 warmup=0.0,
             )
@@ -498,7 +497,7 @@ def test_scenario_points_simulate(scenario):
     point = RunSpec(
         labels={"scenario": scenario},
         scenarios=scenario,
-        overrides={"num_clients": 40, "client_groups": 2, "workload.clients": 40},
+        overrides={"num_clients": 40, "client_groups": 2},
         duration=0.4,
         warmup=0.1,
     )
@@ -516,7 +515,6 @@ def test_baseline_system_points_simulate():
                 "crypto_backend": "fast",
                 "num_clients": 40,
                 "client_groups": 2,
-                "workload.clients": 40,
             },
             execution_threads=2,
             duration=0.4,

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.errors import WorkloadError
+from repro.api import RunSpec, build_deployment, build_system, resolve, spec_digest
+from repro.core.config import ProtocolConfig
+from repro.errors import ConfigurationError, WorkloadError
 from repro.workload.transactions import (
     Operation,
     Transaction,
@@ -178,3 +180,40 @@ def test_execution_seconds_and_rw_flags_propagate():
     assert txn.execution_seconds == pytest.approx(1.5)
     assert txn.rw_sets_known is False
 
+
+# ------------------------------------------------------------------ one client count
+
+
+def test_a_second_client_count_is_refused():
+    with pytest.raises(ConfigurationError, match="num_clients=200"):
+        resolve(RunSpec(overrides={"workload.clients": 16}))
+    with pytest.raises(ConfigurationError, match="workload.clients=8"):
+        build_system(
+            "serverless_bft", ProtocolConfig(num_clients=40, client_groups=4), YCSBConfig(clients=8)
+        )
+
+
+@pytest.mark.parametrize("base, clients", [("scale", 200), ("default", 1_600), ("paper", 80_000)])
+def test_an_equal_client_count_is_the_unset_one(base, clients):
+    unset = RunSpec(base=base, seed=1)
+    equal = RunSpec(base=base, seed=1, overrides={"workload.clients": clients})
+    assert resolve(unset)["workload"]["clients"] == clients
+    assert spec_digest(equal) == spec_digest(unset)
+
+
+def test_the_default_point_neither_aborts_nor_stalls():
+    """Seed 6 of the default base, whose 1 600 clients once shared 16 key
+    partitions: drawn without conflicts, it aborted and stalled until the
+    partitions followed the client count."""
+    spec = RunSpec(
+        base="default",
+        overrides={"protocol.crypto_backend": "fast"},
+        duration=2.0,
+        warmup=0.5,
+        seed=6,
+    )
+    deployment = build_deployment(resolve(spec))
+    result = deployment.run(duration=spec.duration, warmup=spec.warmup)
+    assert result.aborted_txns == 0
+    per_second = deployment.throughput.per_second_series()
+    assert all(per_second.get(second, 0) > 0 for second in range(int(spec.duration)))
