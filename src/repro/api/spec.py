@@ -159,19 +159,20 @@ def dotted_overrides(
     return dotted
 
 
-def parse_set_overrides(pairs: Sequence[str]) -> Dict[str, object]:
+def parse_set_overrides(pairs: Sequence[str], flag: str = "--set") -> Dict[str, object]:
     """Parse repeated ``--set key=value`` flags; values are JSON when possible.
 
     ``--set batch_size=25`` yields an int, ``--set scenario='["a","b"]'`` a
     list, and anything that is not valid JSON stays a plain string
-    (``--set system=noshim``).  Both CLIs (``repro.sweep``, ``repro.obs``)
-    read their overrides through here.
+    (``--set system=noshim``).  Every ``key=value`` flag reads through
+    here: ``--set`` of ``repro.sweep`` and ``repro.obs``, and ``--where``
+    of ``repro.store query`` (``flag`` names it in the error).
     """
     overrides: Dict[str, object] = {}
     for pair in pairs:
         key, separator, raw = pair.partition("=")
         if not separator or not key:
-            raise ConfigurationError(f"--set expects key=value, got {pair!r}")
+            raise ConfigurationError(f"{flag} expects key=value, got {pair!r}")
         try:
             value: object = json.loads(raw)
         except json.JSONDecodeError:

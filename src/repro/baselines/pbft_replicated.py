@@ -66,7 +66,6 @@ class ReplicatedNode(SimProcess):
         self._signer = signer
         self._throughput = throughput
         self._obs = obs
-        self._behaviour = behaviour
 
         self._execution_pool = CpuResource(sim, execution_threads, name=f"{name}.exec")
         self._store = VersionedKVStore()
@@ -120,8 +119,6 @@ class ReplicatedNode(SimProcess):
     # ------------------------------------------------------------------ messages
 
     def on_message(self, message, sender: str) -> None:
-        if self._behaviour is not None and self._behaviour.is_crashed():
-            return
         self._handlers[type(message)](message, sender)
 
     def _on_client_request(self, request: ClientRequestMsg, sender: str) -> None:

@@ -89,11 +89,10 @@ class ServerlessCloud:
         catalog: RegionCatalog,
         cost_model: CostModel,
         rng: DeterministicRNG,
-        executor_factory: Optional[Callable[..., Any]] = None,
+        executor_factory: Callable[..., Any],
         cold_start_latency: float = COLD_START_LATENCY,
         warm_start_latency: float = WARM_START_LATENCY,
         concurrency_limit_per_region: int = 1000,
-        allow_executor_spawns: bool = False,
     ) -> None:
         self._sim = sim
         self._catalog = catalog
@@ -102,7 +101,6 @@ class ServerlessCloud:
         self._factory = executor_factory
         self._cold_start = cold_start_latency
         self._warm_start = warm_start_latency
-        self._allow_executor_spawns = allow_executor_spawns
         self._regions: Dict[str, _RegionState] = {
             name: _RegionState(concurrency_limit_per_region) for name in catalog.names
         }
@@ -127,9 +125,6 @@ class ServerlessCloud:
     def cost_model(self) -> CostModel:
         return self._cost_model
 
-    def set_executor_factory(self, factory: Callable[..., Any]) -> None:
-        self._factory = factory
-
     def issued(self, executor_id: str) -> bool:
         """Whether this cloud has handed out ``executor_id`` (ids count up from 0)."""
         match = _EXECUTOR_ID.match(executor_id)
@@ -144,11 +139,9 @@ class ServerlessCloud:
         """Spawn one executor.  Returns the handle immediately; the executor
         itself starts running after the (cold or warm) start latency, or once
         a concurrency slot frees up."""
-        if self._factory is None:
-            raise CloudError("the serverless cloud has no executor factory configured")
         if request.region not in self._regions:
             raise CloudError(f"unknown region {request.region!r}")
-        if not self._allow_executor_spawns and self.issued(request.spawner):
+        if self.issued(request.spawner):
             # Accountability: executors cannot spawn further executors.
             self._rejected_spawns += 1
             raise CloudError(
@@ -180,13 +173,6 @@ class ServerlessCloud:
         else:
             state.queue.append(lambda: (self._occupy_and_launch(state, launch)))
         return handle
-
-    def spawn_many(self, spawner: str, regions: List[str], payload: Any) -> List[ExecutorHandle]:
-        """Spawn one executor per entry of ``regions`` for the same payload."""
-        return [
-            self.spawn(SpawnRequest(spawner=spawner, region=region, payload=payload))
-            for region in regions
-        ]
 
     def finish(self, executor_id: str) -> None:
         """Report that an executor finished: free its slot, bill the spawner and

@@ -54,7 +54,6 @@ class PrePrepareMsg:
     seq: int
     digest: str
     batch: Any
-    mac: Optional[str] = None
 
     def canonical(self) -> str:
         return f"preprepare:{self.view}:{self.seq}:{self.digest}"
@@ -68,7 +67,6 @@ class PrepareMsg:
     seq: int
     digest: str
     replica: str
-    mac: Optional[str] = None
 
     def canonical(self) -> str:
         return f"prepare:{self.view}:{self.seq}:{self.digest}:{self.replica}"
@@ -87,10 +85,6 @@ class CommitMsg:
     def canonical(self) -> str:
         return f"commit:{self.view}:{self.seq}:{self.digest}:{self.replica}"
 
-    def unsigned(self) -> "CommitMsg":
-        """The commit payload without its signature (what the signature covers)."""
-        return CommitMsg(view=self.view, seq=self.seq, digest=self.digest, replica=self.replica)
-
 
 @dataclass(frozen=True)
 class ViewChangeMsg:
@@ -105,9 +99,6 @@ class ViewChangeMsg:
     def canonical(self) -> str:
         prepared = ";".join(f"{seq}:{digest}" for seq, digest in self.prepared)
         return f"viewchange:{self.new_view}:{self.replica}:{prepared}"
-
-    def unsigned(self) -> "ViewChangeMsg":
-        return ViewChangeMsg(new_view=self.new_view, replica=self.replica, prepared=self.prepared)
 
     @property
     def size_bytes(self) -> int:
@@ -128,14 +119,6 @@ class NewViewMsg:
     def canonical(self) -> str:
         slots = ";".join(f"{seq}:{digest}" for seq, digest, _batch in self.reproposals)
         return f"newview:{self.new_view}:{self.primary}:{slots}"
-
-    def unsigned(self) -> "NewViewMsg":
-        return NewViewMsg(
-            new_view=self.new_view,
-            primary=self.primary,
-            reproposals=self.reproposals,
-            supporters=self.supporters,
-        )
 
     @property
     def size_bytes(self) -> int:
@@ -174,15 +157,6 @@ class CheckpointMsg:
             for seq, (digest, view, _sigs) in sorted(self.certificates.items())
         )
         return f"checkpoint:{self.view}:{self.up_to_seq}:{self.stable_seq}:{self.replica}:{certs}"
-
-    def unsigned(self) -> "CheckpointMsg":
-        return CheckpointMsg(
-            view=self.view,
-            up_to_seq=self.up_to_seq,
-            replica=self.replica,
-            certificates=self.certificates,
-            stable_seq=self.stable_seq,
-        )
 
     @property
     def size_bytes(self) -> int:

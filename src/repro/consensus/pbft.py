@@ -199,10 +199,6 @@ class PBFTReplica:
         return self._view_changes_installed
 
     @property
-    def is_crashed(self) -> bool:
-        return self._crashed
-
-    @property
     def checkpoints_sent(self) -> int:
         return self._checkpoints_sent
 
@@ -316,9 +312,8 @@ class PBFTReplica:
         prepare = PrepareMsg(
             view=message.view, seq=message.seq, digest=message.digest, replica=self._id
         )
-        if self._behaviour is None or not self._behaviour.suppress("prepare"):
-            cost = self._costs.mac_sign * (self._n - 1)
-            self._host.process(cost, self._transport.broadcast, prepare, PREPARE_BYTES)
+        cost = self._costs.mac_sign * (self._n - 1)
+        self._host.process(cost, self._transport.broadcast, prepare, PREPARE_BYTES)
         self._record_prepare(prepare, self._id)
 
     def on_prepare(self, message: PrepareMsg, sender: str) -> None:
@@ -341,8 +336,6 @@ class PBFTReplica:
             self._broadcast_commit(message.view, message.seq, message.digest)
 
     def _broadcast_commit(self, view: int, seq: int, batch_digest: str) -> None:
-        if self._behaviour is not None and self._behaviour.suppress("commit"):
-            return
         unsigned = CommitMsg(view=view, seq=seq, digest=batch_digest, replica=self._id)
         signature = self._signer.sign(unsigned)
         commit = CommitMsg(

@@ -9,8 +9,8 @@ Wire sizes follow the paper where reported (EXECUTE 3320 B, RESPONSE 2270 B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.core.certificates import CommitCertificate
 from repro.crypto.signatures import Signature
@@ -45,11 +45,6 @@ class ClientRequestMsg:
             [txn.canonical() for txn in self.transactions]
         )
 
-    def unsigned(self) -> "ClientRequestMsg":
-        return ClientRequestMsg(
-            request_id=self.request_id, origin=self.origin, transactions=self.transactions
-        )
-
     @property
     def size_bytes(self) -> int:
         return CLIENT_REQUEST_BYTES_PER_TXN * max(1, len(self.transactions))
@@ -70,16 +65,6 @@ class ExecuteMsg:
     def canonical(self) -> str:
         return f"execute:{self.seq}:{self.view}:{self.digest}:{self.spawner}"
 
-    def unsigned(self) -> "ExecuteMsg":
-        return ExecuteMsg(
-            seq=self.seq,
-            view=self.view,
-            batch=self.batch,
-            digest=self.digest,
-            certificate=self.certificate,
-            spawner=self.spawner,
-        )
-
     @property
     def size_bytes(self) -> int:
         return EXECUTE_BYTES + self.certificate.size_bytes
@@ -99,16 +84,6 @@ class VerifyMsg:
 
     def canonical(self) -> str:
         return f"verify:{self.seq}:{self.digest}:{self.executor}:{self.result.result_digest}"
-
-    def unsigned(self) -> "VerifyMsg":
-        return VerifyMsg(
-            seq=self.seq,
-            batch=self.batch,
-            digest=self.digest,
-            certificate=self.certificate,
-            result=self.result,
-            executor=self.executor,
-        )
 
     @property
     def match_key(self) -> Tuple[int, str, str]:

@@ -189,10 +189,6 @@ class ShimNode(SimProcess):
 
     # ------------------------------------------------------------------ lifecycle
 
-    @property
-    def is_crashed(self) -> bool:
-        return self._crashed
-
     def crash(self) -> None:
         """Crash the node: volatile state is lost, processing stops.
 
@@ -230,8 +226,6 @@ class ShimNode(SimProcess):
 
     def on_message(self, message, sender: str) -> None:
         if self._crashed:
-            return
-        if self._behaviour is not None and self._behaviour.is_crashed():
             return
         self._handlers[type(message)](message, sender)
 

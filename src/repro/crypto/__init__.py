@@ -8,7 +8,8 @@ those primitives provide inside the simulation:
   public key can verify, and a byzantine component cannot forge a signature
   of an honest component (enforced by keeping private keys secret inside
   :class:`KeyStore`);
-* MACs are cheaper but only pairwise-verifiable;
+* MACs are cheaper but only pairwise-verifiable; they are modelled as CPU
+  cost only, never as values a message carries;
 * digests are collision-resistant (SHA-256).
 
 The :class:`CryptoCostModel` charges realistic CPU time for each operation so
@@ -22,11 +23,9 @@ from repro.crypto.keys import KeyPair, KeyStore
 from repro.crypto.signatures import (
     CryptoBackend,
     FastCryptoBackend,
-    MacAuthenticator,
     RealCryptoBackend,
     Signature,
     SignatureService,
-    SignedMessage,
     resolve_backend,
 )
 from repro.crypto.costs import CryptoCostModel
@@ -37,11 +36,9 @@ __all__ = [
     "FastCryptoBackend",
     "KeyPair",
     "KeyStore",
-    "MacAuthenticator",
     "RealCryptoBackend",
     "Signature",
     "SignatureService",
-    "SignedMessage",
     "cached_digest",
     "digest",
     "resolve_backend",

@@ -89,7 +89,7 @@ def cached_digest(value: Any) -> str:
     Safe only for immutable payloads (the frozen message dataclasses): the
     digest is computed at most once per instance and reused by every later
     sign/verify/certificate check.  A message's ``canonical()`` form never
-    covers its own ``signature``/``mac`` field, so the memo seeded on an
+    covers its own ``signature`` field, so the memo seeded on an
     unsigned payload stays valid for the signed copy (see
     :func:`seed_cached_digest`).
     """

@@ -105,12 +105,3 @@ class KeyStore:
             # One HMAC; the public key's SHA-256 is not needed here.
             return _private_key(owner, self._deployment_secret)
         raise CryptoError(f"no private key registered for {owner!r}")
-
-    def mac_secret(self, party_a: str, party_b: str) -> str:
-        """Shared pairwise MAC secret (models the Diffie–Hellman exchange)."""
-        first, second = sorted((party_a, party_b))
-        return hmac.digest(
-            self._deployment_secret.encode("utf-8"),
-            f"mac:{first}:{second}".encode("utf-8"),
-            "sha256",
-        ).hex()

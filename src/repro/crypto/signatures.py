@@ -1,11 +1,12 @@
-"""Digital signatures and MACs.
+"""Digital signatures.
 
 ``⟨m⟩_R`` in the paper denotes message ``m`` signed with the digital
 signature of component ``R``; a message without an explicit signer uses a
 MAC.  Digital signatures provide non-repudiation (third parties can verify
-them), MACs are only verifiable by the two parties sharing the secret but
-are roughly an order of magnitude cheaper — the cost model preserves that
-ratio.
+them).  MACs are only verifiable by the two parties sharing the secret but
+are roughly an order of magnitude cheaper; the simulation models them as
+CPU cost only (:class:`repro.crypto.costs.CryptoCostModel`'s ``mac_sign`` /
+``mac_verify``), so no MAC value is ever computed or carried.
 
 Two crypto backends are available:
 
@@ -31,7 +32,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.crypto.hashing import cached_digest, canonical_bytes
+from repro.crypto.hashing import cached_digest
 from repro.crypto.keys import KeyStore
 from repro.errors import CryptoError
 
@@ -116,18 +117,6 @@ class Signature:
         return f"sig:{self.signer}:{self.message_digest}:{self.value}"
 
 
-@dataclass(frozen=True)
-class SignedMessage:
-    """A payload together with the digital signature of its signer."""
-
-    payload: Any
-    signature: Signature
-
-    @property
-    def signer(self) -> str:
-        return self.signature.signer
-
-
 class SignatureService:
     """Per-component signing facade bound to one identity.
 
@@ -161,10 +150,6 @@ class SignatureService:
         value = self._backend.signature_value(self._private_key, message_digest)
         return Signature(signer=self._owner, message_digest=message_digest, value=value)
 
-    def sign_message(self, payload: Any) -> SignedMessage:
-        """Return ``⟨payload⟩_owner``."""
-        return SignedMessage(payload=payload, signature=self.sign(payload))
-
     def verify(self, payload: Any, signature: Signature) -> bool:
         """Verify a signature produced by *any* identity in the key store.
 
@@ -186,41 +171,3 @@ class SignatureService:
         except CryptoError:
             return False  # nobody in this deployment has that identity
         return self._backend.matches(private_key, signature.message_digest, signature.value)
-
-    def verify_message(self, message: SignedMessage) -> bool:
-        return self.verify(message.payload, message.signature)
-
-    def require_valid(self, message: SignedMessage) -> None:
-        """Raise :class:`CryptoError` unless ``message`` carries a valid signature."""
-        if not self.verify_message(message):
-            raise CryptoError(
-                f"invalid signature from {message.signature.signer!r} "
-                f"on digest {message.signature.message_digest[:12]}…"
-            )
-
-
-class MacAuthenticator:
-    """Pairwise message authentication codes."""
-
-    def __init__(self, keystore: KeyStore, owner: str, backend: Optional[object] = None) -> None:
-        self._keystore = keystore
-        self._owner = owner
-        self._backend = resolve_backend(backend)
-
-    @property
-    def owner(self) -> str:
-        return self._owner
-
-    def tag(self, payload: Any, peer: str) -> str:
-        """MAC ``payload`` for the channel between this owner and ``peer``."""
-        secret = self._keystore.mac_secret(self._owner, peer)
-        if isinstance(self._backend, FastCryptoBackend):
-            return self._backend.signature_value(secret, cached_digest(payload))
-        return hmac.digest(secret.encode("utf-8"), canonical_bytes(payload), "sha256").hex()
-
-    def verify(self, payload: Any, peer: str, tag: Optional[str]) -> bool:
-        """Check a MAC received from ``peer``."""
-        if not tag:
-            return False
-        expected = self.tag(payload, peer)
-        return hmac.compare_digest(expected, tag)

@@ -17,7 +17,9 @@ Shim-node behaviours map to the attacks of Section V:
 * :class:`DelaySpawningBehaviour` — the primary delays spawning for selected
   sequence numbers to force aborts of conflicting transactions
   (the byzantine-abort attack of Section VI-B).
-* :class:`CrashBehaviour` — the node stops participating entirely.
+
+A crash is not a behaviour: it is the fault timeline's ``crash:<node>@t``
+event (:mod:`repro.faults.timeline`), the one way to stop a node.
 
 Executor behaviours map to the executor-side faults:
 
@@ -49,10 +51,6 @@ class NodeBehaviour:
         """Return ``(other_batch, targets)`` to equivocate, or None."""
         return None
 
-    def suppress(self, phase: str) -> bool:
-        """Whether to suppress sending our own message of the given phase."""
-        return False
-
     # --- hooks used by the shim node (serverless-edge layer) -----------------------
 
     def should_drop_request(self, request: Any) -> bool:
@@ -70,9 +68,6 @@ class NodeBehaviour:
     def duplicate_spawn_count(self, seq: int) -> int:
         """Extra redundant executors to spawn (verifier flooding)."""
         return 0
-
-    def is_crashed(self) -> bool:
-        return False
 
 
 @dataclass
@@ -154,23 +149,6 @@ class DuplicateSpawningBehaviour(NodeBehaviour):
 
     def duplicate_spawn_count(self, seq: int) -> int:
         return self.extra_per_batch
-
-
-@dataclass
-class CrashBehaviour(NodeBehaviour):
-    """The node stops participating (omission failures)."""
-
-    def is_crashed(self) -> bool:
-        return True
-
-    def suppress(self, phase: str) -> bool:
-        return True
-
-    def should_drop_request(self, request: Any) -> bool:
-        return True
-
-    def executor_spawn_count(self, planned: int, seq: int) -> int:
-        return 0
 
 
 # --------------------------------------------------------------------------- executors

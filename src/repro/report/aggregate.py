@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.store.query import resolve_record_path
+
 #: The label that groups a replicate family back together (and therefore
 #: never appears as a table axis).
 REPLICATE_LABEL = "replicate"
@@ -66,21 +68,6 @@ OBS_SCALAR_METRICS: Tuple[Tuple[str, str], ...] = (
     ("commit_mean_s", "obs.phases.commit.mean"),
 )
 
-
-def resolve_result_field(result: Mapping[str, object], field: str):
-    """Walk a dotted ``field`` path into a result dict; None when absent.
-
-    ``"extra.unavailability_seconds"`` resolves ``result["extra"][
-    "unavailability_seconds"]``; a missing segment (or a non-mapping in the
-    middle of the path) yields None rather than raising, so optional
-    metrics can be probed record by record.
-    """
-    value: object = result
-    for part in field.split("."):
-        if not isinstance(value, Mapping) or part not in value:
-            return None
-        value = value[part]
-    return value
 
 #: Percentile fields of a latency summary, in rendering order.
 PERCENTILE_FIELDS: Tuple[str, ...] = ("p50", "p95", "p99")
@@ -304,11 +291,11 @@ def aggregate_records(
         # watchdog's unavailability counter marks such records, and a group
         # only gets a column when every replicate can supply a value.
         if all(
-            resolve_result_field(result, "extra.unavailability_seconds") is not None
+            resolve_record_path(result, "extra.unavailability_seconds") is not None
             for result in results
         ):
             for column, field in RECOVERY_SCALAR_METRICS:
-                values = [resolve_result_field(result, field) for result in results]
+                values = [resolve_record_path(result, field) for result in results]
                 if column not in metrics and all(
                     value is not None for value in values
                 ):
@@ -319,11 +306,11 @@ def aggregate_records(
         # when every replicate of the group carries the phase (a group mixing
         # traced and untraced replicates stays phase-free).
         if all(
-            resolve_result_field(result, "obs.phases") is not None
+            resolve_record_path(result, "obs.phases") is not None
             for result in results
         ):
             for column, field in OBS_SCALAR_METRICS:
-                values = [resolve_result_field(result, field) for result in results]
+                values = [resolve_record_path(result, field) for result in results]
                 if column not in metrics and all(
                     value is not None for value in values
                 ):

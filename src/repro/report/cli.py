@@ -2,7 +2,7 @@
 
 Loads a content-addressed result store, aggregates its records across
 replicate seeds, and renders ``EXPERIMENTS.md`` tables — without running a
-single simulation.  ``python -m repro.sweep report`` is a thin alias.
+single simulation.
 
 Typical flow::
 

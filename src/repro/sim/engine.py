@@ -1,14 +1,14 @@
 """Event-driven simulation kernel.
 
-The kernel is intentionally small: a priority queue of timestamped events,
+The kernel is intentionally small: a heap of timestamped events,
 a virtual clock, and helpers for timers.  Every component of the
 serverless-edge architecture (clients, shim nodes, executors, verifier,
 cloud control plane) is driven exclusively by callbacks scheduled here, so
 a run is fully deterministic given the same seeds and configuration.
 
-Hot-path layout: heap entries are plain lists ``[time, priority, seq,
-callback, args]`` rather than objects, so ``heapq`` compares them with C
-list comparison (``seq`` is unique, so the comparison never reaches the
+Hot-path layout: heap entries are plain lists ``[time, seq, callback,
+args]`` rather than objects, so ``heapq`` compares them with C list
+comparison (``seq`` is unique, so the comparison never reaches the
 callback).  :meth:`Simulator.schedule_fast` pushes such an entry without
 allocating a cancellation handle — the right call for the fire-and-forget
 events that dominate a run (message deliveries, CPU job completions).
@@ -31,8 +31,8 @@ _heappush = heapq.heappush
 _heappop = heapq.heappop
 
 #: Index of the callback slot inside a heap entry; ``None`` marks the entry
-#: cancelled.
-_CB = 3
+#: cancelled.  The arguments (slot 3) follow it.
+_CB = 2
 #: Compaction triggers when at least this many cancelled entries exist AND
 #: they outnumber the live ones.
 _COMPACT_MIN_CANCELLED = 256
@@ -41,7 +41,7 @@ _COMPACT_MIN_CANCELLED = 256
 class Event:
     """A cancellable handle to a scheduled callback.
 
-    Events are ordered by ``(time, priority, seq)``; ``seq`` is a strictly
+    Events are ordered by ``(time, seq)``; ``seq`` is a strictly
     increasing tie-breaker so events scheduled earlier run earlier when
     timestamps collide, keeping runs deterministic.  The handle wraps the
     underlying heap entry; cancelling nulls the entry's callback so the
@@ -59,12 +59,8 @@ class Event:
         return self._entry[0]
 
     @property
-    def priority(self) -> int:
-        return self._entry[1]
-
-    @property
     def seq(self) -> int:
-        return self._entry[2]
+        return self._entry[1]
 
     @property
     def cancelled(self) -> bool:
@@ -75,7 +71,7 @@ class Event:
         entry = self._entry
         if entry[_CB] is not None:
             entry[_CB] = None
-            entry[4] = ()
+            entry[3] = ()
             self._sim._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -120,19 +116,17 @@ class Simulator:
         delay: float,
         callback: Callable[..., Any],
         *args: Any,
-        priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event {delay} seconds in the past")
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
+        return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(
         self,
         time: float,
         callback: Callable[..., Any],
         *args: Any,
-        priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` at an absolute virtual time."""
         if time < self._now:
@@ -140,7 +134,7 @@ class Simulator:
                 f"cannot schedule an event at t={time} before the current time t={self._now}"
             )
         self._seq += 1
-        entry = [time, priority, self._seq, callback, args]
+        entry = [time, self._seq, callback, args]
         _heappush(self._queue, entry)
         return Event(entry, self)
 
@@ -154,7 +148,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule an event {delay} seconds in the past")
         self._seq += 1
-        _heappush(self._queue, [self._now + delay, 0, self._seq, callback, args])
+        _heappush(self._queue, [self._now + delay, self._seq, callback, args])
 
     # ------------------------------------------------------------------ queue upkeep
 
@@ -190,9 +184,9 @@ class Simulator:
                 continue
             self._now = entry[0]
             self._events_processed += 1
-            args = entry[4]
+            args = entry[3]
             entry[_CB] = None  # a late cancel() of this entry must be a no-op
-            entry[4] = ()
+            entry[3] = ()
             callback(*args)
             return True
         return False
@@ -238,9 +232,9 @@ class Simulator:
                         self._now = event_time
                         self._events_processed += 1
                         budget -= 1
-                        args = entry[4]
+                        args = entry[3]
                         entry[_CB] = None  # a late cancel() of this entry must be a no-op
-                        entry[4] = ()
+                        entry[3] = ()
                         callback(*args)
                         continue
                 # Drained, or the next event lies past the horizon.

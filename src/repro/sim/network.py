@@ -7,8 +7,8 @@ Messages between components travel over a simulated network with:
 * serialisation delay proportional to the message size (the paper reports
   exact message sizes: PREPREPARE 5392 B, PREPARE 216 B, COMMIT 220 B,
   EXECUTE 3320 B, RESPONSE 2270 B);
-* optional fault injection — drops, duplicates, extra delay, partitions and
-  region outages — named by the scenario presets.
+* optional fault injection — drops, duplicates, partitions and region
+  outages — named by the scenario presets.
 """
 
 from __future__ import annotations
@@ -83,17 +83,16 @@ class NetworkFaultPlan:
     """The network-level faults of a run, fixed for its whole length.
 
     ``drop_probability`` / ``duplicate_probability`` apply to every message;
-    ``extra_delay`` adds a fixed delay; ``partitions`` is a set of directed
-    ``(src, dst)`` endpoint-name pairs whose messages are silently dropped,
-    and ``down_regions`` drops every message to or from an endpoint hosted
-    in one of those regions — executors spawned there mid-run included.
+    ``partitions`` is a set of directed ``(src, dst)`` endpoint-name pairs
+    whose messages are silently dropped, and ``down_regions`` drops every
+    message to or from an endpoint hosted in one of those regions —
+    executors spawned there mid-run included.
     Faults that start or heal mid-run belong to the fault timeline
     (:meth:`Network.cut_links`, :meth:`Network.set_endpoint_down`).
     """
 
     drop_probability: float = 0.0
     duplicate_probability: float = 0.0
-    extra_delay: float = 0.0
     partitions: FrozenSet[Tuple[str, str]] = frozenset()
     down_regions: FrozenSet[str] = frozenset()
 
@@ -239,7 +238,6 @@ class Network:
         static_cuts = partitions or down_regions
         drop_probability = faults.drop_probability
         duplicate_probability = faults.duplicate_probability
-        extra_delay = faults.extra_delay
         delay_of = self._delay
         schedule_fast = self._schedule_fast
         deliver = self._deliver
@@ -266,7 +264,7 @@ class Network:
             ):
                 dropped += 1
                 continue
-            delay = delay_of(src_region, receiver.region, size_bytes) + extra_delay
+            delay = delay_of(src_region, receiver.region, size_bytes)
             schedule_fast(delay, deliver, src, dst, payload)
             if duplicate_probability and self._rng.chance(duplicate_probability):
                 # The duplicate travels the wire too: schedule it strictly

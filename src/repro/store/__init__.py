@@ -29,7 +29,7 @@ A/B suite in ``tests/test_store_backends.py`` is the proof.
 
 from repro.store.backend import ResultBackend, StoreStat
 from repro.store.jsonl import JsonlBackend
-from repro.store.query import matches, parse_where, resolve_record_path
+from repro.store.query import matches, resolve_record_path
 from repro.store.record import (
     ADDRESSED_RECORD_FIELDS,
     HOST_SIDE_RECORD_FIELDS,
@@ -66,7 +66,6 @@ __all__ = [
     "matches",
     "merge_shards",
     "open_store",
-    "parse_where",
     "record_status",
     "resolve_record_path",
 ]

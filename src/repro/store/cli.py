@@ -22,7 +22,8 @@ import sys
 from typing import List, Optional
 
 from repro.errors import ReproError
-from repro.store.query import parse_where, resolve_record_path
+from repro.api.spec import parse_set_overrides
+from repro.store.query import resolve_record_path
 from repro.store.sharded import compact_shards, merge_shards
 from repro.store.url import open_store
 
@@ -43,7 +44,7 @@ def _cmd_stat(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     store = open_store(args.store)
-    where = parse_where(args.where or [])
+    where = parse_set_overrides(args.where or [], flag="--where")
     records = list(store.select(where=where, sweeps=args.sweep or None))
     if args.count:
         print(len(records))

@@ -14,19 +14,18 @@ construction.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Mapping, Optional
-
-from repro.errors import ConfigurationError
+from typing import Mapping, Optional
 
 
 def resolve_record_path(record: Mapping[str, object], path: str) -> object:
-    """Walk a dotted ``path`` into a record; ``None`` when absent.
+    """Walk a dotted ``path`` into a record or a result dict; ``None`` when absent.
 
-    A missing segment (or a non-mapping in the middle of the path) yields
-    ``None`` rather than raising, so optional fields can be probed record
-    by record — same convention as
-    :func:`repro.report.aggregate.resolve_result_field`.
+    ``"extra.unavailability_seconds"`` resolves ``result["extra"][
+    "unavailability_seconds"]``.  A missing segment (or a non-mapping in the
+    middle of the path) yields ``None`` rather than raising, so optional
+    fields and metrics can be probed record by record.  The one dotted-path
+    reader: the store's where clauses, the report's optional columns and
+    the sweep runner's metric lookups all walk through here.
     """
     value: object = record
     for part in path.split("."):
@@ -53,22 +52,3 @@ def matches(record: Mapping[str, object], where: Optional[Mapping[str, object]])
             return False
     return True
 
-
-def parse_where(pairs: List[str]) -> Dict[str, object]:
-    """Parse repeated ``--where path=value`` flags; values are JSON if valid.
-
-    ``--where labels.batch_size=25`` yields an int constraint,
-    ``--where sweep=smoke`` a string one — the same convention as the sweep
-    CLI's ``--set`` flags.
-    """
-    where: Dict[str, object] = {}
-    for pair in pairs:
-        path, separator, raw = pair.partition("=")
-        if not separator or not path:
-            raise ConfigurationError(f"--where expects path=value, got {pair!r}")
-        try:
-            value: object = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        where[path] = value
-    return where

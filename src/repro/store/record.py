@@ -67,9 +67,8 @@ class StoreRecord:
     Backends trade in plain dicts (JSON round-trips are the persistence
     format), but this dataclass is the single declaration of which fields
     exist and which side of the addressed/host-side line each lives on.
-    ``from_dict``/``to_dict`` round-trip the optional-field convention:
-    ``timing``/``obs_summary`` are omitted when absent and ``retries`` when
-    zero, byte-for-byte what the JSONL format has always written.
+    The optional-field convention: ``timing``/``obs_summary`` are omitted
+    when absent and ``retries`` when zero (see :func:`make_record`).
     """
 
     digest: str
@@ -81,23 +80,6 @@ class StoreRecord:
     timing: Optional[Dict[str, float]] = None
     retries: int = 0
     obs_summary: Optional[Dict[str, object]] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "digest": self.digest,
-            "sweep": self.sweep,
-            "labels": dict(self.labels),
-            "result_schema": self.result_schema,
-            "point": dict(self.point),
-            "result": dict(self.result),
-        }
-        if self.timing is not None:
-            payload["timing"] = dict(self.timing)
-        if self.retries:
-            payload["retries"] = int(self.retries)
-        if self.obs_summary is not None:
-            payload["obs_summary"] = dict(self.obs_summary)
-        return payload
 
 
 #: Fields determined by the point's content address (see module docstring).

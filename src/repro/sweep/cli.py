@@ -6,7 +6,6 @@ Subcommands::
     scenarios                scenario presets and their descriptions
     list-systems             the four systems and the knobs each accepts
     run NAME_OR_FILE         run a named or file-defined (JSON) sweep
-    report                   render EXPERIMENTS.md from a result store
 
 ``run`` resolves every point to its content address, serves cached points
 from the result store (``--store``), simulates the rest with ``--workers``
@@ -17,8 +16,7 @@ store actually caches.  Repeatable ``--set key=value`` flags apply ad-hoc
 dotted-key overrides (``--set protocol.batch_size=25 --set system=noshim``)
 on top of whatever the named sweep pins.  ``--replicates N`` runs every
 point under N derived seeds (each an individually cached store entry) so
-``report`` can put error bars on the results; ``report`` itself is an
-alias for ``python -m repro.report`` and never simulates anything.
+``python -m repro.report`` can put error bars on the results.
 """
 
 from __future__ import annotations
@@ -87,10 +85,6 @@ def _grid_shard(sweep: SweepSpec, index: int, count: int) -> SweepSpec:
     whose digest is independent of the slicing, which is what lets the
     merged shards serve the full grid back as 100% cache hits.
     """
-    if not 0 <= index < count:
-        raise ConfigurationError(
-            f"--shard-index must be in [0, {count}), got {index}"
-        )
     expanded = expand_replicates(sweep)
     points = expanded.points[index::count]
     if not points:
@@ -107,6 +101,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         sweep = apply_overrides(sweep, parse_set_overrides(args.set or []))
         if args.replicates is not None:
             sweep = apply_overrides(sweep, {"replicates": args.replicates})
+        # Checked for every run, one shard included: a stray --shard-index
+        # (or --shard-count 0) must not silently run the whole grid.
+        if not 0 <= args.shard_index < args.shard_count:
+            raise ConfigurationError(
+                f"--shard-index must be in [0, {args.shard_count}), got {args.shard_index}"
+            )
         if args.shard_count > 1:
             sweep = _grid_shard(sweep, args.shard_index, args.shard_count)
     except (ConfigurationError, OSError, json.JSONDecodeError) as exc:
@@ -137,19 +137,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 3
     return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.report.cli import main as report_main
-
-    argv: List[str] = ["--store", args.store, "--output", args.output]
-    for name in args.sweep or []:
-        argv += ["--sweep", name]
-    if args.model_presets:
-        argv.append("--model-presets")
-    if args.fail_empty:
-        argv.append("--fail-empty")
-    return report_main(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run every point under N derived seeds (error bars via 'report'); "
+        help="run every point under N derived seeds (error bars via "
+        "'python -m repro.report'); "
         "each replicate is an individually cached store entry",
     )
     run.add_argument(
@@ -241,29 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--quiet", action="store_true", help="suppress progress lines")
     run.set_defaults(func=_cmd_run)
 
-    report = sub.add_parser(
-        "report",
-        help="render EXPERIMENTS.md tables from a result store "
-        "(alias for python -m repro.report; never simulates)",
-    )
-    report.add_argument(
-        "--store",
-        required=True,
-        help="result-store URL (JSONL path, sqlite://path.db, or shard://dir)",
-    )
-    report.add_argument(
-        "--output", default="-", help="markdown output path ('-' for stdout)"
-    )
-    report.add_argument(
-        "--sweep", action="append", metavar="NAME", help="filter to the named sweep(s)"
-    )
-    report.add_argument(
-        "--model-presets", action="store_true", help="append analytical-model tables"
-    )
-    report.add_argument(
-        "--fail-empty", action="store_true", help="fail if no table rows rendered"
-    )
-    report.set_defaults(func=_cmd_report)
     return parser
 
 

@@ -34,12 +34,13 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Seque
 from repro.api.facade import build_deployment
 from repro.api.spec import RunSpec
 from repro.core.result import SimulationResult
-from repro.report.aggregate import DEFAULT_SCALAR_METRICS, resolve_result_field
+from repro.report.aggregate import DEFAULT_SCALAR_METRICS
 from repro.report.tables import ExperimentTable
 from repro.sweep.serialization import result_from_dict, result_to_dict
 from repro.sweep.spec import SweepSpec, expand_replicates, point_digest, resolve_point
 from repro.errors import ConfigurationError
 from repro.store.backend import ResultBackend
+from repro.store.query import resolve_record_path
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -191,7 +192,7 @@ class PointOutcome:
             aborted = self.result_dict["aborted_txns"]
             total = committed + aborted  # type: ignore[operator]
             return aborted / total if total else 0.0  # type: ignore[operator]
-        return resolve_result_field(self.result_dict, path)
+        return resolve_record_path(self.result_dict, path)
 
 
 #: Default table columns (``column name -> result-dict metric path``): the

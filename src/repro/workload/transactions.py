@@ -58,58 +58,26 @@ class Transaction:
     origin: str = ""
     request_id: str = ""
 
-    # The read/write sets and the canonical form of a frozen transaction are
-    # immutable, yet they are recomputed on every access across the protocol's
-    # hot paths (conflict planning, storage reads, request/batch hashing).
-    # They are memoised on the instance; frozen dataclasses still carry a
-    # ``__dict__``, so ``object.__setattr__`` works.  Each memo reads through
-    # to a class-level ``None`` until it is set (ClassVars, not fields), so a
+    # The sorted keys and the canonical form of a frozen transaction are
+    # immutable, yet they are read on every access across the protocol's hot
+    # paths (storage reads, request/batch hashing).  They are memoised on the
+    # instance; frozen dataclasses still carry a ``__dict__``, so
+    # ``object.__setattr__`` works.  Each memo reads through to a
+    # class-level ``None`` until it is set (ClassVars, not fields), so a
     # first access is a plain miss, not a raised AttributeError.  Both YCSB
     # generators (pure Python and compiled) seed ``_canonical`` and
     # ``_sorted_keys`` while they draw a transaction, so generated
     # transactions never miss those.
-    _read_set: ClassVar[Optional[FrozenSet[str]]] = None
-    _write_set: ClassVar[Optional[FrozenSet[str]]] = None
-    _keys: ClassVar[Optional[FrozenSet[str]]] = None
     _sorted_keys: ClassVar[Optional[Tuple[str, ...]]] = None
     _canonical: ClassVar[Optional[str]] = None
-
-    # Operations are namedtuples, so the comprehensions below unpack them
-    # directly (C-level) instead of reading attributes one by one.
-
-    @property
-    def read_set(self) -> FrozenSet[str]:
-        cached = self._read_set
-        if cached is None:
-            cached = frozenset(key for key, is_write, _value in self.operations if not is_write)
-            object.__setattr__(self, "_read_set", cached)
-        return cached
-
-    @property
-    def write_set(self) -> FrozenSet[str]:
-        cached = self._write_set
-        if cached is None:
-            cached = frozenset(key for key, is_write, _value in self.operations if is_write)
-            object.__setattr__(self, "_write_set", cached)
-        return cached
-
-    @property
-    def keys(self) -> FrozenSet[str]:
-        cached = self._keys
-        if cached is None:
-            # Computed straight from the operations (== read_set | write_set)
-            # so the hot execution path doesn't materialise both sub-sets.
-            cached = frozenset(key for key, _w, _v in self.operations)
-            object.__setattr__(self, "_keys", cached)
-        return cached
 
     @property
     def sorted_keys(self) -> Tuple[str, ...]:
         """The transaction's distinct keys in sorted order.
 
-        What batch execution iterates when recording observed versions —
-        identical ordering to ``sorted(self.keys)``, without materialising
-        the frozenset on that path.
+        What batch execution iterates when recording observed versions.
+        Operations are namedtuples, so the comprehension unpacks them
+        directly (C-level) instead of reading attributes one by one.
         """
         cached = self._sorted_keys
         if cached is None:
@@ -123,15 +91,6 @@ class Transaction:
             cached = _transaction_canonical_py(self)
             object.__setattr__(self, "_canonical", cached)
         return cached
-
-
-def transactions_conflict(first: Transaction, second: Transaction) -> bool:
-    """Two transactions conflict if they share a key and at least one writes it."""
-    if first.write_set & second.keys:
-        return True
-    if second.write_set & first.keys:
-        return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -148,27 +107,34 @@ class TransactionBatch:
         return len(self.transactions)
 
     # Like Transaction, batch-level aggregates are memoised on the instance:
-    # every executor spawned for a batch (3+ per commit) re-reads them.
+    # every executor spawned for a batch (3+ per commit) re-reads them, and
+    # under conflict avoidance every shim node plans with the same batch.
 
     @property
     def read_set(self) -> FrozenSet[str]:
+        """Every key some transaction of the batch reads (conflict planning)."""
         cached = self.__dict__.get("_read_set")
         if cached is None:
-            keys: set = set()
-            for txn in self.transactions:
-                keys |= txn.read_set
-            cached = frozenset(keys)
+            cached = frozenset(
+                key
+                for txn in self.transactions
+                for key, is_write, _value in txn.operations
+                if not is_write
+            )
             object.__setattr__(self, "_read_set", cached)
         return cached
 
     @property
     def write_set(self) -> FrozenSet[str]:
+        """Every key some transaction of the batch writes (conflict planning)."""
         cached = self.__dict__.get("_write_set")
         if cached is None:
-            keys: set = set()
-            for txn in self.transactions:
-                keys |= txn.write_set
-            cached = frozenset(keys)
+            cached = frozenset(
+                key
+                for txn in self.transactions
+                for key, is_write, _value in txn.operations
+                if is_write
+            )
             object.__setattr__(self, "_write_set", cached)
         return cached
 

@@ -132,33 +132,33 @@ def test_overlapping_scenario_keys_conflict(monkeypatch):
     assert resolved["workload"]["zipfian_theta"] == 0.9
 
 
-def _crash_node(name, resolved):
-    from repro.faults.byzantine import CrashBehaviour
+def _byzantine_node(name, resolved):
+    from repro.faults.byzantine import FewerExecutorsBehaviour
 
-    return {"node_behaviours": {name: CrashBehaviour()}}
+    return {"node_behaviours": {name: FewerExecutorsBehaviour()}}
 
 
 def test_direct_fault_knobs_merge_with_scenarios_on_disjoint_nodes(monkeypatch):
     from repro.api import scenarios
 
     for victim in ("node-0", "node-3"):
-        name = f"unit-test-crash-{victim}"
+        name = f"unit-test-byzantine-{victim}"
         monkeypatch.setitem(scenarios._SCENARIOS, name, Scenario(
             name=name,
-            description="test-only crash of one node",
-            runner_kwargs_factory=functools.partial(_crash_node, victim),
+            description="test-only byzantine node",
+            runner_kwargs_factory=functools.partial(_byzantine_node, victim),
         ))
     # request-suppression attaches a behaviour to node-0, the second scenario
     # one to node-3 — disjoint, so the dicts merge.
     deployment = build_deployment(
-        resolve(_spec(scenarios=["request-suppression", "unit-test-crash-node-3"]))
+        resolve(_spec(scenarios=["request-suppression", "unit-test-byzantine-node-3"]))
     )
     behaviours = {
         node.name for node in deployment.nodes if node._behaviour is not None
     }
     assert behaviours == {"node-0", "node-3"}
     # The same node from both scenarios is a conflict.
-    clashing = _spec(scenarios=["request-suppression", "unit-test-crash-node-0"])
+    clashing = _spec(scenarios=["request-suppression", "unit-test-byzantine-node-0"])
     with pytest.raises(ScenarioConflictError, match="node-0"):
         build_deployment(resolve(clashing))
 
@@ -333,11 +333,11 @@ def test_run_with_store_rejects_bespoke_fault_objects():
     """A spec is pure data: fault objects have no field to ride in on."""
     import dataclasses
 
-    from repro.faults.byzantine import CrashBehaviour
+    from repro.faults.byzantine import NodeBehaviour
 
     for knob in ("node_behaviours", "executor_behaviour_factory", "network_fault_plan"):
         with pytest.raises(TypeError, match=knob):
-            RunSpec(**{knob: {"node-3": CrashBehaviour()}})
+            RunSpec(**{knob: {"node-3": NodeBehaviour()}})
     assert len(dataclasses.fields(RunSpec)) == 11
 
 

@@ -5,13 +5,13 @@ The node-level drills run through *scenario presets*
 ``verify-flooding``, ``delayed-spawning``) — the same registry path sweeps
 and composed ``RunSpec``s take — so these tests also pin down that the
 presets inject exactly the behaviours a constructor is handed directly.
-Attacks without a preset (crashing a specific backup, equivocation-style
-setups) keep the direct-constructor path.
+Attacks without a preset (equivocation-style setups) keep the
+direct-constructor path; crashing a specific backup is a fault-timeline
+event (``crash:node-2@0``).
 """
 
 from tests.helpers import make_config, make_workload, run_drill, run_simulation
 from repro.faults.byzantine import (
-    CrashBehaviour,
     DelaySpawningBehaviour,
     DuplicateVerifyBehaviour,
     FewerExecutorsBehaviour,
@@ -105,8 +105,7 @@ def test_drill_scenarios_compose_with_workload_presets():
 
 def test_crashed_backup_node_does_not_stop_the_shim():
     _simulation, result = run_simulation(
-        config=attack_config(),
-        node_behaviours={"node-2": CrashBehaviour()},
+        config=attack_config(fault_timeline="crash:node-2@0"),
         duration=3.0,
         warmup=0.0,
     )

@@ -166,7 +166,9 @@ def test_finish_bills_the_spawner_and_frees_the_slot():
 
 def test_issued_ids_are_recognised_without_a_record():
     sim, cloud, factory = build_cloud()
-    handles = cloud.spawn_many("node-0", ["us-west-1", "us-west-2"], "job")
+    handles = [
+        cloud.spawn(SpawnRequest("node-0", region, "job")) for region in ("us-west-1", "us-west-2")
+    ]
     assert [h.executor_id for h in handles] == ["executor-0", "executor-1"]
     sim.run_until_idle()
     for handle in handles:
@@ -202,17 +204,10 @@ def test_unknown_region_and_missing_factory_rejected():
     sim, cloud, factory = build_cloud()
     with pytest.raises(CloudError):
         cloud.spawn(SpawnRequest("node-0", "moon-base-1", "job"))
-    cloud.set_executor_factory(None)
-    with pytest.raises(CloudError):
-        cloud.spawn(SpawnRequest("node-0", "us-west-1", "job"))
     with pytest.raises(CloudError):
         cloud.finish("executor-unknown")
-
-
-def test_spawn_many_places_one_executor_per_region():
-    sim, cloud, factory = build_cloud()
-    handles = cloud.spawn_many("node-0", ["us-west-1", "us-west-2", "us-east-2"], "job")
-    sim.run_until_idle()
-    assert len(handles) == 3
-    assert sorted(h.region for h in handles) == ["us-east-2", "us-west-1", "us-west-2"]
-    assert len(factory.started) == 3
+    # A cloud without an executor factory cannot be built at all.
+    with pytest.raises(TypeError, match="executor_factory"):
+        ServerlessCloud(
+            sim=sim, catalog=RegionCatalog(), cost_model=CostModel(), rng=DeterministicRNG(1)
+        )

@@ -118,6 +118,67 @@ def test_config_surface_is_pinned():
     ]
 
 
+def test_fault_crypto_engine_and_sweep_cli_surfaces_are_pinned():
+    # Like the config: every name below has a caller outside the tests (a
+    # scenario, a protocol path or CI), and adding one means editing this
+    # list on purpose.
+    import argparse
+    import inspect
+
+    import repro.crypto
+    from repro.faults.byzantine import NodeBehaviour
+    from repro.sim.engine import Simulator
+    from repro.sim.network import NetworkFaultPlan
+    from repro.sweep.cli import build_parser
+
+    assert sorted(NetworkFaultPlan.__dataclass_fields__) == [
+        "down_regions",
+        "drop_probability",
+        "duplicate_probability",
+        "partitions",
+    ]
+    assert sorted(name for name in vars(NodeBehaviour) if not name.startswith("_")) == [
+        "duplicate_spawn_count",
+        "equivocation",
+        "executor_spawn_count",
+        "preprepare_targets",
+        "should_drop_request",
+        "spawn_delay",
+    ]
+    assert sorted(repro.crypto.__all__) == [
+        "CryptoBackend",
+        "CryptoCostModel",
+        "FastCryptoBackend",
+        "KeyPair",
+        "KeyStore",
+        "RealCryptoBackend",
+        "Signature",
+        "SignatureService",
+        "cached_digest",
+        "digest",
+        "resolve_backend",
+        "seed_cached_digest",
+    ]
+    assert list(inspect.signature(Simulator.schedule).parameters) == [
+        "self",
+        "delay",
+        "callback",
+        "args",
+    ]
+    assert list(inspect.signature(Simulator.schedule_at).parameters) == [
+        "self",
+        "time",
+        "callback",
+        "args",
+    ]
+    (subcommands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert sorted(subcommands.choices) == ["list", "list-systems", "run", "scenarios"]
+
+
 def test_with_overrides_creates_modified_copy():
     config = ProtocolConfig(shim_nodes=4)
     bigger = config.with_overrides(shim_nodes=16, batch_size=500)

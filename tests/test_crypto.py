@@ -7,7 +7,7 @@ import pytest
 from repro.crypto.costs import CryptoCostModel
 from repro.crypto.hashing import canonical_bytes, digest
 from repro.crypto.keys import KeyStore, generate_keypair
-from repro.crypto.signatures import MacAuthenticator, SignatureService
+from repro.crypto.signatures import SignatureService
 from repro.errors import CryptoError
 
 
@@ -55,12 +55,6 @@ def test_unknown_identity_raises():
         store.public_key("ghost")
     with pytest.raises(CryptoError):
         store.private_key("ghost")
-
-
-def test_mac_secret_is_symmetric():
-    store = KeyStore()
-    assert store.mac_secret("a", "b") == store.mac_secret("b", "a")
-    assert store.mac_secret("a", "b") != store.mac_secret("a", "c")
 
 
 # ------------------------------------------------------------------ signatures
@@ -136,29 +130,6 @@ def test_issued_executor_keys_are_derived_not_stored():
         store.private_key("executor-1")
     with pytest.raises(CryptoError):
         store.private_key("ghost")
-
-
-def test_require_valid_raises_on_bad_signature():
-    store = KeyStore()
-    signer = SignatureService(store, "node-0")
-    message = signer.sign_message("payload")
-    from dataclasses import replace
-
-    bad = replace(message, payload="other-payload")
-    with pytest.raises(CryptoError):
-        signer.require_valid(bad)
-    signer.require_valid(message)
-
-
-def test_mac_roundtrip_and_mismatch():
-    store = KeyStore()
-    alice = MacAuthenticator(store, "alice")
-    bob = MacAuthenticator(store, "bob")
-    tag = alice.tag("ping", peer="bob")
-    assert bob.verify("ping", peer="alice", tag=tag)
-    assert not bob.verify("pong", peer="alice", tag=tag)
-    assert not bob.verify("ping", peer="carol", tag=tag)
-    assert not bob.verify("ping", peer="alice", tag=None)
 
 
 # ------------------------------------------------------------------ cost model

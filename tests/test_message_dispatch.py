@@ -33,7 +33,6 @@ from repro.core.messages import (
     VerifyMsg,
 )
 from repro.core.shim_node import ShimNode
-from repro.faults.byzantine import CrashBehaviour
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, UniformLatencyModel
 from repro.sim.rng import DeterministicRNG
@@ -145,10 +144,10 @@ def test_crashed_replica_consumes_everything_and_handles_nothing(monkeypatch):
 # ------------------------------------------------------------ ShimNode.on_message
 
 
-def _shim_node(monkeypatch, **build_kwargs):
+def _shim_node(monkeypatch):
     calls = _spy(monkeypatch, ShimNode, [name for _base, name in SHIM_ROUTES])
     calls_into_replica = _spy(monkeypatch, PBFTReplica, ["handle"])
-    deployment = build_system("serverless_bft", make_config(), make_workload(), **build_kwargs)
+    deployment = build_system("serverless_bft", make_config(), make_workload())
     return deployment.nodes[1], calls, calls_into_replica
 
 
@@ -186,34 +185,20 @@ def test_crashed_shim_node_drops_everything(monkeypatch):
     assert len(calls) == len(SHIM_ROUTES) and len(calls_into_replica) == len(PBFT_ROUTES)
 
 
-def test_shim_node_with_a_crashed_behaviour_drops_everything(monkeypatch):
-    node, calls, calls_into_replica = _shim_node(
-        monkeypatch, node_behaviours={"node-1": CrashBehaviour()}
-    )
-    assert node.name == "node-1"
-    for base, _handler in SHIM_ROUTES + PBFT_ROUTES:
-        node.on_message(object.__new__(base), "verifier")
-    assert not calls and not calls_into_replica
-
-
 # ------------------------------------------------------------ ReplicatedNode.on_message
 
 
 def test_replicated_node_routes_requests_and_hands_the_rest_to_its_replica(monkeypatch):
     calls = _spy(monkeypatch, ReplicatedNode, ["_on_client_request"])
     calls_into_replica = _spy(monkeypatch, PBFTReplica, ["handle"])
-    deployment = build_system(
-        "pbft_replicated", make_config(), make_workload(),
-        node_behaviours={"node-2": CrashBehaviour()},
-    )
-    node, crashed = deployment.nodes[1], deployment.nodes[2]
+    deployment = build_system("pbft_replicated", make_config(), make_workload())
+    node = deployment.nodes[1]
     request = _subclass_instance(ClientRequestMsg)
     commit = _subclass_instance(CommitMsg)
     response = object.__new__(ResponseMsg)  # not this node's to route: the replica's call
-    for target in (node, crashed):
-        target.on_message(request, "client-0")
-        target.on_message(commit, "node-0")
-        target.on_message(response, "node-0")
+    node.on_message(request, "client-0")
+    node.on_message(commit, "node-0")
+    node.on_message(response, "node-0")
     assert calls == [("_on_client_request", request, "client-0")]
     assert [call[1:] for call in calls_into_replica] == [(commit, "node-0"), (response, "node-0")]
 

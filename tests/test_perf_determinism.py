@@ -8,7 +8,7 @@ not change any simulated-time result.  These tests pin that down:
 * the ``FastCryptoBackend`` produces results bit-identical to real crypto —
   commit sequence, latency statistics, and message counts included;
 * the kernel runs any program of schedules, cancels, compactions and
-  bounded runs in exactly sorted ``(time, priority, seq)`` order;
+  bounded runs in exactly sorted ``(time, seq)`` order;
 * the supporting machinery (digest memo, canonicalisation fix, bounded
   samplers, execution memo, duplicate-delivery fix, incremental percentiles)
   behaves exactly like the unoptimised equivalents.
@@ -170,7 +170,7 @@ def test_coalescing_disabled_uses_heap_only():
 class _RandomProgram:
     """A random kernel program that keeps its own model of what must run next.
 
-    Every pending event is modelled as ``(time, priority, seq)`` — ``seq``
+    Every pending event is modelled as ``(time, seq)`` — ``seq``
     mirrors the kernel's: one per schedule call, in call order — and each
     callback checks that it is the smallest one pending.  Callbacks schedule
     children, cancel other pending timers, cancel themselves (too late: a
@@ -183,7 +183,7 @@ class _RandomProgram:
     def __init__(self, seed: int) -> None:
         self.rng = random.Random(seed)
         self.sim = Simulator()
-        self.pending = {}  # seq -> (time, priority, seq)
+        self.pending = {}  # seq -> (time, seq)
         self.timers = {}  # seq -> Event, the cancellable part of ``pending``
         self.executed = 0
         self.scheduled = 0
@@ -193,13 +193,11 @@ class _RandomProgram:
         self.scheduled += 1
         seq = self.scheduled
         delay = rng.choice([0.0, 0.0, 0.001, rng.random(), rng.random() * 5])
-        priority = 0
         if rng.random() < 0.4:
             self.sim.schedule_fast(delay, self.fire, seq)
         else:
-            priority = rng.choice([0, 0, -1, 1])
-            self.timers[seq] = self.sim.schedule(delay, self.fire, seq, priority=priority)
-        self.pending[seq] = (self.sim.now + delay, priority, seq)
+            self.timers[seq] = self.sim.schedule(delay, self.fire, seq)
+        self.pending[seq] = (self.sim.now + delay, seq)
 
     def cancel(self, seq: int) -> None:
         self.timers.pop(seq).cancel()
@@ -228,7 +226,7 @@ class _RandomProgram:
 def test_kernel_runs_random_programs_in_sorted_order(seed):
     """schedule / schedule_fast / cancel / cancel-from-a-callback / compaction
     mid-run / run(until) / run(max_events): every event that runs is the
-    smallest ``(time, priority, seq)`` pending, the first event past ``until``
+    smallest ``(time, seq)`` pending, the first event past ``until``
     stays queued, and the run ends with ``now == until``."""
     program = _RandomProgram(seed)
     sim = program.sim
@@ -283,23 +281,6 @@ def test_fast_backend_sign_verify_roundtrip_and_forgery():
 
     forged = replace(signature, signer="node-1")
     assert not verifier.verify({"seq": 3}, forged)
-
-
-def test_mac_authenticator_supports_fast_backend():
-    """MACs accept the backend knob too (callers opt in per authenticator;
-    the deployed simulation only wires the backend into signatures)."""
-    from repro.crypto.signatures import MacAuthenticator
-
-    store = KeyStore()
-    alice = MacAuthenticator(store, "alice", backend="fast")
-    bob = MacAuthenticator(store, "bob", backend="fast")
-    tag = alice.tag("ping", peer="bob")
-    assert bob.verify("ping", peer="alice", tag=tag)
-    assert not bob.verify("pong", peer="alice", tag=tag)
-    assert not bob.verify("ping", peer="carol", tag=tag)
-    # Fast tags are distinct from real HMAC tags for the same channel.
-    real_alice = MacAuthenticator(store, "alice")
-    assert real_alice.tag("ping", peer="bob") != tag
 
 
 def test_resolve_backend_names():
@@ -400,7 +381,7 @@ def test_workload_generation_unchanged_by_fast_paths():
         assert len(writes) == 2
         for op in writes:
             assert op.value is not None and op.value.startswith("val-")
-        assert txn.keys == frozenset(op.key for op in txn.operations)
+        assert txn.sorted_keys == tuple(sorted({op.key for op in txn.operations}))
 
 
 def test_execute_batch_cached_shares_and_separates_results():

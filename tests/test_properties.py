@@ -28,7 +28,6 @@ from repro.workload.transactions import (
     execute_batch,
     _execute_batch_py,
     execute_batch_cached,
-    transactions_conflict,
 )
 from repro.workload.ycsb import YCSBConfig, YCSBWorkload
 
@@ -237,11 +236,32 @@ def _txn_strategy(txn_id):
     )
 
 
+def _write_keys(txn):
+    return {key for key, is_write, _value in txn.operations if is_write}
+
+
+def _txns_conflict(first, second):
+    """The oracle: two transactions conflict if they share a key and one writes it."""
+    first_keys = {key for key, _is_write, _value in first.operations}
+    second_keys = {key for key, _is_write, _value in second.operations}
+    return bool(_write_keys(first) & second_keys or _write_keys(second) & first_keys)
+
+
 @given(first=_txn_strategy("t1"), second=_txn_strategy("t2"))
 def test_conflict_relation_is_symmetric(first, second):
-    assert transactions_conflict(first, second) == transactions_conflict(second, first)
-    if not first.write_set and not second.write_set:
-        assert not transactions_conflict(first, second)
+    # The conflict planner's relation: two batches are dispatched together
+    # exactly when they do not conflict, whichever of them came first.
+    def dispatched_together(a, b):
+        planner = ConflictPlanner()
+        planner.add(1, TransactionBatch("a", (a,)))
+        planner.add(2, TransactionBatch("b", (b,)))
+        return len(planner.ready()) == 2
+
+    together = dispatched_together(first, second)
+    assert together == dispatched_together(second, first)
+    assert together == (not _txns_conflict(first, second))
+    if not _write_keys(first) and not _write_keys(second):
+        assert together
 
 
 @given(
@@ -265,7 +285,7 @@ def test_execute_batch_is_a_pure_function(txns, values):
     assert first.result_digest == second.result_digest
     assert len(first.writes) == len(txns)
     for txn, writes in zip(txns, first.writes):
-        assert set(writes) == set(txn.write_set)
+        assert set(writes) == _write_keys(txn)
     assert first.read_versions is versions
 
 
@@ -504,7 +524,7 @@ def test_batch_writes_are_what_execution_writes_over_any_reads(
 def _batches_conflict(first, second):
     """Two batches conflict if any of their transactions do."""
     return any(
-        transactions_conflict(a, b) for a in first.transactions for b in second.transactions
+        _txns_conflict(a, b) for a in first.transactions for b in second.transactions
     )
 
 

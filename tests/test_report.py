@@ -369,14 +369,6 @@ def test_fail_empty_not_masked_by_model_presets_or_bad_filter(tmp_path, capsys):
     assert "--sweep filter" in capsys.readouterr().err
 
 
-def test_sweep_cli_report_alias(tmp_path, capsys):
-    from repro.sweep.cli import main as sweep_cli
-
-    store = _replicated_store(tmp_path)
-    assert sweep_cli(["report", "--store", store.path, "--fail-empty"]) == 0
-    assert "## unit" in capsys.readouterr().out
-
-
 def test_replicated_run_to_report_cycle(tmp_path, capsys):
     """The CI report-smoke flow: replicated sweep -> cached re-run -> render."""
     from repro.sweep.cli import main as sweep_cli

@@ -27,15 +27,6 @@ def test_ties_broken_by_scheduling_order():
     assert order == ["first", "second", "third"]
 
 
-def test_priority_overrides_insertion_order():
-    sim = Simulator()
-    order = []
-    sim.schedule(0.5, order.append, "low", priority=1)
-    sim.schedule(0.5, order.append, "high", priority=0)
-    sim.run_until_idle()
-    assert order == ["high", "low"]
-
-
 def test_cancelled_event_does_not_run():
     sim = Simulator()
     hits = []

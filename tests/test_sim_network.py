@@ -203,11 +203,8 @@ _FANOUT_CASES = {
     "plain": {},
     "drop": dict(plan=lambda: NetworkFaultPlan(drop_probability=0.4)),
     "duplicate": dict(plan=lambda: NetworkFaultPlan(duplicate_probability=0.4)),
-    "extra-delay": dict(plan=lambda: NetworkFaultPlan(extra_delay=0.25)),
     "drop-duplicate-delay": dict(
-        plan=lambda: NetworkFaultPlan(
-            drop_probability=0.3, duplicate_probability=0.3, extra_delay=0.01
-        )
+        plan=lambda: NetworkFaultPlan(drop_probability=0.3, duplicate_probability=0.3)
     ),
     "static-partition": dict(plan=lambda: NetworkFaultPlan(partitions={("a", "c"), ("d", "a")})),
     "endpoint-down": dict(lifecycle=lambda network: network.set_endpoint_down("c")),

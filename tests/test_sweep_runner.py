@@ -612,3 +612,21 @@ def test_cli_list_and_scenarios(capsys):
 
 def test_cli_unknown_sweep_errors(capsys):
     assert sweep_cli(["run", "definitely-not-a-sweep"]) == 2
+
+
+@pytest.mark.parametrize(
+    "shard_args",
+    [
+        ["--shard-index", "1"],
+        ["--shard-count", "0"],
+        ["--shard-index", "-1", "--shard-count", "2"],
+        ["--shard-index", "2", "--shard-count", "2"],
+    ],
+    ids=["index-without-count", "zero-count", "negative-index", "index-past-count"],
+)
+def test_cli_rejects_a_shard_outside_the_grid(shard_args, capsys):
+    # Checked for one shard too: a stray --shard-index must not run the
+    # whole grid.
+    args = ["run", "smoke", "--duration", "0.3", "--warmup", "0.05", "--quiet"]
+    assert sweep_cli(args + shard_args) == 2
+    assert "--shard-index must be in [0, " in capsys.readouterr().err

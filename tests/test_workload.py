@@ -4,13 +4,13 @@ import pytest
 
 from repro.api import RunSpec, build_deployment, build_system, resolve, spec_digest
 from repro.core.config import ProtocolConfig
+from repro.core.conflict import ConflictPlanner
 from repro.errors import ConfigurationError, WorkloadError
 from repro.workload.transactions import (
     Operation,
     Transaction,
     TransactionBatch,
     execute_batch,
-    transactions_conflict,
 )
 from repro.workload.ycsb import YCSBConfig, YCSBWorkload
 
@@ -26,22 +26,37 @@ def make_txn(txn_id, reads=(), writes=(), execution=0.0):
     )
 
 
+def write_keys(txn):
+    return {key for key, is_write, _value in txn.operations if is_write}
+
+
 def test_read_and_write_sets():
-    txn = make_txn("t1", reads=("a", "b"), writes=("b", "c"))
-    assert txn.read_set == {"a", "b"}
-    assert txn.write_set == {"b", "c"}
-    assert txn.keys == {"a", "b", "c"}
+    # What the conflict planner reads: a batch's read and write sets, taken
+    # from its transactions' operations.
+    batch = TransactionBatch(
+        "b1",
+        (make_txn("t1", reads=("a", "b"), writes=("b", "c")), make_txn("t2", reads=("d",))),
+    )
+    assert batch.read_set == {"a", "b", "d"}
+    assert batch.write_set == {"b", "c"}
+    assert batch.storage_keys == ("a", "b", "c", "d")
 
 
 def test_conflict_detection_requires_a_write():
+    def dispatched_together(first, second):
+        planner = ConflictPlanner()
+        planner.add(1, TransactionBatch("b1", (first,)))
+        planner.add(2, TransactionBatch("b2", (second,)))
+        return [seq for seq, _batch in planner.ready()] == [1, 2]
+
     reader_a = make_txn("t1", reads=("x",))
     reader_b = make_txn("t2", reads=("x",))
     writer = make_txn("t3", writes=("x",))
     unrelated = make_txn("t4", writes=("y",))
-    assert not transactions_conflict(reader_a, reader_b)
-    assert transactions_conflict(reader_a, writer)
-    assert transactions_conflict(writer, reader_a)
-    assert not transactions_conflict(writer, unrelated)
+    assert dispatched_together(reader_a, reader_b)
+    assert not dispatched_together(reader_a, writer)
+    assert not dispatched_together(writer, reader_a)
+    assert dispatched_together(writer, unrelated)
 
 
 def test_write_operation_gets_default_value():
@@ -130,11 +145,11 @@ def test_write_fraction_controls_writes():
     config = YCSBConfig(num_records=1000, operations_per_transaction=4, write_fraction=0.5)
     workload = YCSBWorkload(config)
     txn = workload.next_transaction()
-    assert len(txn.write_set) >= 1
+    assert len(write_keys(txn)) >= 1
     read_only = YCSBWorkload(
         YCSBConfig(num_records=1000, operations_per_transaction=4, write_fraction=0.0)
     ).next_transaction()
-    assert read_only.write_set == frozenset()
+    assert write_keys(read_only) == set()
 
 
 def test_non_conflicting_transactions_from_distinct_clients_never_overlap():
@@ -142,8 +157,8 @@ def test_non_conflicting_transactions_from_distinct_clients_never_overlap():
     workload = YCSBWorkload(config)
     txns_client0 = workload.transactions(30, client_index=0)
     txns_client1 = workload.transactions(30, client_index=1)
-    keys0 = set().union(*(txn.keys for txn in txns_client0))
-    keys1 = set().union(*(txn.keys for txn in txns_client1))
+    keys0 = set().union(*(txn.sorted_keys for txn in txns_client0))
+    keys1 = set().union(*(txn.sorted_keys for txn in txns_client1))
     assert keys0.isdisjoint(keys1)
 
 
@@ -152,7 +167,7 @@ def test_conflicting_transactions_touch_the_hot_set():
     workload = YCSBWorkload(config)
     hot_keys = {f"user{i}" for i in range(4)}
     for txn in workload.transactions(20):
-        assert txn.write_set & hot_keys
+        assert write_keys(txn) & hot_keys
 
 
 def test_conflict_fraction_roughly_respected():
@@ -160,7 +175,7 @@ def test_conflict_fraction_roughly_respected():
     workload = YCSBWorkload(config)
     hot_keys = {f"user{i}" for i in range(4)}
     conflicting = sum(
-        1 for txn in workload.transactions(500) if txn.write_set & hot_keys
+        1 for txn in workload.transactions(500) if write_keys(txn) & hot_keys
     )
     assert 0.2 < conflicting / 500 < 0.4
 
